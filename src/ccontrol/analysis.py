@@ -10,14 +10,14 @@ The result is a finite state graph: the compile-time control encoding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .absdom import (AAtom, FULLEVAL, FreshAVars, LogicError, UNFOLD,
                      abstract_unify_with_clause, canonicalize,
                      full_eval_output, parse_aconj, print_aconj, print_aatom,
                      widen_depth_k)
 from .engine import BuiltinTable
-from .multi import FoldEvent, Multi, case_split, simplify_conj, try_fold
+from .multi import FoldEvent, case_split, simplify_conj, try_fold
 from .policy import NoMinimumError, SelectionPolicy, select_conjunct
 from .terms import Program
 
@@ -53,17 +53,15 @@ class StateGraph:
     transitions: list        # of Transition
     actions: dict            # id -> ("select", pos, mark) | ("split", pos)
     #                        # | ("group", FoldEvent) | ("leaf",)
-    groupings: dict = field(default_factory=dict)  # src id -> FoldEvent
+
+    @property
+    def groupings(self) -> dict:
+        """Grouping states and their fold events, read off ``actions``."""
+        return {sid: a[1] for sid, a in self.actions.items()
+                if a[0] == "group"}
 
     def successors(self, sid):
         return [t for t in self.transitions if t.src == sid]
-
-    def state_of(self, conj):
-        key = canonicalize(conj)
-        for sid, c in self.states.items():
-            if c == key:
-                return sid
-        return None
 
 
 @dataclass
@@ -204,9 +202,7 @@ def analyze(program: Program, policy: SelectionPolicy,
 
     for sid in states:
         actions.setdefault(sid, ("leaf",))
-    groupings = {t.src: actions[t.src][1] for t in transitions
-                 if t.cause[0] == "grouping"}
-    return StateGraph(1, states, transitions, actions, groupings)
+    return StateGraph(1, states, transitions, actions)
 
 
 def _pred_multiset(conj):
@@ -235,45 +231,6 @@ def _growth_diagnostic(states, parents, sid, max_states) -> str:
             break
         anc = parents.get(anc)
     return "; ".join(msg)
-
-
-# --- tables --------------------------------------------------------------
-
-@dataclass
-class StateTables:
-    """The relational form of a state graph, as consumed by the
-    table-driven meta-interpreter."""
-    entry: int
-    selected_index: dict     # state -> conjunct position
-    state_transition: dict   # (state, cause) -> next state
-    fulleval_atoms: dict     # state -> (decl index, position)
-    split_states: dict       # state -> position of the multi
-    groupings: dict          # state -> (next, FoldEvent)
-    state_conjs: dict        # state -> conjunction (for patterns/lengths)
-
-
-def emit_tables(g: StateGraph) -> StateTables:
-    selected_index = {}
-    state_transition = {}
-    fulleval_atoms = {}
-    split_states = {}
-    groupings = {}
-    for sid, action in g.actions.items():
-        if action[0] == "select":
-            selected_index[sid] = action[1]
-            if action[2] == FULLEVAL:
-                for t in g.successors(sid):
-                    fulleval_atoms[sid] = (t.cause[1], action[1])
-        elif action[0] == "split":
-            split_states[sid] = action[1]
-        elif action[0] == "group":
-            t = g.successors(sid)[0]
-            groupings[sid] = (t.dst, action[1])
-    for t in g.transitions:
-        state_transition[(t.src, t.cause)] = t.dst
-    return StateTables(g.entry, selected_index, state_transition,
-                       fulleval_atoms, split_states, groupings,
-                       dict(g.states))
 
 
 # --- rendering -----------------------------------------------------------
@@ -350,10 +307,6 @@ def _render_json(g: StateGraph) -> str:
             for t in g.transitions],
         "actions": {str(sid): _action_json(a)
                     for sid, a in sorted(g.actions.items())},
-        "groupings": [
-            {"state": sid, "start": ev.start, "plen": ev.plen,
-             "kind": ev.kind}
-            for sid, ev in sorted(g.groupings.items())],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -366,7 +319,8 @@ def _action_json(action):
 
 
 def parse_graph(text: str) -> StateGraph:
-    """Inverse of the json rendering."""
+    """Inverse of the json rendering.  A ``groupings`` array, written by
+    older versions, repeats the group actions and is ignored."""
     doc = json.loads(text)
     states = {s["id"]: parse_aconj(s["conjunction"])
               for s in doc["states"]}
@@ -379,6 +333,4 @@ def parse_graph(text: str) -> StateGraph:
             actions[int(sid)] = ("group", FoldEvent(a[1], a[2], a[3]))
         else:
             actions[int(sid)] = tuple(a)
-    groupings = {gr["state"]: FoldEvent(gr["start"], gr["plen"], gr["kind"])
-                 for gr in doc.get("groupings", [])}
-    return StateGraph(doc["entry"], states, transitions, actions, groupings)
+    return StateGraph(doc["entry"], states, transitions, actions)

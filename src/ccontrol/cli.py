@@ -20,15 +20,14 @@ from pathlib import Path
 
 from .analysis import (AnalysisError, AnalysisOptions, analyze, parse_graph,
                        render_graph)
-from .engine import BuiltinTable, Limits, solve
-from .metaint import atom_to_term, build_tables, encode_as_logic_program, \
-    mi_run
+from .engine import Limits, answer_set, solve
+from .metaint import build_tables, encode_as_logic_program, mi_run
 from .pd import (check_closedness, load_annotations, load_filters,
                  specialize_encoded)
 from .policy import load_policy, parse_policy
-from .synthesis import compare_syntheses, synthesize
-from .terms import (Atom, LogicError, Program, mklist, parse_goal,
-                    parse_program, print_atom, print_program, print_term)
+from .synthesis import compare_programs, run_compiled, synthesize
+from .terms import (LogicError, Program, parse_goal, parse_program,
+                    print_program, print_term)
 
 TOLERANCE = 0.05
 
@@ -112,9 +111,17 @@ def _tables(args):
         raise CliError(f"cannot build control tables: {e}")
     variant = getattr(args, "variant", "auto")
     if variant == "auto":
-        variant = "extended" if tables.split_states or tables.grouping \
-            else "simple"
+        variant = tables.variant
     return graph, program, policy, tables, variant
+
+
+def _closed(residual) -> bool:
+    """Check closedness of a residual program, naming what is undefined."""
+    ok, missing = check_closedness(residual)
+    if not ok:
+        preds = ", ".join(f"{p}/{n}" for p, n in missing)
+        print(f"closedness violated: undefined {preds}", file=sys.stderr)
+    return ok
 
 
 def _print_answers(result, as_json):
@@ -216,14 +223,9 @@ def cmd_specialize(args):
     residual = specialize_encoded(tables, variant, budget=args.budget,
                                   annotations=annotations, filters=filters)
     _write(args.out, print_program(residual.program))
-    ok, missing = check_closedness(residual)
     print(f"{len(residual.program.clauses)} residual clauses, "
           f"{len(residual.memo)} memo entries -> {args.out}")
-    if not ok:
-        preds = ", ".join(f"{p}/{n}" for p, n in missing)
-        print(f"closedness violated: undefined {preds}", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if _closed(residual) else 1
 
 
 def cmd_synthesize(args):
@@ -232,11 +234,7 @@ def cmd_synthesize(args):
         compiled = synthesize(graph, program, policy).program
     else:
         residual = specialize_encoded(tables, variant)
-        ok, missing = check_closedness(residual)
-        if not ok:
-            preds = ", ".join(f"{p}/{n}" for p, n in missing)
-            print(f"closedness violated: undefined {preds}",
-                  file=sys.stderr)
+        if not _closed(residual):
             return 1
         compiled = residual.program
     _write(args.out, print_program(compiled))
@@ -244,55 +242,11 @@ def cmd_synthesize(args):
     return 0
 
 
-def _run_on(program, goal, limits):
-    """Run a goal on a compiled program, through its compute/1 wrapper
-    when the program is a residual interpreter specialization."""
-    wrapped = program.clauses_for("compute", 1) \
-        and not program.clauses_for(goal[0].pred, len(goal[0].args))
-    if wrapped:
-        goal = (Atom("compute", (mklist([atom_to_term(a) for a in goal]),)),)
-    return solve(program, goal, limits=limits)
-
-
-def _answer_set(result):
-    return sorted(tuple(sorted((v.name, print_term(t))
-                               for v, t in sub.bindings.items()))
-                  for sub in result.answers)
-
-
-def _compare_programs(prog_a, prog_b, queries, limits):
-    """Per-query agreement report between two compiled programs."""
-    rows = []
-    for goal in queries:
-        ra = _run_on(prog_a, goal, limits)
-        rb = _run_on(prog_b, goal, limits)
-        deviation = abs(ra.inference_count - rb.inference_count) / \
-            max(ra.inference_count, rb.inference_count, 1)
-        rows.append({
-            "goal": " , ".join(print_atom(a) for a in goal),
-            "answers_match": _answer_set(ra) == _answer_set(rb),
-            "answers": [len(ra.answers), len(rb.answers)],
-            "inferences": [ra.inference_count, rb.inference_count],
-            "deviation": round(deviation, 4),
-            "both_exhausted": ra.exhausted and rb.exhausted,
-        })
-    total_a = sum(r["inferences"][0] for r in rows)
-    total_b = sum(r["inferences"][1] for r in rows)
-    return {
-        "queries": rows,
-        "all_match": all(r["answers_match"] for r in rows),
-        "total_inferences": [total_a, total_b],
-        # relative difference of the workload totals; per-query numbers
-        # are informational (tiny queries make ratios meaningless)
-        "deviation": abs(total_a - total_b) / max(total_a, total_b, 1),
-    }
-
-
 def cmd_compare(args):
     prog_a = _load_program(args.program_a)
     prog_b = _load_program(args.program_b)
     queries = _load_queries(args.queries)
-    report = _compare_programs(prog_a, prog_b, queries, _limits(args))
+    report = compare_programs(prog_a, prog_b, queries, _limits(args))
     text = json.dumps(report, indent=2) + "\n"
     if args.report:
         _write(args.report, text)
@@ -325,8 +279,6 @@ def cmd_pipeline(args):
         return 1
     _write(out / "graph.json", render_graph(graph, "json"))
     tables = build_tables(graph, program, policy)
-    variant = "extended" if tables.split_states or tables.grouping \
-        else "simple"
     print(f"analyzed: {len(graph.states)} states, "
           f"{len(graph.transitions)} transitions")
 
@@ -336,12 +288,8 @@ def cmd_pipeline(args):
         _write(out / "compiled_classic.lp", print_program(classic.program))
         print(f"classic synthesis: {len(classic.program.clauses)} clauses")
     if args.mode in ("futamura", "both"):
-        residual = specialize_encoded(tables, variant)
-        ok, missing = check_closedness(residual)
-        if not ok:
-            preds = ", ".join(f"{p}/{n}" for p, n in missing)
-            print(f"closedness violated: undefined {preds}",
-                  file=sys.stderr)
+        residual = specialize_encoded(tables, tables.variant)
+        if not _closed(residual):
             return 1
         futamura = residual
         _write(out / "compiled_futamura.lp",
@@ -353,8 +301,8 @@ def cmd_pipeline(args):
         return 0
     queries_path = args.queries or Path(args.program).with_suffix(".queries")
     queries = _load_queries(queries_path)
-    report = _compare_programs(classic.program, futamura.program, queries,
-                               _limits(args))
+    report = compare_programs(classic.program, futamura.program, queries,
+                              _limits(args))
     _write(out / "report.json", json.dumps(report, indent=2) + "\n")
     for r in report["queries"]:
         status = "agree" if r["answers_match"] else "DISAGREE"
@@ -385,10 +333,8 @@ def _selftest_entry(name, limits, rng):
     policy = parse_policy(_corpus_text(name, ".policy"))
     graph = analyze(program, policy)
     tables = build_tables(graph, program, policy)
-    variant = "extended" if tables.split_states or tables.grouping \
-        else "simple"
     classic = synthesize(graph, program, policy)
-    futamura = specialize_encoded(tables, variant)
+    futamura = specialize_encoded(tables, tables.variant)
     closed, _ = check_closedness(futamura)
 
     queries = [_parse_query(line) for line in
@@ -400,11 +346,12 @@ def _selftest_entry(name, limits, rng):
                 f"permsort([{','.join(map(str, xs))}],S)"))
     agree = 0
     for goal in queries:
-        keys = [_answer_set(mi_run(tables, goal, variant, limits=limits)),
-                _answer_set(_run_on(classic.program, goal, limits)),
-                _answer_set(_run_on(futamura.program, goal, limits))]
+        keys = [answer_set(mi_run(tables, goal, tables.variant,
+                                  limits=limits)),
+                answer_set(run_compiled(classic.program, goal, limits)),
+                answer_set(run_compiled(futamura.program, goal, limits))]
         if name not in NAIVE_SKIP:
-            keys.append(_answer_set(solve(program, goal, limits=limits)))
+            keys.append(answer_set(solve(program, goal, limits=limits)))
         agree += all(k == keys[0] for k in keys)
     return {
         "entry": name,
@@ -573,6 +520,9 @@ def main(argv=None) -> int:
         return e.status
     except LogicError as e:
         print(f"cc {args.command}: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"cc {args.command}: term nesting too deep", file=sys.stderr)
         return 2
 
 

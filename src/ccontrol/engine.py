@@ -1,18 +1,19 @@
-"""SLD resolution with a pluggable selection strategy and builtins.
+"""SLD resolution with the left-to-right selection rule and builtins.
 
 Search is depth-first with textual clause order, driven by an explicit
-stack so deep derivations do not exhaust host recursion.  The inference
+stack so deep derivations do not exhaust host recursion.  The same search
+loop runs the table-driven interpreter of ``metaint``.  The inference
 counter adds one per successful clause resolution and one per builtin
 invocation; failed unification attempts are free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (Atom, Const, FreshNames, LogicError, Program, Struct,
-                    Substitution, Var, compose, is_closed_list, list_parts,
-                    mklist, rename_apart, term_vars, unify, NIL)
+                    Substitution, compose, is_closed_list, list_parts,
+                    mklist, print_term, rename_apart, term_vars, unify)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
 DEFAULT_MAX_DEPTH = 100_000
@@ -147,8 +148,51 @@ _DEFAULTS = {
 }
 
 
-def leftmost(goal) -> int:
-    return 0
+def answer_set(result: RunResult) -> list:
+    """The answers as a sorted list of hashable keys: two runs have the
+    same answer multiset exactly when their answer sets are equal."""
+    return sorted(tuple(sorted((v.name, print_term(t))
+                               for v, t in sub.bindings.items()))
+                  for sub in result.answers)
+
+
+def depth_first(machine, goal, state=None) -> RunResult:
+    """Enumerate the answers of ``goal`` depth first under ``machine``.
+
+    The loop owns the goal stack, the answers and the limits.  The
+    machine supplies ``limits``, a running ``inferences`` count and
+    ``step(goal, state, ans)``, which expands a nonempty goal into
+    ``(deeper, successors)``: successors are ``(goal, state, ans)`` in
+    the order they are to be tried, and ``deeper`` (0 or 1) is what the
+    step adds to the derivation depth.  ``ans`` is the instantiation of
+    the query variables; carrying it instead of an accumulated
+    substitution keeps each step linear in the current goal size.
+    """
+    limits = machine.limits
+    qvars = term_vars(goal)
+    answers = []
+    exhausted = True
+    stack = [(tuple(goal), state, tuple(qvars), 0)]
+    while stack:
+        if machine.inferences > limits.max_inferences:
+            exhausted = False
+            break
+        goal_, state, ans, depth = stack.pop()
+        if not goal_:
+            answers.append(Substitution(
+                {v: t for v, t in zip(qvars, ans) if t != v}))
+            if limits.max_answers is not None and \
+                    len(answers) >= limits.max_answers:
+                exhausted = not stack
+                break
+            continue
+        if depth > limits.max_depth:
+            exhausted = False
+            continue
+        deeper, successors = machine.step(goal_, state, ans)
+        for newgoal, newstate, newans in reversed(successors):
+            stack.append((newgoal, newstate, newans, depth + deeper))
+    return RunResult(answers, machine.inferences, exhausted)
 
 
 class Solver:
@@ -171,8 +215,6 @@ class Solver:
                 continue
             if self.program.clauses_for(a.pred, len(a.args)):
                 continue
-            if a.indicator in self.program.predicates:
-                continue
             raise EngineError(
                 f"unknown predicate {a.pred}/{len(a.args)}")
 
@@ -184,77 +226,49 @@ class Solver:
         # user-defined fully evaluated predicate: run to exhaustion
         sub = Solver(self.program, self.builtins, self.limits,
                      self.occurs_check)
-        res = sub.run((atom,), strategy=leftmost)
+        res = sub.run((atom,))
         self.inferences += res.inference_count
         if not res.exhausted:
             raise EngineError(f"full evaluation of {atom} hit limits")
         return res.answers
 
-    def run(self, goal, strategy=leftmost) -> RunResult:
-        """Enumerate all answers of ``goal`` under the given strategy."""
+    def run(self, goal) -> RunResult:
+        """Enumerate all answers of ``goal`` left to right."""
         self._check_known(goal)
-        qvars = term_vars(goal)
-        answers = []
-        exhausted = True
-        # stack entries: (goal tuple, query-variable instantiation, depth);
-        # carrying the instantiation instead of an accumulated substitution
-        # keeps each step linear in the current goal size
-        stack = [(tuple(goal), tuple(qvars), 0)]
-        while stack:
-            if self.inferences > self.limits.max_inferences:
-                exhausted = False
-                break
-            goal_, ans, depth = stack.pop()
-            if not goal_:
-                answers.append(Substitution(
-                    {v: t for v, t in zip(qvars, ans) if t != v}))
-                if self.limits.max_answers is not None and \
-                        len(answers) >= self.limits.max_answers:
-                    exhausted = not stack
-                    break
-                continue
-            if depth > self.limits.max_depth:
-                exhausted = False
-                continue
-            idx = strategy(goal_)
-            atom = goal_[idx]
-            before, after = goal_[:idx], goal_[idx + 1:]
-            if atom.pred == "call" and len(atom.args) == 1:
-                inner = atom.args[0]
-                if isinstance(inner, Const) and isinstance(inner.name, str):
-                    inner = Atom(inner.name)
-                elif isinstance(inner, Struct):
-                    inner = Atom(inner.functor, inner.args)
-                else:
-                    raise EngineError(f"call/1 on non-callable {inner}")
-                atom = inner
-                is_call = True
+        return depth_first(self, goal)
+
+    def step(self, goal, state, ans):
+        """Resolve the first atom: builtins and ``call/1`` cost no
+        depth, a clause resolution one level."""
+        atom, rest = goal[0], goal[1:]
+        is_call = atom.pred == "call" and len(atom.args) == 1
+        if is_call:
+            inner = atom.args[0]
+            if isinstance(inner, Const) and isinstance(inner.name, str):
+                atom = Atom(inner.name)
+            elif isinstance(inner, Struct):
+                atom = Atom(inner.functor, inner.args)
             else:
-                is_call = False
-            if atom.indicator in self.builtins or is_call:
-                outs = self._eval_callable(atom)
-                for out in reversed(outs):
-                    stack.append((out.apply(before + after),
-                                  out.apply(ans), depth))
+                raise EngineError(f"call/1 on non-callable {inner}")
+        if is_call or atom.indicator in self.builtins:
+            return 0, [(out.apply(rest), state, out.apply(ans))
+                       for out in self._eval_callable(atom)]
+        clauses = self.program.clauses_for(atom.pred, len(atom.args))
+        if not clauses:
+            raise EngineError(
+                f"unknown predicate {atom.pred}/{len(atom.args)}")
+        alternatives = []
+        for clause in clauses:
+            rc = rename_apart(clause, self.fresh)
+            mgu = unify(atom, rc.head, occurs_check=self.occurs_check)
+            if mgu is None:
                 continue
-            if atom.indicator not in self.program.predicates:
-                raise EngineError(
-                    f"unknown predicate {atom.pred}/{len(atom.args)}")
-            alternatives = []
-            for clause in self.program.clauses_for(atom.pred, len(atom.args)):
-                rc = rename_apart(clause, self.fresh)
-                mgu = unify(atom, rc.head, occurs_check=self.occurs_check)
-                if mgu is None:
-                    continue
-                newgoal = mgu.apply(before + rc.body + after)
-                alternatives.append((newgoal, mgu.apply(ans)))
-            self.inferences += len(alternatives)
-            for newgoal, newans in reversed(alternatives):
-                stack.append((newgoal, newans, depth + 1))
-        return RunResult(answers, self.inferences, exhausted)
+            alternatives.append((mgu.apply(rc.body + rest), state,
+                                 mgu.apply(ans)))
+        self.inferences += len(alternatives)
+        return 1, alternatives
 
 
 def solve(program: Program, goal, builtins: BuiltinTable = None,
-          strategy=leftmost, limits: Limits = None,
-          occurs_check: bool = True) -> RunResult:
-    return Solver(program, builtins, limits, occurs_check).run(goal, strategy)
+          limits: Limits = None, occurs_check: bool = True) -> RunResult:
+    return Solver(program, builtins, limits, occurs_check).run(goal)

@@ -18,17 +18,16 @@ wrappers; one/many transitions take them apart again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .absdom import AAtom, AbsConst, AbsStruct, AVar, FULLEVAL, LogicError, \
     member
-from .analysis import EMPTY_STATE, StateGraph
-from .engine import BuiltinTable, Limits, RunResult, Solver, leftmost
+from .analysis import StateGraph
+from .engine import BuiltinTable, Limits, RunResult, Solver, depth_first
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
-from .terms import (Atom, Clause, Const, FreshNames, Program, Struct,
-                    Substitution, Var, list_parts, mklist,
-                    rename_apart, term_vars, unify)
+from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
+                    list_parts, mklist, rename_apart, unify)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -98,6 +97,13 @@ class StateTables:
     fulleval_states: dict     # state -> declaration index
     state_conjs: dict         # state -> abstract conjunction
     program: Program = None   # source program (nested full evaluation)
+
+    @property
+    def variant(self) -> str:
+        """The interpreter variant the tables need: "extended" when the
+        graph has split or grouping states, otherwise "simple"."""
+        return "extended" if self.split_states or self.grouping \
+            else "simple"
 
     def causes_from(self, state):
         return [(cause, dst) for (src, cause), dst
@@ -221,43 +227,23 @@ class MetaInterpreter:
         self.inferences = 0
 
     def run(self, goal) -> RunResult:
-        goal = tuple(goal)
-        qvars = term_vars(goal)
-        answers = []
-        exhausted = True
-        # stack entries: (goal, state, query-variable instantiation)
-        stack = [(goal, self.tables.entry, tuple(qvars))]
-        while stack:
-            if self.inferences > self.limits.max_inferences:
-                exhausted = False
-                break
-            goal_, state, ans = stack.pop()
-            if not goal_:
-                answers.append(Substitution(
-                    {v: t for v, t in zip(qvars, ans) if t != v}))
-                if self.limits.max_answers is not None and \
-                        len(answers) >= self.limits.max_answers:
-                    exhausted = not stack
-                    break
-                continue
-            for succ in reversed(self._step(goal_, state, ans)):
-                stack.append(succ)
-        return RunResult(answers, self.inferences, exhausted)
+        return depth_first(self, goal, self.tables.entry)
 
-    # one abstract-machine step; returns successor (goal, state, ans) list
-    def _step(self, goal, state, ans):
+    def step(self, goal, state, ans):
+        """One abstract-machine step.  Only clause resolution deepens the
+        derivation; full evaluation, splits and groupings are free."""
         t = self.tables
         if state in t.grouping:
             self._need_extended(state)
             dst, ev = t.grouping[state]
-            return [(apply_groupings(goal, [ev]), dst, ans)]
+            return 0, [(apply_groupings(goal, [ev]), dst, ans)]
         if state in t.split_states:
             self._need_extended(state)
-            return self._split(goal, state, ans)
+            return 0, self._split(goal, state, ans)
         if state in t.fulleval_states:
-            return self._full_eval(goal, state, ans)
+            return 0, self._full_eval(goal, state, ans)
         if state in t.selected_index:
-            return self._resolve(goal, state, ans)
+            return 1, self._resolve(goal, state, ans)
         raise MetaintError(
             f"no table entry for state {state} with goal {list(goal)}")
 
@@ -309,7 +295,7 @@ class MetaInterpreter:
         if decl.link_is_builtin:
             return self.builtins.evaluate(atom)
         solver = Solver(self.tables.program, self.builtins, self.limits)
-        res = solver.run((atom,), strategy=leftmost)
+        res = solver.run((atom,))
         self.inferences += res.inference_count
         if not res.exhausted:
             raise MetaintError(f"full evaluation of {atom} hit limits")

@@ -8,14 +8,13 @@ instances, and ``final`` constraints tie the last instance to the outside.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .absdom import (AAtom, ANY, ASub, AVar, AbsConst, AbsStruct,
                      AbstractDomainError, FreshAVars, GROUND, MVar,
                      MixedUnifier, aatom_from_atom, abstract_instance,
                      canonicalize, print_aatom, print_aterm, _conv)
-from .terms import Atom, Const, ParseError, Struct, Var
+from .terms import ParseError
 
 
 def _sorted_pairs(d):
@@ -260,122 +259,6 @@ def case_split(m: Multi, fresh: FreshAVars):
     rest = Multi(m.id, m.pattern, _sorted_pairs(new_init),
                  m.consecutive, m.final)
     return one, one_sub, (head, rest)
-
-
-# --- concretization membership -------------------------------------------
-
-def _ground_concrete(t) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Const):
-        return True
-    return all(_ground_concrete(a) for a in t.args)
-
-
-def _match_term(ct, at, slot, binding) -> bool:
-    """Match a concrete term against an abstract one; MVars are keyed per
-    instance ``slot`` so separate instances bind independently."""
-    if isinstance(at, MVar):
-        at = (slot, at)
-    if isinstance(at, tuple):
-        if at[1].kind == GROUND and not _ground_concrete(ct):
-            return False
-        if at in binding:
-            return binding[at] == ct
-        binding[at] = ct
-        return True
-    if isinstance(at, AVar):
-        if at.kind == GROUND and not _ground_concrete(ct):
-            return False
-        if at in binding:
-            return binding[at] == ct
-        binding[at] = ct
-        return True
-    if isinstance(at, AbsConst):
-        return isinstance(ct, Const) and ct.name == at.name
-    if isinstance(at, AbsStruct):
-        return (isinstance(ct, Struct) and ct.functor == at.functor
-                and len(ct.args) == len(at.args)
-                and all(_match_term(c, a, slot, binding)
-                        for c, a in zip(ct.args, at.args)))
-    raise AbstractDomainError(f"not an abstract term: {at!r}")
-
-
-def _match_atom(ca: Atom, aa: AAtom, slot, binding) -> bool:
-    return (ca.indicator == aa.indicator
-            and all(_match_term(c, a, slot, binding)
-                    for c, a in zip(ca.args, aa.args)))
-
-
-def multi_member(atoms, m: Multi, binding=None, slot_base=0) -> bool:
-    """True iff ``atoms`` splits into n >= 1 instances of the pattern
-    satisfying init, consecutive and final under a consistent assignment."""
-    if binding is None:
-        binding = {}
-    if len(atoms) == 0 or len(atoms) % m.plen != 0:
-        return False
-    n = len(atoms) // m.plen
-    trial = dict(binding)
-    for j in range(1, n + 1):
-        block = atoms[(j - 1) * m.plen: j * m.plen]
-        for ca, aa in zip(block, m.pattern):
-            if not _match_atom(ca, aa, (slot_base, j, m.id), trial):
-                return False
-    for v, t in m.init:
-        key = ((slot_base, 1, m.id), v)
-        if key not in trial or not _match_term(trial[key], t, None, trial):
-            return False
-    for j in range(1, n):
-        for v, w in m.consecutive:
-            kv = ((slot_base, j + 1, m.id), v)
-            kw = ((slot_base, j, m.id), w)
-            if kv not in trial or kw not in trial or trial[kv] != trial[kw]:
-                return False
-    for v, t in m.final:
-        key = ((slot_base, n, m.id), v)
-        if key not in trial or not _match_term(trial[key], t, None, trial):
-            return False
-    binding.clear()
-    binding.update(trial)
-    return True
-
-
-def conj_member(concrete_atoms, conj, binding=None) -> bool:
-    """Membership of a concrete conjunction in an abstract one that may
-    contain multi abstractions (each absorbing a variable number of
-    concrete atoms)."""
-    if binding is None:
-        binding = {}
-    concrete_atoms = tuple(concrete_atoms)
-    conj = tuple(conj)
-
-    def go(ci, ai, bnd):
-        if ai == len(conj):
-            return bnd if ci == len(concrete_atoms) else None
-        c = conj[ai]
-        if isinstance(c, AAtom):
-            if ci >= len(concrete_atoms):
-                return None
-            trial = dict(bnd)
-            if _match_atom(concrete_atoms[ci], c, None, trial):
-                return go(ci + 1, ai + 1, trial)
-            return None
-        maxn = (len(concrete_atoms) - ci) // c.plen
-        for n in range(1, maxn + 1):
-            trial = dict(bnd)
-            chunk = concrete_atoms[ci: ci + n * c.plen]
-            if multi_member(chunk, c, trial, slot_base=ai):
-                res = go(ci + n * c.plen, ai + 1, trial)
-                if res is not None:
-                    return res
-        return None
-
-    res = go(0, 0, dict(binding))
-    if res is None:
-        return False
-    binding.clear()
-    binding.update(res)
-    return True
 
 
 # --- generalization into a multi ----------------------------------------
@@ -651,80 +534,3 @@ def simplify_conj(conj) -> tuple:
 def _dangling(v: MVar, t, occ) -> bool:
     return (isinstance(t, AVar) and occ.get(t, 0) == 1
             and t.kind == v.kind)
-
-
-# --- sampling the concretization -----------------------------------------
-
-class Sampler:
-    """Random members of the denotation of abstract values, for property
-    tests and simulation checks.  Samples are best-effort: callers should
-    re-check membership when a multi's constraints can conflict."""
-
-    def __init__(self, rng: random.Random, depth: int = 2,
-                 functors=("f", "g"), consts=("c", "d", 0, 1, 2)):
-        self.rng = rng
-        self.depth = depth
-        self.functors = functors
-        self.consts = consts
-        self.varc = 0
-
-    def _fresh_var(self):
-        self.varc += 1
-        return Var(f"S{self.varc}")
-
-    def concrete_term(self, ground: bool, depth=None):
-        depth = self.depth if depth is None else depth
-        roll = self.rng.random()
-        if not ground and roll < 0.3:
-            return self._fresh_var()
-        if depth <= 0 or roll < 0.7:
-            return Const(self.rng.choice(self.consts))
-        f = self.rng.choice(self.functors)
-        n = self.rng.randint(1, 2)
-        return Struct(f, tuple(self.concrete_term(ground, depth - 1)
-                               for _ in range(n)))
-
-    def term(self, at, env):
-        if isinstance(at, (AVar, MVar)):
-            if at not in env:
-                env[at] = self.concrete_term(at.kind == GROUND)
-            return env[at]
-        if isinstance(at, AbsConst):
-            return Const(at.name)
-        if isinstance(at, AbsStruct):
-            return Struct(at.functor, tuple(self.term(a, env)
-                                            for a in at.args))
-        raise AbstractDomainError(f"cannot sample {at!r}")
-
-    def atom(self, aa: AAtom, env) -> Atom:
-        return Atom(aa.pred, tuple(self.term(t, env) for t in aa.args))
-
-    def multi(self, m: Multi, env, n: int) -> list:
-        init, cons, final = m.init_map, m.cons_map, m.final_map
-        atoms = []
-        prev = None
-        for j in range(1, n + 1):
-            inst = {}
-            for v in m.pattern_vars():
-                if j == 1 and v in init:
-                    inst[v] = self.term(init[v], env)
-                elif j > 1 and v in cons:
-                    inst[v] = prev[cons[v]]
-                elif j == n and v in final:
-                    inst[v] = self.term(final[v], env)
-                else:
-                    inst[v] = self.concrete_term(v.kind == GROUND)
-            atoms.extend(self.atom(a, inst) for a in m.pattern)
-            prev = inst
-        return atoms
-
-    def conjunction(self, conj, env=None, multi_len=None) -> list:
-        env = {} if env is None else env
-        atoms = []
-        for c in conj:
-            if isinstance(c, AAtom):
-                atoms.append(self.atom(c, env))
-            else:
-                n = multi_len or self.rng.randint(1, 3)
-                atoms.extend(self.multi(c, env, n))
-        return atoms

@@ -480,26 +480,19 @@ class _Specializer:
         return atom
 
     def _copy_support(self):
-        """Copy rescalled source predicates the residual clauses still use."""
-        needed = []
+        """Copy rescalled source predicates the residual clauses still use,
+        and the source predicates those copies use in turn."""
         seen = set(self.names)
-        for _, body in self.clauses:
-            for a in body:
-                if a.indicator not in self.builtins and \
-                        a.pred not in seen and \
-                        self.program.clauses_for(a.pred, len(a.args)):
+        i = 0
+        while i < len(self.clauses):     # copies are appended, then scanned
+            for a in self.clauses[i][1]:
+                if a.indicator in self.builtins or a.pred in seen:
+                    continue
+                support = self.program.clauses_for(a.pred, len(a.args))
+                if support:
                     seen.add(a.pred)
-                    needed.append(a.indicator)
-        while needed:
-            pred, arity = needed.pop(0)
-            for clause in self.program.clauses_for(pred, arity):
-                self.clauses.append((clause.head, clause.body))
-                for a in clause.body:
-                    if a.indicator not in self.builtins and \
-                            a.pred not in seen and \
-                            self.program.clauses_for(a.pred, len(a.args)):
-                        seen.add(a.pred)
-                        needed.append(a.indicator)
+                    self.clauses.extend((c.head, c.body) for c in support)
+            i += 1
 
     def program_out(self) -> Program:
         from .terms import Clause
@@ -570,23 +563,6 @@ def interpreter_filters(variant: str = "simple") -> Filters:
     filters = Filters()
     filters.declare("mi", (ListOf(elem), Static()))
     return filters
-
-
-def interpreter_filter_text(variant: str = "simple") -> str:
-    """The default filters in their declaration syntax."""
-    if variant == "extended":
-        elem = ("struct(cmulti,[struct(.,[struct(building_block,"
-                "[type(list(nonvar))]),dynamic])]) ; nonvar")
-    else:
-        elem = "nonvar"
-    return f"mi(type(list({elem})), static).\n"
-
-
-def interpreter_annotation_text() -> str:
-    """The default annotations in their declaration syntax."""
-    return ("ann(memo, mi/2).\n"
-            "ann(rescall, call/1).\n"
-            "ann(rescall, bb_append/3).\n")
 
 
 def specialize_encoded(tables, variant: str = "simple",

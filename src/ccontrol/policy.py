@@ -334,24 +334,3 @@ def select_conjunct(policy: SelectionPolicy, conj):
                 return pos, UNFOLD
             return pos, "split"
     raise PolicyError("internal selection failure")  # pragma: no cover
-
-
-def select_atom(policy: SelectionPolicy, conj):
-    """Selection restricted to plain-atom conjunctions.
-
-    Returns (index, atom, mark) with mark FULLEVAL or UNFOLD.
-    """
-    pos, mark = select_conjunct(policy, conj)
-    if mark == "split":
-        raise PolicyError("selected a multi instance; case-split first")
-    return pos, conj[pos], mark
-
-
-def is_complete(policy: SelectionPolicy, states):
-    """Check every state has a selectable minimum; returns (ok, witness)."""
-    for state in states:
-        try:
-            select_conjunct(policy, state)
-        except NoMinimumError:
-            return False, state
-    return True, None

@@ -12,14 +12,13 @@ follows the analyzed selection rule step for step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .absdom import (AAtom, AbsConst, AbsStruct, AVar, FreshAVars, GROUND,
                      LogicError, MVar, abstract_unify_with_clause, avars,
                      canonicalize, full_eval_output, print_aconj)
 from .analysis import EMPTY_STATE, StateGraph
-from .engine import BuiltinTable, Limits, solve
+from .engine import BuiltinTable, Limits, answer_set, solve
 from .metaint import BUILDING_BLOCK, atom_to_term
 from .multi import Multi, case_split, simplify_conj, try_fold
 from .policy import SelectionPolicy
@@ -379,69 +378,44 @@ def synthesize(graph: StateGraph, program: Program, policy: SelectionPolicy,
 
 # --- comparing the two constructions -------------------------------------
 
-@dataclass
-class ComparisonReport:
-    goal: str
-    answers_match: bool
-    direct_answers: list
-    specialized_answers: list
-    direct_inferences: int
-    specialized_inferences: int
-    deviation: float
-    both_exhausted: bool
-
-    def as_dict(self):
-        return {
-            "goal": self.goal,
-            "answers_match": self.answers_match,
-            "direct": {"answers": self.direct_answers,
-                       "inferences": self.direct_inferences},
-            "specialized": {"answers": self.specialized_answers,
-                            "inferences": self.specialized_inferences},
-            "deviation": self.deviation,
-            "both_exhausted": self.both_exhausted,
-        }
-
-    def as_json(self):
-        return json.dumps(self.as_dict(), indent=2) + "\n"
-
-    def as_text(self):
-        status = "agree" if self.answers_match else "DISAGREE"
-        return (f"goal {self.goal}: answers {status} "
-                f"({len(self.direct_answers)} each); inferences "
-                f"{self.direct_inferences} direct versus "
-                f"{self.specialized_inferences} specialized "
-                f"(deviation {self.deviation:.2%})\n")
+def run_compiled(program: Program, goal, limits: Limits = None):
+    """Run a goal on a compiled program, through its ``compute/1`` wrapper
+    when the program is a residual interpreter specialization."""
+    wrapped = program.clauses_for("compute", 1) \
+        and not program.clauses_for(goal[0].pred, len(goal[0].args))
+    if wrapped:
+        goal = (Atom("compute", (mklist([atom_to_term(a) for a in goal]),)),)
+    return solve(program, goal, limits=limits)
 
 
-def _answer_key(sub):
-    return tuple(sorted((v.name, print_term(t))
-                        for v, t in sub.bindings.items()))
+def compare_programs(prog_a: Program, prog_b: Program, queries,
+                     limits: Limits = None) -> dict:
+    """Per-query agreement report between two compiled programs.
 
-
-def compare_syntheses(direct: SynthesizedProgram, specialized, goal,
-                      limits: Limits = None,
-                      builtins: BuiltinTable = None) -> ComparisonReport:
-    """Run the same goal through both constructions and compare.
-
-    ``direct`` is the state-predicate program; ``specialized`` is the
-    residual program of the interpreter specialization (its ``compute/1``
-    wrapper is used).  Answers are compared as multisets; the deviation is
-    the relative difference of the inference counts.
+    Answers are compared as multisets.  ``deviation`` is the relative
+    difference of the workload's inference totals; each query's own
+    deviation is informational, since tiny queries make ratios
+    meaningless.
     """
-    goal = tuple(goal)
-    r1 = solve(direct.program, goal, builtins=builtins, limits=limits)
-    program2 = getattr(specialized, "program", specialized)
-    cg = (Atom("compute", (mklist([atom_to_term(a) for a in goal]),)),)
-    r2 = solve(program2, cg, builtins=builtins, limits=limits)
-    k1 = sorted(_answer_key(s) for s in r1.answers)
-    k2 = sorted(_answer_key(s) for s in r2.answers)
-    deviation = abs(r1.inference_count - r2.inference_count) / \
-        max(r1.inference_count, r2.inference_count, 1)
-    return ComparisonReport(
-        " , ".join(print_atom(a) for a in goal),
-        k1 == k2,
-        ["{" + ", ".join(f"{n}={t}" for n, t in k) + "}" for k in k1],
-        ["{" + ", ".join(f"{n}={t}" for n, t in k) + "}" for k in k2],
-        r1.inference_count, r2.inference_count, deviation,
-        r1.exhausted and r2.exhausted)
+    rows = []
+    for goal in queries:
+        ra = run_compiled(prog_a, goal, limits)
+        rb = run_compiled(prog_b, goal, limits)
+        deviation = abs(ra.inference_count - rb.inference_count) / \
+            max(ra.inference_count, rb.inference_count, 1)
+        rows.append({
+            "goal": " , ".join(print_atom(a) for a in goal),
+            "answers_match": answer_set(ra) == answer_set(rb),
+            "answers": [len(ra.answers), len(rb.answers)],
+            "inferences": [ra.inference_count, rb.inference_count],
+            "deviation": round(deviation, 4),
+            "both_exhausted": ra.exhausted and rb.exhausted,
+        })
+    total_a = sum(r["inferences"][0] for r in rows)
+    total_b = sum(r["inferences"][1] for r in rows)
+    return {
+        "queries": rows,
+        "all_match": all(r["answers_match"] for r in rows),
+        "total_inferences": [total_a, total_b],
+        "deviation": abs(total_a - total_b) / max(total_a, total_b, 1),
+    }

@@ -7,8 +7,8 @@ mutable facility is the fresh-name counter used for renaming apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass
+from typing import Iterable, Union
 
 NIL = "[]"
 CONS = "."
@@ -184,11 +184,6 @@ class Substitution:
                 out[v] = t
         return Substitution(out)
 
-    def restrict(self, vs: Iterable[Var]) -> "Substitution":
-        keep = set(vs)
-        return Substitution({v: t for v, t in self.normalized().bindings.items()
-                             if v in keep})
-
     def extend(self, v: Var, t: Term) -> "Substitution":
         new = dict(self.bindings)
         new[v] = t
@@ -297,10 +292,6 @@ def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
     mapping = {v: fresh.var() for v in vs}
     return Clause(_replace_vars(c.head, mapping),
                   _replace_vars(c.body, mapping), c.id)
-
-
-def rename_atom_apart(a: Atom, fresh: FreshNames) -> Atom:
-    return _replace_vars(a, {v: fresh.var() for v in term_vars(a)})
 
 
 # --- parsing ------------------------------------------------------------

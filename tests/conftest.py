@@ -3,14 +3,12 @@
 import pytest
 
 from ccontrol.analysis import analyze
-from ccontrol.engine import Limits, solve
-from ccontrol.metaint import atom_to_term, build_tables, \
-    encode_as_logic_program, mi_run
+from ccontrol.engine import answer_set, solve  # answer_set re-exported
+from ccontrol.metaint import atom_to_term, build_tables, mi_run
 from ccontrol.pd import specialize_encoded
 from ccontrol.policy import parse_policy
 from ccontrol.synthesis import synthesize
-from ccontrol.terms import Atom, mklist, parse_goal, parse_program, \
-    print_term
+from ccontrol.terms import Atom, mklist, parse_goal, parse_program
 
 from importlib import resources
 
@@ -49,8 +47,7 @@ class Entry:
 
     @property
     def variant(self):
-        t = self.tables
-        return "extended" if t.split_states or t.grouping else "simple"
+        return self.tables.variant
 
     @property
     def classic(self):
@@ -91,8 +88,8 @@ def corpus():
     return get
 
 
-def answer_set(result):
-    """Answer multiset as a sorted list of hashable keys."""
-    return sorted(tuple(sorted((v.name, print_term(t))
-                               for v, t in sub.bindings.items()))
-                  for sub in result.answers)
+def query_deviation(row):
+    """Relative difference of one compared query's two inference counts,
+    from the exact counts rather than the report's rounded field."""
+    a, b = row["inferences"]
+    return abs(a - b) / max(a, b, 1)

@@ -19,18 +19,18 @@ from ccontrol.analysis import (AnalysisError, AnalysisOptions, EMPTY_STATE,
                                analyze)
 from ccontrol.engine import (BuiltinTable, EngineError, Limits, ModeError,
                              solve)
-from ccontrol.multi import Multi, Sampler, case_split, conj_member
+from ccontrol.multi import Multi, case_split
 from ccontrol.pd import check_closedness
-from ccontrol.policy import _effective_atoms, derive_order, is_complete, \
-    parse_policy
-from ccontrol.synthesis import compare_syntheses
+from ccontrol.policy import _effective_atoms, derive_order, parse_policy
+from ccontrol.synthesis import compare_programs
 from ccontrol.terms import FreshNames, parse_goal, parse_program, \
     rename_apart, unify
 
-from conftest import CORPUS_NAMES, answer_set, corpus_text
-from oracles import (check_case_split_complete,
+from conftest import CORPUS_NAMES, answer_set, corpus_text, query_deviation
+from oracles import (Sampler, check_case_split_complete,
                      check_unify_against_brute_force, check_widen_monotone,
-                     first_primes, queen_boards, random_term)
+                     conj_member, first_primes, is_complete, queen_boards,
+                     random_term)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -119,23 +119,23 @@ def test_search_program_parity_matches_recorded_counts(corpus):
     entry = corpus("queens")
     fixture = json.loads((FIXTURES / "queens_parity.json").read_text())
 
-    report = compare_syntheses(entry.classic, entry.futamura,
-                               parse_goal("queens([1,2,3,4,5,6],Qs)"))
-    assert report.answers_match and report.both_exhausted
-    assert report.deviation <= 0.05
-    assert len(report.direct_answers) == len(queen_boards(6))
-    assert report.direct_inferences == fixture["n6"]["direct_inferences"]
-    assert report.specialized_inferences == \
-        fixture["n6"]["specialized_inferences"]
-    assert len(report.direct_answers) == fixture["n6"]["answers"]
+    report = compare_programs(entry.classic.program, entry.futamura.program,
+                              [parse_goal("queens([1,2,3,4,5,6],Qs)")])
+    row, = report["queries"]
+    assert row["answers_match"] and row["both_exhausted"]
+    assert query_deviation(row) <= 0.05
+    assert row["answers"][0] == len(queen_boards(6))
+    assert row["inferences"] == [fixture["n6"]["direct_inferences"],
+                                 fixture["n6"]["specialized_inferences"]]
+    assert row["answers"][0] == fixture["n6"]["answers"]
 
     # the 10-queens search does not fit the default acceptance budget;
     # the truncation itself is the recorded, reproducible outcome
     budget = fixture["n10"]["inference_budget"]
-    big = compare_syntheses(entry.classic, entry.futamura,
-                            parse_goal("queens([1,2,3,4,5,6,7,8,9,10],Qs)"),
-                            limits=Limits(max_inferences=budget))
-    assert big.both_exhausted == fixture["n10"]["completed"]
+    big = compare_programs(entry.classic.program, entry.futamura.program,
+                           [parse_goal("queens([1,2,3,4,5,6,7,8,9,10],Qs)")],
+                           limits=Limits(max_inferences=budget))
+    assert big["queries"][0]["both_exhausted"] == fixture["n10"]["completed"]
 
 
 # --- 4. failing queries fail finitely -------------------------------------

@@ -1,5 +1,7 @@
 """State-graph extraction: fixpoint, determinism, rendering, diagnostics."""
 
+import json
+
 import pytest
 
 from ccontrol.analysis import (AnalysisError, AnalysisOptions, EMPTY_STATE,
@@ -64,6 +66,11 @@ def test_graph_json_round_trip(corpus):
         assert g2.transitions == g.transitions
         assert g2.actions == g.actions
         assert g2.groupings == g.groupings
+        # older files repeat the group actions in a groupings array
+        doc = json.loads(render_graph(g, "json"))
+        doc["groupings"] = [{"state": 1, "start": 0, "plen": 1,
+                             "kind": "new"}]
+        assert parse_graph(json.dumps(doc)).groupings == g.groupings
 
 
 def test_render_text_and_dot():

@@ -144,3 +144,13 @@ def test_parse_json_output(permsort_files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert "permsort/2" in doc["predicates"]
+
+
+def test_deep_term_exits_2_without_traceback(tmp_path, capsys):
+    lp = tmp_path / "len.lp"
+    lp.write_text("len([],0).\nlen([X|T],N) :- len(T,M), plus(M,1,N).\n")
+    items = ",".join(str(i) for i in range(400))
+    rc = main(["run", str(lp), "--query", f"len([{items}],N)"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "term nesting too deep" in err and "Traceback" not in err

@@ -82,3 +82,15 @@ def test_encoded_program_round_trips_through_parser(corpus):
 def test_unknown_variant_rejected(corpus):
     with pytest.raises(MetaintError):
         encode_as_logic_program(corpus("permsort").tables, "fancy")
+
+
+def test_mi_run_honours_max_depth_like_the_engine(corpus):
+    # depth counts clause resolutions; full evaluation is free, so the
+    # analyzed control stops where the plain engine does
+    entry = corpus("permsort")
+    goal = parse_goal("permsort([3,1,2],S)")
+    shallow = Limits(max_depth=1)
+    for run in (entry.run_naive, entry.run_mi, entry.run_classic):
+        res = run(goal, limits=shallow)
+        assert (len(res.answers), res.inference_count, res.exhausted) == \
+            (0, 2, False), run.__name__

@@ -3,12 +3,12 @@
 import random
 
 from ccontrol.absdom import FreshAVars, parse_aconj, print_aconj
-from ccontrol.multi import (FoldEvent, Multi, Sampler, case_split,
-                            conj_member, multi_member, simplify_conj,
+from ccontrol.multi import (FoldEvent, Multi, case_split, simplify_conj,
                             try_fold)
 from ccontrol.terms import parse_goal
 
-from oracles import check_case_split_complete
+from oracles import (Sampler, check_case_split_complete, conj_member,
+                     multi_member)
 
 CHAIN = ("multi((filter(mg1,ma1,ma2)), init{ma1=a1}, consec{ma1=ma2}, "
          "final{ma2=a2}, id=1)")

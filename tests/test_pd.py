@@ -6,14 +6,13 @@ from ccontrol.engine import BuiltinTable, solve
 from ccontrol.metaint import encode_as_logic_program
 from ccontrol.pd import (Dynamic, ListOf, Nonvar, PDError, Static,
                          check_closedness, generalize_call,
-                         interpreter_annotation_text,
-                         interpreter_annotations, interpreter_filter_text,
-                         interpreter_filters, parse_annotations,
-                         parse_filters, specialize, specialize_encoded)
+                         parse_annotations, parse_filters, specialize,
+                         specialize_encoded)
 from ccontrol.terms import (Atom, FreshNames, Var, parse_atom, parse_goal,
                             parse_program, parse_term, print_term)
 
 from conftest import answer_set
+from oracles import interpreter_annotation_text, interpreter_filter_text
 
 
 # --- binding types --------------------------------------------------------

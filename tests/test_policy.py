@@ -3,10 +3,11 @@
 import pytest
 
 from ccontrol.absdom import FULLEVAL, UNFOLD, parse_aatom, parse_aconj
-from ccontrol.policy import (PolicyError, derive_order, is_complete,
-                             parse_policy, select_atom, select_conjunct)
+from ccontrol.policy import (PolicyError, derive_order, parse_policy,
+                             select_conjunct)
 
 from conftest import CORPUS_NAMES, corpus_text
+from oracles import is_complete, select_atom
 
 PERMSORT = corpus_text("permsort", ".policy")
 

@@ -2,11 +2,11 @@
 
 from ccontrol.engine import Limits
 from ccontrol.metaint import BUILDING_BLOCK
-from ccontrol.synthesis import compare_syntheses, synthesize
+from ccontrol.synthesis import compare_programs
 from ccontrol.terms import CONS, Struct, parse_goal, parse_program, \
     print_program
 
-from conftest import answer_set
+from conftest import answer_set, query_deviation
 
 
 def test_predicate_per_state(corpus):
@@ -58,31 +58,28 @@ def test_many_branch_head_requires_two_blocks(corpus):
     assert checked > 0
 
 
+def _compare(entry, goal_text, limits=None):
+    """The comparison report row of one goal, classic versus futamura."""
+    report = compare_programs(entry.classic.program, entry.futamura.program,
+                              [parse_goal(goal_text)], limits)
+    return report["queries"][0]
+
+
 def test_compare_syntheses_report(corpus):
-    entry = corpus("permsort")
-    report = compare_syntheses(entry.classic, entry.futamura,
-                               parse_goal("permsort([3,1,2],S)"))
-    assert report.answers_match and report.both_exhausted
-    assert report.deviation <= 0.05
-    d = report.as_dict()
-    assert set(d) == {"goal", "answers_match", "direct", "specialized",
-                      "deviation", "both_exhausted"}
-    assert "agree" in report.as_text()
+    row = _compare(corpus("permsort"), "permsort([3,1,2],S)")
+    assert row["answers_match"] and row["both_exhausted"]
+    assert query_deviation(row) <= 0.05
 
 
 def test_compare_syntheses_workload_deviation(corpus):
     for name, goal_text in (("zigzag", "zigzag([1,9,2,8,3],R)"),
                             ("countdown", "countdown([4,2,3,1],C)")):
-        entry = corpus(name)
-        report = compare_syntheses(entry.classic, entry.futamura,
-                                   parse_goal(goal_text))
-        assert report.answers_match, name
-        assert report.deviation <= 0.05, (name, report.deviation)
+        row = _compare(corpus(name), goal_text)
+        assert row["answers_match"], name
+        assert query_deviation(row) <= 0.05, (name, row["inferences"])
 
 
 def test_compare_syntheses_respects_limits(corpus):
-    entry = corpus("permsort")
-    report = compare_syntheses(entry.classic, entry.futamura,
-                               parse_goal("permsort([3,1,2],S)"),
-                               limits=Limits(max_inferences=5))
-    assert not report.both_exhausted
+    row = _compare(corpus("permsort"), "permsort([3,1,2],S)",
+                   Limits(max_inferences=5))
+    assert not row["both_exhausted"]
