@@ -11,19 +11,19 @@ canonical renumbering.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 from .terms import (Atom, Clause, Const, LogicError, ParseError, Struct,
-                    Substitution, Var, _Parser, unify, CONS, NIL,
-                    list_parts, mklist)
+                    Substitution, Var, _Parser, parse_atom, parse_term,
+                    term_vars, unify, CONS, NIL)
 
 ANY = "a"
 GROUND = "g"
 
 UNFOLD = "unfold"
 FULLEVAL = "fulleval"
-UNMARKED = "unmarked"
 
 
 class AbstractDomainError(LogicError):
@@ -73,14 +73,10 @@ ATerm = Union[AVar, MVar, AbsConst, AbsStruct]
 class AAtom:
     pred: str
     args: tuple = ()
-    mark: str = UNMARKED
 
     @property
     def indicator(self):
         return (self.pred, len(self.args))
-
-    def unmarked(self):
-        return AAtom(self.pred, self.args)
 
     def __repr__(self):
         return print_aatom(self)
@@ -147,7 +143,7 @@ class ASub:
         if isinstance(x, AbsStruct):
             return AbsStruct(x.functor, tuple(self.apply(a) for a in x.args))
         if isinstance(x, AAtom):
-            return AAtom(x.pred, tuple(self.apply(a) for a in x.args), x.mark)
+            return AAtom(x.pred, tuple(self.apply(a) for a in x.args))
         if isinstance(x, (tuple, list)):
             out = [self.apply(item) for item in x]
             return tuple(out) if isinstance(x, tuple) else out
@@ -159,8 +155,8 @@ class ASub:
 class FreshAVars:
     """Fresh abstract-variable index source."""
 
-    def __init__(self, start_a: int = 0, start_g: int = 0):
-        self.counters = {ANY: start_a, GROUND: start_g}
+    def __init__(self):
+        self.counters = {ANY: 0, GROUND: 0}
 
     @classmethod
     def above(cls, x) -> "FreshAVars":
@@ -199,7 +195,7 @@ def canonicalize(x):
         if isinstance(t, AbsStruct):
             return AbsStruct(t.functor, tuple(walk(a) for a in t.args))
         if isinstance(t, AAtom):
-            return AAtom(t.pred, tuple(walk(a) for a in t.args), t.mark)
+            return AAtom(t.pred, tuple(walk(a) for a in t.args))
         if hasattr(t, "renumber"):  # Multi
             return t.renumber(walk, next(multi_ids))
         raise AbstractDomainError(f"cannot canonicalize {t!r}")
@@ -315,18 +311,20 @@ _XP = "~x~"   # placeholder prefixes; reserved, cannot be parsed from source
 _YP = "~y~"
 
 
-def _to_concrete(t, prefix, env):
-    if isinstance(t, (AVar, MVar)):
-        key = (prefix, t)
-        if key not in env:
-            env[key] = Var(f"{prefix}{t.kind}{getattr(t, 'index', None) or t.local}_{len(env)}")
-        return env[key]
-    if isinstance(t, AbsConst):
-        return Const(t.name)
-    if isinstance(t, AbsStruct):
-        return Struct(t.functor, tuple(_to_concrete(a, prefix, env)
-                                       for a in t.args))
-    raise AbstractDomainError(f"not an abstract term: {t!r}")
+def concrete_template(x, var):
+    """An abstract term or atom as a concrete one: constants and
+    structures are kept, and each abstract variable ``v`` becomes
+    ``var(v)``, so the caller decides how variables are named and shared."""
+    if isinstance(x, (AVar, MVar)):
+        return var(x)
+    if isinstance(x, AbsConst):
+        return Const(x.name)
+    if isinstance(x, AbsStruct):
+        return Struct(x.functor, tuple(concrete_template(a, var)
+                                       for a in x.args))
+    if isinstance(x, AAtom):
+        return Atom(x.pred, tuple(concrete_template(a, var) for a in x.args))
+    raise AbstractDomainError(f"not an abstract term: {x!r}")
 
 
 class MixedUnifier:
@@ -340,14 +338,20 @@ class MixedUnifier:
     constants in results are widened to fresh ground variables.
     """
 
-    def __init__(self, fresh: FreshAVars, widen_ints: bool = True):
+    def __init__(self, fresh: FreshAVars):
         self.fresh = fresh
-        self.widen_ints = widen_ints
         self.env = {}
         self.sigma = None
         self.ground = set()
         self.backmap = {}
         self.int_cache = {}
+
+    def _placeholder(self, prefix, v):
+        """The concrete variable standing for abstract ``v`` on one side."""
+        key = (prefix, v)
+        if key not in self.env:
+            self.env[key] = Var(f"{prefix}{v!r}_{len(self.env)}")
+        return self.env[key]
 
     def _placeholder_origin(self, v: Var):
         for (prefix, av), pv in self.env.items():
@@ -358,8 +362,9 @@ class MixedUnifier:
     def unify_same_side(self, ts1, ts2) -> bool:
         """Unify pairs of x-side abstract terms against each other; shared
         variables alias.  The result is read off with ``theta_x``."""
-        xs = tuple(_to_concrete(t, _XP, self.env) for t in ts1)
-        ys = tuple(_to_concrete(t, _XP, self.env) for t in ts2)
+        x = partial(self._placeholder, _XP)
+        xs = tuple(concrete_template(t, x) for t in ts1)
+        ys = tuple(concrete_template(t, x) for t in ts2)
         b = {}
         for xt, yt in zip(xs, ys):
             sigma = unify(xt, yt, occurs_check=True, bindings=b)
@@ -370,11 +375,12 @@ class MixedUnifier:
         self._mark_ground()
         return True
 
-    def unify(self, x_args, y_head, y_vars_fresh=True):
+    def unify(self, x_args, y_head):
         """x_args: tuple of x-side ATerms; y_head: tuple of terms that are
         either ATerms (y-side abstract, e.g. fulleval post-patterns) or
         concrete Terms containing clause variables."""
-        xs = tuple(_to_concrete(a, _XP, self.env) for a in x_args)
+        x = partial(self._placeholder, _XP)
+        xs = tuple(concrete_template(a, x) for a in x_args)
         ys = tuple(self._y_concrete(t) for t in y_head)
         b = {}
         sigma = None
@@ -390,7 +396,7 @@ class MixedUnifier:
 
     def _y_concrete(self, t):
         if isinstance(t, (AVar, MVar, AbsConst, AbsStruct)):
-            return _to_concrete(t, _YP, self.env)
+            return concrete_template(t, partial(self._placeholder, _YP))
         if isinstance(t, Var):
             return Var(f"{_YP}cv_{t.name}")
         if isinstance(t, Const):
@@ -401,7 +407,6 @@ class MixedUnifier:
         raise AbstractDomainError(f"bad clause term {t!r}")
 
     def _mark_ground(self):
-        from .terms import term_vars
         for (prefix, av), pv in self.env.items():
             if isinstance(av, (AVar, MVar)) and av.kind == GROUND:
                 for v in term_vars(self.sigma.apply(pv)):
@@ -426,7 +431,7 @@ class MixedUnifier:
                     self.backmap[t] = self.fresh.var(kind)
             return self.backmap[t]
         if isinstance(t, Const):
-            if self.widen_ints and isinstance(t.name, int):
+            if isinstance(t.name, int):
                 if t.name not in self.int_cache:
                     self.int_cache[t.name] = self.fresh.var(GROUND)
                 return self.int_cache[t.name]
@@ -446,8 +451,7 @@ class MixedUnifier:
         return ASub(out)
 
 
-def abstract_unify_with_clause(a: AAtom, clause: Clause, fresh: FreshAVars,
-                               widen_ints: bool = True):
+def abstract_unify_with_clause(a: AAtom, clause: Clause, fresh: FreshAVars):
     """Abstraction of one resolution step of ``a`` against ``clause``.
 
     Returns (abstract body conjunction, substitution on the caller's
@@ -457,7 +461,7 @@ def abstract_unify_with_clause(a: AAtom, clause: Clause, fresh: FreshAVars,
     """
     if a.indicator != clause.head.indicator:
         return None
-    mu = MixedUnifier(fresh, widen_ints)
+    mu = MixedUnifier(fresh)
     if not mu.unify(a.args, clause.head.args):
         return None
     body = tuple(AAtom(b.pred, tuple(mu.abstract(mu._y_concrete(t))
@@ -473,7 +477,7 @@ def full_eval_output(a: AAtom, pattern: AAtom, output: ASub,
     variables; fresh variables on its right-hand sides stand for newly
     produced values."""
     post = output.apply(pattern)
-    mu = MixedUnifier(fresh, widen_ints=True)
+    mu = MixedUnifier(fresh)
     if not mu.unify(a.args, post.args):
         return None
     return mu.theta_x()
@@ -491,7 +495,7 @@ def aterm_depth(t) -> int:
     raise AbstractDomainError(f"no depth for {t!r}")
 
 
-def widen_depth_k(x, k: int, fresh: FreshAVars = None):
+def widen_depth_k(x, k: int):
     """Most specific generalization of term depth at most ``k``.
 
     Truncated subtrees containing only ground material become fresh ground
@@ -499,8 +503,7 @@ def widen_depth_k(x, k: int, fresh: FreshAVars = None):
     """
     if k < 1:
         raise AbstractDomainError("depth limit must be positive")
-    if fresh is None:
-        fresh = FreshAVars.above(x)
+    fresh = FreshAVars.above(x)
     memo = {}
 
     def cut(t, budget):
@@ -517,7 +520,7 @@ def widen_depth_k(x, k: int, fresh: FreshAVars = None):
         raise AbstractDomainError(f"cannot widen {t!r}")
 
     if isinstance(x, AAtom):
-        return AAtom(x.pred, tuple(cut(a, k) for a in x.args), x.mark)
+        return AAtom(x.pred, tuple(cut(a, k) for a in x.args))
     return cut(x, k)
 
 
@@ -545,12 +548,10 @@ def aatom_from_atom(a: Atom) -> AAtom:
 
 
 def parse_aterm(text: str) -> ATerm:
-    from .terms import parse_term
     return _conv(parse_term(text))
 
 
 def parse_aatom(text: str) -> AAtom:
-    from .terms import parse_atom
     return aatom_from_atom(parse_atom(text))
 
 
@@ -592,25 +593,19 @@ def print_aterm(t) -> str:
     raise AbstractDomainError(f"cannot print {t!r}")
 
 
-def print_aatom(a: AAtom, marks: bool = False) -> str:
+def print_aatom(a: AAtom) -> str:
     if a.pred == "=<" and len(a.args) == 2:
-        s = f"{print_aterm(a.args[0])} =< {print_aterm(a.args[1])}"
-    elif not a.args:
-        s = a.pred
-    else:
-        s = f"{a.pred}({','.join(print_aterm(t) for t in a.args)})"
-    if marks and a.mark == FULLEVAL:
-        return f"=={s}=="
-    if marks and a.mark == UNFOLD:
-        return f"__{s}__"
-    return s
+        return f"{print_aterm(a.args[0])} =< {print_aterm(a.args[1])}"
+    if not a.args:
+        return a.pred
+    return f"{a.pred}({','.join(print_aterm(t) for t in a.args)})"
 
 
-def print_aconj(conj, marks: bool = False) -> str:
+def print_aconj(conj) -> str:
     parts = []
     for c in conj:
         if isinstance(c, AAtom):
-            parts.append(print_aatom(c, marks))
+            parts.append(print_aatom(c))
         else:
             parts.append(repr(c))
     return " , ".join(parts)

@@ -16,7 +16,7 @@ from .absdom import (AAtom, FULLEVAL, FreshAVars, LogicError, UNFOLD,
                      abstract_unify_with_clause, canonicalize,
                      full_eval_output, parse_aconj, print_aconj, print_aatom,
                      widen_depth_k)
-from .engine import BuiltinTable
+from .engine import BUILTINS
 from .multi import FoldEvent, case_split, simplify_conj, try_fold
 from .policy import NoMinimumError, SelectionPolicy, select_conjunct
 from .terms import Program
@@ -82,16 +82,14 @@ def _widen(conj, k):
 
 
 def analyze(program: Program, policy: SelectionPolicy,
-            opts: AnalysisOptions = None,
-            builtins: BuiltinTable = None) -> StateGraph:
+            opts: AnalysisOptions = None) -> StateGraph:
     """Build the finite state graph of the program's abstract control flow.
 
     Raises CompletenessError when a state has no selectable atom, and
     AnalysisError with a growth diagnostic when max_states is exceeded.
     """
     opts = opts or AnalysisOptions()
-    builtins = builtins or BuiltinTable()
-    entry_conj = canonicalize((policy.entry.unmarked(),))
+    entry_conj = canonicalize((policy.entry,))
     states = {1: entry_conj}
     index = {entry_conj: 1}
     parents = {1: None}
@@ -184,7 +182,7 @@ def analyze(program: Program, policy: SelectionPolicy,
         # unfold against program clauses
         clauses = program.clauses_for(atom.pred, len(atom.args))
         if not clauses:
-            kind = "builtin" if atom.indicator in builtins else "predicate"
+            kind = "builtin" if atom.indicator in BUILTINS else "predicate"
             raise AnalysisError(
                 f"cannot unfold {kind} {atom.pred}/{len(atom.args)} in "
                 f"state {sid}; declare it as fully evaluated or define it")

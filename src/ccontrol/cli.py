@@ -151,9 +151,7 @@ def cmd_parse(args):
     if args.json:
         doc = {"clauses": len(program.clauses),
                "predicates": sorted(f"{p}/{n}"
-                                    for p, n in {a.indicator for a in
-                                                 (c.head for c in
-                                                  program.clauses)})}
+                                    for p, n in program.predicates)}
         print(json.dumps(doc, indent=2))
     else:
         print(print_program(program), end="")

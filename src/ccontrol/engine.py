@@ -124,8 +124,15 @@ def _bi_noattack(args, atom):
 class BuiltinTable:
     """predicate/arity -> procedure yielding output substitutions."""
 
-    def __init__(self, entries=None):
-        self.entries = dict(entries if entries is not None else _DEFAULTS)
+    entries = {
+        ("select", 3): _bi_select,
+        ("=<", 2): _bi_leq,
+        ("plus", 3): _bi_plus,
+        ("minus", 3): _bi_minus,
+        ("divides", 2): _bi_divides,
+        ("does_not_divide", 2): _bi_does_not_divide,
+        ("noattack", 3): _bi_noattack,
+    }
 
     def __contains__(self, indicator):
         return indicator in self.entries
@@ -137,15 +144,8 @@ class BuiltinTable:
         return proc(atom.args, atom)
 
 
-_DEFAULTS = {
-    ("select", 3): _bi_select,
-    ("=<", 2): _bi_leq,
-    ("plus", 3): _bi_plus,
-    ("minus", 3): _bi_minus,
-    ("divides", 2): _bi_divides,
-    ("does_not_divide", 2): _bi_does_not_divide,
-    ("noattack", 3): _bi_noattack,
-}
+# Builtins are executed, never resolved against clauses.
+BUILTINS = BuiltinTable()
 
 
 def answer_set(result: RunResult) -> list:
@@ -198,10 +198,9 @@ def depth_first(machine, goal, state=None) -> RunResult:
 class Solver:
     """One solve call; single-threaded, owns its fresh-name counter."""
 
-    def __init__(self, program: Program, builtins: BuiltinTable = None,
-                 limits: Limits = None, occurs_check: bool = True):
+    def __init__(self, program: Program, limits: Limits = None,
+                 occurs_check: bool = True):
         self.program = program
-        self.builtins = builtins or BuiltinTable()
         self.limits = limits or Limits()
         self.occurs_check = occurs_check
         self.fresh = FreshNames()
@@ -211,7 +210,7 @@ class Solver:
         for a in goal:
             if a.pred == "call" and len(a.args) == 1:
                 continue
-            if a.indicator in self.builtins:
+            if a.indicator in BUILTINS:
                 continue
             if self.program.clauses_for(a.pred, len(a.args)):
                 continue
@@ -220,12 +219,11 @@ class Solver:
 
     def _eval_callable(self, atom: Atom) -> list:
         """Full evaluation of an atom: builtin, or nested LTR solve."""
-        if atom.indicator in self.builtins:
+        if atom.indicator in BUILTINS:
             self.inferences += 1
-            return self.builtins.evaluate(atom)
+            return BUILTINS.evaluate(atom)
         # user-defined fully evaluated predicate: run to exhaustion
-        sub = Solver(self.program, self.builtins, self.limits,
-                     self.occurs_check)
+        sub = Solver(self.program, self.limits, self.occurs_check)
         res = sub.run((atom,))
         self.inferences += res.inference_count
         if not res.exhausted:
@@ -250,7 +248,7 @@ class Solver:
                 atom = Atom(inner.functor, inner.args)
             else:
                 raise EngineError(f"call/1 on non-callable {inner}")
-        if is_call or atom.indicator in self.builtins:
+        if is_call or atom.indicator in BUILTINS:
             return 0, [(out.apply(rest), state, out.apply(ans))
                        for out in self._eval_callable(atom)]
         clauses = self.program.clauses_for(atom.pred, len(atom.args))
@@ -269,6 +267,6 @@ class Solver:
         return 1, alternatives
 
 
-def solve(program: Program, goal, builtins: BuiltinTable = None,
-          limits: Limits = None, occurs_check: bool = True) -> RunResult:
-    return Solver(program, builtins, limits, occurs_check).run(goal)
+def solve(program: Program, goal, limits: Limits = None,
+          occurs_check: bool = True) -> RunResult:
+    return Solver(program, limits, occurs_check).run(goal)

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import AAtom, AbsConst, AbsStruct, AVar, FULLEVAL, LogicError, \
-    member
+from .absdom import FULLEVAL, LogicError, concrete_template, member
 from .analysis import StateGraph
-from .engine import BuiltinTable, Limits, RunResult, Solver, depth_first
+from .engine import BUILTINS, Limits, RunResult, Solver, depth_first
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
 from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
@@ -146,22 +145,37 @@ def divide_goals(goal, idx):
     return goal[:idx], goal[idx], goal[idx + 1:]
 
 
-def apply_groupings(goal, specs):
-    """Group designated subconjunctions of a goal into cmulti elements.
-
-    Each spec is either a list of (start, end) half-open intervals over
-    adjacent plain atoms — one building block per interval — or a
-    FoldEvent mirroring an analysis grouping (which may also absorb atoms
-    into an existing cmulti, or merge two adjacent cmultis).  Flattening
-    the result restores the original goal, so answers are unaffected.
+def apply_groupings(goal, ev: FoldEvent):
+    """Group a subconjunction of a goal into a cmulti element, mirroring
+    the analysis grouping ``ev``: two adjacent atom blocks form a new
+    cmulti, a block joins the adjacent cmulti on its left or right, or two
+    adjacent cmultis merge.  Flattening the result restores the original
+    goal, so answers are unaffected.
     """
     goal = list(goal)
-    for spec in specs:
-        if isinstance(spec, FoldEvent):
-            goal = _apply_fold(goal, spec)
-        else:
-            goal = _apply_intervals(goal, spec)
-    return tuple(goal)
+    s, p = ev.start, ev.plen
+    if ev.kind == "new":
+        if s + 2 * p > len(goal):
+            raise MetaintError(f"grouping {ev} out of range for goal of "
+                               f"{len(goal)}")
+        blocks = [_check_atoms(goal[s: s + p]),
+                  _check_atoms(goal[s + p: s + 2 * p])]
+        return tuple(goal[:s] + [make_cmulti(blocks)] + goal[s + 2 * p:])
+    if ev.kind == "left":
+        block = _check_atoms(goal[s: s + p])
+        rest = cmulti_blocks(goal[s + p])
+        return tuple(goal[:s] + [make_cmulti([tuple(block)] + rest)]
+                     + goal[s + p + 1:])
+    if ev.kind == "right":
+        blocks = cmulti_blocks(goal[s])
+        block = _check_atoms(goal[s + 1: s + 1 + p])
+        return tuple(goal[:s] + [make_cmulti(blocks + [tuple(block)])]
+                     + goal[s + 1 + p:])
+    if ev.kind == "merge":
+        b1 = cmulti_blocks(goal[s])
+        b2 = cmulti_blocks(goal[s + 1])
+        return tuple(goal[:s] + [make_cmulti(b1 + b2)] + goal[s + 2:])
+    raise MetaintError(f"unknown grouping kind {ev.kind!r}")
 
 
 def _check_atoms(elems):
@@ -169,39 +183,6 @@ def _check_atoms(elems):
         if is_cmulti(e):
             raise MetaintError(f"cannot re-group cmulti element {e!r}")
     return elems
-
-
-def _apply_intervals(goal, intervals):
-    starts = [s for s, _ in intervals]
-    ends = [e for _, e in intervals]
-    if not intervals or starts[1:] != ends[:-1]:
-        raise MetaintError(f"grouping intervals not adjacent: {intervals}")
-    lo, hi = starts[0], ends[-1]
-    if not (0 <= lo < hi <= len(goal)):
-        raise MetaintError(f"grouping interval out of range: {intervals}")
-    blocks = [_check_atoms(goal[s:e]) for s, e in intervals]
-    return goal[:lo] + [make_cmulti(blocks)] + goal[hi:]
-
-
-def _apply_fold(goal, ev: FoldEvent):
-    s, p = ev.start, ev.plen
-    if ev.kind == "new":
-        return _apply_intervals(goal, [(s, s + p), (s + p, s + 2 * p)])
-    if ev.kind == "left":
-        block = _check_atoms(goal[s: s + p])
-        rest = cmulti_blocks(goal[s + p])
-        return goal[:s] + [make_cmulti([tuple(block)] + rest)] \
-            + goal[s + p + 1:]
-    if ev.kind == "right":
-        blocks = cmulti_blocks(goal[s])
-        block = _check_atoms(goal[s + 1: s + 1 + p])
-        return goal[:s] + [make_cmulti(blocks + [tuple(block)])] \
-            + goal[s + 1 + p:]
-    if ev.kind == "merge":
-        b1 = cmulti_blocks(goal[s])
-        b2 = cmulti_blocks(goal[s + 1])
-        return goal[:s] + [make_cmulti(b1 + b2)] + goal[s + 2:]
-    raise MetaintError(f"unknown grouping kind {ev.kind!r}")
 
 
 # --- the interpreter ------------------------------------------------------
@@ -216,12 +197,11 @@ class MetaInterpreter:
     """
 
     def __init__(self, tables: StateTables, variant: str = "simple",
-                 builtins: BuiltinTable = None, limits: Limits = None):
+                 limits: Limits = None):
         if variant not in ("simple", "extended"):
             raise MetaintError(f"unknown variant {variant!r}")
         self.tables = tables
         self.variant = variant
-        self.builtins = builtins or BuiltinTable()
         self.limits = limits or Limits()
         self.fresh = FreshNames()
         self.inferences = 0
@@ -236,7 +216,7 @@ class MetaInterpreter:
         if state in t.grouping:
             self._need_extended(state)
             dst, ev = t.grouping[state]
-            return 0, [(apply_groupings(goal, [ev]), dst, ans)]
+            return 0, [(apply_groupings(goal, ev), dst, ans)]
         if state in t.split_states:
             self._need_extended(state)
             return 0, self._split(goal, state, ans)
@@ -293,8 +273,8 @@ class MetaInterpreter:
     def _evaluate(self, atom: Atom, decl):
         self.inferences += 1
         if decl.link_is_builtin:
-            return self.builtins.evaluate(atom)
-        solver = Solver(self.tables.program, self.builtins, self.limits)
+            return BUILTINS.evaluate(atom)
+        solver = Solver(self.tables.program, self.limits)
         res = solver.run((atom,))
         self.inferences += res.inference_count
         if not res.exhausted:
@@ -336,9 +316,9 @@ class MetaInterpreter:
 
 
 def mi_run(tables: StateTables, goal, variant: str = "simple",
-           builtins: BuiltinTable = None, limits: Limits = None) -> RunResult:
+           limits: Limits = None) -> RunResult:
     """Run a concrete goal under the table-driven selection rule."""
-    return MetaInterpreter(tables, variant, builtins, limits).run(goal)
+    return MetaInterpreter(tables, variant, limits).run(goal)
 
 
 # --- the logic-program encoding ------------------------------------------
@@ -347,48 +327,13 @@ def _v(name: str) -> Var:
     return Var(name)
 
 
-def _aterm_to_term(t, env):
-    """Abstract term as a concrete template: one variable per abstract
-    variable, so aliasing inside a pattern is preserved."""
-    if isinstance(t, AVar):
-        key = (t.kind, t.index)
-        if key not in env:
-            env[key] = Var(f"_{t.kind.upper()}{t.index}")
-        return env[key]
-    if isinstance(t, AbsConst):
-        return Const(t.name)
-    if isinstance(t, AbsStruct):
-        return Struct(t.functor, tuple(_aterm_to_term(a, env)
-                                       for a in t.args))
-    raise MetaintError(f"cannot encode abstract term {t!r}")
-
-
-def _aatom_to_term(a: AAtom, env):
-    if not a.args:
-        return Const(a.pred)
-    return Struct(a.pred, tuple(_aterm_to_term(t, env) for t in a.args))
-
-
 def _pattern_template(m: Multi, seq: int):
     """The multi's pattern as a list term of atom templates with fresh
     variables per pattern variable."""
-    env = {}
-
-    def conv(t):
-        if isinstance(t, AbsConst):
-            return Const(t.name)
-        if isinstance(t, AbsStruct):
-            return Struct(t.functor, tuple(conv(a) for a in t.args))
-        key = (t.kind, t.local)
-        if key not in env:
-            env[key] = Var(f"_P{seq}_{t.kind.upper()}{t.local}")
-        return env[key]
-
-    items = []
-    for a in m.pattern:
-        items.append(Struct(a.pred, tuple(conv(t) for t in a.args))
-                     if a.args else Const(a.pred))
-    return mklist(items)
+    def var(v):
+        return Var(f"_P{seq}_{v.kind.upper()}{v.local}")
+    return mklist([atom_to_term(concrete_template(a, var))
+                   for a in m.pattern])
 
 
 class _ClauseBuilder:
@@ -600,8 +545,9 @@ def _encode_tables(b: _ClauseBuilder, t: StateTables, variant):
         body = mklist([atom_to_term(a) for a in clause.body])
         b.add(Atom("mi_clause", (head, body, Const(cid))))
     for d, decl in enumerate(t.mi_full_eval):
-        env = {}
-        b.add(Atom("mi_full_eval", (_aatom_to_term(decl.pattern, env),
+        pattern = concrete_template(
+            decl.pattern, lambda v: Var(f"_{v.kind.upper()}{v.index}"))
+        b.add(Atom("mi_full_eval", (atom_to_term(pattern),
                                     Const(f"fullai{d}"))))
     if variant == "extended":
         for sid, (dst, ev) in sorted(t.grouping.items()):

@@ -16,6 +16,9 @@ from .absdom import (AAtom, ANY, ASub, AVar, AbsConst, AbsStruct,
                      canonicalize, print_aatom, print_aterm, _conv)
 from .terms import ParseError
 
+# Longest pattern, in atoms, that a new multi abstraction may fold.
+MAX_PATTERN_LENGTH = 3
+
 
 def _sorted_pairs(d):
     return tuple(sorted(d.items(), key=lambda kv: (kv[0].kind, kv[0].local)))
@@ -83,7 +86,7 @@ class Multi:
                 return AbsStruct(t.functor, tuple(mwalk(a) for a in t.args))
             return t
 
-        pattern = tuple(AAtom(a.pred, tuple(mwalk(t) for t in a.args), a.mark)
+        pattern = tuple(AAtom(a.pred, tuple(mwalk(t) for t in a.args))
                         for a in self.pattern)
         init = {mwalk(v): walk(t) for v, t in self.init}
         cons = {mwalk(v): mwalk(w) for v, w in self.consecutive}
@@ -157,7 +160,7 @@ def parse_conjunct(parser):
         if nxt and nxt[0][0] == "(":
             return _parse_multi(parser)
     a = aatom_from_atom(parser.parse_atom())
-    return AAtom(a.pred, tuple(_mvarify(t) for t in a.args), a.mark)
+    return AAtom(a.pred, tuple(_mvarify(t) for t in a.args))
 
 
 def _parse_multi(parser) -> Multi:
@@ -343,7 +346,7 @@ def _pattern_of(block):
     return pattern, slot_map
 
 
-def try_fold(conj, next_multi_id, max_plen: int = 3):
+def try_fold(conj, next_multi_id):
     """One generalization step: fold a repeated chained pattern, or an atom
     block adjacent to a compatible multi, into a multi abstraction.
 
@@ -357,7 +360,7 @@ def try_fold(conj, next_multi_id, max_plen: int = 3):
             res = _fold_adjacent(conj, i, c)
             if res is not None:
                 return res
-    for plen in range(1, max_plen + 1):
+    for plen in range(1, MAX_PATTERN_LENGTH + 1):
         for i in range(0, len(conj) - 2 * plen + 1):
             window = conj[i: i + 2 * plen]
             if not all(isinstance(x, AAtom) for x in window):
@@ -369,9 +372,8 @@ def try_fold(conj, next_multi_id, max_plen: int = 3):
 
 
 def _fold_new(conj, start, plen, next_multi_id):
-    block1 = tuple(a.unmarked() for a in conj[start: start + plen])
-    block2 = tuple(a.unmarked()
-                   for a in conj[start + plen: start + 2 * plen])
+    block1 = conj[start: start + plen]
+    block2 = conj[start + plen: start + 2 * plen]
     if canonicalize(block1) != canonicalize(block2):
         return None
     pattern, slot1 = _pattern_of(block1)
@@ -409,7 +411,7 @@ def _fold_adjacent(conj, mi, m: Multi):
         if res is not None:
             return res
     if mi - m.plen >= 0:
-        block = tuple(a.unmarked() for a in conj[mi - m.plen: mi]
+        block = tuple(a for a in conj[mi - m.plen: mi]
                       if isinstance(a, AAtom))
         if len(block) == m.plen:
             bmap = _block_binding(block, m.pattern)
@@ -418,7 +420,7 @@ def _fold_adjacent(conj, mi, m: Multi):
                 if res is not None:
                     return res
     if mi + m.plen < len(conj) + 1:
-        block = tuple(a.unmarked() for a in conj[mi + 1: mi + 1 + m.plen]
+        block = tuple(a for a in conj[mi + 1: mi + 1 + m.plen]
                       if isinstance(a, AAtom))
         if len(block) == m.plen:
             bmap = _block_binding(block, m.pattern)

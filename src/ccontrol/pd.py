@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import BuiltinTable, ModeError
-from .terms import (Atom, Const, FreshNames, LogicError, ParseError, Program,
-                    Struct, Var, _Lexer, is_closed_list, list_parts, mklist,
-                    print_atom, print_term, rename_apart, term_vars, unify,
-                    CONS)
+from .engine import BUILTINS, ModeError
+from .metaint import encode_as_logic_program
+from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
+                    Program, Struct, Var, _Lexer, is_closed_list, list_parts,
+                    mklist, print_atom, print_term, rename_apart, term_vars,
+                    unify, CONS)
 
 DEFAULT_BUDGET = 10_000
 
@@ -194,17 +195,15 @@ class Filters:
 
 @dataclass
 class Annotations:
-    """Per-predicate call treatment, with an optional default rule."""
+    """Per-predicate call treatment.  An undeclared builtin is executed
+    (``call``), any other undeclared predicate unfolded."""
     table: dict = field(default_factory=dict)   # (pred, arity) -> annotation
-    builtins: BuiltinTable = None
 
     def of(self, atom: Atom) -> str:
         ann = self.table.get(atom.indicator)
         if ann is not None:
             return ann
-        if self.builtins is not None and atom.indicator in self.builtins:
-            return CALL
-        return UNFOLD
+        return CALL if atom.indicator in BUILTINS else UNFOLD
 
     def declare(self, pred, arity, annotation):
         if annotation not in ANNOTATIONS:
@@ -281,11 +280,10 @@ def parse_filters(text: str) -> Filters:
     return filters
 
 
-def parse_annotations(text: str,
-                      builtins: BuiltinTable = None) -> Annotations:
+def parse_annotations(text: str) -> Annotations:
     """Annotation declarations, one ``ann(kind, pred/arity).`` per clause."""
     lx = _Lexer(text)
-    ann = Annotations(builtins=builtins)
+    ann = Annotations()
     while lx.peek()[0] != "eof":
         kind, val, loc = lx.next()
         if kind != "name" or val != "ann":
@@ -312,9 +310,9 @@ def load_filters(path) -> Filters:
         return parse_filters(f.read())
 
 
-def load_annotations(path, builtins: BuiltinTable = None) -> Annotations:
+def load_annotations(path) -> Annotations:
     with open(path, encoding="utf-8") as f:
-        return parse_annotations(f.read(), builtins)
+        return parse_annotations(f.read())
 
 
 # --- specialization ------------------------------------------------------
@@ -353,12 +351,11 @@ def _atom_key(atom: Atom):
 
 
 class _Specializer:
-    def __init__(self, program, annotations, filters, budget, builtins):
+    def __init__(self, program, annotations, filters, budget):
         self.program = program
         self.annotations = annotations
         self.filters = filters
         self.budget = budget
-        self.builtins = builtins or BuiltinTable()
         self.fresh = FreshNames()
         self.memo = []                    # of MemoEntry
         self.memo_index = {}              # variant key -> MemoEntry
@@ -434,12 +431,12 @@ class _Specializer:
             elif ann == RESCALL:
                 stack.append((rest, hargs, resid + (self._unwrap(atom),)))
             elif ann == CALL:
-                if atom.indicator not in self.builtins:
+                if atom.indicator not in BUILTINS:
                     raise PDError(
                         f"call annotation on non-builtin {print_atom(atom)}")
                 self._tick()
                 try:
-                    outs = self.builtins.evaluate(atom)
+                    outs = BUILTINS.evaluate(atom)
                 except ModeError as e:
                     raise PDError(
                         f"builtin {print_atom(atom)} is insufficiently "
@@ -450,8 +447,7 @@ class _Specializer:
             else:                        # unfold
                 alternatives = []
                 defining = self.program.clauses_for(atom.pred, len(atom.args))
-                if not defining and atom.indicator not in \
-                        self.program.predicates:
+                if not defining:
                     raise PDError(
                         f"cannot unfold unknown predicate "
                         f"{atom.pred}/{len(atom.args)}")
@@ -486,7 +482,7 @@ class _Specializer:
         i = 0
         while i < len(self.clauses):     # copies are appended, then scanned
             for a in self.clauses[i][1]:
-                if a.indicator in self.builtins or a.pred in seen:
+                if a.indicator in BUILTINS or a.pred in seen:
                     continue
                 support = self.program.clauses_for(a.pred, len(a.args))
                 if support:
@@ -495,39 +491,36 @@ class _Specializer:
             i += 1
 
     def program_out(self) -> Program:
-        from .terms import Clause
         return Program(tuple(Clause(h, b, i + 1)
                              for i, (h, b) in enumerate(self.clauses)))
 
 
 def specialize(program: Program, entry: Atom, annotations: Annotations,
-               filters: Filters, budget: int = DEFAULT_BUDGET,
-               builtins: BuiltinTable = None) -> ResidualProgram:
+               filters: Filters,
+               budget: int = DEFAULT_BUDGET) -> ResidualProgram:
     """Specialize ``program`` with respect to the partially known ``entry``.
 
     The entry call is memoized first; specialization proceeds until the
     memo table is closed, so every residual call is defined.
     """
-    sp = _Specializer(program, annotations, filters, budget, builtins)
+    sp = _Specializer(program, annotations, filters, budget)
     entry_call = sp.request(entry)
     sp.run()
     return ResidualProgram(sp.program_out(), entry_call, tuple(sp.memo),
                            sp.steps)
 
 
-def check_closedness(residual: ResidualProgram,
-                     builtins: BuiltinTable = None):
+def check_closedness(residual: ResidualProgram):
     """Every residual body atom must be defined, builtin, or callable.
 
     Returns (ok, offending indicators).
     """
-    builtins = builtins or BuiltinTable()
     missing = []
     for clause in residual.program.clauses:
         for a in clause.body:
             if a.pred == "call" and len(a.args) == 1:
                 continue
-            if a.indicator in builtins:
+            if a.indicator in BUILTINS:
                 continue
             if residual.program.clauses_for(a.pred, len(a.args)):
                 continue
@@ -538,10 +531,10 @@ def check_closedness(residual: ResidualProgram,
 
 # --- the interpreter as the specialized program --------------------------
 
-def interpreter_annotations(builtins: BuiltinTable = None) -> Annotations:
+def interpreter_annotations() -> Annotations:
     """Treatment of the table-driven interpreter's own predicates: the
     interpretation layer is unfolded away, the interpreted steps stay."""
-    ann = Annotations(builtins=builtins or BuiltinTable())
+    ann = Annotations()
     ann.declare("mi", 2, MEMO)
     ann.declare("call", 1, RESCALL)
     ann.declare("bb_append", 3, RESCALL)
@@ -567,7 +560,6 @@ def interpreter_filters(variant: str = "simple") -> Filters:
 
 def specialize_encoded(tables, variant: str = "simple",
                        budget: int = DEFAULT_BUDGET,
-                       builtins: BuiltinTable = None,
                        annotations: Annotations = None,
                        filters: Filters = None) -> ResidualProgram:
     """First projection: specialize the encoded interpreter with respect
@@ -576,18 +568,15 @@ def specialize_encoded(tables, variant: str = "simple",
     The result contains a ``compute/1`` wrapper, so it is run exactly like
     the encoded program it replaces.
     """
-    from .metaint import encode_as_logic_program
-    from .terms import Clause
     encoded = encode_as_logic_program(tables, variant)
     entry_aatom = tables.state_conjs[tables.entry][0]
     fresh = FreshNames()
     skeleton = Struct(entry_aatom.pred,
                       tuple(fresh.var() for _ in entry_aatom.args))
     entry = Atom("mi", (mklist([skeleton]), Const(tables.entry)))
-    annotations = annotations or interpreter_annotations(builtins)
+    annotations = annotations or interpreter_annotations()
     filters = filters or interpreter_filters(variant)
-    residual = specialize(encoded, entry, annotations, filters, budget,
-                          builtins)
+    residual = specialize(encoded, entry, annotations, filters, budget)
     gs = Var("Gs")
     wrapper = Clause(Atom("compute", (gs,)),
                      (Atom(residual.entry_call.pred,

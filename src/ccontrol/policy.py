@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .absdom import (AAtom, ASub, AVar, FULLEVAL, LogicError, UNFOLD,
-                     abstract_instance, avars, canonicalize, equivalent,
-                     print_aatom, strict_instance, _conv)
+                     aatom_from_atom, abstract_instance, avars, canonicalize,
+                     equivalent, print_aatom, strict_instance, _conv)
 from .terms import ParseError, _Parser
 
 
@@ -54,7 +54,7 @@ class SelectionPolicy:
         """The first declaration whose pattern covers ``a``, if any."""
         for decl in self.fulleval:
             if a.indicator == decl.pattern.indicator and \
-                    abstract_instance(a.unmarked(), decl.pattern) is not None:
+                    abstract_instance(a, decl.pattern) is not None:
                 return decl
         return None
 
@@ -71,7 +71,6 @@ def parse_policy(text: str) -> SelectionPolicy:
     fulleval = []
 
     def aatom():
-        from .absdom import aatom_from_atom
         return aatom_from_atom(parser.parse_atom())
 
     def set_name():
@@ -190,11 +189,11 @@ class DerivedOrder:
     set, generated from a policy and closed under transitivity."""
 
     def __init__(self, classes, less):
-        self.classes = classes          # canonical unmarked atoms
+        self.classes = classes          # canonical form of each class
         self.less = less                # set of (i, j) index pairs
 
     def index_of(self, a: AAtom):
-        key = canonicalize(a.unmarked())
+        key = canonicalize(a)
         for i, c in enumerate(self.classes):
             if c == key:
                 return i
@@ -221,10 +220,10 @@ def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
     for members in policy.sets.values():
         mentioned += list(members)
     for a in list(atoms) + mentioned:
-        key = canonicalize(a.unmarked())
+        key = canonicalize(a)
         if key not in classes:
             classes.append(key)
-            reps.append(a.unmarked())
+            reps.append(a)
     n = len(classes)
     less = set()
 
@@ -314,7 +313,7 @@ def select_conjunct(policy: SelectionPolicy, conj):
     order = derive_order(policy, [a for _, a in eff])
     present = []
     for _, a in eff:
-        key = canonicalize(a.unmarked())
+        key = canonicalize(a)
         if key not in present:
             present.append(key)
     idx = {c: i for i, c in enumerate(order.classes)}
@@ -329,7 +328,7 @@ def select_conjunct(policy: SelectionPolicy, conj):
             " , ".join(print_aatom(a) for _, a in eff))
     target = winners[0]
     for pos, a in eff:
-        if canonicalize(a.unmarked()) == target:
+        if canonicalize(a) == target:
             if isinstance(conj[pos], AAtom):
                 return pos, UNFOLD
             return pos, "split"

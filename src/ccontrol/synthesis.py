@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .absdom import (AAtom, AbsConst, AbsStruct, AVar, FreshAVars, GROUND,
-                     LogicError, MVar, abstract_unify_with_clause, avars,
-                     canonicalize, full_eval_output, print_aconj)
+                     LogicError, abstract_unify_with_clause, avars,
+                     canonicalize, concrete_template, full_eval_output,
+                     print_aconj)
 from .analysis import EMPTY_STATE, StateGraph
-from .engine import BuiltinTable, Limits, answer_set, solve
+from .engine import BUILTINS, Limits, answer_set, solve
 from .metaint import BUILDING_BLOCK, atom_to_term
 from .multi import Multi, case_split, simplify_conj, try_fold
 from .policy import SelectionPolicy
@@ -50,21 +51,17 @@ def _avar_name(v: AVar) -> str:
     return f"{'G' if v.kind == GROUND else 'A'}{v.index}"
 
 
-def _conv_term(t, env, fresh):
-    if isinstance(t, (AVar, MVar)):
-        if t not in env:
-            env[t] = fresh.var()
-        return env[t]
-    if isinstance(t, AbsConst):
-        return Const(t.name)
-    if isinstance(t, AbsStruct):
-        return Struct(t.functor, tuple(_conv_term(a, env, fresh)
-                                       for a in t.args))
-    raise SynthesisError(f"cannot make a template of {t!r}")
-
-
-def _conv_atom(a: AAtom, env, fresh) -> Atom:
-    return Atom(a.pred, tuple(_conv_term(t, env, fresh) for t in a.args))
+def _variables(env, fresh=None):
+    """Concrete variable of each abstract variable for ``concrete_template``:
+    its entry in ``env``, else a new variable from ``fresh``, remembered in
+    ``env``."""
+    def var(v):
+        if v not in env:
+            if fresh is None:
+                raise SynthesisError(f"cannot make a template of {v!r}")
+            env[v] = fresh.var()
+        return env[v]
+    return var
 
 
 def _bind_term(at, ct, env):
@@ -99,11 +96,10 @@ def _block_term(atoms) -> Struct:
 
 
 class _Synthesizer:
-    def __init__(self, graph, program, policy, builtins):
+    def __init__(self, graph, program, policy):
         self.graph = graph
         self.program = program
         self.policy = policy
-        self.builtins = builtins or BuiltinTable()
         entry_conj = graph.states[graph.entry]
         if len(entry_conj) != 1 or not isinstance(entry_conj[0], AAtom):
             raise SynthesisError("entry state is not a single atom")
@@ -119,29 +115,18 @@ class _Synthesizer:
         """Concrete template: named variable per abstract variable, one
         block-list variable per multi; returns (env, elements, args)."""
         env = {v: Var(_avar_name(v)) for v in _plain_avars(conj)}
+        var = _variables(env)
         elems = []
         nb = 0
         for c in conj:
             if isinstance(c, AAtom):
-                elems.append(Atom(c.pred,
-                                  tuple(self._tt(t, env) for t in c.args)))
+                elems.append(concrete_template(c, var))
             else:
                 nb += 1
                 elems.append(Var(f"B{nb}"))
         args = [env[v] for v in _plain_avars(conj)]
         args += [e for e in elems if isinstance(e, Var)]
         return env, tuple(elems), tuple(args)
-
-    def _tt(self, t, env):
-        if isinstance(t, AVar):
-            if t not in env:       # variable occurring only in a multi
-                env[t] = Var(_avar_name(t))
-            return env[t]
-        if isinstance(t, AbsConst):
-            return Const(t.name)
-        if isinstance(t, AbsStruct):
-            return Struct(t.functor, tuple(self._tt(a, env) for a in t.args))
-        raise SynthesisError(f"cannot make a template of {t!r}")
 
     # --- successor calls --------------------------------------------------
 
@@ -290,8 +275,8 @@ class _Synthesizer:
         before_a, after_a = conj[:pos], conj[pos + 1:]
         before_c, after_c = elems[:pos], elems[pos + 1:]
 
-        env1 = dict(env)
-        one_c = tuple(_conv_atom(a, env1, freshc) for a in one)
+        var = _variables(dict(env), freshc)
+        one_c = tuple(concrete_template(a, var) for a in one)
         raw = one_sub.apply(before_a) + one + one_sub.apply(after_a)
         conc = before_c + one_c + after_c
         succ = self._successor(self._dst(sid, ("one",)), raw, conc)
@@ -299,13 +284,13 @@ class _Synthesizer:
         head_args[bidx] = mklist([_block_term(one_c)])
         self._emit(tuple(head_args), (), succ, sid)
 
-        env2 = dict(env)
-        head_c = tuple(_conv_atom(a, env2, freshc) for a in head)
+        var = _variables(dict(env), freshc)
+        head_c = tuple(concrete_template(a, var) for a in head)
         # The remaining multi stands for at least one more instance, so the
         # head can require a second block matching the pattern; spurious
         # single-block calls then fail at the head instead of descending.
-        penv = {}
-        next_c = tuple(_conv_atom(a, penv, freshc) for a in rest.pattern)
+        var = _variables({}, freshc)
+        next_c = tuple(concrete_template(a, var) for a in rest.pattern)
         rest_b = Struct(CONS, (_block_term(next_c), Var("BRest")))
         raw = before_a + head + (rest,) + after_a
         conc = before_c + head_c + (rest_b,) + after_c
@@ -366,14 +351,14 @@ class _Synthesizer:
         for clause in self.program.clauses_for(pred, arity):
             self.clauses.append((clause.head, clause.body))
             for a in clause.body:
-                if a.indicator not in self.builtins:
+                if a.indicator not in BUILTINS:
                     self._copy_support(a.indicator)
 
 
-def synthesize(graph: StateGraph, program: Program, policy: SelectionPolicy,
-               builtins: BuiltinTable = None) -> SynthesizedProgram:
+def synthesize(graph: StateGraph, program: Program,
+               policy: SelectionPolicy) -> SynthesizedProgram:
     """Build the state-predicate program equivalent to the analyzed one."""
-    return _Synthesizer(graph, program, policy, builtins).synthesize()
+    return _Synthesizer(graph, program, policy).synthesize()
 
 
 # --- comparing the two constructions -------------------------------------

@@ -330,10 +330,10 @@ def test_selection_order_axioms_hold_on_all_reachable_atoms(corpus):
         seen = set()
         unique = []
         for a in atoms:
-            key = canonicalize(a.unmarked())
+            key = canonicalize(a)
             if key not in seen:
                 seen.add(key)
-                unique.append(a.unmarked())
+                unique.append(a)
         for x in unique:
             for y in unique:
                 if strict_instance(x, y):

@@ -7,6 +7,7 @@ import pytest
 from ccontrol.cli import main
 
 from conftest import corpus_text
+from oracles import interpreter_annotation_text, interpreter_filter_text
 
 
 @pytest.fixture()
@@ -154,3 +155,43 @@ def test_deep_term_exits_2_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "term nesting too deep" in err and "Traceback" not in err
+
+
+def test_specialize_with_default_declarations_matches_plain_run(tmp_path,
+                                                                capsys):
+    """Declaring the default annotations and filters explicitly gives the
+    same residual program: undeclared builtins are executed, not
+    unfolded."""
+    lp = tmp_path / "queens.lp"
+    pol = tmp_path / "queens.policy"
+    graph = tmp_path / "graph.json"
+    ann = tmp_path / "i.ann"
+    flt = tmp_path / "i.flt"
+    lp.write_text(corpus_text("queens", ".lp"))
+    pol.write_text(corpus_text("queens", ".policy"))
+    ann.write_text(interpreter_annotation_text())
+    flt.write_text(interpreter_filter_text("extended"))
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    table = [str(graph), str(lp), "--policy", str(pol)]
+    plain = tmp_path / "plain.lp"
+    assert main(["specialize", *table, "--out", str(plain)]) == 0
+    declared = tmp_path / "declared.lp"
+    assert main(["specialize", *table, "--ann", str(ann),
+                 "--filters", str(flt), "--out", str(declared)]) == 0
+    assert declared.read_text() == plain.read_text()
+
+
+def test_policy_variable_index_zero_analyzes_like_any_other(permsort_files,
+                                                            tmp_path,
+                                                            capsys):
+    lp, pol, _ = permsort_files
+    stock = tmp_path / "stock.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(stock)]) == 0
+    renamed = tmp_path / "g0.policy"
+    text = pol.read_text()
+    assert "fulleval: g1 =< g2" in text
+    renamed.write_text(text.replace("fulleval: g1 =< g2",
+                                    "fulleval: g0 =< g2"))
+    graph = tmp_path / "g0.json"
+    assert main(["analyze", str(lp), str(renamed), "--out", str(graph)]) == 0
+    assert graph.read_text() == stock.read_text()

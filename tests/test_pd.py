@@ -2,7 +2,7 @@
 
 import pytest
 
-from ccontrol.engine import BuiltinTable, solve
+from ccontrol.engine import solve
 from ccontrol.metaint import encode_as_logic_program
 from ccontrol.pd import (Dynamic, ListOf, Nonvar, PDError, Static,
                          check_closedness, generalize_call,
@@ -45,8 +45,7 @@ def test_parse_filters_grammar():
 
 
 def test_parse_annotations_grammar():
-    ann = parse_annotations("ann(memo, mi/2).\nann(rescall, call/1).\n",
-                            builtins=BuiltinTable())
+    ann = parse_annotations("ann(memo, mi/2).\nann(rescall, call/1).\n")
     assert ann.of(parse_atom("mi(G,S)")) == "memo"
     assert ann.of(parse_atom("call(G)")) == "rescall"
     assert ann.of(parse_atom("plus(1,2,X)")) == "call"    # builtin default
