@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .terms import (Atom, Clause, Const, LogicError, ParseError, Struct,
                     Substitution, Var, _Parser, parse_atom, parse_term,
-                    term_vars, unify, CONS, NIL)
+                    print_atom, print_term, term_vars, unify)
 
 ANY = "a"
 GROUND = "g"
@@ -82,23 +82,27 @@ class AAtom:
         return print_aatom(self)
 
 
-def avars(x, acc=None) -> list:
-    """AVars in first-occurrence order (MVars are skipped)."""
+def avar_occurrences(x, acc=None) -> list:
+    """Every occurrence of an AVar, in order (MVars are skipped)."""
     if acc is None:
         acc = []
     if isinstance(x, AVar):
-        if x not in acc:
-            acc.append(x)
+        acc.append(x)
     elif isinstance(x, (AbsStruct, AAtom)):
         for a in x.args:
-            avars(a, acc)
+            avar_occurrences(a, acc)
     elif isinstance(x, (tuple, list)):
         for item in x:
-            avars(item, acc)
+            avar_occurrences(item, acc)
     elif hasattr(x, "outer_terms"):  # Multi
         for t in x.outer_terms():
-            avars(t, acc)
+            avar_occurrences(t, acc)
     return acc
+
+
+def avars(x) -> list:
+    """AVars in first-occurrence order (MVars are skipped)."""
+    return list(dict.fromkeys(avar_occurrences(x)))
 
 
 def is_ground_aterm(t) -> bool:
@@ -161,7 +165,7 @@ class FreshAVars:
     @classmethod
     def above(cls, x) -> "FreshAVars":
         f = cls()
-        for v in avars(x):
+        for v in avar_occurrences(x):
             f.counters[v.kind] = max(f.counters[v.kind], v.index)
         return f
 
@@ -485,16 +489,6 @@ def full_eval_output(a: AAtom, pattern: AAtom, output: ASub,
 
 # --- depth-k widening ---------------------------------------------------
 
-def aterm_depth(t) -> int:
-    if isinstance(t, (AVar, MVar, AbsConst)):
-        return 0
-    if isinstance(t, AbsStruct):
-        return 1 + max(aterm_depth(a) for a in t.args)
-    if isinstance(t, AAtom):
-        return max((aterm_depth(a) for a in t.args), default=0)
-    raise AbstractDomainError(f"no depth for {t!r}")
-
-
 def widen_depth_k(x, k: int):
     """Most specific generalization of term depth at most ``k``.
 
@@ -569,36 +563,16 @@ def parse_aconj(text: str) -> tuple:
     return tuple(out)
 
 
+def _printed_var(v):
+    return Var(f"m{v!r}" if isinstance(v, MVar) else repr(v))
+
+
 def print_aterm(t) -> str:
-    if isinstance(t, AVar):
-        return f"{t.kind}{t.index}"
-    if isinstance(t, MVar):
-        return f"m{t.kind}{t.local}"
-    if isinstance(t, AbsConst):
-        return str(t.name)
-    if isinstance(t, AbsStruct):
-        if t.functor == CONS and len(t.args) == 2:
-            items = []
-            cur = t
-            while isinstance(cur, AbsStruct) and cur.functor == CONS \
-                    and len(cur.args) == 2:
-                items.append(cur.args[0])
-                cur = cur.args[1]
-            inner = ",".join(print_aterm(i) for i in items)
-            if isinstance(cur, AbsConst) and cur.name == NIL:
-                return f"[{inner}]"
-            return f"[{inner}|{print_aterm(cur)}]"
-        inner = ",".join(print_aterm(a) for a in t.args)
-        return f"{t.functor}({inner})"
-    raise AbstractDomainError(f"cannot print {t!r}")
+    return print_term(concrete_template(t, _printed_var))
 
 
 def print_aatom(a: AAtom) -> str:
-    if a.pred == "=<" and len(a.args) == 2:
-        return f"{print_aterm(a.args[0])} =< {print_aterm(a.args[1])}"
-    if not a.args:
-        return a.pred
-    return f"{a.pred}({','.join(print_aterm(t) for t in a.args)})"
+    return print_atom(concrete_template(a, _printed_var))
 
 
 def print_aconj(conj) -> str:

@@ -43,7 +43,6 @@ class Transition:
     dst: int                 # EMPTY_STATE for an empty successor goal
     cause: tuple             # ("clause", id) | ("fulleval", decl-idx, out-idx)
     #                        # | ("one",) | ("many",) | ("grouping", kind)
-    selected_index: int | None
 
 
 @dataclass
@@ -62,6 +61,14 @@ class StateGraph:
 
     def successors(self, sid):
         return [t for t in self.transitions if t.src == sid]
+
+    def successor(self, sid, cause) -> int:
+        """The state that the transition for ``cause`` leads to from
+        ``sid``."""
+        for t in self.transitions:
+            if t.src == sid and t.cause == cause:
+                return t.dst
+        raise AnalysisError(f"state {sid} has no transition for {cause}")
 
 
 @dataclass
@@ -132,8 +139,7 @@ def analyze(program: Program, policy: SelectionPolicy,
         if fold is not None:
             new_conj, ev = fold
             dst = intern(new_conj, sid)
-            transitions.append(Transition(sid, dst, ("grouping", ev.kind),
-                                          None))
+            transitions.append(Transition(sid, dst, ("grouping", ev.kind)))
             actions[sid] = ("group", ev)
             continue
 
@@ -151,9 +157,9 @@ def analyze(program: Program, policy: SelectionPolicy,
                         + one_sub.apply(conj[pos + 1:]))
             many_conj = conj[:pos] + head + (rest,) + conj[pos + 1:]
             transitions.append(Transition(sid, intern(one_conj, sid),
-                                          ("one",), pos))
+                                          ("one",)))
             transitions.append(Transition(sid, intern(many_conj, sid),
-                                          ("many",), pos))
+                                          ("many",)))
             actions[sid] = ("split", pos)
             continue
 
@@ -171,7 +177,7 @@ def analyze(program: Program, policy: SelectionPolicy,
                 new_conj = theta.apply(rest_conj[0] + rest_conj[1])
                 transitions.append(Transition(
                     sid, intern(new_conj, sid),
-                    ("fulleval", decl_idx, out_idx), pos))
+                    ("fulleval", decl_idx, out_idx)))
             if not produced:
                 raise AnalysisError(
                     f"no output binding of {print_aatom(decl.pattern)} "
@@ -195,7 +201,7 @@ def analyze(program: Program, policy: SelectionPolicy,
             new_conj = (theta.apply(rest_conj[0]) + body
                         + theta.apply(rest_conj[1]))
             transitions.append(Transition(sid, intern(new_conj, sid),
-                                          ("clause", clause.id), pos))
+                                          ("clause", clause.id)))
         actions[sid] = ("select", pos, UNFOLD)
 
     for sid in states:
@@ -295,13 +301,17 @@ def _render_dot(g: StateGraph) -> str:
 
 
 def _render_json(g: StateGraph) -> str:
+    def selected_index(sid):
+        action = g.actions.get(sid, ("leaf",))
+        return action[1] if action[0] in ("select", "split") else None
+
     doc = {
         "entry": g.entry,
         "states": [{"id": sid, "conjunction": print_aconj(g.states[sid])}
                    for sid in sorted(g.states)],
         "transitions": [
             {"from": t.src, "to": t.dst, "cause": list(t.cause),
-             "selected_index": t.selected_index}
+             "selected_index": selected_index(t.src)}
             for t in g.transitions],
         "actions": {str(sid): _action_json(a)
                     for sid, a in sorted(g.actions.items())},
@@ -317,13 +327,14 @@ def _action_json(action):
 
 
 def parse_graph(text: str) -> StateGraph:
-    """Inverse of the json rendering.  A ``groupings`` array, written by
-    older versions, repeats the group actions and is ignored."""
+    """Inverse of the json rendering.  Each transition's
+    ``selected_index`` repeats its source state's action, and a
+    ``groupings`` array, written by older versions, repeats the group
+    actions; both are ignored."""
     doc = json.loads(text)
     states = {s["id"]: parse_aconj(s["conjunction"])
               for s in doc["states"]}
-    transitions = [Transition(t["from"], t["to"], tuple(t["cause"]),
-                              t["selected_index"])
+    transitions = [Transition(t["from"], t["to"], tuple(t["cause"]))
                    for t in doc["transitions"]]
     actions = {}
     for sid, a in doc.get("actions", {}).items():

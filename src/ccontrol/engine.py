@@ -217,30 +217,17 @@ class Solver:
             raise EngineError(
                 f"unknown predicate {a.pred}/{len(a.args)}")
 
-    def _eval_callable(self, atom: Atom) -> list:
-        """Full evaluation of an atom: builtin, or nested LTR solve."""
-        if atom.indicator in BUILTINS:
-            self.inferences += 1
-            return BUILTINS.evaluate(atom)
-        # user-defined fully evaluated predicate: run to exhaustion
-        sub = Solver(self.program, self.limits, self.occurs_check)
-        res = sub.run((atom,))
-        self.inferences += res.inference_count
-        if not res.exhausted:
-            raise EngineError(f"full evaluation of {atom} hit limits")
-        return res.answers
-
     def run(self, goal) -> RunResult:
         """Enumerate all answers of ``goal`` left to right."""
         self._check_known(goal)
         return depth_first(self, goal)
 
     def step(self, goal, state, ans):
-        """Resolve the first atom: builtins and ``call/1`` cost no
-        depth, a clause resolution one level."""
+        """Resolve the first atom: a builtin costs no depth, a clause
+        resolution one level.  ``call(G)`` is this step on ``G`` itself,
+        within the same search, fresh names and limits."""
         atom, rest = goal[0], goal[1:]
-        is_call = atom.pred == "call" and len(atom.args) == 1
-        if is_call:
+        while atom.pred == "call" and len(atom.args) == 1:
             inner = atom.args[0]
             if isinstance(inner, Const) and isinstance(inner.name, str):
                 atom = Atom(inner.name)
@@ -248,9 +235,10 @@ class Solver:
                 atom = Atom(inner.functor, inner.args)
             else:
                 raise EngineError(f"call/1 on non-callable {inner}")
-        if is_call or atom.indicator in BUILTINS:
+        if atom.indicator in BUILTINS:
+            self.inferences += 1
             return 0, [(out.apply(rest), state, out.apply(ans))
-                       for out in self._eval_callable(atom)]
+                       for out in BUILTINS.evaluate(atom)]
         clauses = self.program.clauses_for(atom.pred, len(atom.args))
         if not clauses:
             raise EngineError(

@@ -1,13 +1,14 @@
 """Table-driven meta-interpretation of the analyzed control flow.
 
-The state graph produced by the analysis is flattened into relational
-tables (selected index per state, state transitions keyed by their cause,
-clause and full-evaluation lookup).  A meta-interpreter walks a concrete
-goal and a state number in lockstep: the tables dictate which conjunct is
-selected and which states are reachable, so the interpreter itself never
-inspects groundness.  The same tables can be emitted as a logic program
-(``mi/2`` and friends) whose left-to-right execution reproduces the
-interpreter — the subject program for specialization.
+The state graph produced by the analysis is read as relational tables:
+each state's action gives its selected index, and each transition names
+its successor state by cause (a source clause, a full-evaluation output, a
+split or a grouping).  A meta-interpreter walks a concrete goal and a state
+number in lockstep: the tables dictate which conjunct is selected and which
+states are reachable, so the interpreter itself never inspects groundness.
+The same tables can be emitted as a logic program (``mi/2`` and friends)
+whose left-to-right execution reproduces the interpreter — the subject
+program for specialization.
 
 Goals are tuples of concrete atoms.  Where the analysis folded repeated
 conjuncts into a multi abstraction, the concrete counterpart is a goal
@@ -84,18 +85,28 @@ def cmulti_blocks(x: Atom):
 
 @dataclass
 class StateTables:
-    """Relational form of a state graph plus the data the interpreter
-    resolves against: source clauses and full-evaluation declarations."""
-    entry: int
-    selected_index: dict      # state -> goal position (select & split states)
-    state_transition: dict    # (state, cause tuple) -> next state
-    mi_clause: dict           # clause id -> Clause
-    mi_full_eval: tuple       # FullEvalDecl list, indexed by declaration
-    grouping: dict            # state -> (next state, FoldEvent)
-    split_states: set         # states whose selected element is a cmulti
-    fulleval_states: dict     # state -> declaration index
-    state_conjs: dict         # state -> abstract conjunction
-    program: Program = None   # source program (nested full evaluation)
+    """The analyzed control as the interpreter reads it: the state graph,
+    whose actions and transitions are the tables, the source program that
+    its clause causes name, and the policy whose full-evaluation
+    declarations its fulleval causes index."""
+    graph: StateGraph
+    program: Program
+    policy: SelectionPolicy
+
+    @property
+    def entry(self) -> int:
+        return self.graph.entry
+
+    @property
+    def split_states(self) -> list:
+        """States whose selected element is a cmulti, in increasing order."""
+        return sorted(sid for sid, a in self.graph.actions.items()
+                      if a[0] == "split")
+
+    @property
+    def grouping(self) -> dict:
+        """Grouping states and their fold events."""
+        return self.graph.groupings
 
     @property
     def variant(self) -> str:
@@ -104,34 +115,10 @@ class StateTables:
         return "extended" if self.split_states or self.grouping \
             else "simple"
 
-    def causes_from(self, state):
-        return [(cause, dst) for (src, cause), dst
-                in self.state_transition.items() if src == state]
-
 
 def build_tables(g: StateGraph, program: Program,
                  policy: SelectionPolicy) -> StateTables:
-    selected_index = {}
-    fulleval_states = {}
-    split_states = set()
-    grouping = {}
-    for sid, action in g.actions.items():
-        if action[0] == "select":
-            selected_index[sid] = action[1]
-            if action[2] == FULLEVAL:
-                for t in g.successors(sid):
-                    fulleval_states[sid] = t.cause[1]
-        elif action[0] == "split":
-            selected_index[sid] = action[1]
-            split_states.add(sid)
-        elif action[0] == "group":
-            t = g.successors(sid)[0]
-            grouping[sid] = (t.dst, action[1])
-    state_transition = {(t.src, t.cause): t.dst for t in g.transitions}
-    mi_clause = {c.id: c for c in program.clauses}
-    return StateTables(g.entry, selected_index, state_transition, mi_clause,
-                       tuple(policy.fulleval), grouping, split_states,
-                       fulleval_states, dict(g.states), program)
+    return StateTables(g, program, policy)
 
 
 # --- goal surgery ---------------------------------------------------------
@@ -201,29 +188,33 @@ class MetaInterpreter:
         if variant not in ("simple", "extended"):
             raise MetaintError(f"unknown variant {variant!r}")
         self.tables = tables
+        self.graph = tables.graph
+        self.clauses = {c.id: c for c in tables.program.clauses}
         self.variant = variant
         self.limits = limits or Limits()
         self.fresh = FreshNames()
         self.inferences = 0
 
     def run(self, goal) -> RunResult:
-        return depth_first(self, goal, self.tables.entry)
+        return depth_first(self, goal, self.graph.entry)
 
     def step(self, goal, state, ans):
-        """One abstract-machine step.  Only clause resolution deepens the
-        derivation; full evaluation, splits and groupings are free."""
-        t = self.tables
-        if state in t.grouping:
+        """One abstract-machine step, as the state's action says.  Only
+        clause resolution deepens the derivation; full evaluation, splits
+        and groupings are free."""
+        action = self.graph.actions.get(state, ("leaf",))
+        if action[0] == "group":
             self._need_extended(state)
-            dst, ev = t.grouping[state]
+            ev = action[1]
+            dst = self.graph.successor(state, ("grouping", ev.kind))
             return 0, [(apply_groupings(goal, ev), dst, ans)]
-        if state in t.split_states:
+        if action[0] == "split":
             self._need_extended(state)
-            return 0, self._split(goal, state, ans)
-        if state in t.fulleval_states:
-            return 0, self._full_eval(goal, state, ans)
-        if state in t.selected_index:
-            return 1, self._resolve(goal, state, ans)
+            return 0, self._split(goal, state, action[1], ans)
+        if action[0] == "select" and action[2] == FULLEVAL:
+            return 0, self._full_eval(goal, state, action[1], ans)
+        if action[0] == "select":
+            return 1, self._resolve(goal, state, action[1], ans)
         raise MetaintError(
             f"no table entry for state {state} with goal {list(goal)}")
 
@@ -233,36 +224,27 @@ class MetaInterpreter:
                 f"state {state} needs the extended variant "
                 "(multi abstractions present)")
 
-    def _split(self, goal, state, ans):
-        idx = self.tables.selected_index[state]
+    def _split(self, goal, state, idx, ans):
         before, selected, after = divide_goals(goal, idx)
         blocks = cmulti_blocks(selected)
         if len(blocks) == 1:
-            dst = self._dst(state, ("one",))
+            dst = self.graph.successor(state, ("one",))
             return [(before + blocks[0] + after, dst, ans)]
-        dst = self._dst(state, ("many",))
+        dst = self.graph.successor(state, ("many",))
         rest = make_cmulti(blocks[1:])
         return [(before + blocks[0] + (rest,) + after, dst, ans)]
 
-    def _dst(self, state, cause):
-        try:
-            return self.tables.state_transition[(state, cause)]
-        except KeyError:
-            raise MetaintError(
-                f"state {state} has no transition for {cause}") from None
-
-    def _full_eval(self, goal, state, ans):
-        t = self.tables
-        idx = t.selected_index[state]
+    def _full_eval(self, goal, state, idx, ans):
         before, selected, after = divide_goals(goal, idx)
         if is_cmulti(selected):
             raise MetaintError(
                 f"state {state} expects a callable atom at {idx}")
-        decl_idx = t.fulleval_states[state]
-        decl = t.mi_full_eval[decl_idx]
+        # every successor of a full-evaluation state has the cause
+        # ("fulleval", declaration, output)
+        succs = self.graph.successors(state)
+        decl = self.tables.policy.fulleval[succs[0].cause[1]]
+        dsts = {t.cause[2]: t.dst for t in succs}
         outs = self._evaluate(selected, decl)
-        dsts = {cause[2]: dst for cause, dst in t.causes_from(state)
-                if cause[0] == "fulleval" and cause[1] == decl_idx}
         succ = []
         for theta in outs:
             dst = self._match_output(theta.apply(selected), decl, dsts, state)
@@ -293,24 +275,19 @@ class MetaInterpreter:
         raise MetaintError(
             f"result {result} matches no declared output in state {state}")
 
-    def _resolve(self, goal, state, ans):
-        t = self.tables
-        idx = t.selected_index[state]
+    def _resolve(self, goal, state, idx, ans):
         before, selected, after = divide_goals(goal, idx)
         if is_cmulti(selected):
             raise MetaintError(
                 f"state {state} expects a resolvable atom at {idx}")
         succ = []
-        for cause, dst in t.causes_from(state):
-            if cause[0] != "clause":
-                continue
-            clause = t.mi_clause[cause[1]]
-            rc = rename_apart(clause, self.fresh)
+        for t in self.graph.successors(state):
+            rc = rename_apart(self.clauses[t.cause[1]], self.fresh)
             mgu = unify(selected, rc.head)
             if mgu is None:
                 continue
             self.inferences += 1
-            succ.append((mgu.apply(before + rc.body + after), dst,
+            succ.append((mgu.apply(before + rc.body + after), t.dst,
                          mgu.apply(ans)))
         return succ
 
@@ -521,40 +498,40 @@ def _encode_grouping_clause(b, sid, dst, ev: FoldEvent):
 
 
 def _encode_tables(b: _ClauseBuilder, t: StateTables, variant):
-    for sid in sorted(t.selected_index):
-        if variant == "simple" and sid in t.split_states:
-            raise MetaintError(
-                "state graph contains multi abstractions; "
-                "encode with the extended variant")
-        b.add(Atom("selected_index", (Const(sid),
-                                      Const(t.selected_index[sid]))))
+    g = t.graph
+    split_states = t.split_states
+    if variant == "simple" and split_states:
+        raise MetaintError(
+            "state graph contains multi abstractions; "
+            "encode with the extended variant")
+    for sid, action in sorted(g.actions.items()):
+        if action[0] in ("select", "split"):
+            b.add(Atom("selected_index", (Const(sid), Const(action[1]))))
     seen = set()
-    for (src, cause), dst in sorted(t.state_transition.items(),
-                                    key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        if cause[0] == "grouping":
+    for tr in sorted(g.transitions, key=lambda tr: (tr.src, str(tr.cause))):
+        if tr.cause[0] == "grouping":
             continue
-        fact = (src, _cause_term(cause).name, dst)
+        fact = (tr.src, _cause_term(tr.cause).name, tr.dst)
         if fact in seen:
             continue
         seen.add(fact)
-        b.add(Atom("state_transition", (Const(src), Const(dst),
-                                        _cause_term(cause))))
-    for cid in sorted(t.mi_clause):
-        clause = t.mi_clause[cid]
+        b.add(Atom("state_transition", (Const(tr.src), Const(tr.dst),
+                                        _cause_term(tr.cause))))
+    for clause in sorted(t.program.clauses, key=lambda c: c.id):
         head = atom_to_term(clause.head)
         body = mklist([atom_to_term(a) for a in clause.body])
-        b.add(Atom("mi_clause", (head, body, Const(cid))))
-    for d, decl in enumerate(t.mi_full_eval):
+        b.add(Atom("mi_clause", (head, body, Const(clause.id))))
+    for d, decl in enumerate(t.policy.fulleval):
         pattern = concrete_template(
             decl.pattern, lambda v: Var(f"_{v.kind.upper()}{v.index}"))
         b.add(Atom("mi_full_eval", (atom_to_term(pattern),
                                     Const(f"fullai{d}"))))
     if variant == "extended":
-        for sid, (dst, ev) in sorted(t.grouping.items()):
+        for sid, ev in sorted(t.grouping.items()):
+            dst = g.successor(sid, ("grouping", ev.kind))
             _encode_grouping_clause(b, sid, dst, ev)
-        for seq, sid in enumerate(sorted(t.split_states)):
-            conj = t.state_conjs[sid]
-            m = conj[t.selected_index[sid]]
+        for seq, sid in enumerate(split_states):
+            m = g.states[sid][g.actions[sid][1]]
             patt1 = _pattern_template(m, seq * 2)
             b.add(Atom("extracted_patt_one", (Const(sid), patt1)))
             patt1b = _pattern_template(m, seq * 2)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .absdom import (AAtom, ANY, ASub, AVar, AbsConst, AbsStruct,
                      AbstractDomainError, FreshAVars, GROUND, MVar,
                      MixedUnifier, aatom_from_atom, abstract_instance,
-                     canonicalize, print_aatom, print_aterm, _conv)
+                     avar_occurrences, canonicalize, print_aatom,
+                     print_aterm, _conv)
 from .terms import ParseError
 
 # Longest pattern, in atoms, that a new multi abstraction may fold.
@@ -280,29 +281,12 @@ class FoldEvent:
     kind: str
 
 
-def _avar_occurrences(x, acc=None) -> list:
-    if acc is None:
-        acc = []
-    if isinstance(x, AVar):
-        acc.append(x)
-    elif isinstance(x, (AbsStruct, AAtom)):
-        for a in x.args:
-            _avar_occurrences(a, acc)
-    elif isinstance(x, Multi):
-        for t in x.outer_terms():
-            _avar_occurrences(t, acc)
-    elif isinstance(x, (tuple, list)):
-        for item in x:
-            _avar_occurrences(item, acc)
-    return acc
-
-
 def _occurrences_outside(conj, span) -> dict:
     counts = {}
     for i, c in enumerate(conj):
         if i in span:
             continue
-        for v in _avar_occurrences(c):
+        for v in avar_occurrences(c):
             counts[v] = counts.get(v, 0) + 1
     return counts
 
@@ -452,7 +436,7 @@ def _fold_merge(conj, mi, m1: Multi, m2: Multi):
             if outside.get(lv, 0) > 0 and lv not in allowed:
                 return None
         else:
-            for v in _avar_occurrences(lv):
+            for v in avar_occurrences(lv):
                 if outside.get(v, 0) > 0 and v not in allowed:
                     return None
     nm = Multi(m1.id, m1.pattern, m1.init, m1.consecutive, m2.final)
@@ -514,7 +498,7 @@ def simplify_conj(conj) -> tuple:
     conj = tuple(conj)
     while True:
         occ = {}
-        for v in _avar_occurrences(conj):
+        for v in avar_occurrences(conj):
             occ[v] = occ.get(v, 0) + 1
         out = []
         changed = False

@@ -196,14 +196,18 @@ class Filters:
 @dataclass
 class Annotations:
     """Per-predicate call treatment.  An undeclared builtin is executed
-    (``call``), any other undeclared predicate unfolded."""
+    (``call``), an undeclared ``call/1`` kept (``rescall``), since its goal
+    is not known until run time, and any other undeclared predicate
+    unfolded."""
     table: dict = field(default_factory=dict)   # (pred, arity) -> annotation
 
     def of(self, atom: Atom) -> str:
         ann = self.table.get(atom.indicator)
         if ann is not None:
             return ann
-        return CALL if atom.indicator in BUILTINS else UNFOLD
+        if atom.indicator in BUILTINS:
+            return CALL
+        return RESCALL if atom.indicator == ("call", 1) else UNFOLD
 
     def declare(self, pred, arity, annotation):
         if annotation not in ANNOTATIONS:
@@ -536,7 +540,6 @@ def interpreter_annotations() -> Annotations:
     interpretation layer is unfolded away, the interpreted steps stay."""
     ann = Annotations()
     ann.declare("mi", 2, MEMO)
-    ann.declare("call", 1, RESCALL)
     ann.declare("bb_append", 3, RESCALL)
     return ann
 
@@ -569,7 +572,7 @@ def specialize_encoded(tables, variant: str = "simple",
     the encoded program it replaces.
     """
     encoded = encode_as_logic_program(tables, variant)
-    entry_aatom = tables.state_conjs[tables.entry][0]
+    entry_aatom = tables.graph.states[tables.entry][0]
     fresh = FreshNames()
     skeleton = Struct(entry_aatom.pred,
                       tuple(fresh.var() for _ in entry_aatom.args))

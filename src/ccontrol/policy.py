@@ -192,17 +192,6 @@ class DerivedOrder:
         self.classes = classes          # canonical form of each class
         self.less = less                # set of (i, j) index pairs
 
-    def index_of(self, a: AAtom):
-        key = canonicalize(a)
-        for i, c in enumerate(self.classes):
-            if c == key:
-                return i
-        return None
-
-    def lt(self, x: AAtom, y: AAtom) -> bool:
-        i, j = self.index_of(x), self.index_of(y)
-        return i is not None and j is not None and (i, j) in self.less
-
 
 def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
     """The selection order over the given atoms' equivalence classes.

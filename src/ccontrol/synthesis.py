@@ -40,11 +40,7 @@ class SynthesizedProgram:
 
 def _plain_avars(conj):
     """Abstract variables of the plain atoms only, first-occurrence order."""
-    acc = []
-    for c in conj:
-        if isinstance(c, AAtom):
-            avars(c, acc)
-    return acc
+    return avars([c for c in conj if isinstance(c, AAtom)])
 
 
 def _avar_name(v: AVar) -> str:
@@ -226,7 +222,7 @@ class _Synthesizer:
             if res is None:
                 continue
             body_a, theta = res
-            dst = self._dst(sid, ("clause", clause.id))
+            dst = self.graph.successor(sid, ("clause", clause.id))
             rc = rename_apart(clause, freshc)
             mgu = unify(selected_c, rc.head)
             if mgu is None:
@@ -254,7 +250,7 @@ class _Synthesizer:
                     raise SynthesisError(
                         "structured full-evaluation output "
                         f"{t!r} is not supported")
-            dst = self._dst(sid, ("fulleval", decl_idx, out_idx))
+            dst = self.graph.successor(sid, ("fulleval", decl_idx, out_idx))
             raw = theta.apply(before_a + after_a)
             conc = before_c + after_c
             succ = self._successor(dst, raw, conc)
@@ -279,7 +275,8 @@ class _Synthesizer:
         one_c = tuple(concrete_template(a, var) for a in one)
         raw = one_sub.apply(before_a) + one + one_sub.apply(after_a)
         conc = before_c + one_c + after_c
-        succ = self._successor(self._dst(sid, ("one",)), raw, conc)
+        dst = self.graph.successor(sid, ("one",))
+        succ = self._successor(dst, raw, conc)
         head_args = list(args)
         head_args[bidx] = mklist([_block_term(one_c)])
         self._emit(tuple(head_args), (), succ, sid)
@@ -294,7 +291,8 @@ class _Synthesizer:
         rest_b = Struct(CONS, (_block_term(next_c), Var("BRest")))
         raw = before_a + head + (rest,) + after_a
         conc = before_c + head_c + (rest_b,) + after_c
-        succ = self._successor(self._dst(sid, ("many",)), raw, conc)
+        dst = self.graph.successor(sid, ("many",))
+        succ = self._successor(dst, raw, conc)
         head_args = list(args)
         head_args[bidx] = Struct(CONS, (_block_term(head_c), rest_b))
         self._emit(tuple(head_args), (), succ, sid)
@@ -309,7 +307,7 @@ class _Synthesizer:
         raw, ev2 = res
         if (ev2.start, ev2.plen, ev2.kind) != (ev.start, ev.plen, ev.kind):
             raise SynthesisError(f"grouping replay diverged in state {sid}")
-        dst = self.graph.successors(sid)[0].dst
+        dst = self.graph.successor(sid, ("grouping", ev.kind))
         s, p = ev.start, ev.plen
         prefix = ()
         if ev.kind == "new":
@@ -335,14 +333,6 @@ class _Synthesizer:
             raise SynthesisError(f"unknown grouping kind {ev.kind!r}")
         succ = self._successor(dst, raw, tuple(conc))
         self._emit(args, prefix, succ, sid)
-
-    def _dst(self, sid, cause):
-        try:
-            return next(t.dst for t in self.graph.transitions
-                        if t.src == sid and t.cause == cause)
-        except StopIteration:
-            raise SynthesisError(
-                f"state {sid} has no transition for {cause}") from None
 
     def _copy_support(self, link):
         pred, arity = link

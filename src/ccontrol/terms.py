@@ -158,9 +158,6 @@ class Substitution:
         inner = ", ".join(f"{v}={print_term(t)}" for v, t in self.bindings.items())
         return "{" + inner + "}"
 
-    def get(self, v: Var):
-        return self.bindings.get(v)
-
     def apply(self, x):
         if isinstance(x, Var):
             t = self.bindings.get(x)
@@ -183,11 +180,6 @@ class Substitution:
             if t != v:
                 out[v] = t
         return Substitution(out)
-
-    def extend(self, v: Var, t: Term) -> "Substitution":
-        new = dict(self.bindings)
-        new[v] = t
-        return Substitution(new)
 
 
 def compose(s1: Substitution, s2: Substitution) -> Substitution:

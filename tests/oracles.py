@@ -9,11 +9,11 @@ meaningful.
 import random
 
 from ccontrol.absdom import (AAtom, AVar, AbsConst, AbsStruct,
-                             AbstractDomainError, GROUND, MVar, member,
-                             widen_depth_k)
+                             AbstractDomainError, GROUND, MVar, canonicalize,
+                             member, widen_depth_k)
 from ccontrol.multi import Multi
-from ccontrol.policy import (NoMinimumError, PolicyError, SelectionPolicy,
-                             select_conjunct)
+from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
+                             SelectionPolicy, select_conjunct)
 from ccontrol.terms import Atom, Const, Struct, Var, unify
 
 
@@ -223,6 +223,15 @@ def select_atom(policy: SelectionPolicy, conj):
     return pos, conj[pos], mark
 
 
+def order_lt(order: DerivedOrder, x: AAtom, y: AAtom) -> bool:
+    """Whether ``x`` precedes ``y`` in the derived order; atoms outside
+    the order's classes precede nothing."""
+    classes = [canonicalize(a) for a in (x, y)]
+    if not all(c in order.classes for c in classes):
+        return False
+    return tuple(order.classes.index(c) for c in classes) in order.less
+
+
 def is_complete(policy: SelectionPolicy, states):
     """Check every state has a selectable minimum; returns (ok, witness)."""
     for state in states:
@@ -248,7 +257,6 @@ def interpreter_filter_text(variant: str = "simple") -> str:
 def interpreter_annotation_text() -> str:
     """The default annotations in their declaration syntax."""
     return ("ann(memo, mi/2).\n"
-            "ann(rescall, call/1).\n"
             "ann(rescall, bb_append/3).\n")
 
 
@@ -329,6 +337,18 @@ def check_unify_against_brute_force(cases=1000, seed=0):
 
 
 # --- widening monotonicity -----------------------------------------------
+
+def aterm_depth(t) -> int:
+    """Nesting depth of an abstract term's structures (an atom's is that
+    of its deepest argument)."""
+    if isinstance(t, (AVar, MVar, AbsConst)):
+        return 0
+    if isinstance(t, AbsStruct):
+        return 1 + max(aterm_depth(a) for a in t.args)
+    if isinstance(t, AAtom):
+        return max((aterm_depth(a) for a in t.args), default=0)
+    raise AbstractDomainError(f"no depth for {t!r}")
+
 
 def check_widen_monotone(aterms, k=2, samples_per=4, seed=0):
     """Every sampled member of an abstract term stays a member after

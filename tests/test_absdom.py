@@ -3,14 +3,14 @@
 import random
 
 from ccontrol.absdom import (AAtom, AVar, FreshAVars, abstract_instance,
-                             abstract_unify_with_clause, aterm_depth,
-                             canonicalize, equivalent, full_eval_output,
-                             member, parse_aatom, parse_aconj, parse_aterm,
+                             abstract_unify_with_clause, canonicalize,
+                             equivalent, full_eval_output, member,
+                             parse_aatom, parse_aconj, parse_aterm,
                              print_aatom, print_aconj, print_aterm,
                              strict_instance, widen_depth_k)
 from ccontrol.terms import parse_program, parse_term
 
-from oracles import check_widen_monotone, random_term
+from oracles import aterm_depth, check_widen_monotone, random_term
 
 
 def test_parse_print_round_trip():

@@ -29,8 +29,8 @@ from ccontrol.terms import FreshNames, parse_goal, parse_program, \
 from conftest import CORPUS_NAMES, answer_set, corpus_text, query_deviation
 from oracles import (Sampler, check_case_split_complete,
                      check_unify_against_brute_force, check_widen_monotone,
-                     conj_member, first_primes, is_complete, queen_boards,
-                     random_term)
+                     conj_member, first_primes, is_complete, order_lt,
+                     queen_boards, random_term)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -234,7 +234,7 @@ def _one_step_check(entry, sid, rng, builtins):
     concretely, and confirm the result lands in a successor state.
     Returns the number of checks performed, or None if the sample was
     rejected or the action does not apply."""
-    g, t = entry.graph, entry.tables
+    g = entry.graph
     conj = g.states[sid]
     action = g.actions.get(sid)
     if not conj or action is None or action[0] == "leaf":
@@ -252,7 +252,7 @@ def _one_step_check(entry, sid, rng, builtins):
     checked = 0
     if action[0] == "select" and action[2] == FULLEVAL:
         atom = parts[action[1]][0]
-        decl = entry.policy.fulleval[t.fulleval_states[sid]]
+        decl = entry.policy.fulleval[g.successors(sid)[0].cause[1]]
         try:
             outs = builtins.evaluate(atom) if decl.link_is_builtin \
                 else solve(entry.program, (atom,)).answers
@@ -274,7 +274,9 @@ def _one_step_check(entry, sid, rng, builtins):
         for tr in g.successors(sid):
             if tr.cause[0] != "clause":
                 continue
-            rc = rename_apart(t.mi_clause[tr.cause[1]], fresh)
+            clause = next(c for c in entry.program.clauses
+                          if c.id == tr.cause[1])
+            rc = rename_apart(clause, fresh)
             mgu = unify(atom, rc.head)
             if mgu is None:
                 continue
@@ -283,11 +285,11 @@ def _one_step_check(entry, sid, rng, builtins):
             checked += 1
     elif action[0] == "split":
         cause = ("one",) if counts[action[1]] == 1 else ("many",)
-        dst = t.state_transition[(sid, cause)]
+        dst = g.successor(sid, cause)
         assert member_of(dst, flat), (entry.name, sid, cause)
         checked += 1
     elif action[0] == "group":
-        dst = t.grouping[sid][0]
+        dst = g.successor(sid, ("grouping", action[1].kind))
         assert member_of(dst, flat), (entry.name, sid)
         checked += 1
     return checked
@@ -337,7 +339,7 @@ def test_selection_order_axioms_hold_on_all_reachable_atoms(corpus):
         for x in unique:
             for y in unique:
                 if strict_instance(x, y):
-                    assert order.lt(x, y), (name, x, y)
+                    assert order_lt(order, x, y), (name, x, y)
 
 
 # --- 8. the oracles agree with the implementation -------------------------

@@ -181,6 +181,24 @@ def test_specialize_with_default_declarations_matches_plain_run(tmp_path,
     assert declared.read_text() == plain.read_text()
 
 
+def test_specialize_without_a_call_declaration_matches_plain_run(
+        permsort_files, tmp_path, capsys):
+    """An undeclared ``call/1`` is kept in the residual program, so an
+    annotation file need not mention it."""
+    lp, pol, _ = permsort_files
+    graph = tmp_path / "graph.json"
+    ann = tmp_path / "memo.ann"
+    ann.write_text("ann(memo, mi/2).\n")
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    table = [str(graph), str(lp), "--policy", str(pol)]
+    plain = tmp_path / "plain.lp"
+    assert main(["specialize", *table, "--out", str(plain)]) == 0
+    declared = tmp_path / "declared.lp"
+    assert main(["specialize", *table, "--ann", str(ann),
+                 "--out", str(declared)]) == 0
+    assert declared.read_text() == plain.read_text()
+
+
 def test_policy_variable_index_zero_analyzes_like_any_other(permsort_files,
                                                             tmp_path,
                                                             capsys):

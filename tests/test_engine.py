@@ -107,6 +107,36 @@ def test_call_wrapper_invokes_inner_atom():
     assert answers_of(res, "X") == ["1"]
 
 
+def test_call_does_not_capture_the_callers_variables():
+    prog = parse_program("t(Y) :- q(Z), call(r(Z,Y)).\n"
+                         "q(g(A,B)).\n"
+                         "r(g(C,D),h(C,D)).\n")
+    res = solve(prog, parse_goal("t(Y)"))
+    assert len(res.answers) == 1 and res.exhausted
+    y = res.answers[0].bindings[Var("Y")]
+    assert y.functor == "h" and all(isinstance(a, Var) for a in y.args)
+    assert y.args[0] != y.args[1]
+    # the same count as the goal without the call wrapper
+    assert res.inference_count == \
+        solve(prog, parse_goal("q(Z) , r(Z,Y)")).inference_count + 1
+
+
+def test_call_honours_max_answers():
+    prog = parse_program("t(X) :- call(m(X)).\nm(1).\nm(2).\n")
+    res = solve(prog, parse_goal("t(X)"), limits=Limits(max_answers=1))
+    assert answers_of(res, "X") == ["1"] and not res.exhausted
+    res = solve(prog, parse_goal("t(X)"))
+    assert answers_of(res, "X") == ["1", "2"] and res.exhausted
+    assert res.inference_count == 3
+
+
+def test_call_shares_the_inference_budget():
+    prog = parse_program("t :- call(loop).\nloop :- loop.\n")
+    res = solve(prog, parse_goal("t"), limits=Limits(max_inferences=50))
+    assert not res.exhausted and res.answers == []
+    assert res.inference_count == 51
+
+
 def test_occurs_check_prevents_cyclic_answers():
     prog = parse_program("eq(Z,Z).\nf_of(X,f(X)).\n")
     res = solve(prog, parse_goal("f_of(X,Y) , eq(X,Y)"))

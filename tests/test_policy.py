@@ -7,7 +7,7 @@ from ccontrol.policy import (PolicyError, derive_order, parse_policy,
                              select_conjunct)
 
 from conftest import CORPUS_NAMES, corpus_text
-from oracles import is_complete, select_atom
+from oracles import is_complete, order_lt, select_atom
 
 PERMSORT = corpus_text("permsort", ".policy")
 
@@ -40,18 +40,18 @@ def test_derived_order_from_preprior_and_instantiation():
     atoms = [parse_aatom(s) for s in
              ("perm(g1,a1)", "ord(a1)", "ord([g1|a1])", "ord([g1,g2|a1])")]
     order = derive_order(policy, atoms)
-    assert order.lt(atoms[0], atoms[2])          # preprior pair
-    assert order.lt(atoms[3], atoms[0])          # preprior pair
-    assert order.lt(atoms[2], atoms[1])          # strict instance first
-    assert order.lt(atoms[3], atoms[1])          # transitive closure
-    assert not order.lt(atoms[1], atoms[1])      # irreflexive
+    assert order_lt(order, atoms[0], atoms[2])      # preprior pair
+    assert order_lt(order, atoms[3], atoms[0])      # preprior pair
+    assert order_lt(order, atoms[2], atoms[1])      # strict instance first
+    assert order_lt(order, atoms[3], atoms[1])      # transitive closure
+    assert not order_lt(order, atoms[1], atoms[1])  # irreflexive
 
 
 def test_fulleval_has_priority():
     policy = parse_policy(PERMSORT)
     atoms = [parse_aatom("select(a1,[g1|g2],a2)"), parse_aatom("perm(g1,a1)")]
     order = derive_order(policy, atoms)
-    assert order.lt(atoms[0], atoms[1])
+    assert order_lt(order, atoms[0], atoms[1])
 
 
 def test_cyclic_preprior_is_rejected():
