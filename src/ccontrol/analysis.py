@@ -104,7 +104,6 @@ def analyze(program: Program, policy: SelectionPolicy,
     actions = {}
     worklist = [1]
     next_id = 2
-    multi_counter = [100]
 
     def intern(conj, src):
         nonlocal next_id
@@ -134,8 +133,7 @@ def analyze(program: Program, policy: SelectionPolicy,
         conj = states[sid]
         fresh = FreshAVars.above(conj)
 
-        multi_counter[0] += 1
-        fold = try_fold(conj, multi_counter[0]) if opts.enable_multi else None
+        fold = try_fold(conj) if opts.enable_multi else None
         if fold is not None:
             new_conj, ev = fold
             dst = intern(new_conj, sid)

@@ -22,12 +22,12 @@ from .analysis import (AnalysisError, AnalysisOptions, analyze, parse_graph,
                        render_graph)
 from .engine import Limits, answer_set, solve
 from .metaint import build_tables, encode_as_logic_program, mi_run
-from .pd import (check_closedness, load_annotations, load_filters,
+from .pd import (check_closedness, parse_annotations, parse_filters,
                  specialize_encoded)
-from .policy import load_policy, parse_policy
+from .policy import parse_policy
 from .synthesis import compare_programs, run_compiled, synthesize
-from .terms import (LogicError, Program, parse_goal, parse_program,
-                    print_program, print_term)
+from .terms import (LogicError, parse_goal, parse_program, print_program,
+                    print_term)
 
 TOLERANCE = 0.05
 
@@ -42,30 +42,25 @@ class CliError(Exception):
 
 def _read(path) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise CliError(f"cannot read {path}: not UTF-8 text")
 
 
 def _write(path, text):
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot write {path}: {e.strerror}")
 
 
-def _load_program(path) -> Program:
+def _load(path, parse):
+    """Parse an input file (program, policy, filters or annotations); an
+    unreadable or malformed file is a usage error naming the path."""
     try:
-        return parse_program(_read(path))
-    except LogicError as e:
-        raise CliError(f"{path}: {e}")
-
-
-def _load_policy(path):
-    try:
-        return load_policy(path)
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e.strerror}")
+        return parse(_read(path))
     except LogicError as e:
         raise CliError(f"{path}: {e}")
 
@@ -101,18 +96,15 @@ def _limits(args) -> Limits:
 
 
 def _tables(args):
-    """The (graph, program, policy, tables, variant) of a table command."""
+    """The control tables of a table command's graph, program and
+    policy."""
     graph = _load_graph(args.graph)
-    program = _load_program(args.program)
-    policy = _load_policy(args.policy)
+    program = _load(args.program, parse_program)
+    policy = _load(args.policy, parse_policy)
     try:
-        tables = build_tables(graph, program, policy)
+        return build_tables(graph, program, policy)
     except LogicError as e:
         raise CliError(f"cannot build control tables: {e}")
-    variant = getattr(args, "variant", "auto")
-    if variant == "auto":
-        variant = tables.variant
-    return graph, program, policy, tables, variant
 
 
 def _closed(residual) -> bool:
@@ -147,7 +139,7 @@ def _print_answers(result, as_json):
 # --- commands -------------------------------------------------------------
 
 def cmd_parse(args):
-    program = _load_program(args.program)
+    program = _load(args.program, parse_program)
     if args.json:
         doc = {"clauses": len(program.clauses),
                "predicates": sorted(f"{p}/{n}"
@@ -159,7 +151,7 @@ def cmd_parse(args):
 
 
 def cmd_run(args):
-    program = _load_program(args.program)
+    program = _load(args.program, parse_program)
     goal = _parse_query(args.query)
     result = solve(program, goal, limits=_limits(args),
                    occurs_check=not args.no_occurs_check)
@@ -172,8 +164,8 @@ def cmd_run(args):
 
 
 def cmd_analyze(args):
-    program = _load_program(args.program)
-    policy = _load_policy(args.policy)
+    program = _load(args.program, parse_program)
+    policy = _load(args.policy, parse_policy)
     opts = AnalysisOptions(depth_k=args.depth_k,
                            enable_multi=not args.no_multi)
     if args.max_states:
@@ -196,29 +188,27 @@ def cmd_analyze(args):
 
 
 def cmd_mi_run(args):
-    _, _, _, tables, variant = _tables(args)
-    if args.extended:
-        variant = "extended"
+    tables = _tables(args)
     goal = _parse_query(args.query)
-    result = mi_run(tables, goal, variant, limits=_limits(args))
+    result = mi_run(tables, goal, limits=_limits(args))
     _print_answers(result, args.json)
     return 0
 
 
 def cmd_encode(args):
-    _, _, _, tables, variant = _tables(args)
-    program = encode_as_logic_program(tables, variant)
+    tables = _tables(args)
+    program = encode_as_logic_program(tables)
     _write(args.out, print_program(program))
-    print(f"{len(program.clauses)} clauses ({variant} variant) "
+    print(f"{len(program.clauses)} clauses ({tables.variant} variant) "
           f"-> {args.out}")
     return 0
 
 
 def cmd_specialize(args):
-    _, _, _, tables, variant = _tables(args)
-    filters = load_filters(args.filters) if args.filters else None
-    annotations = load_annotations(args.ann) if args.ann else None
-    residual = specialize_encoded(tables, variant, budget=args.budget,
+    tables = _tables(args)
+    filters = _load(args.filters, parse_filters) if args.filters else None
+    annotations = _load(args.ann, parse_annotations) if args.ann else None
+    residual = specialize_encoded(tables, budget=args.budget,
                                   annotations=annotations, filters=filters)
     _write(args.out, print_program(residual.program))
     print(f"{len(residual.program.clauses)} residual clauses, "
@@ -227,11 +217,12 @@ def cmd_specialize(args):
 
 
 def cmd_synthesize(args):
-    graph, program, policy, tables, variant = _tables(args)
+    tables = _tables(args)
     if args.mode == "classic":
-        compiled = synthesize(graph, program, policy).program
+        compiled = synthesize(tables.graph, tables.program,
+                              tables.policy).program
     else:
-        residual = specialize_encoded(tables, variant)
+        residual = specialize_encoded(tables)
         if not _closed(residual):
             return 1
         compiled = residual.program
@@ -241,8 +232,8 @@ def cmd_synthesize(args):
 
 
 def cmd_compare(args):
-    prog_a = _load_program(args.program_a)
-    prog_b = _load_program(args.program_b)
+    prog_a = _load(args.program_a, parse_program)
+    prog_b = _load(args.program_b, parse_program)
     queries = _load_queries(args.queries)
     report = compare_programs(prog_a, prog_b, queries, _limits(args))
     text = json.dumps(report, indent=2) + "\n"
@@ -262,8 +253,8 @@ def cmd_compare(args):
 
 
 def cmd_pipeline(args):
-    program = _load_program(args.program)
-    policy = _load_policy(args.policy)
+    program = _load(args.program, parse_program)
+    policy = _load(args.policy, parse_policy)
     out = Path(args.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -286,7 +277,7 @@ def cmd_pipeline(args):
         _write(out / "compiled_classic.lp", print_program(classic.program))
         print(f"classic synthesis: {len(classic.program.clauses)} clauses")
     if args.mode in ("futamura", "both"):
-        residual = specialize_encoded(tables, tables.variant)
+        residual = specialize_encoded(tables)
         if not _closed(residual):
             return 1
         futamura = residual
@@ -332,7 +323,7 @@ def _selftest_entry(name, limits, rng):
     graph = analyze(program, policy)
     tables = build_tables(graph, program, policy)
     classic = synthesize(graph, program, policy)
-    futamura = specialize_encoded(tables, tables.variant)
+    futamura = specialize_encoded(tables)
     closed, _ = check_closedness(futamura)
 
     queries = [_parse_query(line) for line in
@@ -344,8 +335,7 @@ def _selftest_entry(name, limits, rng):
                 f"permsort([{','.join(map(str, xs))}],S)"))
     agree = 0
     for goal in queries:
-        keys = [answer_set(mi_run(tables, goal, tables.variant,
-                                  limits=limits)),
+        keys = [answer_set(mi_run(tables, goal, limits=limits)),
                 answer_set(run_compiled(classic.program, goal, limits)),
                 answer_set(run_compiled(futamura.program, goal, limits))]
         if name not in NAIVE_SKIP:
@@ -447,15 +437,11 @@ def _build_parser():
 
     sp = table_parser("mi-run", "run a query under the analyzed control")
     sp.add_argument("--query", required=True)
-    sp.add_argument("--extended", action="store_true",
-                    help="force the building-block variant")
-    sp.set_defaults(func=cmd_mi_run, variant="auto")
+    sp.set_defaults(func=cmd_mi_run)
 
     sp = table_parser("encode", "emit the interpreter + tables as a "
                                 "logic program")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--variant", choices=("auto", "simple", "extended"),
-                    default="auto")
     sp.set_defaults(func=cmd_encode)
 
     sp = table_parser("specialize", "specialize the encoded interpreter "
@@ -464,8 +450,6 @@ def _build_parser():
     sp.add_argument("--filters", help="binding-type declarations (.flt)")
     sp.add_argument("--ann", help="call annotations (.ann)")
     sp.add_argument("--budget", type=int, default=10000)
-    sp.add_argument("--variant", choices=("auto", "simple", "extended"),
-                    default="auto")
     sp.set_defaults(func=cmd_specialize)
 
     sp = sub.add_parser("synthesize", parents=[common],
@@ -476,7 +460,7 @@ def _build_parser():
     sp.add_argument("--mode", choices=("classic", "futamura"),
                     default="classic")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_synthesize, variant="auto")
+    sp.set_defaults(func=cmd_synthesize)
 
     sp = sub.add_parser("compare", parents=[common],
                         help="run a query batch on two compiled programs")

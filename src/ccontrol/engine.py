@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (Atom, Const, FreshNames, LogicError, Program, Struct,
+from .terms import (Atom, Const, FreshNames, LogicError, Program,
                     Substitution, compose, is_closed_list, list_parts,
-                    mklist, print_term, rename_apart, term_vars, unify)
+                    mklist, print_term, rename_apart, term_to_atom,
+                    term_vars, unify)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
 DEFAULT_MAX_DEPTH = 100_000
@@ -228,13 +229,10 @@ class Solver:
         within the same search, fresh names and limits."""
         atom, rest = goal[0], goal[1:]
         while atom.pred == "call" and len(atom.args) == 1:
-            inner = atom.args[0]
-            if isinstance(inner, Const) and isinstance(inner.name, str):
-                atom = Atom(inner.name)
-            elif isinstance(inner, Struct):
-                atom = Atom(inner.functor, inner.args)
-            else:
-                raise EngineError(f"call/1 on non-callable {inner}")
+            inner = term_to_atom(atom.args[0])
+            if inner is None:
+                raise EngineError(f"call/1 on non-callable {atom.args[0]}")
+            atom = inner
         if atom.indicator in BUILTINS:
             self.inferences += 1
             return 0, [(out.apply(rest), state, out.apply(ans))

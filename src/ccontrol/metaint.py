@@ -27,7 +27,8 @@ from .engine import BUILTINS, Limits, RunResult, Solver, depth_first
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
 from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
-                    list_parts, mklist, rename_apart, unify)
+                    atom_to_term, list_parts, mklist, rename_apart,
+                    term_to_atom, unify)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -38,18 +39,6 @@ class MetaintError(LogicError):
 
 
 # --- cmulti goals ---------------------------------------------------------
-
-def atom_to_term(a: Atom):
-    return Struct(a.pred, a.args) if a.args else Const(a.pred)
-
-
-def term_to_atom(t) -> Atom:
-    if isinstance(t, Struct):
-        return Atom(t.functor, t.args)
-    if isinstance(t, Const) and isinstance(t.name, str):
-        return Atom(t.name)
-    raise MetaintError(f"not a callable term: {t!r}")
-
 
 def make_cmulti(blocks) -> Atom:
     """cmulti([building_block([...]), ...]) over concrete atom blocks."""
@@ -77,7 +66,10 @@ def cmulti_blocks(x: Atom):
         atoms, btail = list_parts(bb.args[0])
         if btail != Const("[]"):
             raise MetaintError(f"open building block {bb!r}")
-        blocks.append(tuple(term_to_atom(t) for t in atoms))
+        block = tuple(term_to_atom(t) for t in atoms)
+        if None in block:
+            raise MetaintError(f"not a callable term in {bb!r}")
+        blocks.append(block)
     return blocks
 
 
@@ -110,8 +102,9 @@ class StateTables:
 
     @property
     def variant(self) -> str:
-        """The interpreter variant the tables need: "extended" when the
-        graph has split or grouping states, otherwise "simple"."""
+        """The interpreter variant the graph implies: "extended" when it
+        has split or grouping states, so the interpreter handles building
+        blocks, otherwise "simple"."""
         return "extended" if self.split_states or self.grouping \
             else "simple"
 
@@ -119,6 +112,17 @@ class StateTables:
 def build_tables(g: StateGraph, program: Program,
                  policy: SelectionPolicy) -> StateTables:
     return StateTables(g, program, policy)
+
+
+def check_variant(tables: StateTables, variant):
+    """Reject a variant name the tables cannot run under: an unknown name,
+    or "simple" for a graph with multi abstractions.  ``None`` stands for
+    the variant the graph implies; the interpreter never depends on it."""
+    if variant not in (None, "simple", "extended"):
+        raise MetaintError(f"unknown variant {variant!r}")
+    if variant == "simple" and tables.variant != variant:
+        raise MetaintError("state graph contains multi abstractions; "
+                           "the simple variant cannot run it")
 
 
 # --- goal surgery ---------------------------------------------------------
@@ -175,22 +179,18 @@ def _check_atoms(elems):
 # --- the interpreter ------------------------------------------------------
 
 class MetaInterpreter:
-    """Runs concrete goals under the control flow frozen in the tables.
-
-    The simple variant handles clause resolution and full evaluation; the
-    extended variant additionally performs grouping and cmulti extraction.
+    """Runs concrete goals under the control flow frozen in the tables:
+    clause resolution and full evaluation, plus grouping and cmulti
+    extraction in the states of a graph with multi abstractions.
     Inference counting matches the plain engine: one per successful clause
-    resolution, one per full evaluation; bookkeeping steps are free.
+    resolution, one per builtin full evaluation, and the resolutions and
+    builtins of a user full evaluation; bookkeeping steps are free.
     """
 
-    def __init__(self, tables: StateTables, variant: str = "simple",
-                 limits: Limits = None):
-        if variant not in ("simple", "extended"):
-            raise MetaintError(f"unknown variant {variant!r}")
+    def __init__(self, tables: StateTables, limits: Limits = None):
         self.tables = tables
         self.graph = tables.graph
         self.clauses = {c.id: c for c in tables.program.clauses}
-        self.variant = variant
         self.limits = limits or Limits()
         self.fresh = FreshNames()
         self.inferences = 0
@@ -204,12 +204,10 @@ class MetaInterpreter:
         and groupings are free."""
         action = self.graph.actions.get(state, ("leaf",))
         if action[0] == "group":
-            self._need_extended(state)
             ev = action[1]
             dst = self.graph.successor(state, ("grouping", ev.kind))
             return 0, [(apply_groupings(goal, ev), dst, ans)]
         if action[0] == "split":
-            self._need_extended(state)
             return 0, self._split(goal, state, action[1], ans)
         if action[0] == "select" and action[2] == FULLEVAL:
             return 0, self._full_eval(goal, state, action[1], ans)
@@ -217,12 +215,6 @@ class MetaInterpreter:
             return 1, self._resolve(goal, state, action[1], ans)
         raise MetaintError(
             f"no table entry for state {state} with goal {list(goal)}")
-
-    def _need_extended(self, state):
-        if self.variant != "extended":
-            raise MetaintError(
-                f"state {state} needs the extended variant "
-                "(multi abstractions present)")
 
     def _split(self, goal, state, idx, ans):
         before, selected, after = divide_goals(goal, idx)
@@ -253,10 +245,13 @@ class MetaInterpreter:
         return succ
 
     def _evaluate(self, atom: Atom, decl):
-        self.inferences += 1
         if decl.link_is_builtin:
+            self.inferences += 1
             return BUILTINS.evaluate(atom)
         solver = Solver(self.tables.program, self.limits)
+        # the interpreter's names, so renamed clauses cannot capture the
+        # variables of the goal
+        solver.fresh = self.fresh
         res = solver.run((atom,))
         self.inferences += res.inference_count
         if not res.exhausted:
@@ -292,10 +287,12 @@ class MetaInterpreter:
         return succ
 
 
-def mi_run(tables: StateTables, goal, variant: str = "simple",
+def mi_run(tables: StateTables, goal, variant: str = None,
            limits: Limits = None) -> RunResult:
-    """Run a concrete goal under the table-driven selection rule."""
-    return MetaInterpreter(tables, variant, limits).run(goal)
+    """Run a concrete goal under the table-driven selection rule;
+    ``variant`` is only checked (see ``check_variant``)."""
+    check_variant(tables, variant)
+    return MetaInterpreter(tables, limits).run(goal)
 
 
 # --- the logic-program encoding ------------------------------------------
@@ -333,7 +330,7 @@ def _cause_term(cause):
 
 
 def encode_as_logic_program(tables: StateTables,
-                            variant: str = "simple") -> Program:
+                            variant: str = None) -> Program:
     """The tables and interpreter as a logic program.
 
     Left-to-right execution of ``compute(Goal)`` reproduces mi_run's
@@ -341,10 +338,11 @@ def encode_as_logic_program(tables: StateTables,
     are fixed by the tables; ``bb_append`` concatenates building-block
     lists whose length only the runtime knows.  Grouping steps are encoded
     as one ``apply_groupings/3`` clause per grouping state, matching the
-    goal positionally (goal lengths are bounded per state).
+    goal positionally (goal lengths are bounded per state).  The split,
+    grouping and building-block clauses are present exactly when the graph
+    has multi abstractions; ``variant`` is only checked.
     """
-    if variant not in ("simple", "extended"):
-        raise MetaintError(f"unknown variant {variant!r}")
+    check_variant(tables, variant)
     b = _ClauseBuilder()
     t = tables
 
@@ -378,8 +376,7 @@ def encode_as_logic_program(tables: StateTables,
           Atom("dg_append", (_v("Before"), _v("After"), _v("NewGs"))),
           Atom("mi", (_v("NewGs"), _v("NewState"))))
 
-    if variant == "extended":
-        _encode_extended(b, t)
+    _encode_extended(b, t)
 
     # goal-list helpers
     b.add(Atom("divide_goals", (_v("Goals"), _v("Idx"), _v("Before"),
@@ -393,14 +390,16 @@ def encode_as_logic_program(tables: StateTables,
           Atom("=<", (Const(1), _v("N"))),
           Atom("minus", (_v("N"), Const(1), _v("M"))),
           Atom("mi_len", (_v("T"), _v("M"))))
-    needs_bb = variant == "extended" and (t.split_states or t.grouping)
-    for name in (["dg_append", "bb_append"] if needs_bb else ["dg_append"]):
+    appends = ["dg_append"]
+    if t.split_states or t.grouping:
+        appends.append("bb_append")
+    for name in appends:
         b.add(Atom(name, (Const("[]"), _v("L"), _v("L"))))
         b.add(Atom(name, (Struct(".", (_v("H"), _v("T"))), _v("L"),
                           Struct(".", (_v("H"), _v("R"))))),
               Atom(name, (_v("T"), _v("L"), _v("R"))))
 
-    _encode_tables(b, t, variant)
+    _encode_tables(b, t)
     return b.program()
 
 
@@ -497,13 +496,8 @@ def _encode_grouping_clause(b, sid, dst, ev: FoldEvent):
         raise MetaintError(f"unknown grouping kind {ev.kind!r}")
 
 
-def _encode_tables(b: _ClauseBuilder, t: StateTables, variant):
+def _encode_tables(b: _ClauseBuilder, t: StateTables):
     g = t.graph
-    split_states = t.split_states
-    if variant == "simple" and split_states:
-        raise MetaintError(
-            "state graph contains multi abstractions; "
-            "encode with the extended variant")
     for sid, action in sorted(g.actions.items()):
         if action[0] in ("select", "split"):
             b.add(Atom("selected_index", (Const(sid), Const(action[1]))))
@@ -526,16 +520,14 @@ def _encode_tables(b: _ClauseBuilder, t: StateTables, variant):
             decl.pattern, lambda v: Var(f"_{v.kind.upper()}{v.index}"))
         b.add(Atom("mi_full_eval", (atom_to_term(pattern),
                                     Const(f"fullai{d}"))))
-    if variant == "extended":
-        for sid, ev in sorted(t.grouping.items()):
-            dst = g.successor(sid, ("grouping", ev.kind))
-            _encode_grouping_clause(b, sid, dst, ev)
-        for seq, sid in enumerate(split_states):
-            m = g.states[sid][g.actions[sid][1]]
-            patt1 = _pattern_template(m, seq * 2)
-            b.add(Atom("extracted_patt_one", (Const(sid), patt1)))
-            patt1b = _pattern_template(m, seq * 2)
-            patt2 = _pattern_template(m, seq * 2 + 1)
-            rest = Struct(".", (Struct(BUILDING_BLOCK, (patt2,)),
-                                _v("_BBs")))
-            b.add(Atom("extracted_patts_many", (Const(sid), patt1b, rest)))
+    for sid, ev in sorted(t.grouping.items()):
+        dst = g.successor(sid, ("grouping", ev.kind))
+        _encode_grouping_clause(b, sid, dst, ev)
+    for seq, sid in enumerate(t.split_states):
+        m = g.states[sid][g.actions[sid][1]]
+        patt1 = _pattern_template(m, seq * 2)
+        b.add(Atom("extracted_patt_one", (Const(sid), patt1)))
+        patt1b = _pattern_template(m, seq * 2)
+        patt2 = _pattern_template(m, seq * 2 + 1)
+        rest = Struct(".", (Struct(BUILDING_BLOCK, (patt2,)), _v("_BBs")))
+        b.add(Atom("extracted_patts_many", (Const(sid), patt1b, rest)))

@@ -330,13 +330,14 @@ def _pattern_of(block):
     return pattern, slot_map
 
 
-def try_fold(conj, next_multi_id):
+def try_fold(conj):
     """One generalization step: fold a repeated chained pattern, or an atom
     block adjacent to a compatible multi, into a multi abstraction.
 
     Returns (new_conj, FoldEvent) or None when no fold applies.  Folds are
     concretization-increasing by construction; a candidate that would drop
     aliasing shared with the rest of the conjunction is rejected instead.
+    A new multi gets id 0; ``canonicalize`` numbers the multis of a state.
     """
     conj = tuple(conj)
     for i, c in enumerate(conj):
@@ -349,13 +350,13 @@ def try_fold(conj, next_multi_id):
             window = conj[i: i + 2 * plen]
             if not all(isinstance(x, AAtom) for x in window):
                 continue
-            res = _fold_new(conj, i, plen, next_multi_id)
+            res = _fold_new(conj, i, plen)
             if res is not None:
                 return res
     return None
 
 
-def _fold_new(conj, start, plen, next_multi_id):
+def _fold_new(conj, start, plen):
     block1 = conj[start: start + plen]
     block2 = conj[start + plen: start + 2 * plen]
     if canonicalize(block1) != canonicalize(block2):
@@ -381,7 +382,7 @@ def _fold_new(conj, start, plen, next_multi_id):
     for av in links:
         if outside.get(av, 0) > 0 and av not in endpoints:
             return None  # internal chain variable leaks out of the fold
-    m = Multi(next_multi_id, pattern, _sorted_pairs(init),
+    m = Multi(0, pattern, _sorted_pairs(init),
               _sorted_pairs(cons), _sorted_pairs(final))
     new_conj = conj[:start] + (m,) + conj[start + 2 * plen:]
     return new_conj, FoldEvent(start, plen, "new")

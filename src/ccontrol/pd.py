@@ -21,8 +21,8 @@ from .engine import BUILTINS, ModeError
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, is_closed_list, list_parts,
-                    mklist, print_atom, print_term, rename_apart, term_vars,
-                    unify, CONS)
+                    mklist, print_atom, print_term, rename_apart,
+                    term_to_atom, term_vars, unify, CONS)
 
 DEFAULT_BUDGET = 10_000
 
@@ -309,16 +309,6 @@ def parse_annotations(text: str) -> Annotations:
     return ann
 
 
-def load_filters(path) -> Filters:
-    with open(path, encoding="utf-8") as f:
-        return parse_filters(f.read())
-
-
-def load_annotations(path) -> Annotations:
-    with open(path, encoding="utf-8") as f:
-        return parse_annotations(f.read())
-
-
 # --- specialization ------------------------------------------------------
 
 @dataclass
@@ -472,11 +462,9 @@ class _Specializer:
         """A residualized ``call/1`` whose argument is already a structure
         becomes the argument itself."""
         if atom.pred == "call" and len(atom.args) == 1:
-            inner = atom.args[0]
-            if isinstance(inner, Struct):
-                return Atom(inner.functor, inner.args)
-            if isinstance(inner, Const) and isinstance(inner.name, str):
-                return Atom(inner.name)
+            inner = term_to_atom(atom.args[0])
+            if inner is not None:
+                return inner
         return atom
 
     def _copy_support(self):
@@ -544,29 +532,25 @@ def interpreter_annotations() -> Annotations:
     return ann
 
 
-def interpreter_filters(variant: str = "simple") -> Filters:
+def interpreter_filters() -> Filters:
     """Binding types of the interpreter's goal list: the atom skeletons
-    are known, their arguments are not; the state is fully known."""
-    plain = Nonvar()
-    if variant == "extended":
-        block = StructOf("building_block", (ListOf(Nonvar()),))
-        wrapped = StructOf("cmulti", (StructOf(CONS, (block, Dynamic())),))
-        elem = OneOf((wrapped, plain))
-    elif variant == "simple":
-        elem = plain
-    else:
-        raise PDError(f"unknown variant {variant!r}")
+    are known, their arguments are not, and a cmulti element is known
+    down to the atoms of its first building block; the state is fully
+    known."""
+    block = StructOf("building_block", (ListOf(Nonvar()),))
+    wrapped = StructOf("cmulti", (StructOf(CONS, (block, Dynamic())),))
     filters = Filters()
-    filters.declare("mi", (ListOf(elem), Static()))
+    filters.declare("mi", (ListOf(OneOf((wrapped, Nonvar()))), Static()))
     return filters
 
 
-def specialize_encoded(tables, variant: str = "simple",
+def specialize_encoded(tables, variant: str = None,
                        budget: int = DEFAULT_BUDGET,
                        annotations: Annotations = None,
                        filters: Filters = None) -> ResidualProgram:
     """First projection: specialize the encoded interpreter with respect
-    to its control tables and the entry goal's shape.
+    to its control tables and the entry goal's shape.  ``variant`` is
+    checked as ``encode_as_logic_program`` checks it.
 
     The result contains a ``compute/1`` wrapper, so it is run exactly like
     the encoded program it replaces.
@@ -578,7 +562,7 @@ def specialize_encoded(tables, variant: str = "simple",
                       tuple(fresh.var() for _ in entry_aatom.args))
     entry = Atom("mi", (mklist([skeleton]), Const(tables.entry)))
     annotations = annotations or interpreter_annotations()
-    filters = filters or interpreter_filters(variant)
+    filters = filters or interpreter_filters()
     residual = specialize(encoded, entry, annotations, filters, budget)
     gs = Var("Gs")
     wrapper = Clause(Atom("compute", (gs,)),

@@ -177,11 +177,6 @@ def _parse_output(parser, pattern: AAtom) -> ASub:
     return ASub(pairs)
 
 
-def load_policy(path) -> SelectionPolicy:
-    with open(path, encoding="utf-8") as f:
-        return parse_policy(f.read())
-
-
 # --- the derived order ---------------------------------------------------
 
 class DerivedOrder:

@@ -301,7 +301,7 @@ class _Synthesizer:
         conj = self.graph.states[sid]
         env, elems, args = self._template(conj)
         ev = self.graph.actions[sid][1]
-        res = try_fold(conj, 1000)
+        res = try_fold(conj)
         if res is None:
             raise SynthesisError(f"grouping replay failed in state {sid}")
         raw, ev2 = res

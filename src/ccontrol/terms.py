@@ -119,6 +119,20 @@ def is_closed_list(t: Term) -> bool:
     return tail == Const(NIL)
 
 
+def atom_to_term(a: Atom) -> Term:
+    return Struct(a.pred, a.args) if a.args else Const(a.pred)
+
+
+def term_to_atom(t: Term):
+    """The atom a callable term stands for, or None when it is not
+    callable (a variable or a number)."""
+    if isinstance(t, Struct):
+        return Atom(t.functor, t.args)
+    if isinstance(t, Const) and isinstance(t.name, str):
+        return Atom(t.name)
+    return None
+
+
 def term_vars(t, acc=None) -> list:
     """Variables of a term/atom/sequence, in first-occurrence order."""
     if acc is None:

@@ -58,14 +58,14 @@ class Entry:
     @property
     def futamura(self):
         if self._futamura is None:
-            self._futamura = specialize_encoded(self.tables, self.variant)
+            self._futamura = specialize_encoded(self.tables)
         return self._futamura
 
     def run_naive(self, goal, limits=None):
         return solve(self.program, goal, limits=limits)
 
     def run_mi(self, goal, limits=None):
-        return mi_run(self.tables, goal, self.variant, limits=limits)
+        return mi_run(self.tables, goal, limits=limits)
 
     def run_classic(self, goal, limits=None):
         return solve(self.classic.program, goal, limits=limits)

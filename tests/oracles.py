@@ -244,13 +244,10 @@ def is_complete(policy: SelectionPolicy, states):
 
 # --- partial-deduction declarations --------------------------------------
 
-def interpreter_filter_text(variant: str = "simple") -> str:
+def interpreter_filter_text() -> str:
     """The default filters in their declaration syntax."""
-    if variant == "extended":
-        elem = ("struct(cmulti,[struct(.,[struct(building_block,"
-                "[type(list(nonvar))]),dynamic])]) ; nonvar")
-    else:
-        elem = "nonvar"
+    elem = ("struct(cmulti,[struct(.,[struct(building_block,"
+            "[type(list(nonvar))]),dynamic])]) ; nonvar")
     return f"mi(type(list({elem})), static).\n"
 
 

@@ -43,6 +43,15 @@ def test_missing_file_exits_2_and_names_path(capsys):
     assert "/no/such/file.lp" in capsys.readouterr().err
 
 
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    lp = tmp_path / "latin1.lp"
+    lp.write_bytes(b"p(\xe9).\n")
+    rc = main(["run", str(lp), "--query", "p(X)"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"cannot read {lp}: not UTF-8 text" in err
+
+
 def test_bad_query_exits_2(permsort_files, capsys):
     lp, _, _ = permsort_files
     rc = main(["run", str(lp), "--query", "permsort(]"])
@@ -170,7 +179,7 @@ def test_specialize_with_default_declarations_matches_plain_run(tmp_path,
     lp.write_text(corpus_text("queens", ".lp"))
     pol.write_text(corpus_text("queens", ".policy"))
     ann.write_text(interpreter_annotation_text())
-    flt.write_text(interpreter_filter_text("extended"))
+    flt.write_text(interpreter_filter_text())
     assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
     table = [str(graph), str(lp), "--policy", str(pol)]
     plain = tmp_path / "plain.lp"
@@ -213,3 +222,18 @@ def test_policy_variable_index_zero_analyzes_like_any_other(permsort_files,
     graph = tmp_path / "g0.json"
     assert main(["analyze", str(lp), str(renamed), "--out", str(graph)]) == 0
     assert graph.read_text() == stock.read_text()
+
+
+@pytest.mark.parametrize("flag", ["--filters", "--ann", "--policy"])
+def test_specialize_with_an_unreadable_declaration_file_exits_2(
+        permsort_files, tmp_path, capsys, flag):
+    lp, pol, _ = permsort_files
+    graph = tmp_path / "graph.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    missing = tmp_path / "missing.decl"
+    # a repeated --policy overrides the first one
+    rc = main(["specialize", str(graph), str(lp), "--policy", str(pol),
+               flag, str(missing), "--out", str(tmp_path / "out.lp")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"cannot read {missing}" in err

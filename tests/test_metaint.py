@@ -2,10 +2,13 @@
 
 import pytest
 
+from ccontrol.analysis import analyze
 from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
                               cmulti_blocks, encode_as_logic_program,
                               is_cmulti, make_cmulti, mi_run, term_to_atom)
+from ccontrol.pd import specialize_encoded
+from ccontrol.policy import parse_policy
 from ccontrol.terms import Atom, mklist, parse_goal, parse_program, \
     print_program
 
@@ -13,7 +16,7 @@ from conftest import answer_set
 
 
 def run_encoded(entry, goal, limits=None):
-    program = encode_as_logic_program(entry.tables, entry.variant)
+    program = encode_as_logic_program(entry.tables)
     wrapped = (Atom("compute", (mklist([atom_to_term(a) for a in goal]),)),)
     return solve(program, wrapped, limits=limits)
 
@@ -74,7 +77,7 @@ def test_encoded_program_matches_mi_run(corpus):
 def test_encoded_program_round_trips_through_parser(corpus):
     for name in ("permsort", "queens"):
         entry = corpus(name)
-        program = encode_as_logic_program(entry.tables, entry.variant)
+        program = encode_as_logic_program(entry.tables)
         reparsed = parse_program(print_program(program))
         assert len(reparsed.clauses) == len(program.clauses)
 
@@ -94,3 +97,53 @@ def test_mi_run_honours_max_depth_like_the_engine(corpus):
         res = run(goal, limits=shallow)
         assert (len(res.answers), res.inference_count, res.exhausted) == \
             (0, 2, False), run.__name__
+
+
+def test_graphs_with_multis_run_without_naming_a_variant(corpus):
+    # the graph implies the interpreter: naming the variant it implies
+    # changes nothing
+    for name in ("queens", "primes"):
+        tables = corpus(name).tables
+        goal = corpus(name).queries[0]
+        derived, named = mi_run(tables, goal), mi_run(tables, goal, "extended")
+        assert (answer_set(derived), derived.inference_count) == \
+            (answer_set(named), named.inference_count), name
+        assert print_program(encode_as_logic_program(tables)) == \
+            print_program(encode_as_logic_program(tables, "extended")), name
+        assert print_program(specialize_encoded(tables).program) == \
+            print_program(specialize_encoded(tables, "extended").program), \
+            name
+
+
+def test_simple_variant_of_a_graph_with_multis_is_rejected_before_a_step(
+        corpus):
+    # the goal fails at its first resolution, before any multi state
+    tables = corpus("queens").tables
+    goal = parse_goal("queens(none,Qs)")
+    assert not mi_run(tables, goal).answers
+    for run in (lambda: mi_run(tables, goal, "simple"),
+                lambda: encode_as_logic_program(tables, "simple"),
+                lambda: specialize_encoded(tables, "simple")):
+        with pytest.raises(MetaintError, match="multi abstractions"):
+            run()
+
+
+def test_user_full_evaluation_counts_and_names_like_the_engine():
+    program = parse_program("""
+        t(L,S) :- dbl(L,D), sum(D,S).
+        dbl([],[]).
+        dbl([X|T],[Y|T2]) :- plus(X,X,Y), dbl(T,T2).
+        sum([],0).
+        sum([X|T],S) :- sum(T,S1), plus(X,S1,S).
+    """)
+    policy = parse_policy("""
+        entry: t(g1,a1).
+        fulleval: dbl(g1,a1) -> { a1=g2 } via user dbl/2.
+        fulleval: sum(g1,a1) -> { a1=g2 } via user sum/2.
+    """)
+    tables = build_tables(analyze(program, policy), program, policy)
+    goal = parse_goal("t([1,2,3],S)")
+    naive = solve(program, goal)
+    res = mi_run(tables, goal)
+    assert answer_set(res) == answer_set(naive) == [(("S", "12"),)]
+    assert res.inference_count == naive.inference_count == 15

@@ -65,7 +65,7 @@ def test_conj_member_splits_concrete_atoms_between_conjuncts():
 def test_try_fold_new_forms_a_multi():
     conj = parse_aconj("integers(g1,a1) , filter(g2,a1,a2) , "
                        "filter(g3,a2,a3) , sift(a3,a4)")
-    res = try_fold(conj, 7)
+    res = try_fold(conj)
     assert res is not None
     folded, ev = res
     assert ev == FoldEvent(1, 1, "new")
@@ -75,7 +75,7 @@ def test_try_fold_new_forms_a_multi():
 
 def test_try_fold_left_absorbs_preceding_block():
     conj = parse_aconj("filter(g9,a9,a1) , " + CHAIN)
-    res = try_fold(conj, 7)
+    res = try_fold(conj)
     assert res is not None
     folded, ev = res
     assert ev.kind == "left" and len(folded) == 1
@@ -84,7 +84,7 @@ def test_try_fold_left_absorbs_preceding_block():
 
 def test_try_fold_right_absorbs_following_block():
     conj = parse_aconj(CHAIN + " , filter(g9,a2,a9)")
-    res = try_fold(conj, 7)
+    res = try_fold(conj)
     assert res is not None
     folded, ev = res
     assert ev.kind == "right" and len(folded) == 1
@@ -94,7 +94,7 @@ def test_try_fold_merge_joins_two_multis():
     chain2 = ("multi((filter(mg1,ma1,ma2)), init{ma1=a2}, "
               "consec{ma1=ma2}, final{ma2=a3}, id=2)")
     conj = parse_aconj(CHAIN + " , " + chain2)
-    res = try_fold(conj, 7)
+    res = try_fold(conj)
     assert res is not None
     folded, ev = res
     assert ev.kind == "merge" and len(folded) == 1
@@ -103,7 +103,7 @@ def test_try_fold_merge_joins_two_multis():
 def test_fold_preserves_concrete_members():
     conj = parse_aconj("integers(g1,a1) , filter(g2,a1,a2) , "
                        "filter(g3,a2,a3) , sift(a3,a4)")
-    folded, _ = try_fold(conj, 7)
+    folded, _ = try_fold(conj)
     rng = random.Random(4)
     for _ in range(25):
         atoms = Sampler(random.Random(rng.random())).conjunction(conj)

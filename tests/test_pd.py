@@ -6,8 +6,8 @@ from ccontrol.engine import solve
 from ccontrol.metaint import encode_as_logic_program
 from ccontrol.pd import (Dynamic, ListOf, Nonvar, PDError, Static,
                          check_closedness, generalize_call,
-                         parse_annotations, parse_filters, specialize,
-                         specialize_encoded)
+                         interpreter_filters, parse_annotations,
+                         parse_filters, specialize, specialize_encoded)
 from ccontrol.terms import (Atom, FreshNames, Var, parse_atom, parse_goal,
                             parse_program, parse_term, print_term)
 
@@ -53,8 +53,8 @@ def test_parse_annotations_grammar():
 
 
 def test_default_declarations_parse_with_their_own_grammar():
-    parse_filters(interpreter_filter_text("simple"))
-    parse_filters(interpreter_filter_text("extended"))
+    assert repr(parse_filters(interpreter_filter_text()).table) == \
+        repr(interpreter_filters().table)
     parse_annotations(interpreter_annotation_text())
 
 
@@ -114,7 +114,7 @@ def test_residual_is_closed_on_corpus(corpus):
 def test_residual_matches_encoded_program(corpus):
     for name in ("permsort", "zigzag", "countdown"):
         entry = corpus(name)
-        encoded = encode_as_logic_program(entry.tables, entry.variant)
+        encoded = encode_as_logic_program(entry.tables)
         for goal in entry.queries:
             from ccontrol.metaint import atom_to_term
             from ccontrol.terms import mklist
