@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .terms import (Atom, Const, FreshNames, LogicError, Program,
                     Substitution, compose, is_closed_list, list_parts,
-                    mklist, print_term, rename_apart, term_to_atom,
-                    term_vars, unify)
+                    mklist, print_term, resolve, term_to_atom, term_vars,
+                    unify)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
 DEFAULT_MAX_DEPTH = 100_000
@@ -243,11 +243,11 @@ class Solver:
                 f"unknown predicate {atom.pred}/{len(atom.args)}")
         alternatives = []
         for clause in clauses:
-            rc = rename_apart(clause, self.fresh)
-            mgu = unify(atom, rc.head, occurs_check=self.occurs_check)
-            if mgu is None:
+            res = resolve(atom, clause, self.fresh, self.occurs_check)
+            if res is None:
                 continue
-            alternatives.append((mgu.apply(rc.body + rest), state,
+            body, mgu = res
+            alternatives.append((body + mgu.apply(rest), state,
                                  mgu.apply(ans)))
         self.inferences += len(alternatives)
         return 1, alternatives

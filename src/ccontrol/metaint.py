@@ -21,17 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import FULLEVAL, LogicError, concrete_template, member
+from .absdom import (FULLEVAL, LogicError, canonicalize, concrete_template,
+                     member, print_aatom, print_aconj)
 from .analysis import StateGraph
 from .engine import BUILTINS, Limits, RunResult, Solver, depth_first
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
 from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
-                    atom_to_term, list_parts, mklist, rename_apart,
-                    term_to_atom, unify)
+                    atom_to_term, list_parts, mklist, resolve, term_to_atom)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
+# ends a user full evaluation inside a goal; no program can name it
+EVALUATED = "$evaluated"
 
 
 class MetaintError(LogicError):
@@ -111,6 +113,45 @@ class StateTables:
 
 def build_tables(g: StateGraph, program: Program,
                  policy: SelectionPolicy) -> StateTables:
+    """The tables of a graph analyzed from ``program`` under ``policy``.
+
+    Raises MetaintError unless the three belong together: the entry state
+    is the policy's entry pattern, every clause cause names a clause of
+    the program for the selected atom's predicate, and every
+    full-evaluation cause indexes a declaration of the policy for it.
+    """
+    entry = g.states.get(g.entry)
+    if entry != canonicalize((policy.entry,)):
+        shown = "missing" if entry is None else print_aconj(entry)
+        raise MetaintError(
+            f"the graph's entry state {g.entry} ({shown}) is not the "
+            f"policy's entry pattern {print_aatom(policy.entry)}")
+    clauses = {c.id: c for c in program.clauses}
+    for t in g.transitions:
+        kind = t.cause[0]
+        if kind not in ("clause", "fulleval"):
+            continue
+        action = g.actions.get(t.src, ("leaf",))
+        conj = g.states.get(t.src, ())
+        if action[0] != "select" or not 0 <= action[1] < len(conj):
+            raise MetaintError(
+                f"state {t.src} has a {kind} transition but selects no atom")
+        selected = conj[action[1]].indicator
+        if kind == "clause":
+            clause = clauses.get(t.cause[1])
+            if clause is None or clause.head.indicator != selected:
+                raise MetaintError(
+                    f"state {t.src} resolves {selected[0]}/{selected[1]} "
+                    f"with clause {t.cause[1]}, which the program does "
+                    "not define for it")
+        else:
+            idx, decls = t.cause[1], policy.fulleval
+            known = isinstance(idx, int) and 0 <= idx < len(decls)
+            if not known or decls[idx].pattern.indicator != selected:
+                raise MetaintError(
+                    f"state {t.src} fully evaluates {selected[0]}/"
+                    f"{selected[1]} by declaration {idx}, which the policy "
+                    "does not declare for it")
     return StateTables(g, program, policy)
 
 
@@ -184,7 +225,9 @@ class MetaInterpreter:
     extraction in the states of a graph with multi abstractions.
     Inference counting matches the plain engine: one per successful clause
     resolution, one per builtin full evaluation, and the resolutions and
-    builtins of a user full evaluation; bookkeeping steps are free.
+    builtins of a user full evaluation; bookkeeping steps are free.  A
+    user full evaluation is stepped by the engine within the same search,
+    so the run's limits cover it.
     """
 
     def __init__(self, tables: StateTables, limits: Limits = None):
@@ -194,14 +237,20 @@ class MetaInterpreter:
         self.limits = limits or Limits()
         self.fresh = FreshNames()
         self.inferences = 0
+        # steps user full evaluations under the interpreter's names, so
+        # renamed clauses cannot capture the variables of the goal
+        self.engine = Solver(tables.program, self.limits)
+        self.engine.fresh = self.fresh
 
     def run(self, goal) -> RunResult:
         return depth_first(self, goal, self.graph.entry)
 
     def step(self, goal, state, ans):
         """One abstract-machine step, as the state's action says.  Only
-        clause resolution deepens the derivation; full evaluation, splits
-        and groupings are free."""
+        clause resolution, also within a user full evaluation, deepens
+        the derivation; full evaluation, splits and groupings are free."""
+        if isinstance(state, tuple):
+            return self._user_eval_step(goal, state, ans)
         action = self.graph.actions.get(state, ("leaf",))
         if action[0] == "group":
             ev = action[1]
@@ -231,32 +280,44 @@ class MetaInterpreter:
         if is_cmulti(selected):
             raise MetaintError(
                 f"state {state} expects a callable atom at {idx}")
-        # every successor of a full-evaluation state has the cause
-        # ("fulleval", declaration, output)
-        succs = self.graph.successors(state)
-        decl = self.tables.policy.fulleval[succs[0].cause[1]]
-        dsts = {t.cause[2]: t.dst for t in succs}
-        outs = self._evaluate(selected, decl)
+        decl, dsts = self._fulleval_outputs(state)
+        if not decl.link_is_builtin:
+            # the atom's derivation runs in this search, ahead of a mark
+            # that carries the atom to its output state once derived
+            mark = Atom(EVALUATED, (atom_to_term(selected),))
+            return [((selected, mark) + before + after, (EVALUATED, state),
+                     ans)]
+        self.inferences += 1
         succ = []
-        for theta in outs:
+        for theta in BUILTINS.evaluate(selected):
             dst = self._match_output(theta.apply(selected), decl, dsts, state)
             succ.append((theta.apply(before + after), dst,
                          theta.apply(ans)))
         return succ
 
-    def _evaluate(self, atom: Atom, decl):
-        if decl.link_is_builtin:
-            self.inferences += 1
-            return BUILTINS.evaluate(atom)
-        solver = Solver(self.tables.program, self.limits)
-        # the interpreter's names, so renamed clauses cannot capture the
-        # variables of the goal
-        solver.fresh = self.fresh
-        res = solver.run((atom,))
-        self.inferences += res.inference_count
-        if not res.exhausted:
-            raise MetaintError(f"full evaluation of {atom} hit limits")
-        return res.answers
+    def _fulleval_outputs(self, state):
+        """The declaration a full-evaluation state applies, and the state
+        each of its outputs leads to."""
+        # every successor of a full-evaluation state has the cause
+        # ("fulleval", declaration, output)
+        succs = self.graph.successors(state)
+        decl = self.tables.policy.fulleval[succs[0].cause[1]]
+        return decl, {t.cause[2]: t.dst for t in succs}
+
+    def _user_eval_step(self, goal, state, ans):
+        """A step of a user full evaluation started in ``state[1]``: the
+        engine's step, with its inferences, depth and limits, until the
+        derivation reaches the mark."""
+        if goal[0].pred != EVALUATED:
+            before = self.engine.inferences
+            deeper, succ = self.engine.step(goal, state, ans)
+            self.inferences += self.engine.inferences - before
+            return deeper, succ
+        sid = state[1]
+        decl, dsts = self._fulleval_outputs(sid)
+        result = term_to_atom(goal[0].args[0])
+        return 0, [(goal[1:], self._match_output(result, decl, dsts, sid),
+                    ans)]
 
     def _match_output(self, result: Atom, decl, dsts, state):
         if len(dsts) == 1:
@@ -277,12 +338,12 @@ class MetaInterpreter:
                 f"state {state} expects a resolvable atom at {idx}")
         succ = []
         for t in self.graph.successors(state):
-            rc = rename_apart(self.clauses[t.cause[1]], self.fresh)
-            mgu = unify(selected, rc.head)
-            if mgu is None:
+            res = resolve(selected, self.clauses[t.cause[1]], self.fresh)
+            if res is None:
                 continue
+            body, mgu = res
             self.inferences += 1
-            succ.append((mgu.apply(before + rc.body + after), t.dst,
+            succ.append((mgu.apply(before) + body + mgu.apply(after), t.dst,
                          mgu.apply(ans)))
         return succ
 

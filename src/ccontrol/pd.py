@@ -21,8 +21,8 @@ from .engine import BUILTINS, ModeError
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, is_closed_list, list_parts,
-                    mklist, print_atom, print_term, rename_apart,
-                    term_to_atom, term_vars, unify, CONS)
+                    mklist, print_atom, print_term, resolve,
+                    term_to_atom, term_vars, CONS)
 
 DEFAULT_BUDGET = 10_000
 
@@ -406,12 +406,12 @@ class _Specializer:
                 "clauses")
         stack = []
         for clause in reversed(clauses):
-            rc = rename_apart(clause, self.fresh)
-            mgu = unify(gatom, rc.head)
-            if mgu is None:
+            res = resolve(gatom, clause, self.fresh)
+            if res is None:
                 continue
             self._tick()
-            stack.append((mgu.apply(rc.body), mgu.apply(gatom.args), ()))
+            body, mgu = res
+            stack.append((body, mgu.apply(gatom.args), ()))
         out = []
         while stack:
             goal, hargs, resid = stack.pop()
@@ -446,12 +446,12 @@ class _Specializer:
                         f"cannot unfold unknown predicate "
                         f"{atom.pred}/{len(atom.args)}")
                 for clause in defining:
-                    rc = rename_apart(clause, self.fresh)
-                    mgu = unify(atom, rc.head)
-                    if mgu is None:
+                    res = resolve(atom, clause, self.fresh)
+                    if res is None:
                         continue
                     self._tick()
-                    alternatives.append((mgu.apply(rc.body + rest),
+                    body, mgu = res
+                    alternatives.append((body + mgu.apply(rest),
                                          mgu.apply(hargs), mgu.apply(resid)))
                 stack.extend(reversed(alternatives))
         for head, body in out:

@@ -24,7 +24,7 @@ from .metaint import BUILDING_BLOCK, atom_to_term
 from .multi import Multi, case_split, simplify_conj, try_fold
 from .policy import SelectionPolicy
 from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
-                    mklist, print_atom, print_term, rename_apart, unify, CONS)
+                    mklist, print_atom, print_term, resolve, CONS)
 
 
 class SynthesisError(LogicError):
@@ -223,16 +223,14 @@ class _Synthesizer:
                 continue
             body_a, theta = res
             dst = self.graph.successor(sid, ("clause", clause.id))
-            rc = rename_apart(clause, freshc)
-            mgu = unify(selected_c, rc.head)
-            if mgu is None:
+            res = resolve(selected_c, clause, freshc)
+            if res is None:
                 raise SynthesisError(
                     f"clause {clause.id} matches abstractly but not "
                     f"concretely in state {sid}")
+            body_c, mgu = res
             raw = theta.apply(before_a) + body_a + theta.apply(after_a)
-            conc = tuple(mgu.apply(e) for e in before_c) \
-                + mgu.apply(rc.body) \
-                + tuple(mgu.apply(e) for e in after_c)
+            conc = mgu.apply(before_c) + body_c + mgu.apply(after_c)
             succ = self._successor(dst, raw, conc)
             self._emit(tuple(mgu.apply(a) for a in args), (), succ, sid)
 

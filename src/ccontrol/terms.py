@@ -8,6 +8,8 @@ mutable facility is the fresh-name counter used for renaming apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Union
 
 NIL = "[]"
@@ -75,6 +77,13 @@ class Clause:
     body: tuple  # of Atom
     id: int
 
+    @cached_property
+    def variables(self) -> dict:
+        """The clause's variables in first-occurrence order (head, then
+        body), each mapped to its position; computed once per clause."""
+        return {v: i for i, v in enumerate(term_vars((self.head,)
+                                                     + self.body))}
+
     def __repr__(self):
         return print_clause(self)
 
@@ -86,13 +95,22 @@ class Program:
     def __post_init__(self):
         ids = [c.id for c in self.clauses]
         assert len(ids) == len(set(ids)), "clause ids must be unique"
+        # per-predicate index; an attribute, not a field, so equality and
+        # hashing still compare the clauses alone
+        index = {}
+        for c in self.clauses:
+            index.setdefault(c.head.indicator, []).append(c)
+        object.__setattr__(self, "_index",
+                           {k: tuple(cs) for k, cs in index.items()})
 
-    def clauses_for(self, pred: str, arity: int) -> list:
-        return [c for c in self.clauses if c.head.indicator == (pred, arity)]
+    def clauses_for(self, pred: str, arity: int) -> tuple:
+        """The clauses of ``pred/arity`` in textual order; empty when the
+        predicate has none."""
+        return self._index.get((pred, arity), ())
 
     @property
     def predicates(self) -> set:
-        return {c.head.indicator for c in self.clauses}
+        return set(self._index)
 
     def __repr__(self):
         return print_program(self)
@@ -155,7 +173,9 @@ def term_vars(t, acc=None) -> list:
 # --- substitutions ------------------------------------------------------
 
 class Substitution:
-    """Idempotent mapping Var -> Term."""
+    """Mapping Var -> Term.  ``unify`` returns it idempotent; ``resolve``
+    returns it triangular, which ``apply`` reads the same way because it
+    follows binding chains."""
 
     __slots__ = ("bindings",)
 
@@ -173,18 +193,7 @@ class Substitution:
         return "{" + inner + "}"
 
     def apply(self, x):
-        if isinstance(x, Var):
-            t = self.bindings.get(x)
-            return x if t is None else self.apply(t)
-        if isinstance(x, Struct):
-            return Struct(x.functor, tuple(self.apply(a) for a in x.args))
-        if isinstance(x, Atom):
-            return Atom(x.pred, tuple(self.apply(a) for a in x.args))
-        if isinstance(x, tuple):
-            return tuple(self.apply(a) for a in x)
-        if isinstance(x, list):
-            return [self.apply(a) for a in x]
-        return x
+        return _apply(x, self.bindings)
 
     def normalized(self) -> "Substitution":
         """Resolve chains so no bound variable occurs in any range term."""
@@ -194,6 +203,34 @@ class Substitution:
             if t != v:
                 out[v] = t
         return Substitution(out)
+
+
+def _apply(x, b: dict):
+    """``x`` (a term, atom, tuple or list) with each bound variable
+    replaced by the instance of its binding.  A part with no bound
+    variable is returned as it is, not copied."""
+    if isinstance(x, Var):
+        t = b.get(x)
+        return x if t is None else _apply(t, b)
+    if isinstance(x, Struct):
+        args = _apply_all(x.args, b)
+        return x if args is x.args else Struct(x.functor, args)
+    if isinstance(x, Atom):
+        args = _apply_all(x.args, b)
+        return x if args is x.args else Atom(x.pred, args)
+    if isinstance(x, tuple):
+        return _apply_all(x, b)
+    if isinstance(x, list):
+        return [_apply(a, b) for a in x]
+    return x
+
+
+def _apply_all(xs: tuple, b: dict) -> tuple:
+    new = [_apply(x, b) for x in xs]
+    for y, x in zip(new, xs):
+        if y is not x:
+            return tuple(new)
+    return xs
 
 
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
@@ -211,54 +248,92 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 
 # --- unification --------------------------------------------------------
 
-def _walk(t: Term, bindings: dict) -> Term:
-    while isinstance(t, Var) and t in bindings:
-        t = bindings[t]
-    return t
-
-
 def _occurs(v: Var, t: Term, bindings: dict) -> bool:
-    t = _walk(t, bindings)
-    if isinstance(t, Var):
-        return t == v
-    if isinstance(t, Struct):
-        return any(_occurs(v, a, bindings) for a in t.args)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while isinstance(t, Var):
+            u = bindings.get(t)
+            if u is None:
+                break
+            t = u
+        if isinstance(t, Var):
+            if t == v:
+                return True
+        elif isinstance(t, Struct):
+            stack.extend(t.args)
     return False
+
+
+def _unify_pairs(work: list, b: dict, occurs_check: bool,
+                 fresh_var=None) -> bool:
+    """Extend the triangular bindings ``b`` so that both sides of every
+    pair on ``work`` are equal; False on a clash or a failed occurs check.
+
+    A pair is ``(x, y, raw)``.  ``x`` is a term of the goal; so is ``y``
+    unless ``raw``, when it is a subterm of a clause not yet renamed apart
+    and ``fresh_var`` gives each of its variables its new name.  Pairs are
+    taken last first, and a variable of ``x`` is bound before one of
+    ``y``; a raw subterm is renamed only when a variable is bound to it.
+    So the bindings are exactly those of unifying with the renamed clause.
+    """
+    while work:
+        x, y, raw = work.pop()
+        while isinstance(x, Var):
+            t = b.get(x)
+            if t is None:
+                break
+            x = t
+        if raw:
+            if isinstance(y, Struct):
+                if isinstance(x, Var):
+                    y = _replace_vars(y, fresh_var)
+                    if occurs_check and _occurs(x, y, b):
+                        return False
+                    b[x] = y
+                elif isinstance(x, Struct) and x.functor == y.functor \
+                        and len(x.args) == len(y.args):
+                    work.extend(zip(x.args, y.args, repeat(True)))
+                else:
+                    return False
+                continue
+            if isinstance(y, Var):
+                y = fresh_var(y)
+        while isinstance(y, Var):
+            t = b.get(y)
+            if t is None:
+                break
+            y = t
+        if x is y or x == y:
+            continue
+        if isinstance(x, Var):
+            if occurs_check and _occurs(x, y, b):
+                return False
+            b[x] = y
+        elif isinstance(y, Var):
+            if occurs_check and _occurs(y, x, b):
+                return False
+            b[y] = x
+        elif isinstance(x, Struct) and isinstance(y, Struct):
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            work.extend(zip(x.args, y.args, repeat(False)))
+        else:
+            return False
+    return True
 
 
 def unify(t1, t2, occurs_check: bool = True, bindings=None):
     """Most general unifier of two terms or atoms, or None on failure."""
-    work = []
     if isinstance(t1, Atom) and isinstance(t2, Atom):
         if t1.indicator != t2.indicator:
             return None
-        work = list(zip(t1.args, t2.args))
+        work = list(zip(t1.args, t2.args, repeat(False)))
     else:
-        work = [(t1, t2)]
+        work = [(t1, t2, False)]
     b = dict(bindings or {})
-    while work:
-        x, y = work.pop()
-        x = _walk(x, b)
-        y = _walk(y, b)
-        if x == y:
-            continue
-        if isinstance(x, Var):
-            if occurs_check and _occurs(x, y, b):
-                return None
-            b[x] = y
-        elif isinstance(y, Var):
-            if occurs_check and _occurs(y, x, b):
-                return None
-            b[y] = x
-        elif isinstance(x, Const) and isinstance(y, Const):
-            if x.name != y.name:
-                return None
-        elif isinstance(x, Struct) and isinstance(y, Struct):
-            if x.functor != y.functor or len(x.args) != len(y.args):
-                return None
-            work.extend(zip(x.args, y.args))
-        else:
-            return None
+    if not _unify_pairs(work, b, occurs_check):
+        return None
     # without the occurs check the result may be cyclic; leave chains to
     # apply(), which walks them lazily
     return Substitution(b).normalized() if occurs_check else Substitution(b)
@@ -276,28 +351,77 @@ class FreshNames:
         return Var(f"{self.prefix}{self.n}")
 
 
-def _replace_vars(x, mapping: dict):
-    """Simultaneous variable replacement (no chain walking, unlike
-    Substitution.apply, so the range may reuse domain names)."""
+def _replace_vars(x, rename):
+    """Simultaneous variable replacement by the function ``rename`` (no
+    chain walking, unlike ``_apply``, so the range may reuse domain
+    names)."""
     if isinstance(x, Var):
-        return mapping.get(x, x)
+        return rename(x)
     if isinstance(x, Struct):
-        return Struct(x.functor, tuple(_replace_vars(a, mapping)
-                                       for a in x.args))
+        return Struct(x.functor, tuple([_replace_vars(a, rename)
+                                        for a in x.args]))
     if isinstance(x, Atom):
-        return Atom(x.pred, tuple(_replace_vars(a, mapping) for a in x.args))
+        return Atom(x.pred, tuple([_replace_vars(a, rename) for a in x.args]))
     if isinstance(x, tuple):
-        return tuple(_replace_vars(a, mapping) for a in x)
+        return tuple([_replace_vars(a, rename) for a in x])
     return x
 
 
 def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
-    vs = term_vars((c.head,) + c.body)
-    if not vs:
+    if not c.variables:
         return c
-    mapping = {v: fresh.var() for v in vs}
-    return Clause(_replace_vars(c.head, mapping),
-                  _replace_vars(c.body, mapping), c.id)
+    mapping = {v: fresh.var() for v in c.variables}
+    return Clause(_replace_vars(c.head, mapping.__getitem__),
+                  _replace_vars(c.body, mapping.__getitem__), c.id)
+
+
+def _instantiate(t, b: dict, fresh_var):
+    """A clause subterm renamed by ``fresh_var``, then under ``b``."""
+    if isinstance(t, Var):
+        return _apply(fresh_var(t), b)
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple([_instantiate(a, b, fresh_var)
+                                        for a in t.args]))
+    return t
+
+
+def resolve(atom: Atom, clause: Clause, fresh: FreshNames,
+            occurs_check: bool = True):
+    """One resolution step of ``atom`` with ``clause``: the clause's body,
+    renamed apart and instantiated, and the unifier to apply to the rest
+    of the goal; None when the head does not unify.
+
+    The result and every name in it are those of ``rename_apart`` followed
+    by ``unify(atom, head)`` and applying the unifier, and ``fresh``
+    advances by the clause's variable count whether or not the head
+    unifies.  But the clause is not copied: the atom is unified with the
+    head as written, a clause variable gets its fresh name only where the
+    unifier or the body needs it, and the body is renamed and instantiated
+    in one pass.  The unifier is triangular, not normalized.
+    """
+    positions = clause.variables
+    base = fresh.n
+    fresh.n = base + len(positions)
+    head = clause.head
+    if atom.pred != head.pred or len(atom.args) != len(head.args):
+        return None
+    prefix = fresh.prefix
+    renamed = {}
+
+    def fresh_var(v):
+        r = renamed.get(v)
+        if r is None:
+            r = renamed[v] = Var(f"{prefix}{base + positions[v] + 1}")
+        return r
+
+    b = {}
+    if not _unify_pairs(list(zip(atom.args, head.args, repeat(True))), b,
+                        occurs_check, fresh_var):
+        return None
+    body = tuple([Atom(a.pred, tuple([_instantiate(t, b, fresh_var)
+                                      for t in a.args]))
+                  for a in clause.body])
+    return body, Substitution(b)
 
 
 # --- parsing ------------------------------------------------------------

@@ -14,7 +14,7 @@ from ccontrol.absdom import (AAtom, AVar, AbsConst, AbsStruct,
 from ccontrol.multi import Multi
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              SelectionPolicy, select_conjunct)
-from ccontrol.terms import Atom, Const, Struct, Var, unify
+from ccontrol.terms import Atom, Const, Struct, Var, term_vars, unify
 
 
 # --- concretization membership -------------------------------------------
@@ -313,6 +313,19 @@ def brute_force_unifiable(t1, t2, universe):
         del assignment[names[i]]
         return False
     return go(0, {})
+
+
+def atoms_like(rng, head: Atom, count: int, vars_pool):
+    """Atoms of the head's predicate, most of them instances of the head:
+    its variables bound to random terms over ``vars_pool``, and now and
+    then an argument replaced by a random term."""
+    names = sorted({v.name for v in term_vars(head)})
+    for _ in range(count):
+        binding = {n: random_term(rng, 2, vars_pool) for n in names
+                   if rng.random() < 0.7}
+        yield Atom(head.pred, tuple(
+            random_term(rng, 2, vars_pool) if rng.random() < 0.2
+            else _subst(a, binding) for a in head.args))
 
 
 def check_unify_against_brute_force(cases=1000, seed=0):

@@ -237,3 +237,55 @@ def test_specialize_with_an_unreadable_declaration_file_exits_2(
     err = capsys.readouterr().err
     assert rc == 2
     assert f"cannot read {missing}" in err
+
+
+def _queens_graph_with(tmp_path, mismatch):
+    """The queens graph, with a program and policy of which ``mismatch``
+    does not belong to it."""
+    files = {}
+    for name in ("queens", "permsort"):
+        for suffix in (".lp", ".policy"):
+            path = tmp_path / f"{name}{suffix}"
+            path.write_text(corpus_text(name, suffix))
+            files[name + suffix] = path
+    graph = tmp_path / "queens.json"
+    assert main(["analyze", str(files["queens.lp"]),
+                 str(files["queens.policy"]), "--out", str(graph)]) == 0
+    lp, pol = files["queens.lp"], files["queens.policy"]
+    if mismatch == "entry":
+        pol = files["permsort.policy"]
+    elif mismatch == "clause":
+        lp = files["permsort.lp"]
+    else:            # the same declarations in another order
+        lines = corpus_text("queens", ".policy").splitlines()
+        decls = [x for x in lines if x.startswith("fulleval:")]
+        pol = tmp_path / "reordered.policy"
+        pol.write_text("\n".join([x for x in lines if x not in decls]
+                                 + decls[::-1]) + "\n")
+    return graph, lp, pol
+
+
+MISMATCH_MESSAGES = {
+    "entry": "is not the policy's entry pattern",
+    "clause": "which the program does not define for it",
+    "fulleval": "which the policy does not declare for it",
+}
+
+
+@pytest.mark.parametrize("command,mismatch", [
+    ("mi-run", "entry"), ("encode", "clause"), ("specialize", "fulleval"),
+    ("synthesize", "entry")])
+def test_graph_program_and_policy_that_do_not_belong_together_exit_2(
+        tmp_path, capsys, command, mismatch):
+    graph, lp, pol = _queens_graph_with(tmp_path, mismatch)
+    out = str(tmp_path / "out.lp")
+    args = {"mi-run": ["--policy", str(pol), "--query", "queens([1,2,3],Q)"],
+            "encode": ["--policy", str(pol), "--out", out],
+            "specialize": ["--policy", str(pol), "--out", out],
+            "synthesize": [str(pol), "--mode", "classic", "--out", out]}
+    capsys.readouterr()
+    rc = main([command, str(graph), str(lp)] + args[command])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"cc {command}: cannot build control tables: ")
+    assert MISMATCH_MESSAGES[mismatch] in err

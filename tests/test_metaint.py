@@ -128,7 +128,9 @@ def test_simple_variant_of_a_graph_with_multis_is_rejected_before_a_step(
             run()
 
 
-def test_user_full_evaluation_counts_and_names_like_the_engine():
+def _via_user_tables():
+    """Doubling then summing a list, both calls fully evaluated by their
+    user definitions."""
     program = parse_program("""
         t(L,S) :- dbl(L,D), sum(D,S).
         dbl([],[]).
@@ -141,9 +143,29 @@ def test_user_full_evaluation_counts_and_names_like_the_engine():
         fulleval: dbl(g1,a1) -> { a1=g2 } via user dbl/2.
         fulleval: sum(g1,a1) -> { a1=g2 } via user sum/2.
     """)
-    tables = build_tables(analyze(program, policy), program, policy)
+    return program, build_tables(analyze(program, policy), program, policy)
+
+
+def test_user_full_evaluation_counts_and_names_like_the_engine():
+    program, tables = _via_user_tables()
     goal = parse_goal("t([1,2,3],S)")
     naive = solve(program, goal)
     res = mi_run(tables, goal)
     assert answer_set(res) == answer_set(naive) == [(("S", "12"),)]
     assert res.inference_count == naive.inference_count == 15
+
+
+@pytest.mark.parametrize("limits", [
+    Limits(max_inferences=5), Limits(max_inferences=14),
+    Limits(max_depth=3), Limits(max_answers=1)])
+def test_user_full_evaluation_runs_under_the_run_limits(limits):
+    # the nested derivation is charged to the run: a budget it exhausts
+    # truncates the run where the engine's run is truncated
+    program, tables = _via_user_tables()
+    goal = parse_goal("t([1,2,3],S)")
+    naive = solve(program, goal, limits)
+    res = mi_run(tables, goal, limits=limits)
+    assert (res.answers, res.inference_count, res.exhausted) == \
+        (naive.answers, naive.inference_count, naive.exhausted)
+    if limits.max_answers is None:
+        assert not res.exhausted and not res.answers

@@ -1,15 +1,20 @@
 """Terms, parsing, printing, substitution, and unification."""
 
+import random
+
 import pytest
 
+from ccontrol.engine import solve
+from ccontrol.metaint import encode_as_logic_program
 from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
-                            Struct, Substitution, Var, is_closed_list,
-                            list_parts, mklist, parse_atom, parse_goal,
-                            parse_program, parse_term, print_atom,
-                            print_program, print_term, rename_apart,
-                            term_vars, unify)
+                            Program, Struct, Substitution, Var,
+                            is_closed_list, list_parts, mklist, parse_atom,
+                            parse_goal, parse_program, parse_term,
+                            print_atom, print_program, print_term,
+                            rename_apart, resolve, term_vars, unify)
 
-from oracles import check_unify_against_brute_force
+from conftest import CORPUS_NAMES
+from oracles import atoms_like, check_unify_against_brute_force
 
 
 # --- parsing and printing -------------------------------------------------
@@ -107,3 +112,102 @@ def test_unify_occurs_check():
 def test_unify_against_brute_force_oracle():
     failures = check_unify_against_brute_force(cases=1000, seed=0)
     assert not failures, failures[:3]
+
+
+# --- the resolution step --------------------------------------------------
+
+def _copying_resolve(atom, clause, fresh, rest, occurs_check):
+    """The resolution step as rename_apart, unify and apply: the reference
+    for ``resolve``."""
+    rc = rename_apart(clause, fresh)
+    mgu = unify(atom, rc.head, occurs_check=occurs_check)
+    if mgu is None:
+        return None
+    return mgu.apply(rc.body), mgu.apply(rest)
+
+
+def _fused_resolve(atom, clause, fresh, rest, occurs_check):
+    res = resolve(atom, clause, fresh, occurs_check)
+    if res is None:
+        return None
+    body, mgu = res
+    return body, mgu.apply(rest)
+
+
+def _outcome(step, *args):
+    try:
+        return step(*args)
+    except RecursionError:       # a cyclic binding, without occurs check
+        return "cyclic"
+
+
+def test_resolve_matches_rename_unify_apply(corpus):
+    # every clause of the corpus programs, their classic outputs and their
+    # encoded interpreters, against atoms mostly unifiable with its head
+    # and against the atoms of a random other clause; the variable pool
+    # overlaps clause variables and fresh names
+    rng = random.Random(6)
+    pool = ["X", "Y", "L", "_V1", "_V3", "_V8"]
+    clauses = []
+    for name in CORPUS_NAMES:
+        entry = corpus(name)
+        for program in (entry.program, entry.classic.program,
+                        encode_as_logic_program(entry.tables)):
+            clauses += program.clauses
+    tried = unified = 0
+    for occurs_check in (True, False):
+        fresh_a, fresh_b = FreshNames(), FreshNames()
+        for clause in clauses:
+            other = rng.choice(clauses)
+            for atom in list(atoms_like(rng, clause.head, 3, pool)) + \
+                    list(atoms_like(rng, other.head, 1, pool)):
+                rest = (Atom("r", (Var("X"), Var("_V3"),
+                                   atom.args[0] if atom.args else Var("Y"))),)
+                want = _outcome(_copying_resolve, atom, clause, fresh_a,
+                                rest, occurs_check)
+                got = _outcome(_fused_resolve, atom, clause, fresh_b, rest,
+                               occurs_check)
+                assert got == want, (atom, clause)
+                assert fresh_a.n == fresh_b.n
+                tried += 1
+                unified += want is not None
+    assert tried > 4000 and 0.2 < unified / tried < 0.9
+
+
+def test_resolve_occurs_check():
+    clause = parse_program("p(X,f(X)).").clauses[0]
+    atom = parse_atom("p(Y,Y)")
+    fresh = FreshNames()
+    assert resolve(atom, clause, fresh) is None
+    assert fresh.n == 1
+    # without the check the unifier binds a variable to a term holding it
+    body, mgu = resolve(atom, clause, fresh, occurs_check=False)
+    assert fresh.n == 2 and body == ()
+    assert mgu.bindings[Var("_V2")] == Struct("f", (Var("_V2"),))
+
+
+def test_solver_without_occurs_check_answers_like_with_it(corpus):
+    for name in ("permsort", "zigzag", "countdown"):
+        entry = corpus(name)
+        for goal in entry.queries:
+            checked = solve(entry.program, goal)
+            unchecked = solve(entry.program, goal, occurs_check=False)
+            assert (unchecked.answers, unchecked.inference_count) == \
+                (checked.answers, checked.inference_count), goal
+
+
+# --- programs -------------------------------------------------------------
+
+def test_clauses_for_is_textual_order_per_predicate():
+    text = ("p(1).\nq(a).\np(2) :- q(X).\nq(b).\np(3).\n")
+    prog = parse_program(text)
+    assert [c.id for c in prog.clauses_for("p", 1)] == [1, 3, 5]
+    assert [c.id for c in prog.clauses_for("q", 1)] == [2, 4]
+    assert len(prog.clauses_for("p", 2)) == 0
+    assert len(prog.clauses_for("r", 0)) == 0
+    assert prog.predicates == {("p", 1), ("q", 1)}
+    # the index takes no part in equality, hashing or printing
+    again = Program(tuple(parse_program(text).clauses))
+    assert again == prog and hash(again) == hash(prog)
+    assert Program(prog.clauses[::-1]) != prog
+    assert print_program(prog) == text
