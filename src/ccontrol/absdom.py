@@ -16,8 +16,8 @@ from functools import partial
 from typing import Optional, Union
 
 from .terms import (Atom, Clause, Const, LogicError, ParseError, Struct,
-                    Substitution, Var, _Parser, parse_atom, parse_term,
-                    print_atom, print_term, term_vars, unify)
+                    Substitution, Var, _Parser, print_atom, print_term,
+                    term_vars, unify)
 
 ANY = "a"
 GROUND = "g"
@@ -248,14 +248,25 @@ def abstract_instance(x, y) -> Optional[ASub]:
                 and xa.indicator == ya.indicator
                 and all(match(a, b) for a, b in zip(xa.args, ya.args)))
 
+    def match_multi(xm, ym) -> bool:
+        # the same chain, and every outer constraint of ym constrains xm
+        # to an instance (xm may carry more constraints)
+        if isinstance(xm, AAtom) or (xm.pattern, xm.consecutive) != \
+                (ym.pattern, ym.consecutive):
+            return False
+        for xcs, ycs in ((xm.init, ym.init), (xm.final, ym.final)):
+            xd = dict(xcs)
+            if not all(v in xd and match(xd[v], t) for v, t in ycs):
+                return False
+        return True
+
     if isinstance(x, (tuple, list)) and isinstance(y, (tuple, list)):
         if len(x) != len(y):
             return None
         for xi, yi in zip(x, y):
-            if isinstance(xi, AAtom) and isinstance(yi, AAtom):
-                if not match_atom(xi, yi):
-                    return None
-            elif xi != yi:  # multis must coincide syntactically
+            ok = match_atom(xi, yi) if isinstance(yi, AAtom) \
+                else match_multi(xi, yi)
+            if not ok:
                 return None
         return ASub(binding)
     if isinstance(x, AAtom) and isinstance(y, AAtom):
@@ -270,14 +281,10 @@ def strict_instance(x, y) -> bool:
 
 # --- concretization membership ------------------------------------------
 
-def member(concrete, abstract, binding=None) -> bool:
-    """Concrete term/atom membership in the denotation of an abstract one.
-
-    ``binding`` threads the assignment of concrete subterms to abstract
-    variables across calls, implementing aliasing over conjunctions.
-    """
-    if binding is None:
-        binding = {}
+def member(concrete, abstract) -> bool:
+    """Concrete term/atom membership in the denotation of an abstract one;
+    aliased abstract variables must cover identical concrete subterms."""
+    binding = {}
 
     def ground_concrete(t):
         if isinstance(t, Var):
@@ -490,10 +497,12 @@ def full_eval_output(a: AAtom, pattern: AAtom, output: ASub,
 # --- depth-k widening ---------------------------------------------------
 
 def widen_depth_k(x, k: int):
-    """Most specific generalization of term depth at most ``k``.
+    """Most specific generalization of term depth at most ``k`` of an
+    abstract term, atom or conjunction (whose multis are kept as they are).
 
     Truncated subtrees containing only ground material become fresh ground
-    variables; identical truncated subtrees share one fresh variable.
+    variables, fresh in all of ``x``; identical truncated subtrees share
+    one fresh variable.
     """
     if k < 1:
         raise AbstractDomainError("depth limit must be positive")
@@ -513,9 +522,14 @@ def widen_depth_k(x, k: int):
                              tuple(cut(a, budget - 1) for a in t.args))
         raise AbstractDomainError(f"cannot widen {t!r}")
 
-    if isinstance(x, AAtom):
-        return AAtom(x.pred, tuple(cut(a, k) for a in x.args))
-    return cut(x, k)
+    def widen(c):
+        if isinstance(c, AAtom):
+            return AAtom(c.pred, tuple(cut(a, k) for a in c.args))
+        return c if hasattr(c, "outer_terms") else cut(c, k)  # Multi
+
+    if isinstance(x, tuple):
+        return tuple(widen(c) for c in x)
+    return widen(x)
 
 
 # --- textual notation ---------------------------------------------------
@@ -539,14 +553,6 @@ def _conv(t):
 
 def aatom_from_atom(a: Atom) -> AAtom:
     return AAtom(a.pred, tuple(_conv(t) for t in a.args))
-
-
-def parse_aterm(text: str) -> ATerm:
-    return _conv(parse_term(text))
-
-
-def parse_aatom(text: str) -> AAtom:
-    return aatom_from_atom(parse_atom(text))
 
 
 def parse_aconj(text: str) -> tuple:

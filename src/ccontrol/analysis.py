@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .absdom import (AAtom, FULLEVAL, FreshAVars, LogicError, UNFOLD,
+from .absdom import (AAtom, FULLEVAL, FreshAVars, LogicError,
                      abstract_unify_with_clause, canonicalize,
                      full_eval_output, parse_aconj, print_aconj, print_aatom,
                      widen_depth_k)
@@ -78,14 +78,56 @@ class AnalysisOptions:
     enable_multi: bool = True    # fold repeated structure into multis
 
 
-def _widen(conj, k):
+def abstract_step(program: Program, policy: SelectionPolicy, conj,
+                  action) -> list:
+    """The successors of a state's conjunction under its action, before
+    interning: (cause, conjunction) pairs in transition order.  A grouping
+    folds the conjunction, a split reads its multi as one instance or as
+    a first instance and the rest, a full evaluation applies each declared
+    output that fits, and an unfolding resolves against each clause."""
+    if action[0] == "group":
+        fold = try_fold(conj)
+        if fold is None or fold[1] != action[1]:
+            raise AnalysisError(f"the grouping {action[1]} does not apply "
+                                f"to {print_aconj(conj)}")
+        return [(("grouping", action[1].kind), fold[0])]
+    pos = action[1]
+    before, after = conj[:pos], conj[pos + 1:]
+    if action[0] == "split":
+        one, one_sub, (head, rest) = case_split(conj[pos],
+                                                FreshAVars.above(conj))
+        return [(("one",), one_sub.apply(before) + one + one_sub.apply(after)),
+                (("many",), before + head + (rest,) + after)]
+    atom = conj[pos]
+    if action[2] == FULLEVAL:
+        decl = policy.fulleval_match(atom)
+        decl_idx = policy.fulleval.index(decl)
+        fresh = FreshAVars.above(conj)
+        out = []
+        for out_idx, output in enumerate(decl.outputs):
+            theta = full_eval_output(atom, decl.pattern, output, fresh)
+            if theta is not None:
+                out.append((("fulleval", decl_idx, out_idx),
+                            theta.apply(before + after)))
+        if not out:
+            raise AnalysisError(
+                f"no output binding of {print_aatom(decl.pattern)} "
+                f"applies to {print_aatom(atom)}")
+        return out
+    clauses = program.clauses_for(atom.pred, len(atom.args))
+    if not clauses:
+        kind = "builtin" if atom.indicator in BUILTINS else "predicate"
+        raise AnalysisError(
+            f"cannot unfold {kind} {atom.pred}/{len(atom.args)}; declare it "
+            "as fully evaluated or define it")
     out = []
-    for c in conj:
-        if isinstance(c, AAtom):
-            out.append(widen_depth_k(c, k))
-        else:
-            out.append(c)
-    return tuple(out)
+    for clause in clauses:
+        res = abstract_unify_with_clause(atom, clause, FreshAVars.above(conj))
+        if res is not None:
+            body, theta = res
+            out.append((("clause", clause.id),
+                        theta.apply(before) + body + theta.apply(after)))
+    return out
 
 
 def analyze(program: Program, policy: SelectionPolicy,
@@ -113,7 +155,8 @@ def analyze(program: Program, policy: SelectionPolicy,
         if conj in index:
             return index[conj]
         if opts.depth_k is not None:
-            widened = canonicalize(simplify_conj(_widen(conj, opts.depth_k)))
+            widened = canonicalize(simplify_conj(widen_depth_k(conj,
+                                                             opts.depth_k)))
             if widened in index:
                 return index[widened]
             conj = widened
@@ -131,76 +174,25 @@ def analyze(program: Program, policy: SelectionPolicy,
     while worklist:
         sid = worklist.pop(0)
         conj = states[sid]
-        fresh = FreshAVars.above(conj)
-
         fold = try_fold(conj) if opts.enable_multi else None
         if fold is not None:
-            new_conj, ev = fold
-            dst = intern(new_conj, sid)
-            transitions.append(Transition(sid, dst, ("grouping", ev.kind)))
-            actions[sid] = ("group", ev)
-            continue
-
+            action = ("group", fold[1])
+        else:
+            try:
+                pos, mark = select_conjunct(policy, conj)
+            except NoMinimumError as e:
+                raise CompletenessError(
+                    f"state {sid} has no selectable atom: "
+                    f"{print_aconj(conj)} ({e})", conj) from None
+            action = ("split", pos) if mark == "split" \
+                else ("select", pos, mark)
+        actions[sid] = action
         try:
-            pos, mark = select_conjunct(policy, conj)
-        except NoMinimumError as e:
-            raise CompletenessError(
-                f"state {sid} has no selectable atom: "
-                f"{print_aconj(conj)} ({e})", conj) from None
-
-        if mark == "split":
-            m = conj[pos]
-            one, one_sub, (head, rest) = case_split(m, fresh)
-            one_conj = (one_sub.apply(conj[:pos]) + one
-                        + one_sub.apply(conj[pos + 1:]))
-            many_conj = conj[:pos] + head + (rest,) + conj[pos + 1:]
-            transitions.append(Transition(sid, intern(one_conj, sid),
-                                          ("one",)))
-            transitions.append(Transition(sid, intern(many_conj, sid),
-                                          ("many",)))
-            actions[sid] = ("split", pos)
-            continue
-
-        atom = conj[pos]
-        rest_conj = conj[:pos], conj[pos + 1:]
-        if mark == FULLEVAL:
-            decl = policy.fulleval_match(atom)
-            decl_idx = policy.fulleval.index(decl)
-            produced = False
-            for out_idx, out in enumerate(decl.outputs):
-                theta = full_eval_output(atom, decl.pattern, out, fresh)
-                if theta is None:
-                    continue
-                produced = True
-                new_conj = theta.apply(rest_conj[0] + rest_conj[1])
-                transitions.append(Transition(
-                    sid, intern(new_conj, sid),
-                    ("fulleval", decl_idx, out_idx)))
-            if not produced:
-                raise AnalysisError(
-                    f"no output binding of {print_aatom(decl.pattern)} "
-                    f"applies to {print_aatom(atom)} in state {sid}")
-            actions[sid] = ("select", pos, FULLEVAL)
-            continue
-
-        # unfold against program clauses
-        clauses = program.clauses_for(atom.pred, len(atom.args))
-        if not clauses:
-            kind = "builtin" if atom.indicator in BUILTINS else "predicate"
-            raise AnalysisError(
-                f"cannot unfold {kind} {atom.pred}/{len(atom.args)} in "
-                f"state {sid}; declare it as fully evaluated or define it")
-        for clause in clauses:
-            res = abstract_unify_with_clause(atom, clause,
-                                             FreshAVars.above(conj))
-            if res is None:
-                continue
-            body, theta = res
-            new_conj = (theta.apply(rest_conj[0]) + body
-                        + theta.apply(rest_conj[1]))
-            transitions.append(Transition(sid, intern(new_conj, sid),
-                                          ("clause", clause.id)))
-        actions[sid] = ("select", pos, UNFOLD)
+            succs = abstract_step(program, policy, conj, action)
+        except AnalysisError as e:
+            raise AnalysisError(f"state {sid}: {e}") from None
+        for cause, succ in succs:
+            transitions.append(Transition(sid, intern(succ, sid), cause))
 
     for sid in states:
         actions.setdefault(sid, ("leaf",))

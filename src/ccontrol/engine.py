@@ -149,6 +149,27 @@ class BuiltinTable:
 BUILTINS = BuiltinTable()
 
 
+def support_clauses(program: Program, preds, defined=()) -> list:
+    """The clauses of ``program`` defining the predicates ``preds`` (name,
+    arity) and, transitively, every predicate their bodies call, except
+    builtins and the predicates in ``defined``: each predicate's clauses
+    in textual order, predicates in the order they are first reached."""
+    seen = set(defined)
+    todo = list(preds)
+    out = []
+    i = 0
+    while i < len(todo):        # callees are appended, then visited
+        pred = todo[i]
+        i += 1
+        if pred in seen or pred in BUILTINS:
+            continue
+        seen.add(pred)
+        clauses = program.clauses_for(*pred)
+        out.extend(clauses)
+        todo.extend(a.indicator for c in clauses for a in c.body)
+    return out
+
+
 def answer_set(result: RunResult) -> list:
     """The answers as a sorted list of hashable keys: two runs have the
     same answer multiset exactly when their answer sets are equal."""

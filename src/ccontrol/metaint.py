@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from .absdom import (FULLEVAL, LogicError, canonicalize, concrete_template,
                      member, print_aatom, print_aconj)
 from .analysis import StateGraph
-from .engine import BUILTINS, Limits, RunResult, Solver, depth_first
+from .engine import (BUILTINS, Limits, RunResult, Solver, depth_first,
+                     support_clauses)
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
 from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
@@ -401,7 +402,10 @@ def encode_as_logic_program(tables: StateTables,
     as one ``apply_groupings/3`` clause per grouping state, matching the
     goal positionally (goal lengths are bounded per state).  The split,
     grouping and building-block clauses are present exactly when the graph
-    has multi abstractions; ``variant`` is only checked.
+    has multi abstractions, and the full-evaluation clause when the policy
+    declares full evaluations; ``variant`` is only checked.  The source
+    clauses that a ``via user`` link reaches follow the tables, so the
+    interpreter's ``call/1`` finds them.
     """
     check_variant(tables, variant)
     b = _ClauseBuilder()
@@ -427,15 +431,15 @@ def encode_as_logic_program(tables: StateTables,
           Atom("dg_append", (_v("NewGsA"), _v("After"), _v("NewGs"))),
           Atom("mi", (_v("NewGs"), _v("NewState"))))
 
-    # full evaluation
-    b.add(Atom("mi", (goal_, _v("State"))),
-          si, dv,
-          Atom("mi_full_eval", (_v("Selected"), _v("FullAIIdx"))),
-          Atom("call", (_v("Selected"),)),
-          Atom("state_transition", (_v("State"), _v("NewState"),
-                                    _v("FullAIIdx"))),
-          Atom("dg_append", (_v("Before"), _v("After"), _v("NewGs"))),
-          Atom("mi", (_v("NewGs"), _v("NewState"))))
+    if t.policy.fulleval:
+        b.add(Atom("mi", (goal_, _v("State"))),
+              si, dv,
+              Atom("mi_full_eval", (_v("Selected"), _v("FullAIIdx"))),
+              Atom("call", (_v("Selected"),)),
+              Atom("state_transition", (_v("State"), _v("NewState"),
+                                        _v("FullAIIdx"))),
+              Atom("dg_append", (_v("Before"), _v("After"), _v("NewGs"))),
+              Atom("mi", (_v("NewGs"), _v("NewState"))))
 
     _encode_extended(b, t)
 
@@ -461,6 +465,15 @@ def encode_as_logic_program(tables: StateTables,
               Atom(name, (_v("T"), _v("L"), _v("R"))))
 
     _encode_tables(b, t)
+    own = {c.head.pred for c in b.clauses}
+    links = [d.link for d in t.policy.fulleval if not d.link_is_builtin]
+    for clause in support_clauses(t.program, links):
+        if clause.head.pred in own:
+            raise MetaintError(
+                f"support predicate {clause.head.pred}/"
+                f"{len(clause.head.args)} of a user full evaluation has "
+                "the name of an interpreter predicate")
+        b.add(clause.head, *clause.body)
     return b.program()
 
 

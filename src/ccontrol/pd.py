@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import BUILTINS, ModeError
+from .engine import BUILTINS, ModeError, support_clauses
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, is_closed_list, list_parts,
@@ -470,17 +470,10 @@ class _Specializer:
     def _copy_support(self):
         """Copy rescalled source predicates the residual clauses still use,
         and the source predicates those copies use in turn."""
-        seen = set(self.names)
-        i = 0
-        while i < len(self.clauses):     # copies are appended, then scanned
-            for a in self.clauses[i][1]:
-                if a.indicator in BUILTINS or a.pred in seen:
-                    continue
-                support = self.program.clauses_for(a.pred, len(a.args))
-                if support:
-                    seen.add(a.pred)
-                    self.clauses.extend((c.head, c.body) for c in support)
-            i += 1
+        calls = [a.indicator for _, body in self.clauses for a in body]
+        defined = {(e.name, len(e.call.args)) for e in self.memo}
+        self.clauses.extend((c.head, c.body) for c in
+                            support_clauses(self.program, calls, defined))
 
     def program_out(self) -> Program:
         return Program(tuple(Clause(h, b, i + 1)

@@ -2,26 +2,27 @@
 
 Each analysis state becomes a predicate whose arguments are the state's
 abstract variables (plus one block-list argument per multi abstraction),
-and each transition becomes a clause.  Transitions are replayed both
-abstractly — re-running the analysis step to recover the successor's
-canonical variable numbering — and concretely over a variable template,
-which yields the argument terms linking a clause head to the successor
-call.  The result executes under the plain left-to-right engine yet
-follows the analyzed selection rule step for step.
+and each transition becomes a clause.  A state's successors are replayed
+with the analysis's own step (``analysis.abstract_step``) under the
+state's stored action, and built concretely over a variable template;
+matching the replayed successor against the stored state, which equals
+it up to renaming or widens it, yields the argument terms linking a
+clause head to the successor call.  The result executes under the plain
+left-to-right engine yet follows the analyzed selection rule step for
+step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import (AAtom, AbsConst, AbsStruct, AVar, FreshAVars, GROUND,
-                     LogicError, abstract_unify_with_clause, avars,
-                     canonicalize, concrete_template, full_eval_output,
-                     print_aconj)
-from .analysis import EMPTY_STATE, StateGraph
-from .engine import BUILTINS, Limits, answer_set, solve
+from .absdom import (AAtom, AbsConst, AbsStruct, AVar, GROUND, LogicError,
+                     abstract_instance, avars, canonicalize,
+                     concrete_template, print_aconj)
+from .analysis import EMPTY_STATE, StateGraph, abstract_step
+from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BUILDING_BLOCK, atom_to_term
-from .multi import Multi, case_split, simplify_conj, try_fold
+from .multi import Multi, simplify_conj
 from .policy import SelectionPolicy
 from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
                     mklist, print_atom, print_term, resolve, CONS)
@@ -102,7 +103,9 @@ class _Synthesizer:
         self.entry_pred = entry_conj[0].pred
         self.names = {sid: f"{self.entry_pred}_s{sid}"
                       for sid in graph.states}
+        self.clauses_by_id = {c.id: c for c in program.clauses}
         self.clauses = []
+        self.links = []          # links of the user full evaluations
         self.uses_blocks = False
 
     # --- per-state templates ---------------------------------------------
@@ -127,8 +130,10 @@ class _Synthesizer:
     # --- successor calls --------------------------------------------------
 
     def _successor(self, dst, raw_elems, conc_elems):
-        """The concrete call to the successor state's predicate, derived
-        by re-canonicalizing the replayed abstract successor."""
+        """The concrete call to the successor state's predicate.  The
+        stored state covers the replayed abstract successor (it is the
+        same up to renaming, or a widening of it), and each of its
+        variables is passed the concrete counterpart of what it covers."""
         raw = simplify_conj(raw_elems)
         canon = canonicalize(raw)
         if dst == EMPTY_STATE:
@@ -136,7 +141,8 @@ class _Synthesizer:
                 raise SynthesisError("nonempty successor for the empty state")
             return None
         stored = self.graph.states[dst]
-        if canon != stored:
+        cover = abstract_instance(canon, stored)
+        if cover is None:
             raise SynthesisError(
                 f"replay of state {dst} diverged:\n  got  "
                 f"{print_aconj(canon)}\n  want {print_aconj(stored)}")
@@ -144,41 +150,25 @@ class _Synthesizer:
         for a_elem, c_elem in zip(raw, conc_elems):
             if isinstance(a_elem, AAtom):
                 _bind_atom(a_elem, c_elem, env)
-        canon_vars = avars(canon)
-        raw_vars = avars(raw)
-        if len(canon_vars) != len(raw_vars):
-            raise SynthesisError("canonical renaming is not a bijection")
-        inv = dict(zip(canon_vars, raw_vars))
-        args = []
-        for cv in _plain_avars(canon):
-            rv = inv[cv]
-            if rv not in env:
-                raise SynthesisError(
-                    f"no concrete counterpart for {rv} in state {dst}")
-            args.append(env[rv])
+        # canonicalize renames the replayed variables one to one
+        var = _variables({cv: env[rv] for cv, rv in
+                          zip(avars(canon), avars(raw)) if rv in env})
+        args = [concrete_template(cover.apply(v), var)
+                for v in _plain_avars(stored)]
         args += [c for a, c in zip(raw, conc_elems) if isinstance(a, Multi)]
         return Atom(self.names[dst], tuple(args))
 
     # --- clause emission --------------------------------------------------
 
-    def _emit(self, head_args, prefix, succ, sid):
-        body = tuple(prefix) + ((succ,) if succ is not None else ())
-        self.clauses.append((Atom(self.names[sid], tuple(head_args)), body))
-
     def synthesize(self) -> SynthesizedProgram:
         g = self.graph
         for sid in sorted(g.states):
-            action = g.actions[sid]
-            if action[0] == "select":
-                self._state_select(sid, action[1])
-            elif action[0] == "split":
-                self._state_split(sid, action[1])
-            elif action[0] == "group":
-                self._state_group(sid)
-            # a leaf state has no outgoing transitions and no clauses
+            self._state(sid)
         self._wrapper()
         if self.uses_blocks:
             self._append_clauses()
+        self.clauses += [(c.head, c.body) for c in
+                         support_clauses(self.program, self.links)]
         program = Program(tuple(Clause(h, b, i + 1)
                                 for i, (h, b) in enumerate(self.clauses)))
         entry_arity = len(g.states[g.entry][0].args)
@@ -199,113 +189,88 @@ class _Synthesizer:
                                Struct(CONS, (h, r)))),
             (Atom("bb_append", (t, l, r)),)))
 
-    def _state_select(self, sid, pos):
+    def _state(self, sid):
+        """One clause per transition of the state: the analysis step is
+        replayed abstractly, and its concrete side built over the state's
+        template."""
+        action = self.graph.actions[sid]
+        if action[0] == "leaf":
+            return      # no outgoing transitions and no clauses
         conj = self.graph.states[sid]
-        env, elems, args = self._template(conj)
-        atom = conj[pos]
-        mark = self.graph.actions[sid][2]
-        before_a, after_a = conj[:pos], conj[pos + 1:]
-        before_c, after_c = elems[:pos], elems[pos + 1:]
-        if mark == "fulleval":
-            self._select_fulleval(sid, atom, elems[pos], before_a, after_a,
-                                  before_c, after_c, args, conj)
-        else:
-            self._select_unfold(sid, atom, elems[pos], before_a, after_a,
-                                before_c, after_c, args, conj)
-
-    def _select_unfold(self, sid, atom, selected_c, before_a, after_a,
-                       before_c, after_c, args, conj):
+        template = self._template(conj)
         freshc = FreshNames()
-        for clause in self.program.clauses_for(atom.pred, len(atom.args)):
-            res = abstract_unify_with_clause(atom, clause,
-                                             FreshAVars.above(conj))
-            if res is None:
-                continue
-            body_a, theta = res
-            dst = self.graph.successor(sid, ("clause", clause.id))
-            res = resolve(selected_c, clause, freshc)
-            if res is None:
+        for cause, raw in abstract_step(self.program, self.policy, conj,
+                                        action):
+            if cause[0] == "clause":
+                step = self._resolved(sid, action[1], cause[1], template,
+                                      freshc)
+            elif cause[0] == "fulleval":
+                step = self._evaluated(action[1], cause, template)
+            elif cause[0] == "grouping":
+                step = self._grouped(action[1], template)
+            else:
+                step = self._extracted(conj, action[1], cause, raw,
+                                       template, freshc)
+            head_args, prefix, conc = step
+            succ = self._successor(self.graph.successor(sid, cause), raw,
+                                   conc)
+            body = tuple(prefix) + ((succ,) if succ is not None else ())
+            self.clauses.append((Atom(self.names[sid], tuple(head_args)),
+                                 body))
+
+    # Each concrete side returns (head arguments, body prefix, successor
+    # goal elements).
+
+    def _resolved(self, sid, pos, clause_id, template, freshc):
+        env, elems, args = template
+        res = resolve(elems[pos], self.clauses_by_id[clause_id], freshc)
+        if res is None:
+            raise SynthesisError(
+                f"clause {clause_id} matches abstractly but not "
+                f"concretely in state {sid}")
+        body, mgu = res
+        return (tuple(mgu.apply(a) for a in args), (),
+                mgu.apply(elems[:pos]) + body + mgu.apply(elems[pos + 1:]))
+
+    def _evaluated(self, pos, cause, template):
+        env, elems, args = template
+        decl = self.policy.fulleval[cause[1]]
+        for t in decl.outputs[cause[2]].pairs.values():
+            if not isinstance(t, AVar):
                 raise SynthesisError(
-                    f"clause {clause.id} matches abstractly but not "
-                    f"concretely in state {sid}")
-            body_c, mgu = res
-            raw = theta.apply(before_a) + body_a + theta.apply(after_a)
-            conc = mgu.apply(before_c) + body_c + mgu.apply(after_c)
-            succ = self._successor(dst, raw, conc)
-            self._emit(tuple(mgu.apply(a) for a in args), (), succ, sid)
+                    f"structured full-evaluation output {t!r} is not "
+                    "supported")
+        if not decl.link_is_builtin:
+            self.links.append(decl.link)
+        call = Atom(decl.link[0], elems[pos].args)
+        return args, (call,), elems[:pos] + elems[pos + 1:]
 
-    def _select_fulleval(self, sid, atom, selected_c, before_a, after_a,
-                         before_c, after_c, args, conj):
-        decl = self.policy.fulleval_match(atom)
-        decl_idx = self.policy.fulleval.index(decl)
-        fresh = FreshAVars.above(conj)
-        for out_idx, out in enumerate(decl.outputs):
-            theta = full_eval_output(atom, decl.pattern, out, fresh)
-            if theta is None:
-                continue
-            for v, t in theta.pairs.items():
-                if not isinstance(t, AVar):
-                    raise SynthesisError(
-                        "structured full-evaluation output "
-                        f"{t!r} is not supported")
-            dst = self.graph.successor(sid, ("fulleval", decl_idx, out_idx))
-            raw = theta.apply(before_a + after_a)
-            conc = before_c + after_c
-            succ = self._successor(dst, raw, conc)
-            call = Atom(decl.link[0], selected_c.args)
-            if not decl.link_is_builtin:
-                self._copy_support(decl.link)
-            self._emit(args, (call,), succ, sid)
-
-    def _state_split(self, sid, pos):
-        conj = self.graph.states[sid]
-        env, elems, args = self._template(conj)
+    def _extracted(self, conj, pos, cause, raw, template, freshc):
+        """A split: the multi's first instance comes out of its block
+        list, alone ("one") or ahead of the rest ("many")."""
+        env, elems, args = template
         m = conj[pos]
         bidx = len(_plain_avars(conj)) \
             + sum(1 for c in conj[:pos] if isinstance(c, Multi))
-        fresh = FreshAVars.above(conj)
-        freshc = FreshNames()
-        one, one_sub, (head, rest) = case_split(m, fresh)
-        before_a, after_a = conj[:pos], conj[pos + 1:]
-        before_c, after_c = elems[:pos], elems[pos + 1:]
-
         var = _variables(dict(env), freshc)
-        one_c = tuple(concrete_template(a, var) for a in one)
-        raw = one_sub.apply(before_a) + one + one_sub.apply(after_a)
-        conc = before_c + one_c + after_c
-        dst = self.graph.successor(sid, ("one",))
-        succ = self._successor(dst, raw, conc)
+        first = tuple(concrete_template(a, var)
+                      for a in raw[pos:pos + m.plen])
         head_args = list(args)
-        head_args[bidx] = mklist([_block_term(one_c)])
-        self._emit(tuple(head_args), (), succ, sid)
-
-        var = _variables(dict(env), freshc)
-        head_c = tuple(concrete_template(a, var) for a in head)
+        if cause == ("one",):
+            head_args[bidx] = mklist([_block_term(first)])
+            return head_args, (), elems[:pos] + first + elems[pos + 1:]
         # The remaining multi stands for at least one more instance, so the
         # head can require a second block matching the pattern; spurious
         # single-block calls then fail at the head instead of descending.
         var = _variables({}, freshc)
-        next_c = tuple(concrete_template(a, var) for a in rest.pattern)
+        next_c = tuple(concrete_template(a, var) for a in m.pattern)
         rest_b = Struct(CONS, (_block_term(next_c), Var("BRest")))
-        raw = before_a + head + (rest,) + after_a
-        conc = before_c + head_c + (rest_b,) + after_c
-        dst = self.graph.successor(sid, ("many",))
-        succ = self._successor(dst, raw, conc)
-        head_args = list(args)
-        head_args[bidx] = Struct(CONS, (_block_term(head_c), rest_b))
-        self._emit(tuple(head_args), (), succ, sid)
+        head_args[bidx] = Struct(CONS, (_block_term(first), rest_b))
+        return head_args, (), \
+            elems[:pos] + first + (rest_b,) + elems[pos + 1:]
 
-    def _state_group(self, sid):
-        conj = self.graph.states[sid]
-        env, elems, args = self._template(conj)
-        ev = self.graph.actions[sid][1]
-        res = try_fold(conj)
-        if res is None:
-            raise SynthesisError(f"grouping replay failed in state {sid}")
-        raw, ev2 = res
-        if (ev2.start, ev2.plen, ev2.kind) != (ev.start, ev.plen, ev.kind):
-            raise SynthesisError(f"grouping replay diverged in state {sid}")
-        dst = self.graph.successor(sid, ("grouping", ev.kind))
+    def _grouped(self, ev, template):
+        env, elems, args = template
         s, p = ev.start, ev.plen
         prefix = ()
         if ev.kind == "new":
@@ -329,18 +294,7 @@ class _Synthesizer:
             conc = elems[:s] + (out,) + elems[s + 2:]
         else:
             raise SynthesisError(f"unknown grouping kind {ev.kind!r}")
-        succ = self._successor(dst, raw, tuple(conc))
-        self._emit(args, prefix, succ, sid)
-
-    def _copy_support(self, link):
-        pred, arity = link
-        if any(h.indicator == link for h, _ in self.clauses):
-            return
-        for clause in self.program.clauses_for(pred, arity):
-            self.clauses.append((clause.head, clause.body))
-            for a in clause.body:
-                if a.indicator not in BUILTINS:
-                    self._copy_support(a.indicator)
+        return args, prefix, conc
 
 
 def synthesize(graph: StateGraph, program: Program,

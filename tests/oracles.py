@@ -9,12 +9,26 @@ meaningful.
 import random
 
 from ccontrol.absdom import (AAtom, AVar, AbsConst, AbsStruct,
-                             AbstractDomainError, GROUND, MVar, canonicalize,
-                             member, widen_depth_k)
+                             AbstractDomainError, GROUND, MVar,
+                             aatom_from_atom, canonicalize, member,
+                             widen_depth_k)
 from ccontrol.multi import Multi
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              SelectionPolicy, select_conjunct)
-from ccontrol.terms import Atom, Const, Struct, Var, term_vars, unify
+from ccontrol.terms import (Atom, Const, Struct, Var, parse_atom, term_vars,
+                           unify)
+
+
+# --- abstract notation ---------------------------------------------------
+
+def parse_aatom(text):
+    """An abstract atom written as a term, with a1/g2 for its variables."""
+    return aatom_from_atom(parse_atom(text))
+
+
+def parse_aterm(text):
+    """An abstract term written as a term, with a1/g2 for its variables."""
+    return parse_aatom(f"t({text})").args[0]
 
 
 # --- concretization membership -------------------------------------------

@@ -5,12 +5,12 @@ import random
 from ccontrol.absdom import (AAtom, AVar, FreshAVars, abstract_instance,
                              abstract_unify_with_clause, canonicalize,
                              equivalent, full_eval_output, member,
-                             parse_aatom, parse_aconj, parse_aterm,
-                             print_aatom, print_aconj, print_aterm,
-                             strict_instance, widen_depth_k)
+                             parse_aconj, print_aatom, print_aconj,
+                             print_aterm, strict_instance, widen_depth_k)
 from ccontrol.terms import parse_program, parse_term
 
-from oracles import aterm_depth, check_widen_monotone, random_term
+from oracles import (aterm_depth, check_widen_monotone, parse_aatom,
+                     parse_aterm, random_term)
 
 
 def test_parse_print_round_trip():
@@ -48,9 +48,6 @@ def test_member_groundness_and_aliasing():
     assert member(parse_term("f(c)"), parse_aterm("g1"))
     assert not member(parse_term("f(X)"), parse_aterm("g1"))
     assert member(parse_term("f(X)"), parse_aterm("a1"))
-    binding = {}
-    assert member(parse_term("c"), parse_aterm("a1"), binding)
-    assert not member(parse_term("d"), parse_aterm("a1"), binding)
 
 
 def test_abstract_unify_with_clause():
@@ -82,6 +79,32 @@ def test_widen_depth_k_caps_depth():
     w = widen_depth_k(t, 2)
     assert aterm_depth(w) <= 2
     assert abstract_instance(t, w) is not None
+
+
+def test_widen_depth_k_draws_fresh_variables_above_the_whole_conjunction():
+    # widening one atom must not capture a variable of another conjunct
+    conj = parse_aconj("acc(g1,s(s(s(g2))),a1) , link(g3,a1,a2)")
+    w = widen_depth_k(conj, 2)
+    assert print_aconj(w) == "acc(g1,s(s(g4)),a1) , link(g3,a1,a2)"
+    assert abstract_instance(conj, w) is not None
+
+
+def test_instance_matches_multi_constraints():
+    y = parse_aconj("p(a1) , multi((q(mg1,ma1,ma2)), init{ma1=a1}, "
+                    "consec{ma1=ma2}, final{}, id=1)")
+    x = parse_aconj("p(s(g1)) , multi((q(mg1,ma1,ma2)), init{ma1=s(g1)}, "
+                    "consec{ma1=ma2}, final{}, id=1)")
+    cover = abstract_instance(x, y)
+    assert cover is not None
+    assert print_aterm(cover.apply(AVar("a", 1))) == "s(g1)"
+    # the multi's constraint must cover what the atom's variable covers
+    assert abstract_instance(parse_aconj(
+        "p(s(g1)) , multi((q(mg1,ma1,ma2)), init{ma1=g2}, "
+        "consec{ma1=ma2}, final{}, id=1)"), y) is None
+    # an unconstrained multi is not an instance of a constrained one
+    assert abstract_instance(parse_aconj(
+        "p(s(g1)) , multi((q(mg1,ma1,ma2)), init{}, consec{ma1=ma2}, "
+        "final{}, id=1)"), y) is None
 
 
 def test_widen_monotone_on_random_terms():

@@ -7,8 +7,9 @@ from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
                               cmulti_blocks, encode_as_logic_program,
                               is_cmulti, make_cmulti, mi_run, term_to_atom)
-from ccontrol.pd import specialize_encoded
+from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import parse_policy
+from ccontrol.synthesis import run_compiled, synthesize
 from ccontrol.terms import Atom, mklist, parse_goal, parse_program, \
     print_program
 
@@ -169,3 +170,52 @@ def test_user_full_evaluation_runs_under_the_run_limits(limits):
         (naive.answers, naive.inference_count, naive.exhausted)
     if limits.max_answers is None:
         assert not res.exhausted and not res.answers
+
+
+def _compiled_answers(program, tables, goal):
+    """Answer sets of naive, the encoded interpreter, classic and
+    futamura on one goal."""
+    residual = specialize_encoded(tables)
+    assert check_closedness(residual) == (True, [])
+    classic = synthesize(tables.graph, program, tables.policy).program
+    return [answer_set(run_compiled(p, goal)) for p in
+            (program, encode_as_logic_program(tables), classic,
+             residual.program)]
+
+
+def test_policy_without_full_evaluation_compiles():
+    # no fulleval declaration: the interpreter has no mi_full_eval/2
+    # facts, so it must not call it either
+    program = parse_program("dbl(z,z).\ndbl(s(X),s(s(Y))) :- dbl(X,Y).\n")
+    policy = parse_policy("entry: dbl(g1,a1).\n")
+    tables = build_tables(analyze(program, policy), program, policy)
+    for text, answers in (("dbl(s(s(z)),Y)", [(("Y", "s(s(s(s(z))))"),)]),
+                          ("dbl(z,Y)", [(("Y", "z"),)]),
+                          ("dbl(s(z),z)", [])):
+        assert _compiled_answers(program, tables, parse_goal(text)) == \
+            [answers] * 4, text
+
+
+def test_user_full_evaluation_compiles_both_ways():
+    # the source clauses of a via-user link ship with the encoded
+    # interpreter, so its call/1 and the futamura residual find them
+    program, tables = _via_user_tables()
+    for text in ("t([1,2,3],S)", "t([],S)", "t([5],S)"):
+        naive, *compiled = _compiled_answers(program, tables,
+                                             parse_goal(text))
+        assert compiled == [naive] * 3, text
+
+
+def test_user_full_evaluation_name_clash_is_rejected():
+    program = parse_program("""
+        t(L,S) :- dg_append(L,L,S).
+        dg_append([],L,L).
+        dg_append([H|T],L,[H|R]) :- dg_append(T,L,R).
+    """)
+    policy = parse_policy("""
+        entry: t(g1,a1).
+        fulleval: dg_append(g1,g2,a1) -> { a1=g3 } via user dg_append/3.
+    """)
+    tables = build_tables(analyze(program, policy), program, policy)
+    with pytest.raises(MetaintError, match="dg_append/3"):
+        encode_as_logic_program(tables)

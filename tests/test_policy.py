@@ -2,12 +2,12 @@
 
 import pytest
 
-from ccontrol.absdom import FULLEVAL, UNFOLD, parse_aatom, parse_aconj
+from ccontrol.absdom import FULLEVAL, UNFOLD, parse_aconj
 from ccontrol.policy import (PolicyError, derive_order, parse_policy,
                              select_conjunct)
 
 from conftest import CORPUS_NAMES, corpus_text
-from oracles import is_complete, order_lt, select_atom
+from oracles import is_complete, order_lt, parse_aatom, select_atom
 
 PERMSORT = corpus_text("permsort", ".policy")
 

@@ -1,12 +1,32 @@
 """Direct state-graph synthesis and the two-construction comparison."""
 
-from ccontrol.engine import Limits
-from ccontrol.metaint import BUILDING_BLOCK
-from ccontrol.synthesis import compare_programs
+import json
+
+from ccontrol.analysis import AnalysisOptions, analyze
+from ccontrol.cli import main
+from ccontrol.engine import Limits, solve
+from ccontrol.metaint import BUILDING_BLOCK, build_tables, mi_run
+from ccontrol.policy import parse_policy
+from ccontrol.synthesis import compare_programs, synthesize
 from ccontrol.terms import CONS, Struct, parse_goal, parse_program, \
     print_program
 
 from conftest import answer_set, query_deviation
+
+# A term that grows at every call: under depth-2 widening the analysis
+# folds grow(s(s(s(g1))),a1) into the state grow(s(s(g1)),a1).
+GROW_LP = "grow(X,X).\ngrow(X,Y) :- grow(s(X),Y).\n"
+GROW_POLICY = "entry: grow(g1,a1).\n"
+
+# Widening and multis together: the growing accumulator is widened while
+# the chained link/3 calls fold into a multi abstraction.
+ACC_LP = """acc([],A,A).
+acc([X|T],A,R) :- acc(T,s(A),R1), link(X,R1,R).
+link(X,Y,f(X,Y)).
+"""
+ACC_POLICY = """entry: acc(g1,g2,a1).
+preprior: acc(g1,g2,a1) < link(g1,a1,a2).
+"""
 
 
 def test_predicate_per_state(corpus):
@@ -83,3 +103,51 @@ def test_compare_syntheses_respects_limits(corpus):
     row = _compare(corpus("permsort"), "permsort([3,1,2],S)",
                    Limits(max_inferences=5))
     assert not row["both_exhausted"]
+
+
+def _widened(lp, policy_text, k):
+    program, policy = parse_program(lp), parse_policy(policy_text)
+    graph = analyze(program, policy, AnalysisOptions(depth_k=k))
+    return program, graph, build_tables(graph, program, policy), \
+        synthesize(graph, program, policy)
+
+
+def test_widened_graph_compiles_and_agrees_with_naive():
+    program, graph, tables, classic = _widened(GROW_LP, GROW_POLICY, 2)
+    assert len(graph.states) == 3
+    limits = Limits(max_answers=4)
+    for text in ("grow(z,Y)", "grow(s(z),Y)"):
+        goal = parse_goal(text)
+        naive = solve(program, goal, limits=limits)
+        assert len(naive.answers) == 4
+        assert answer_set(solve(classic.program, goal, limits=limits)) == \
+            answer_set(naive) == answer_set(mi_run(tables, goal,
+                                                   limits=limits)), text
+
+
+def test_widened_graph_with_multis_compiles_and_agrees_with_naive():
+    for k in (2, 3):
+        program, graph, tables, classic = _widened(ACC_LP, ACC_POLICY, k)
+        assert any(a[0] == "split" for a in graph.actions.values())
+        for text in ("acc([],z,R)", "acc([a],z,R)", "acc([a,b,c,d,e],z,R)"):
+            goal = parse_goal(text)
+            naive = solve(program, goal)
+            assert len(naive.answers) == 1
+            assert answer_set(solve(classic.program, goal)) == \
+                answer_set(naive) == answer_set(mi_run(tables, goal)), \
+                (k, text)
+
+
+def test_pipeline_compiles_a_widened_graph_both_ways(tmp_path, capsys):
+    lp, pol, queries = (tmp_path / name for name in
+                        ("grow.lp", "grow.policy", "grow.queries"))
+    lp.write_text(GROW_LP)
+    pol.write_text(GROW_POLICY)
+    queries.write_text("grow(z,Y).\n")
+    out = tmp_path / "artifacts"
+    main(["pipeline", str(lp), str(pol), "--depth-k", "2", "--out-dir",
+          str(out), "--queries", str(queries), "--max-answers", "3"])
+    for name in ("graph.json", "compiled_classic.lp",
+                 "compiled_futamura.lp"):
+        assert (out / name).exists(), name
+    assert json.loads((out / "report.json").read_text())["all_match"]
