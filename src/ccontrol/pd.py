@@ -6,7 +6,9 @@ Control is fixed before specialization by two kinds of data: clause-body
 residualize it, or memoize it) and *filters* describing which parts of a
 memoized call are known at specialization time.  Specialization is then a
 deterministic memo-table worklist: every memoized call pattern becomes a
-residual predicate whose clauses are the resultants of unfolding it.
+residual predicate whose clauses are the resultants of unfolding it and
+whose arguments are only the parts of the call that the filter leaves
+unknown (filter propagation).
 
 Applied to the table-driven interpreter of :mod:`ccontrol.metaint` with
 its goal list as the partially known input, this removes the entire
@@ -175,6 +177,21 @@ def generalize_call(atom: Atom, types, fresh: FreshNames) -> Atom:
                       for t, a in zip(types, atom.args)))
 
 
+def abstracted_parts(general, term, out=None) -> list:
+    """The subterms of ``term`` at the variables of its generalization
+    ``general``, in the order of ``term_vars(general)``: a generalization
+    is linear and its known parts are ground, so these are exactly the
+    unknown parts, one per variable."""
+    if out is None:
+        out = []
+    if isinstance(general, Var):
+        out.append(term)
+    elif isinstance(general, (Struct, Atom)):
+        for g, t in zip(general.args, term.args):
+            abstracted_parts(g, t, out)
+    return out
+
+
 # --- filter and annotation declarations ----------------------------------
 
 @dataclass
@@ -313,6 +330,9 @@ def parse_annotations(text: str) -> Annotations:
 
 @dataclass
 class MemoEntry:
+    """A residual predicate: its arguments are the variables of ``call``
+    in first-occurrence order (filter propagation), so the known parts
+    of the call are compiled into its name and clauses."""
     name: str                # residual predicate name
     call: Atom               # the generalized call pattern
 
@@ -369,11 +389,11 @@ class _Specializer:
             self.memo.append(entry)
             self.memo_index[key] = entry
             self.worklist.append(entry)
-        return Atom(entry.name, atom.args)
+        return Atom(entry.name, tuple(abstracted_parts(gatom, atom)))
 
     def _name_for(self, gatom: Atom) -> str:
         last = gatom.args[-1] if gatom.args else None
-        if isinstance(last, Const):
+        if isinstance(last, Const) and isinstance(last.name, int):
             base = f"{gatom.pred}__s{last.name}"
         else:
             base = f"{gatom.pred}__g{len(self.memo)}"
@@ -399,6 +419,7 @@ class _Specializer:
     def _define(self, entry: MemoEntry):
         """Unfold the memoized pattern into residual clauses."""
         gatom = entry.call
+        params = tuple(term_vars(gatom))
         clauses = self.program.clauses_for(gatom.pred, len(gatom.args))
         if not clauses:
             raise PDError(
@@ -411,7 +432,7 @@ class _Specializer:
                 continue
             self._tick()
             body, mgu = res
-            stack.append((body, mgu.apply(gatom.args), ()))
+            stack.append((body, mgu.apply(params), ()))
         out = []
         while stack:
             goal, hargs, resid = stack.pop()
@@ -471,7 +492,7 @@ class _Specializer:
         """Copy rescalled source predicates the residual clauses still use,
         and the source predicates those copies use in turn."""
         calls = [a.indicator for _, body in self.clauses for a in body]
-        defined = {(e.name, len(e.call.args)) for e in self.memo}
+        defined = {(e.name, len(term_vars(e.call))) for e in self.memo}
         self.clauses.extend((c.head, c.body) for c in
                             support_clauses(self.program, calls, defined))
 
@@ -546,21 +567,20 @@ def specialize_encoded(tables, variant: str = None,
     checked as ``encode_as_logic_program`` checks it.
 
     The result contains a ``compute/1`` wrapper, so it is run exactly like
-    the encoded program it replaces.
+    the encoded program it replaces: ``compute([p(X1,...,Xn)])`` calls the
+    entry state's residual predicate on the entry atom's arguments.
     """
     encoded = encode_as_logic_program(tables, variant)
     entry_aatom = tables.graph.states[tables.entry][0]
-    fresh = FreshNames()
+    fresh = FreshNames("X")
     skeleton = Struct(entry_aatom.pred,
                       tuple(fresh.var() for _ in entry_aatom.args))
     entry = Atom("mi", (mklist([skeleton]), Const(tables.entry)))
     annotations = annotations or interpreter_annotations()
     filters = filters or interpreter_filters()
     residual = specialize(encoded, entry, annotations, filters, budget)
-    gs = Var("Gs")
-    wrapper = Clause(Atom("compute", (gs,)),
-                     (Atom(residual.entry_call.pred,
-                           (gs, Const(tables.entry))),),
+    wrapper = Clause(Atom("compute", (mklist([skeleton]),)),
+                     (residual.entry_call,),
                      len(residual.program.clauses) + 1)
     return ResidualProgram(Program(residual.program.clauses + (wrapper,)),
                            residual.entry_call, residual.memo,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .absdom import (AAtom, ASub, AVar, FULLEVAL, LogicError, UNFOLD,
-                     aatom_from_atom, abstract_instance, avars, canonicalize,
-                     equivalent, print_aatom, strict_instance, _conv)
+from .absdom import (AAtom, ASub, AVar, FULLEVAL, FreshAVars, LogicError,
+                     UNFOLD, aatom_from_atom, abstract_instance, avars,
+                     canonicalize, equivalent, print_aatom, strict_instance,
+                     _conv)
 from .terms import ParseError, _Parser
 
 
@@ -278,6 +279,22 @@ def _effective_atoms(conj):
     return out
 
 
+def _printable(conj, eff):
+    """``eff`` with the throwaway variables of each multi's virtual instance
+    (negative indices) replaced by fresh variables above ``conj``, one
+    renaming per multi, so that only policy notation is printed."""
+    fresh = FreshAVars.above(conj)
+    renamings = {}
+    out = []
+    for pos, a in eff:
+        renaming = renamings.setdefault(pos, {})
+        for v in avars(a):
+            if v.index < 0 and v not in renaming:
+                renaming[v] = fresh.var(v.kind)
+        out.append(ASub(renaming).apply(a))
+    return out
+
+
 def select_conjunct(policy: SelectionPolicy, conj):
     """Selection over a conjunction that may contain multi abstractions.
 
@@ -309,7 +326,7 @@ def select_conjunct(policy: SelectionPolicy, conj):
     if not winners:
         raise NoMinimumError(
             "no minimal atom in " +
-            " , ".join(print_aatom(a) for _, a in eff))
+            " , ".join(print_aatom(a) for a in _printable(conj, eff)))
     target = winners[0]
     for pos, a in eff:
         if canonicalize(a) == target:

@@ -8,8 +8,10 @@ from ccontrol.pd import (Dynamic, ListOf, Nonvar, PDError, Static,
                          check_closedness, generalize_call,
                          interpreter_filters, parse_annotations,
                          parse_filters, specialize, specialize_encoded)
-from ccontrol.terms import (Atom, FreshNames, Var, parse_atom, parse_goal,
-                            parse_program, parse_term, print_term)
+from ccontrol.terms import (Atom, Const, FreshNames, Struct, Var,
+                            is_closed_list, list_parts, parse_atom,
+                            parse_goal, parse_program, parse_term, print_atom,
+                            print_program, print_term, term_vars)
 
 from conftest import answer_set
 from oracles import interpreter_annotation_text, interpreter_filter_text
@@ -94,6 +96,34 @@ def test_specialize_unfolds_interpretation_away():
     assert len(r.answers) == len(d.answers) == 3
 
 
+def test_filters_propagate_only_the_unknown_parts():
+    program = parse_program(
+        "app([],L,L).\n"
+        "app([X|Xs],Ys,[X|Zs]) :- app(Xs,Ys,Zs).\n"
+        "run(M,[]).\n"
+        "run(fast,[G|Gs]) :- call(G), run(fast,Gs).\n"
+        "run(slow,[G|Gs]) :- run(slow,Gs), call(G).\n")
+    entry = parse_atom("run(fast,[app(A,B,[1,2]),app(A,[],C)])")
+    residual = specialize(program, entry,
+                          parse_annotations("ann(memo, run/2)."),
+                          parse_filters("run(static,list(nonvar))."),
+                          budget=1000)
+    # the static mode is dropped and the goal list flattened into the
+    # arguments of its atoms
+    assert print_atom(residual.entry_call) == \
+        f"{residual.memo[0].name}(A,B,[1,2],A,[],C)"
+    heads = {c.head.pred: c.head for c in residual.program.clauses}
+    assert [len(heads[e.name].args) for e in residual.memo] == [6, 3, 0]
+    for e in residual.memo:
+        assert all(isinstance(a, Var) for a in heads[e.name].args)
+    assert check_closedness(residual)[0]
+    # every residual name is a plain predicate name
+    assert parse_program(print_program(residual.program)) == residual.program
+    assert answer_set(solve(residual.program, (residual.entry_call,))) == \
+        answer_set(solve(program, (entry,)))
+    assert len(answer_set(solve(program, (entry,)))) == 3
+
+
 def test_check_closedness_flags_undefined_predicates():
     program = parse_program("p(X) :- q(X).\n")
     from ccontrol.pd import ResidualProgram
@@ -129,6 +159,44 @@ def test_residual_predicates_are_per_state(corpus):
     preds = {c.head.pred for c in entry.futamura.program.clauses}
     assert any(p.startswith("mi__s") for p in preds)
     assert "compute" in preds
+
+
+def test_residual_predicates_take_only_the_unknown_parts(corpus):
+    for name in ("permsort", "primes", "queens", "zigzag", "countdown"):
+        entry = corpus(name)
+        residual = entry.futamura
+        source = {p for p, _ in entry.program.predicates} | {"cmulti"}
+        # one argument per variable of the call pattern: the state id is
+        # static, so it is not one of them
+        arity = {e.name: len(term_vars(e.call)) for e in residual.memo}
+        assert all(isinstance(e.call.args[1], Const) for e in residual.memo)
+
+        def check(atom):
+            assert len(atom.args) == arity[atom.pred], (name, atom)
+            for a in atom.args:
+                # no goal list among the arguments
+                assert not (is_closed_list(a) and any(
+                    isinstance(x, Struct) and x.functor in source
+                    for x in list_parts(a)[0])), (name, atom)
+
+        wrappers = []
+        for clause in residual.program.clauses:
+            if clause.head.pred == "compute":
+                wrappers.append(clause)
+            elif clause.head.pred in arity:
+                check(clause.head)
+            for a in clause.body:
+                if a.pred in arity:
+                    check(a)
+        # compute([p(X1,...,Xn)]) :- <entry call>.
+        (wrapper,) = wrappers
+        (goal,) = list_parts(wrapper.head.args[0])[0]
+        entry_atom = entry.graph.states[entry.tables.entry][0]
+        assert goal.functor == entry_atom.pred
+        assert len(set(goal.args)) == len(goal.args) == len(entry_atom.args)
+        assert all(isinstance(a, Var) for a in goal.args)
+        assert wrapper.body == (residual.entry_call,)
+        assert residual.entry_call == Atom(residual.memo[0].name, goal.args)
 
 
 def test_budget_exhaustion_is_an_error(corpus):

@@ -3,8 +3,8 @@
 import pytest
 
 from ccontrol.absdom import FULLEVAL, UNFOLD, parse_aconj
-from ccontrol.policy import (PolicyError, derive_order, parse_policy,
-                             select_conjunct)
+from ccontrol.policy import (NoMinimumError, PolicyError, derive_order,
+                             parse_policy, select_conjunct)
 
 from conftest import CORPUS_NAMES, corpus_text
 from oracles import is_complete, order_lt, parse_aatom, select_atom
@@ -84,6 +84,40 @@ def test_select_conjunct_asks_for_case_split():
     if mark == "split":
         from ccontrol.multi import Multi
         assert isinstance(conj[pos], Multi)
+
+
+def test_no_minimum_error_names_multi_positions_as_fresh_variables():
+    # the virtual first instance of a multi leaves unconstrained positions
+    # as throwaway variables; the message shows them as fresh variables
+    # above the conjunction, one per position of each multi
+    policy = parse_policy("entry: start(a1,a2).\n"
+                          "preprior: down(a1) < link(a2,a3).\n")
+    conj = parse_aconj(
+        "down(a1) , "
+        "multi((link(ma1,ma2)), init{ma1=s(a1)}, consec{ma1=ma2}, final{}, "
+        "id=1) , "
+        "multi((link(ma1,ma2)), init{ma1=f(a1)}, consec{ma1=ma2}, final{}, "
+        "id=2)")
+    with pytest.raises(NoMinimumError) as err:
+        select_conjunct(policy, conj)
+    assert str(err.value) == ("no minimal atom in down(a1) , "
+                              "link(s(a1),a2) , link(f(a1),a3)")
+
+
+def test_completeness_error_uses_policy_notation():
+    from ccontrol.analysis import (AnalysisOptions, CompletenessError,
+                                   analyze)
+    from ccontrol.terms import parse_program
+    program = parse_program(
+        "start(N,R) :- down(N), link(N,M), link(M,K), link(K,R).\n"
+        "down(z).\n"
+        "down(s(X)) :- down(X).\n"
+        "link(X,f(X)).\n")
+    policy = parse_policy("entry: start(a1,a2).\n"
+                          "preprior: down(a1) < link(a2,a3).\n")
+    with pytest.raises(CompletenessError) as err:
+        analyze(program, policy, AnalysisOptions(depth_k=2))
+    assert "no minimal atom in down(a1) , link(s(a1),a2))" in str(err.value)
 
 
 def test_is_complete_on_corpus_states():
