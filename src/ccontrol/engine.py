@@ -1,7 +1,8 @@
 """SLD resolution with the left-to-right selection rule and builtins.
 
 Search is depth-first with textual clause order, driven by an explicit
-stack so deep derivations do not exhaust host recursion.  The same search
+stack so deep derivations do not exhaust host recursion, over one binding
+store per run whose bindings are undone on backtracking.  The same search
 loop runs the table-driven interpreter of ``metaint``.  The inference
 counter adds one per successful clause resolution and one per builtin
 invocation; failed unification attempts are free.
@@ -12,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (Atom, Const, FreshNames, LogicError, Program,
-                    Substitution, compose, is_closed_list, list_parts,
-                    mklist, print_term, resolve, term_to_atom, term_vars,
-                    unify)
+                    Substitution, Var, compose, is_closed_list, list_parts,
+                    mklist, print_term, resolve_in, substitute, take_back,
+                    term_to_atom, term_vars, unify)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
 DEFAULT_MAX_DEPTH = 100_000
@@ -181,28 +182,43 @@ def answer_set(result: RunResult) -> list:
 def depth_first(machine, goal, state=None) -> RunResult:
     """Enumerate the answers of ``goal`` depth first under ``machine``.
 
-    The loop owns the goal stack, the answers and the limits.  The
-    machine supplies ``limits``, a running ``inferences`` count and
-    ``step(goal, state, ans)``, which expands a nonempty goal into
-    ``(deeper, successors)``: successors are ``(goal, state, ans)`` in
-    the order they are to be tried, and ``deeper`` (0 or 1) is what the
-    step adds to the derivation depth.  ``ans`` is the instantiation of
-    the query variables; carrying it instead of an accumulated
-    substitution keeps each step linear in the current goal size.
+    The loop owns the goal stack, the answers, the limits and
+    backtracking.  The machine supplies ``limits``, a running
+    ``inferences`` count, the run's binding ``store`` (a dict whose
+    insertion order is its trail, see ``terms.resolve_in``) and
+    ``step(goal, state)``, which expands a nonempty goal into ``(deeper,
+    successors)``: successors are ``(goal, state, bindings)`` in the order
+    they are to be tried, ``bindings`` being the (variable, term) pairs
+    the step made for that successor and took back off the store, and
+    ``deeper`` (0 or 1) is what the step adds to the derivation depth.
+
+    Each stack entry keeps the store's size when its parent was expanded.
+    Popping it undoes the store back to that mark and installs its own
+    bindings, so the store holds exactly the bindings of the entry's
+    derivation.  Goals are never instantiated; the query variables are
+    resolved through the store only when an answer is found.
     """
     limits = machine.limits
+    store = machine.store
     qvars = term_vars(goal)
     answers = []
     exhausted = True
-    stack = [(tuple(goal), state, tuple(qvars), 0)]
+    stack = [(tuple(goal), state, 0, 0, ())]
     while stack:
         if machine.inferences > limits.max_inferences:
             exhausted = False
             break
-        goal_, state, ans, depth = stack.pop()
+        goal_, state, depth, mark, bindings = stack.pop()
+        if len(store) > mark:
+            take_back(store, mark)
+        store.update(bindings)
         if not goal_:
-            answers.append(Substitution(
-                {v: t for v, t in zip(qvars, ans) if t != v}))
+            answer = {}
+            for v in qvars:
+                t = substitute(v, store)
+                if t != v:
+                    answer[v] = t
+            answers.append(Substitution(answer))
             if limits.max_answers is not None and \
                     len(answers) >= limits.max_answers:
                 exhausted = not stack
@@ -211,14 +227,17 @@ def depth_first(machine, goal, state=None) -> RunResult:
         if depth > limits.max_depth:
             exhausted = False
             continue
-        deeper, successors = machine.step(goal_, state, ans)
-        for newgoal, newstate, newans in reversed(successors):
-            stack.append((newgoal, newstate, newans, depth + deeper))
+        deeper, successors = machine.step(goal_, state)
+        mark = len(store)
+        depth += deeper
+        for newgoal, newstate, newbindings in reversed(successors):
+            stack.append((newgoal, newstate, depth, mark, newbindings))
     return RunResult(answers, machine.inferences, exhausted)
 
 
 class Solver:
-    """One solve call; single-threaded, owns its fresh-name counter."""
+    """One solve call; single-threaded, owns its fresh-name counter and
+    its binding store."""
 
     def __init__(self, program: Program, limits: Limits = None,
                  occurs_check: bool = True):
@@ -226,6 +245,7 @@ class Solver:
         self.limits = limits or Limits()
         self.occurs_check = occurs_check
         self.fresh = FreshNames()
+        self.store = {}
         self.inferences = 0
 
     def _check_known(self, goal):
@@ -244,32 +264,38 @@ class Solver:
         self._check_known(goal)
         return depth_first(self, goal)
 
-    def step(self, goal, state, ans):
+    def step(self, goal, state):
         """Resolve the first atom: a builtin costs no depth, a clause
         resolution one level.  ``call(G)`` is this step on ``G`` itself,
-        within the same search, fresh names and limits."""
+        within the same search, fresh names and limits.  Every clause is
+        tried when the step is taken, so a truncated run counts what an
+        eager search counts; a builtin gets its atom resolved through the
+        store, and its outputs become its successors' bindings."""
+        store = self.store
         atom, rest = goal[0], goal[1:]
         while atom.pred == "call" and len(atom.args) == 1:
-            inner = term_to_atom(atom.args[0])
+            t = atom.args[0]
+            while isinstance(t, Var) and t in store:
+                t = store[t]
+            inner = term_to_atom(t)
             if inner is None:
-                raise EngineError(f"call/1 on non-callable {atom.args[0]}")
+                raise EngineError(
+                    f"call/1 on non-callable {substitute(t, store)}")
             atom = inner
         if atom.indicator in BUILTINS:
             self.inferences += 1
-            return 0, [(out.apply(rest), state, out.apply(ans))
-                       for out in BUILTINS.evaluate(atom)]
+            return 0, [(rest, state, out.bindings) for out in
+                       BUILTINS.evaluate(substitute(atom, store))]
         clauses = self.program.clauses_for(atom.pred, len(atom.args))
         if not clauses:
             raise EngineError(
                 f"unknown predicate {atom.pred}/{len(atom.args)}")
         alternatives = []
         for clause in clauses:
-            res = resolve(atom, clause, self.fresh, self.occurs_check)
-            if res is None:
-                continue
-            body, mgu = res
-            alternatives.append((body + mgu.apply(rest), state,
-                                 mgu.apply(ans)))
+            res = resolve_in(atom, clause, self.fresh, store,
+                             self.occurs_check)
+            if res is not None:
+                alternatives.append((res[0] + rest, state, res[1]))
         self.inferences += len(alternatives)
         return 1, alternatives
 

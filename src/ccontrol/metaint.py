@@ -29,7 +29,8 @@ from .engine import (BUILTINS, Limits, RunResult, Solver, depth_first,
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
 from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
-                    atom_to_term, list_parts, mklist, resolve, term_to_atom)
+                    atom_to_term, list_parts, mklist, resolve_in, substitute,
+                    term_to_atom)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -237,46 +238,65 @@ class MetaInterpreter:
         self.clauses = {c.id: c for c in tables.program.clauses}
         self.limits = limits or Limits()
         self.fresh = FreshNames()
+        self.store = {}
         self.inferences = 0
-        # steps user full evaluations under the interpreter's names, so
-        # renamed clauses cannot capture the variables of the goal
+        # the transitions out of each state in transition order, and the
+        # target of each (state, cause), indexed once per run
+        self.transitions_from = {}
+        self.targets = {}
+        for t in self.graph.transitions:
+            self.transitions_from.setdefault(t.src, []).append(t)
+            self.targets.setdefault((t.src, t.cause), t.dst)
+        # steps user full evaluations under the interpreter's names and
+        # bindings, so renamed clauses cannot capture the goal's variables
         self.engine = Solver(tables.program, self.limits)
         self.engine.fresh = self.fresh
+        self.engine.store = self.store
 
     def run(self, goal) -> RunResult:
         return depth_first(self, goal, self.graph.entry)
 
-    def step(self, goal, state, ans):
+    def step(self, goal, state):
         """One abstract-machine step, as the state's action says.  Only
         clause resolution, also within a user full evaluation, deepens
-        the derivation; full evaluation, splits and groupings are free."""
+        the derivation; full evaluation, splits and groupings are free.
+        The goal is resolved through the store only where the step
+        inspects it: cmulti elements, a builtin full evaluation's atom and
+        the atom a user full evaluation derived."""
         if isinstance(state, tuple):
-            return self._user_eval_step(goal, state, ans)
+            return self._user_eval_step(goal, state)
         action = self.graph.actions.get(state, ("leaf",))
         if action[0] == "group":
             ev = action[1]
-            dst = self.graph.successor(state, ("grouping", ev.kind))
-            return 0, [(apply_groupings(goal, ev), dst, ans)]
+            dst = self._successor(state, ("grouping", ev.kind))
+            goal = tuple(substitute(e, self.store) if is_cmulti(e) else e
+                         for e in goal)
+            return 0, [(apply_groupings(goal, ev), dst, ())]
         if action[0] == "split":
-            return 0, self._split(goal, state, action[1], ans)
+            return 0, self._split(goal, state, action[1])
         if action[0] == "select" and action[2] == FULLEVAL:
-            return 0, self._full_eval(goal, state, action[1], ans)
+            return 0, self._full_eval(goal, state, action[1])
         if action[0] == "select":
-            return 1, self._resolve(goal, state, action[1], ans)
+            return 1, self._resolve(goal, state, action[1])
         raise MetaintError(
-            f"no table entry for state {state} with goal {list(goal)}")
+            f"no table entry for state {state} with goal "
+            f"{substitute(list(goal), self.store)}")
 
-    def _split(self, goal, state, idx, ans):
+    def _successor(self, state, cause) -> int:
+        dst = self.targets.get((state, cause))
+        return self.graph.successor(state, cause) if dst is None else dst
+
+    def _split(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
-        blocks = cmulti_blocks(selected)
+        blocks = cmulti_blocks(substitute(selected, self.store))
         if len(blocks) == 1:
-            dst = self.graph.successor(state, ("one",))
-            return [(before + blocks[0] + after, dst, ans)]
-        dst = self.graph.successor(state, ("many",))
+            dst = self._successor(state, ("one",))
+            return [(before + blocks[0] + after, dst, ())]
+        dst = self._successor(state, ("many",))
         rest = make_cmulti(blocks[1:])
-        return [(before + blocks[0] + (rest,) + after, dst, ans)]
+        return [(before + blocks[0] + (rest,) + after, dst, ())]
 
-    def _full_eval(self, goal, state, idx, ans):
+    def _full_eval(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
         if is_cmulti(selected):
             raise MetaintError(
@@ -287,13 +307,13 @@ class MetaInterpreter:
             # that carries the atom to its output state once derived
             mark = Atom(EVALUATED, (atom_to_term(selected),))
             return [((selected, mark) + before + after, (EVALUATED, state),
-                     ans)]
+                     ())]
         self.inferences += 1
+        selected = substitute(selected, self.store)
         succ = []
         for theta in BUILTINS.evaluate(selected):
             dst = self._match_output(theta.apply(selected), decl, dsts, state)
-            succ.append((theta.apply(before + after), dst,
-                         theta.apply(ans)))
+            succ.append((before + after, dst, theta.bindings))
         return succ
 
     def _fulleval_outputs(self, state):
@@ -301,24 +321,24 @@ class MetaInterpreter:
         each of its outputs leads to."""
         # every successor of a full-evaluation state has the cause
         # ("fulleval", declaration, output)
-        succs = self.graph.successors(state)
+        succs = self.transitions_from.get(state, ())
         decl = self.tables.policy.fulleval[succs[0].cause[1]]
         return decl, {t.cause[2]: t.dst for t in succs}
 
-    def _user_eval_step(self, goal, state, ans):
+    def _user_eval_step(self, goal, state):
         """A step of a user full evaluation started in ``state[1]``: the
         engine's step, with its inferences, depth and limits, until the
         derivation reaches the mark."""
         if goal[0].pred != EVALUATED:
             before = self.engine.inferences
-            deeper, succ = self.engine.step(goal, state, ans)
+            deeper, succ = self.engine.step(goal, state)
             self.inferences += self.engine.inferences - before
             return deeper, succ
         sid = state[1]
         decl, dsts = self._fulleval_outputs(sid)
-        result = term_to_atom(goal[0].args[0])
+        result = term_to_atom(substitute(goal[0].args[0], self.store))
         return 0, [(goal[1:], self._match_output(result, decl, dsts, sid),
-                    ans)]
+                    ())]
 
     def _match_output(self, result: Atom, decl, dsts, state):
         if len(dsts) == 1:
@@ -332,20 +352,19 @@ class MetaInterpreter:
         raise MetaintError(
             f"result {result} matches no declared output in state {state}")
 
-    def _resolve(self, goal, state, idx, ans):
+    def _resolve(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
         if is_cmulti(selected):
             raise MetaintError(
                 f"state {state} expects a resolvable atom at {idx}")
         succ = []
-        for t in self.graph.successors(state):
-            res = resolve(selected, self.clauses[t.cause[1]], self.fresh)
+        for t in self.transitions_from.get(state, ()):
+            res = resolve_in(selected, self.clauses[t.cause[1]], self.fresh,
+                             self.store)
             if res is None:
                 continue
-            body, mgu = res
             self.inferences += 1
-            succ.append((mgu.apply(before) + body + mgu.apply(after), t.dst,
-                         mgu.apply(ans)))
+            succ.append((before + res[0] + after, t.dst, res[1]))
         return succ
 
 

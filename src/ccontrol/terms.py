@@ -2,7 +2,8 @@
 
 The object language is a pure Prolog subset: no cut, no negation, no
 operators apart from infix ``=<``.  All values are immutable; the only
-mutable facility is the fresh-name counter used for renaming apart.
+mutable facilities are the fresh-name counter used for renaming apart and
+the binding dict a search extends (see ``unify_head``).
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class Substitution:
         return "{" + inner + "}"
 
     def apply(self, x):
-        return _apply(x, self.bindings)
+        return substitute(x, self.bindings)
 
     def normalized(self) -> "Substitution":
         """Resolve chains so no bound variable occurs in any range term."""
@@ -205,28 +206,30 @@ class Substitution:
         return Substitution(out)
 
 
-def _apply(x, b: dict):
-    """``x`` (a term, atom, tuple or list) with each bound variable
-    replaced by the instance of its binding.  A part with no bound
+def substitute(x, b: dict):
+    """``x`` (a term, atom, tuple or list) with each variable bound in
+    ``b`` replaced by the instance of its binding.  A part with no bound
     variable is returned as it is, not copied."""
-    if isinstance(x, Var):
+    while isinstance(x, Var):
         t = b.get(x)
-        return x if t is None else _apply(t, b)
+        if t is None:
+            return x
+        x = t
     if isinstance(x, Struct):
-        args = _apply_all(x.args, b)
+        args = _substitute_all(x.args, b)
         return x if args is x.args else Struct(x.functor, args)
     if isinstance(x, Atom):
-        args = _apply_all(x.args, b)
+        args = _substitute_all(x.args, b)
         return x if args is x.args else Atom(x.pred, args)
     if isinstance(x, tuple):
-        return _apply_all(x, b)
+        return _substitute_all(x, b)
     if isinstance(x, list):
-        return [_apply(a, b) for a in x]
+        return [substitute(a, b) for a in x]
     return x
 
 
-def _apply_all(xs: tuple, b: dict) -> tuple:
-    new = [_apply(x, b) for x in xs]
+def _substitute_all(xs: tuple, b: dict) -> tuple:
+    new = [substitute(x, b) for x in xs]
     for y, x in zip(new, xs):
         if y is not x:
             return tuple(new)
@@ -277,6 +280,7 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool,
     ``y``; a raw subterm is renamed only when a variable is bound to it.
     So the bindings are exactly those of unifying with the renamed clause.
     """
+    seen = None if occurs_check else set()
     while work:
         x, y, raw = work.pop()
         while isinstance(x, Var):
@@ -317,6 +321,13 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool,
         elif isinstance(x, Struct) and isinstance(y, Struct):
             if x.functor != y.functor or len(x.args) != len(y.args):
                 return False
+            if not occurs_check:
+                # bindings may be cyclic: a pair met again is taken as
+                # equal, so two cyclic terms unify instead of looping
+                pair = (id(x), id(y))
+                if pair in seen:
+                    continue
+                seen.add(pair)
             work.extend(zip(x.args, y.args, repeat(False)))
         else:
             return False
@@ -353,7 +364,7 @@ class FreshNames:
 
 def _replace_vars(x, rename):
     """Simultaneous variable replacement by the function ``rename`` (no
-    chain walking, unlike ``_apply``, so the range may reuse domain
+    chain walking, unlike ``substitute``, so the range may reuse domain
     names)."""
     if isinstance(x, Var):
         return rename(x)
@@ -378,26 +389,27 @@ def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
 def _instantiate(t, b: dict, fresh_var):
     """A clause subterm renamed by ``fresh_var``, then under ``b``."""
     if isinstance(t, Var):
-        return _apply(fresh_var(t), b)
+        return substitute(fresh_var(t), b)
     if isinstance(t, Struct):
         return Struct(t.functor, tuple([_instantiate(a, b, fresh_var)
                                         for a in t.args]))
     return t
 
 
-def resolve(atom: Atom, clause: Clause, fresh: FreshNames,
-            occurs_check: bool = True):
-    """One resolution step of ``atom`` with ``clause``: the clause's body,
-    renamed apart and instantiated, and the unifier to apply to the rest
-    of the goal; None when the head does not unify.
+def unify_head(atom: Atom, clause: Clause, fresh: FreshNames, b: dict,
+               occurs_check: bool = True):
+    """Unify ``atom`` with the head of ``clause`` renamed apart, by
+    extending the bindings ``b``: the clause's renaming (a function from
+    each clause variable to its fresh name) when the head unifies, else
+    None, with ``b`` then holding whatever bindings were made before the
+    clash.
 
-    The result and every name in it are those of ``rename_apart`` followed
-    by ``unify(atom, head)`` and applying the unifier, and ``fresh``
-    advances by the clause's variable count whether or not the head
-    unifies.  But the clause is not copied: the atom is unified with the
-    head as written, a clause variable gets its fresh name only where the
-    unifier or the body needs it, and the body is renamed and instantiated
-    in one pass.  The unifier is triangular, not normalized.
+    ``fresh`` advances by the clause's variable count whether or not the
+    head unifies, and the bindings and every name in them are those of
+    ``rename_apart`` followed by ``unify`` with ``b``'s bindings in force.
+    But the clause is not copied: the atom is unified with the head as
+    written, and a clause subterm is renamed only when a variable is bound
+    to it.  The bindings are triangular, not normalized.
     """
     positions = clause.variables
     base = fresh.n
@@ -414,14 +426,57 @@ def resolve(atom: Atom, clause: Clause, fresh: FreshNames,
             r = renamed[v] = Var(f"{prefix}{base + positions[v] + 1}")
         return r
 
-    b = {}
     if not _unify_pairs(list(zip(atom.args, head.args, repeat(True))), b,
                         occurs_check, fresh_var):
+        return None
+    return fresh_var
+
+
+def resolve(atom: Atom, clause: Clause, fresh: FreshNames,
+            occurs_check: bool = True):
+    """One resolution step of ``atom`` with ``clause``: the clause's body,
+    renamed apart and instantiated, and the unifier to apply to the rest
+    of the goal; None when the head does not unify.
+
+    The result and every name in it are those of ``rename_apart`` followed
+    by ``unify(atom, head)`` and applying the unifier (see ``unify_head``),
+    and the body is renamed and instantiated in one pass.
+    """
+    b = {}
+    fresh_var = unify_head(atom, clause, fresh, b, occurs_check)
+    if fresh_var is None:
         return None
     body = tuple([Atom(a.pred, tuple([_instantiate(t, b, fresh_var)
                                       for t in a.args]))
                   for a in clause.body])
     return body, Substitution(b)
+
+
+def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
+               occurs_check: bool = True):
+    """``resolve`` against a binding store: the clause's body, renamed
+    apart but not instantiated, and the bindings that unifying ``atom``
+    with the head added to ``store``, as (variable, term) pairs taken back
+    off it; None when the head does not unify.  The store is left as it
+    was found, and its bindings stand in for the instantiation of
+    ``atom``: it is not resolved through them first.
+
+    A store is a dict whose insertion order is its trail: a search adds
+    bindings at the end and undoes them from the end (``take_back``).
+    """
+    mark = len(store)
+    rename = unify_head(atom, clause, fresh, store, occurs_check)
+    bindings = take_back(store, mark)
+    if rename is None:
+        return None
+    return _replace_vars(clause.body, rename), bindings
+
+
+def take_back(store: dict, mark: int) -> list:
+    """Undo the bindings added to ``store`` since it held ``mark`` of them;
+    returns them, last first."""
+    popitem = store.popitem
+    return [popitem() for _ in range(len(store) - mark)]
 
 
 # --- parsing ------------------------------------------------------------

@@ -168,6 +168,30 @@ def test_deep_term_exits_2_without_traceback(tmp_path, capsys):
     assert "term nesting too deep" in err and "Traceback" not in err
 
 
+def test_deep_list_answers(tmp_path, capsys):
+    lp = tmp_path / "len.lp"
+    lp.write_text("len([],0).\nlen([X|T],N) :- len(T,M), plus(M,1,N).\n")
+    items = ",".join(str(i) for i in range(400))
+    rc = main(["run", str(lp), "--query", f"len([{items}],N)"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "N = 400" in out and "inferences: 801" in out
+
+
+def test_growing_stream_truncates_instead_of_overflowing(tmp_path, capsys):
+    # the naive engine's integer stream outgrows any fixed nesting depth;
+    # the budget, not the term routines, must end the run
+    lp = tmp_path / "primes.lp"
+    lp.write_text(corpus_text("primes", ".lp"))
+    rc = main(["run", str(lp), "--query", "primes(3,[3,5,7])",
+               "--max-infer", "3000"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "inferences: 3001" in captured.out
+    assert "search truncated by limits" in captured.out
+    assert " = " not in captured.out and "Traceback" not in captured.err
+
+
 def test_specialize_with_default_declarations_matches_plain_run(tmp_path,
                                                                 capsys):
     """Declaring the default annotations and filters explicitly gives the

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ccontrol.engine import EngineError, Limits, ModeError, solve
+from ccontrol.engine import EngineError, Limits, ModeError, answer_set, solve
 from ccontrol.terms import Const, Var, parse_goal, parse_program, print_term
 
 APPEND = parse_program(
@@ -141,3 +141,57 @@ def test_occurs_check_prevents_cyclic_answers():
     prog = parse_program("eq(Z,Z).\nf_of(X,f(X)).\n")
     res = solve(prog, parse_goal("f_of(X,Y) , eq(X,Y)"))
     assert res.answers == [] and res.exhausted
+
+
+def test_cyclic_terms_unify_without_the_occurs_check():
+    # without the check, bindings stay cyclic in the store; unifying two
+    # cyclic terms must end rather than walk them forever
+    prog = parse_program("eq(Z,Z).\n"
+                         "p :- eq(X,f(X)), eq(Y,f(Y)), eq(X,Y).\n")
+    res = solve(prog, parse_goal("p"), occurs_check=False)
+    assert len(res.answers) == 1 and res.inference_count == 4
+    assert solve(prog, parse_goal("p")).answers == []
+
+
+# --- the truncation contract ----------------------------------------------
+
+Q4 = [(("Q", "[2,4,1,3]"),)]
+S4 = [(("S", "[1,2,3,4]"),)]
+TRUNCATING = {"max_answers=1": Limits(max_answers=1),
+              "max_inferences=50": Limits(max_inferences=50),
+              "max_depth=12": Limits(max_depth=12)}
+# (answer set, inference count, exhausted) of naive, mi_run, classic and
+# futamura, taken from the engine that instantiated the whole goal after
+# every step.  A step counts every clause whose head unifies when it is
+# expanded, so a run cut short still counts the alternatives it never
+# tried: lazy choice points would lower the max_answers counts.
+TRUNCATED = {
+    ("queens", "queens([1,2,3,4],Q)", "max_answers=1"):
+        [(Q4, 148, False), (Q4, 87, False), (Q4, 174, False),
+         (Q4, 175, False)],
+    ("queens", "queens([1,2,3,4],Q)", "max_inferences=50"):
+        [([], 51, False)] * 4,
+    ("queens", "queens([1,2,3,4],Q)", "max_depth=12"):
+        [([], 277, False), ([], 149, False), ([], 87, False),
+         ([], 87, False)],
+    ("permsort", "permsort([4,2,3,1],S)", "max_answers=1"):
+        [(S4, 170, False), (S4, 77, False), (S4, 115, False),
+         (S4, 116, False)],
+    ("permsort", "permsort([4,2,3,1],S)", "max_inferences=50"):
+        [([], 51, False)] * 4,
+    ("permsort", "permsort([4,2,3,1],S)", "max_depth=12"):
+        [(S4, 188, True), (S4, 89, True), ([], 111, False),
+         ([], 111, False)],
+}
+
+
+@pytest.mark.parametrize("entry,query,limit", sorted(TRUNCATED))
+def test_truncated_runs_keep_their_answers_and_counts(corpus, entry, query,
+                                                      limit):
+    e = corpus(entry)
+    goal = parse_goal(query)
+    got = [(answer_set(r), r.inference_count, r.exhausted)
+           for r in (run(goal, TRUNCATING[limit])
+                     for run in (e.run_naive, e.run_mi, e.run_classic,
+                                 e.run_futamura))]
+    assert got == TRUNCATED[entry, query, limit]

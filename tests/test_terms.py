@@ -11,10 +11,11 @@ from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
                             is_closed_list, list_parts, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
-                            rename_apart, resolve, term_vars, unify)
+                            rename_apart, resolve, resolve_in, substitute,
+                            term_vars, unify)
 
 from conftest import CORPUS_NAMES
-from oracles import atoms_like, check_unify_against_brute_force
+from oracles import atoms_like, check_unify_against_brute_force, random_term
 
 
 # --- parsing and printing -------------------------------------------------
@@ -172,6 +173,40 @@ def test_resolve_matches_rename_unify_apply(corpus):
                 tried += 1
                 unified += want is not None
     assert tried > 4000 and 0.2 < unified / tried < 0.9
+
+
+def test_resolve_in_a_store_matches_resolve_of_the_instance(corpus):
+    # the engine's form: the atom's variables bound in a store, unresolved;
+    # it must give what resolving the instantiated atom gives, and leave
+    # the store as it found it
+    rng = random.Random(7)
+    pool = ["X", "Y", "L", "_V1", "_V3", "_V8"]
+    clauses = [c for name in CORPUS_NAMES
+               for c in corpus(name).classic.program.clauses]
+    tried = unified = 0
+    for occurs_check in (True, False):
+        fresh_a, fresh_b = FreshNames(), FreshNames()
+        for clause in clauses:
+            other = rng.choice(clauses)
+            for atom in list(atoms_like(rng, clause.head, 3, pool)) + \
+                    list(atoms_like(rng, other.head, 1, pool)):
+                store = {Var("X"): random_term(rng, 2, ["Y", "_V3"]),
+                         Var("L"): Var("X")}
+                before = dict(store)
+                rest = (Atom("r", (Var("L"), Var("_V1"), Var("Y"))),)
+                want = _outcome(_fused_resolve, substitute(atom, store),
+                                clause, fresh_a, substitute(rest, store),
+                                occurs_check)
+                res = resolve_in(atom, clause, fresh_b, store, occurs_check)
+                assert list(store.items()) == list(before.items())
+                got = None if res is None else _outcome(
+                    lambda body, b: (substitute(body, b), substitute(rest, b)),
+                    res[0], {**store, **dict(res[1])})
+                assert got == want, (atom, clause)
+                assert fresh_a.n == fresh_b.n
+                tried += 1
+                unified += want is not None
+    assert tried > 500 and 0.2 < unified / tried < 0.9
 
 
 def test_resolve_occurs_check():
