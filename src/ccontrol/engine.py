@@ -197,10 +197,15 @@ def depth_first(machine, goal, state=None) -> RunResult:
     bindings, so the store holds exactly the bindings of the entry's
     derivation.  Goals are never instantiated; the query variables are
     resolved through the store only when an answer is found.
+
+    The machine's ``fresh`` names every variable a step brings in.  It is
+    first raised past the query's variables, so a fresh name is never a
+    query variable's (see ``terms.unify_head``).
     """
     limits = machine.limits
     store = machine.store
     qvars = term_vars(goal)
+    machine.fresh.skip_past(qvars)
     answers = []
     exhausted = True
     stack = [(tuple(goal), state, 0, 0, ())]

@@ -28,12 +28,21 @@ class ParseError(LogicError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(str):
+    """A variable: its name, as a ``str`` subclass so that hashing, the
+    hot path of every store lookup, runs in C.  It equals only a ``Var``
+    of the same name, never a plain string or a ``Const``."""
 
-    def __repr__(self):
-        return self.name
+    __slots__ = ()
+    __hash__ = str.__hash__
+    __repr__ = str.__str__
+    name = property(str.__str__)
+
+    def __eq__(self, other):
+        return other.__class__ is Var and str.__eq__(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not Var or str.__ne__(self, other)
 
 
 @dataclass(frozen=True)
@@ -269,16 +278,22 @@ def _occurs(v: Var, t: Term, bindings: dict) -> bool:
 
 
 def _unify_pairs(work: list, b: dict, occurs_check: bool,
-                 fresh_var=None) -> bool:
+                 fresh_var=None, renamed=None) -> bool:
     """Extend the triangular bindings ``b`` so that both sides of every
     pair on ``work`` are equal; False on a clash or a failed occurs check.
 
     A pair is ``(x, y, raw)``.  ``x`` is a term of the goal; so is ``y``
     unless ``raw``, when it is a subterm of a clause not yet renamed apart
-    and ``fresh_var`` gives each of its variables its new name.  Pairs are
-    taken last first, and a variable of ``x`` is bound before one of
-    ``y``; a raw subterm is renamed only when a variable is bound to it.
-    So the bindings are exactly those of unifying with the renamed clause.
+    and ``fresh_var`` gives each of its variables its new name, which
+    ``renamed`` maps it to once given.  Pairs are taken last first, and a
+    variable of ``x`` is bound before one of ``y``; a raw subterm is
+    renamed only when a variable is bound to it.  So the bindings are
+    exactly those of unifying with the renamed clause.
+
+    A raw variable not yet in ``renamed`` is at its first occurrence: its
+    fresh name is unbound and, as the fresh names never occur in the goal
+    (see ``unify_head``), occurs in no goal term, so it is bound without
+    the occurs check, as the WAM's ``get_variable`` binds.
     """
     seen = None if occurs_check else set()
     while work:
@@ -302,7 +317,15 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool,
                     return False
                 continue
             if isinstance(y, Var):
-                y = fresh_var(y)
+                r = renamed.get(y)
+                if r is None:
+                    y = fresh_var(y)
+                    if isinstance(x, Var):
+                        b[x] = y
+                    else:
+                        b[y] = x
+                    continue
+                y = r
         while isinstance(y, Var):
             t = b.get(y)
             if t is None:
@@ -361,6 +384,15 @@ class FreshNames:
         self.n += 1
         return Var(f"{self.prefix}{self.n}")
 
+    def skip_past(self, variables):
+        """Raise the count to at least ``k`` for every variable named
+        ``<prefix><k>``, so no name handed out later is one of theirs."""
+        cut = len(self.prefix)
+        for v in variables:
+            name = v.name
+            if name.startswith(self.prefix) and name[cut:].isdecimal():
+                self.n = max(self.n, int(name[cut:]))
+
 
 def _replace_vars(x, rename):
     """Simultaneous variable replacement by the function ``rename`` (no
@@ -410,6 +442,16 @@ def unify_head(atom: Atom, clause: Clause, fresh: FreshNames, b: dict,
     But the clause is not copied: the atom is unified with the head as
     written, and a clause subterm is renamed only when a variable is bound
     to it.  The bindings are triangular, not normalized.
+
+    The caller keeps ``fresh`` apart from the goal: no variable of
+    ``atom`` or of ``b`` may be named like a name ``fresh`` hands out now.
+    Then a clause variable's first occurrence is bound without the occurs
+    check (see ``_unify_pairs``).  The engine raises ``fresh`` past the
+    query's variables (``FreshNames.skip_past``) and draws every other
+    goal variable from it; partial deduction draws every goal variable
+    from its one ``FreshNames`` too, and direct synthesis builds its goals
+    over the ``G``, ``A`` and ``B`` variables of its templates and names
+    from its ``FreshNames``.
     """
     positions = clause.variables
     base = fresh.n
@@ -427,7 +469,7 @@ def unify_head(atom: Atom, clause: Clause, fresh: FreshNames, b: dict,
         return r
 
     if not _unify_pairs(list(zip(atom.args, head.args, repeat(True))), b,
-                        occurs_check, fresh_var):
+                        occurs_check, fresh_var, renamed):
         return None
     return fresh_var
 

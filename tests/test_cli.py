@@ -192,6 +192,23 @@ def test_growing_stream_truncates_instead_of_overflowing(tmp_path, capsys):
     assert " = " not in captured.out and "Traceback" not in captured.err
 
 
+def test_query_variables_named_like_fresh_ones_answer(tmp_path, capsys):
+    lp = tmp_path / "capture.lp"
+    lp.write_text("p(X) :- q(X,Y).\nq(a,b).\nt(A).\nr(X,Y) :- q(X,Z).\n")
+    for query, want in (("p(_V2)", "_V2 = a\n\ninferences: 2\n"),
+                        ("p(Z)", "Z = a\n\ninferences: 2\n"),
+                        ("t(f(_V1))", "true\n\ninferences: 1\n")):
+        rc = main(["run", str(lp), "--query", query])
+        assert rc == 0
+        assert capsys.readouterr().out == want, query
+    # an answer holding a fresh variable prints it by name, as does --json
+    rc = main(["run", str(lp), "--query", "r(A,B)", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == \
+        {"answers": [{"A": "a", "B": "_V2"}], "inferences": 2,
+         "exhausted": True}
+
+
 def test_specialize_with_default_declarations_matches_plain_run(tmp_path,
                                                                 capsys):
     """Declaring the default annotations and filters explicitly gives the

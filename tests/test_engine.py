@@ -5,6 +5,8 @@ import pytest
 from ccontrol.engine import EngineError, Limits, ModeError, answer_set, solve
 from ccontrol.terms import Const, Var, parse_goal, parse_program, print_term
 
+from conftest import corpus_text
+
 APPEND = parse_program(
     "app([],L,L).\n"
     "app([X|Xs],Y,[X|Zs]) :- app(Xs,Y,Zs).\n")
@@ -151,6 +153,57 @@ def test_cyclic_terms_unify_without_the_occurs_check():
     res = solve(prog, parse_goal("p"), occurs_check=False)
     assert len(res.answers) == 1 and res.inference_count == 4
     assert solve(prog, parse_goal("p")).answers == []
+
+
+# --- fresh names ------------------------------------------------------------
+
+CAPTURE = parse_program("p(X) :- q(X,Y).\n"
+                        "q(a,b).\n"
+                        "t(A).\n")
+
+
+def test_query_variables_named_like_fresh_ones_are_not_captured():
+    # the first clause's variables would be renamed _V1 and _V2
+    for query, var in (("p(_V2)", "_V2"), ("p(Z)", "Z")):
+        res = solve(CAPTURE, parse_goal(query))
+        assert answers_of(res, var) == ["a"] and res.inference_count == 2
+    # A would be renamed _V1; bound to f(_V1) without an occurs check
+    # it would be a cyclic term
+    res = solve(CAPTURE, parse_goal("t(f(_V1))"))
+    assert len(res.answers) == 1 and not res.answers[0].bindings
+    assert res.inference_count == 1 and res.exhausted
+
+
+def test_fresh_names_start_past_the_query_variables_only():
+    prog = parse_program("p(X) :- q(X,Y).\nq(W,W).\n")
+    # p's clause takes _V1 and _V2, q's clause _V3
+    assert answers_of(solve(prog, parse_goal("p(Z)")), "Z") == ["_V3"]
+    # _V2 and _V10 raise the count to 10; _V and _Vx name no fresh name
+    res = solve(prog, parse_goal("p(_V2) , p(_V10) , p(_V) , p(_Vx)"))
+    assert [print_term(res.answers[0].bindings[Var(v)])
+            for v in ("_V2", "_V10", "_V", "_Vx")] == \
+        ["_V13", "_V16", "_V19", "_V22"]
+
+
+def test_every_construction_keeps_fresh_names_apart_from_the_query(corpus):
+    e = corpus("permsort")
+    for run in (e.run_naive, e.run_mi, e.run_classic, e.run_futamura):
+        named = run(parse_goal("permsort([3,1,2],_V3)"))
+        plain = run(parse_goal("permsort([3,1,2],S)"))
+        assert answers_of(named, "_V3") == answers_of(plain, "S") == \
+            ["[1,2,3]"]
+        assert named.inference_count == plain.inference_count
+
+
+def test_a_growing_stream_costs_linear_time():
+    # the naive primes program binds clause variables, at their first
+    # occurrence, to the ever longer integer list; an occurs check there
+    # made the run quadratic in its budget
+    prog = parse_program(corpus_text("primes", ".lp"))
+    res = solve(prog, parse_goal("primes(3,[3,5,7])"),
+                limits=Limits(max_inferences=20000))
+    assert res.inference_count == 20001 and res.exhausted is False
+    assert res.answers == []
 
 
 # --- the truncation contract ----------------------------------------------

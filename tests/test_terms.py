@@ -66,6 +66,21 @@ def test_print_atom_leq_is_infix():
 
 # --- substitution and renaming -------------------------------------------
 
+def test_variables_equal_by_name_and_only_each_other():
+    x = Var("X")
+    assert x == Var("X") and hash(x) == hash(Var("X"))
+    assert x != Var("Y") and not x == Var("Y")
+    assert x != "X" and "X" != x and not x == "X" and not "X" == x
+    assert x != Const("X") and Const("X") != x and not x == Const("X")
+    assert x.name == "X" and type(x.name) is str
+    assert repr(x) == str(x) == print_term(x) == "X"
+    assert repr(parse_term("f(X,[Y|T])")) == "f(X,[Y|T])"
+    assert repr(Substitution({x: parse_term("g(Y)")})) == "{X=g(Y)}"
+    table = {x: 1}
+    assert table[parse_term("X")] == 1 and "X" not in table
+    assert term_vars(parse_term("f(X,g(X,Y))")) == [x, Var("Y")]
+
+
 def test_substitution_application_walks_chains():
     s = Substitution({Var("X"): Var("Y"), Var("Y"): Const("c")})
     assert s.apply(Struct("f", (Var("X"),))) == Struct("f", (Const("c"),))
@@ -219,6 +234,31 @@ def test_resolve_occurs_check():
     body, mgu = resolve(atom, clause, fresh, occurs_check=False)
     assert fresh.n == 2 and body == ()
     assert mgu.bindings[Var("_V2")] == Struct("f", (Var("_V2"),))
+
+
+SAME = parse_program("p(A,A).").clauses[0]
+# without the check: the bindings resolve and resolve_in make, in the order
+# made, when the second occurrence of A meets a term holding X
+CYCLIC = {"p(f(X),X)": [(Var("X"), Var("_V1")),
+                        (Var("_V1"), parse_term("f(X)"))],
+          "p(X,f(X))": [(Var("_V1"), parse_term("f(X)")),
+                        (Var("X"), parse_term("f(X)"))]}
+
+
+@pytest.mark.parametrize("query", sorted(CYCLIC))
+def test_a_second_occurrence_is_occurs_checked(query):
+    # the first occurrence of A binds without the check, whichever argument
+    # it meets first; the second must still fail on the term holding X
+    atom = parse_atom(query)
+    store = {}
+    assert resolve(atom, SAME, FreshNames()) is None
+    assert resolve_in(atom, SAME, FreshNames(), store) is None
+    assert store == {}
+    body, mgu = resolve(atom, SAME, FreshNames(), occurs_check=False)
+    assert body == () and list(mgu.bindings.items()) == CYCLIC[query]
+    body, made = resolve_in(atom, SAME, FreshNames(), store,
+                            occurs_check=False)
+    assert body == () and made[::-1] == CYCLIC[query] and store == {}
 
 
 def test_solver_without_occurs_check_answers_like_with_it(corpus):
