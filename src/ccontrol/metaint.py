@@ -277,7 +277,7 @@ class MetaInterpreter:
         if action[0] == "select" and action[2] == FULLEVAL:
             return 0, self._full_eval(goal, state, action[1])
         if action[0] == "select":
-            return 1, self._resolve(goal, state, action[1])
+            return 1, self._resolved(goal, state, action[1])
         raise MetaintError(
             f"no table entry for state {state} with goal "
             f"{substitute(list(goal), self.store)}")
@@ -352,7 +352,7 @@ class MetaInterpreter:
         raise MetaintError(
             f"result {result} matches no declared output in state {state}")
 
-    def _resolve(self, goal, state, idx):
+    def _resolved(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
         if is_cmulti(selected):
             raise MetaintError(

@@ -8,7 +8,9 @@ memoized call are known at specialization time.  Specialization is then a
 deterministic memo-table worklist: every memoized call pattern becomes a
 residual predicate whose clauses are the resultants of unfolding it and
 whose arguments are only the parts of the call that the filter leaves
-unknown (filter propagation).
+unknown (filter propagation).  Each pattern is unfolded by the engine's
+search loop, ``engine.depth_first``, over one binding store, so no goal
+is copied by an unfolding step.
 
 Applied to the table-driven interpreter of :mod:`ccontrol.metaint` with
 its goal list as the partially known input, this removes the entire
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import BUILTINS, ModeError, support_clauses
+from .engine import (BUILTINS, Limits, ModeError, depth_first,
+                     support_clauses)
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, is_closed_list, list_parts,
-                    mklist, print_atom, print_term, resolve,
+                    mklist, print_atom, print_term, resolve_in, substitute,
                     term_to_atom, term_vars, CONS)
 
 DEFAULT_BUDGET = 10_000
@@ -365,12 +368,28 @@ def _atom_key(atom: Atom):
 
 
 class _Specializer:
+    """Partial deduction as a machine for ``engine.depth_first``, next to
+    ``Solver`` and ``MetaInterpreter``, with one binding store and one
+    ``fresh`` for the whole specialization.
+
+    A memoized pattern is unfolded as the goal ``(pattern, head)``, the
+    residual head over the pattern's variables kept last; the residual
+    body travels in the search state.  Goals, heads and bodies are not
+    instantiated: the head and body are resolved through the store only
+    when the head is all that is left of the goal.
+    """
+
     def __init__(self, program, annotations, filters, budget):
         self.program = program
         self.annotations = annotations
         self.filters = filters
         self.budget = budget
         self.fresh = FreshNames()
+        self.store = {}
+        # the search's limits never stop a specialization: its steps add
+        # no depth and no inferences, and ``_tick`` enforces the budget
+        self.limits = Limits()
+        self.inferences = 0
         self.memo = []                    # of MemoEntry
         self.memo_index = {}              # variant key -> MemoEntry
         self.worklist = []
@@ -419,64 +438,59 @@ class _Specializer:
     def _define(self, entry: MemoEntry):
         """Unfold the memoized pattern into residual clauses."""
         gatom = entry.call
-        params = tuple(term_vars(gatom))
-        clauses = self.program.clauses_for(gatom.pred, len(gatom.args))
-        if not clauses:
+        if not self.program.clauses_for(gatom.pred, len(gatom.args)):
             raise PDError(
                 f"memoized predicate {gatom.pred}/{len(gatom.args)} has no "
                 "clauses")
-        stack = []
-        for clause in reversed(clauses):
-            res = resolve(gatom, clause, self.fresh)
-            if res is None:
-                continue
-            self._tick()
-            body, mgu = res
-            stack.append((body, mgu.apply(params), ()))
-        out = []
-        while stack:
-            goal, hargs, resid = stack.pop()
-            if not goal:
-                out.append((Atom(entry.name, hargs), resid))
-                continue
-            atom, rest = goal[0], goal[1:]
-            ann = self.annotations.of(atom)
-            if ann == MEMO:
-                stack.append((rest, hargs, resid + (self.request(atom),)))
-            elif ann == RESCALL:
-                stack.append((rest, hargs, resid + (self._unwrap(atom),)))
-            elif ann == CALL:
-                if atom.indicator not in BUILTINS:
-                    raise PDError(
-                        f"call annotation on non-builtin {print_atom(atom)}")
+        depth_first(self, (gatom, Atom(entry.name, tuple(term_vars(gatom)))))
+
+    def step(self, goal, resid):
+        """Treat the first atom as its annotation says.  ``resid`` is the
+        residual body so far, and None at the memoized pattern itself,
+        which is always unfolded: its clauses are resolved last first and
+        tried in textual order, which fixes the fresh names of every
+        resultant."""
+        store = self.store
+        atom, rest = goal[0], goal[1:]
+        if not rest:                     # the head: a resultant is done
+            self.clauses.append((substitute(atom, store),
+                                 substitute(resid, store)))
+            return 0, []
+        if resid is None:
+            clauses = self.program.clauses_for(atom.pred, len(atom.args))
+            return 0, self._unfold(atom, rest, (), reversed(clauses))[::-1]
+        ann = self.annotations.of(atom)
+        if ann == UNFOLD:
+            clauses = self.program.clauses_for(atom.pred, len(atom.args))
+            if not clauses:
+                raise PDError(
+                    f"cannot unfold unknown predicate "
+                    f"{atom.pred}/{len(atom.args)}")
+            return 0, self._unfold(atom, rest, resid, clauses)
+        atom = substitute(atom, store)
+        if ann == MEMO:
+            return 0, [(rest, resid + (self.request(atom),), ())]
+        if ann == RESCALL:
+            return 0, [(rest, resid + (self._unwrap(atom),), ())]
+        if atom.indicator not in BUILTINS:
+            raise PDError(f"call annotation on non-builtin {print_atom(atom)}")
+        self._tick()
+        try:
+            outs = BUILTINS.evaluate(atom)
+        except ModeError as e:
+            raise PDError(
+                f"builtin {print_atom(atom)} is insufficiently "
+                f"instantiated at specialization time: {e}") from None
+        return 0, [(rest, resid, out.bindings) for out in outs]
+
+    def _unfold(self, atom, rest, resid, clauses) -> list:
+        succ = []
+        for clause in clauses:
+            res = resolve_in(atom, clause, self.fresh, self.store)
+            if res is not None:
                 self._tick()
-                try:
-                    outs = BUILTINS.evaluate(atom)
-                except ModeError as e:
-                    raise PDError(
-                        f"builtin {print_atom(atom)} is insufficiently "
-                        f"instantiated at specialization time: {e}") from None
-                for sub in reversed(outs):
-                    stack.append((sub.apply(rest), sub.apply(hargs),
-                                  sub.apply(resid)))
-            else:                        # unfold
-                alternatives = []
-                defining = self.program.clauses_for(atom.pred, len(atom.args))
-                if not defining:
-                    raise PDError(
-                        f"cannot unfold unknown predicate "
-                        f"{atom.pred}/{len(atom.args)}")
-                for clause in defining:
-                    res = resolve(atom, clause, self.fresh)
-                    if res is None:
-                        continue
-                    self._tick()
-                    body, mgu = res
-                    alternatives.append((body + mgu.apply(rest),
-                                         mgu.apply(hargs), mgu.apply(resid)))
-                stack.extend(reversed(alternatives))
-        for head, body in out:
-            self.clauses.append((head, body))
+                succ.append((res[0] + rest, resid, res[1]))
+        return succ
 
     @staticmethod
     def _unwrap(atom: Atom) -> Atom:

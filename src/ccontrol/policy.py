@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .absdom import (AAtom, ASub, AVar, FULLEVAL, FreshAVars, LogicError,
                      UNFOLD, aatom_from_atom, abstract_instance, avars,
-                     canonicalize, equivalent, print_aatom, strict_instance,
+                     canonicalize, print_aatom, strict_instance,
                      _conv)
 from .terms import ParseError, _Parser
 
@@ -211,9 +211,11 @@ def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
             reps.append(a)
     n = len(classes)
     less = set()
-
-    def matches_set(a, name):
-        return any(equivalent(a, m) for m in policy.sets[name])
+    # each class's key is canonicalized once; so is every atom a rule names
+    preprior = {(canonicalize(p), canonicalize(q))
+                for p, q in policy.preprior}
+    set_keys = {name: {canonicalize(m) for m in members}
+                for name, members in policy.sets.items()}
 
     def instance_of_set(a, name):
         return any(strict_instance(a, m) for m in policy.sets[name])
@@ -224,9 +226,8 @@ def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
             if i == j:
                 continue
             x, y = reps[i], reps[j]
-            for p, q in policy.preprior:
-                if equivalent(x, p) and equivalent(y, q):
-                    less.add((i, j))
+            if (classes[i], classes[j]) in preprior:
+                less.add((i, j))
             if strict_instance(x, y):
                 less.add((i, j))
             if fe[i] and not fe[j]:
@@ -234,14 +235,16 @@ def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
             for rule in policy.rules:
                 if rule.kind == "instances_first" and \
                         instance_of_set(x, rule.set_name) and \
-                        matches_set(y, rule.set_name):
+                        classes[j] in set_keys[rule.set_name]:
                     less.add((i, j))
     for rule in policy.rules:
         if rule.kind == "never_before":
+            members = set_keys[rule.set_name]
+            target = canonicalize(rule.target)
             for i in range(n):
                 for j in range(n):
-                    if (i, j) in less and matches_set(reps[i], rule.set_name) \
-                            and equivalent(reps[j], rule.target):
+                    if (i, j) in less and classes[i] in members \
+                            and classes[j] == target:
                         less.discard((i, j))
     # transitive closure
     changed = True

@@ -25,7 +25,8 @@ from .metaint import BUILDING_BLOCK, atom_to_term
 from .multi import Multi, simplify_conj
 from .policy import SelectionPolicy
 from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
-                    mklist, print_atom, print_term, resolve, CONS)
+                    mklist, print_atom, print_term, resolve_in, substitute,
+                    CONS)
 
 
 class SynthesisError(LogicError):
@@ -223,14 +224,15 @@ class _Synthesizer:
 
     def _resolved(self, sid, pos, clause_id, template, freshc):
         env, elems, args = template
-        res = resolve(elems[pos], self.clauses_by_id[clause_id], freshc)
+        res = resolve_in(elems[pos], self.clauses_by_id[clause_id], freshc,
+                         {})
         if res is None:
             raise SynthesisError(
                 f"clause {clause_id} matches abstractly but not "
                 f"concretely in state {sid}")
-        body, mgu = res
-        return (tuple(mgu.apply(a) for a in args), (),
-                mgu.apply(elems[:pos]) + body + mgu.apply(elems[pos + 1:]))
+        b = dict(res[1])
+        return (substitute(args, b), (),
+                substitute(elems[:pos] + res[0] + elems[pos + 1:], b))
 
     def _evaluated(self, pos, cause, template):
         env, elems, args = template

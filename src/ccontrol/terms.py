@@ -3,7 +3,9 @@
 The object language is a pure Prolog subset: no cut, no negation, no
 operators apart from infix ``=<``.  All values are immutable; the only
 mutable facilities are the fresh-name counter used for renaming apart and
-the binding dict a search extends (see ``unify_head``).
+the binding store a search extends and undoes (see ``resolve_in``), the
+one resolution step that the engine, the table-driven interpreter,
+partial deduction and direct synthesis share.
 """
 
 from __future__ import annotations
@@ -161,31 +163,28 @@ def term_to_atom(t: Term):
     return None
 
 
-def term_vars(t, acc=None) -> list:
-    """Variables of a term/atom/sequence, in first-occurrence order."""
-    if acc is None:
-        acc = []
-    if isinstance(t, Var):
-        if t not in acc:
-            acc.append(t)
-    elif isinstance(t, Struct):
-        for a in t.args:
-            term_vars(a, acc)
-    elif isinstance(t, Atom):
-        for a in t.args:
-            term_vars(a, acc)
-    elif isinstance(t, (tuple, list)):
-        for x in t:
-            term_vars(x, acc)
-    return acc
+def term_vars(t) -> list:
+    """Variables of a term/atom/sequence, in first-occurrence order.
+    Iterative, so a term of any depth is walked."""
+    seen = {}
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            seen[t] = None
+        elif isinstance(t, (Struct, Atom)):
+            stack.extend(reversed(t.args))
+        elif isinstance(t, (tuple, list)):
+            stack.extend(reversed(t))
+    return list(seen)
 
 
 # --- substitutions ------------------------------------------------------
 
 class Substitution:
-    """Mapping Var -> Term.  ``unify`` returns it idempotent; ``resolve``
-    returns it triangular, which ``apply`` reads the same way because it
-    follows binding chains."""
+    """Mapping Var -> Term.  ``unify`` returns it idempotent unless the
+    occurs check is off; ``apply`` follows binding chains, so it also
+    reads triangular bindings such as a store's."""
 
     __slots__ = ("bindings",)
 
@@ -418,16 +417,6 @@ def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
                   _replace_vars(c.body, mapping.__getitem__), c.id)
 
 
-def _instantiate(t, b: dict, fresh_var):
-    """A clause subterm renamed by ``fresh_var``, then under ``b``."""
-    if isinstance(t, Var):
-        return substitute(fresh_var(t), b)
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple([_instantiate(a, b, fresh_var)
-                                        for a in t.args]))
-    return t
-
-
 def unify_head(atom: Atom, clause: Clause, fresh: FreshNames, b: dict,
                occurs_check: bool = True):
     """Unify ``atom`` with the head of ``clause`` renamed apart, by
@@ -446,12 +435,13 @@ def unify_head(atom: Atom, clause: Clause, fresh: FreshNames, b: dict,
     The caller keeps ``fresh`` apart from the goal: no variable of
     ``atom`` or of ``b`` may be named like a name ``fresh`` hands out now.
     Then a clause variable's first occurrence is bound without the occurs
-    check (see ``_unify_pairs``).  The engine raises ``fresh`` past the
-    query's variables (``FreshNames.skip_past``) and draws every other
-    goal variable from it; partial deduction draws every goal variable
-    from its one ``FreshNames`` too, and direct synthesis builds its goals
-    over the ``G``, ``A`` and ``B`` variables of its templates and names
-    from its ``FreshNames``.
+    check (see ``_unify_pairs``).  ``engine.depth_first`` raises ``fresh``
+    past the query's variables (``FreshNames.skip_past``), and every
+    other goal variable of its machines comes from that ``fresh``: partial
+    deduction's goals too, whose patterns it generalizes over its one
+    ``FreshNames``.  Direct synthesis builds its goals over the ``G``,
+    ``A`` and ``B`` variables of its templates and names from its
+    ``FreshNames``.
     """
     positions = clause.variables
     base = fresh.n
@@ -474,34 +464,17 @@ def unify_head(atom: Atom, clause: Clause, fresh: FreshNames, b: dict,
     return fresh_var
 
 
-def resolve(atom: Atom, clause: Clause, fresh: FreshNames,
-            occurs_check: bool = True):
-    """One resolution step of ``atom`` with ``clause``: the clause's body,
-    renamed apart and instantiated, and the unifier to apply to the rest
-    of the goal; None when the head does not unify.
-
-    The result and every name in it are those of ``rename_apart`` followed
-    by ``unify(atom, head)`` and applying the unifier (see ``unify_head``),
-    and the body is renamed and instantiated in one pass.
-    """
-    b = {}
-    fresh_var = unify_head(atom, clause, fresh, b, occurs_check)
-    if fresh_var is None:
-        return None
-    body = tuple([Atom(a.pred, tuple([_instantiate(t, b, fresh_var)
-                                      for t in a.args]))
-                  for a in clause.body])
-    return body, Substitution(b)
-
-
 def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
                occurs_check: bool = True):
-    """``resolve`` against a binding store: the clause's body, renamed
-    apart but not instantiated, and the bindings that unifying ``atom``
-    with the head added to ``store``, as (variable, term) pairs taken back
-    off it; None when the head does not unify.  The store is left as it
-    was found, and its bindings stand in for the instantiation of
-    ``atom``: it is not resolved through them first.
+    """One resolution step of ``atom`` with ``clause`` against a binding
+    store: the clause's body, renamed apart but not instantiated, and the
+    bindings that unifying ``atom`` with the head added to ``store``, as
+    (variable, term) pairs taken back off it, last first; None when the
+    head does not unify.  The store is left as it was found, and its
+    bindings stand in for the instantiation of ``atom``: it is not
+    resolved through them first.  On an empty store, ``substitute`` of
+    the body (or of the rest of a goal) by the bindings gives what
+    ``rename_apart``, ``unify`` and applying the unifier give.
 
     A store is a dict whose insertion order is its trail: a search adds
     bindings at the end and undoes them from the end (``take_back``).

@@ -15,8 +15,9 @@ from ccontrol.absdom import (AAtom, AVar, AbsConst, AbsStruct,
 from ccontrol.multi import Multi
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              SelectionPolicy, select_conjunct)
-from ccontrol.terms import (Atom, Const, Struct, Var, parse_atom, term_vars,
-                           unify)
+from ccontrol.terms import (Atom, Const, Struct, Substitution, Var,
+                            parse_atom, resolve_in, substitute, term_vars,
+                            unify)
 
 
 # --- abstract notation ---------------------------------------------------
@@ -269,6 +270,21 @@ def interpreter_annotation_text() -> str:
     """The default annotations in their declaration syntax."""
     return ("ann(memo, mi/2).\n"
             "ann(rescall, bb_append/3).\n")
+
+
+# --- the resolution step -------------------------------------------------
+
+def resolve(atom, clause, fresh, occurs_check=True):
+    """One resolution step in substitution form: ``resolve_in`` on an
+    empty store, the body instantiated by its bindings, and the bindings,
+    in the order made, as the unifier to apply to the rest of the goal;
+    None when the head does not unify."""
+    res = resolve_in(atom, clause, fresh, {}, occurs_check)
+    if res is None:
+        return None
+    body, made = res
+    bindings = dict(reversed(made))
+    return substitute(body, bindings), Substitution(bindings)
 
 
 # --- random concrete terms -----------------------------------------------

@@ -157,15 +157,26 @@ def test_parse_json_output(permsort_files, capsys):
 
 
 def test_deep_term_exits_2_without_traceback(tmp_path, capsys):
-    lp = tmp_path / "len.lp"
-    lp.write_text("len([],0).\nlen([X|T],N) :- len(T,M), plus(M,1,N).\n")
-    # too deep for the recursive term routines on every supported Python
-    # (3.12 and later answer a 400-element list)
-    items = ",".join(str(i) for i in range(5000))
-    rc = main(["run", str(lp), "--query", f"len([{items}],N)"])
+    lp = tmp_path / "nat.lp"
+    lp.write_text("nat(0).\nnat(s(N)) :- nat(N).\n")
+    # too deep for the recursive parser on every supported Python
+    term = "s(" * 5000 + "0" + ")" * 5000
+    rc = main(["run", str(lp), "--query", f"nat({term})"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "term nesting too deep" in err and "Traceback" not in err
+
+
+def test_long_list_answers(tmp_path, capsys):
+    # a list parses into a right-nested term as deep as it is long; the
+    # engine's term routines walk it without host recursion
+    lp = tmp_path / "len.lp"
+    lp.write_text("len([],0).\nlen([X|T],N) :- len(T,M), plus(M,1,N).\n")
+    items = ",".join(str(i) for i in range(5000))
+    rc = main(["run", str(lp), "--query", f"len([{items}],N)"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "N = 5000" in out and "inferences: 10001" in out
 
 
 def test_deep_list_answers(tmp_path, capsys):

@@ -87,6 +87,12 @@ def test_specialize_unfolds_interpretation_away():
                           filters, budget=1000)
     ok, missing = check_closedness(residual)
     assert ok, missing
+    # the memoized call's clauses are renamed last first and its
+    # resultants kept in textual order, which fixes every fresh name
+    assert print_program(residual.program) == (
+        "app__g0([],_V8,_V8).\n"
+        "app__g0([_V4|_V5],_V6,[_V4|_V7]) :- app__g0(_V5,_V6,_V7).\n")
+    assert print_atom(residual.entry_call) == "app__g0(A,B,C)"
     # the residual enumerates the same (infinite) answer stream
     from ccontrol.engine import Limits
     r = solve(residual.program, (residual.entry_call,),
@@ -202,3 +208,26 @@ def test_residual_predicates_take_only_the_unknown_parts(corpus):
 def test_budget_exhaustion_is_an_error(corpus):
     with pytest.raises(PDError):
         specialize_encoded(corpus("queens").tables, "extended", budget=5)
+
+
+# unfolding steps, memo entries and residual clauses (with the wrapper)
+PD_SIZES = {"permsort": ("simple", 201, 10, 13),
+            "primes": ("extended", 2425, 74, 96),
+            "queens": ("extended", 1945, 57, 71),
+            "zigzag": ("simple", 320, 15, 19),
+            "countdown": ("simple", 201, 10, 13)}
+
+
+@pytest.mark.parametrize("name", sorted(PD_SIZES))
+def test_specialization_sizes_are_pinned(corpus, name):
+    entry = corpus(name)
+    residual = entry.futamura
+    assert (entry.variant, residual.unfold_steps, len(residual.memo),
+            len(residual.program.clauses)) == PD_SIZES[name]
+
+
+def test_budget_boundary_is_the_unfold_step_count(corpus):
+    tables = corpus("queens").tables
+    with pytest.raises(PDError, match="1944 steps"):
+        specialize_encoded(tables, budget=1944)
+    assert specialize_encoded(tables, budget=1945).unfold_steps == 1945

@@ -11,11 +11,12 @@ from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
                             is_closed_list, list_parts, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
-                            rename_apart, resolve, resolve_in, substitute,
+                            rename_apart, resolve_in, substitute,
                             term_vars, unify)
 
 from conftest import CORPUS_NAMES
-from oracles import atoms_like, check_unify_against_brute_force, random_term
+from oracles import (atoms_like, check_unify_against_brute_force,
+                     random_term, resolve)
 
 
 # --- parsing and printing -------------------------------------------------
