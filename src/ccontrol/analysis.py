@@ -59,16 +59,25 @@ class StateGraph:
         return {sid: a[1] for sid, a in self.actions.items()
                 if a[0] == "group"}
 
-    def successors(self, sid):
-        return [t for t in self.transitions if t.src == sid]
+    def __post_init__(self):
+        # the transitions out of each state, in transition order, and the
+        # target of the first transition for each (state, cause)
+        self._from = {}
+        self._to = {}
+        for t in self.transitions:
+            self._from.setdefault(t.src, []).append(t)
+            self._to.setdefault((t.src, t.cause), t.dst)
+
+    def successors(self, sid) -> list:
+        return self._from.get(sid, [])
 
     def successor(self, sid, cause) -> int:
         """The state that the transition for ``cause`` leads to from
         ``sid``."""
-        for t in self.transitions:
-            if t.src == sid and t.cause == cause:
-                return t.dst
-        raise AnalysisError(f"state {sid} has no transition for {cause}")
+        dst = self._to.get((sid, cause))
+        if dst is None:
+            raise AnalysisError(f"state {sid} has no transition for {cause}")
+        return dst
 
 
 @dataclass
@@ -229,9 +238,7 @@ def _growth_diagnostic(states, parents, sid, max_states) -> str:
 
 # --- rendering -----------------------------------------------------------
 
-def render_graph(g: StateGraph, fmt: str = "text") -> str:
-    if fmt == "text":
-        return _render_text(g)
+def render_graph(g: StateGraph, fmt: str) -> str:
     if fmt == "dot":
         return _render_dot(g)
     if fmt == "json":
@@ -264,15 +271,6 @@ def _cause_str(cause):
     if cause[0] == "grouping":
         return f"grouping {cause[1]}"
     return cause[0]
-
-
-def _render_text(g: StateGraph) -> str:
-    lines = []
-    for sid in sorted(g.states):
-        lines.append(f"state {sid}: {_state_label(g, sid)}")
-        for t in g.successors(sid):
-            lines.append(f"  -> {t.dst} [{_cause_str(t.cause)}]")
-    return "\n".join(lines) + "\n"
 
 
 def _render_dot(g: StateGraph) -> str:

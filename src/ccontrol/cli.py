@@ -33,11 +33,7 @@ TOLERANCE = 0.05
 
 
 class CliError(Exception):
-    """An error with a predetermined exit status."""
-
-    def __init__(self, message, status=2):
-        super().__init__(message)
-        self.status = status
+    """A usage or input error: the command exits 2."""
 
 
 def _read(path) -> str:
@@ -497,10 +493,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"cc {args.command}: {e}", file=sys.stderr)
-        return e.status
-    except LogicError as e:
+    except (CliError, LogicError) as e:
         print(f"cc {args.command}: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -6,9 +6,10 @@ its successor state by cause (a source clause, a full-evaluation output, a
 split or a grouping).  A meta-interpreter walks a concrete goal and a state
 number in lockstep: the tables dictate which conjunct is selected and which
 states are reachable, so the interpreter itself never inspects groundness.
-The same tables can be emitted as a logic program (``mi/2`` and friends)
-whose left-to-right execution reproduces the interpreter — the subject
-program for specialization.
+The same tables can be emitted as a logic program whose left-to-right
+execution reproduces the interpreter — the subject program for
+specialization: the interpreter's fixed clauses (``mi/2`` and friends),
+written below as Prolog text, followed by the tables as facts.
 
 Goals are tuples of concrete atoms.  Where the analysis folded repeated
 conjuncts into a multi abstraction, the concrete counterpart is a goal
@@ -28,9 +29,9 @@ from .engine import (BUILTINS, Limits, RunResult, Solver, depth_first,
                      support_clauses)
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
-from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
-                    atom_to_term, list_parts, mklist, resolve_in, substitute,
-                    term_to_atom)
+from .terms import (CONS, Atom, Const, FreshNames, Program, Struct, Var,
+                    atom_to_term, list_parts, mklist, parse_program,
+                    program_of, resolve_in, substitute, term_to_atom)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -44,11 +45,16 @@ class MetaintError(LogicError):
 
 # --- cmulti goals ---------------------------------------------------------
 
+def building_block(atoms) -> Struct:
+    """building_block([...]) over a block of atoms, or of variables that
+    stand for atoms."""
+    return Struct(BUILDING_BLOCK, (mklist([
+        a if isinstance(a, Var) else atom_to_term(a) for a in atoms]),))
+
+
 def make_cmulti(blocks) -> Atom:
     """cmulti([building_block([...]), ...]) over concrete atom blocks."""
-    bbs = [Struct(BUILDING_BLOCK, (mklist([atom_to_term(a) for a in b]),))
-           for b in blocks]
-    return Atom(CMULTI, (mklist(bbs),))
+    return Atom(CMULTI, (mklist([building_block(b) for b in blocks]),))
 
 
 def is_cmulti(x) -> bool:
@@ -240,13 +246,6 @@ class MetaInterpreter:
         self.fresh = FreshNames()
         self.store = {}
         self.inferences = 0
-        # the transitions out of each state in transition order, and the
-        # target of each (state, cause), indexed once per run
-        self.transitions_from = {}
-        self.targets = {}
-        for t in self.graph.transitions:
-            self.transitions_from.setdefault(t.src, []).append(t)
-            self.targets.setdefault((t.src, t.cause), t.dst)
         # steps user full evaluations under the interpreter's names and
         # bindings, so renamed clauses cannot capture the goal's variables
         self.engine = Solver(tables.program, self.limits)
@@ -268,7 +267,7 @@ class MetaInterpreter:
         action = self.graph.actions.get(state, ("leaf",))
         if action[0] == "group":
             ev = action[1]
-            dst = self._successor(state, ("grouping", ev.kind))
+            dst = self.graph.successor(state, ("grouping", ev.kind))
             goal = tuple(substitute(e, self.store) if is_cmulti(e) else e
                          for e in goal)
             return 0, [(apply_groupings(goal, ev), dst, ())]
@@ -282,17 +281,13 @@ class MetaInterpreter:
             f"no table entry for state {state} with goal "
             f"{substitute(list(goal), self.store)}")
 
-    def _successor(self, state, cause) -> int:
-        dst = self.targets.get((state, cause))
-        return self.graph.successor(state, cause) if dst is None else dst
-
     def _split(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
         blocks = cmulti_blocks(substitute(selected, self.store))
         if len(blocks) == 1:
-            dst = self._successor(state, ("one",))
+            dst = self.graph.successor(state, ("one",))
             return [(before + blocks[0] + after, dst, ())]
-        dst = self._successor(state, ("many",))
+        dst = self.graph.successor(state, ("many",))
         rest = make_cmulti(blocks[1:])
         return [(before + blocks[0] + (rest,) + after, dst, ())]
 
@@ -321,7 +316,7 @@ class MetaInterpreter:
         each of its outputs leads to."""
         # every successor of a full-evaluation state has the cause
         # ("fulleval", declaration, output)
-        succs = self.transitions_from.get(state, ())
+        succs = self.graph.successors(state)
         decl = self.tables.policy.fulleval[succs[0].cause[1]]
         return decl, {t.cause[2]: t.dst for t in succs}
 
@@ -358,7 +353,7 @@ class MetaInterpreter:
             raise MetaintError(
                 f"state {state} expects a resolvable atom at {idx}")
         succ = []
-        for t in self.transitions_from.get(state, ()):
+        for t in self.graph.successors(state):
             res = resolve_in(selected, self.clauses[t.cause[1]], self.fresh,
                              self.store)
             if res is None:
@@ -378,28 +373,124 @@ def mi_run(tables: StateTables, goal, variant: str = None,
 
 # --- the logic-program encoding ------------------------------------------
 
-def _v(name: str) -> Var:
-    return Var(name)
+def _clauses(text: str) -> list:
+    return [(c.head, c.body) for c in parse_program(text).clauses]
 
 
-def _pattern_template(m: Multi, seq: int):
-    """The multi's pattern as a list term of atom templates with fresh
-    variables per pattern variable."""
-    def var(v):
-        return Var(f"_P{seq}_{v.kind.upper()}{v.local}")
-    return mklist([atom_to_term(concrete_template(a, var))
-                   for a in m.pattern])
+# The interpreter's fixed clauses, parsed once, in the order they precede
+# the tables.  compute/1 starts the goal list in the ``Entry`` state.
+_DRIVER = _clauses("""
+compute(Gs) :- mi(Gs, Entry).
+mi([], _).
+mi([G|Gs], State) :-
+    selected_index(State, Idx),
+    divide_goals([G|Gs], Idx, Before, Selected, After),
+    mi_clause(Selected, Body, RuleIdx),
+    state_transition(State, NewState, RuleIdx),
+    dg_append(Before, Body, NewGsA),
+    dg_append(NewGsA, After, NewGs),
+    mi(NewGs, NewState).
+""")
+
+# only when the policy declares full evaluations
+_FULL_EVAL = _clauses("""
+mi([G|Gs], State) :-
+    selected_index(State, Idx),
+    divide_goals([G|Gs], Idx, Before, Selected, After),
+    mi_full_eval(Selected, FullAIIdx),
+    call(Selected),
+    state_transition(State, NewState, FullAIIdx),
+    dg_append(Before, After, NewGs),
+    mi(NewGs, NewState).
+""")
+
+# only when the graph has multi abstractions: a split unfolds a cmulti's
+# single remaining instance in place, or its first instance ahead of the
+# rest, still wrapped; a grouping step regroups the goal list
+_MULTIS = _clauses("""
+mi([G|Gs], State) :-
+    selected_index(State, Idx),
+    extracted_patt_one(State, Patt1),
+    divide_goals([G|Gs], Idx, Before, cmulti([building_block(Patt1)]),
+                 After),
+    state_transition(State, NewState, one),
+    dg_append(Patt1, After, NewGsA),
+    dg_append(Before, NewGsA, NewGs),
+    mi(NewGs, NewState).
+mi([G|Gs], State) :-
+    selected_index(State, Idx),
+    extracted_patts_many(State, Patt1, RestBBs),
+    divide_goals([G|Gs], Idx, Before,
+                 cmulti([building_block(Patt1)|RestBBs]), After),
+    state_transition(State, NewState, many),
+    dg_append(Patt1, [cmulti(RestBBs)], NewGsA),
+    dg_append(Before, NewGsA, NewGsB),
+    dg_append(NewGsB, After, NewGs),
+    mi(NewGs, NewState).
+mi([G|Gs], State) :-
+    grouping(State, NextState, GSpec),
+    apply_groupings([G|Gs], GSpec, NewGs),
+    mi(NewGs, NextState).
+""")
+
+# goal-list surgery where the tables fix the lengths
+_GOAL_LISTS = _clauses("""
+divide_goals(Goals, Idx, Before, Selected, After) :-
+    mi_len(Before, Idx),
+    dg_append(Before, [Selected|After], Goals).
+mi_len([], 0).
+mi_len([_|T], N) :- 1 =< N, minus(N, 1, M), mi_len(T, M).
+dg_append([], L, L).
+dg_append([H|T], L, [H|R]) :- dg_append(T, L, R).
+""")
+
+# concatenation of building-block lists, whose length only the runtime
+# knows; only with multi abstractions, and direct synthesis emits it too
+BB_APPEND = _clauses("""
+bb_append([], L, L).
+bb_append([H|T], L, [H|R]) :- bb_append(T, L, R).
+""")
 
 
-class _ClauseBuilder:
-    def __init__(self):
-        self.clauses = []
+def encode_as_logic_program(tables: StateTables,
+                            variant: str = None) -> Program:
+    """The tables and interpreter as a logic program.
 
-    def add(self, head: Atom, *body: Atom):
-        self.clauses.append(Clause(head, tuple(body), len(self.clauses) + 1))
+    Left-to-right execution of ``compute(Goal)`` reproduces mi_run's
+    answers.  The interpreter's fixed clauses come first, each section
+    present as its comment says; ``variant`` is only checked.  Then the
+    tables: the facts of each state, one ``apply_groupings/3`` clause per
+    grouping state, matching the goal positionally (goal lengths are
+    bounded per state), and the extraction patterns of each split state.
+    The source clauses that a ``via user`` link reaches follow the tables,
+    so the interpreter's ``call/1`` finds them.
+    """
+    check_variant(tables, variant)
+    multis = tables.variant == "extended"
+    # substitute copies the list, so the sections below stay as parsed
+    clauses = substitute(_DRIVER, {Var("Entry"): Const(tables.entry)})
+    if tables.policy.fulleval:
+        clauses += _FULL_EVAL
+    if multis:
+        clauses += _MULTIS
+    clauses += _GOAL_LISTS
+    if multis:
+        clauses += BB_APPEND
+    clauses += _tables(tables)
+    own = {head.pred for head, _ in clauses}
+    links = [d.link for d in tables.policy.fulleval if not d.link_is_builtin]
+    for clause in support_clauses(tables.program, links):
+        if clause.head.pred in own:
+            raise MetaintError(
+                f"support predicate {clause.head.pred}/"
+                f"{len(clause.head.args)} of a user full evaluation has "
+                "the name of an interpreter predicate")
+        clauses.append((clause.head, clause.body))
+    return program_of(clauses)
 
-    def program(self) -> Program:
-        return Program(tuple(self.clauses))
+
+def _fact(pred: str, *args) -> tuple:
+    return Atom(pred, args), ()
 
 
 def _cause_term(cause):
@@ -410,217 +501,81 @@ def _cause_term(cause):
     return Const(cause[0])  # one / many
 
 
-def encode_as_logic_program(tables: StateTables,
-                            variant: str = None) -> Program:
-    """The tables and interpreter as a logic program.
-
-    Left-to-right execution of ``compute(Goal)`` reproduces mi_run's
-    answers.  ``dg_append``/``mi_len`` do goal-list surgery where lengths
-    are fixed by the tables; ``bb_append`` concatenates building-block
-    lists whose length only the runtime knows.  Grouping steps are encoded
-    as one ``apply_groupings/3`` clause per grouping state, matching the
-    goal positionally (goal lengths are bounded per state).  The split,
-    grouping and building-block clauses are present exactly when the graph
-    has multi abstractions, and the full-evaluation clause when the policy
-    declares full evaluations; ``variant`` is only checked.  The source
-    clauses that a ``via user`` link reaches follow the tables, so the
-    interpreter's ``call/1`` finds them.
-    """
-    check_variant(tables, variant)
-    b = _ClauseBuilder()
-    t = tables
-
-    # driver
-    b.add(Atom("compute", (_v("Gs"),)),
-          Atom("mi", (_v("Gs"), Const(t.entry))))
-    b.add(Atom("mi", (Const("[]"), _v("_"))))
-
-    goal_ = Struct(".", (_v("G"), _v("Gs")))
-    dv = Atom("divide_goals", (goal_, _v("Idx"), _v("Before"),
-                               _v("Selected"), _v("After")))
-    si = Atom("selected_index", (_v("State"), _v("Idx")))
-
-    # clause resolution
-    b.add(Atom("mi", (goal_, _v("State"))),
-          si, dv,
-          Atom("mi_clause", (_v("Selected"), _v("Body"), _v("RuleIdx"))),
-          Atom("state_transition", (_v("State"), _v("NewState"),
-                                    _v("RuleIdx"))),
-          Atom("dg_append", (_v("Before"), _v("Body"), _v("NewGsA"))),
-          Atom("dg_append", (_v("NewGsA"), _v("After"), _v("NewGs"))),
-          Atom("mi", (_v("NewGs"), _v("NewState"))))
-
-    if t.policy.fulleval:
-        b.add(Atom("mi", (goal_, _v("State"))),
-              si, dv,
-              Atom("mi_full_eval", (_v("Selected"), _v("FullAIIdx"))),
-              Atom("call", (_v("Selected"),)),
-              Atom("state_transition", (_v("State"), _v("NewState"),
-                                        _v("FullAIIdx"))),
-              Atom("dg_append", (_v("Before"), _v("After"), _v("NewGs"))),
-              Atom("mi", (_v("NewGs"), _v("NewState"))))
-
-    _encode_extended(b, t)
-
-    # goal-list helpers
-    b.add(Atom("divide_goals", (_v("Goals"), _v("Idx"), _v("Before"),
-                                _v("Selected"), _v("After"))),
-          Atom("mi_len", (_v("Before"), _v("Idx"))),
-          Atom("dg_append", (_v("Before"),
-                             Struct(".", (_v("Selected"), _v("After"))),
-                             _v("Goals"))))
-    b.add(Atom("mi_len", (Const("[]"), Const(0))))
-    b.add(Atom("mi_len", (Struct(".", (_v("_"), _v("T"))), _v("N"))),
-          Atom("=<", (Const(1), _v("N"))),
-          Atom("minus", (_v("N"), Const(1), _v("M"))),
-          Atom("mi_len", (_v("T"), _v("M"))))
-    appends = ["dg_append"]
-    if t.split_states or t.grouping:
-        appends.append("bb_append")
-    for name in appends:
-        b.add(Atom(name, (Const("[]"), _v("L"), _v("L"))))
-        b.add(Atom(name, (Struct(".", (_v("H"), _v("T"))), _v("L"),
-                          Struct(".", (_v("H"), _v("R"))))),
-              Atom(name, (_v("T"), _v("L"), _v("R"))))
-
-    _encode_tables(b, t)
-    own = {c.head.pred for c in b.clauses}
-    links = [d.link for d in t.policy.fulleval if not d.link_is_builtin]
-    for clause in support_clauses(t.program, links):
-        if clause.head.pred in own:
-            raise MetaintError(
-                f"support predicate {clause.head.pred}/"
-                f"{len(clause.head.args)} of a user full evaluation has "
-                "the name of an interpreter predicate")
-        b.add(clause.head, *clause.body)
-    return b.program()
-
-
-def _encode_extended(b: _ClauseBuilder, t: StateTables):
-    if not t.split_states and not t.grouping:
-        return
-    goal_ = Struct(".", (_v("G"), _v("Gs")))
-    si = Atom("selected_index", (_v("State"), _v("Idx")))
-    one_sel = Struct(CMULTI, (mklist(
-        [Struct(BUILDING_BLOCK, (_v("Patt1"),))]),))
-    # single remaining instance: unfold its pattern in place
-    b.add(Atom("mi", (goal_, _v("State"))),
-          si,
-          Atom("extracted_patt_one", (_v("State"), _v("Patt1"))),
-          Atom("divide_goals", (goal_, _v("Idx"), _v("Before"), one_sel,
-                                _v("After"))),
-          Atom("state_transition", (_v("State"), _v("NewState"),
-                                    Const("one"))),
-          Atom("dg_append", (_v("Patt1"), _v("After"), _v("NewGsA"))),
-          Atom("dg_append", (_v("Before"), _v("NewGsA"), _v("NewGs"))),
-          Atom("mi", (_v("NewGs"), _v("NewState"))))
-    # several instances: unfold the first, keep the rest wrapped
-    many_sel = Struct(CMULTI, (Struct(".", (
-        Struct(BUILDING_BLOCK, (_v("Patt1"),)), _v("RestBBs"))),))
-    b.add(Atom("mi", (goal_, _v("State"))),
-          si,
-          Atom("extracted_patts_many", (_v("State"), _v("Patt1"),
-                                        _v("RestBBs"))),
-          Atom("divide_goals", (goal_, _v("Idx"), _v("Before"), many_sel,
-                                _v("After"))),
-          Atom("state_transition", (_v("State"), _v("NewState"),
-                                    Const("many"))),
-          Atom("dg_append", (_v("Patt1"),
-                             mklist([Struct(CMULTI, (_v("RestBBs"),))]),
-                             _v("NewGsA"))),
-          Atom("dg_append", (_v("Before"), _v("NewGsA"), _v("NewGsB"))),
-          Atom("dg_append", (_v("NewGsB"), _v("After"), _v("NewGs"))),
-          Atom("mi", (_v("NewGs"), _v("NewState"))))
-    # grouping
-    b.add(Atom("mi", (goal_, _v("State"))),
-          Atom("grouping", (_v("State"), _v("NextState"), _v("GSpec"))),
-          Atom("apply_groupings", (goal_, _v("GSpec"), _v("NewGs"))),
-          Atom("mi", (_v("NewGs"), _v("NextState"))))
-
-
-def _positional(n, prefix="E"):
-    return [_v(f"{prefix}{i}") for i in range(n)]
-
-
-def _encode_grouping_clause(b, sid, dst, ev: FoldEvent):
-    """apply_groupings/3 for one grouping state, by positional matching."""
-    tag = Const(f"gspec{sid}")
-    b.add(Atom("grouping", (Const(sid), Const(dst), tag)))
-    pre = _positional(ev.start)
-    rest = _v("Rest")
-    s, p = ev.start, ev.plen
-
-    def goal_list(mid):
-        return mklist(pre + mid, rest)
-
-    if ev.kind == "new":
-        xs = _positional(p, "A")
-        ys = _positional(p, "B")
-        grouped = Struct(CMULTI, (mklist(
-            [Struct(BUILDING_BLOCK, (mklist(xs),)),
-             Struct(BUILDING_BLOCK, (mklist(ys),))]),))
-        b.add(Atom("apply_groupings",
-                   (goal_list(xs + ys), tag, goal_list([grouped]))))
-    elif ev.kind == "left":
-        xs = _positional(p, "A")
-        old = Struct(CMULTI, (_v("BBs"),))
-        grouped = Struct(CMULTI, (Struct(".", (
-            Struct(BUILDING_BLOCK, (mklist(xs),)), _v("BBs"))),))
-        b.add(Atom("apply_groupings",
-                   (goal_list(xs + [old]), tag, goal_list([grouped]))))
-    elif ev.kind == "right":
-        xs = _positional(p, "A")
-        old = Struct(CMULTI, (_v("BBs"),))
-        grouped = Struct(CMULTI, (_v("NewBBs"),))
-        b.add(Atom("apply_groupings",
-                   (goal_list([old] + xs), tag, goal_list([grouped]))),
-              Atom("bb_append", (_v("BBs"),
-                                 mklist([Struct(BUILDING_BLOCK,
-                                                (mklist(xs),))]),
-                                 _v("NewBBs"))))
-    elif ev.kind == "merge":
-        m1 = Struct(CMULTI, (_v("BBs1"),))
-        m2 = Struct(CMULTI, (_v("BBs2"),))
-        grouped = Struct(CMULTI, (_v("NewBBs"),))
-        b.add(Atom("apply_groupings",
-                   (goal_list([m1, m2]), tag, goal_list([grouped]))),
-              Atom("bb_append", (_v("BBs1"), _v("BBs2"), _v("NewBBs"))))
-    else:  # pragma: no cover
-        raise MetaintError(f"unknown grouping kind {ev.kind!r}")
-
-
-def _encode_tables(b: _ClauseBuilder, t: StateTables):
+def _tables(t: StateTables) -> list:
+    """The per-graph facts and grouping clauses, as (head, body) pairs."""
     g = t.graph
-    for sid, action in sorted(g.actions.items()):
-        if action[0] in ("select", "split"):
-            b.add(Atom("selected_index", (Const(sid), Const(action[1]))))
+    out = [_fact("selected_index", Const(sid), Const(action[1]))
+           for sid, action in sorted(g.actions.items())
+           if action[0] in ("select", "split")]
     seen = set()
     for tr in sorted(g.transitions, key=lambda tr: (tr.src, str(tr.cause))):
         if tr.cause[0] == "grouping":
             continue
-        fact = (tr.src, _cause_term(tr.cause).name, tr.dst)
-        if fact in seen:
-            continue
-        seen.add(fact)
-        b.add(Atom("state_transition", (Const(tr.src), Const(tr.dst),
-                                        _cause_term(tr.cause))))
+        fact = _fact("state_transition", Const(tr.src), Const(tr.dst),
+                     _cause_term(tr.cause))
+        if fact not in seen:
+            seen.add(fact)
+            out.append(fact)
     for clause in sorted(t.program.clauses, key=lambda c: c.id):
-        head = atom_to_term(clause.head)
-        body = mklist([atom_to_term(a) for a in clause.body])
-        b.add(Atom("mi_clause", (head, body, Const(clause.id))))
+        out.append(_fact("mi_clause", atom_to_term(clause.head),
+                         mklist([atom_to_term(a) for a in clause.body]),
+                         Const(clause.id)))
     for d, decl in enumerate(t.policy.fulleval):
         pattern = concrete_template(
             decl.pattern, lambda v: Var(f"_{v.kind.upper()}{v.index}"))
-        b.add(Atom("mi_full_eval", (atom_to_term(pattern),
-                                    Const(f"fullai{d}"))))
+        out.append(_fact("mi_full_eval", atom_to_term(pattern),
+                         Const(f"fullai{d}")))
     for sid, ev in sorted(t.grouping.items()):
         dst = g.successor(sid, ("grouping", ev.kind))
-        _encode_grouping_clause(b, sid, dst, ev)
+        out += _grouping_clauses(sid, dst, ev)
     for seq, sid in enumerate(t.split_states):
         m = g.states[sid][g.actions[sid][1]]
-        patt1 = _pattern_template(m, seq * 2)
-        b.add(Atom("extracted_patt_one", (Const(sid), patt1)))
-        patt1b = _pattern_template(m, seq * 2)
-        patt2 = _pattern_template(m, seq * 2 + 1)
-        rest = Struct(".", (Struct(BUILDING_BLOCK, (patt2,)), _v("_BBs")))
-        b.add(Atom("extracted_patts_many", (Const(sid), patt1b, rest)))
+        patt1 = _pattern_block(m, seq * 2).args[0]
+        out.append(_fact("extracted_patt_one", Const(sid), patt1))
+        rest = Struct(CONS, (_pattern_block(m, seq * 2 + 1), Var("_BBs")))
+        out.append(_fact("extracted_patts_many", Const(sid), patt1, rest))
+    return out
+
+
+def _pattern_block(m: Multi, seq: int) -> Struct:
+    """A building block of the multi's pattern, with fresh variables per
+    pattern variable."""
+    def var(v):
+        return Var(f"_P{seq}_{v.kind.upper()}{v.local}")
+    return building_block([concrete_template(a, var) for a in m.pattern])
+
+
+def _positional(n, prefix="E"):
+    return [Var(f"{prefix}{i}") for i in range(n)]
+
+
+def _grouping_clauses(sid, dst, ev: FoldEvent) -> list:
+    """The grouping fact of one grouping state and its apply_groupings/3
+    clause, which regroups the goal by position."""
+    tag = Const(f"gspec{sid}")
+    xs = _positional(ev.plen, "A")
+    body = ()
+    if ev.kind == "new":
+        ys = _positional(ev.plen, "B")
+        old = xs + ys
+        grouped = mklist([building_block(xs), building_block(ys)])
+    elif ev.kind == "left":
+        old = xs + [Struct(CMULTI, (Var("BBs"),))]
+        grouped = Struct(CONS, (building_block(xs), Var("BBs")))
+    elif ev.kind == "right":
+        old = [Struct(CMULTI, (Var("BBs"),))] + xs
+        grouped = Var("NewBBs")
+        body = (Atom("bb_append", (Var("BBs"), mklist([building_block(xs)]),
+                                   grouped)),)
+    elif ev.kind == "merge":
+        old = [Struct(CMULTI, (Var("BBs1"),)), Struct(CMULTI, (Var("BBs2"),))]
+        grouped = Var("NewBBs")
+        body = (Atom("bb_append", (Var("BBs1"), Var("BBs2"), grouped)),)
+    else:  # pragma: no cover
+        raise MetaintError(f"unknown grouping kind {ev.kind!r}")
+    pre, rest = _positional(ev.start), Var("Rest")
+    return [_fact("grouping", Const(sid), Const(dst), tag),
+            (Atom("apply_groupings",
+                  (mklist(pre + old, rest), tag,
+                   mklist(pre + [Struct(CMULTI, (grouped,))], rest))),
+             body)]

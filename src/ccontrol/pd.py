@@ -26,8 +26,8 @@ from .engine import (BUILTINS, Limits, ModeError, depth_first,
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, is_closed_list, list_parts,
-                    mklist, print_atom, print_term, resolve_in, substitute,
-                    term_to_atom, term_vars, CONS)
+                    mklist, print_atom, print_term, program_of, resolve_in,
+                    substitute, term_to_atom, term_vars, CONS)
 
 DEFAULT_BUDGET = 10_000
 
@@ -510,10 +510,6 @@ class _Specializer:
         self.clauses.extend((c.head, c.body) for c in
                             support_clauses(self.program, calls, defined))
 
-    def program_out(self) -> Program:
-        return Program(tuple(Clause(h, b, i + 1)
-                             for i, (h, b) in enumerate(self.clauses)))
-
 
 def specialize(program: Program, entry: Atom, annotations: Annotations,
                filters: Filters,
@@ -526,7 +522,7 @@ def specialize(program: Program, entry: Atom, annotations: Annotations,
     sp = _Specializer(program, annotations, filters, budget)
     entry_call = sp.request(entry)
     sp.run()
-    return ResidualProgram(sp.program_out(), entry_call, tuple(sp.memo),
+    return ResidualProgram(program_of(sp.clauses), entry_call, tuple(sp.memo),
                            sp.steps)
 
 

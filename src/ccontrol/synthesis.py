@@ -21,12 +21,12 @@ from .absdom import (AAtom, AbsConst, AbsStruct, AVar, GROUND, LogicError,
                      concrete_template, print_aconj)
 from .analysis import EMPTY_STATE, StateGraph, abstract_step
 from .engine import Limits, answer_set, solve, support_clauses
-from .metaint import BUILDING_BLOCK, atom_to_term
+from .metaint import BB_APPEND, building_block
 from .multi import Multi, simplify_conj
 from .policy import SelectionPolicy
-from .terms import (Atom, Clause, Const, FreshNames, Program, Struct, Var,
-                    mklist, print_atom, print_term, resolve_in, substitute,
-                    CONS)
+from .terms import (CONS, Atom, FreshNames, Program, Struct, Var,
+                    atom_to_term, mklist, print_atom, print_term, program_of,
+                    resolve_in, substitute)
 
 
 class SynthesisError(LogicError):
@@ -87,10 +87,6 @@ def _bind_atom(aa: AAtom, ca: Atom, env):
             f"replay diverged: {aa!r} versus {print_atom(ca)}")
     for a, c in zip(aa.args, ca.args):
         _bind_term(a, c, env)
-
-
-def _block_term(atoms) -> Struct:
-    return Struct(BUILDING_BLOCK, (mklist([atom_to_term(a) for a in atoms]),))
 
 
 class _Synthesizer:
@@ -167,11 +163,10 @@ class _Synthesizer:
             self._state(sid)
         self._wrapper()
         if self.uses_blocks:
-            self._append_clauses()
+            self.clauses += BB_APPEND
         self.clauses += [(c.head, c.body) for c in
                          support_clauses(self.program, self.links)]
-        program = Program(tuple(Clause(h, b, i + 1)
-                                for i, (h, b) in enumerate(self.clauses)))
+        program = program_of(self.clauses)
         entry_arity = len(g.states[g.entry][0].args)
         return SynthesizedProgram(program, (self.entry_pred, entry_arity),
                                   dict(self.names))
@@ -181,14 +176,6 @@ class _Synthesizer:
         env, elems, args = self._template(conj)
         self.clauses.append((elems[0], (Atom(self.names[self.graph.entry],
                                              args),)))
-
-    def _append_clauses(self):
-        h, t, l, r = Var("H"), Var("T"), Var("L"), Var("R")
-        self.clauses.append((Atom("bb_append", (Const("[]"), l, l)), ()))
-        self.clauses.append((
-            Atom("bb_append", (Struct(CONS, (h, t)), l,
-                               Struct(CONS, (h, r)))),
-            (Atom("bb_append", (t, l, r)),)))
 
     def _state(self, sid):
         """One clause per transition of the state: the analysis step is
@@ -259,15 +246,15 @@ class _Synthesizer:
                       for a in raw[pos:pos + m.plen])
         head_args = list(args)
         if cause == ("one",):
-            head_args[bidx] = mklist([_block_term(first)])
+            head_args[bidx] = mklist([building_block(first)])
             return head_args, (), elems[:pos] + first + elems[pos + 1:]
         # The remaining multi stands for at least one more instance, so the
         # head can require a second block matching the pattern; spurious
         # single-block calls then fail at the head instead of descending.
         var = _variables({}, freshc)
         next_c = tuple(concrete_template(a, var) for a in m.pattern)
-        rest_b = Struct(CONS, (_block_term(next_c), Var("BRest")))
-        head_args[bidx] = Struct(CONS, (_block_term(first), rest_b))
+        rest_b = Struct(CONS, (building_block(next_c), Var("BRest")))
+        head_args[bidx] = Struct(CONS, (building_block(first), rest_b))
         return head_args, (), \
             elems[:pos] + first + (rest_b,) + elems[pos + 1:]
 
@@ -276,16 +263,17 @@ class _Synthesizer:
         s, p = ev.start, ev.plen
         prefix = ()
         if ev.kind == "new":
-            belem = mklist([_block_term(elems[s:s + p]),
-                            _block_term(elems[s + p:s + 2 * p])])
+            belem = mklist([building_block(elems[s:s + p]),
+                            building_block(elems[s + p:s + 2 * p])])
             conc = elems[:s] + (belem,) + elems[s + 2 * p:]
         elif ev.kind == "left":
-            belem = Struct(CONS, (_block_term(elems[s:s + p]), elems[s + p]))
+            belem = Struct(CONS, (building_block(elems[s:s + p]),
+                                  elems[s + p]))
             conc = elems[:s] + (belem,) + elems[s + p + 1:]
         elif ev.kind == "right":
             out = Var("BOut")
             prefix = (Atom("bb_append",
-                           (elems[s], mklist([_block_term(
+                           (elems[s], mklist([building_block(
                                elems[s + 1:s + 1 + p])]), out)),)
             self.uses_blocks = True
             conc = elems[:s] + (out,) + elems[s + 1 + p:]

@@ -128,6 +128,12 @@ class Program:
         return print_program(self)
 
 
+def program_of(clauses) -> Program:
+    """The program of ``(head, body)`` pairs, numbered from 1 in order."""
+    return Program(tuple(Clause(head, tuple(body), i)
+                         for i, (head, body) in enumerate(clauses, 1)))
+
+
 def mklist(items: Iterable[Term], tail: Term = Const(NIL)) -> Term:
     out = tail
     for x in reversed(list(items)):
@@ -224,6 +230,8 @@ def substitute(x, b: dict):
             return x
         x = t
     if isinstance(x, Struct):
+        if x.functor == CONS and len(x.args) == 2:
+            return _substitute_list(x, b)
         args = _substitute_all(x.args, b)
         return x if args is x.args else Struct(x.functor, args)
     if isinstance(x, Atom):
@@ -234,6 +242,40 @@ def substitute(x, b: dict):
     if isinstance(x, list):
         return [substitute(a, b) for a in x]
     return x
+
+
+def _substitute_list(x: Struct, b: dict) -> Term:
+    """``substitute`` of a list cell: the spine is walked in a loop, so a
+    list of any length is substituted, and only the elements recurse.  A
+    cycle passes through a bound tail variable, so a cell reached through
+    one is remembered, and meeting it again raises RecursionError, as the
+    recursion on any other cyclic term does."""
+    cells, heads = [], []
+    via_binding = set()
+    while True:
+        cells.append(x)
+        heads.append(substitute(x.args[0], b))
+        t = x.args[1]
+        if isinstance(t, Var):
+            while isinstance(t, Var):
+                u = b.get(t)
+                if u is None:
+                    break
+                t = u
+            if id(t) in via_binding:
+                raise RecursionError("cyclic list")
+            via_binding.add(id(t))
+        if not (isinstance(t, Struct) and t.functor == CONS
+                and len(t.args) == 2):
+            break
+        x = t
+    out = substitute(t, b)
+    for cell, head in zip(reversed(cells), reversed(heads)):
+        if head is not cell.args[0] or out is not cell.args[1]:
+            out = Struct(CONS, (head, out))
+        else:
+            out = cell
+    return out
 
 
 def _substitute_all(xs: tuple, b: dict) -> tuple:

@@ -189,6 +189,29 @@ def test_deep_list_answers(tmp_path, capsys):
     assert "N = 400" in out and "inferences: 801" in out
 
 
+def test_long_list_built_by_the_search_answers(tmp_path, capsys):
+    # the answer is a 2,000-element list that the search binds cell by
+    # cell; resolving it through the bindings walks the spine in a loop
+    lp = tmp_path / "app.lp"
+    lp.write_text("app([],L,L).\napp([H|T],L,[H|R]) :- app(T,L,R).\n")
+    items = ",".join(str(i) for i in range(2000))
+    rc = main(["run", str(lp), "--query", f"app(X,[],[{items}])",
+               "--count"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "answers: 1" in out and "inferences: 2001" in out
+
+
+def test_cyclic_answer_exits_2_without_traceback(tmp_path, capsys):
+    lp = tmp_path / "eq.lp"
+    lp.write_text("eq(X,X).\n")
+    rc = main(["run", str(lp), "--query", "eq(X,[a|X])",
+               "--no-occurs-check"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "term nesting too deep" in err and "Traceback" not in err
+
+
 def test_growing_stream_truncates_instead_of_overflowing(tmp_path, capsys):
     # the naive engine's integer stream outgrows any fixed nesting depth;
     # the budget, not the term routines, must end the run

@@ -1,7 +1,10 @@
 """Table-driven interpreter and its logic-program encoding."""
 
+import pathlib
+
 import pytest
 
+from ccontrol import metaint
 from ccontrol.analysis import analyze
 from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
@@ -11,7 +14,7 @@ from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import parse_policy
 from ccontrol.synthesis import run_compiled, synthesize
 from ccontrol.terms import Atom, mklist, parse_goal, parse_program, \
-    print_program
+    print_program, program_of
 
 from conftest import answer_set
 
@@ -183,12 +186,17 @@ def _compiled_answers(program, tables, goal):
              residual.program)]
 
 
+def _dbl_tables():
+    """Doubling a Peano numeral: no full evaluation and no multi."""
+    program = parse_program("dbl(z,z).\ndbl(s(X),s(s(Y))) :- dbl(X,Y).\n")
+    policy = parse_policy("entry: dbl(g1,a1).\n")
+    return program, build_tables(analyze(program, policy), program, policy)
+
+
 def test_policy_without_full_evaluation_compiles():
     # no fulleval declaration: the interpreter has no mi_full_eval/2
     # facts, so it must not call it either
-    program = parse_program("dbl(z,z).\ndbl(s(X),s(s(Y))) :- dbl(X,Y).\n")
-    policy = parse_policy("entry: dbl(g1,a1).\n")
-    tables = build_tables(analyze(program, policy), program, policy)
+    program, tables = _dbl_tables()
     for text, answers in (("dbl(s(s(z)),Y)", [(("Y", "s(s(s(s(z))))"),)]),
                           ("dbl(z,Y)", [(("Y", "z"),)]),
                           ("dbl(s(z),z)", [])):
@@ -204,6 +212,82 @@ def test_user_full_evaluation_compiles_both_ways():
         naive, *compiled = _compiled_answers(program, tables,
                                              parse_goal(text))
         assert compiled == [naive] * 3, text
+
+
+_DRIVER = """\
+compute(Gs) :- mi(Gs,1).
+mi([],_).
+mi([G|Gs],State) :- selected_index(State,Idx), \
+divide_goals([G|Gs],Idx,Before,Selected,After), \
+mi_clause(Selected,Body,RuleIdx), state_transition(State,NewState,RuleIdx), \
+dg_append(Before,Body,NewGsA), dg_append(NewGsA,After,NewGs), \
+mi(NewGs,NewState).
+"""
+
+_FULL_EVAL = """\
+mi([G|Gs],State) :- selected_index(State,Idx), \
+divide_goals([G|Gs],Idx,Before,Selected,After), \
+mi_full_eval(Selected,FullAIIdx), call(Selected), \
+state_transition(State,NewState,FullAIIdx), dg_append(Before,After,NewGs), \
+mi(NewGs,NewState).
+"""
+
+_GOAL_LISTS = """\
+divide_goals(Goals,Idx,Before,Selected,After) :- mi_len(Before,Idx), \
+dg_append(Before,[Selected|After],Goals).
+mi_len([],0).
+mi_len([_|T],N) :- 1 =< N, minus(N,1,M), mi_len(T,M).
+dg_append([],L,L).
+dg_append([H|T],L,[H|R]) :- dg_append(T,L,R).
+"""
+
+
+def test_encoding_without_full_evaluation_or_multis():
+    # the driver, resolution and goal-list clauses, then the tables
+    _, tables = _dbl_tables()
+    assert print_program(encode_as_logic_program(tables)) == \
+        _DRIVER + _GOAL_LISTS + """\
+selected_index(1,0).
+state_transition(1,0,1).
+state_transition(1,1,2).
+mi_clause(dbl(z,z),[],1).
+mi_clause(dbl(s(X),s(s(Y))),[dbl(X,Y)],2).
+"""
+
+
+def test_encoding_with_user_full_evaluations():
+    # the full-evaluation clause joins the driver, and the clauses that
+    # the via-user links reach follow the tables
+    _, tables = _via_user_tables()
+    assert print_program(encode_as_logic_program(tables)) == \
+        _DRIVER + _FULL_EVAL + _GOAL_LISTS + """\
+selected_index(1,0).
+selected_index(2,0).
+selected_index(3,0).
+state_transition(1,2,1).
+state_transition(2,3,fullai0).
+state_transition(3,0,fullai1).
+mi_clause(t(L,S),[dbl(L,D),sum(D,S)],1).
+mi_clause(dbl([],[]),[],2).
+mi_clause(dbl([X|T],[Y|T2]),[plus(X,X,Y),dbl(T,T2)],3).
+mi_clause(sum([],0),[],4).
+mi_clause(sum([X|T],S),[sum(T,S1),plus(X,S1,S)],5).
+mi_full_eval(dbl(_G1,_A1),fullai0).
+mi_full_eval(sum(_G1,_A1),fullai1).
+dbl([],[]).
+dbl([X|T],[Y|T2]) :- plus(X,X,Y), dbl(T,T2).
+sum([],0).
+sum([X|T],S) :- sum(T,S1), plus(X,S1,S).
+"""
+
+
+def test_readme_shows_the_interpreter_clauses():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("## The encoded interpreter")[1]
+    text = section.split("```prolog")[1].split("```")[0]
+    assert parse_program(text) == program_of(
+        metaint._DRIVER + metaint._FULL_EVAL + metaint._MULTIS
+        + metaint._GOAL_LISTS + metaint.BB_APPEND)
 
 
 def test_user_full_evaluation_name_clash_is_rejected():
