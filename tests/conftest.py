@@ -1,18 +1,25 @@
 """Shared fixtures: parsed corpus entries and their compiled artifacts."""
 
+import json
+import pathlib
+
 import pytest
 
-from ccontrol.analysis import analyze
+from ccontrol.analysis import AnalysisOptions, analyze, render_graph
 from ccontrol.engine import answer_set, solve  # answer_set re-exported
 from ccontrol.metaint import atom_to_term, build_tables, mi_run
 from ccontrol.pd import specialize_encoded
 from ccontrol.policy import parse_policy
 from ccontrol.synthesis import synthesize
-from ccontrol.terms import Atom, mklist, parse_goal, parse_program
+from ccontrol.terms import (Atom, mklist, parse_goal, parse_program,
+                            print_program)
 
 from importlib import resources
 
 CORPUS_NAMES = ("permsort", "primes", "queens", "zigzag", "countdown")
+
+SMALL_OUTPUTS = pathlib.Path(__file__).parent / "fixtures" / \
+    "small_outputs.json"
 
 
 def corpus_text(name, suffix):
@@ -93,3 +100,25 @@ def query_deviation(row):
     from the exact counts rather than the report's rounded field."""
     a, b = row["inferences"]
     return abs(a - b) / max(a, b, 1)
+
+
+def small_outputs(program, policy, depth_k=None) -> dict:
+    """The state graph's JSON and dot renderings and the classic and
+    futamura programs compiled from it: the texts that
+    ``fixtures/small_outputs.json`` pins for small programs whose paths
+    (widening, user full evaluations) the corpus does not take.
+
+    Regenerate the fixture (only for a deliberate output change) with
+    ``PYTHONPATH=src:tests python tests/test_synthesis.py``."""
+    graph = analyze(program, policy, AnalysisOptions(depth_k=depth_k))
+    tables = build_tables(graph, program, policy)
+    return {
+        "graph": render_graph(graph, "json"),
+        "dot": render_graph(graph, "dot"),
+        "classic": print_program(synthesize(graph, program, policy).program),
+        "futamura": print_program(specialize_encoded(tables).program),
+    }
+
+
+def pinned_small_outputs(key) -> dict:
+    return json.loads(SMALL_OUTPUTS.read_text())[key]

@@ -81,6 +81,27 @@ def test_analyze_growth_exits_1(tmp_path, capsys):
     assert "grows from ancestor" in capsys.readouterr().err
 
 
+def test_analyze_growth_diagnostic_is_pinned(tmp_path, capsys):
+    # the abstract printer's text of the growing state and its ancestor
+    lp = tmp_path / "queens.lp"
+    pol = tmp_path / "queens.policy"
+    lp.write_text(corpus_text("queens", ".lp"))
+    pol.write_text(corpus_text("queens", ".policy"))
+    rc = main(["analyze", str(lp), str(pol), "--no-multi",
+               "--max-states", "200"])
+    assert rc == 1
+    nodiags = [f"nodiag(g{i},a1,g{i + 1})" for i in range(2, 15, 2)]
+    assert capsys.readouterr().err == (
+        "analysis failed: state budget exceeded (200); state 201 ("
+        + " , ".join(["perm(g1,a1)"] + nodiags + [
+            "nodiag(g16,[g17|a1],g18)", "nodiag(g19,[g17|a1],g20)",
+            "nodiag(g21,[g17|a1],g22)", "safe([g17|a1])"])
+        + ") grows from ancestor 176 ("
+        + " , ".join(["perm(g1,a1)"] + nodiags + [
+            "nodiag(g16,a1,g17)", "nodiag(g18,a1,g19)", "safe([g20|a1])"])
+        + "); consider a multi-enabling policy or depth-k widening\n")
+
+
 def test_full_command_chain(permsort_files, tmp_path, capsys):
     lp, pol, q = permsort_files
     graph = tmp_path / "graph.json"

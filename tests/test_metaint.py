@@ -16,7 +16,7 @@ from ccontrol.synthesis import run_compiled, synthesize
 from ccontrol.terms import Atom, mklist, parse_goal, parse_program, \
     print_program, program_of
 
-from conftest import answer_set
+from conftest import answer_set, pinned_small_outputs, small_outputs
 
 
 def run_encoded(entry, goal, limits=None):
@@ -148,6 +148,17 @@ def _via_user_tables():
         fulleval: sum(g1,a1) -> { a1=g2 } via user sum/2.
     """)
     return program, build_tables(analyze(program, policy), program, policy)
+
+
+# the key of the via-user program's outputs in fixtures/small_outputs.json
+VIA_USER = "t/dbl/sum via user"
+
+
+def test_user_full_evaluation_outputs_are_pinned():
+    # the post-pattern renaming of full evaluations, byte for byte
+    program, tables = _via_user_tables()
+    assert small_outputs(program, tables.policy) == \
+        pinned_small_outputs(VIA_USER)
 
 
 def test_user_full_evaluation_counts_and_names_like_the_engine():

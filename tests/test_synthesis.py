@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ccontrol.analysis import AnalysisOptions, analyze
 from ccontrol.cli import main
 from ccontrol.engine import Limits, solve
@@ -11,7 +13,8 @@ from ccontrol.synthesis import compare_programs, synthesize
 from ccontrol.terms import CONS, Struct, parse_goal, parse_program, \
     print_program
 
-from conftest import answer_set, query_deviation
+from conftest import (SMALL_OUTPUTS, answer_set, pinned_small_outputs,
+                      query_deviation, small_outputs)
 
 # A term that grows at every call: under depth-2 widening the analysis
 # folds grow(s(s(s(g1))),a1) into the state grow(s(s(g1)),a1).
@@ -27,6 +30,12 @@ link(X,Y,f(X,Y)).
 ACC_POLICY = """entry: acc(g1,g2,a1).
 preprior: acc(g1,g2,a1) < link(g1,a1,a2).
 """
+
+
+# The widened programs whose outputs fixtures/small_outputs.json pins.
+WIDENED = {"grow k=2": (GROW_LP, GROW_POLICY, 2),
+           "acc k=2": (ACC_LP, ACC_POLICY, 2),
+           "acc k=3": (ACC_LP, ACC_POLICY, 3)}
 
 
 def test_predicate_per_state(corpus):
@@ -151,3 +160,20 @@ def test_pipeline_compiles_a_widened_graph_both_ways(tmp_path, capsys):
                  "compiled_futamura.lp"):
         assert (out / name).exists(), name
     assert json.loads((out / "report.json").read_text())["all_match"]
+
+
+@pytest.mark.parametrize("key", sorted(WIDENED))
+def test_widened_outputs_are_pinned(key):
+    # depth-k widening, multis and the abstract printer, byte for byte
+    lp, policy_text, k = WIDENED[key]
+    assert small_outputs(parse_program(lp), parse_policy(policy_text), k) \
+        == pinned_small_outputs(key)
+
+
+if __name__ == "__main__":
+    from test_metaint import VIA_USER, _via_user_tables
+    program, tables = _via_user_tables()
+    out = {key: small_outputs(parse_program(lp), parse_policy(text), k)
+           for key, (lp, text, k) in WIDENED.items()}
+    out[VIA_USER] = small_outputs(program, tables.policy)
+    SMALL_OUTPUTS.write_text(json.dumps(out, indent=1) + "\n")
