@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .absdom import (AAtom, FULLEVAL, FreshAVars, LogicError,
+from .absdom import (FULLEVAL, FreshAVars, LogicError,
                      abstract_unify_with_clause, canonicalize,
-                     full_eval_output, parse_aconj, print_aconj, print_aatom,
+                     full_eval_output, parse_aconj, print_aconj,
                      widen_depth_k)
 from .engine import BUILTINS
 from .multi import FoldEvent, case_split, simplify_conj, try_fold
 from .policy import NoMinimumError, SelectionPolicy, select_conjunct
-from .terms import Program
+from .terms import Atom, Program, print_atom
 
 EMPTY_STATE = 0
 DEFAULT_MAX_STATES = 500
@@ -120,8 +120,8 @@ def abstract_step(program: Program, policy: SelectionPolicy, conj,
                             theta.apply(before + after)))
         if not out:
             raise AnalysisError(
-                f"no output binding of {print_aatom(decl.pattern)} "
-                f"applies to {print_aatom(atom)}")
+                f"no output binding of {print_atom(decl.pattern)} "
+                f"applies to {print_atom(atom)}")
         return out
     clauses = program.clauses_for(atom.pred, len(atom.args))
     if not clauses:
@@ -211,7 +211,7 @@ def analyze(program: Program, policy: SelectionPolicy,
 def _pred_multiset(conj):
     out = {}
     for c in conj:
-        if isinstance(c, AAtom):
+        if isinstance(c, Atom):
             key = c.indicator
         else:
             key = ("multi",) + tuple(a.indicator for a in c.pattern)
@@ -253,8 +253,8 @@ def _state_label(g, sid):
     action = g.actions.get(sid, ("leaf",))
     parts = []
     for i, c in enumerate(conj):
-        if isinstance(c, AAtom):
-            s = print_aatom(c)
+        if isinstance(c, Atom):
+            s = print_atom(c)
             if action[0] == "select" and action[1] == i:
                 s = f"=={s}==" if action[2] == FULLEVAL else f"__{s}__"
             parts.append(s)

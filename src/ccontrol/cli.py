@@ -22,8 +22,8 @@ from .analysis import (AnalysisError, AnalysisOptions, analyze, parse_graph,
                        render_graph)
 from .engine import Limits, answer_set, solve
 from .metaint import build_tables, encode_as_logic_program, mi_run
-from .pd import (check_closedness, parse_annotations, parse_filters,
-                 specialize_encoded)
+from .pd import (DEFAULT_BUDGET, check_closedness, parse_annotations,
+                 parse_filters, specialize_encoded)
 from .policy import parse_policy
 from .synthesis import compare_programs, run_compiled, synthesize
 from .terms import (LogicError, parse_goal, parse_program, print_program,
@@ -445,7 +445,7 @@ def _build_parser():
     sp.add_argument("--out", required=True)
     sp.add_argument("--filters", help="binding-type declarations (.flt)")
     sp.add_argument("--ann", help="call annotations (.ann)")
-    sp.add_argument("--budget", type=int, default=10000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_specialize)
 
     sp = sub.add_parser("synthesize", parents=[common],

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (Atom, Const, FreshNames, LogicError, Program,
-                    Substitution, Var, compose, is_closed_list, list_parts,
-                    mklist, print_term, resolve_in, substitute, take_back,
+                    Substitution, Var, is_closed_list, list_parts, mklist,
+                    print_term, resolve_in, substitute, take_back,
                     term_to_atom, term_vars, unify)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
@@ -58,13 +58,12 @@ def _bi_select(args, atom):
     for i in range(len(items)):
         removed = items[i]
         remainder = mklist(items[:i] + items[i + 1:])
-        s = unify(x, removed)
-        if s is None:
-            continue
-        s2 = unify(s.apply(rest), s.apply(remainder))
-        if s2 is None:
-            continue
-        out.append(compose(s, s2))
+        # ``unify`` takes an atom's argument pairs last first: x = removed
+        # is solved before rest = remainder
+        s = unify(Atom("select", (rest, x)), Atom("select", (remainder,
+                                                             removed)))
+        if s is not None:
+            out.append(s)
     return out
 
 
@@ -171,6 +170,13 @@ def support_clauses(program: Program, preds, defined=()) -> list:
     return out
 
 
+def is_known(program: Program, atom: Atom) -> bool:
+    """Whether a call to ``atom`` can run on ``program``: it is ``call/1``,
+    a builtin, or a predicate with clauses."""
+    return (atom.indicator == ("call", 1) or atom.indicator in BUILTINS
+            or bool(program.clauses_for(atom.pred, len(atom.args))))
+
+
 def answer_set(result: RunResult) -> list:
     """The answers as a sorted list of hashable keys: two runs have the
     same answer multiset exactly when their answer sets are equal."""
@@ -253,20 +259,12 @@ class Solver:
         self.store = {}
         self.inferences = 0
 
-    def _check_known(self, goal):
-        for a in goal:
-            if a.pred == "call" and len(a.args) == 1:
-                continue
-            if a.indicator in BUILTINS:
-                continue
-            if self.program.clauses_for(a.pred, len(a.args)):
-                continue
-            raise EngineError(
-                f"unknown predicate {a.pred}/{len(a.args)}")
-
     def run(self, goal) -> RunResult:
         """Enumerate all answers of ``goal`` left to right."""
-        self._check_known(goal)
+        for a in goal:
+            if not is_known(self.program, a):
+                raise EngineError(
+                    f"unknown predicate {a.pred}/{len(a.args)}")
         return depth_first(self, goal)
 
     def step(self, goal, state):

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import (FULLEVAL, LogicError, canonicalize, concrete_template,
-                     member, print_aatom, print_aconj)
+from .absdom import (FULLEVAL, LogicError, abstract_instance, canonicalize,
+                     print_aconj)
 from .analysis import StateGraph
 from .engine import (BUILTINS, Limits, RunResult, Solver, depth_first,
                      support_clauses)
@@ -31,7 +31,8 @@ from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
 from .terms import (CONS, Atom, Const, FreshNames, Program, Struct, Var,
                     atom_to_term, list_parts, mklist, parse_program,
-                    program_of, resolve_in, substitute, term_to_atom)
+                    print_atom, program_of, replace_vars, resolve_in,
+                    substitute, term_to_atom)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -133,7 +134,7 @@ def build_tables(g: StateGraph, program: Program,
         shown = "missing" if entry is None else print_aconj(entry)
         raise MetaintError(
             f"the graph's entry state {g.entry} ({shown}) is not the "
-            f"policy's entry pattern {print_aatom(policy.entry)}")
+            f"policy's entry pattern {print_atom(policy.entry)}")
     clauses = {c.id: c for c in program.clauses}
     for t in g.transitions:
         kind = t.cause[0]
@@ -341,8 +342,8 @@ class MetaInterpreter:
         for out_idx, out in enumerate(decl.outputs):
             if out_idx not in dsts:
                 continue
-            shape = out.apply(decl.pattern)
-            if member(result, shape):
+            if abstract_instance(result, out.apply(decl.pattern)) \
+                    is not None:
                 return dsts[out_idx]
         raise MetaintError(
             f"result {result} matches no declared output in state {state}")
@@ -521,7 +522,7 @@ def _tables(t: StateTables) -> list:
                          mklist([atom_to_term(a) for a in clause.body]),
                          Const(clause.id)))
     for d, decl in enumerate(t.policy.fulleval):
-        pattern = concrete_template(
+        pattern = replace_vars(
             decl.pattern, lambda v: Var(f"_{v.kind.upper()}{v.index}"))
         out.append(_fact("mi_full_eval", atom_to_term(pattern),
                          Const(f"fullai{d}")))
@@ -542,7 +543,7 @@ def _pattern_block(m: Multi, seq: int) -> Struct:
     pattern variable."""
     def var(v):
         return Var(f"_P{seq}_{v.kind.upper()}{v.local}")
-    return building_block([concrete_template(a, var) for a in m.pattern])
+    return building_block(replace_vars(m.pattern, var))
 
 
 def _positional(n, prefix="E"):

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import (AAtom, ANY, ASub, AVar, AbsConst, AbsStruct,
-                     AbstractDomainError, FreshAVars, GROUND, MVar,
-                     MixedUnifier, aatom_from_atom, abstract_instance,
-                     avar_occurrences, canonicalize, print_aatom,
-                     print_aterm, _conv)
-from .terms import ParseError
+from .absdom import (ANY, ASub, AVar, AbstractDomainError, FreshAVars,
+                     GROUND, MVar, MixedUnifier, aatom_from_atom,
+                     abstract_instance, avar_occurrences, canonicalize, _conv)
+from .terms import (Atom, Const, ParseError, Struct, print_atom, print_term,
+                    replace_vars, term_vars)
 
 # Longest pattern, in atoms, that a new multi abstraction may fold.
 MAX_PATTERN_LENGTH = 3
@@ -28,10 +27,10 @@ def _sorted_pairs(d):
 @dataclass(frozen=True)
 class Multi:
     id: int
-    pattern: tuple       # of AAtom over MVars and constants
-    init: tuple          # of (MVar, ATerm over outer variables)
+    pattern: tuple       # of Atom over MVars and constants
+    init: tuple          # of (MVar, abstract term over outer variables)
     consecutive: tuple   # of (MVar, MVar): slot i+1 var = slot i var
-    final: tuple         # of (MVar, ATerm over outer variables)
+    final: tuple         # of (MVar, abstract term over outer variables)
 
     @property
     def init_map(self):
@@ -50,19 +49,7 @@ class Multi:
         return len(self.pattern)
 
     def pattern_vars(self) -> list:
-        seen = []
-
-        def walk(t):
-            if isinstance(t, MVar):
-                if t not in seen:
-                    seen.append(t)
-            elif isinstance(t, AbsStruct):
-                for a in t.args:
-                    walk(a)
-        for a in self.pattern:
-            for t in a.args:
-                walk(t)
-        return seen
+        return [v for v in term_vars(self.pattern) if isinstance(v, MVar)]
 
     def outer_terms(self) -> list:
         return [t for _, t in self.init] + [t for _, t in self.final]
@@ -77,18 +64,15 @@ class Multi:
         counters = {ANY: 0, GROUND: 0}
         mapping = {}
 
-        def mwalk(t):
-            if isinstance(t, MVar):
-                if t not in mapping:
-                    counters[t.kind] += 1
-                    mapping[t] = MVar(t.kind, counters[t.kind])
-                return mapping[t]
-            if isinstance(t, AbsStruct):
-                return AbsStruct(t.functor, tuple(mwalk(a) for a in t.args))
-            return t
+        def mwalk(v):
+            if not isinstance(v, MVar):
+                return v
+            if v not in mapping:
+                counters[v.kind] += 1
+                mapping[v] = MVar(v.kind, counters[v.kind])
+            return mapping[v]
 
-        pattern = tuple(AAtom(a.pred, tuple(mwalk(t) for t in a.args))
-                        for a in self.pattern)
+        pattern = replace_vars(self.pattern, mwalk)
         init = {mwalk(v): walk(t) for v, t in self.init}
         cons = {mwalk(v): mwalk(w) for v, w in self.consecutive}
         final = {mwalk(v): walk(t) for v, t in self.final}
@@ -96,15 +80,10 @@ class Multi:
                      _sorted_pairs(cons), _sorted_pairs(final))
 
     def instantiate(self, mapping) -> tuple:
-        """Pattern with MVars replaced per ``mapping`` (MVar -> ATerm)."""
-        def walk(t):
-            if isinstance(t, MVar):
-                return mapping[t]
-            if isinstance(t, AbsStruct):
-                return AbsStruct(t.functor, tuple(walk(a) for a in t.args))
-            return t
-        return tuple(AAtom(a.pred, tuple(walk(t) for t in a.args))
-                     for a in self.pattern)
+        """Pattern with MVars replaced per ``mapping`` (MVar -> abstract
+        term)."""
+        return replace_vars(self.pattern, lambda v: mapping[v]
+                            if isinstance(v, MVar) else v)
 
     def virtual_first_instance(self) -> tuple:
         """First represented pattern instance, with throwaway variables
@@ -121,14 +100,10 @@ class Multi:
 
 
 def print_multi(m: Multi) -> str:
-    patt = " , ".join(print_aatom(a) for a in m.pattern)
-
-    def pv(v):
-        return f"m{v.kind}{v.local}"
-
-    init = ",".join(f"{pv(v)}={print_aterm(t)}" for v, t in m.init)
-    cons = ",".join(f"{pv(v)}={pv(w)}" for v, w in m.consecutive)
-    final = ",".join(f"{pv(v)}={print_aterm(t)}" for v, t in m.final)
+    patt = " , ".join(print_atom(a) for a in m.pattern)
+    init = ",".join(f"{v}={print_term(t)}" for v, t in m.init)
+    cons = ",".join(f"{v}={w}" for v, w in m.consecutive)
+    final = ",".join(f"{v}={print_term(t)}" for v, t in m.final)
     return (f"multi(({patt}), init{{{init}}}, consec{{{cons}}}, "
             f"final{{{final}}}, id={m.id})")
 
@@ -145,11 +120,11 @@ def _as_mvar(name):
 def _mvarify(t):
     """Turn mg1/ma2-named constants (from the generic term parser) into
     pattern variables."""
-    if isinstance(t, AbsConst):
+    if isinstance(t, Const):
         mv = _as_mvar(t.name)
         return mv if mv is not None else t
-    if isinstance(t, AbsStruct):
-        return AbsStruct(t.functor, tuple(_mvarify(a) for a in t.args))
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(_mvarify(a) for a in t.args))
     return t
 
 
@@ -161,7 +136,7 @@ def parse_conjunct(parser):
         if nxt and nxt[0][0] == "(":
             return _parse_multi(parser)
     a = aatom_from_atom(parser.parse_atom())
-    return AAtom(a.pred, tuple(_mvarify(t) for t in a.args))
+    return Atom(a.pred, tuple(_mvarify(t) for t in a.args))
 
 
 def _parse_multi(parser) -> Multi:
@@ -172,7 +147,7 @@ def _parse_multi(parser) -> Multi:
     pattern = []
     while True:
         a = aatom_from_atom(parser.parse_atom())
-        pattern.append(AAtom(a.pred, tuple(_mvarify(t) for t in a.args)))
+        pattern.append(Atom(a.pred, tuple(_mvarify(t) for t in a.args)))
         if lx.peek()[0] != ",":
             break
         lx.next()
@@ -314,18 +289,15 @@ def _pattern_of(block):
     mapping = {}
     counters = {ANY: 0, GROUND: 0}
 
-    def walk(t):
-        if isinstance(t, AVar):
-            if t not in mapping:
-                counters[t.kind] += 1
-                mapping[t] = MVar(t.kind, counters[t.kind])
-            return mapping[t]
-        if isinstance(t, AbsStruct):
-            return AbsStruct(t.functor, tuple(walk(a) for a in t.args))
-        return t
+    def walk(v):
+        if not isinstance(v, AVar):
+            return v
+        if v not in mapping:
+            counters[v.kind] += 1
+            mapping[v] = MVar(v.kind, counters[v.kind])
+        return mapping[v]
 
-    pattern = tuple(AAtom(a.pred, tuple(walk(t) for t in a.args))
-                    for a in block)
+    pattern = replace_vars(tuple(block), walk)
     slot_map = {mv: av for av, mv in mapping.items()}
     return pattern, slot_map
 
@@ -348,7 +320,7 @@ def try_fold(conj):
     for plen in range(1, MAX_PATTERN_LENGTH + 1):
         for i in range(0, len(conj) - 2 * plen + 1):
             window = conj[i: i + 2 * plen]
-            if not all(isinstance(x, AAtom) for x in window):
+            if not all(isinstance(x, Atom) for x in window):
                 continue
             res = _fold_new(conj, i, plen)
             if res is not None:
@@ -397,7 +369,7 @@ def _fold_adjacent(conj, mi, m: Multi):
             return res
     if mi - m.plen >= 0:
         block = tuple(a for a in conj[mi - m.plen: mi]
-                      if isinstance(a, AAtom))
+                      if isinstance(a, Atom))
         if len(block) == m.plen:
             bmap = _block_binding(block, m.pattern)
             if bmap is not None:
@@ -406,7 +378,7 @@ def _fold_adjacent(conj, mi, m: Multi):
                     return res
     if mi + m.plen < len(conj) + 1:
         block = tuple(a for a in conj[mi + 1: mi + 1 + m.plen]
-                      if isinstance(a, AAtom))
+                      if isinstance(a, Atom))
         if len(block) == m.plen:
             bmap = _block_binding(block, m.pattern)
             if bmap is not None:

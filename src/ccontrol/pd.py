@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import (BUILTINS, Limits, ModeError, depth_first,
+from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
                      support_clauses)
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
@@ -534,13 +534,8 @@ def check_closedness(residual: ResidualProgram):
     missing = []
     for clause in residual.program.clauses:
         for a in clause.body:
-            if a.pred == "call" and len(a.args) == 1:
-                continue
-            if a.indicator in BUILTINS:
-                continue
-            if residual.program.clauses_for(a.pred, len(a.args)):
-                continue
-            if a.indicator not in missing:
+            if not is_known(residual.program, a) and \
+                    a.indicator not in missing:
                 missing.append(a.indicator)
     return not missing, missing
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .absdom import (AAtom, ASub, AVar, FULLEVAL, FreshAVars, LogicError,
-                     UNFOLD, aatom_from_atom, abstract_instance, avars,
-                     canonicalize, print_aatom, strict_instance,
+from .absdom import (ASub, AVar, FULLEVAL, FreshAVars, LogicError, UNFOLD,
+                     aatom_from_atom, abstract_instance, avars, canonicalize,
                      _conv)
-from .terms import ParseError, _Parser
+from .terms import Atom, ParseError, _Parser, print_atom
 
 
 class PolicyError(LogicError):
@@ -30,7 +29,7 @@ class NoMinimumError(PolicyError):
 class FullEvalDecl:
     """A fully evaluated abstract atom: call pattern, the possible output
     bindings over the pattern's variables, and the linked procedure."""
-    pattern: AAtom
+    pattern: Atom
     outputs: tuple           # of ASub
     link: tuple              # (predicate, arity)
     link_is_builtin: bool
@@ -39,19 +38,19 @@ class FullEvalDecl:
 @dataclass(frozen=True)
 class RuleTemplate:
     kind: str                # "never_before" | "instances_first"
-    target: AAtom | None     # for never_before
+    target: Atom | None      # for never_before
     set_name: str
 
 
 @dataclass
 class SelectionPolicy:
-    entry: AAtom
-    preprior: tuple = ()         # of (AAtom, AAtom) pairs, renamed apart
-    sets: dict = field(default_factory=dict)    # name -> tuple of AAtom
+    entry: Atom
+    preprior: tuple = ()         # of (Atom, Atom) pairs, renamed apart
+    sets: dict = field(default_factory=dict)    # name -> tuple of Atom
     rules: tuple = ()            # of RuleTemplate
     fulleval: tuple = ()         # of FullEvalDecl
 
-    def fulleval_match(self, a: AAtom):
+    def fulleval_match(self, a: Atom):
         """The first declaration whose pattern covers ``a``, if any."""
         for decl in self.fulleval:
             if a.indicator == decl.pattern.indicator and \
@@ -158,7 +157,7 @@ def parse_policy(text: str) -> SelectionPolicy:
                            tuple(fulleval))
 
 
-def _parse_output(parser, pattern: AAtom) -> ASub:
+def _parse_output(parser, pattern: Atom) -> ASub:
     lx = parser.lx
     lx.expect("{")
     pairs = {}
@@ -169,7 +168,7 @@ def _parse_output(parser, pattern: AAtom) -> ASub:
             raise PolicyError(f"output binds non-variable {lhs!r}")
         if lhs not in pattern_vars:
             raise PolicyError(
-                f"output binds {lhs}, which is not in {print_aatom(pattern)}")
+                f"output binds {lhs}, which is not in {print_atom(pattern)}")
         lx.expect("=")
         pairs[lhs] = _conv(parser.parse_term())
         if lx.peek()[0] == ",":
@@ -210,42 +209,38 @@ def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
             classes.append(key)
             reps.append(a)
     n = len(classes)
+    where = {key: i for i, key in enumerate(classes)}
     less = set()
     # each class's key is canonicalized once; so is every atom a rule names
     preprior = {(canonicalize(p), canonicalize(q))
                 for p, q in policy.preprior}
-    set_keys = {name: {canonicalize(m) for m in members}
-                for name, members in policy.sets.items()}
-
-    def instance_of_set(a, name):
-        return any(strict_instance(a, m) for m in policy.sets[name])
-
+    set_classes = {name: {where[canonicalize(m)] for m in members}
+                   for name, members in policy.sets.items()}
+    # two classes are never equivalent, so one is a strict instance of
+    # another exactly when it is an instance of it
+    instance = {(i, j) for i in range(n) for j in range(n)
+                if i != j and abstract_instance(reps[i], reps[j]) is not None}
     fe = [policy.fulleval_match(r) is not None for r in reps]
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            x, y = reps[i], reps[j]
             if (classes[i], classes[j]) in preprior:
                 less.add((i, j))
-            if strict_instance(x, y):
+            if (i, j) in instance:
                 less.add((i, j))
             if fe[i] and not fe[j]:
                 less.add((i, j))
             for rule in policy.rules:
-                if rule.kind == "instances_first" and \
-                        instance_of_set(x, rule.set_name) and \
-                        classes[j] in set_keys[rule.set_name]:
+                members = set_classes[rule.set_name]
+                if rule.kind == "instances_first" and j in members and \
+                        any((i, k) in instance for k in members):
                     less.add((i, j))
     for rule in policy.rules:
         if rule.kind == "never_before":
-            members = set_keys[rule.set_name]
-            target = canonicalize(rule.target)
-            for i in range(n):
-                for j in range(n):
-                    if (i, j) in less and classes[i] in members \
-                            and classes[j] == target:
-                        less.discard((i, j))
+            members = set_classes[rule.set_name]
+            target = where[canonicalize(rule.target)]
+            less -= {(i, target) for i in members}
     # transitive closure
     changed = True
     while changed:
@@ -258,12 +253,12 @@ def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
                 elif j2 == j and i == k:
                     raise PolicyError(
                         "selection order is cyclic: "
-                        f"{print_aatom(reps[i])} < {print_aatom(reps[j])} "
-                        f"< {print_aatom(reps[i])}")
+                        f"{print_atom(reps[i])} < {print_atom(reps[j])} "
+                        f"< {print_atom(reps[i])}")
     for i in range(n):
         if (i, i) in less:
             raise PolicyError(
-                f"selection order is reflexive at {print_aatom(reps[i])}")
+                f"selection order is reflexive at {print_atom(reps[i])}")
     return DerivedOrder(classes, less)
 
 
@@ -274,7 +269,7 @@ def _effective_atoms(conj):
     multi contributes the atoms of its virtual first instance."""
     out = []
     for pos, c in enumerate(conj):
-        if isinstance(c, AAtom):
+        if isinstance(c, Atom):
             out.append((pos, c))
         else:
             for a in c.virtual_first_instance():
@@ -311,7 +306,7 @@ def select_conjunct(policy: SelectionPolicy, conj):
     # fulleval priority is absolute; ties are broken left-to-right
     for pos, a in eff:
         if policy.fulleval_match(a) is not None:
-            if isinstance(conj[pos], AAtom):
+            if isinstance(conj[pos], Atom):
                 return pos, FULLEVAL
             return pos, "split"
     order = derive_order(policy, [a for _, a in eff])
@@ -329,11 +324,11 @@ def select_conjunct(policy: SelectionPolicy, conj):
     if not winners:
         raise NoMinimumError(
             "no minimal atom in " +
-            " , ".join(print_aatom(a) for a in _printable(conj, eff)))
+            " , ".join(print_atom(a) for a in _printable(conj, eff)))
     target = winners[0]
     for pos, a in eff:
         if canonicalize(a) == target:
-            if isinstance(conj[pos], AAtom):
+            if isinstance(conj[pos], Atom):
                 return pos, UNFOLD
             return pos, "split"
     raise PolicyError("internal selection failure")  # pragma: no cover

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import (AAtom, AbsConst, AbsStruct, AVar, GROUND, LogicError,
-                     abstract_instance, avars, canonicalize,
-                     concrete_template, print_aconj)
+from .absdom import (AVar, GROUND, LogicError, abstract_instance, avars,
+                     canonicalize, print_aconj)
 from .analysis import EMPTY_STATE, StateGraph, abstract_step
 from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BB_APPEND, building_block
 from .multi import Multi, simplify_conj
 from .policy import SelectionPolicy
-from .terms import (CONS, Atom, FreshNames, Program, Struct, Var,
+from .terms import (CONS, Atom, Const, FreshNames, Program, Struct, Var,
                     atom_to_term, mklist, print_atom, print_term, program_of,
-                    resolve_in, substitute)
+                    replace_vars, resolve_in, substitute)
 
 
 class SynthesisError(LogicError):
@@ -42,7 +41,7 @@ class SynthesizedProgram:
 
 def _plain_avars(conj):
     """Abstract variables of the plain atoms only, first-occurrence order."""
-    return avars([c for c in conj if isinstance(c, AAtom)])
+    return avars([c for c in conj if isinstance(c, Atom)])
 
 
 def _avar_name(v: AVar) -> str:
@@ -50,7 +49,7 @@ def _avar_name(v: AVar) -> str:
 
 
 def _variables(env, fresh=None):
-    """Concrete variable of each abstract variable for ``concrete_template``:
+    """Concrete variable of each abstract variable for ``replace_vars``:
     its entry in ``env``, else a new variable from ``fresh``, remembered in
     ``env``."""
     def var(v):
@@ -68,9 +67,9 @@ def _bind_term(at, ct, env):
     if isinstance(at, AVar):
         env.setdefault(at, ct)
         return
-    if isinstance(at, AbsConst):
+    if isinstance(at, Const):
         return
-    if isinstance(at, AbsStruct):
+    if isinstance(at, Struct):
         if not (isinstance(ct, Struct) and ct.functor == at.functor
                 and len(ct.args) == len(at.args)):
             raise SynthesisError(
@@ -81,7 +80,7 @@ def _bind_term(at, ct, env):
     raise SynthesisError(f"not an abstract term: {at!r}")
 
 
-def _bind_atom(aa: AAtom, ca: Atom, env):
+def _bind_atom(aa: Atom, ca: Atom, env):
     if aa.indicator != ca.indicator:
         raise SynthesisError(
             f"replay diverged: {aa!r} versus {print_atom(ca)}")
@@ -95,7 +94,7 @@ class _Synthesizer:
         self.program = program
         self.policy = policy
         entry_conj = graph.states[graph.entry]
-        if len(entry_conj) != 1 or not isinstance(entry_conj[0], AAtom):
+        if len(entry_conj) != 1 or not isinstance(entry_conj[0], Atom):
             raise SynthesisError("entry state is not a single atom")
         self.entry_pred = entry_conj[0].pred
         self.names = {sid: f"{self.entry_pred}_s{sid}"
@@ -115,8 +114,8 @@ class _Synthesizer:
         elems = []
         nb = 0
         for c in conj:
-            if isinstance(c, AAtom):
-                elems.append(concrete_template(c, var))
+            if isinstance(c, Atom):
+                elems.append(replace_vars(c, var))
             else:
                 nb += 1
                 elems.append(Var(f"B{nb}"))
@@ -145,12 +144,12 @@ class _Synthesizer:
                 f"{print_aconj(canon)}\n  want {print_aconj(stored)}")
         env = {}
         for a_elem, c_elem in zip(raw, conc_elems):
-            if isinstance(a_elem, AAtom):
+            if isinstance(a_elem, Atom):
                 _bind_atom(a_elem, c_elem, env)
         # canonicalize renames the replayed variables one to one
         var = _variables({cv: env[rv] for cv, rv in
                           zip(avars(canon), avars(raw)) if rv in env})
-        args = [concrete_template(cover.apply(v), var)
+        args = [replace_vars(cover.apply(v), var)
                 for v in _plain_avars(stored)]
         args += [c for a, c in zip(raw, conc_elems) if isinstance(a, Multi)]
         return Atom(self.names[dst], tuple(args))
@@ -242,8 +241,7 @@ class _Synthesizer:
         bidx = len(_plain_avars(conj)) \
             + sum(1 for c in conj[:pos] if isinstance(c, Multi))
         var = _variables(dict(env), freshc)
-        first = tuple(concrete_template(a, var)
-                      for a in raw[pos:pos + m.plen])
+        first = replace_vars(raw[pos:pos + m.plen], var)
         head_args = list(args)
         if cause == ("one",):
             head_args[bidx] = mklist([building_block(first)])
@@ -252,7 +250,7 @@ class _Synthesizer:
         # head can require a second block matching the pattern; spurious
         # single-block calls then fail at the head instead of descending.
         var = _variables({}, freshc)
-        next_c = tuple(concrete_template(a, var) for a in m.pattern)
+        next_c = replace_vars(m.pattern, var)
         rest_b = Struct(CONS, (building_block(next_c), Var("BRest")))
         head_args[bidx] = Struct(CONS, (building_block(first), rest_b))
         return head_args, (), \

@@ -33,7 +33,8 @@ class ParseError(LogicError):
 class Var(str):
     """A variable: its name, as a ``str`` subclass so that hashing, the
     hot path of every store lookup, runs in C.  It equals only a ``Var``
-    of the same name, never a plain string or a ``Const``."""
+    of the same name, never a plain string, a ``Const`` or an instance of
+    a subclass (the abstract variables of ``absdom`` are such)."""
 
     __slots__ = ()
     __hash__ = str.__hash__
@@ -197,9 +198,6 @@ class Substitution:
     def __init__(self, bindings=None):
         self.bindings = dict(bindings or {})
 
-    def __bool__(self):
-        return True
-
     def __eq__(self, other):
         return isinstance(other, Substitution) and self.bindings == other.bindings
 
@@ -286,19 +284,6 @@ def _substitute_all(xs: tuple, b: dict) -> tuple:
     return xs
 
 
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """Composition: apply s1 first, then s2."""
-    out = {}
-    for v, t in s1.bindings.items():
-        t2 = s2.apply(t)
-        if t2 != v:
-            out[v] = t2
-    for v, t in s2.bindings.items():
-        if v not in s1.bindings:
-            out[v] = t
-    return Substitution(out)
-
-
 # --- unification --------------------------------------------------------
 
 def _occurs(v: Var, t: Term, bindings: dict) -> bool:
@@ -347,7 +332,7 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool,
         if raw:
             if isinstance(y, Struct):
                 if isinstance(x, Var):
-                    y = _replace_vars(y, fresh_var)
+                    y = replace_vars(y, fresh_var)
                     if occurs_check and _occurs(x, y, b):
                         return False
                     b[x] = y
@@ -398,15 +383,18 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool,
     return True
 
 
-def unify(t1, t2, occurs_check: bool = True, bindings=None):
-    """Most general unifier of two terms or atoms, or None on failure."""
+def unify(t1, t2, occurs_check: bool = True):
+    """Most general unifier of two terms or atoms, or None on failure.
+    The argument pairs of two atoms are unified last first, as
+    ``unify_head`` takes them, and a variable of ``t1`` is bound before
+    one of ``t2``."""
     if isinstance(t1, Atom) and isinstance(t2, Atom):
         if t1.indicator != t2.indicator:
             return None
         work = list(zip(t1.args, t2.args, repeat(False)))
     else:
         work = [(t1, t2, False)]
-    b = dict(bindings or {})
+    b = {}
     if not _unify_pairs(work, b, occurs_check):
         return None
     # without the occurs check the result may be cyclic; leave chains to
@@ -435,19 +423,19 @@ class FreshNames:
                 self.n = max(self.n, int(name[cut:]))
 
 
-def _replace_vars(x, rename):
+def replace_vars(x, rename):
     """Simultaneous variable replacement by the function ``rename`` (no
     chain walking, unlike ``substitute``, so the range may reuse domain
     names)."""
     if isinstance(x, Var):
         return rename(x)
     if isinstance(x, Struct):
-        return Struct(x.functor, tuple([_replace_vars(a, rename)
-                                        for a in x.args]))
+        return Struct(x.functor, tuple([replace_vars(a, rename)
+                                       for a in x.args]))
     if isinstance(x, Atom):
-        return Atom(x.pred, tuple([_replace_vars(a, rename) for a in x.args]))
+        return Atom(x.pred, tuple([replace_vars(a, rename) for a in x.args]))
     if isinstance(x, tuple):
-        return tuple([_replace_vars(a, rename) for a in x])
+        return tuple([replace_vars(a, rename) for a in x])
     return x
 
 
@@ -455,8 +443,8 @@ def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
     if not c.variables:
         return c
     mapping = {v: fresh.var() for v in c.variables}
-    return Clause(_replace_vars(c.head, mapping.__getitem__),
-                  _replace_vars(c.body, mapping.__getitem__), c.id)
+    return Clause(replace_vars(c.head, mapping.__getitem__),
+                  replace_vars(c.body, mapping.__getitem__), c.id)
 
 
 def unify_head(atom: Atom, clause: Clause, fresh: FreshNames, b: dict,
@@ -526,7 +514,7 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
     bindings = take_back(store, mark)
     if rename is None:
         return None
-    return _replace_vars(clause.body, rename), bindings
+    return replace_vars(clause.body, rename), bindings
 
 
 def take_back(store: dict, mark: int) -> list:

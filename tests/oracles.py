@@ -8,9 +8,8 @@ meaningful.
 
 import random
 
-from ccontrol.absdom import (AAtom, AVar, AbsConst, AbsStruct,
-                             AbstractDomainError, GROUND, MVar,
-                             aatom_from_atom, canonicalize, member,
+from ccontrol.absdom import (AVar, AbstractDomainError, GROUND, MVar,
+                             aatom_from_atom, abstract_instance, canonicalize,
                              widen_depth_k)
 from ccontrol.multi import Multi
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
@@ -30,6 +29,21 @@ def parse_aatom(text):
 def parse_aterm(text):
     """An abstract term written as a term, with a1/g2 for its variables."""
     return parse_aatom(f"t({text})").args[0]
+
+
+# --- equivalence and strict instance -------------------------------------
+
+def equivalent(x, y) -> bool:
+    """Mutual-instance equivalence, decided on canonical forms."""
+    if isinstance(x, (tuple, list)) != isinstance(y, (tuple, list)):
+        return False
+    return canonicalize(x) == canonicalize(y)
+
+
+def strict_instance(x, y) -> bool:
+    """gamma(x) strictly included in gamma(y), decided syntactically: the
+    reference for the instantiation rule of ``policy.derive_order``."""
+    return abstract_instance(x, y) is not None and not equivalent(x, y)
 
 
 # --- concretization membership -------------------------------------------
@@ -61,9 +75,9 @@ def _match_term(ct, at, slot, binding) -> bool:
             return binding[at] == ct
         binding[at] = ct
         return True
-    if isinstance(at, AbsConst):
+    if isinstance(at, Const):
         return isinstance(ct, Const) and ct.name == at.name
-    if isinstance(at, AbsStruct):
+    if isinstance(at, Struct):
         return (isinstance(ct, Struct) and ct.functor == at.functor
                 and len(ct.args) == len(at.args)
                 and all(_match_term(c, a, slot, binding)
@@ -71,7 +85,7 @@ def _match_term(ct, at, slot, binding) -> bool:
     raise AbstractDomainError(f"not an abstract term: {at!r}")
 
 
-def _match_atom(ca: Atom, aa: AAtom, slot, binding) -> bool:
+def _match_atom(ca: Atom, aa: Atom, slot, binding) -> bool:
     return (ca.indicator == aa.indicator
             and all(_match_term(c, a, slot, binding)
                     for c, a in zip(ca.args, aa.args)))
@@ -123,7 +137,7 @@ def conj_member(concrete_atoms, conj, binding=None) -> bool:
         if ai == len(conj):
             return bnd if ci == len(concrete_atoms) else None
         c = conj[ai]
-        if isinstance(c, AAtom):
+        if isinstance(c, Atom):
             if ci >= len(concrete_atoms):
                 return None
             trial = dict(bnd)
@@ -184,14 +198,14 @@ class Sampler:
             if at not in env:
                 env[at] = self.concrete_term(at.kind == GROUND)
             return env[at]
-        if isinstance(at, AbsConst):
+        if isinstance(at, Const):
             return Const(at.name)
-        if isinstance(at, AbsStruct):
+        if isinstance(at, Struct):
             return Struct(at.functor, tuple(self.term(a, env)
                                             for a in at.args))
         raise AbstractDomainError(f"cannot sample {at!r}")
 
-    def atom(self, aa: AAtom, env) -> Atom:
+    def atom(self, aa: Atom, env) -> Atom:
         return Atom(aa.pred, tuple(self.term(t, env) for t in aa.args))
 
     def multi(self, m: Multi, env, n: int) -> list:
@@ -217,7 +231,7 @@ class Sampler:
         env = {} if env is None else env
         atoms = []
         for c in conj:
-            if isinstance(c, AAtom):
+            if isinstance(c, Atom):
                 atoms.append(self.atom(c, env))
             else:
                 n = multi_len or self.rng.randint(1, 3)
@@ -238,7 +252,7 @@ def select_atom(policy: SelectionPolicy, conj):
     return pos, conj[pos], mark
 
 
-def order_lt(order: DerivedOrder, x: AAtom, y: AAtom) -> bool:
+def order_lt(order: DerivedOrder, x: Atom, y: Atom) -> bool:
     """Whether ``x`` precedes ``y`` in the derived order; atoms outside
     the order's classes precede nothing."""
     classes = [canonicalize(a) for a in (x, y)]
@@ -381,11 +395,11 @@ def check_unify_against_brute_force(cases=1000, seed=0):
 def aterm_depth(t) -> int:
     """Nesting depth of an abstract term's structures (an atom's is that
     of its deepest argument)."""
-    if isinstance(t, (AVar, MVar, AbsConst)):
+    if isinstance(t, (AVar, MVar, Const)):
         return 0
-    if isinstance(t, AbsStruct):
+    if isinstance(t, Struct):
         return 1 + max(aterm_depth(a) for a in t.args)
-    if isinstance(t, AAtom):
+    if isinstance(t, Atom):
         return max((aterm_depth(a) for a in t.args), default=0)
     raise AbstractDomainError(f"no depth for {t!r}")
 
@@ -400,9 +414,9 @@ def check_widen_monotone(aterms, k=2, samples_per=4, seed=0):
         wt = widen_depth_k(at, k)
         for _ in range(samples_per):
             ct = sampler.term(at, {})
-            if not member(ct, at):
+            if abstract_instance(ct, at) is None:
                 continue    # aliasing made the sample inconsistent
-            if not member(ct, wt):
+            if abstract_instance(ct, wt) is None:
                 failures.append((at, wt, ct))
     return failures
 

@@ -13,8 +13,7 @@ import pathlib
 import random
 import time
 
-from ccontrol.absdom import AAtom, FULLEVAL, FreshAVars, canonicalize, \
-    strict_instance
+from ccontrol.absdom import FULLEVAL, FreshAVars, canonicalize
 from ccontrol.analysis import (AnalysisError, AnalysisOptions, EMPTY_STATE,
                                analyze)
 from ccontrol.engine import (BuiltinTable, EngineError, Limits, ModeError,
@@ -23,14 +22,14 @@ from ccontrol.multi import Multi, case_split
 from ccontrol.pd import check_closedness
 from ccontrol.policy import _effective_atoms, derive_order, parse_policy
 from ccontrol.synthesis import compare_programs
-from ccontrol.terms import FreshNames, parse_goal, parse_program, \
+from ccontrol.terms import Atom, FreshNames, parse_goal, parse_program, \
     rename_apart, unify
 
 from conftest import CORPUS_NAMES, answer_set, corpus_text, query_deviation
 from oracles import (Sampler, check_case_split_complete,
                      check_unify_against_brute_force, check_widen_monotone,
                      conj_member, first_primes, is_complete, order_lt,
-                     queen_boards, random_term)
+                     queen_boards, random_term, strict_instance)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -219,7 +218,7 @@ def _sample_state(conj, rng):
     env = {}
     parts, counts = [], []
     for c in conj:
-        if isinstance(c, AAtom):
+        if isinstance(c, Atom):
             parts.append([sampler.atom(c, env)])
             counts.append(None)
         else:
@@ -353,10 +352,9 @@ def test_oracle_micro_suites_pass(corpus):
     aterms = [arg
               for name in ("permsort", "primes", "queens")
               for conj in corpus(name).graph.states.values()
-              for c in conj if isinstance(c, AAtom)
+              for c in conj if isinstance(c, Atom)
               for arg in c.args]
     from ccontrol.absdom import aatom_from_atom
-    from ccontrol.terms import Atom
     aterms += [aatom_from_atom(Atom("w", (random_term(rng, 3, []),))).args[0]
                for _ in range(200)]
     assert not check_widen_monotone(aterms, k=2, seed=8)
