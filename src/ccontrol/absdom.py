@@ -48,6 +48,9 @@ class AVar(Var):
     def index(self) -> int:
         return int(self[1:])
 
+    def __getnewargs__(self):       # for pickle and copy
+        return self.kind, self.index
+
     def __eq__(self, other):
         return other.__class__ is AVar and str.__eq__(self, other)
 
@@ -70,6 +73,9 @@ class MVar(Var):
     @property
     def local(self) -> int:
         return int(self[2:])
+
+    def __getnewargs__(self):
+        return self.kind, self.local
 
     def __eq__(self, other):
         return other.__class__ is MVar and str.__eq__(self, other)

@@ -60,8 +60,8 @@ def _bi_select(args, atom):
         remainder = mklist(items[:i] + items[i + 1:])
         # ``unify`` takes an atom's argument pairs last first: x = removed
         # is solved before rest = remainder
-        s = unify(Atom("select", (rest, x)), Atom("select", (remainder,
-                                                             removed)))
+        s = unify(Atom("select", (rest, x)),
+                  Atom("select", (remainder, removed)))
         if s is not None:
             out.append(s)
     return out

@@ -1,12 +1,14 @@
 """Abstract domain: terms, canonical forms, instances, widening."""
 
+import copy
 import random
 
-from ccontrol.absdom import (AVar, FreshAVars, abstract_instance,
+from ccontrol.absdom import (AVar, FreshAVars, MVar, abstract_instance,
                              abstract_unify_with_clause, canonicalize,
                              full_eval_output, parse_aconj, print_aconj,
                              widen_depth_k)
-from ccontrol.terms import parse_program, parse_term, print_atom, print_term
+from ccontrol.terms import (Const, Var, parse_program, parse_term,
+                            print_atom, print_term, unify)
 
 from oracles import (aterm_depth, check_widen_monotone, equivalent,
                      parse_aatom, parse_aterm, random_term, strict_instance)
@@ -18,6 +20,20 @@ def test_parse_print_round_trip():
     assert print_atom(parse_aatom("perm(g1,a1)")) == "perm(g1,a1)"
     conj = parse_aconj("perm(g1,a1) , ord(a1)")
     assert print_aconj(conj) == "perm(g1,a1) , ord(a1)"
+
+
+def test_abstract_variables_are_variables_apart_from_concrete_ones():
+    g1, mg1 = AVar("g", 1), MVar("g", 1)
+    assert (g1.kind, g1.index, mg1.kind, mg1.local) == ("g", 1, "g", 1)
+    assert [print_term(v) for v in (g1, AVar("a", 2), mg1)] == \
+        ["g1", "a2", "mg1"]
+    assert g1 == AVar("g", 1) and hash(g1) == hash(AVar("g", 1))
+    assert g1 != Var("g1") and Var("g1") != g1 and mg1 != Var("mg1")
+    assert len({g1, Var("g1"), mg1, Var("mg1")}) == 4
+    assert copy.deepcopy((g1, mg1)) == (g1, mg1)
+    # the concrete unifier binds them like any variable
+    assert unify(g1, Const("c")).apply(g1) == Const("c")
+    assert unify(Var("g1"), g1).bindings == {Var("g1"): g1}
 
 
 def test_canonicalize_renumbers_per_kind():
