@@ -206,7 +206,7 @@ def depth_first(machine, goal, state=None) -> RunResult:
 
     The machine's ``fresh`` names every variable a step brings in.  It is
     first raised past the query's variables, so a fresh name is never a
-    query variable's (see ``terms.unify_head``).
+    query variable's (see ``terms.resolve_in``).
     """
     limits = machine.limits
     store = machine.store

@@ -331,7 +331,9 @@ def try_fold(conj):
 def _fold_new(conj, start, plen):
     block1 = conj[start: start + plen]
     block2 = conj[start + plen: start + 2 * plen]
-    if canonicalize(block1) != canonicalize(block2):
+    # equal canonical forms need equal predicates; these are cheaper
+    if [a.indicator for a in block1] != [a.indicator for a in block2] or \
+            canonicalize(block1) != canonicalize(block2):
         return None
     pattern, slot1 = _pattern_of(block1)
     slot2 = _block_binding(block2, pattern)

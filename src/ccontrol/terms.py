@@ -2,17 +2,19 @@
 
 The object language is a pure Prolog subset: no cut, no negation, no
 operators apart from infix ``=<``.  All values are immutable; the only
-mutable facilities are the fresh-name counter used for renaming apart and
-the binding store a search extends and undoes (see ``resolve_in``), the
+mutable facilities are the fresh-name counter used for renaming apart,
+the binding store a search extends and undoes (see ``resolve_in``, the
 one resolution step that the engine, the table-driven interpreter,
-partial deduction and direct synthesis share.
+partial deduction and direct synthesis share) and the cache of generated
+head code by clause shape (see ``_head_code``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import count
+from types import CodeType
 from typing import Iterable, Union
 
 NIL = "[]"
@@ -96,6 +98,16 @@ class Clause:
         body), each mapped to its position; computed once per clause."""
         return {v: i for i, v in enumerate(term_vars((self.head,)
                                                      + self.body))}
+
+    @cached_property
+    def head_code(self) -> tuple:
+        """The clause's generated resolution code; see ``_head_code``."""
+        return _head_code(self)
+
+    def __getstate__(self):
+        # the fields alone: cached values, generated code among them, are
+        # rebuilt on demand
+        return {"head": self.head, "body": self.body, "id": self.id}
 
     def __repr__(self):
         return print_clause(self)
@@ -303,55 +315,31 @@ def _occurs(v: Var, t: Term, bindings: dict) -> bool:
     return False
 
 
-def _unify_pairs(work: list, b: dict, occurs_check: bool,
-                 fresh_var=None, renamed=None) -> bool:
+def _deref(x: Var, b: dict) -> Term:
+    """What the bindings ``b`` make of the variable ``x``, through chains
+    of variables; the generated head code's dereference."""
+    t = b.get(x)
+    while t is not None:
+        x = t
+        if not isinstance(x, Var):
+            return x
+        t = b.get(x)
+    return x
+
+
+def _unify_pairs(work: list, b: dict, occurs_check: bool) -> bool:
     """Extend the triangular bindings ``b`` so that both sides of every
-    pair on ``work`` are equal; False on a clash or a failed occurs check.
-
-    A pair is ``(x, y, raw)``.  ``x`` is a term of the goal; so is ``y``
-    unless ``raw``, when it is a subterm of a clause not yet renamed apart
-    and ``fresh_var`` gives each of its variables its new name, which
-    ``renamed`` maps it to once given.  Pairs are taken last first, and a
-    variable of ``x`` is bound before one of ``y``; a raw subterm is
-    renamed only when a variable is bound to it.  So the bindings are
-    exactly those of unifying with the renamed clause.
-
-    A raw variable not yet in ``renamed`` is at its first occurrence: its
-    fresh name is unbound and, as the fresh names never occur in the goal
-    (see ``unify_head``), occurs in no goal term, so it is bound without
-    the occurs check, as the WAM's ``get_variable`` binds.
-    """
+    ``(x, y)`` pair on ``work`` are equal; False on a clash or a failed
+    occurs check.  Pairs are taken last first, and a variable of ``x`` is
+    bound before one of ``y``."""
     seen = None if occurs_check else set()
     while work:
-        x, y, raw = work.pop()
+        x, y = work.pop()
         while isinstance(x, Var):
             t = b.get(x)
             if t is None:
                 break
             x = t
-        if raw:
-            if isinstance(y, Struct):
-                if isinstance(x, Var):
-                    y = replace_vars(y, fresh_var)
-                    if occurs_check and _occurs(x, y, b):
-                        return False
-                    b[x] = y
-                elif isinstance(x, Struct) and x.functor == y.functor \
-                        and len(x.args) == len(y.args):
-                    work.extend(zip(x.args, y.args, repeat(True)))
-                else:
-                    return False
-                continue
-            if isinstance(y, Var):
-                r = renamed.get(y)
-                if r is None:
-                    y = fresh_var(y)
-                    if isinstance(x, Var):
-                        b[x] = y
-                    else:
-                        b[y] = x
-                    continue
-                y = r
         while isinstance(y, Var):
             t = b.get(y)
             if t is None:
@@ -377,7 +365,7 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool,
                 if pair in seen:
                     continue
                 seen.add(pair)
-            work.extend(zip(x.args, y.args, repeat(False)))
+            work.extend(zip(x.args, y.args))
         else:
             return False
     return True
@@ -385,15 +373,15 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool,
 
 def unify(t1, t2, occurs_check: bool = True):
     """Most general unifier of two terms or atoms, or None on failure.
-    The argument pairs of two atoms are unified last first, as
-    ``unify_head`` takes them, and a variable of ``t1`` is bound before
-    one of ``t2``."""
+    The argument pairs of two atoms are unified last first, as a clause
+    head's are (see ``resolve_in``), and a variable of ``t1`` is bound
+    before one of ``t2``."""
     if isinstance(t1, Atom) and isinstance(t2, Atom):
         if t1.indicator != t2.indicator:
             return None
-        work = list(zip(t1.args, t2.args, repeat(False)))
+        work = list(zip(t1.args, t2.args))
     else:
-        work = [(t1, t2, False)]
+        work = [(t1, t2)]
     b = {}
     if not _unify_pairs(work, b, occurs_check):
         return None
@@ -447,53 +435,6 @@ def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
                   replace_vars(c.body, mapping.__getitem__), c.id)
 
 
-def unify_head(atom: Atom, clause: Clause, fresh: FreshNames, b: dict,
-               occurs_check: bool = True):
-    """Unify ``atom`` with the head of ``clause`` renamed apart, by
-    extending the bindings ``b``: the clause's renaming (a function from
-    each clause variable to its fresh name) when the head unifies, else
-    None, with ``b`` then holding whatever bindings were made before the
-    clash.
-
-    ``fresh`` advances by the clause's variable count whether or not the
-    head unifies, and the bindings and every name in them are those of
-    ``rename_apart`` followed by ``unify`` with ``b``'s bindings in force.
-    But the clause is not copied: the atom is unified with the head as
-    written, and a clause subterm is renamed only when a variable is bound
-    to it.  The bindings are triangular, not normalized.
-
-    The caller keeps ``fresh`` apart from the goal: no variable of
-    ``atom`` or of ``b`` may be named like a name ``fresh`` hands out now.
-    Then a clause variable's first occurrence is bound without the occurs
-    check (see ``_unify_pairs``).  ``engine.depth_first`` raises ``fresh``
-    past the query's variables (``FreshNames.skip_past``), and every
-    other goal variable of its machines comes from that ``fresh``: partial
-    deduction's goals too, whose patterns it generalizes over its one
-    ``FreshNames``.  Direct synthesis builds its goals over the ``G``,
-    ``A`` and ``B`` variables of its templates and names from its
-    ``FreshNames``.
-    """
-    positions = clause.variables
-    base = fresh.n
-    fresh.n = base + len(positions)
-    head = clause.head
-    if atom.pred != head.pred or len(atom.args) != len(head.args):
-        return None
-    prefix = fresh.prefix
-    renamed = {}
-
-    def fresh_var(v):
-        r = renamed.get(v)
-        if r is None:
-            r = renamed[v] = Var(f"{prefix}{base + positions[v] + 1}")
-        return r
-
-    if not _unify_pairs(list(zip(atom.args, head.args, repeat(True))), b,
-                        occurs_check, fresh_var, renamed):
-        return None
-    return fresh_var
-
-
 def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
                occurs_check: bool = True):
     """One resolution step of ``atom`` with ``clause`` against a binding
@@ -504,17 +445,59 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
     bindings stand in for the instantiation of ``atom``: it is not
     resolved through them first.  On an empty store, ``substitute`` of
     the body (or of the rest of a goal) by the bindings gives what
-    ``rename_apart``, ``unify`` and applying the unifier give.
+    ``rename_apart``, ``unify`` and applying the unifier give, binding
+    for binding: the argument pairs are unified last first, depth first,
+    and a goal variable is bound before a clause variable.
+
+    The head is unified by the clause's generated code (see
+    ``_head_code``), but first the goal's first argument is checked, as
+    first-argument indexing does: when it is a constant or structure
+    whose principal functor is not that of the head's first argument, the
+    clause is rejected with no binding made.
+
+    Fresh names: ``fresh`` advances by the clause's variable count for
+    every clause, whether its head unifies, fails or is rejected, and the
+    clause variable at position ``i`` of ``clause.variables`` is named
+    ``<prefix><n + i + 1>`` from the count ``n`` it had.  The caller keeps
+    ``fresh`` apart from the goal: no variable of ``atom`` or of the store
+    may be named like a name ``fresh`` hands out now.  Then a clause
+    variable's first occurrence is bound without the occurs check, as the
+    WAM's ``get_variable`` binds; a later occurrence is unified with the
+    check.  ``engine.depth_first`` raises ``fresh`` past the query's
+    variables (``FreshNames.skip_past``), and every other goal variable
+    of its machines comes from that ``fresh``: partial deduction's goals
+    too, whose patterns it generalizes over its one ``FreshNames``.
+    Direct synthesis builds its goals over the ``G``, ``A`` and ``B``
+    variables of its templates and names from its ``FreshNames``.
 
     A store is a dict whose insertion order is its trail: a search adds
     bindings at the end and undoes them from the end (``take_back``).
     """
-    mark = len(store)
-    rename = unify_head(atom, clause, fresh, store, occurs_check)
-    bindings = take_back(store, mark)
-    if rename is None:
+    nvars, first, code = clause.head_code
+    base = fresh.n
+    fresh.n = base + nvars
+    args = atom.args
+    head = clause.head
+    if atom.pred != head.pred or len(args) != len(head.args):
         return None
-    return replace_vars(clause.body, rename), bindings
+    if first is not None:
+        x = args[0]
+        while isinstance(x, Var):
+            t = store.get(x)
+            if t is None:
+                break
+            x = t
+        if x.__class__ is Const:
+            if x.name != first:
+                return None
+        elif x.__class__ is Struct and (x.functor, len(x.args)) != first:
+            return None
+    mark = len(store)
+    body = code(args, store, occurs_check, fresh.prefix, base)
+    bindings = take_back(store, mark)
+    if body is None:
+        return None
+    return body, bindings
 
 
 def take_back(store: dict, mark: int) -> list:
@@ -522,6 +505,314 @@ def take_back(store: dict, mark: int) -> list:
     returns them, last first."""
     popitem = store.popitem
     return [popitem() for _ in range(len(store) - mark)]
+
+
+# --- generated head code -------------------------------------------------
+
+# A list of more cells than this is built in a body by ``mklist``, from a
+# flat tuple of its elements, so that the generated code stays shallow
+_LONG_LIST = 8
+# A body expression nested deeper is assigned to a local first: Python's
+# parser takes a few hundred nested parentheses at most
+_MAX_NESTING = 16
+
+# code factories by clause shape (see ``_shape``); clauses of one shape,
+# such as the facts of one table, share one code object
+_FACTORIES = {}
+
+
+def _head_code(clause: Clause) -> tuple:
+    """The clause's variable count, the principal functor of its head's
+    first argument (a constant's name, a structure's functor and arity,
+    or None for a variable or no argument), and its resolution code: a
+    function of the goal's arguments, the store, the occurs-check flag
+    and the fresh names' prefix and count that unifies the arguments with
+    the head, binding into the store, and returns the renamed body, or
+    None when the head does not unify.
+
+    The code is generated once per shape, on the first clause of that
+    shape; a clause only hands its constants to the shape's factory."""
+    shape, consts, nvars = _shape(clause)
+    make = _FACTORIES.get(shape)
+    if make is None:
+        make = _FACTORIES[shape] = _factory(shape)
+    first = clause.head.args[0] if clause.head.args else None
+    if isinstance(first, Const):
+        first = first.name
+    elif isinstance(first, Struct):
+        first = (first.functor, len(first.args))
+    else:
+        first = None
+    return nvars, first, make(consts)
+
+
+def _is_constant(node) -> bool:
+    return node.__class__ is tuple and (node[0] == "c" or node[0] == "k")
+
+
+def _shape(clause: Clause) -> tuple:
+    """The clause's shape, free of names, the constants it leaves out and
+    its variable count.
+
+    The shape is ``(head arguments, body atoms)`` of nodes: a variable's
+    position in ``clause.variables``; ``("c", j)`` for a constant,
+    ``consts[j]``, whose name is ``consts[j + 1]``; ``("k", j)`` for a
+    ground structure or atom; ``("s", j, args)`` for a structure with
+    functor ``consts[j]``; ``("a", j, args)`` for a body atom with
+    predicate ``consts[j]``; and ``("l", items, tail)`` for the cells of a
+    list up to its ground rest, which is its tail.  A list's spine is
+    walked in a loop, so a list of any length is a flat node."""
+    # ``clause.variables``, not cached: every clause would keep the dict
+    positions = {v: i for i, v in
+                 enumerate(term_vars((clause.head,) + clause.body))}
+    consts = []
+
+    def compound(kind, name, args, term):
+        mark = len(consts)
+        consts.append(name)
+        nodes = tuple([walk(a) for a in args])
+        if all(map(_is_constant, nodes)):
+            del consts[mark:]
+            consts.append(term)
+            return ("k", mark)
+        return (kind, mark, nodes)
+
+    def walk(t):
+        if isinstance(t, Var):
+            return positions[t]
+        if isinstance(t, Const):
+            consts.extend((t, t.name))
+            return ("c", len(consts) - 2)
+        if t.functor != CONS or len(t.args) != 2:
+            return compound("s", t.functor, t.args, t)
+        cells = []
+        while isinstance(t, Struct) and t.functor == CONS and len(t.args) == 2:
+            cells.append(t)
+            t = t.args[1]
+        marks, items = [], []
+        for cell in cells:
+            marks.append(len(consts))
+            items.append(walk(cell.args[0]))
+        tail = walk(t)
+        k = len(cells)
+        if _is_constant(tail):
+            while k and _is_constant(items[k - 1]):
+                k -= 1
+            if k < len(cells):
+                del consts[marks[k]:]
+                consts.append(cells[k])
+                tail = ("k", marks[k])
+                if not k:
+                    return tail
+        return ("l", tuple(items[:k]), tail)
+
+    head = tuple([walk(a) for a in clause.head.args])
+    body = tuple([compound("a", a.pred, a.args, a) for a in clause.body])
+    return (head, body), consts, len(positions)
+
+
+def _node_vars(nodes) -> set:
+    out = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if node.__class__ is int:
+            out.add(node)
+        elif node[0] == "l":
+            stack.extend(node[1])
+            stack.append(node[2])
+        elif node[0] in ("s", "a"):
+            stack.extend(node[2])
+    return out
+
+
+def _factory(shape) -> object:
+    """Generate the code of a clause shape (see ``_shape``): a factory
+    that takes the clause's constants and returns its resolution code
+    (see ``_head_code``).
+
+    The head's argument pairs are unified as ``_unify_pairs`` unifies
+    them, last first and depth first, in straight-line code.  A structure
+    of the head is matched against the goal's term in read mode, or built
+    and bound to the goal's variable in write mode, as the WAM's
+    ``get_structure`` does; the structures inside one built in write mode
+    are built too, and none of them binds.  Each structure's code sits at
+    the same nesting, guarded by its parent's read-mode flag, so the code
+    of a head of any depth stays shallow.  A variable is named at its
+    first occurrence and bound there without the occurs check; a later
+    occurrence is unified by ``_unify_pairs``.  A constant or ground
+    structure is compared or bound as it is.  The code then names the
+    body's own variables and builds the body."""
+    head, body = shape
+    lines = []
+    used = set()      # constant slots the code reads
+    seen = set()      # variables met so far, in unification order
+    ids = count()
+
+    def out(depth, text):
+        lines.append("    " * depth + text)
+
+    def const(j):
+        used.add(j)
+        return f"K{j}"
+
+    def name(i, depth):
+        out(depth, f"V{i} = Var(f'{{P}}{{n + {i + 1}}}')")
+
+    def deref(src, depth):
+        out(depth, f"x = {src}")
+        out(depth, "if x.__class__ is Var:")
+        out(depth + 1, "x = _deref(x, b)")
+
+    def guard(flag, depth):
+        if flag:
+            out(depth, f"if {flag}:")
+            return depth + 1
+        return depth
+
+    def decide(functor, arity, src, flag, depth):
+        """Emit the choice of mode of a structure: ``R<k>`` holds in read
+        mode, with ``G<k>_<i>`` the goal's arguments; otherwise ``W<k>``
+        is the goal's variable, when the parent is in read mode."""
+        k = next(ids)
+        out(depth, f"R{k} = False")
+        depth = guard(flag, depth)
+        deref(src, depth)
+        out(depth, "if x.__class__ is Var:")
+        out(depth + 1, f"W{k} = x")
+        out(depth, f"elif x.__class__ is Struct and x.functor == {functor} "
+                   f"and len(x.args) == {arity}:")
+        out(depth + 1, "".join(f"G{k}_{i}, " for i in range(arity))
+            + "= x.args")
+        out(depth + 1, f"R{k} = True")
+        out(depth, "else:")
+        out(depth + 1, "return None")
+        return k
+
+    def build(k, functor, parts, check, flag, depth):
+        """Emit the write mode of a structure: it is built, and bound to
+        the goal's variable when its parent is in read mode."""
+        out(depth, f"if not R{k}:")
+        out(depth + 1, f"T{k} = Struct({functor}, ({', '.join(parts)},))")
+        depth = guard(flag, depth + 1)
+        if check:
+            out(depth, f"if oc and _occurs(W{k}, T{k}, b):")
+            out(depth + 1, "return None")
+        out(depth, f"b[W{k}] = T{k}")
+        return f"T{k}"
+
+    def unify(node, src, flag, depth):
+        """Emit the unification of the goal term ``src`` with ``node``,
+        when ``flag`` (read mode) holds; the expression of the node's
+        term, for the build of its parent."""
+        if node.__class__ is int:
+            var = f"V{node}"
+            if node in seen:
+                cond = f"{flag} and " if flag else ""
+                out(depth, f"if {cond}not _unify_pairs([({src}, {var})], b, "
+                           "oc):")
+                out(depth + 1, "return None")
+                return var
+            seen.add(node)
+            name(node, depth)
+            depth = guard(flag, depth)
+            deref(src, depth)
+            out(depth, "if x.__class__ is Var:")
+            out(depth + 1, f"b[x] = {var}")
+            out(depth, "else:")
+            out(depth + 1, f"b[{var}] = x")
+            return var
+        kind = node[0]
+        if kind == "c" or kind == "k":
+            value = const(node[1])
+            depth = guard(flag, depth)
+            deref(src, depth)
+            out(depth, "if x.__class__ is Var:")
+            out(depth + 1, f"b[x] = {value}")
+            if kind == "c":
+                out(depth, "elif x.__class__ is not Const or "
+                           f"x.name != {const(node[1] + 1)}:")
+            else:
+                out(depth, f"elif not _unify_pairs([(x, {value})], b, oc):")
+            out(depth + 1, "return None")
+            return value
+        before = set(seen)
+        if kind == "s":
+            functor, args = const(node[1]), node[2]
+            k = decide(functor, len(args), src, flag, depth)
+            parts = [None] * len(args)
+            for i in reversed(range(len(args))):
+                parts[i] = unify(args[i], f"G{k}_{i}", f"R{k}", depth)
+            return build(k, functor, parts, _node_vars(args) & before, flag,
+                         depth)
+        # a list: decide each cell, then unify the tail and each cell's
+        # item, innermost first, building each cell after its item
+        items, tail = node[1], node[2]
+        ks, flags = [], []
+        for _ in items:
+            flags.append(flag)
+            k = decide("CONS", 2, src, flag, depth)
+            ks.append(k)
+            src, flag = f"G{k}_1", f"R{k}"
+        part = unify(tail, src, flag, depth)
+        met = _node_vars((tail,)) & before
+        for k, item, flag in reversed(list(zip(ks, items, flags))):
+            value = unify(item, f"G{k}_0", f"R{k}", depth)
+            met |= _node_vars((item,)) & before
+            part = build(k, "CONS", (value, part), met, flag, depth)
+        return part
+
+    def term(node):
+        """The expression that builds a body node, and its nesting."""
+        if node.__class__ is int:
+            return f"V{node}", 0
+        kind = node[0]
+        if kind == "c" or kind == "k":
+            return const(node[1]), 0
+        if kind == "l":
+            items = [term(item) for item in node[1]]
+            expr, nesting = term(node[2])
+            nesting = max([nesting] + [n for _, n in items])
+            if len(items) > _LONG_LIST:
+                elems = "".join(f"{e}, " for e, _ in items)
+                expr, nesting = f"mklist(({elems}), {expr})", nesting + 1
+            else:
+                for e, _ in reversed(items):
+                    expr, nesting = f"Struct(CONS, ({e}, {expr}))", nesting + 1
+        else:
+            parts = [term(arg) for arg in node[2]]
+            cls = "Atom" if kind == "a" else "Struct"
+            expr = f"{cls}({const(node[1])}, ({''.join(f'{e}, ' for e, _ in parts)}))"
+            nesting = 1 + max(n for _, n in parts)
+        if nesting < _MAX_NESTING:
+            return expr, nesting
+        local = f"B{next(ids)}"
+        out(2, f"{local} = {expr}")
+        return local, 0
+
+    for i in reversed(range(len(head))):
+        unify(head[i], f"a{i}", None, 2)
+    for i in sorted(_node_vars(body) - seen):
+        name(i, 2)
+    atoms = [term(atom)[0] for atom in body]
+    out(2, f"return ({''.join(f'{a}, ' for a in atoms)})")
+    source = (["def make(K):"]
+              + [f"    K{j} = K[{j}]" for j in sorted(used)]
+              + ["    def resolve(a, b, oc, P, n):"]
+              + ([f"        {''.join(f'a{i}, ' for i in range(len(head)))}= a"]
+                 if head else [])
+              + lines + ["    return resolve"])
+    scope = {}
+    exec(_lean(compile("\n".join(source), "<clause shape>", "exec")),
+         globals(), scope)
+    return scope["make"]
+
+
+def _lean(code: CodeType) -> CodeType:
+    """``code`` and the code objects it holds without their line tables,
+    which generated code does not need."""
+    return code.replace(co_linetable=b"", co_consts=tuple(
+        _lean(c) if isinstance(c, CodeType) else c for c in code.co_consts))
 
 
 # --- parsing ------------------------------------------------------------

@@ -14,9 +14,11 @@ from ccontrol.absdom import (AVar, AbstractDomainError, GROUND, MVar,
 from ccontrol.multi import Multi
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              SelectionPolicy, select_conjunct)
-from ccontrol.terms import (Atom, Const, Struct, Substitution, Var,
-                            parse_atom, resolve_in, substitute, term_vars,
-                            unify)
+from itertools import repeat
+
+from ccontrol.terms import (Atom, Const, Struct, Substitution, Var, _occurs,
+                            parse_atom, replace_vars, resolve_in, substitute,
+                            take_back, term_vars, unify)
 
 
 # --- abstract notation ---------------------------------------------------
@@ -299,6 +301,116 @@ def resolve(atom, clause, fresh, occurs_check=True):
     body, made = res
     bindings = dict(reversed(made))
     return substitute(body, bindings), Substitution(bindings)
+
+
+def _unify_pairs(work, b, occurs_check, fresh_var=None, renamed=None):
+    """The work-list unifier of clause heads, the reference for the
+    generated head code of ``terms``.
+
+    A pair is ``(x, y, raw)``.  ``x`` is a term of the goal; so is ``y``
+    unless ``raw``, when it is a subterm of a clause not yet renamed apart
+    and ``fresh_var`` gives each of its variables its new name, which
+    ``renamed`` maps it to once given.  Pairs are taken last first, and a
+    variable of ``x`` is bound before one of ``y``; a raw subterm is
+    renamed only when a variable is bound to it.  A raw variable not yet
+    in ``renamed`` is at its first occurrence and is bound without the
+    occurs check."""
+    seen = None if occurs_check else set()
+    while work:
+        x, y, raw = work.pop()
+        while isinstance(x, Var):
+            t = b.get(x)
+            if t is None:
+                break
+            x = t
+        if raw:
+            if isinstance(y, Struct):
+                if isinstance(x, Var):
+                    y = replace_vars(y, fresh_var)
+                    if occurs_check and _occurs(x, y, b):
+                        return False
+                    b[x] = y
+                elif isinstance(x, Struct) and x.functor == y.functor \
+                        and len(x.args) == len(y.args):
+                    work.extend(zip(x.args, y.args, repeat(True)))
+                else:
+                    return False
+                continue
+            if isinstance(y, Var):
+                r = renamed.get(y)
+                if r is None:
+                    y = fresh_var(y)
+                    if isinstance(x, Var):
+                        b[x] = y
+                    else:
+                        b[y] = x
+                    continue
+                y = r
+        while isinstance(y, Var):
+            t = b.get(y)
+            if t is None:
+                break
+            y = t
+        if x is y or x == y:
+            continue
+        if isinstance(x, Var):
+            if occurs_check and _occurs(x, y, b):
+                return False
+            b[x] = y
+        elif isinstance(y, Var):
+            if occurs_check and _occurs(y, x, b):
+                return False
+            b[y] = x
+        elif isinstance(x, Struct) and isinstance(y, Struct):
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            if not occurs_check:
+                pair = (id(x), id(y))
+                if pair in seen:
+                    continue
+                seen.add(pair)
+            work.extend(zip(x.args, y.args, repeat(False)))
+        else:
+            return False
+    return True
+
+
+def unify_head(atom, clause, fresh, b, occurs_check=True):
+    """Unify ``atom`` with the head of ``clause`` renamed apart, by
+    extending the bindings ``b``: the clause's renaming when the head
+    unifies, else None.  ``fresh`` advances by the clause's variable count
+    whether or not the head unifies."""
+    positions = clause.variables
+    base = fresh.n
+    fresh.n = base + len(positions)
+    head = clause.head
+    if atom.pred != head.pred or len(atom.args) != len(head.args):
+        return None
+    prefix = fresh.prefix
+    renamed = {}
+
+    def fresh_var(v):
+        r = renamed.get(v)
+        if r is None:
+            r = renamed[v] = Var(f"{prefix}{base + positions[v] + 1}")
+        return r
+
+    if not _unify_pairs(list(zip(atom.args, head.args, repeat(True))), b,
+                        occurs_check, fresh_var, renamed):
+        return None
+    return fresh_var
+
+
+def reference_resolve_in(atom, clause, fresh, store, occurs_check=True):
+    """``terms.resolve_in`` by the work-list unifier, with no first-argument
+    pre-check and the body renamed by ``replace_vars``: the reference the
+    generated head code must match, binding for binding."""
+    mark = len(store)
+    rename = unify_head(atom, clause, fresh, store, occurs_check)
+    bindings = take_back(store, mark)
+    if rename is None:
+        return None
+    return replace_vars(clause.body, rename), bindings
 
 
 # --- random concrete terms -----------------------------------------------

@@ -223,6 +223,30 @@ def test_long_list_built_by_the_search_answers(tmp_path, capsys):
     assert "answers: 1" in out and "inferences: 2001" in out
 
 
+def test_deep_clause_literals_answer(tmp_path, capsys):
+    # 5,000-element lists written in clause heads and bodies, one with a
+    # variable before its ground rest and one with a variable tail; the
+    # generated head code takes a ground part as a constant and builds a
+    # long list from a flat tuple of its elements
+    items = ",".join(str(i) for i in range(5000))
+    lp = tmp_path / "deep.lp"
+    lp.write_text(f"p([{items}]).\n"
+                  f"q(X) :- r([X,{items}]).\n"
+                  "r(L).\n"
+                  f"s([X|T]) :- t([{items}|T]).\n"
+                  "t(L).\n")
+    rest = ",".join(str(i) for i in range(1, 5000))
+    for query, answer, count in (("p(X)", f"X = [{items}]", 1),
+                                 ("q(a)", "true", 2),
+                                 ("p([0|T])", f"T = [{rest}]", 1),
+                                 ("s([a,b])", "true", 2)):
+        rc = main(["run", str(lp), "--query", query])
+        out, err = capsys.readouterr()
+        assert rc == 0, (query, err)
+        assert out.splitlines()[0] == answer, query
+        assert f"inferences: {count}" in out, query
+
+
 def test_cyclic_answer_exits_2_without_traceback(tmp_path, capsys):
     lp = tmp_path / "eq.lp"
     lp.write_text("eq(X,X).\n")

@@ -1,5 +1,7 @@
 """Terms, parsing, printing, substitution, and unification."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
 
 from conftest import CORPUS_NAMES
 from oracles import (atoms_like, check_unify_against_brute_force,
-                     random_term, resolve)
+                     random_term, reference_resolve_in, resolve)
 
 
 # --- parsing and printing -------------------------------------------------
@@ -260,6 +262,114 @@ def test_a_second_occurrence_is_occurs_checked(query):
     body, made = resolve_in(atom, SAME, FreshNames(), store,
                             occurs_check=False)
     assert body == () and made[::-1] == CYCLIC[query] and store == {}
+
+
+def _mismatching_first(rng, atom, pool):
+    """``atom`` with a first argument whose principal functor is not the
+    one it had: the atoms the first-argument pre-check rejects."""
+    first = atom.args[0]
+    while True:
+        t = random_term(rng, 2, [])
+        if not isinstance(first, (Const, Struct)) or type(t) is not \
+                type(first) or (t.name != first.name if isinstance(t, Const)
+                                else (t.functor, len(t.args)) !=
+                                (first.functor, len(first.args))):
+            break
+    return Atom(atom.pred, (t,) + atom.args[1:])
+
+
+def test_generated_head_code_matches_the_work_list_reference(corpus):
+    # every clause of the naive, classic, encoded and futamura programs
+    # against atoms mostly unifiable with its head, atoms of another
+    # clause's head, atoms whose first argument has another principal
+    # functor and atoms of one variable, in an empty store or one with
+    # bound goal variables: the
+    # generated code must make the reference's bindings, in its order,
+    # build its body, name as it names and leave the store as it was
+    rng = random.Random(14)
+    pool = ["X", "Y", "L", "_V1", "_V3", "_V8"]
+    # and clauses that bind a variable before a structure holding it
+    clauses = list(parse_program("p(f(A),A).\nq([X|T],T,X).\n"
+                                 "r(g(h(A,B)),B,A).\n").clauses)
+    for name in CORPUS_NAMES:
+        entry = corpus(name)
+        for program in (entry.program, entry.classic.program,
+                        encode_as_logic_program(entry.tables),
+                        entry.futamura.program):
+            clauses += program.clauses
+    tried = unified = 0
+    for occurs_check in (True, False):
+        # the goals' variables are kept apart from the fresh names, as
+        # the engine keeps them
+        fresh_a, fresh_b = FreshNames(), FreshNames()
+        fresh_a.skip_past(map(Var, pool))
+        fresh_b.skip_past(map(Var, pool))
+        for clause in clauses:
+            other = rng.choice(clauses)
+            atoms = list(atoms_like(rng, clause.head, 3, pool)) + \
+                list(atoms_like(rng, other.head, 1, pool))
+            if clause.head.args:
+                atoms.append(_mismatching_first(rng, atoms[0], pool))
+                # one goal variable everywhere: a clause variable met
+                # again inside a structure built for it must fail the
+                # occurs check
+                atoms.append(Atom(clause.head.pred,
+                                  (Var("X"),) * len(clause.head.args)))
+            for atom in atoms:
+                store = {}
+                if rng.random() < 0.5:
+                    store = {Var("X"): random_term(rng, 2, ["Y", "_V3"]),
+                             Var("L"): Var("X")}
+                before = list(store.items())
+                store_a, store_b = dict(store), dict(store)
+                want = reference_resolve_in(atom, clause, fresh_a, store_a,
+                                            occurs_check)
+                got = resolve_in(atom, clause, fresh_b, store_b,
+                                 occurs_check)
+                assert got == want, (atom, clause, occurs_check)
+                assert fresh_a.n == fresh_b.n
+                assert list(store_b.items()) == before
+                assert list(store_a.items()) == before
+                tried += 1
+                unified += want is not None
+    assert tried > 8000 and 0.1 < unified / tried < 0.9
+
+
+class _CountingStore(dict):
+    def __setitem__(self, key, value):
+        self.writes = getattr(self, "writes", 0) + 1
+        super().__setitem__(key, value)
+
+
+def test_the_pre_check_binds_nothing_and_skipped_clauses_take_their_names():
+    program = parse_program("p(a,X,Y).\np(f(Z),Z,W) :- q(W).\np(U,V,U).\n")
+    atom = parse_atom("p(b,K,M)")
+    fresh, fresh_ref = FreshNames(), FreshNames()
+    for clause in program.clauses[:2]:
+        store = _CountingStore()
+        assert resolve_in(atom, clause, fresh, store) is None
+        assert getattr(store, "writes", 0) == 0 and store == {}
+        # the work-list reference unifies the last arguments first
+        ref_store = _CountingStore()
+        assert reference_resolve_in(atom, clause, fresh_ref, ref_store) \
+            is None
+        assert ref_store.writes == 2 and ref_store == {}
+    assert fresh.n == fresh_ref.n == 4
+    body, made = resolve_in(atom, program.clauses[2], fresh, {})
+    assert fresh.n == 6 and body == ()
+    assert made[::-1] == [(Var("M"), Var("_V5")), (Var("K"), Var("_V6")),
+                          (Var("_V5"), Const("b"))]
+
+
+def test_programs_pickle_and_copy_after_a_run(corpus):
+    program = corpus("queens").classic.program
+    goal = parse_goal("queens([1,2,3,4],Q)")
+    result = solve(program, goal)
+    assert result.answers
+    for again in (pickle.loads(pickle.dumps(program)),
+                  copy.deepcopy(program)):
+        assert again == program
+        assert solve(again, goal).answers == result.answers
 
 
 def test_solver_without_occurs_check_answers_like_with_it(corpus):
