@@ -345,9 +345,11 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool) -> bool:
             if t is None:
                 break
             y = t
-        if x is y or x == y:
+        if x is y:
             continue
         if isinstance(x, Var):
+            if x == y:
+                continue
             if occurs_check and _occurs(x, y, b):
                 return False
             b[x] = y
@@ -356,6 +358,8 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool) -> bool:
                 return False
             b[y] = x
         elif isinstance(x, Struct) and isinstance(y, Struct):
+            # compared pair by pair, never by ``==``, which recurses once
+            # per list cell
             if x.functor != y.functor or len(x.args) != len(y.args):
                 return False
             if not occurs_check:
@@ -366,7 +370,7 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool) -> bool:
                     continue
                 seen.add(pair)
             work.extend(zip(x.args, y.args))
-        else:
+        elif x != y:
             return False
     return True
 

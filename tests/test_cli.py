@@ -227,7 +227,8 @@ def test_deep_clause_literals_answer(tmp_path, capsys):
     # 5,000-element lists written in clause heads and bodies, one with a
     # variable before its ground rest and one with a variable tail; the
     # generated head code takes a ground part as a constant and builds a
-    # long list from a flat tuple of its elements
+    # long list from a flat tuple of its elements, and an equal list in
+    # the query is unified with the constant cell by cell
     items = ",".join(str(i) for i in range(5000))
     lp = tmp_path / "deep.lp"
     lp.write_text(f"p([{items}]).\n"
@@ -239,6 +240,7 @@ def test_deep_clause_literals_answer(tmp_path, capsys):
     for query, answer, count in (("p(X)", f"X = [{items}]", 1),
                                  ("q(a)", "true", 2),
                                  ("p([0|T])", f"T = [{rest}]", 1),
+                                 (f"p([{items}])", "true", 1),
                                  ("s([a,b])", "true", 2)):
         rc = main(["run", str(lp), "--query", query])
         out, err = capsys.readouterr()
