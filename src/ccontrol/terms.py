@@ -476,6 +476,9 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
 
     A store is a dict whose insertion order is its trail: a search adds
     bindings at the end and undoes them from the end (``take_back``).
+    The goal and the store hold concrete terms: the head code tests a
+    goal term's class, so it would not take an abstract variable of
+    ``absdom`` for a variable.
     """
     nvars, first, code = clause.head_code
     base = fresh.n
