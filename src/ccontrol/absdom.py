@@ -16,9 +16,8 @@ import itertools
 from operator import itemgetter
 from typing import Optional
 
-from .terms import (Atom, Clause, Const, LogicError, ParseError, Struct, Var,
-                    _Parser, print_atom, print_term, replace_vars, term_vars,
-                    unify)
+from .terms import (Atom, Clause, Const, LogicError, Struct, Var, _Parser,
+                    print_atom, print_term, replace_vars, term_vars, unify)
 
 ANY = "a"
 GROUND = "g"
@@ -452,10 +451,7 @@ def parse_aconj(text: str) -> tuple:
     while parser.lx.peek()[0] == ",":
         parser.lx.next()
         out.append(parse_conjunct(parser))
-    if parser.lx.peek()[0] != "eof":
-        tok = parser.lx.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", *tok[2])
-    return tuple(out)
+    return parser.finish(tuple(out))
 
 
 def print_aconj(conj) -> str:

@@ -26,8 +26,8 @@ from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, is_closed_list, list_parts,
-                    mklist, print_atom, print_term, program_of, resolve_in,
-                    substitute, term_to_atom, term_vars, CONS)
+                    mklist, print_atom, print_term, program_of, replace_vars,
+                    resolve_in, substitute, term_to_atom, term_vars, CONS)
 
 DEFAULT_BUDGET = 10_000
 
@@ -49,13 +49,16 @@ class BindingType:
 
     ``admits`` says whether a term fits the type; ``generalize`` maps a
     term to the most general term of the type that it instantiates,
-    introducing fresh variables for the unknown parts.
+    introducing a fresh variable for each unknown part and appending that
+    part to ``parts``.  So a generalization is linear, its known parts
+    are ground, and ``parts`` lists the unknown parts in the order of its
+    variables.
     """
 
     def admits(self, term) -> bool:
         raise NotImplementedError
 
-    def generalize(self, term, fresh: FreshNames):
+    def generalize(self, term, fresh: FreshNames, parts: list):
         raise NotImplementedError
 
 
@@ -65,7 +68,7 @@ class Static(BindingType):
     def admits(self, term):
         return not term_vars(term)
 
-    def generalize(self, term, fresh):
+    def generalize(self, term, fresh, parts):
         if term_vars(term):
             raise PDError(f"static argument {print_term(term)} is not ground")
         return term
@@ -80,7 +83,8 @@ class Dynamic(BindingType):
     def admits(self, term):
         return True
 
-    def generalize(self, term, fresh):
+    def generalize(self, term, fresh, parts):
+        parts.append(term)
         return fresh.var()
 
     def __repr__(self):
@@ -93,11 +97,12 @@ class Nonvar(BindingType):
     def admits(self, term):
         return not isinstance(term, Var)
 
-    def generalize(self, term, fresh):
+    def generalize(self, term, fresh, parts):
         if isinstance(term, Var):
             raise PDError("nonvar argument is a variable")
         if isinstance(term, Const):
             return term
+        parts.extend(term.args)
         return Struct(term.functor, tuple(fresh.var() for _ in term.args))
 
     def __repr__(self):
@@ -113,12 +118,12 @@ class ListOf(BindingType):
         return is_closed_list(term) and \
             all(self.elem.admits(x) for x in list_parts(term)[0])
 
-    def generalize(self, term, fresh):
+    def generalize(self, term, fresh, parts):
         if not is_closed_list(term):
             raise PDError(
                 f"list-typed argument {print_term(term)} has an open tail")
         items, _ = list_parts(term)
-        return mklist([self.elem.generalize(x, fresh) for x in items])
+        return mklist([self.elem.generalize(x, fresh, parts) for x in items])
 
     def __repr__(self):
         return f"list({self.elem!r})"
@@ -137,7 +142,7 @@ class StructOf(BindingType):
             and len(term.args) == len(self.args) \
             and all(t.admits(a) for t, a in zip(self.args, term.args))
 
-    def generalize(self, term, fresh):
+    def generalize(self, term, fresh, parts):
         if not self.admits(term):
             raise PDError(
                 f"{print_term(term)} does not fit struct "
@@ -145,7 +150,7 @@ class StructOf(BindingType):
         if isinstance(term, Const):
             return term
         return Struct(self.functor,
-                      tuple(t.generalize(a, fresh)
+                      tuple(t.generalize(a, fresh, parts)
                             for t, a in zip(self.args, term.args)))
 
     def __repr__(self):
@@ -160,10 +165,10 @@ class OneOf(BindingType):
     def admits(self, term):
         return any(a.admits(term) for a in self.alternatives)
 
-    def generalize(self, term, fresh):
+    def generalize(self, term, fresh, parts):
         for a in self.alternatives:
             if a.admits(term):
-                return a.generalize(term, fresh)
+                return a.generalize(term, fresh, parts)
         raise PDError(
             f"{print_term(term)} fits no alternative of {self!r}")
 
@@ -171,28 +176,15 @@ class OneOf(BindingType):
         return " ; ".join(repr(a) for a in self.alternatives)
 
 
-def generalize_call(atom: Atom, types, fresh: FreshNames) -> Atom:
-    """The call pattern obtained by generalizing each argument."""
+def generalize_call(atom: Atom, types, fresh: FreshNames,
+                    parts: list) -> Atom:
+    """The call pattern obtained by generalizing each argument; the
+    unknown parts of ``atom`` are appended to ``parts``."""
     if len(types) != len(atom.args):
         raise PDError(f"filter arity mismatch for {print_atom(atom)}")
     return Atom(atom.pred,
-                tuple(t.generalize(a, fresh)
+                tuple(t.generalize(a, fresh, parts)
                       for t, a in zip(types, atom.args)))
-
-
-def abstracted_parts(general, term, out=None) -> list:
-    """The subterms of ``term`` at the variables of its generalization
-    ``general``, in the order of ``term_vars(general)``: a generalization
-    is linear and its known parts are ground, so these are exactly the
-    unknown parts, one per variable."""
-    if out is None:
-        out = []
-    if isinstance(general, Var):
-        out.append(term)
-    elif isinstance(general, (Struct, Atom)):
-        for g, t in zip(general.args, term.args):
-            abstracted_parts(g, t, out)
-    return out
 
 
 # --- filter and annotation declarations ----------------------------------
@@ -348,25 +340,6 @@ class ResidualProgram:
     unfold_steps: int
 
 
-def _variant_key(term, mapping):
-    """A hashable key equal for terms that are variants of each other."""
-    if isinstance(term, Var):
-        if term not in mapping:
-            mapping[term] = len(mapping)
-        return ("v", mapping[term])
-    if isinstance(term, Const):
-        return ("c", term.name)
-    if isinstance(term, (Struct, Atom)):
-        functor = term.functor if isinstance(term, Struct) else term.pred
-        return ("s", functor,
-                tuple(_variant_key(a, mapping) for a in term.args))
-    raise PDError(f"cannot key {term!r}")
-
-
-def _atom_key(atom: Atom):
-    return _variant_key(atom, {})
-
-
 class _Specializer:
     """Partial deduction as a machine for ``engine.depth_first``, next to
     ``Solver`` and ``MetaInterpreter``, with one binding store and one
@@ -391,7 +364,7 @@ class _Specializer:
         self.limits = Limits()
         self.inferences = 0
         self.memo = []                    # of MemoEntry
-        self.memo_index = {}              # variant key -> MemoEntry
+        self.memo_index = {}              # pattern, variables as None
         self.worklist = []
         self.clauses = []
         self.steps = 0
@@ -399,16 +372,20 @@ class _Specializer:
 
     def request(self, atom: Atom) -> Atom:
         """Memoize a call; returns the residual call replacing it."""
-        types = self.filters.for_atom(atom)
-        gatom = generalize_call(atom, types, self.fresh)
-        key = _atom_key(gatom)
+        parts = []
+        gatom = generalize_call(atom, self.filters.for_atom(atom), self.fresh,
+                                parts)
+        # a generalization is linear and its known parts are ground, so
+        # two are variants exactly when they agree with each variable
+        # replaced by one placeholder
+        key = replace_vars(gatom, lambda v: None)
         entry = self.memo_index.get(key)
         if entry is None:
             entry = MemoEntry(self._name_for(gatom), gatom)
             self.memo.append(entry)
             self.memo_index[key] = entry
             self.worklist.append(entry)
-        return Atom(entry.name, tuple(abstracted_parts(gatom, atom)))
+        return Atom(entry.name, tuple(parts))
 
     def _name_for(self, gatom: Atom) -> str:
         last = gatom.args[-1] if gatom.args else None

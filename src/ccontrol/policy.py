@@ -153,6 +153,10 @@ def parse_policy(text: str) -> SelectionPolicy:
     for rule in rules:
         if rule.set_name not in sets:
             raise PolicyError(f"rule references unknown set {rule.set_name}")
+    for lhs, rhs in preprior:
+        if canonicalize(lhs) == canonicalize(rhs):
+            raise PolicyError(
+                f"selection order is reflexive at {print_atom(lhs)}")
     return SelectionPolicy(entry, tuple(preprior), sets, tuple(rules),
                            tuple(fulleval))
 
@@ -183,9 +187,10 @@ class DerivedOrder:
     """Strict partial order over the equivalence classes of a finite atom
     set, generated from a policy and closed under transitivity."""
 
-    def __init__(self, classes, less):
+    def __init__(self, classes, less, of):
         self.classes = classes          # canonical form of each class
         self.less = less                # set of (i, j) index pairs
+        self.of = of                    # class index of each ranked atom
 
 
 def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
@@ -195,71 +200,55 @@ def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
     strict instance precedes what it instantiates); fulleval priority
     (atoms covered by a fulleval declaration precede all others); and the
     quantified rule templates.  Closed under transitivity and checked for
-    irreflexivity.
+    cycles.  Each ranked atom and each atom the policy names is
+    canonicalized once; the ranked atoms' classes come first.
     """
     classes = []
     reps = []
-    mentioned = [a for pair in policy.preprior for a in pair]
-    mentioned += [r.target for r in policy.rules if r.target is not None]
-    for members in policy.sets.values():
-        mentioned += list(members)
-    for a in list(atoms) + mentioned:
+    where = {}
+
+    def index(a):
         key = canonicalize(a)
-        if key not in classes:
+        i = where.get(key)
+        if i is None:
+            i = where[key] = len(classes)
             classes.append(key)
             reps.append(a)
-    n = len(classes)
-    where = {key: i for i, key in enumerate(classes)}
-    less = set()
-    # each class's key is canonicalized once; so is every atom a rule names
-    preprior = {(canonicalize(p), canonicalize(q))
-                for p, q in policy.preprior}
-    set_classes = {name: {where[canonicalize(m)] for m in members}
+        return i
+
+    of = [index(a) for a in atoms]
+    less = {(index(p), index(q)) for p, q in policy.preprior}
+    never_before = [(index(r.target), r.set_name) for r in policy.rules
+                    if r.kind == "never_before"]
+    set_classes = {name: {index(m) for m in members}
                    for name, members in policy.sets.items()}
+    n = len(classes)
     # two classes are never equivalent, so one is a strict instance of
     # another exactly when it is an instance of it
     instance = {(i, j) for i in range(n) for j in range(n)
                 if i != j and abstract_instance(reps[i], reps[j]) is not None}
+    less |= instance
     fe = [policy.fulleval_match(r) is not None for r in reps]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if (classes[i], classes[j]) in preprior:
-                less.add((i, j))
-            if (i, j) in instance:
-                less.add((i, j))
-            if fe[i] and not fe[j]:
-                less.add((i, j))
-            for rule in policy.rules:
-                members = set_classes[rule.set_name]
-                if rule.kind == "instances_first" and j in members and \
-                        any((i, k) in instance for k in members):
-                    less.add((i, j))
+    less |= {(i, j) for i in range(n) if fe[i] for j in range(n) if not fe[j]}
     for rule in policy.rules:
-        if rule.kind == "never_before":
+        if rule.kind == "instances_first":
             members = set_classes[rule.set_name]
-            target = where[canonicalize(rule.target)]
-            less -= {(i, target) for i in members}
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(less):
-            for j2, k in list(less):
-                if j2 == j and (i, k) not in less and i != k:
-                    less.add((i, k))
-                    changed = True
-                elif j2 == j and i == k:
-                    raise PolicyError(
-                        "selection order is cyclic: "
-                        f"{print_atom(reps[i])} < {print_atom(reps[j])} "
-                        f"< {print_atom(reps[i])}")
-    for i in range(n):
-        if (i, i) in less:
+            firsts = {i for i, k in instance if k in members}
+            less |= {(i, j) for i in firsts for j in members if i != j}
+    for target, name in never_before:
+        less -= {(i, target) for i in set_classes[name]}
+    # transitive closure, one Warshall pass
+    for k in range(n):
+        before = [i for i in range(n) if (i, k) in less]
+        after = [j for j in range(n) if (k, j) in less]
+        less.update((i, j) for i in before for j in after)
+    for i, j in less:
+        if i < j and (j, i) in less:
             raise PolicyError(
-                f"selection order is reflexive at {print_atom(reps[i])}")
-    return DerivedOrder(classes, less)
+                "selection order is cyclic: "
+                f"{print_atom(reps[i])} < {print_atom(reps[j])} "
+                f"< {print_atom(reps[i])}")
+    return DerivedOrder(classes, less, of)
 
 
 # --- selection -----------------------------------------------------------
@@ -310,25 +299,12 @@ def select_conjunct(policy: SelectionPolicy, conj):
                 return pos, FULLEVAL
             return pos, "split"
     order = derive_order(policy, [a for _, a in eff])
-    present = []
-    for _, a in eff:
-        key = canonicalize(a)
-        if key not in present:
-            present.append(key)
-    idx = {c: i for i, c in enumerate(order.classes)}
-    winners = []
-    for ci in present:
-        i = idx[ci]
-        if all(cj == ci or (i, idx[cj]) in order.less for cj in present):
-            winners.append(ci)
-    if not winners:
-        raise NoMinimumError(
-            "no minimal atom in " +
-            " , ".join(print_atom(a) for a in _printable(conj, eff)))
-    target = winners[0]
-    for pos, a in eff:
-        if canonicalize(a) == target:
-            if isinstance(conj[pos], Atom):
-                return pos, UNFOLD
-            return pos, "split"
-    raise PolicyError("internal selection failure")  # pragma: no cover
+    # the ranked atoms' classes are the first ones, in order of appearance
+    present = range(max(order.of) + 1)
+    for i in present:
+        if all((i, j) in order.less for j in present if j != i):
+            pos = eff[order.of.index(i)][0]
+            return pos, UNFOLD if isinstance(conj[pos], Atom) else "split"
+    raise NoMinimumError(
+        "no minimal atom in " +
+        " , ".join(print_atom(a) for a in _printable(conj, eff)))

@@ -914,6 +914,13 @@ class _Parser:
     def __init__(self, text: str):
         self.lx = _Lexer(text)
 
+    def finish(self, result):
+        """``result``, once the text has nothing left after it."""
+        kind, val, loc = self.lx.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {val!r}", *loc)
+        return result
+
     def parse_program(self) -> Program:
         clauses = []
         cid = 0
@@ -998,30 +1005,18 @@ def parse_program(text: str) -> Program:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.parse_term()
-    if p.lx.peek()[0] != "eof":
-        tok = p.lx.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", *tok[2])
-    return t
+    return p.finish(p.parse_term())
 
 
 def parse_atom(text: str) -> Atom:
     p = _Parser(text)
-    a = p.parse_atom()
-    if p.lx.peek()[0] != "eof":
-        tok = p.lx.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", *tok[2])
-    return a
+    return p.finish(p.parse_atom())
 
 
 def parse_goal(text: str) -> tuple:
     """A comma-separated conjunction of atoms."""
     p = _Parser(text)
-    atoms = tuple(p.parse_body())
-    if p.lx.peek()[0] != "eof":
-        tok = p.lx.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", *tok[2])
-    return atoms
+    return p.finish(tuple(p.parse_body()))
 
 
 # --- printing -----------------------------------------------------------

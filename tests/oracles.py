@@ -8,17 +8,18 @@ meaningful.
 
 import random
 
-from ccontrol.absdom import (AVar, AbstractDomainError, GROUND, MVar,
-                             aatom_from_atom, abstract_instance, canonicalize,
-                             widen_depth_k)
+from ccontrol.absdom import (AVar, AbstractDomainError, FULLEVAL, GROUND,
+                             MVar, UNFOLD, aatom_from_atom, abstract_instance,
+                             canonicalize, widen_depth_k)
 from ccontrol.multi import Multi
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
-                             SelectionPolicy, select_conjunct)
+                             SelectionPolicy, _effective_atoms, _printable,
+                             select_conjunct)
 from itertools import repeat
 
 from ccontrol.terms import (Atom, Const, Struct, Substitution, Var, _occurs,
-                            parse_atom, replace_vars, resolve_in, substitute,
-                            take_back, term_vars, unify)
+                            parse_atom, print_atom, replace_vars, resolve_in,
+                            substitute, take_back, term_vars, unify)
 
 
 # --- abstract notation ---------------------------------------------------
@@ -261,6 +262,102 @@ def order_lt(order: DerivedOrder, x: Atom, y: Atom) -> bool:
     if not all(c in order.classes for c in classes):
         return False
     return tuple(order.classes.index(c) for c in classes) in order.less
+
+
+def reference_derive_order(policy: SelectionPolicy, atoms):
+    """The derived order's classes and ``less`` pairs, built pair by pair
+    and closed by a fixpoint loop: the reference for
+    ``policy.derive_order``."""
+    classes = []
+    reps = []
+    mentioned = [a for pair in policy.preprior for a in pair]
+    mentioned += [r.target for r in policy.rules if r.target is not None]
+    for members in policy.sets.values():
+        mentioned += list(members)
+    for a in list(atoms) + mentioned:
+        key = canonicalize(a)
+        if key not in classes:
+            classes.append(key)
+            reps.append(a)
+    n = len(classes)
+    where = {key: i for i, key in enumerate(classes)}
+    less = set()
+    preprior = {(canonicalize(p), canonicalize(q))
+                for p, q in policy.preprior}
+    set_classes = {name: {where[canonicalize(m)] for m in members}
+                   for name, members in policy.sets.items()}
+    instance = {(i, j) for i in range(n) for j in range(n)
+                if i != j and abstract_instance(reps[i], reps[j]) is not None}
+    fe = [policy.fulleval_match(r) is not None for r in reps]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if (classes[i], classes[j]) in preprior:
+                less.add((i, j))
+            if (i, j) in instance:
+                less.add((i, j))
+            if fe[i] and not fe[j]:
+                less.add((i, j))
+            for rule in policy.rules:
+                members = set_classes[rule.set_name]
+                if rule.kind == "instances_first" and j in members and \
+                        any((i, k) in instance for k in members):
+                    less.add((i, j))
+    for rule in policy.rules:
+        if rule.kind == "never_before":
+            members = set_classes[rule.set_name]
+            target = where[canonicalize(rule.target)]
+            less -= {(i, target) for i in members}
+    changed = True
+    while changed:
+        changed = False
+        for i, j in list(less):
+            for j2, k in list(less):
+                if j2 == j and (i, k) not in less and i != k:
+                    less.add((i, k))
+                    changed = True
+                elif j2 == j and i == k:
+                    raise PolicyError(
+                        "selection order is cyclic: "
+                        f"{print_atom(reps[i])} < {print_atom(reps[j])} "
+                        f"< {print_atom(reps[i])}")
+    return classes, less
+
+
+def reference_select_conjunct(policy: SelectionPolicy, conj):
+    """``policy.select_conjunct`` over the reference order, matching each
+    atom to its class by canonical form: the reference selection."""
+    eff = _effective_atoms(conj)
+    if not eff:
+        raise PolicyError("cannot select from an empty conjunction")
+    for pos, a in eff:
+        if policy.fulleval_match(a) is not None:
+            if isinstance(conj[pos], Atom):
+                return pos, FULLEVAL
+            return pos, "split"
+    classes, less = reference_derive_order(policy, [a for _, a in eff])
+    present = []
+    for _, a in eff:
+        key = canonicalize(a)
+        if key not in present:
+            present.append(key)
+    idx = {c: i for i, c in enumerate(classes)}
+    winners = []
+    for ci in present:
+        i = idx[ci]
+        if all(cj == ci or (i, idx[cj]) in less for cj in present):
+            winners.append(ci)
+    if not winners:
+        raise NoMinimumError(
+            "no minimal atom in " +
+            " , ".join(print_atom(a) for a in _printable(conj, eff)))
+    for pos, a in eff:
+        if canonicalize(a) == winners[0]:
+            if isinstance(conj[pos], Atom):
+                return pos, UNFOLD
+            return pos, "split"
+    raise PolicyError("internal selection failure")
 
 
 def is_complete(policy: SelectionPolicy, states):

@@ -102,6 +102,19 @@ def test_analyze_growth_diagnostic_is_pinned(tmp_path, capsys):
         + "); consider a multi-enabling policy or depth-k widening\n")
 
 
+def test_analyze_reflexive_preprior_exits_2(permsort_files, tmp_path,
+                                            capsys):
+    lp, _, _ = permsort_files
+    pol = tmp_path / "reflexive.policy"
+    pol.write_text("entry: permsort(g1,a1).\n"
+                   "preprior: perm(g1,a1) < perm(g2,a2).\n")
+    rc = main(["analyze", str(lp), str(pol)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"cc analyze: {pol}: selection order is reflexive at "
+                   "perm(g1,a1)\n")
+
+
 def test_full_command_chain(permsort_files, tmp_path, capsys):
     lp, pol, q = permsort_files
     graph = tmp_path / "graph.json"

@@ -7,7 +7,8 @@ from ccontrol.metaint import encode_as_logic_program
 from ccontrol.pd import (Dynamic, ListOf, Nonvar, PDError, Static,
                          check_closedness, generalize_call,
                          interpreter_filters, parse_annotations,
-                         parse_filters, specialize, specialize_encoded)
+                         parse_filters, specialize, specialize_encoded,
+                         _Specializer)
 from ccontrol.terms import (Atom, Const, FreshNames, Struct, Var,
                             is_closed_list, list_parts, parse_atom,
                             parse_goal, parse_program, parse_term, print_atom,
@@ -21,18 +22,19 @@ from oracles import interpreter_annotation_text, interpreter_filter_text
 
 def test_binding_type_generalization():
     fresh = FreshNames()
-    assert Static().generalize(parse_term("f(a)"), fresh) == \
+    assert Static().generalize(parse_term("f(a)"), fresh, []) == \
         parse_term("f(a)")
-    assert isinstance(Dynamic().generalize(parse_term("f(a)"), fresh), Var)
-    g = Nonvar().generalize(parse_term("f(a,[1])"), fresh)
+    assert isinstance(Dynamic().generalize(parse_term("f(a)"), fresh, []),
+                      Var)
+    g = Nonvar().generalize(parse_term("f(a,[1])"), fresh, [])
     assert g.functor == "f" and all(isinstance(a, Var) for a in g.args)
-    g = ListOf(Nonvar()).generalize(parse_term("[p(1),q(2)]"), fresh)
+    g = ListOf(Nonvar()).generalize(parse_term("[p(1),q(2)]"), fresh, [])
     assert print_term(g).startswith("[p(")
 
 
 def test_binding_type_open_list_rejected():
     with pytest.raises(PDError):
-        ListOf(Dynamic()).generalize(parse_term("[a|T]"), FreshNames())
+        ListOf(Dynamic()).generalize(parse_term("[a|T]"), FreshNames(), [])
 
 
 def test_parse_filters_grammar():
@@ -65,7 +67,7 @@ def test_generalize_call_variant_shape():
     types = parse_filters("mi(type(list(nonvar)),static).") \
         .for_atom(parse_atom("mi(X,Y)"))
     call = generalize_call(parse_atom("mi([perm([1],X),ord(X)],1)"), types,
-                           fresh)
+                           fresh, [])
     assert call.pred == "mi"
     # the state argument is static, the goal atoms keep only their skeleton
     assert print_term(call.args[1]) == "1"
@@ -73,6 +75,23 @@ def test_generalize_call_variant_shape():
     items, _ = list_parts(call.args[0])
     assert [t.functor for t in items] == ["perm", "ord"]
     assert all(isinstance(a, Var) for t in items for a in t.args)
+
+
+def test_generalization_returns_the_unknown_parts_and_keys_variants():
+    filters = parse_filters("mi(type(list(nonvar)),static).")
+    atom = parse_atom("mi([perm([1],X),ord(X)],1)")
+    parts = []
+    generalize_call(atom, filters.for_atom(atom), FreshNames(), parts)
+    assert parts == [parse_term("[1]"), Var("X"), Var("X")]
+    sp = _Specializer(parse_program("mi(G,S)."),
+                      parse_annotations("ann(memo, mi/2)."), filters, 100)
+    first = sp.request(atom)
+    variant = sp.request(parse_atom("mi([perm(A,B),ord(c)],1)"))
+    other = sp.request(parse_atom("mi([perm(A,B),ord(c)],2)"))
+    assert print_atom(first) == f"{first.pred}([1],X,X)"
+    assert print_atom(variant) == f"{first.pred}(A,B,c)"
+    assert other.pred != first.pred
+    assert [e.name for e in sp.memo] == [first.pred, other.pred]
 
 
 # --- specialization of a small program ------------------------------------

@@ -1,13 +1,22 @@
 """Selection policies and the derived instantiation order."""
 
+import itertools
+import re
+
 import pytest
 
 from ccontrol.absdom import FULLEVAL, UNFOLD, parse_aconj
-from ccontrol.policy import (NoMinimumError, PolicyError, derive_order,
-                             parse_policy, select_conjunct)
+from ccontrol.analysis import AnalysisOptions, analyze
+from ccontrol.policy import (NoMinimumError, PolicyError, _effective_atoms,
+                             derive_order, parse_policy, select_conjunct)
+from ccontrol.terms import parse_program
 
 from conftest import CORPUS_NAMES, corpus_text
-from oracles import is_complete, order_lt, parse_aatom, select_atom
+from oracles import (is_complete, order_lt, parse_aatom,
+                     reference_derive_order, reference_select_conjunct,
+                     select_atom)
+from test_metaint import _via_user_tables
+from test_synthesis import WIDENED
 
 PERMSORT = corpus_text("permsort", ".policy")
 
@@ -61,6 +70,112 @@ def test_cyclic_preprior_is_rejected():
     atoms = [parse_aatom("p(a1)"), parse_aatom("q(a1)")]
     with pytest.raises(PolicyError):
         derive_order(policy, atoms)
+
+
+def test_reflexive_preprior_is_rejected():
+    # both sides of the pair are one class, renamed apart
+    with pytest.raises(PolicyError) as err:
+        parse_policy("entry: p(a1).\npreprior: p(a1) < p(a2).\n")
+    assert str(err.value) == "selection order is reflexive at p(a1)"
+
+
+# --- the derived order against the reference ------------------------------
+
+# a set with both rule templates over it (never_before drops the last
+# preprior pair), and a two-class cycle; each is ranked over every
+# conjunction of two and of three atoms of its pool
+HAND_WRITTEN = [
+    ("entry: p(a1,a2).\n"
+     "set S = { p(a1,a2), q(a1), r(a1,a2) }.\n"
+     "rule: never_before(q(a1)) over S.\n"
+     "rule: instances_first(S).\n"
+     "preprior: p(a1,a2) < r(a1,a2).\n"
+     "preprior: q([g1|a1]) < p(g1,a1).\n"
+     "preprior: r(a1,a2) < q(a1).\n",
+     ["p(g1,a1)", "p(a1,a2)", "q(a1)", "q([g1|a1])", "r(a1,a2)",
+      "r(g1,g2)", "s(a1)"]),
+    ("entry: p(a1).\n"
+     "preprior: p(a1) < q(a1).\n"
+     "preprior: q(a1) < p(a1).\n",
+     ["p(a1)", "q(a1)", "p(g1)", "r(a1)"]),
+]
+
+
+def _outcome(select, policy, conj):
+    try:
+        return select(policy, conj)
+    except PolicyError as e:
+        return e
+
+
+def _cycle(message):
+    """The two classes a cycle message names, in either order."""
+    m = re.fullmatch(r"selection order is cyclic: (.+) < (.+) < (.+)",
+                     message)
+    assert m and m[1] == m[3] and m[1] != m[2], message
+    return {m[1], m[2]}
+
+
+def _check_against_reference(policy, conj):
+    """Select in ``conj`` and derive its order both ways; returns the
+    selection, or the error it raised."""
+    expected = _outcome(reference_select_conjunct, policy, conj)
+    selected = _outcome(select_conjunct, policy, conj)
+    if isinstance(expected, PolicyError):
+        assert type(selected) is type(expected), (conj, selected)
+        if isinstance(expected, NoMinimumError):
+            assert str(selected) == str(expected)
+        else:
+            assert _cycle(str(selected)) == _cycle(str(expected))
+    else:
+        assert selected == expected, conj
+    atoms = [a for _, a in _effective_atoms(conj)]
+    try:
+        classes, less = reference_derive_order(policy, atoms)
+        expected = {(classes[i], classes[j]) for i, j in less}
+    except PolicyError as e:
+        expected = type(e)
+    try:
+        order = derive_order(policy, atoms)
+        got = {(order.classes[i], order.classes[j]) for i, j in order.less}
+    except PolicyError as e:
+        got = type(e)
+    assert got == expected, conj
+    return selected
+
+
+def test_selection_matches_the_reference_on_reachable_states(corpus):
+    graphs = [(corpus(name).graph, corpus(name).policy)
+              for name in CORPUS_NAMES]
+    for lp, policy_text, k in WIDENED.values():
+        policy = parse_policy(policy_text)
+        graphs.append((analyze(parse_program(lp), policy,
+                               AnalysisOptions(depth_k=k)), policy))
+    _, tables = _via_user_tables()
+    graphs.append((tables.graph, tables.policy))
+    checked = 0
+    for graph, policy in graphs:
+        for conj in graph.states.values():
+            if conj:
+                assert isinstance(_check_against_reference(policy, conj),
+                                  tuple)
+                checked += 1
+    assert checked == 172
+
+
+def test_selection_matches_the_reference_on_hand_written_policies():
+    outcomes = []
+    for text, pool in HAND_WRITTEN:
+        policy = parse_policy(text)
+        for n in (2, 3):
+            for atoms in itertools.permutations(pool, n):
+                conj = parse_aconj(" , ".join(atoms))
+                outcomes.append(_check_against_reference(policy, conj))
+    kinds = {type(o) for o in outcomes}
+    assert {tuple, NoMinimumError, PolicyError} <= kinds
+    cycles = {str(o) for o in outcomes if type(o) is PolicyError}
+    assert {frozenset(_cycle(m)) for m in cycles} == \
+        {frozenset({"p(a1)", "q(a1)"})}
 
 
 def test_select_atom_marks():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ccontrol.absdom import parse_aconj
 from ccontrol.engine import solve
 from ccontrol.metaint import encode_as_logic_program
 from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
@@ -61,6 +62,19 @@ def test_parse_error_reports_location():
         parse_program("p(X) :- .")
     with pytest.raises(ParseError):
         parse_atom("[1,2]")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_term, "f(a) g", "trailing input 'g' at line 1, column 6"),
+    (parse_atom, "p(X) .", "trailing input '.' at line 1, column 6"),
+    (parse_goal, "p(X), q(Y) ]", "trailing input ']' at line 1, column 12"),
+    (parse_aconj, "p(a1) , q(g1) )",
+     "trailing input ')' at line 1, column 15"),
+])
+def test_trailing_input_is_reported_at_its_token(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_print_atom_leq_is_infix():
