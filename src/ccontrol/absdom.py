@@ -13,6 +13,7 @@ unifier, in which abstract variables are variables like any other.
 from __future__ import annotations
 
 import itertools
+import re
 from operator import itemgetter
 from typing import Optional
 
@@ -174,25 +175,35 @@ class FreshAVars:
 
 # --- canonical form -----------------------------------------------------
 
+def renumbering(cls, make):
+    """A renaming that numbers the variables of class ``cls`` per kind in
+    first-occurrence order, the variable numbered n of a kind becoming
+    ``make(kind, n)``, and keeps every other variable; and the mapping it
+    builds as it goes."""
+    mapping = {}
+    counters = {ANY: 0, GROUND: 0}
+
+    def rename(v):
+        if v.__class__ is not cls:
+            return v
+        r = mapping.get(v)
+        if r is None:
+            kind = v.kind
+            counters[kind] += 1
+            r = mapping[v] = make(kind, counters[kind])
+        return r
+
+    return rename, mapping
+
+
 def canonicalize(x):
     """Renumber variables per kind in first-occurrence order.
 
     Makes equivalence-class identity a syntactic equality check.  Multi
     identifiers are renumbered in order of occurrence as well.
     """
-    mapping = {}
-    counters = {ANY: 0, GROUND: 0}
+    rename, _ = renumbering(AVar, AVar)     # a multi's MVars are kept
     multi_ids = itertools.count(1)
-
-    def rename(v):
-        if v.__class__ is not AVar:
-            return v                    # a multi's parameter variable
-        r = mapping.get(v)
-        if r is None:
-            kind = v.kind
-            counters[kind] += 1
-            r = mapping[v] = AVar(kind, counters[kind])
-        return r
 
     def walk(t):
         if isinstance(t, (Atom, Struct, AVar, MVar, Const)):
@@ -267,85 +278,54 @@ def abstract_instance(x, y) -> Optional[ASub]:
 
 # --- abstraction of resolution ------------------------------------------
 
-class MixedUnifier:
-    """Abstracted unification of the caller's abstract terms (the x side)
-    against a clause head's concrete terms or another abstract value (the
-    y side).
+def abstract_mgu(first, second, own, fresh: FreshAVars, body=()):
+    """Abstracted unification of the argument pairs ``first`` and
+    ``second``: one run of the concrete unifier, in which abstract and
+    concrete variables are distinct variables, a variable of ``first``
+    bound before one of ``second``.
 
-    Both sides go through one run of the concrete unifier, in which
-    abstract and concrete variables are distinct variables.  Produces the
-    substitution induced on the caller's variables (``theta_x``) plus an
-    abstraction function for mapping instantiated clause bodies back into
-    the abstract domain.  Structural groundness propagation: every
-    variable occurring in a subterm unified against a ground variable
-    becomes ground.  Integer constants in results are widened to fresh
-    ground variables.
+    Returns the ``body`` atoms under the unifier, mapped back into the
+    domain, and the substitution induced on the abstract variables of
+    ``own``; or None when the pairs do not unify.  Structural groundness
+    propagation: every variable occurring in a subterm unified against a
+    ground variable becomes ground, and an ``a`` variable of ``own`` made
+    ground is upgraded.  Integer constants are widened to fresh ground
+    variables, one per integer.  Fresh variables are drawn for the body
+    first, then for ``own``.
     """
+    # ``unify`` takes an atom's argument pairs last first, so the pairs go
+    # in reversed: they are unified first to last
+    sigma = unify(Atom("", first[::-1]), Atom("", second[::-1]))
+    if sigma is None:
+        return None
+    own = dict.fromkeys(avars(own))
+    ground = set()
+    for v in term_vars((first, second)):
+        if isinstance(v, (AVar, MVar)) and v.kind == GROUND:
+            ground.update(term_vars(sigma.apply(v)))
+    memo = {}
 
-    def __init__(self, fresh: FreshAVars):
-        self.fresh = fresh
-        self.own = {}           # the caller's variables, in order
-        self.sigma = None
-        self.ground = set()
-        self.backmap = {}
-        self.int_cache = {}
-
-    def unify_same_side(self, ts1, ts2) -> bool:
-        """Unify pairs of x-side abstract terms against each other; shared
-        variables alias.  The result is read off with ``theta_x``."""
-        return self._unify(ts1, ts2, ts1 + ts2)
-
-    def unify(self, x_args, y_head) -> bool:
-        """x_args: tuple of x-side abstract terms; y_head: tuple of terms
-        that are either abstract (a full evaluation's post-pattern, renamed
-        apart from x_args) or concrete terms containing clause variables;
-        a y-side variable is bound before an x-side one."""
-        return self._unify(y_head, x_args, x_args)
-
-    def _unify(self, first, second, own) -> bool:
-        # ``unify`` takes an atom's argument pairs last first, so the
-        # pairs go in reversed: they are unified first to last
-        sigma = unify(Atom("", first[::-1]), Atom("", second[::-1]))
-        if sigma is None:
-            return False
-        self.sigma = sigma
-        self.own = dict.fromkeys(avars(own))
-        for v in term_vars((first, second)):
-            if isinstance(v, (AVar, MVar)) and v.kind == GROUND:
-                self.ground.update(term_vars(sigma.apply(v)))
-        return True
-
-    def abstract(self, t):
-        """Map a concrete term (post-substitution) back into the domain."""
-        return self._abs(self.sigma.apply(t))
-
-    def _abs(self, t):
-        if isinstance(t, Var):
-            if t not in self.backmap:
-                if t in self.own and (t.kind == GROUND
-                                      or t not in self.ground):
-                    self.backmap[t] = t
-                else:   # an a-variable made ground is upgraded
-                    self.backmap[t] = self.fresh.var(
-                        GROUND if t in self.ground else ANY)
-            return self.backmap[t]
-        if isinstance(t, Const):
-            if isinstance(t.name, int):
-                if t.name not in self.int_cache:
-                    self.int_cache[t.name] = self.fresh.var(GROUND)
-                return self.int_cache[t.name]
-            return t
+    def back(t):
+        """A term under the unifier, mapped back into the domain."""
         if isinstance(t, Struct):
-            return Struct(t.functor, tuple(self._abs(a) for a in t.args))
-        raise AbstractDomainError(f"cannot abstract {t!r}")
+            return Struct(t.functor, tuple(back(a) for a in t.args))
+        if isinstance(t, Const) and not isinstance(t.name, int):
+            return t
+        r = memo.get(t)
+        if r is None:
+            kind = GROUND if isinstance(t, Const) or t in ground else ANY
+            r = memo[t] = t if t in own and t.kind == kind \
+                else fresh.var(kind)
+        return r
 
-    def theta_x(self) -> ASub:
-        out = {}
-        for v in self.own:
-            result = self.abstract(v)
-            if result != v:
-                out[v] = result
-        return ASub(out)
+    body = tuple(Atom(b.pred, tuple(back(sigma.apply(t)) for t in b.args))
+                 for b in body)
+    theta = {}
+    for v in own:
+        r = back(sigma.apply(v))
+        if r != v:
+            theta[v] = r
+    return body, ASub(theta)
 
 
 def abstract_unify_with_clause(a: Atom, clause: Clause, fresh: FreshAVars):
@@ -358,12 +338,8 @@ def abstract_unify_with_clause(a: Atom, clause: Clause, fresh: FreshAVars):
     """
     if a.indicator != clause.head.indicator:
         return None
-    mu = MixedUnifier(fresh)
-    if not mu.unify(a.args, clause.head.args):
-        return None
-    body = tuple(Atom(b.pred, tuple(mu.abstract(t) for t in b.args))
-                 for b in clause.body)
-    return body, mu.theta_x()
+    return abstract_mgu(clause.head.args, a.args, a.args, fresh,
+                        clause.body)
 
 
 def full_eval_output(a: Atom, pattern: Atom, output: ASub,
@@ -377,10 +353,8 @@ def full_eval_output(a: Atom, pattern: Atom, output: ASub,
     # negative; a renamed variable keeps its kind
     post = ASub({v: AVar(v.kind, -1 - v.index)
                  for v in avars(post)}).apply(post)
-    mu = MixedUnifier(fresh)
-    if not mu.unify(a.args, post.args):
-        return None
-    return mu.theta_x()
+    res = abstract_mgu(post.args, a.args, a.args, fresh)
+    return None if res is None else res[1]
 
 
 # --- depth-k widening ---------------------------------------------------
@@ -423,30 +397,17 @@ def widen_depth_k(x, k: int):
 
 # --- textual notation ---------------------------------------------------
 
-def _conv(t):
-    """Concrete parse tree -> abstract term (lexer mode for a1/g2)."""
-    if isinstance(t, Const):
-        name = t.name
-        if isinstance(name, str) and len(name) >= 2 and \
-                name[0] in (ANY, GROUND) and name[1:].isdigit():
-            return AVar(name[0], int(name[1:]))
-        return t
-    if isinstance(t, Var):
-        raise AbstractDomainError(
-            f"concrete variable {t.name} in abstract notation")
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(_conv(a) for a in t.args))
-    raise AbstractDomainError(f"cannot convert {t!r}")
-
-
-def aatom_from_atom(a: Atom) -> Atom:
-    return Atom(a.pred, tuple(_conv(t) for t in a.args))
+def abstract_name(name: str):
+    """The term a bare name stands for in abstract notation: ``a1`` and
+    ``g2`` are abstract variables, any other name is a constant."""
+    m = re.fullmatch("([ag])([0-9]+)", name)
+    return AVar(m[1], int(m[2])) if m else Const(name)
 
 
 def parse_aconj(text: str) -> tuple:
     """Conjunction of abstract atoms and multi abstractions."""
-    from .multi import parse_conjunct
-    parser = _Parser(text)
+    from .multi import parse_conjunct, pattern_name
+    parser = _Parser(text, pattern_name)
     out = [parse_conjunct(parser)]
     while parser.lx.peek()[0] == ",":
         parser.lx.next()

@@ -17,9 +17,10 @@ from .absdom import (FULLEVAL, FreshAVars, LogicError,
                      full_eval_output, parse_aconj, print_aconj,
                      widen_depth_k)
 from .engine import BUILTINS
-from .multi import FoldEvent, case_split, simplify_conj, try_fold
+from .multi import (FoldEvent, Multi, case_split, pattern_name,
+                    simplify_conj, try_fold)
 from .policy import NoMinimumError, SelectionPolicy, select_conjunct
-from .terms import Atom, Program, print_atom
+from .terms import Atom, Const, Program, Struct, print_atom
 
 EMPTY_STATE = 0
 DEFAULT_MAX_STATES = 500
@@ -288,7 +289,30 @@ def _render_dot(g: StateGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _constants(x):
+    """The constants of a conjunction, its multis' patterns and
+    constraints included."""
+    if isinstance(x, Const):
+        yield x
+    elif isinstance(x, (Atom, Struct)):
+        yield from _constants(x.args)
+    elif isinstance(x, Multi):
+        yield from _constants(x.pattern + tuple(x.outer_terms()))
+    elif isinstance(x, tuple):
+        for item in x:
+            yield from _constants(item)
+
+
 def _render_json(g: StateGraph) -> str:
+    # the reader takes a bare name through ``pattern_name``; a constant
+    # that it would read as a variable cannot be written
+    for conj in g.states.values():
+        for c in _constants(conj):
+            if isinstance(c.name, str) and pattern_name(c.name) != c:
+                raise AnalysisError(
+                    f"constant {c.name} cannot be written to a graph file, "
+                    "where it reads as a variable")
+
     def selected_index(sid):
         action = g.actions.get(sid, ("leaf",))
         return action[1] if action[0] in ("select", "split") else None

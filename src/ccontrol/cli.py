@@ -18,9 +18,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .analysis import (AnalysisError, AnalysisOptions, analyze, parse_graph,
-                       render_graph)
-from .engine import Limits, answer_set, solve
+from .analysis import (AnalysisError, AnalysisOptions, DEFAULT_MAX_STATES,
+                       analyze, parse_graph, render_graph)
+from .engine import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_INFERENCES, Limits,
+                     answer_set, solve)
 from .metaint import build_tables, encode_as_logic_program, mi_run
 from .pd import (DEFAULT_BUDGET, check_closedness, parse_annotations,
                  parse_filters, specialize_encoded)
@@ -81,14 +82,7 @@ def _load_queries(path):
 
 
 def _limits(args) -> Limits:
-    lim = Limits()
-    if getattr(args, "max_infer", None):
-        lim.max_inferences = args.max_infer
-    if getattr(args, "max_depth", None):
-        lim.max_depth = args.max_depth
-    if getattr(args, "max_answers", None):
-        lim.max_answers = args.max_answers
-    return lim
+    return Limits(args.max_infer, args.max_depth, args.max_answers)
 
 
 def _tables(args):
@@ -162,10 +156,8 @@ def cmd_run(args):
 def cmd_analyze(args):
     program = _load(args.program, parse_program)
     policy = _load(args.policy, parse_policy)
-    opts = AnalysisOptions(depth_k=args.depth_k,
+    opts = AnalysisOptions(depth_k=args.depth_k, max_states=args.max_states,
                            enable_multi=not args.no_multi)
-    if args.max_states:
-        opts.max_states = args.max_states
     try:
         graph = analyze(program, policy, opts)
     except AnalysisError as e:
@@ -377,13 +369,23 @@ def cmd_selftest(args):
 
 # --- argument parsing -----------------------------------------------------
 
+def _positive(text) -> int:
+    """A budget or bound given on the command line: a positive integer."""
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-infer", type=int, metavar="N",
+    common.add_argument("--max-infer", type=_positive, metavar="N",
+                        default=DEFAULT_MAX_INFERENCES,
                         help="inference budget per run")
-    common.add_argument("--max-depth", type=int, metavar="N",
+    common.add_argument("--max-depth", type=_positive, metavar="N",
+                        default=DEFAULT_MAX_DEPTH,
                         help="derivation depth budget")
-    common.add_argument("--max-answers", type=int, metavar="N",
+    common.add_argument("--max-answers", type=_positive, metavar="N",
                         help="stop after N answers")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled queries")
@@ -416,9 +418,10 @@ def _build_parser():
     sp.add_argument("policy")
     sp.add_argument("--out", help="graph file (json); stdout if omitted")
     sp.add_argument("--dot", help="also write a dot rendering")
-    sp.add_argument("--depth-k", type=int, metavar="K",
+    sp.add_argument("--depth-k", type=_positive, metavar="K",
                     help="depth-k widening bound")
-    sp.add_argument("--max-states", type=int, metavar="N")
+    sp.add_argument("--max-states", type=_positive, metavar="N",
+                    default=DEFAULT_MAX_STATES)
     sp.add_argument("--no-multi", action="store_true",
                     help="disable the multi abstraction")
     sp.set_defaults(func=cmd_analyze)
@@ -445,7 +448,7 @@ def _build_parser():
     sp.add_argument("--out", required=True)
     sp.add_argument("--filters", help="binding-type declarations (.flt)")
     sp.add_argument("--ann", help="call annotations (.ann)")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_specialize)
 
     sp = sub.add_parser("synthesize", parents=[common],
@@ -477,7 +480,7 @@ def _build_parser():
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--queries",
                     help="goal file (default: program path with .queries)")
-    sp.add_argument("--depth-k", type=int, metavar="K")
+    sp.add_argument("--depth-k", type=_positive, metavar="K")
     sp.add_argument("--tolerance", type=float, default=TOLERANCE)
     sp.set_defaults(func=cmd_pipeline)
 

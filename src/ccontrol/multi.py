@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import (ANY, ASub, AVar, AbstractDomainError, FreshAVars,
-                     GROUND, MVar, MixedUnifier, aatom_from_atom,
-                     abstract_instance, avar_occurrences, canonicalize, _conv)
-from .terms import (Atom, Const, ParseError, Struct, print_atom, print_term,
-                    replace_vars, term_vars)
+import re
+
+from .absdom import (ASub, AVar, AbstractDomainError, FreshAVars, MVar,
+                     abstract_instance, abstract_mgu, abstract_name,
+                     avar_occurrences, canonicalize, renumbering)
+from .terms import (Atom, ParseError, print_atom, print_term, replace_vars,
+                    term_vars)
 
 # Longest pattern, in atoms, that a new multi abstraction may fold.
 MAX_PATTERN_LENGTH = 3
@@ -61,17 +63,7 @@ class Multi:
                      tuple((v, sub.apply(t)) for v, t in self.final))
 
     def renumber(self, walk, new_id: int) -> "Multi":
-        counters = {ANY: 0, GROUND: 0}
-        mapping = {}
-
-        def mwalk(v):
-            if not isinstance(v, MVar):
-                return v
-            if v not in mapping:
-                counters[v.kind] += 1
-                mapping[v] = MVar(v.kind, counters[v.kind])
-            return mapping[v]
-
+        mwalk, _ = renumbering(MVar, MVar)
         pattern = replace_vars(self.pattern, mwalk)
         init = {mwalk(v): walk(t) for v, t in self.init}
         cons = {mwalk(v): mwalk(w) for v, w in self.consecutive}
@@ -110,33 +102,25 @@ def print_multi(m: Multi) -> str:
 
 # --- parsing -------------------------------------------------------------
 
-def _as_mvar(name):
-    if (isinstance(name, str) and len(name) >= 3 and name[0] == "m"
-            and name[1] in (ANY, GROUND) and name[2:].isdigit()):
-        return MVar(name[1], int(name[2:]))
-    return None
-
-
-def _mvarify(t):
-    """Turn mg1/ma2-named constants (from the generic term parser) into
-    pattern variables."""
-    if isinstance(t, Const):
-        mv = _as_mvar(t.name)
-        return mv if mv is not None else t
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(_mvarify(a) for a in t.args))
-    return t
+def pattern_name(name: str):
+    """The term a bare name stands for in a conjunction: ``ma1`` and
+    ``mg2`` are a multi's pattern variables, and otherwise the name reads
+    as in ``absdom.abstract_name``."""
+    m = re.fullmatch("m([ag])([0-9]+)", name)
+    return MVar(m[1], int(m[2])) if m else abstract_name(name)
 
 
 def parse_conjunct(parser):
-    """One conjunct inside an abstract conjunction: atom or multi form."""
+    """One conjunct inside an abstract conjunction, read by a parser whose
+    ``names`` is ``pattern_name``: atom or multi form."""
+    # ``multi((`` opens a multi form: no argument of an atom ``multi(...)``
+    # starts with a parenthesis
     kind, val, _ = parser.lx.peek()
     if kind == "name" and val == "multi":
-        nxt = parser.lx.tokens[parser.lx.i + 1: parser.lx.i + 2]
-        if nxt and nxt[0][0] == "(":
+        nxt = parser.lx.tokens[parser.lx.i + 1: parser.lx.i + 3]
+        if [tok[0] for tok in nxt] == ["(", "("]:
             return _parse_multi(parser)
-    a = aatom_from_atom(parser.parse_atom())
-    return Atom(a.pred, tuple(_mvarify(t) for t in a.args))
+    return parser.parse_atom()
 
 
 def _parse_multi(parser) -> Multi:
@@ -146,13 +130,19 @@ def _parse_multi(parser) -> Multi:
     lx.expect("(")
     pattern = []
     while True:
-        a = aatom_from_atom(parser.parse_atom())
-        pattern.append(Atom(a.pred, tuple(_mvarify(t) for t in a.args)))
+        pattern.append(parser.parse_atom())
         if lx.peek()[0] != ",":
             break
         lx.next()
     lx.expect(")")
     lx.expect(",")
+
+    def mvar():
+        _, name, loc = lx.expect("name")
+        v = pattern_name(name)
+        if not isinstance(v, MVar):
+            raise ParseError(f"expected pattern variable, got {name!r}", *loc)
+        return v
 
     def constraints(header, rhs_is_mvar=False):
         k, v, loc = lx.next()
@@ -161,21 +151,9 @@ def _parse_multi(parser) -> Multi:
         lx.expect("{")
         out = {}
         while lx.peek()[0] != "}":
-            _, name, loc2 = lx.expect("name")
-            lhs = _as_mvar(name)
-            if lhs is None:
-                raise ParseError(f"expected pattern variable, got {name!r}",
-                                 *loc2)
+            lhs = mvar()
             lx.expect("=")
-            if rhs_is_mvar:
-                _, name2, loc3 = lx.expect("name")
-                rhs = _as_mvar(name2)
-                if rhs is None:
-                    raise ParseError(
-                        f"expected pattern variable, got {name2!r}", *loc3)
-            else:
-                rhs = _conv(parser.parse_term())
-            out[lhs] = rhs
+            out[lhs] = mvar() if rhs_is_mvar else parser.parse_term()
             if lx.peek()[0] == ",":
                 lx.next()
         lx.expect("}")
@@ -214,12 +192,13 @@ def case_split(m: Multi, fresh: FreshAVars):
                if v in init and v in final and init[v] != final[v]]
     one_sub = ASub()
     if clashes:
-        mu = MixedUnifier(fresh)
-        if not mu.unify_same_side(tuple(init[v] for v in clashes),
-                                  tuple(final[v] for v in clashes)):
+        firsts = tuple(init[v] for v in clashes)
+        lasts = tuple(final[v] for v in clashes)
+        mgu = abstract_mgu(firsts, lasts, firsts + lasts, fresh)
+        if mgu is None:
             raise AbstractDomainError(
                 f"irreconcilable init/final constraints in {m}")
-        one_sub = mu.theta_x()
+        one_sub = mgu[1]
     one_map = {}
     for v in m.pattern_vars():
         if v in init:
@@ -286,17 +265,7 @@ def _block_binding(block, pattern):
 
 def _pattern_of(block):
     """Abstract a block of atoms into a pattern, one MVar per variable."""
-    mapping = {}
-    counters = {ANY: 0, GROUND: 0}
-
-    def walk(v):
-        if not isinstance(v, AVar):
-            return v
-        if v not in mapping:
-            counters[v.kind] += 1
-            mapping[v] = MVar(v.kind, counters[v.kind])
-        return mapping[v]
-
+    walk, mapping = renumbering(AVar, MVar)
     pattern = replace_vars(tuple(block), walk)
     slot_map = {mv: av for av, mv in mapping.items()}
     return pattern, slot_map

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .absdom import (ASub, AVar, FULLEVAL, FreshAVars, LogicError, UNFOLD,
-                     aatom_from_atom, abstract_instance, avars, canonicalize,
-                     _conv)
+                     abstract_instance, abstract_name, avars, canonicalize)
 from .terms import Atom, ParseError, _Parser, print_atom
 
 
@@ -62,16 +61,13 @@ class SelectionPolicy:
 # --- parsing -------------------------------------------------------------
 
 def parse_policy(text: str) -> SelectionPolicy:
-    parser = _Parser(text)
+    parser = _Parser(text, abstract_name)
     lx = parser.lx
     entry = None
     preprior = []
     sets = {}
     rules = []
     fulleval = []
-
-    def aatom():
-        return aatom_from_atom(parser.parse_atom())
 
     def set_name():
         kind, val, loc = lx.next()
@@ -85,21 +81,21 @@ def parse_policy(text: str) -> SelectionPolicy:
             raise ParseError(f"expected a policy keyword, got {val!r}", *loc)
         if val == "entry":
             lx.expect(":")
-            entry = aatom()
+            entry = parser.parse_atom()
         elif val == "preprior":
             lx.expect(":")
-            lhs = aatom()
+            lhs = parser.parse_atom()
             lx.expect("<")
-            rhs = aatom()
+            rhs = parser.parse_atom()
             preprior.append((lhs, rhs))
         elif val == "set":
             name = set_name()
             lx.expect("=")
             lx.expect("{")
-            members = [aatom()]
+            members = [parser.parse_atom()]
             while lx.peek()[0] == ",":
                 lx.next()
-                members.append(aatom())
+                members.append(parser.parse_atom())
             lx.expect("}")
             sets[name] = tuple(members)
         elif val == "rule":
@@ -107,7 +103,7 @@ def parse_policy(text: str) -> SelectionPolicy:
             _, rkind, rloc = lx.expect("name")
             if rkind == "never_before":
                 lx.expect("(")
-                target = aatom()
+                target = parser.parse_atom()
                 lx.expect(")")
                 _, over, oloc = lx.expect("name")
                 if over != "over":
@@ -123,7 +119,7 @@ def parse_policy(text: str) -> SelectionPolicy:
                 raise ParseError(f"unknown rule {rkind!r}", *rloc)
         elif val == "fulleval":
             lx.expect(":")
-            pattern = aatom()
+            pattern = parser.parse_atom()
             lx.expect("->")
             outputs = [_parse_output(parser, pattern)]
             while lx.peek()[0] == ";":
@@ -167,14 +163,14 @@ def _parse_output(parser, pattern: Atom) -> ASub:
     pairs = {}
     pattern_vars = set(avars(pattern))
     while lx.peek()[0] != "}":
-        lhs = _conv(parser.parse_term())
+        lhs = parser.parse_term()
         if not isinstance(lhs, AVar):
             raise PolicyError(f"output binds non-variable {lhs!r}")
         if lhs not in pattern_vars:
             raise PolicyError(
                 f"output binds {lhs}, which is not in {print_atom(pattern)}")
         lx.expect("=")
-        pairs[lhs] = _conv(parser.parse_term())
+        pairs[lhs] = parser.parse_term()
         if lx.peek()[0] == ",":
             lx.next()
     lx.expect("}")

@@ -911,8 +911,13 @@ class _Lexer:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Reads terms, atoms and clauses.  With ``names`` given, it reads
+    abstract notation: each bare name in an argument stands for the term
+    ``names`` maps it to, and a variable token is an error."""
+
+    def __init__(self, text: str, names=None):
         self.lx = _Lexer(text)
+        self.names = names
 
     def finish(self, result):
         """``result``, once the text has nothing left after it."""
@@ -956,7 +961,9 @@ class _Parser:
             self.lx.next()
             rhs = self.parse_term()
             return Atom("=<", (t, rhs))
-        if isinstance(t, Const) and isinstance(t.name, str):
+        # a bare name is an atom, also one that ``names`` reads as a variable
+        if isinstance(t, Const) and isinstance(t.name, str) or \
+                isinstance(t, Var) and self.names:
             return Atom(t.name)
         if isinstance(t, Struct) and t.functor != CONS:
             return Atom(t.functor, t.args)
@@ -969,6 +976,9 @@ class _Parser:
         if kind == "int":
             return Const(val)
         if kind == "var":
+            if self.names:
+                raise ParseError(f"concrete variable {val} in abstract "
+                                 "notation", *loc)
             return Var(val)
         if kind == "name" or (kind == "=<" and self.lx.peek()[0] == "("):
             if kind == "=<":
@@ -981,7 +991,7 @@ class _Parser:
                     args.append(self.parse_term())
                 self.lx.expect(")")
                 return Struct(val, tuple(args))
-            return Const(val)
+            return self.names(val) if self.names else Const(val)
         if kind == "[":
             if self.lx.peek()[0] == "]":
                 self.lx.next()

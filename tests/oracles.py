@@ -8,10 +8,10 @@ meaningful.
 
 import random
 
-from ccontrol.absdom import (AVar, AbstractDomainError, FULLEVAL, GROUND,
-                             MVar, UNFOLD, aatom_from_atom, abstract_instance,
+from ccontrol.absdom import (ANY, ASub, AVar, AbstractDomainError, FULLEVAL,
+                             GROUND, MVar, UNFOLD, abstract_instance, avars,
                              canonicalize, widen_depth_k)
-from ccontrol.multi import Multi
+from ccontrol.multi import Multi, _sorted_pairs
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              SelectionPolicy, _effective_atoms, _printable,
                              select_conjunct)
@@ -23,6 +23,26 @@ from ccontrol.terms import (Atom, Const, Struct, Substitution, Var, _occurs,
 
 
 # --- abstract notation ---------------------------------------------------
+
+def _conv(t):
+    """A concrete term read as an abstract one: a constant named like
+    ``a1`` or ``g2`` is an abstract variable."""
+    if isinstance(t, Const):
+        name = t.name
+        if isinstance(name, str) and len(name) >= 2 and \
+                name[0] in (ANY, GROUND) and name[1:].isdigit():
+            return AVar(name[0], int(name[1:]))
+        return t
+    if isinstance(t, Var):
+        raise AbstractDomainError(
+            f"concrete variable {t.name} in abstract notation")
+    return Struct(t.functor, tuple(_conv(a) for a in t.args))
+
+
+def aatom_from_atom(a: Atom) -> Atom:
+    """A concrete atom read as an abstract one, argument by argument."""
+    return Atom(a.pred, tuple(_conv(t) for t in a.args))
+
 
 def parse_aatom(text):
     """An abstract atom written as a term, with a1/g2 for its variables."""
@@ -368,6 +388,130 @@ def is_complete(policy: SelectionPolicy, states):
         except NoMinimumError:
             return False, state
     return True, None
+
+
+# --- abstracted unification ---------------------------------------------
+
+class MixedUnifier:
+    """Abstracted unification as a stateful object, one run of the
+    concrete unifier read back through ``abstract`` and ``theta_x``: the
+    reference for ``absdom.abstract_mgu``.  Structural groundness
+    propagation: every variable occurring in a subterm unified against a
+    ground variable becomes ground.  Integer constants in results are
+    widened to fresh ground variables."""
+
+    def __init__(self, fresh):
+        self.fresh = fresh
+        self.own = {}           # the caller's variables, in order
+        self.sigma = None
+        self.ground = set()
+        self.backmap = {}
+        self.int_cache = {}
+
+    def unify_same_side(self, ts1, ts2) -> bool:
+        """Unify pairs of the caller's abstract terms against each other."""
+        return self._unify(ts1, ts2, ts1 + ts2)
+
+    def unify(self, x_args, y_head) -> bool:
+        """The caller's terms ``x_args`` against ``y_head``, whose
+        variables are bound before the caller's."""
+        return self._unify(y_head, x_args, x_args)
+
+    def _unify(self, first, second, own) -> bool:
+        sigma = unify(Atom("", first[::-1]), Atom("", second[::-1]))
+        if sigma is None:
+            return False
+        self.sigma = sigma
+        self.own = dict.fromkeys(avars(own))
+        for v in term_vars((first, second)):
+            if isinstance(v, (AVar, MVar)) and v.kind == GROUND:
+                self.ground.update(term_vars(sigma.apply(v)))
+        return True
+
+    def abstract(self, t):
+        """Map a concrete term (post-substitution) back into the domain."""
+        return self._abs(self.sigma.apply(t))
+
+    def _abs(self, t):
+        if isinstance(t, Var):
+            if t not in self.backmap:
+                if t in self.own and (t.kind == GROUND
+                                      or t not in self.ground):
+                    self.backmap[t] = t
+                else:   # an a-variable made ground is upgraded
+                    self.backmap[t] = self.fresh.var(
+                        GROUND if t in self.ground else ANY)
+            return self.backmap[t]
+        if isinstance(t, Const):
+            if isinstance(t.name, int):
+                if t.name not in self.int_cache:
+                    self.int_cache[t.name] = self.fresh.var(GROUND)
+                return self.int_cache[t.name]
+            return t
+        return Struct(t.functor, tuple(self._abs(a) for a in t.args))
+
+    def theta_x(self) -> ASub:
+        out = {}
+        for v in self.own:
+            result = self.abstract(v)
+            if result != v:
+                out[v] = result
+        return ASub(out)
+
+
+def reference_abstract_unify_with_clause(a, clause, fresh):
+    """``absdom.abstract_unify_with_clause`` on ``MixedUnifier``."""
+    if a.indicator != clause.head.indicator:
+        return None
+    mu = MixedUnifier(fresh)
+    if not mu.unify(a.args, clause.head.args):
+        return None
+    body = tuple(Atom(b.pred, tuple(mu.abstract(t) for t in b.args))
+                 for b in clause.body)
+    return body, mu.theta_x()
+
+
+def reference_full_eval_output(a, pattern, output, fresh):
+    """``absdom.full_eval_output`` on ``MixedUnifier``."""
+    post = output.apply(pattern)
+    post = ASub({v: AVar(v.kind, -1 - v.index)
+                 for v in avars(post)}).apply(post)
+    mu = MixedUnifier(fresh)
+    if not mu.unify(a.args, post.args):
+        return None
+    return mu.theta_x()
+
+
+def reference_case_split(m, fresh):
+    """``multi.case_split`` on ``MixedUnifier``."""
+    init, final = m.init_map, m.final_map
+    clashes = [v for v in m.pattern_vars()
+               if v in init and v in final and init[v] != final[v]]
+    one_sub = ASub()
+    if clashes:
+        mu = MixedUnifier(fresh)
+        if not mu.unify_same_side(tuple(init[v] for v in clashes),
+                                  tuple(final[v] for v in clashes)):
+            raise AbstractDomainError(
+                f"irreconcilable init/final constraints in {m}")
+        one_sub = mu.theta_x()
+    one_map = {}
+    for v in m.pattern_vars():
+        if v in init:
+            one_map[v] = one_sub.apply(init[v])
+        elif v in final:
+            one_map[v] = one_sub.apply(final[v])
+        else:
+            one_map[v] = fresh.var(v.kind)
+    one = m.instantiate(one_map)
+    head_map = {}
+    for v in m.pattern_vars():
+        head_map[v] = init[v] if v in init else fresh.var(v.kind)
+    head = m.instantiate(head_map)
+    new_init = {v: head_map[w] for v, w in m.consecutive}
+    rest = Multi(m.id, m.pattern, _sorted_pairs(new_init),
+                 m.consecutive, m.final)
+    return one, one_sub, (head, rest)
 
 
 # --- partial-deduction declarations --------------------------------------

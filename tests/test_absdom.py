@@ -130,7 +130,7 @@ def test_widen_monotone_on_random_terms():
     aterms = []
     for _ in range(200):
         ct = random_term(rng, 3, [])
-        from ccontrol.absdom import aatom_from_atom
+        from oracles import aatom_from_atom
         from ccontrol.terms import Atom
         aterms.append(aatom_from_atom(Atom("w", (ct,))).args[0])
     failures = check_widen_monotone(aterms, k=2, seed=2)

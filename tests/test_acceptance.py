@@ -354,7 +354,7 @@ def test_oracle_micro_suites_pass(corpus):
               for conj in corpus(name).graph.states.values()
               for c in conj if isinstance(c, Atom)
               for arg in c.args]
-    from ccontrol.absdom import aatom_from_atom
+    from oracles import aatom_from_atom
     aterms += [aatom_from_atom(Atom("w", (random_term(rng, 3, []),))).args[0]
                for _ in range(200)]
     assert not check_widen_monotone(aterms, k=2, seed=8)

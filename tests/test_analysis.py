@@ -11,6 +11,7 @@ from ccontrol.policy import parse_policy
 from ccontrol.terms import parse_program
 
 from conftest import corpus_text
+from test_abstract_mgu import _analyzed
 
 GRAPH_SIZES = {
     "permsort": (9, 11),
@@ -98,3 +99,20 @@ def test_depth_k_widening_bounds_terms():
     policy = parse_policy("entry: count(a1).\n")
     g = analyze(program, policy, AnalysisOptions(depth_k=3))
     assert len(g.states) < 10
+
+
+def test_graph_files_read_back_as_written(corpus):
+    graphs = [graph for graph, _, _ in _analyzed(corpus)]
+    # an atom of a predicate named multi is not a multi form
+    graphs.append(analyze(parse_program("p(X) :- multi(X).\nmulti(1).\n"),
+                          parse_policy("entry: p(a1).")))
+    for graph in graphs:
+        assert parse_graph(render_graph(graph, "json")) == graph
+
+
+def test_constant_read_back_as_a_variable_is_refused():
+    program = parse_program("p(X) :- q(X,mg2).\nq(Y,mg2).\n")
+    graph = analyze(program, parse_policy("entry: p(g1)."))
+    with pytest.raises(AnalysisError, match="constant mg2 cannot be"):
+        render_graph(graph, "json")
+    assert render_graph(graph, "dot").startswith("digraph")

@@ -426,3 +426,84 @@ def test_graph_program_and_policy_that_do_not_belong_together_exit_2(
     assert rc == 2
     assert err.startswith(f"cc {command}: cannot build control tables: ")
     assert MISMATCH_MESSAGES[mismatch] in err
+
+
+@pytest.mark.parametrize("constant", ["a1", "g2", "ma1", "mg2"])
+def test_constant_named_like_an_abstract_variable_is_not_written(
+        tmp_path, capsys, constant):
+    # the state q(g1,a1) would read back from graph.json with a1 as a
+    # variable, and the compiled program would lose the constant
+    lp = tmp_path / "p.lp"
+    pol = tmp_path / "p.policy"
+    lp.write_text(f"p(X) :- q(X,{constant}).\nq(Y,{constant}).\n")
+    pol.write_text("entry: p(g1).\n")
+    (tmp_path / "p.queries").write_text("p(1).\n")
+    message = f"constant {constant} cannot be written to a graph file"
+    rc = main(["analyze", str(lp), str(pol),
+               "--out", str(tmp_path / "graph.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    rc = main(["pipeline", str(lp), str(pol),
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+
+
+def test_concrete_variable_in_a_policy_exits_2(permsort_files, tmp_path,
+                                               capsys):
+    lp, _, _ = permsort_files
+    pol = tmp_path / "concrete.policy"
+    pol.write_text("entry: permsort(X,a1).\n")
+    rc = main(["analyze", str(lp), str(pol)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"cc analyze: {pol}: concrete variable X in "
+                          "abstract notation")
+
+
+def test_name_with_a_non_ascii_digit_is_a_constant(tmp_path, capsys):
+    lp = tmp_path / "p.lp"
+    pol = tmp_path / "p.policy"
+    lp.write_text("p(X).\n")
+    pol.write_text("entry: p(a\u00b2).\n")
+    assert main(["analyze", str(lp), str(pol)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["states"][0]["conjunction"] == "p(a\u00b2)"
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("run", "--max-answers", "0"), ("run", "--max-answers", "-3"),
+    ("run", "--max-infer", "0"), ("run", "--max-infer", "-1"),
+    ("run", "--max-depth", "0"), ("analyze", "--max-states", "0"),
+    ("analyze", "--max-states", "-5"), ("analyze", "--depth-k", "0"),
+    ("pipeline", "--depth-k", "-2"), ("specialize", "--budget", "0"),
+    ("selftest", "--max-infer", "1.5")])
+def test_budget_that_is_not_a_positive_integer_exits_2(
+        permsort_files, capsys, command, flag, value):
+    lp, pol, _ = permsort_files
+    args = {"run": [str(lp), "--query", "permsort([2,1],S)"],
+            "analyze": [str(lp), str(pol)],
+            "pipeline": [str(lp), str(pol)],
+            "specialize": ["graph.json", str(lp), "--policy", str(pol),
+                           "--out", "out.lp"],
+            "selftest": []}
+    with pytest.raises(SystemExit) as e:
+        main([command, *args[command], flag, value])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert err.startswith("usage: cc ")
+    assert f"argument {flag}: {value!r} is not a positive integer" in err
+
+
+def test_positive_budgets_apply(tmp_path, capsys):
+    lp = tmp_path / "three.lp"
+    lp.write_text("p(1).\np(2).\np(3).\n")
+    assert main(["run", str(lp), "--query", "p(X)", "--count",
+                 "--max-answers", "2"]) == 0
+    assert capsys.readouterr().out.startswith("answers: 2\n")
+    assert main(["run", str(lp), "--query", "p(X)", "--count",
+                 "--max-infer", "1"]) == 0
+    # the first step resolves against all three clauses and exceeds it
+    assert capsys.readouterr().out.startswith("answers: 0\n")

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
-from ccontrol.absdom import parse_aconj
+from ccontrol.absdom import abstract_name, parse_aconj, print_aconj
 from ccontrol.engine import solve
 from ccontrol.metaint import encode_as_logic_program
+from ccontrol.multi import pattern_name
+from ccontrol.policy import parse_policy
 from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
-                            Program, Struct, Substitution, Var,
+                            Program, Struct, Substitution, Var, _Parser,
                             is_closed_list, list_parts, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
@@ -72,6 +74,36 @@ def test_parse_error_reports_location():
      "trailing input ')' at line 1, column 15"),
 ])
 def test_trailing_input_is_reported_at_its_token(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("names, text, variables", [
+    (abstract_name, "p(a1,[g2|x],a,ma1) , b12 , g1 =< 3",
+     {"a1": "AVar", "g2": "AVar", "g1": "AVar"}),
+    (pattern_name, "a1(ma1,f(mg2),a10) , a1 , q(m1,mg)",
+     {"ma1": "MVar", "mg2": "MVar", "a10": "AVar"}),
+])
+def test_abstract_notation_is_read_in_one_pass(names, text, variables):
+    # a bare name in an argument goes through ``names``; a predicate name,
+    # also of an atom without arguments, stays a name
+    parser = _Parser(text, names)
+    conj = parser.finish(tuple(parser.parse_body()))
+    assert print_aconj(conj) == text
+    assert {str(v): type(v).__name__ for v in term_vars(conj)} == variables
+    assert conj[1] == Atom(text.split(" , ")[1])
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_policy, "entry: p(g1).\npreprior: q(a1) <\n  r(f(Y)).",
+     "concrete variable Y in abstract notation at line 3, column 7"),
+    (parse_aconj, "p(a1) , multi((q(ma1)), init{ma1=X}, consec{}, "
+     "final{}, id=1)",
+     "concrete variable X in abstract notation at line 1, column 34"),
+])
+def test_variable_in_abstract_notation_is_reported_at_its_token(
+        parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert str(err.value) == message
