@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .terms import (Atom, Const, FreshNames, LogicError, Program,
                     Substitution, Var, is_closed_list, list_parts, mklist,
-                    print_term, resolve_in, substitute, take_back,
+                    print_term, resolve_all, substitute, take_back,
                     term_to_atom, term_vars, unify)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
@@ -270,8 +270,9 @@ class Solver:
     def step(self, goal, state):
         """Resolve the first atom: a builtin costs no depth, a clause
         resolution one level.  ``call(G)`` is this step on ``G`` itself,
-        within the same search, fresh names and limits.  Every clause is
-        tried when the step is taken, so a truncated run counts what an
+        within the same search, fresh names and limits.  Every clause
+        that the first argument lets match is tried when the step is
+        taken (``terms.resolve_all``), so a truncated run counts what an
         eager search counts; a builtin gets its atom resolved through the
         store, and its outputs become its successors' bindings."""
         store = self.store
@@ -289,16 +290,12 @@ class Solver:
             self.inferences += 1
             return 0, [(rest, state, out.bindings) for out in
                        BUILTINS.evaluate(substitute(atom, store))]
-        clauses = self.program.clauses_for(atom.pred, len(atom.args))
-        if not clauses:
+        switch = self.program.switch_for(atom.pred, len(atom.args))
+        if switch is None:
             raise EngineError(
                 f"unknown predicate {atom.pred}/{len(atom.args)}")
-        alternatives = []
-        for clause in clauses:
-            res = resolve_in(atom, clause, self.fresh, store,
-                             self.occurs_check)
-            if res is not None:
-                alternatives.append((res[0] + rest, state, res[1]))
+        alternatives = resolve_all(atom, switch, rest, state, self.fresh,
+                                   store, self.occurs_check)
         self.inferences += len(alternatives)
         return 1, alternatives
 

@@ -27,7 +27,7 @@ from .metaint import encode_as_logic_program
 from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, is_closed_list, list_parts,
                     mklist, print_atom, print_term, program_of, replace_vars,
-                    resolve_in, substitute, term_to_atom, term_vars, CONS)
+                    resolve_all, substitute, term_to_atom, term_vars, CONS)
 
 DEFAULT_BUDGET = 10_000
 
@@ -401,8 +401,8 @@ class _Specializer:
         self.names.add(name)
         return name
 
-    def _tick(self):
-        self.steps += 1
+    def _tick(self, steps=1):
+        self.steps += steps
         if self.steps > self.budget:
             raise PDError(f"unfold budget exceeded ({self.budget} steps)")
 
@@ -424,9 +424,9 @@ class _Specializer:
     def step(self, goal, resid):
         """Treat the first atom as its annotation says.  ``resid`` is the
         residual body so far, and None at the memoized pattern itself,
-        which is always unfolded: its clauses are resolved last first and
-        tried in textual order, which fixes the fresh names of every
-        resultant."""
+        which is always unfolded: its clauses take the fresh names of
+        being resolved last first (``terms.resolve_all``), which fixes
+        those of every resultant."""
         store = self.store
         atom, rest = goal[0], goal[1:]
         if not rest:                     # the head: a resultant is done
@@ -434,16 +434,10 @@ class _Specializer:
                                  substitute(resid, store)))
             return 0, []
         if resid is None:
-            clauses = self.program.clauses_for(atom.pred, len(atom.args))
-            return 0, self._unfold(atom, rest, (), reversed(clauses))[::-1]
+            return 0, self._unfold(atom, rest, (), last_first=True)
         ann = self.annotations.of(atom)
         if ann == UNFOLD:
-            clauses = self.program.clauses_for(atom.pred, len(atom.args))
-            if not clauses:
-                raise PDError(
-                    f"cannot unfold unknown predicate "
-                    f"{atom.pred}/{len(atom.args)}")
-            return 0, self._unfold(atom, rest, resid, clauses)
+            return 0, self._unfold(atom, rest, resid)
         atom = substitute(atom, store)
         if ann == MEMO:
             return 0, [(rest, resid + (self.request(atom),), ())]
@@ -460,13 +454,14 @@ class _Specializer:
                 f"instantiated at specialization time: {e}") from None
         return 0, [(rest, resid, out.bindings) for out in outs]
 
-    def _unfold(self, atom, rest, resid, clauses) -> list:
-        succ = []
-        for clause in clauses:
-            res = resolve_in(atom, clause, self.fresh, self.store)
-            if res is not None:
-                self._tick()
-                succ.append((res[0] + rest, resid, res[1]))
+    def _unfold(self, atom, rest, resid, last_first=False) -> list:
+        switch = self.program.switch_for(atom.pred, len(atom.args))
+        if switch is None:
+            raise PDError(f"cannot unfold unknown predicate "
+                          f"{atom.pred}/{len(atom.args)}")
+        succ = resolve_all(atom, switch, rest, resid, self.fresh, self.store,
+                           last_first=last_first)
+        self._tick(len(succ))
         return succ
 
     @staticmethod

@@ -4,9 +4,9 @@ The object language is a pure Prolog subset: no cut, no negation, no
 operators apart from infix ``=<``.  All values are immutable; the only
 mutable facilities are the fresh-name counter used for renaming apart,
 the binding store a search extends and undoes (see ``resolve_in``, the
-one resolution step that the engine, the table-driven interpreter,
-partial deduction and direct synthesis share) and the cache of generated
-head code by clause shape (see ``_head_code``).
+resolution step of one clause, and ``resolve_all``, that of a whole
+predicate through its first-argument ``Switch``) and the cache of
+generated head code by clause shape (see ``_head_code``).
 """
 
 from __future__ import annotations
@@ -120,18 +120,31 @@ class Program:
     def __post_init__(self):
         ids = [c.id for c in self.clauses]
         assert len(ids) == len(set(ids)), "clause ids must be unique"
-        # per-predicate index; an attribute, not a field, so equality and
-        # hashing still compare the clauses alone
+        # one switch per predicate, built with the program; an attribute,
+        # not a field, so equality and hashing compare the clauses alone
         index = {}
         for c in self.clauses:
             index.setdefault(c.head.indicator, []).append(c)
         object.__setattr__(self, "_index",
-                           {k: tuple(cs) for k, cs in index.items()})
+                           {k: Switch(cs) for k, cs in index.items()})
+
+    def __getstate__(self):
+        # the clauses alone: the switches are rebuilt from them
+        return {"clauses": self.clauses}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "clauses", state["clauses"])
+        self.__post_init__()
 
     def clauses_for(self, pred: str, arity: int) -> tuple:
         """The clauses of ``pred/arity`` in textual order; empty when the
         predicate has none."""
-        return self._index.get((pred, arity), ())
+        switch = self._index.get((pred, arity))
+        return () if switch is None else switch.clauses
+
+    def switch_for(self, pred: str, arity: int):
+        """The ``Switch`` of ``pred/arity``; None when it has no clauses."""
+        return self._index.get((pred, arity))
 
     @property
     def predicates(self) -> set:
@@ -139,6 +152,73 @@ class Program:
 
     def __repr__(self):
         return print_program(self)
+
+
+def _principal(t):
+    """The principal functor of a term as first-argument indexing keys it:
+    a constant's name, a structure's functor and arity, and None for
+    anything else, a variable."""
+    cls = t.__class__
+    if cls is Const:
+        return t.name
+    if cls is Struct:
+        return (t.functor, len(t.args))
+    return None
+
+
+def _variable_count(clause: Clause) -> int:
+    """``len(clause.variables)``, in one walk that keeps no mapping: every
+    ``Program`` counts each of its clauses, and this takes half the time
+    of ``term_vars``."""
+    seen = set()
+    stack = list(clause.head.args)
+    for atom in clause.body:
+        stack.extend(atom.args)
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Struct:
+            stack.extend(t.args)
+        elif cls is not Const:
+            seen.add(t)
+    return len(seen)
+
+
+class Switch:
+    """A predicate's first-argument switch, as the WAM's ``switch_on_term``
+    (Warren, SRI TN 309, 1983), built once with its ``Program``.
+
+    ``clauses`` are the predicate's clauses in textual order.  ``every``
+    holds each as ``(clause, offset, from_end)``: ``offset`` is the sum of
+    the variable counts of the clauses before it, ``from_end`` that of the
+    clauses after it, and ``total`` the sum over all of them.  ``by_key``
+    maps a principal functor (see ``_principal``) that some head's first
+    argument has to the entries a goal whose first argument has that
+    functor can match, in textual order; a clause whose first argument is
+    a variable is in every list, and ``unkeyed`` lists those alone, for a
+    functor no head has.  A switch holds no code, so building one walks
+    each clause once, for its variable count, and generates nothing."""
+
+    __slots__ = ("clauses", "total", "every", "by_key", "unkeyed")
+
+    def __init__(self, clauses):
+        self.clauses = tuple(clauses)
+        counts = [_variable_count(c) for c in self.clauses]
+        self.total = total = sum(counts)
+        self.every, self.by_key, self.unkeyed = [], {}, []
+        offset = 0
+        for clause, n in zip(self.clauses, counts):
+            entry = (clause, offset, total - offset - n)
+            offset += n
+            self.every.append(entry)
+            key = _principal(clause.head.args[0]) if clause.head.args \
+                else None
+            if key is None:
+                self.unkeyed.append(entry)
+                for entries in self.by_key.values():
+                    entries.append(entry)
+            else:
+                self.by_key.setdefault(key, list(self.unkeyed)).append(entry)
 
 
 def program_of(clauses) -> Program:
@@ -456,12 +536,15 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
     The head is unified by the clause's generated code (see
     ``_head_code``), but first the goal's first argument is checked, as
     first-argument indexing does: when it is a constant or structure
-    whose principal functor is not that of the head's first argument, the
-    clause is rejected with no binding made.
+    whose principal functor (see ``_principal``) is not that of the head's
+    first argument, the clause is rejected with no binding made.  This is
+    the single-clause step, of the table-driven interpreter and direct
+    synthesis; the engine and partial deduction resolve an atom against
+    its whole predicate with ``resolve_all``.
 
-    Fresh names: ``fresh`` advances by the clause's variable count for
-    every clause, whether its head unifies, fails or is rejected, and the
-    clause variable at position ``i`` of ``clause.variables`` is named
+    Fresh names: ``fresh`` advances by the clause's variable count,
+    whether its head unifies, fails or is rejected, and the clause
+    variable at position ``i`` of ``clause.variables`` is named
     ``<prefix><n + i + 1>`` from the count ``n`` it had.  The caller keeps
     ``fresh`` apart from the goal: no variable of ``atom`` or of the store
     may be named like a name ``fresh`` hands out now.  Then a clause
@@ -494,6 +577,8 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
             if t is None:
                 break
             x = t
+        # ``_principal`` of the goal's argument, inline: a call here costs
+        # the table-driven interpreter about 2%
         if x.__class__ is Const:
             if x.name != first:
                 return None
@@ -505,6 +590,54 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
     if body is None:
         return None
     return body, bindings
+
+
+def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
+                fresh: FreshNames, store: dict, occurs_check: bool = True,
+                last_first: bool = False) -> list:
+    """``atom`` resolved against every clause of its predicate, whose
+    ``Switch`` is ``switch``, that its first argument lets match: the
+    successors ``(body + rest, state, bindings)`` of the clauses whose
+    heads unify, in textual order, each as ``resolve_in`` gives it.
+
+    The first argument is dereferenced once, and its principal functor
+    picks the candidate clauses; an unbound variable picks them all.
+    ``fresh`` advances by the predicate's total variable count, and each
+    candidate's head code runs at the count it would have had had every
+    clause been tried in textual order, so every fresh name, binding and
+    inference count is what ``resolve_in`` on each clause in turn gives.
+    With ``last_first`` the names are those of trying the clauses in the
+    reverse order, as partial deduction unfolds a memoized pattern; the
+    successors stay in textual order."""
+    base = fresh.n
+    fresh.n = base + switch.total
+    args = atom.args
+    candidates = switch.every
+    if switch.by_key:
+        x = args[0]
+        while isinstance(x, Var):
+            t = store.get(x)
+            if t is None:
+                break
+            x = t
+        # ``_principal`` of the argument, inline, as in ``resolve_in``
+        if x.__class__ is Const:
+            candidates = switch.by_key.get(x.name, switch.unkeyed)
+        elif x.__class__ is Struct:
+            candidates = switch.by_key.get((x.functor, len(x.args)),
+                                           switch.unkeyed)
+    prefix = fresh.prefix
+    successors = []
+    for clause, offset, from_end in candidates:
+        mark = len(store)
+        body = clause.head_code[2](args, store, occurs_check, prefix,
+                                   base + (from_end if last_first
+                                           else offset))
+        if body is not None:
+            successors.append((body + rest, state, take_back(store, mark)))
+        elif len(store) > mark:
+            take_back(store, mark)
+    return successors
 
 
 def take_back(store: dict, mark: int) -> list:
@@ -543,13 +676,7 @@ def _head_code(clause: Clause) -> tuple:
     make = _FACTORIES.get(shape)
     if make is None:
         make = _FACTORIES[shape] = _factory(shape)
-    first = clause.head.args[0] if clause.head.args else None
-    if isinstance(first, Const):
-        first = first.name
-    elif isinstance(first, Struct):
-        first = (first.functor, len(first.args))
-    else:
-        first = None
+    first = _principal(clause.head.args[0]) if clause.head.args else None
     return nvars, first, make(consts)
 
 

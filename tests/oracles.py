@@ -654,6 +654,20 @@ def reference_resolve_in(atom, clause, fresh, store, occurs_check=True):
     return replace_vars(clause.body, rename), bindings
 
 
+def reference_resolve_all(atom, clauses, rest, state, fresh, store,
+                          occurs_check=True, last_first=False):
+    """``terms.resolve_all`` as ``reference_resolve_in`` on each clause of
+    the predicate in turn, with no switch: in textual order, or in the
+    reverse order with the successors then put back in textual order."""
+    order = tuple(reversed(clauses)) if last_first else clauses
+    successors = []
+    for clause in order:
+        res = reference_resolve_in(atom, clause, fresh, store, occurs_check)
+        if res is not None:
+            successors.append((res[0] + rest, state, res[1]))
+    return successors[::-1] if last_first else successors
+
+
 # --- random concrete terms -----------------------------------------------
 
 def random_term(rng, depth, vars_pool):

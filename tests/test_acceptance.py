@@ -13,17 +13,21 @@ import pathlib
 import random
 import time
 
+import pytest
+
 from ccontrol.absdom import FULLEVAL, FreshAVars, canonicalize
 from ccontrol.analysis import (AnalysisError, AnalysisOptions, EMPTY_STATE,
-                               analyze)
+                               analyze, render_graph)
 from ccontrol.engine import (BuiltinTable, EngineError, Limits, ModeError,
                              solve)
+from ccontrol.metaint import atom_to_term, build_tables, mi_run
 from ccontrol.multi import Multi, case_split
-from ccontrol.pd import check_closedness
-from ccontrol.policy import _effective_atoms, derive_order, parse_policy
-from ccontrol.synthesis import compare_programs
-from ccontrol.terms import Atom, FreshNames, parse_goal, parse_program, \
-    rename_apart, unify
+from ccontrol.pd import check_closedness, specialize_encoded
+from ccontrol.policy import (PolicyError, _effective_atoms, derive_order,
+                             parse_policy)
+from ccontrol.synthesis import compare_programs, synthesize
+from ccontrol.terms import Atom, FreshNames, mklist, parse_goal, \
+    parse_program, rename_apart, unify
 
 from conftest import CORPUS_NAMES, answer_set, corpus_text, query_deviation
 from oracles import (Sampler, check_case_split_complete,
@@ -339,6 +343,54 @@ def test_selection_order_axioms_hold_on_all_reachable_atoms(corpus):
             for y in unique:
                 if strict_instance(x, y):
                     assert order_lt(order, x, y), (name, x, y)
+
+
+# ``q`` feeds ``r`` left to right; the policy orders the two both ways, and
+# its ``never_before`` rule removes the pair that puts ``q`` first
+NEVER_BEFORE_LP = """p(X,Y) :- q(X), r(X,Y).
+q(1).
+q(2).
+r(1,a).
+r(2,b).
+r(3,c).
+"""
+NEVER_BEFORE_PAIRS = ("entry: p(a1,a2).\n"
+                      "set S = { q(a1) }.\n"
+                      "preprior: q(a1) < r(a1,a2).\n"
+                      "preprior: r(a1,a2) < q(a1).\n")
+NEVER_BEFORE_RULE = "rule: never_before(r(a1,a2)) over S.\n"
+
+
+def test_a_never_before_rule_that_removes_a_pair_decides_the_graph():
+    """A rule only removes pairs, so where the orders with and without it
+    both have a least atom they select it alike: a rule changes an
+    analysis only by breaking a cycle, or by leaving a state with no least
+    atom.  Here it breaks one."""
+    program = parse_program(NEVER_BEFORE_LP)
+    with pytest.raises(PolicyError, match="selection order is cyclic"):
+        analyze(program, parse_policy(NEVER_BEFORE_PAIRS))
+    policy = parse_policy(NEVER_BEFORE_PAIRS + NEVER_BEFORE_RULE)
+    graph = analyze(program, policy)
+    # the pair the rule removes, alone, selects q first; with the rule, r
+    # comes first
+    kept = parse_policy("entry: p(a1,a2).\n"
+                        "preprior: q(a1) < r(a1,a2).\n")
+    assert render_graph(graph, "json") != \
+        render_graph(analyze(program, kept), "json")
+    assert graph.actions[2] == ("select", 1, "unfold")
+    tables = build_tables(graph, program, policy)
+    classic = synthesize(graph, program, policy).program
+    futamura = specialize_encoded(tables).program
+    for text, count in (("p(X,Y)", 2), ("p(1,Y)", 1), ("p(X,c)", 0),
+                        ("p(3,c)", 0), ("p(X,b)", 1)):
+        goal = parse_goal(text)
+        wrapped = (Atom("compute", (mklist([atom_to_term(a)
+                                            for a in goal]),)),)
+        naive = answer_set(solve(program, goal))
+        assert len(naive) == count, text
+        assert answer_set(mi_run(tables, goal)) == naive, text
+        assert answer_set(solve(classic, goal)) == naive, text
+        assert answer_set(solve(futamura, wrapped)) == naive, text
 
 
 # --- 8. the oracles agree with the implementation -------------------------

@@ -246,7 +246,13 @@ def test_specialization_sizes_are_pinned(corpus, name):
 
 
 def test_budget_boundary_is_the_unfold_step_count(corpus):
-    tables = corpus("queens").tables
-    with pytest.raises(PDError, match="1944 steps"):
-        specialize_encoded(tables, budget=1944)
-    assert specialize_encoded(tables, budget=1945).unfold_steps == 1945
+    # the budget ticks once per resultant step on every entry, whichever
+    # clauses the first-argument switch leaves out
+    for name, (_, steps, _, _) in PD_SIZES.items():
+        tables = corpus(name).tables
+        with pytest.raises(PDError, match=f"unfold budget exceeded "
+                                          f"\\({steps - 1} steps\\)"):
+            specialize_encoded(tables, budget=steps - 1)
+        assert specialize_encoded(tables, budget=steps).unfold_steps == \
+            steps, name
+
