@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
                      support_clauses)
 from .metaint import encode_as_logic_program
-from .terms import (Atom, Clause, Const, FreshNames, LogicError, ParseError,
+from .terms import (Atom, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, is_closed_list, list_parts,
                     mklist, print_atom, print_term, program_of, replace_vars,
                     resolve_all, substitute, term_to_atom, term_vars, CONS)
@@ -491,9 +491,19 @@ def specialize(program: Program, entry: Atom, annotations: Annotations,
     The entry call is memoized first; specialization proceeds until the
     memo table is closed, so every residual call is defined.
     """
+    return _specialize(program, entry, annotations, filters, budget)
+
+
+def _specialize(program, entry, annotations, filters, budget,
+                wrapper=None) -> ResidualProgram:
+    """``specialize``.  A ``wrapper`` head, when given, becomes the
+    residual program's last clause, with the residual entry call as its
+    body, so that the program is built once."""
     sp = _Specializer(program, annotations, filters, budget)
     entry_call = sp.request(entry)
     sp.run()
+    if wrapper is not None:
+        sp.clauses.append((wrapper, (entry_call,)))
     return ResidualProgram(program_of(sp.clauses), entry_call, tuple(sp.memo),
                            sp.steps)
 
@@ -555,10 +565,5 @@ def specialize_encoded(tables, variant: str = None,
     entry = Atom("mi", (mklist([skeleton]), Const(tables.entry)))
     annotations = annotations or interpreter_annotations()
     filters = filters or interpreter_filters()
-    residual = specialize(encoded, entry, annotations, filters, budget)
-    wrapper = Clause(Atom("compute", (mklist([skeleton]),)),
-                     (residual.entry_call,),
-                     len(residual.program.clauses) + 1)
-    return ResidualProgram(Program(residual.program.clauses + (wrapper,)),
-                           residual.entry_call, residual.memo,
-                           residual.unfold_steps)
+    return _specialize(encoded, entry, annotations, filters, budget,
+                       Atom("compute", (mklist([skeleton]),)))

@@ -50,21 +50,53 @@ class Var(str):
         return other.__class__ is not Var or str.__ne__(self, other)
 
 
-@dataclass(frozen=True)
+# Const, Struct and Atom are built on every resolution, so they are plain
+# classes with __slots__ and a hand-written __init__: a frozen dataclass's
+# constructor costs two to three times as much.  They are immutable by
+# convention: no code assigns their fields outside these constructors (a
+# test checks that).  Each hashes the tuple of its fields, as the frozen
+# dataclasses did, so dict and set orders stay what they were.
+
 class Const:
-    name: Union[str, int]
+    __slots__ = ("name",)
+
+    def __init__(self, name: Union[str, int]):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __reduce__(self):
+        return Const, (self.name,)
 
     def __repr__(self):
         return str(self.name)
 
 
-@dataclass(frozen=True)
 class Struct:
-    functor: str
-    args: tuple
+    __slots__ = ("functor", "args")
 
-    def __post_init__(self):
-        assert self.args, "zero-arity symbols are Consts"
+    def __init__(self, functor: str, args: tuple):
+        assert args, "zero-arity symbols are Consts"
+        self.functor = functor
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is not Struct:
+            return NotImplemented
+        return self.functor == other.functor and \
+            _equal_args(self.args, other.args)
+
+    def __hash__(self):
+        return hash((self.functor, self.args))
+
+    def __reduce__(self):
+        return Struct, (self.functor, self.args)
 
     def __repr__(self):
         return print_term(self)
@@ -73,10 +105,23 @@ class Struct:
 Term = Union[Var, Const, Struct]
 
 
-@dataclass(frozen=True)
 class Atom:
-    pred: str
-    args: tuple = ()
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple = ()):
+        self.pred = pred
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.pred == other.pred and _equal_args(self.args, other.args)
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
+
+    def __reduce__(self):
+        return Atom, (self.pred, self.args)
 
     @property
     def indicator(self) -> tuple:
@@ -84,6 +129,29 @@ class Atom:
 
     def __repr__(self):
         return print_atom(self)
+
+
+def _equal_args(xs: tuple, ys: tuple) -> bool:
+    """Whether two argument tuples are equal term by term, compared with
+    an explicit stack of pairs, so that equality does not recurse on the
+    depth of a term.  Identical sides are equal; two structures are
+    compared by functor and arity and push their argument pairs; any
+    other pair is compared with ``==``."""
+    if len(xs) != len(ys):
+        return False
+    stack = list(zip(xs, ys))
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is Struct:
+            if y.__class__ is not Struct or x.functor != y.functor or \
+                    len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif x != y:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Terms, parsing, printing, substitution, and unification."""
 
+import ast
 import copy
+import pathlib
 import pickle
 import random
 
 import pytest
 
-from ccontrol.absdom import abstract_name, parse_aconj, print_aconj
+from ccontrol.absdom import (AVar, MVar, abstract_name, parse_aconj,
+                            print_aconj)
 from ccontrol.engine import solve
 from ccontrol.metaint import encode_as_logic_program
 from ccontrol.multi import pattern_name
@@ -111,6 +114,110 @@ def test_variable_in_abstract_notation_is_reported_at_its_token(
 
 def test_print_atom_leq_is_infix():
     assert print_atom(Atom("=<", (Const(1), Const(2)))) == "1 =< 2"
+
+
+# --- term objects ---------------------------------------------------------
+
+def _nested(depth, innermost):
+    t = Const(innermost)
+    for _ in range(depth):
+        t = Struct("s", (t,))
+    return t
+
+
+def test_equality_of_deep_terms_does_not_recurse():
+    x, y = _nested(5000, "z"), _nested(5000, "z")
+    assert x == y and not x != y
+    assert Atom("p", (x, Var("X"))) == Atom("p", (y, Var("X")))
+    other = _nested(5000, "o")
+    assert x != other and not x == other
+    assert Atom("p", (x,)) != Atom("p", (other,))
+    assert x != _nested(4999, "z") and x != Struct("t", x.args)
+
+
+def test_terms_pickle_and_copy():
+    mixed = Atom("p", (AVar("a", 1), Struct("f", (MVar("g", 2), Const(3))),
+                       Var("X")))
+    for term in (Const(7), Const("a"), parse_term("f(X,[a,2|T])"), mixed):
+        for again in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+            assert again == term and hash(again) == hash(term)
+            assert again is not term
+            assert repr(again) == repr(term)
+    again = copy.deepcopy(mixed)
+    assert [a.__class__ for a in again.args] == [AVar, Struct, Var]
+    assert again.args[1].args[0].__class__ is MVar
+    assert pickle.loads(pickle.dumps(Const(7))).name.__class__ is int
+
+
+def test_terms_equal_only_their_own_class_and_hash_their_fields():
+    x = Var("X")
+    assert Struct("f", (x,)) != Atom("f", (x,))
+    assert Atom("f", (x,)) != Struct("f", (x,))
+    assert Const(1) != Const("1") and Const("f") != Atom("f")
+    assert Struct("f", (x,)) == Struct("f", (Var("X"),))
+    args = (x, Const(1))
+    assert hash(Struct("f", args)) == hash(("f", args))
+    assert hash(Atom("p", args)) == hash(("p", args))
+    assert hash(Const("a")) == hash(("a",))
+    assert hash(parse_term("f(X,g(a))")) == hash(parse_term("f(X,g(a))"))
+    with pytest.raises(AssertionError):
+        Struct("f", ())
+    for term in (Const(1), Struct("f", args), Atom("p", args), Atom("q")):
+        assert not hasattr(term, "__dict__")
+
+
+def _field_assignments(tree):
+    """The nodes of ``tree`` that assign, delete or ``setattr`` a field
+    named as a term's, each with the names of the class and the function
+    it is in."""
+    fields = {"functor", "args", "pred"}
+
+    def visit(node, cls, function):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            function = node.name
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            for t in ast.walk(target):
+                if isinstance(t, ast.Attribute) and t.attr in fields:
+                    yield t, cls, function
+        if isinstance(node, ast.Call) and len(node.args) >= 2 and \
+                isinstance(node.args[1], ast.Constant) and \
+                node.args[1].value in fields and \
+                getattr(node.func, "attr", getattr(node.func, "id", None)) \
+                in ("setattr", "__setattr__"):
+            yield node, cls, function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, cls, function)
+
+    yield from visit(tree, None, None)
+
+
+def test_term_fields_are_assigned_only_by_their_constructors():
+    """Terms are immutable by convention: under ``src/`` only the
+    ``__init__`` of ``Struct`` and ``Atom`` sets ``functor``, ``args`` or
+    ``pred``, and only on ``self``."""
+    src = pathlib.Path(__file__).parent.parent / "src" / "ccontrol"
+    offending, allowed = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node, cls, function in _field_assignments(tree):
+            where = f"{path.name}:{node.lineno}"
+            if path.name == "terms.py" and cls in ("Struct", "Atom") and \
+                    function == "__init__" and \
+                    isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == "self":
+                allowed.append(where)
+            else:
+                offending.append(where)
+    assert len(allowed) == 4
+    assert not offending, f"term fields assigned outside __init__: {offending}"
 
 
 # --- substitution and renaming -------------------------------------------
