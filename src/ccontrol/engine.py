@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (Atom, Const, FreshNames, LogicError, Program,
-                    Substitution, Var, is_closed_list, list_parts, mklist,
-                    print_term, resolve_all, substitute, take_back,
-                    term_to_atom, term_vars, unify)
+from .terms import (NIL, Atom, Const, FreshNames, LogicError, Program,
+                    Substitution, Var, list_parts, mklist, print_term,
+                    resolve_all, substitute, take_back, term_to_atom,
+                    term_vars, unify)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
 DEFAULT_MAX_DEPTH = 100_000
@@ -51,9 +51,9 @@ def _int(t, atom):
 
 def _bi_select(args, atom):
     x, lst, rest = args
-    if not is_closed_list(lst):
+    items, tail = list_parts(lst)
+    if tail != Const(NIL):
         raise ModeError(f"select/3 needs a closed list: {atom}")
-    items, _ = list_parts(lst)
     out = []
     for i in range(len(items)):
         removed = items[i]

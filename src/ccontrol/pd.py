@@ -20,14 +20,15 @@ interpretation layer and leaves a direct program per control state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
                      support_clauses)
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Const, FreshNames, LogicError, ParseError,
-                    Program, Struct, Var, _Lexer, is_closed_list, list_parts,
-                    mklist, print_atom, print_term, program_of, replace_vars,
-                    resolve_all, substitute, term_to_atom, term_vars, CONS)
+                    Program, Struct, Var, _Lexer, list_parts, mklist,
+                    print_atom, program_of, replace_vars, resolve_all,
+                    substitute, term_to_atom, term_vars, CONS, NIL)
 
 DEFAULT_BUDGET = 10_000
 
@@ -47,31 +48,36 @@ class PDError(LogicError):
 class BindingType:
     """How much of an argument is known at specialization time.
 
-    ``admits`` says whether a term fits the type; ``generalize`` maps a
-    term to the most general term of the type that it instantiates,
-    introducing a fresh variable for each unknown part and appending that
-    part to ``parts``.  So a generalization is linear, its known parts
-    are ground, and ``parts`` lists the unknown parts in the order of its
-    variables.
+    ``generalize`` maps a term that fits the type to the most general
+    term of the type that it instantiates, introducing a fresh variable
+    for each unknown part and appending that part to ``parts``.  So a
+    generalization is linear, its known parts are ground, and ``parts``
+    lists the unknown parts in the order of its variables.  A term that
+    does not fit gives None; ``fresh`` and ``parts`` may then hold what
+    the failed walk drew, which ``OneOf`` undoes before its next try.
     """
-
-    def admits(self, term) -> bool:
-        raise NotImplementedError
 
     def generalize(self, term, fresh: FreshNames, parts: list):
         raise NotImplementedError
 
 
+def _generalize_each(types, terms, fresh, parts) -> list:
+    """The generalizations of ``terms`` by ``types``, pairwise, up to the
+    first term that does not fit."""
+    out = []
+    for t, x in zip(types, terms):
+        g = t.generalize(x, fresh, parts)
+        if g is None:
+            break
+        out.append(g)
+    return out
+
+
 class Static(BindingType):
     """Fully known: kept verbatim; must be ground."""
 
-    def admits(self, term):
-        return not term_vars(term)
-
     def generalize(self, term, fresh, parts):
-        if term_vars(term):
-            raise PDError(f"static argument {print_term(term)} is not ground")
-        return term
+        return None if term_vars(term) else term
 
     def __repr__(self):
         return "static"
@@ -79,9 +85,6 @@ class Static(BindingType):
 
 class Dynamic(BindingType):
     """Unknown: replaced by a fresh variable."""
-
-    def admits(self, term):
-        return True
 
     def generalize(self, term, fresh, parts):
         parts.append(term)
@@ -94,12 +97,9 @@ class Dynamic(BindingType):
 class Nonvar(BindingType):
     """Top functor known, arguments unknown."""
 
-    def admits(self, term):
-        return not isinstance(term, Var)
-
     def generalize(self, term, fresh, parts):
         if isinstance(term, Var):
-            raise PDError("nonvar argument is a variable")
+            return None
         if isinstance(term, Const):
             return term
         parts.extend(term.args)
@@ -114,16 +114,12 @@ class ListOf(BindingType):
     """A closed list whose elements each fit the element type."""
     elem: BindingType
 
-    def admits(self, term):
-        return is_closed_list(term) and \
-            all(self.elem.admits(x) for x in list_parts(term)[0])
-
     def generalize(self, term, fresh, parts):
-        if not is_closed_list(term):
-            raise PDError(
-                f"list-typed argument {print_term(term)} has an open tail")
-        items, _ = list_parts(term)
-        return mklist([self.elem.generalize(x, fresh, parts) for x in items])
+        items, tail = list_parts(term)
+        if tail != Const(NIL):
+            return None
+        gs = _generalize_each(repeat(self.elem), items, fresh, parts)
+        return mklist(gs) if len(gs) == len(items) else None
 
     def __repr__(self):
         return f"list({self.elem!r})"
@@ -135,23 +131,17 @@ class StructOf(BindingType):
     functor: str
     args: tuple              # of BindingType
 
-    def admits(self, term):
-        if isinstance(term, Const):
-            return term.name == self.functor and not self.args
-        return isinstance(term, Struct) and term.functor == self.functor \
-            and len(term.args) == len(self.args) \
-            and all(t.admits(a) for t, a in zip(self.args, term.args))
-
     def generalize(self, term, fresh, parts):
-        if not self.admits(term):
-            raise PDError(
-                f"{print_term(term)} does not fit struct "
-                f"{self.functor}/{len(self.args)}")
         if isinstance(term, Const):
-            return term
-        return Struct(self.functor,
-                      tuple(t.generalize(a, fresh, parts)
-                            for t, a in zip(self.args, term.args)))
+            fits = term.name == self.functor and not self.args
+            return term if fits else None
+        if not (isinstance(term, Struct) and term.functor == self.functor
+                and len(term.args) == len(self.args)):
+            return None
+        args = _generalize_each(self.args, term.args, fresh, parts)
+        if len(args) < len(self.args):
+            return None
+        return Struct(self.functor, tuple(args))
 
     def __repr__(self):
         return f"struct({self.functor},{list(self.args)!r})"
@@ -159,18 +149,19 @@ class StructOf(BindingType):
 
 @dataclass(frozen=True)
 class OneOf(BindingType):
-    """Alternatives tried in order; the first that admits the term wins."""
+    """Alternatives tried in order; the first that fits the term wins,
+    and a failed try leaves no variable drawn and no part appended."""
     alternatives: tuple
 
-    def admits(self, term):
-        return any(a.admits(term) for a in self.alternatives)
-
     def generalize(self, term, fresh, parts):
+        n, k = fresh.n, len(parts)
         for a in self.alternatives:
-            if a.admits(term):
-                return a.generalize(term, fresh, parts)
-        raise PDError(
-            f"{print_term(term)} fits no alternative of {self!r}")
+            g = a.generalize(term, fresh, parts)
+            if g is not None:
+                return g
+            fresh.n = n
+            del parts[k:]
+        return None
 
     def __repr__(self):
         return " ; ".join(repr(a) for a in self.alternatives)
@@ -179,12 +170,15 @@ class OneOf(BindingType):
 def generalize_call(atom: Atom, types, fresh: FreshNames,
                     parts: list) -> Atom:
     """The call pattern obtained by generalizing each argument; the
-    unknown parts of ``atom`` are appended to ``parts``."""
-    if len(types) != len(atom.args):
-        raise PDError(f"filter arity mismatch for {print_atom(atom)}")
-    return Atom(atom.pred,
-                tuple(t.generalize(a, fresh, parts)
-                      for t, a in zip(types, atom.args)))
+    unknown parts of ``atom`` are appended to ``parts``.  An argument
+    that does not fit its type is an error naming the filter."""
+    args = _generalize_each(types, atom.args, fresh, parts)
+    if len(args) < len(atom.args):
+        raise PDError(
+            f"argument {len(args) + 1} of {print_atom(atom)} does not fit "
+            f"{types[len(args)]!r} in the filter "
+            f"{atom.pred}({','.join(map(repr, types))})")
+    return Atom(atom.pred, tuple(args))
 
 
 # --- filter and annotation declarations ----------------------------------
@@ -277,6 +271,11 @@ def _parse_binding_primary(lx):
     raise ParseError(f"unknown binding type {val!r}", *loc)
 
 
+def _check_first_declaration(table, pred, arity, loc):
+    if (pred, arity) in table:
+        raise ParseError(f"repeated declaration for {pred}/{arity}", *loc)
+
+
 def parse_filters(text: str) -> Filters:
     """Filter declarations, one ``pred(type, ...).`` per clause."""
     lx = _Lexer(text)
@@ -292,6 +291,7 @@ def parse_filters(text: str) -> Filters:
             types.append(_parse_binding_type(lx))
         lx.expect(")")
         lx.expect(".")
+        _check_first_declaration(filters.table, pred, len(types), loc)
         filters.declare(pred, types)
     return filters
 
@@ -317,6 +317,7 @@ def parse_annotations(text: str) -> Annotations:
         _, arity, _ = lx.expect("int")
         lx.expect(")")
         lx.expect(".")
+        _check_first_declaration(ann.table, pred, arity, nloc)
         ann.declare(pred, arity, treatment)
     return ann
 
@@ -484,21 +485,16 @@ class _Specializer:
 
 
 def specialize(program: Program, entry: Atom, annotations: Annotations,
-               filters: Filters,
-               budget: int = DEFAULT_BUDGET) -> ResidualProgram:
+               filters: Filters, budget: int = DEFAULT_BUDGET,
+               wrapper: Atom = None) -> ResidualProgram:
     """Specialize ``program`` with respect to the partially known ``entry``.
 
     The entry call is memoized first; specialization proceeds until the
-    memo table is closed, so every residual call is defined.
+    memo table is closed, so every residual call is defined.  A
+    ``wrapper`` head, when given, becomes the residual program's last
+    clause, with the residual entry call as its body, so that the program
+    is built once.
     """
-    return _specialize(program, entry, annotations, filters, budget)
-
-
-def _specialize(program, entry, annotations, filters, budget,
-                wrapper=None) -> ResidualProgram:
-    """``specialize``.  A ``wrapper`` head, when given, becomes the
-    residual program's last clause, with the residual entry call as its
-    body, so that the program is built once."""
     sp = _Specializer(program, annotations, filters, budget)
     entry_call = sp.request(entry)
     sp.run()
@@ -565,5 +561,5 @@ def specialize_encoded(tables, variant: str = None,
     entry = Atom("mi", (mklist([skeleton]), Const(tables.entry)))
     annotations = annotations or interpreter_annotations()
     filters = filters or interpreter_filters()
-    return _specialize(encoded, entry, annotations, filters, budget,
-                       Atom("compute", (mklist([skeleton]),)))
+    return specialize(encoded, entry, annotations, filters, budget,
+                      Atom("compute", (mklist([skeleton]),)))

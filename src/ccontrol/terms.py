@@ -311,11 +311,6 @@ def list_parts(t: Term) -> tuple:
     return items, t
 
 
-def is_closed_list(t: Term) -> bool:
-    _, tail = list_parts(t)
-    return tail == Const(NIL)
-
-
 def atom_to_term(a: Atom) -> Term:
     return Struct(a.pred, a.args) if a.args else Const(a.pred)
 

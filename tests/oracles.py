@@ -7,7 +7,9 @@ meaningful.
 """
 
 import random
+from dataclasses import dataclass
 
+from ccontrol import pd
 from ccontrol.absdom import (ANY, ASub, AVar, AbstractDomainError, FULLEVAL,
                              GROUND, MVar, UNFOLD, abstract_instance, avars,
                              canonicalize, widen_depth_k)
@@ -17,8 +19,9 @@ from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              select_conjunct)
 from itertools import repeat
 
-from ccontrol.terms import (Atom, Const, Struct, Substitution, Var, _occurs,
-                            parse_atom, print_atom, replace_vars, resolve_in,
+from ccontrol.terms import (NIL, Atom, Const, Struct, Substitution, Var,
+                            _occurs, list_parts, mklist, parse_atom,
+                            print_atom, print_term, replace_vars, resolve_in,
                             substitute, take_back, term_vars, unify)
 
 
@@ -527,6 +530,126 @@ def interpreter_annotation_text() -> str:
     """The default annotations in their declaration syntax."""
     return ("ann(memo, mi/2).\n"
             "ann(rescall, bb_append/3).\n")
+
+
+# --- filter generalization: binding types with a separate fit test -------
+#
+# Each type says whether a term fits (``admits``) and, separately, how it
+# generalizes; ``OneOf`` and ``StructOf`` ask ``admits`` before they
+# generalize, so no failed try ever draws a variable or appends a part.
+
+class ReferenceStatic:
+    def admits(self, term):
+        return not term_vars(term)
+
+    def generalize(self, term, fresh, parts):
+        if term_vars(term):
+            raise pd.PDError(
+                f"static argument {print_term(term)} is not ground")
+        return term
+
+
+class ReferenceDynamic:
+    def admits(self, term):
+        return True
+
+    def generalize(self, term, fresh, parts):
+        parts.append(term)
+        return fresh.var()
+
+
+class ReferenceNonvar:
+    def admits(self, term):
+        return not isinstance(term, Var)
+
+    def generalize(self, term, fresh, parts):
+        if isinstance(term, Var):
+            raise pd.PDError("nonvar argument is a variable")
+        if isinstance(term, Const):
+            return term
+        parts.extend(term.args)
+        return Struct(term.functor, tuple(fresh.var() for _ in term.args))
+
+
+def _is_closed_list(term):
+    return list_parts(term)[1] == Const(NIL)
+
+
+@dataclass(frozen=True)
+class ReferenceListOf:
+    elem: object
+
+    def admits(self, term):
+        return _is_closed_list(term) and \
+            all(self.elem.admits(x) for x in list_parts(term)[0])
+
+    def generalize(self, term, fresh, parts):
+        if not _is_closed_list(term):
+            raise pd.PDError(
+                f"list-typed argument {print_term(term)} has an open tail")
+        items, _ = list_parts(term)
+        return mklist([self.elem.generalize(x, fresh, parts) for x in items])
+
+
+@dataclass(frozen=True)
+class ReferenceStructOf:
+    functor: str
+    args: tuple
+
+    def admits(self, term):
+        if isinstance(term, Const):
+            return term.name == self.functor and not self.args
+        return isinstance(term, Struct) and term.functor == self.functor \
+            and len(term.args) == len(self.args) \
+            and all(t.admits(a) for t, a in zip(self.args, term.args))
+
+    def generalize(self, term, fresh, parts):
+        if not self.admits(term):
+            raise pd.PDError(
+                f"{print_term(term)} does not fit struct "
+                f"{self.functor}/{len(self.args)}")
+        if isinstance(term, Const):
+            return term
+        return Struct(self.functor,
+                      tuple(t.generalize(a, fresh, parts)
+                            for t, a in zip(self.args, term.args)))
+
+
+@dataclass(frozen=True)
+class ReferenceOneOf:
+    alternatives: tuple
+
+    def admits(self, term):
+        return any(a.admits(term) for a in self.alternatives)
+
+    def generalize(self, term, fresh, parts):
+        for a in self.alternatives:
+            if a.admits(term):
+                return a.generalize(term, fresh, parts)
+        raise pd.PDError(f"{print_term(term)} fits no alternative")
+
+
+def reference_binding_type(t):
+    """The reference type with the structure of the ``pd`` type ``t``."""
+    if isinstance(t, pd.ListOf):
+        return ReferenceListOf(reference_binding_type(t.elem))
+    if isinstance(t, pd.StructOf):
+        return ReferenceStructOf(
+            t.functor, tuple(map(reference_binding_type, t.args)))
+    if isinstance(t, pd.OneOf):
+        return ReferenceOneOf(
+            tuple(map(reference_binding_type, t.alternatives)))
+    return {pd.Static: ReferenceStatic, pd.Dynamic: ReferenceDynamic,
+            pd.Nonvar: ReferenceNonvar}[type(t)]()
+
+
+def reference_generalize_call(atom, types, fresh, parts):
+    """``pd.generalize_call`` over the reference types of ``types``."""
+    if len(types) != len(atom.args):
+        raise pd.PDError(f"filter arity mismatch for {print_atom(atom)}")
+    return Atom(atom.pred,
+                tuple(reference_binding_type(t).generalize(a, fresh, parts)
+                      for t, a in zip(types, atom.args)))
 
 
 # --- the resolution step -------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from ccontrol.cli import main
 
-from conftest import corpus_text
+from conftest import CORPUS_NAMES, corpus_text
 from oracles import interpreter_annotation_text, interpreter_filter_text
 
 
@@ -308,23 +308,24 @@ def test_specialize_with_default_declarations_matches_plain_run(tmp_path,
     """Declaring the default annotations and filters explicitly gives the
     same residual program: undeclared builtins are executed, not
     unfolded."""
-    lp = tmp_path / "queens.lp"
-    pol = tmp_path / "queens.policy"
-    graph = tmp_path / "graph.json"
     ann = tmp_path / "i.ann"
     flt = tmp_path / "i.flt"
-    lp.write_text(corpus_text("queens", ".lp"))
-    pol.write_text(corpus_text("queens", ".policy"))
     ann.write_text(interpreter_annotation_text())
     flt.write_text(interpreter_filter_text())
-    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
-    table = [str(graph), str(lp), "--policy", str(pol)]
-    plain = tmp_path / "plain.lp"
-    assert main(["specialize", *table, "--out", str(plain)]) == 0
-    declared = tmp_path / "declared.lp"
-    assert main(["specialize", *table, "--ann", str(ann),
-                 "--filters", str(flt), "--out", str(declared)]) == 0
-    assert declared.read_text() == plain.read_text()
+    for name in CORPUS_NAMES:
+        lp = tmp_path / f"{name}.lp"
+        pol = tmp_path / f"{name}.policy"
+        graph = tmp_path / f"{name}.json"
+        lp.write_text(corpus_text(name, ".lp"))
+        pol.write_text(corpus_text(name, ".policy"))
+        assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+        table = [str(graph), str(lp), "--policy", str(pol)]
+        plain = tmp_path / f"{name}.plain.lp"
+        assert main(["specialize", *table, "--out", str(plain)]) == 0
+        declared = tmp_path / f"{name}.declared.lp"
+        assert main(["specialize", *table, "--ann", str(ann),
+                     "--filters", str(flt), "--out", str(declared)]) == 0
+        assert declared.read_text() == plain.read_text(), name
 
 
 def test_specialize_without_a_call_declaration_matches_plain_run(
@@ -374,6 +375,53 @@ def test_specialize_with_an_unreadable_declaration_file_exits_2(
     err = capsys.readouterr().err
     assert rc == 2
     assert f"cannot read {missing}" in err
+
+
+def _specialize_permsort_with(permsort_files, tmp_path, capsys, flag, text):
+    """``cc specialize`` on permsort with ``text`` as the file of ``flag``:
+    the exit code, the file's path and what was written to stderr."""
+    lp, pol, _ = permsort_files
+    graph = tmp_path / "graph.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    decl = tmp_path / "given.decl"
+    decl.write_text(text)
+    rc = main(["specialize", str(graph), str(lp), "--policy", str(pol),
+               flag, str(decl), "--out", str(tmp_path / "out.lp")])
+    return rc, decl, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text, where", [
+    # the default filter declared twice
+    ("--filters", interpreter_filter_text() * 2, "line 2, column 1"),
+    ("--ann", "ann(memo, mi/2).\nann(unfold, mi/2).\n", "line 2, column 13"),
+], ids=["filters", "ann"])
+def test_specialize_with_a_repeated_declaration_exits_2(
+        permsort_files, tmp_path, capsys, flag, text, where):
+    rc, decl, err = _specialize_permsort_with(permsort_files, tmp_path,
+                                              capsys, flag, text)
+    assert rc == 2
+    assert err == (f"cc specialize: {decl}: repeated declaration for mi/2 "
+                   f"at {where}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mi(struct(.,[nonvar,dynamic]),static).\n",
+     "argument 1 of mi(_V148,3) does not fit struct(.,[nonvar, dynamic]) "
+     "in the filter mi(struct(.,[nonvar, dynamic]),static)"),
+    ("mi(list(static),static).\n",
+     "argument 1 of mi([permsort(X1,X2)],1) does not fit list(static) in "
+     "the filter mi(list(static),static)"),
+    ("mi(list(nonvar),struct(s,[]) ; list(dynamic)).\n",
+     "argument 2 of mi([permsort(X1,X2)],1) does not fit "
+     "struct(s,[]) ; list(dynamic) in the filter "
+     "mi(list(nonvar),struct(s,[]) ; list(dynamic))"),
+], ids=["struct", "list", "alternatives"])
+def test_specialize_with_a_misfitting_filter_exits_2(
+        permsort_files, tmp_path, capsys, text, message):
+    rc, _, err = _specialize_permsort_with(permsort_files, tmp_path, capsys,
+                                           "--filters", text)
+    assert rc == 2
+    assert err == f"cc specialize: {message}\n"
 
 
 def _queens_graph_with(tmp_path, mismatch):

@@ -2,20 +2,24 @@
 
 import pytest
 
+from ccontrol import pd
+from ccontrol.analysis import AnalysisOptions, analyze
 from ccontrol.engine import solve
-from ccontrol.metaint import encode_as_logic_program
+from ccontrol.metaint import build_tables, encode_as_logic_program
 from ccontrol.pd import (Dynamic, ListOf, Nonvar, PDError, Static,
                          check_closedness, generalize_call,
                          interpreter_filters, parse_annotations,
                          parse_filters, specialize, specialize_encoded,
                          _Specializer)
-from ccontrol.terms import (Atom, Const, FreshNames, Struct, Var,
-                            is_closed_list, list_parts, parse_atom,
-                            parse_goal, parse_program, parse_term, print_atom,
+from ccontrol.policy import parse_policy
+from ccontrol.terms import (Atom, Const, FreshNames, ParseError, Struct, Var,
+                            list_parts, parse_atom, parse_goal,
+                            parse_program, parse_term, print_atom,
                             print_program, print_term, term_vars)
 
-from conftest import answer_set
-from oracles import interpreter_annotation_text, interpreter_filter_text
+from conftest import CORPUS_NAMES, answer_set
+from oracles import (interpreter_annotation_text, interpreter_filter_text,
+                     reference_generalize_call)
 
 
 # --- binding types --------------------------------------------------------
@@ -34,7 +38,91 @@ def test_binding_type_generalization():
 
 def test_binding_type_open_list_rejected():
     with pytest.raises(PDError):
-        ListOf(Dynamic()).generalize(parse_term("[a|T]"), FreshNames(), [])
+        generalize_call(parse_atom("p([a|T])"), (ListOf(Dynamic()),),
+                        FreshNames(), [])
+
+
+def _generalize_both_ways(atom, types, n=0):
+    """``generalize_call`` and the reference's, each from a ``fresh``
+    that has drawn ``n`` names: the printed call, the unknown parts and
+    the count left, or "PDError"; the two must agree."""
+    outcomes = []
+    for generalize in (generalize_call, reference_generalize_call):
+        fresh, parts = FreshNames(), []
+        fresh.n = n
+        try:
+            call = print_atom(generalize(atom, types, fresh, parts))
+        except PDError:
+            outcomes.append("PDError")
+        else:
+            outcomes.append((call, parts, fresh.n))
+    assert outcomes[0] == outcomes[1], (print_atom(atom), types)
+    return outcomes[0]
+
+
+def _small_tables():
+    from test_metaint import _via_user_tables
+    from test_synthesis import WIDENED
+    for lp, policy_text, k in WIDENED.values():
+        program, policy = parse_program(lp), parse_policy(policy_text)
+        graph = analyze(program, policy, AnalysisOptions(depth_k=k))
+        yield build_tables(graph, program, policy)
+    yield _via_user_tables()[1]
+
+
+def test_generalization_matches_the_reference_on_every_request(
+        corpus, monkeypatch):
+    requests = []
+
+    def recording(atom, types, fresh, parts):
+        requests.append((atom, types, fresh.n))
+        return generalize_call(atom, types, fresh, parts)
+
+    monkeypatch.setattr(pd, "generalize_call", recording)
+    for name in CORPUS_NAMES:
+        specialize_encoded(corpus(name).tables)
+    for tables in _small_tables():
+        specialize_encoded(tables)
+    # 203 memo requests on the corpus, 71 on the small programs
+    assert len(requests) == 274
+    for atom, types, n in requests:
+        assert _generalize_both_ways(atom, types, n) != "PDError"
+
+
+@pytest.mark.parametrize("filter_text, call, outcome", [
+    # an open list tail
+    ("p(list(dynamic)).", "p([a|T])", "PDError"),
+    # a static argument that is not ground
+    ("p(static,dynamic).", "p(f(X),a)", "PDError"),
+    # a variable under nonvar
+    ("p(nonvar).", "p(X)", "PDError"),
+    # a constant against a zero-arity struct, and a misfitting one
+    ("p(struct(f,[])).", "p(f)", ("p(f)", [], 0)),
+    ("p(struct(f,[])).", "p(g)", "PDError"),
+    ("p(struct(f,[])).", "p(f(a))", "PDError"),
+    ("p(struct(f,[static])).", "p(f)", "PDError"),
+    # the first alternative draws _V1 and appends X before its static
+    # argument fails; the second starts from the same count and parts
+    ("p(struct(f,[dynamic,static]) ; nonvar).", "p(f(X,Y))",
+     ("p(f(_V1,_V2))", [Var("X"), Var("Y")], 2)),
+    ("p(list(struct(f,[dynamic,static]) ; dynamic)).", "p([f(X,a),f(Y,Z)])",
+     ("p([f(_V1,a),_V2])", [Var("X"), parse_term("f(Y,Z)")], 2)),
+])
+def test_generalization_matches_the_reference_by_hand(filter_text, call,
+                                                      outcome):
+    atom = parse_atom(call)
+    types = parse_filters(filter_text).for_atom(atom)
+    assert _generalize_both_ways(atom, types) == outcome
+
+
+def test_a_misfit_names_the_argument_the_call_and_the_filter():
+    atom = parse_atom("mi([p(X)|T],1)")
+    types = parse_filters("mi(list(nonvar),static).").for_atom(atom)
+    with pytest.raises(PDError) as err:
+        generalize_call(atom, types, FreshNames(), [])
+    assert str(err.value) == ("argument 1 of mi([p(X)|T],1) does not fit "
+                              "list(nonvar) in the filter "
+                              "mi(list(nonvar),static)")
 
 
 def test_parse_filters_grammar():
@@ -46,6 +134,25 @@ def test_parse_filters_grammar():
     assert filters.for_atom(parse_atom("p(A,B)"))
     with pytest.raises(PDError):
         filters.for_atom(parse_atom("q(A)"))
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_filters, "mi(list(nonvar),static).\np(dynamic).\n"
+     "  mi(dynamic,static).\n",
+     "repeated declaration for mi/2 at line 3, column 3"),
+    (parse_annotations, "ann(memo, mi/2). ann(unfold, mi/2).",
+     "repeated declaration for mi/2 at line 1, column 30"),
+])
+def test_a_repeated_declaration_is_a_parse_error(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_one_name_at_two_arities_is_two_declarations():
+    assert len(parse_filters("mi(static).\nmi(dynamic,static).").table) == 2
+    assert len(parse_annotations(
+        "ann(memo, mi/2). ann(unfold, mi/3).").table) == 2
 
 
 def test_parse_annotations_grammar():
@@ -200,7 +307,7 @@ def test_residual_predicates_take_only_the_unknown_parts(corpus):
             assert len(atom.args) == arity[atom.pred], (name, atom)
             for a in atom.args:
                 # no goal list among the arguments
-                assert not (is_closed_list(a) and any(
+                assert not (list_parts(a)[1] == Const("[]") and any(
                     isinstance(x, Struct) and x.functor in source
                     for x in list_parts(a)[0])), (name, atom)
 

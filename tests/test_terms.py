@@ -16,7 +16,7 @@ from ccontrol.multi import pattern_name
 from ccontrol.policy import parse_policy
 from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
                             Program, Struct, Substitution, Var, _Parser,
-                            is_closed_list, list_parts, mklist, parse_atom,
+                            list_parts, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
                             rename_apart, resolve_in, substitute,
@@ -52,8 +52,6 @@ def test_parse_lists():
     assert parse_term("[X|Xs]") == mklist([Var("X")], Var("Xs"))
     items, tail = list_parts(parse_term("[a,b|T]"))
     assert items == [Const("a"), Const("b")] and tail == Var("T")
-    assert is_closed_list(parse_term("[a,b]"))
-    assert not is_closed_list(parse_term("[a|T]"))
 
 
 def test_parse_goal_conjunction():
