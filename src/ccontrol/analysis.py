@@ -338,20 +338,54 @@ def _action_json(action):
     return list(action)
 
 
+# the causes and actions a graph file may hold, by name: the types of the
+# items that follow the name
+_CAUSES = {"clause": (int,), "fulleval": (int, int), "one": (), "many": (),
+           "grouping": (str,)}
+_ACTIONS = {"select": (int, str), "split": (int,), "group": (int, int, str),
+            "leaf": ()}
+
+
+def _field(obj, key, kind):
+    """``obj[key]``, once ``obj`` is an object whose ``key`` holds a value
+    of type ``kind``."""
+    if not isinstance(obj, dict):
+        raise AnalysisError(f"expected an object with {key!r}, found "
+                            f"{json.dumps(obj)[:40]}")
+    if type(obj.get(key)) is not kind:
+        raise AnalysisError(f"expected {kind.__name__} {key!r}, found "
+                            f"{json.dumps(obj.get(key))[:40]}")
+    return obj[key]
+
+
+def _form(item, forms, what):
+    """The list ``item`` as a tuple, once it is one of ``forms``."""
+    types = forms.get(item[0]) if isinstance(item, list) and item and \
+        isinstance(item[0], str) else None
+    if types is None or len(item) != 1 + len(types) or \
+            any(type(x) is not t for x, t in zip(item[1:], types)):
+        raise AnalysisError(f"malformed {what} {json.dumps(item)}")
+    return tuple(item)
+
+
 def parse_graph(text: str) -> StateGraph:
     """Inverse of the json rendering.  Each transition's
     ``selected_index`` repeats its source state's action, and a
     ``groupings`` array, written by older versions, repeats the group
-    actions; both are ignored."""
+    actions; both are ignored.  A document of another shape is an
+    AnalysisError."""
     doc = json.loads(text)
-    states = {s["id"]: parse_aconj(s["conjunction"])
-              for s in doc["states"]}
-    transitions = [Transition(t["from"], t["to"], tuple(t["cause"]))
-                   for t in doc["transitions"]]
+    states = {_field(s, "id", int): parse_aconj(_field(s, "conjunction", str))
+              for s in _field(doc, "states", list)}
+    transitions = [Transition(_field(t, "from", int), _field(t, "to", int),
+                              _form(_field(t, "cause", list), _CAUSES,
+                                    "cause"))
+                   for t in _field(doc, "transitions", list)]
     actions = {}
-    for sid, a in doc.get("actions", {}).items():
-        if a[0] == "group":
-            actions[int(sid)] = ("group", FoldEvent(a[1], a[2], a[3]))
-        else:
-            actions[int(sid)] = tuple(a)
-    return StateGraph(doc["entry"], states, transitions, actions)
+    for sid, a in (_field(doc, "actions", dict) if "actions" in doc
+                   else {}).items():
+        a = _form(a, _ACTIONS, "action")
+        actions[int(sid)] = ("group", FoldEvent(*a[1:])) \
+            if a[0] == "group" else a
+    return StateGraph(_field(doc, "entry", int), states, transitions,
+                      actions)

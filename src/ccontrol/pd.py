@@ -216,8 +216,6 @@ class Annotations:
         return RESCALL if atom.indicator == ("call", 1) else UNFOLD
 
     def declare(self, pred, arity, annotation):
-        if annotation not in ANNOTATIONS:
-            raise PDError(f"unknown annotation {annotation!r}")
         self.table[(pred, arity)] = annotation
 
 

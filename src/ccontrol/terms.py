@@ -375,68 +375,81 @@ class Substitution:
 
 def substitute(x, b: dict):
     """``x`` (a term, atom, tuple or list) with each variable bound in
-    ``b`` replaced by the instance of its binding.  A part with no bound
-    variable is returned as it is, not copied."""
-    while isinstance(x, Var):
-        t = b.get(x)
-        if t is None:
-            return x
-        x = t
-    if isinstance(x, Struct):
-        if x.functor == CONS and len(x.args) == 2:
-            return _substitute_list(x, b)
-        args = _substitute_all(x.args, b)
-        return x if args is x.args else Struct(x.functor, args)
-    if isinstance(x, Atom):
-        args = _substitute_all(x.args, b)
-        return x if args is x.args else Atom(x.pred, args)
-    if isinstance(x, tuple):
-        return _substitute_all(x, b)
-    if isinstance(x, list):
-        return [substitute(a, b) for a in x]
-    return x
+    ``b`` replaced by the instance of its binding.  A binding met again
+    inside its own instance, a cycle that only unification without the
+    occurs check makes, raises RecursionError."""
+    return _rebuild(x, b, None)
 
 
-def _substitute_list(x: Struct, b: dict) -> Term:
-    """``substitute`` of a list cell: the spine is walked in a loop, so a
-    list of any length is substituted, and only the elements recurse.  A
-    cycle passes through a bound tail variable, so a cell reached through
-    one is remembered, and meeting it again raises RecursionError, as the
-    recursion on any other cyclic term does."""
-    cells, heads = [], []
-    via_binding = set()
+def replace_vars(x, rename):
+    """Simultaneous variable replacement by the function ``rename``,
+    called on each occurrence in textual order (no chain walking, unlike
+    ``substitute``, so the range may reuse domain names)."""
+    return rename(x) if isinstance(x, Var) else _rebuild(x, None, rename)
+
+
+def _rebuild(x, b, rename):
+    """``substitute`` and ``replace_vars``, bottom up on an explicit stack
+    of the parts open around ``node``, so a term of any depth is rebuilt.
+    A part in which nothing is replaced is returned as it is; a list is
+    always copied.  ``bound`` holds the variables whose bindings are open."""
+    cls = x.__class__
+    if cls is Struct or cls is Atom or cls is tuple or cls is list:
+        node, it = x, iter(x if cls is tuple or cls is list else x.args)
+    else:   # the one item of a root part
+        node, it = None, iter((x,))
+    stack, bound, out, held, changed = [], set(), [], None, False
     while True:
-        cells.append(x)
-        heads.append(substitute(x.args[0], b))
-        t = x.args[1]
-        if isinstance(t, Var):
-            while isinstance(t, Var):
-                u = b.get(t)
-                if u is None:
-                    break
-                t = u
-            if id(t) in via_binding:
-                raise RecursionError("cyclic list")
-            via_binding.add(id(t))
-        if not (isinstance(t, Struct) and t.functor == CONS
-                and len(t.args) == 2):
+        for a in it:
+            cls = a.__class__
+            if cls is Const:
+                out.append(a)
+                continue
+            if isinstance(a, Var):
+                if rename is not None:
+                    t = rename(a)
+                    out.append(t)
+                    changed = changed or t is not a
+                    continue
+                t = b.get(a)
+                if t is None:
+                    out.append(a)
+                    continue
+                changed = True
+                while isinstance(t, Var) and t in b:
+                    a, t = t, b[t]
+                if t.__class__ is not Struct:
+                    out.append(t)
+                    continue
+                if a in bound:
+                    raise RecursionError(f"cyclic term through {a}")
+                bound.add(a)
+                a, items, via = t, t.args, a
+            elif cls is Struct or cls is Atom:
+                items, via = a.args, None
+            elif cls is tuple or cls is list:
+                items, via = a, None
+            else:
+                out.append(a)
+                continue
+            stack.append((node, out, it, held, changed))
+            node, out, it, held, changed = a, [], iter(items), via, False
             break
-        x = t
-    out = substitute(t, b)
-    for cell, head in zip(reversed(cells), reversed(heads)):
-        if head is not cell.args[0] or out is not cell.args[1]:
-            out = Struct(CONS, (head, out))
         else:
-            out = cell
-    return out
-
-
-def _substitute_all(xs: tuple, b: dict) -> tuple:
-    new = [substitute(x, b) for x in xs]
-    for y, x in zip(new, xs):
-        if y is not x:
-            return tuple(new)
-    return xs
+            if node is None:
+                return out[0]
+            cls = node.__class__
+            new = (out if cls is list else node if not changed
+                   else tuple(out) if cls is tuple
+                   else Struct(node.functor, tuple(out)) if cls is Struct
+                   else Atom(node.pred, tuple(out)))
+            if not stack:
+                return new
+            bound.discard(held)
+            old = node
+            node, out, it, held, changed = stack.pop()
+            out.append(new)
+            changed = changed or new is not old
 
 
 # --- unification --------------------------------------------------------
@@ -556,22 +569,6 @@ class FreshNames:
             name = v.name
             if name.startswith(self.prefix) and name[cut:].isdecimal():
                 self.n = max(self.n, int(name[cut:]))
-
-
-def replace_vars(x, rename):
-    """Simultaneous variable replacement by the function ``rename`` (no
-    chain walking, unlike ``substitute``, so the range may reuse domain
-    names)."""
-    if isinstance(x, Var):
-        return rename(x)
-    if isinstance(x, Struct):
-        return Struct(x.functor, tuple([replace_vars(a, rename)
-                                       for a in x.args]))
-    if isinstance(x, Atom):
-        return Atom(x.pred, tuple([replace_vars(a, rename) for a in x.args]))
-    if isinstance(x, tuple):
-        return tuple([replace_vars(a, rename) for a in x])
-    return x
 
 
 def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
@@ -1020,6 +1017,13 @@ _PUNCT = [":-", "=<", "->", "(", ")", "[", "]", "{", "}", "|", ",",
           "<", "=", ";", ".", "/", ":"]
 
 
+class _EndOfInput:
+    """The value of the lexer's end-of-input token, named in messages."""
+
+    def __repr__(self):
+        return "end of input"
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
@@ -1086,7 +1090,7 @@ class _Lexer:
     def peek(self):
         if self.i < len(self.tokens):
             return self.tokens[self.i]
-        return ("eof", None, (self.line, self.col))
+        return ("eof", _EndOfInput(), (self.line, self.col))
 
     def next(self):
         tok = self.peek()
@@ -1162,41 +1166,60 @@ class _Parser:
                          *tok[2])
 
     def parse_term(self) -> Term:
-        kind, val, loc = self.lx.next()
-        if kind == "int":
-            return Const(val)
-        if kind == "var":
-            if self.names:
-                raise ParseError(f"concrete variable {val} in abstract "
-                                 "notation", *loc)
-            return Var(val)
-        if kind == "name" or (kind == "=<" and self.lx.peek()[0] == "("):
-            if kind == "=<":
-                val = "=<"   # reified comparison, written prefix
-            if self.lx.peek()[0] == "(":
-                self.lx.next()
-                args = [self.parse_term()]
-                while self.lx.peek()[0] == ",":
-                    self.lx.next()
-                    args.append(self.parse_term())
-                self.lx.expect(")")
-                return Struct(val, tuple(args))
-            return self.names(val) if self.names else Const(val)
-        if kind == "[":
-            if self.lx.peek()[0] == "]":
-                self.lx.next()
-                return Const(NIL)
-            items = [self.parse_term()]
-            while self.lx.peek()[0] == ",":
-                self.lx.next()
-                items.append(self.parse_term())
-            tail = Const(NIL)
-            if self.lx.peek()[0] == "|":
-                self.lx.next()
-                tail = self.parse_term()
-            self.lx.expect("]")
-            return mklist(items, tail)
-        raise ParseError(f"unexpected token {val!r}", *loc)
+        """One term of any depth, read with a stack of the compounds still
+        open, each ``[functor, items, tail]``: None is a list's functor,
+        and ``tail`` says whether the last item follows a ``|``."""
+        lx = self.lx
+        stack = []
+        while True:
+            kind, val, loc = lx.next()
+            if kind == "int":
+                t = Const(val)
+            elif kind == "var":
+                if self.names:
+                    raise ParseError(f"concrete variable {val} in abstract "
+                                     "notation", *loc)
+                t = Var(val)
+            elif kind == "name" or (kind == "=<" and lx.peek()[0] == "("):
+                if kind == "=<":
+                    val = "=<"   # reified comparison, written prefix
+                if lx.peek()[0] == "(":
+                    lx.next()
+                    stack.append([val, [], False])
+                    continue
+                t = self.names(val) if self.names else Const(val)
+            elif kind == "[":
+                if lx.peek()[0] != "]":
+                    stack.append([None, [], False])
+                    continue
+                lx.next()
+                t = Const(NIL)
+            else:
+                raise ParseError(f"unexpected {val!r}" if kind == "eof"
+                                 else f"unexpected token {val!r}", *loc)
+            # ``t`` is an item of the innermost open compound, which it
+            # may complete, and so on outwards
+            while stack:
+                functor, items, tail = stack[-1]
+                items.append(t)
+                follows = lx.peek()[0]
+                if follows == "," and not tail:
+                    lx.next()
+                    break
+                if follows == "|" and functor is None and not tail:
+                    lx.next()
+                    stack[-1][2] = True
+                    break
+                stack.pop()
+                if functor is None:
+                    lx.expect("]")
+                    t = mklist(items[:-1], items[-1]) if tail \
+                        else mklist(items)
+                else:
+                    lx.expect(")")
+                    t = Struct(functor, tuple(items))
+            else:
+                return t
 
 
 def parse_program(text: str) -> Program:
@@ -1222,18 +1245,30 @@ def parse_goal(text: str) -> tuple:
 # --- printing -----------------------------------------------------------
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return str(t.name)
-    if t.functor == CONS and len(t.args) == 2:
-        items, tail = list_parts(t)
-        inner = ",".join(print_term(x) for x in items)
-        if tail == Const(NIL):
-            return f"[{inner}]"
-        return f"[{inner}|{print_term(tail)}]"
-    inner = ",".join(print_term(a) for a in t.args)
-    return f"{t.functor}({inner})"
+    """The text of a term, written from an explicit stack of what is
+    left to write, terms and punctuation, so a term of any depth prints."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is str:
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif t.__class__ is Const:
+            out.append(str(t.name))
+        else:
+            if t.functor == CONS and len(t.args) == 2:
+                items, tail = list_parts(t)
+                nil = tail.__class__ is Const and tail.name == NIL
+                todo += ("]",) if nil else ("]", tail, "|")
+                opening = "["
+            else:
+                items, opening = t.args, f"{t.functor}("
+                todo.append(")")
+            for x in reversed(items):
+                todo += (x, ",")
+            todo[-1] = opening
+    return "".join(out)
 
 
 def print_atom(a: Atom) -> str:

@@ -19,7 +19,7 @@ from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              select_conjunct)
 from itertools import repeat
 
-from ccontrol.terms import (NIL, Atom, Const, Struct, Substitution, Var,
+from ccontrol.terms import (CONS, NIL, Atom, Const, Struct, Substitution, Var,
                             _occurs, list_parts, mklist, parse_atom,
                             print_atom, print_term, replace_vars, resolve_in,
                             substitute, take_back, term_vars, unify)
@@ -789,6 +789,107 @@ def reference_resolve_all(atom, clauses, rest, state, fresh, store,
         if res is not None:
             successors.append((res[0] + rest, state, res[1]))
     return successors[::-1] if last_first else successors
+
+
+# --- the recursive term walks --------------------------------------------
+# ``terms.substitute``, ``terms.replace_vars`` and ``terms.print_term`` as
+# they were before one explicit-stack walk replaced their recursion: the
+# references a differential test holds the walks to on terms shallow
+# enough for the host's recursion limit.
+
+def reference_substitute(x, b: dict):
+    """``x`` with each variable bound in ``b`` replaced by the instance of
+    its binding, by recursion; a part with no bound variable is returned
+    as it is."""
+    while isinstance(x, Var):
+        t = b.get(x)
+        if t is None:
+            return x
+        x = t
+    if isinstance(x, Struct):
+        if x.functor == CONS and len(x.args) == 2:
+            return _reference_substitute_list(x, b)
+        args = _reference_substitute_all(x.args, b)
+        return x if args is x.args else Struct(x.functor, args)
+    if isinstance(x, Atom):
+        args = _reference_substitute_all(x.args, b)
+        return x if args is x.args else Atom(x.pred, args)
+    if isinstance(x, tuple):
+        return _reference_substitute_all(x, b)
+    if isinstance(x, list):
+        return [reference_substitute(a, b) for a in x]
+    return x
+
+
+def _reference_substitute_list(x: Struct, b: dict):
+    """The spine of a list in a loop, the elements by recursion; a cell
+    met again through a bound tail variable raises RecursionError."""
+    cells, heads = [], []
+    via_binding = set()
+    while True:
+        cells.append(x)
+        heads.append(reference_substitute(x.args[0], b))
+        t = x.args[1]
+        if isinstance(t, Var):
+            while isinstance(t, Var):
+                u = b.get(t)
+                if u is None:
+                    break
+                t = u
+            if id(t) in via_binding:
+                raise RecursionError("cyclic list")
+            via_binding.add(id(t))
+        if not (isinstance(t, Struct) and t.functor == CONS
+                and len(t.args) == 2):
+            break
+        x = t
+    out = reference_substitute(t, b)
+    for cell, head in zip(reversed(cells), reversed(heads)):
+        if head is not cell.args[0] or out is not cell.args[1]:
+            out = Struct(CONS, (head, out))
+        else:
+            out = cell
+    return out
+
+
+def _reference_substitute_all(xs: tuple, b: dict) -> tuple:
+    new = [reference_substitute(x, b) for x in xs]
+    for y, x in zip(new, xs):
+        if y is not x:
+            return tuple(new)
+    return xs
+
+
+def reference_replace_vars(x, rename):
+    """Simultaneous variable replacement by ``rename``, by recursion; every
+    part is rebuilt."""
+    if isinstance(x, Var):
+        return rename(x)
+    if isinstance(x, Struct):
+        return Struct(x.functor, tuple([reference_replace_vars(a, rename)
+                                       for a in x.args]))
+    if isinstance(x, Atom):
+        return Atom(x.pred, tuple([reference_replace_vars(a, rename)
+                                   for a in x.args]))
+    if isinstance(x, tuple):
+        return tuple([reference_replace_vars(a, rename) for a in x])
+    return x
+
+
+def reference_print_term(t) -> str:
+    """The text of a term, by recursion."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return str(t.name)
+    if t.functor == CONS and len(t.args) == 2:
+        items, tail = list_parts(t)
+        inner = ",".join(reference_print_term(x) for x in items)
+        if tail == Const(NIL):
+            return f"[{inner}]"
+        return f"[{inner}|{reference_print_term(tail)}]"
+    inner = ",".join(reference_print_term(a) for a in t.args)
+    return f"{t.functor}({inner})"
 
 
 # --- random concrete terms -----------------------------------------------

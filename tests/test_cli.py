@@ -190,16 +190,78 @@ def test_parse_json_output(permsort_files, capsys):
     assert "permsort/2" in doc["predicates"]
 
 
-def test_deep_term_exits_2_without_traceback(tmp_path, capsys):
+def test_deep_term_answers(tmp_path, capsys):
     lp = tmp_path / "nat.lp"
     lp.write_text("nat(0).\nnat(s(N)) :- nat(N).\n")
-    # too deep for the recursive parser on every supported Python
+    # deeper than the host's recursion limit on every supported Python
     term = "s(" * 5000 + "0" + ")" * 5000
     rc = main(["run", str(lp), "--query", f"nat({term})"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "term nesting too deep" in err and "Traceback" not in err
+    assert rc == 0
+    assert capsys.readouterr().out == "true\n\ninferences: 5001\n"
 
+
+NAT = ("nat(z).\nnat(s(X)) :- nat(X).\n"
+       "p(z,z).\np(s(N),s(X)) :- p(N,X).\n")
+DEEP = "s(" * 5000 + "z" + ")" * 5000
+CONSTRUCTIONS = ("naive", "mi_run", "classic", "futamura")
+
+
+def _nat_commands(tmp_path, entry):
+    """For the entry ``nat`` or ``p`` of ``NAT``, a function from each
+    construction and a goal to the command line that runs the goal on it;
+    the futamura output is run through its ``compute/1`` wrapper."""
+    lp = tmp_path / "nat.lp"
+    lp.write_text(NAT)
+    pol = tmp_path / f"{entry}.policy"
+    pol.write_text("entry: nat(a1).\n" if entry == "nat"
+                   else "entry: p(a1,a2).\n")
+    graph = tmp_path / f"{entry}.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    compiled = {}
+    for mode in ("classic", "futamura"):
+        compiled[mode] = tmp_path / f"{entry}.{mode}.lp"
+        assert main(["synthesize", str(graph), str(lp), str(pol), "--mode",
+                     mode, "--out", str(compiled[mode])]) == 0
+
+    def command(construction, goal):
+        if construction == "mi_run":
+            return ["mi-run", str(graph), str(lp), "--policy", str(pol),
+                    "--query", goal]
+        if construction == "futamura":
+            goal = f"compute([{goal}])"
+        return ["run", str(compiled.get(construction, lp)), "--query", goal]
+
+    return command
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_deep_terms_answer_on_every_construction(tmp_path, capsys,
+                                                 construction):
+    # a 5,000-deep query, and a 5,000-deep answer built by the search
+    extra = CONSTRUCTIONS.index(construction) - 1
+    for entry, goal, answer in (("nat", f"nat({DEEP})", "true"),
+                                ("p", f"p({DEEP},X)", f"X = {DEEP}")):
+        command = _nat_commands(tmp_path, entry)
+        capsys.readouterr()
+        rc = main(command(construction, goal))
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        assert out == f"{answer}\n\ninferences: {5001 + max(extra, 0)}\n"
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_a_thousand_answers_of_nat_on_every_construction(tmp_path, capsys,
+                                                         construction):
+    # the n-th answer is n-1 levels deep
+    command = _nat_commands(tmp_path, "nat")
+    capsys.readouterr()
+    rc = main(command(construction, "nat(X)") + ["--max-answers", "1000",
+                                                 "--json"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    answers = json.loads(out)["answers"]
+    assert len(answers) == 1000
+    assert answers[-1] == {"X": "s(" * 999 + "z" + ")" * 999}
 
 def test_long_list_answers(tmp_path, capsys):
     # a list parses into a right-nested term as deep as it is long; the
@@ -263,13 +325,16 @@ def test_deep_clause_literals_answer(tmp_path, capsys):
 
 
 def test_cyclic_answer_exits_2_without_traceback(tmp_path, capsys):
+    # without the occurs check the answer may be a cyclic term, through a
+    # list's tail or any other argument; it is refused, never walked
     lp = tmp_path / "eq.lp"
     lp.write_text("eq(X,X).\n")
-    rc = main(["run", str(lp), "--query", "eq(X,[a|X])",
-               "--no-occurs-check"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "term nesting too deep" in err and "Traceback" not in err
+    for query in ("eq(X,[a|X])", "eq(X,f(X))", "eq(X,f(Y)),eq(Y,g(X))",
+                  "eq(X,[f(X)])"):
+        rc = main(["run", str(lp), "--query", query, "--no-occurs-check"])
+        err = capsys.readouterr().err
+        assert rc == 2, query
+        assert err == "cc run: term nesting too deep\n", query
 
 
 def test_growing_stream_truncates_instead_of_overflowing(tmp_path, capsys):
@@ -448,6 +513,36 @@ def _queens_graph_with(tmp_path, mismatch):
         pol.write_text("\n".join([x for x in lines if x not in decls]
                                  + decls[::-1]) + "\n")
     return graph, lp, pol
+
+
+@pytest.mark.parametrize("shape", [
+    "[1,2]", '"x"', "states [1]", 'action ["group",0]', "action []",
+    'cause [["x"]]', 'cause "clause"'])
+def test_graph_file_of_the_wrong_shape_exits_2(permsort_files, tmp_path,
+                                               capsys, shape):
+    # valid JSON that is not a graph: each case once crashed with a
+    # traceback, on reading the file or later on running the query
+    lp, pol, _ = permsort_files
+    graph = tmp_path / "graph.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    what, _, value = shape.partition(" ")
+    if what == "states":
+        doc["states"] = json.loads(value)
+    elif what == "action":
+        doc["actions"][next(iter(doc["actions"]))] = json.loads(value)
+    elif what == "cause":
+        doc["transitions"][0]["cause"] = json.loads(value)
+    else:
+        doc = json.loads(shape)
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["mi-run", str(graph), str(lp), "--policy", str(pol),
+               "--query", "permsort([2,1],S)"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"cc mi-run: {graph}: not a valid graph file (")
+    assert err.count("\n") == 1
 
 
 MISMATCH_MESSAGES = {

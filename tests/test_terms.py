@@ -19,12 +19,13 @@ from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
                             list_parts, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
-                            rename_apart, resolve_in, substitute,
-                            term_vars, unify)
+                            rename_apart, replace_vars, resolve_in,
+                            substitute, term_vars, unify)
 
 from conftest import CORPUS_NAMES
 from oracles import (atoms_like, check_unify_against_brute_force,
-                     random_term, reference_resolve_in, resolve)
+                     random_term, reference_print_term, reference_replace_vars,
+                     reference_resolve_in, reference_substitute, resolve)
 
 
 # --- parsing and printing -------------------------------------------------
@@ -75,6 +76,20 @@ def test_parse_error_reports_location():
      "trailing input ')' at line 1, column 15"),
 ])
 def test_trailing_input_is_reported_at_its_token(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_term, "p(", "unexpected end of input at line 1, column 3"),
+    (parse_term, "[a", "expected ']', found end of input at line 1, column 3"),
+    (parse_goal, "p(X), q([a|T]",
+     "expected ')', found end of input at line 1, column 14"),
+    (parse_program, "p(X) :- q(X)",
+     "expected '.', found end of input at line 1, column 13"),
+])
+def test_end_of_input_is_named_in_parse_errors(parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert str(err.value) == message
@@ -255,6 +270,146 @@ def test_rename_apart_with_overlapping_names():
     rc = rename_apart(c, FreshNames())
     a, b = rc.head.args
     assert a != b
+
+
+# --- one rebuild walk; printing and reading without recursion ------------
+
+def _random_term(rng, depth, pool):
+    """A random term of ``random_term``'s, or now and then a list of them
+    with a variable or ``[]`` as its tail."""
+    if rng.random() < 0.2:
+        items = [random_term(rng, depth - 1, pool)
+                 for _ in range(rng.randint(1, 3))]
+        tail = Var(rng.choice(pool)) if pool and rng.random() < 0.5 \
+            else Const("[]")
+        return mklist(items, tail)
+    return random_term(rng, depth, pool)
+
+
+def _random_store(rng, names):
+    """Triangular bindings over ``names``: each variable bound, or not, to
+    a term over the variables after it, or to one of them."""
+    store = {}
+    for i, name in enumerate(names):
+        later = names[i + 1:]
+        roll = rng.random()
+        if roll < 0.15 and later:
+            store[Var(name)] = Var(rng.choice(later))
+        elif roll < 0.6:
+            store[Var(name)] = _random_term(rng, 3, later)
+    return store
+
+
+def _kept(x, y, moved):
+    """Whether each part of ``x`` in which no variable of ``moved`` occurs
+    comes back in ``y``, the rebuilt ``x``, as the same object."""
+    stack = [(x, y)]
+    while stack:
+        x, y = stack.pop()
+        if moved.isdisjoint(term_vars(x)):
+            if x is not y:
+                return False
+        elif isinstance(x, (Struct, Atom)):
+            stack.extend(zip(x.args, y.args))
+        elif isinstance(x, tuple):
+            stack.extend(zip(x, y))
+    return True
+
+
+def test_rebuild_walk_matches_the_recursive_references(corpus):
+    """``substitute`` and ``replace_vars`` against the recursive functions
+    they replace, on random terms under random triangular stores, some
+    made cyclic, and on every clause of the corpus programs, their classic
+    outputs, encoded interpreters and residual programs; ``print_term``
+    against its recursive reference and ``parse_term``."""
+    rng = random.Random(20)
+    names = ["X", "Y", "Z", "L", "_V1", "_V2"]
+    cases = []
+    for _ in range(600):
+        store = _random_store(rng, names)
+        unbound = [n for n in names if Var(n) not in store]
+        if unbound and rng.random() < 0.3:   # a binding back, maybe a cycle
+            store[Var(unbound[-1])] = Struct("f", (_random_term(rng, 2, names),
+                                                   Var(rng.choice(names))))
+        term = Atom("p", tuple(_random_term(rng, 3, names)
+                               for _ in range(rng.randint(1, 3))))
+        cases.append((term, store))
+    programs = []
+    for name in CORPUS_NAMES:
+        entry = corpus(name)
+        programs += [entry.program, entry.classic.program,
+                     encode_as_logic_program(entry.tables),
+                     entry.futamura.program]
+    for clause in [c for p in programs for c in p.clauses]:
+        variables = [v.name for v in clause.variables]
+        rng.shuffle(variables)
+        cases.append(((clause.head,) + clause.body,
+                      _random_store(rng, variables)))
+    cyclic = 0
+    for term, store in cases:
+        got = _outcome(substitute, term, store)
+        assert got == _outcome(reference_substitute, term, store), term
+        if got == "cyclic":
+            cyclic += 1
+            continue
+        assert _kept(term, got, set(store))
+        assert substitute(term, {}) is term
+        renamed = replace_vars(term, lambda v: store.get(v, v))
+        assert renamed == \
+            reference_replace_vars(term, lambda v: store.get(v, v))
+        assert _kept(term, renamed, set(store))
+        for atom in got if isinstance(got, tuple) else (got,):
+            for t in atom.args:
+                assert print_term(t) == reference_print_term(t)
+                assert parse_term(print_term(t)) == t
+    assert len(cases) > 1000 and 10 < cyclic < 200
+
+
+def test_deep_terms_are_rebuilt_printed_and_read():
+    x, deep = Var("X"), _nested(5000, "z")
+    text = "s(" * 5000 + "z" + ")" * 5000
+    assert print_term(deep) == repr(deep) == text
+    assert repr(Atom("p", (deep,))) == f"p({text})"
+    assert parse_term(text) == deep
+    assert parse_term(f"[{text}|{text}]") == mklist([deep], deep)
+    open_ = parse_term(text.replace("z", "X"))
+    assert substitute(open_, {x: Const("z")}) == deep
+    assert substitute(deep, {x: Const("z")}) is deep
+    assert replace_vars(open_, {x: Const("z")}.__getitem__) == deep
+    # a chain of 5,000 bindings, each one level deep
+    chain = {Var(f"_V{i}"): Struct("s", (Var(f"_V{i + 1}"),))
+             for i in range(5000)}
+    chain[Var("_V5000")] = Const("z")
+    assert substitute(Var("_V0"), chain) == deep
+    # closed into a cycle at its far end, it is refused, not walked
+    chain[Var("_V5000")] = Struct("f", (Var("_V0"),))
+    with pytest.raises(RecursionError):
+        substitute(Var("_V0"), chain)
+
+
+def test_term_walks_do_not_recurse():
+    """``substitute``, ``replace_vars``, their walk, ``print_term`` and
+    ``_Parser.parse_term`` keep explicit stacks: none of them calls itself
+    or another of them, bar the two that hand over to the walk, and
+    nothing under ``src/`` raises the host's recursion limit."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    tree = ast.parse((src / "ccontrol" / "terms.py").read_text())
+    parser = next(n for n in tree.body
+                  if isinstance(n, ast.ClassDef) and n.name == "_Parser")
+    walks = {"substitute", "replace_vars", "_rebuild", "print_term",
+             "parse_term"}
+    calls = {}
+    for node in tree.body + parser.body:
+        if isinstance(node, ast.FunctionDef) and node.name in walks and \
+                (node.name == "parse_term") == (node in parser.body):
+            calls[node.name] = walks & {
+                getattr(c.func, "attr", getattr(c.func, "id", None))
+                for c in ast.walk(node) if isinstance(c, ast.Call)}
+    assert calls == {"substitute": {"_rebuild"}, "replace_vars": {"_rebuild"},
+                     "_rebuild": set(), "print_term": set(),
+                     "parse_term": set()}
+    for path in src.rglob("*.py"):
+        assert "setrecursionlimit" not in path.read_text(), path
 
 
 # --- unification ----------------------------------------------------------
