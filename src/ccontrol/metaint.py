@@ -29,10 +29,10 @@ from .engine import (BUILTINS, Limits, RunResult, Solver, depth_first,
                      support_clauses)
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
-from .terms import (CONS, Atom, Const, FreshNames, Program, Struct, Var,
-                    atom_to_term, list_parts, mklist, parse_program,
-                    print_atom, program_of, replace_vars, resolve_in,
-                    substitute, term_to_atom)
+from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
+                    Var, atom_to_term, mklist, parse_program, print_atom,
+                    program_of, replace_vars, resolve_in, substitute,
+                    term_to_atom)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -45,6 +45,12 @@ class MetaintError(LogicError):
 
 
 # --- cmulti goals ---------------------------------------------------------
+#
+# A cmulti element is read through the run's binding store as far as a step
+# inspects it, never resolved as a whole: a split reads the list's first
+# cell, its first block and that block's atoms; a grouping reads the list's
+# spine and keeps the blocks as they are.  A message that shows an element
+# resolves it first.
 
 def building_block(atoms) -> Struct:
     """building_block([...]) over a block of atoms, or of variables that
@@ -53,35 +59,79 @@ def building_block(atoms) -> Struct:
         a if isinstance(a, Var) else atom_to_term(a) for a in atoms]),))
 
 
-def make_cmulti(blocks) -> Atom:
-    """cmulti([building_block([...]), ...]) over concrete atom blocks."""
-    return Atom(CMULTI, (mklist([building_block(b) for b in blocks]),))
-
-
 def is_cmulti(x) -> bool:
-    return isinstance(x, Atom) and x.indicator == (CMULTI, 1)
+    return x.__class__ is Atom and x.pred == CMULTI and len(x.args) == 1
 
 
-def cmulti_blocks(x: Atom):
-    """The list of atom blocks wrapped in a cmulti goal element."""
+def _deref(t, store):
+    """What the store makes of ``t``, through chains of variables."""
+    while isinstance(t, Var):
+        u = store.get(t)
+        if u is None:
+            break
+        t = u
+    return t
+
+
+def _is_cell(t) -> bool:
+    return t.__class__ is Struct and t.functor == CONS and len(t.args) == 2
+
+
+def _is_nil(t) -> bool:
+    return t.__class__ is Const and t.name == NIL
+
+
+def _list_parts(t, store) -> tuple:
+    """``terms.list_parts`` read through the store: the list's elements
+    and its tail, each dereferenced."""
+    items = []
+    t = _deref(t, store)
+    while _is_cell(t):
+        items.append(_deref(t.args[0], store))
+        t = _deref(t.args[1], store)
+    return items, t
+
+
+def _blocks_list(x, store):
+    """The building-block list of the cmulti element ``x``, dereferenced."""
     if not is_cmulti(x):
-        raise MetaintError(f"not a cmulti element: {x!r}")
-    bbs, tail = list_parts(x.args[0])
-    if tail != Const("[]"):
-        raise MetaintError(f"open building-block list in {x!r}")
-    blocks = []
-    for bb in bbs:
-        if not (isinstance(bb, Struct) and bb.functor == BUILDING_BLOCK
-                and len(bb.args) == 1):
-            raise MetaintError(f"malformed building block {bb!r}")
-        atoms, btail = list_parts(bb.args[0])
-        if btail != Const("[]"):
-            raise MetaintError(f"open building block {bb!r}")
-        block = tuple(term_to_atom(t) for t in atoms)
-        if None in block:
-            raise MetaintError(f"not a callable term in {bb!r}")
-        blocks.append(block)
-    return blocks
+        raise MetaintError(f"not a cmulti element: {substitute(x, store)!r}")
+    return _deref(x.args[0], store)
+
+
+def _spine(x, store) -> tuple:
+    """The building blocks of the cmulti element ``x`` as they are, each
+    checked to be a ``building_block/1`` wrapper, and the dereferenced
+    list that holds them."""
+    head = _blocks_list(x, store)
+    blocks, tail = _list_parts(head, store)
+    if not _is_nil(tail):
+        raise MetaintError(
+            f"open building-block list in {substitute(x, store)!r}")
+    for bb in blocks:
+        _check_wrapper(bb, store)
+    return blocks, head
+
+
+def _check_wrapper(bb, store):
+    if not (bb.__class__ is Struct and bb.functor == BUILDING_BLOCK
+            and len(bb.args) == 1):
+        raise MetaintError(
+            f"malformed building block {substitute(bb, store)!r}")
+
+
+def _block_atoms(bb, store) -> tuple:
+    """The atoms of the building block ``bb``, each dereferenced only to
+    its principal functor."""
+    _check_wrapper(bb, store)
+    terms, tail = _list_parts(bb.args[0], store)
+    if not _is_nil(tail):
+        raise MetaintError(f"open building block {substitute(bb, store)!r}")
+    block = tuple(term_to_atom(t) for t in terms)
+    if None in block:
+        raise MetaintError(
+            f"not a callable term in {substitute(bb, store)!r}")
+    return block
 
 
 # --- tables ---------------------------------------------------------------
@@ -186,44 +236,47 @@ def divide_goals(goal, idx):
     return goal[:idx], goal[idx], goal[idx + 1:]
 
 
-def apply_groupings(goal, ev: FoldEvent):
+def apply_groupings(goal, ev: FoldEvent, store):
     """Group a subconjunction of a goal into a cmulti element, mirroring
     the analysis grouping ``ev``: two adjacent atom blocks form a new
     cmulti, a block joins the adjacent cmulti on its left or right, or two
     adjacent cmultis merge.  Flattening the result restores the original
-    goal, so answers are unaffected.
+    goal, so answers are unaffected.  The blocks of the cmultis involved
+    are kept as they are: "right" and "merge" copy the left cmulti's
+    spine, and "new" and "left" a fixed number of cells.
     """
-    goal = list(goal)
     s, p = ev.start, ev.plen
+    # the goal elements each kind replaces
+    width = {"new": 2 * p, "left": p + 1, "right": p + 1,
+             "merge": 2}.get(ev.kind)
+    if width is None:
+        raise MetaintError(f"unknown grouping kind {ev.kind!r}")
+    end = s + width
+    if end > len(goal):
+        raise MetaintError(f"grouping {ev} out of range for goal of "
+                           f"{len(goal)}")
     if ev.kind == "new":
-        if s + 2 * p > len(goal):
-            raise MetaintError(f"grouping {ev} out of range for goal of "
-                               f"{len(goal)}")
-        blocks = [_check_atoms(goal[s: s + p]),
-                  _check_atoms(goal[s + p: s + 2 * p])]
-        return tuple(goal[:s] + [make_cmulti(blocks)] + goal[s + 2 * p:])
-    if ev.kind == "left":
-        block = _check_atoms(goal[s: s + p])
-        rest = cmulti_blocks(goal[s + p])
-        return tuple(goal[:s] + [make_cmulti([tuple(block)] + rest)]
-                     + goal[s + p + 1:])
-    if ev.kind == "right":
-        blocks = cmulti_blocks(goal[s])
-        block = _check_atoms(goal[s + 1: s + 1 + p])
-        return tuple(goal[:s] + [make_cmulti(blocks + [tuple(block)])]
-                     + goal[s + 1 + p:])
-    if ev.kind == "merge":
-        b1 = cmulti_blocks(goal[s])
-        b2 = cmulti_blocks(goal[s + 1])
-        return tuple(goal[:s] + [make_cmulti(b1 + b2)] + goal[s + 2:])
-    raise MetaintError(f"unknown grouping kind {ev.kind!r}")
+        blocks = mklist([_new_block(goal[s: s + p], store),
+                         _new_block(goal[s + p: end], store)])
+    elif ev.kind == "left":
+        block = _new_block(goal[s: s + p], store)
+        blocks = Struct(CONS, (block, _spine(goal[s + p], store)[1]))
+    elif ev.kind == "right":
+        rest = _spine(goal[s], store)[0]
+        blocks = mklist(rest + [_new_block(goal[s + 1: end], store)])
+    else:
+        first = _spine(goal[s], store)[0]
+        blocks = mklist(first, _spine(goal[s + 1], store)[1])
+    return goal[:s] + (Atom(CMULTI, (blocks,)),) + goal[end:]
 
 
-def _check_atoms(elems):
-    for e in elems:
-        if is_cmulti(e):
-            raise MetaintError(f"cannot re-group cmulti element {e!r}")
-    return elems
+def _new_block(atoms, store) -> Struct:
+    """The building block of goal atoms that a grouping wraps."""
+    for a in atoms:
+        if is_cmulti(a):
+            raise MetaintError(
+                f"cannot re-group cmulti element {substitute(a, store)!r}")
+    return building_block(atoms)
 
 
 # --- the interpreter ------------------------------------------------------
@@ -260,18 +313,17 @@ class MetaInterpreter:
         """One abstract-machine step, as the state's action says.  Only
         clause resolution, also within a user full evaluation, deepens
         the derivation; full evaluation, splits and groupings are free.
-        The goal is resolved through the store only where the step
-        inspects it: cmulti elements, a builtin full evaluation's atom and
-        the atom a user full evaluation derived."""
+        The goal is read through the store only as far as the step
+        inspects it (see "cmulti goals" above); a builtin full
+        evaluation's atom is resolved, and so is the atom a user full
+        evaluation derived when its outputs need telling apart."""
         if isinstance(state, tuple):
             return self._user_eval_step(goal, state)
         action = self.graph.actions.get(state, ("leaf",))
         if action[0] == "group":
             ev = action[1]
             dst = self.graph.successor(state, ("grouping", ev.kind))
-            goal = tuple(substitute(e, self.store) if is_cmulti(e) else e
-                         for e in goal)
-            return 0, [(apply_groupings(goal, ev), dst, ())]
+            return 0, [(apply_groupings(goal, ev, self.store), dst, ())]
         if action[0] == "split":
             return 0, self._split(goal, state, action[1])
         if action[0] == "select" and action[2] == FULLEVAL:
@@ -283,14 +335,23 @@ class MetaInterpreter:
             f"{substitute(list(goal), self.store)}")
 
     def _split(self, goal, state, idx):
+        """The cmulti at ``idx`` gives up its first block: in place of the
+        element when no block follows ("one"), otherwise ahead of the
+        rest, which stays the unresolved tail of the list ("many")."""
         before, selected, after = divide_goals(goal, idx)
-        blocks = cmulti_blocks(substitute(selected, self.store))
-        if len(blocks) == 1:
+        store = self.store
+        cell = _blocks_list(selected, store)
+        tail = _deref(cell.args[1], store) if _is_cell(cell) else None
+        if tail is None or not (_is_cell(tail) or _is_nil(tail)):
+            kind = "empty" if _is_nil(cell) else "open"
+            raise MetaintError(f"{kind} building-block list in "
+                               f"{substitute(selected, store)!r}")
+        block = _block_atoms(_deref(cell.args[0], store), store)
+        if _is_nil(tail):
             dst = self.graph.successor(state, ("one",))
-            return [(before + blocks[0] + after, dst, ())]
+            return [(before + block + after, dst, ())]
         dst = self.graph.successor(state, ("many",))
-        rest = make_cmulti(blocks[1:])
-        return [(before + blocks[0] + (rest,) + after, dst, ())]
+        return [(before + block + (Atom(CMULTI, (tail,)),) + after, dst, ())]
 
     def _full_eval(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
@@ -308,7 +369,8 @@ class MetaInterpreter:
         selected = substitute(selected, self.store)
         succ = []
         for theta in BUILTINS.evaluate(selected):
-            dst = self._match_output(theta.apply(selected), decl, dsts, state)
+            dst = self._match_output(lambda: theta.apply(selected), decl,
+                                     dsts, state)
             succ.append((before + after, dst, theta.bindings))
         return succ
 
@@ -332,13 +394,18 @@ class MetaInterpreter:
             return deeper, succ
         sid = state[1]
         decl, dsts = self._fulleval_outputs(sid)
-        result = term_to_atom(substitute(goal[0].args[0], self.store))
-        return 0, [(goal[1:], self._match_output(result, decl, dsts, sid),
-                    ())]
+        dst = self._match_output(
+            lambda: term_to_atom(substitute(goal[0].args[0], self.store)),
+            decl, dsts, sid)
+        return 0, [(goal[1:], dst, ())]
 
-    def _match_output(self, result: Atom, decl, dsts, state):
+    def _match_output(self, derive, decl, dsts, state):
+        """The output state of a full evaluation: the only one, or the
+        first whose declared output the derived atom, which ``derive``
+        builds only then, is an instance of."""
         if len(dsts) == 1:
             return next(iter(dsts.values()))
+        result = derive()
         for out_idx, out in enumerate(decl.outputs):
             if out_idx not in dsts:
                 continue

@@ -11,6 +11,7 @@ generated head code by clause shape (see ``_head_code``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -1013,8 +1014,21 @@ def _lean(code: CodeType) -> CodeType:
 
 RESERVED_PREDICATES = ("cmulti", "building_block")
 
-_PUNCT = [":-", "=<", "->", "(", ")", "[", "]", "{", "}", "|", ",",
-          "<", "=", ";", ".", "/", ":"]
+# The tokens, matched one after another from the start of the text; the
+# alternatives are tried in order: blanks, a comment up to the end of its
+# line, punctuation (longest first), an integer, a word, and any other
+# character, which is an error.  A word is a name when it starts with a
+# lowercase letter and a variable when it starts with an uppercase letter
+# or "_"; it goes on over ``\w``, which is ``str.isalnum()`` or "_".  An
+# integer's digits are the decimal digits that ``int`` reads.
+_TOKEN = re.compile(r"""
+    (?P<blank>[ \t\r\n]+)
+  | (?P<comment>%[^\n]*)
+  | (?P<punct>:-|=<|->|[()\[\]{}|,<=;./:])
+  | (?P<int>-?\d+)
+  | (?P<word>\w+)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class _EndOfInput:
@@ -1026,66 +1040,38 @@ class _EndOfInput:
 
 class _Lexer:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens = list(self._lex())
+        self.tokens = self._lex(text)
         self.i = 0
 
-    def _advance(self, n):
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def _lex(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
+    def _lex(self, text) -> list:
+        """The tokens of ``text``, each ``(kind, value, (line, column))``;
+        the end of the text is left in ``line`` and ``col``."""
+        tokens = []
+        line, start = 1, 0      # ``start``: where the line begins
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "blank":
+                newlines = text.count("\n", m.start(), m.end())
+                if newlines:
+                    line += newlines
+                    start = text.rindex("\n", m.start(), m.end()) + 1
                 continue
-            if ch == "%":
-                nl = text.find("\n", self.pos)
-                self._advance((nl if nl >= 0 else len(text)) - self.pos)
+            if kind == "comment":
                 continue
-            loc = (self.line, self.col)
-            for p in _PUNCT:
-                if text.startswith(p, self.pos):
-                    # '.' inside a float/end: '.' followed by '(' is the cons
-                    # functor written explicitly; treat '.' as punct always.
-                    self._advance(len(p))
-                    yield (p, p, loc)
-                    break
+            tok, pos = m.group(), m.start()
+            loc = (line, pos - start + 1)
+            if kind == "punct":
+                tokens.append((tok, tok, loc))
+            elif kind == "int":
+                tokens.append(("int", int(tok), loc))
+            elif kind == "word" and tok[0].islower():
+                tokens.append(("name", tok, loc))
+            elif kind == "word" and (tok[0].isupper() or tok[0] == "_"):
+                tokens.append(("var", tok, loc))
             else:
-                if ch.isdigit() or (ch == "-" and self.pos + 1 < len(text)
-                                    and text[self.pos + 1].isdigit()):
-                    j = self.pos + 1
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-                    tok = text[self.pos:j]
-                    self._advance(j - self.pos)
-                    yield ("int", int(tok), loc)
-                elif ch.islower():
-                    j = self.pos
-                    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                        j += 1
-                    tok = text[self.pos:j]
-                    self._advance(j - self.pos)
-                    yield ("name", tok, loc)
-                elif ch.isupper() or ch == "_":
-                    j = self.pos
-                    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                        j += 1
-                    tok = text[self.pos:j]
-                    self._advance(j - self.pos)
-                    yield ("var", tok, loc)
-                else:
-                    raise ParseError(f"unexpected character {ch!r}", *loc)
+                raise ParseError(f"unexpected character {tok[0]!r}", *loc)
+        self.line, self.col = line, len(text) - start + 1
+        return tokens
 
     def peek(self):
         if self.i < len(self.tokens):

@@ -13,16 +13,19 @@ from ccontrol import pd
 from ccontrol.absdom import (ANY, ASub, AVar, AbstractDomainError, FULLEVAL,
                              GROUND, MVar, UNFOLD, abstract_instance, avars,
                              canonicalize, widen_depth_k)
+from ccontrol.metaint import (BUILDING_BLOCK, CMULTI, MetaintError,
+                              building_block, is_cmulti)
 from ccontrol.multi import Multi, _sorted_pairs
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              SelectionPolicy, _effective_atoms, _printable,
                              select_conjunct)
 from itertools import repeat
 
-from ccontrol.terms import (CONS, NIL, Atom, Const, Struct, Substitution, Var,
-                            _occurs, list_parts, mklist, parse_atom,
-                            print_atom, print_term, replace_vars, resolve_in,
-                            substitute, take_back, term_vars, unify)
+from ccontrol.terms import (CONS, NIL, Atom, Const, ParseError, Struct,
+                            Substitution, Var, _occurs, list_parts, mklist,
+                            parse_atom, print_atom, print_term, replace_vars,
+                            resolve_in, substitute, take_back, term_to_atom,
+                            term_vars, unify)
 
 
 # --- abstract notation ---------------------------------------------------
@@ -791,6 +794,84 @@ def reference_resolve_all(atom, clauses, rest, state, fresh, store,
     return successors[::-1] if last_first else successors
 
 
+# --- the interpreter's goal surgery by rebuilding --------------------------
+# ``metaint``'s split and grouping steps as they were before they read cmulti
+# elements through the binding store: on a goal already resolved through
+# the store, they take every cmulti apart into atom blocks and build the
+# successor's cmulti afresh.
+
+def make_cmulti(blocks) -> Atom:
+    """cmulti([building_block([...]), ...]) over concrete atom blocks."""
+    return Atom(CMULTI, (mklist([building_block(b) for b in blocks]),))
+
+
+def cmulti_blocks(x: Atom):
+    """The list of atom blocks wrapped in a cmulti goal element."""
+    if not is_cmulti(x):
+        raise MetaintError(f"not a cmulti element: {x!r}")
+    bbs, tail = list_parts(x.args[0])
+    if tail != Const(NIL):
+        raise MetaintError(f"open building-block list in {x!r}")
+    blocks = []
+    for bb in bbs:
+        if not (isinstance(bb, Struct) and bb.functor == BUILDING_BLOCK
+                and len(bb.args) == 1):
+            raise MetaintError(f"malformed building block {bb!r}")
+        atoms, btail = list_parts(bb.args[0])
+        if btail != Const(NIL):
+            raise MetaintError(f"open building block {bb!r}")
+        block = tuple(term_to_atom(t) for t in atoms)
+        if None in block:
+            raise MetaintError(f"not a callable term in {bb!r}")
+        blocks.append(block)
+    return blocks
+
+
+def reference_split(goal, idx):
+    """The split of the resolved cmulti at ``idx``: ("one", successor) or
+    ("many", successor)."""
+    blocks = cmulti_blocks(goal[idx])
+    before, after = tuple(goal[:idx]), tuple(goal[idx + 1:])
+    if len(blocks) == 1:
+        return "one", before + blocks[0] + after
+    return "many", before + blocks[0] + (make_cmulti(blocks[1:]),) + after
+
+
+def _atoms_only(elems):
+    for e in elems:
+        if is_cmulti(e):
+            raise MetaintError(f"cannot re-group cmulti element {e!r}")
+    return tuple(elems)
+
+
+def reference_apply_groupings(goal, ev):
+    """The grouping ``ev`` of a goal whose cmulti elements are resolved."""
+    goal = list(goal)
+    s, p = ev.start, ev.plen
+    if ev.kind == "new":
+        if s + 2 * p > len(goal):
+            raise MetaintError(f"grouping {ev} out of range for goal of "
+                               f"{len(goal)}")
+        blocks = [_atoms_only(goal[s: s + p]),
+                  _atoms_only(goal[s + p: s + 2 * p])]
+        return tuple(goal[:s] + [make_cmulti(blocks)] + goal[s + 2 * p:])
+    if ev.kind == "left":
+        block = _atoms_only(goal[s: s + p])
+        rest = cmulti_blocks(goal[s + p])
+        return tuple(goal[:s] + [make_cmulti([block] + rest)]
+                     + goal[s + p + 1:])
+    if ev.kind == "right":
+        blocks = cmulti_blocks(goal[s])
+        block = _atoms_only(goal[s + 1: s + 1 + p])
+        return tuple(goal[:s] + [make_cmulti(blocks + [block])]
+                     + goal[s + 1 + p:])
+    if ev.kind == "merge":
+        b1 = cmulti_blocks(goal[s])
+        b2 = cmulti_blocks(goal[s + 1])
+        return tuple(goal[:s] + [make_cmulti(b1 + b2)] + goal[s + 2:])
+    raise MetaintError(f"unknown grouping kind {ev.kind!r}")
+
+
 # --- the recursive term walks --------------------------------------------
 # ``terms.substitute``, ``terms.replace_vars`` and ``terms.print_term`` as
 # they were before one explicit-stack walk replaced their recursion: the
@@ -890,6 +971,67 @@ def reference_print_term(t) -> str:
         return f"[{inner}|{reference_print_term(tail)}]"
     inner = ",".join(reference_print_term(a) for a in t.args)
     return f"{t.functor}({inner})"
+
+
+# --- the character-loop lexer ----------------------------------------------
+
+_PUNCT = [":-", "=<", "->", "(", ")", "[", "]", "{", "}", "|", ",",
+          "<", "=", ";", ".", "/", ":"]
+
+
+def reference_tokens(text):
+    """The tokens of ``text`` and the (line, column) of its end, scanned
+    a character at a time, with every punctuation string tried in turn at
+    each token, as ``terms._Lexer`` once did.  A character that
+    ``str.isdigit`` takes for a digit but ``int`` cannot read, such as
+    "²", raises ValueError here."""
+    tokens = []
+    pos, line, col = 0, 1, 1
+
+    def advance(n):
+        nonlocal pos, line, col
+        for ch in text[pos:pos + n]:
+            if ch == "\n":
+                line, col = line + 1, 1
+            else:
+                col += 1
+        pos += n
+
+    def word_end():
+        j = pos
+        while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            j += 1
+        return j
+
+    while pos < len(text):
+        ch = text[pos]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if ch == "%":
+            nl = text.find("\n", pos)
+            advance((nl if nl >= 0 else len(text)) - pos)
+            continue
+        loc = (line, col)
+        punct = next((p for p in _PUNCT if text.startswith(p, pos)), None)
+        if punct is not None:
+            tokens.append((punct, punct, loc))
+            advance(len(punct))
+        elif ch.isdigit() or (ch == "-" and pos + 1 < len(text)
+                              and text[pos + 1].isdigit()):
+            j = pos + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[pos:j]), loc))
+            advance(j - pos)
+        elif ch.islower() or ch.isupper() or ch == "_":
+            j = word_end()
+            tokens.append(("name" if ch.islower() else "var", text[pos:j],
+                           loc))
+            advance(j - pos)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", *loc)
+    return tokens, (line, col)
 
 
 # --- random concrete terms -----------------------------------------------

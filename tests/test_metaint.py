@@ -1,22 +1,28 @@
 """Table-driven interpreter and its logic-program encoding."""
 
+import collections
 import pathlib
 
 import pytest
 
 from ccontrol import metaint
-from ccontrol.analysis import analyze
+from ccontrol.analysis import AnalysisOptions, analyze
 from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
-                              cmulti_blocks, encode_as_logic_program,
-                              is_cmulti, make_cmulti, mi_run, term_to_atom)
+                              encode_as_logic_program, is_cmulti, mi_run,
+                              term_to_atom)
 from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import parse_policy
 from ccontrol.synthesis import run_compiled, synthesize
-from ccontrol.terms import Atom, mklist, parse_goal, parse_program, \
-    print_program, program_of
+from ccontrol.terms import (Atom, mklist, parse_goal, parse_program,
+                            parse_term, print_program, program_of,
+                            substitute, Var)
 
-from conftest import answer_set, pinned_small_outputs, small_outputs
+from conftest import (CORPUS_NAMES, answer_set, pinned_small_outputs,
+                      small_outputs)
+from oracles import (cmulti_blocks, make_cmulti, reference_apply_groupings,
+                     reference_split)
+from test_synthesis import WIDENED
 
 
 def run_encoded(entry, goal, limits=None):
@@ -35,6 +41,111 @@ def test_cmulti_construction():
     c = make_cmulti(blocks)
     assert is_cmulti(c)
     assert cmulti_blocks(c) == blocks
+
+
+def _widened_tables(key):
+    lp, policy_text, k = WIDENED[key]
+    program, policy = parse_program(lp), parse_policy(policy_text)
+    graph = analyze(program, policy, AnalysisOptions(depth_k=k))
+    return build_tables(graph, program, policy)
+
+
+# the widened programs' goals; grow's answers never end
+WIDENED_GOALS = {"grow k=2": ("grow(z,Y)", "grow(s(z),Y)"),
+                 "acc k=2": ("acc([],z,R)", "acc([a,b,c,d,e],z,R)"),
+                 "acc k=3": ("acc([a],z,R)", "acc([a,b,c,d,e,f],z,R)")}
+
+
+def test_splits_and_groupings_match_the_rebuild(corpus, monkeypatch):
+    # at every split and grouping visit, the successor goal read through
+    # the store is what taking the resolved goal apart and rebuilding it
+    # gives
+    step = metaint.MetaInterpreter.step
+    visits = collections.Counter()
+
+    def checked(self, goal, state):
+        deeper, succ = step(self, goal, state)
+        action = ("user",) if isinstance(state, tuple) else \
+            self.graph.actions.get(state, ("leaf",))
+        if action[0] not in ("split", "group"):
+            return deeper, succ
+        resolved = substitute(goal, self.store)
+        if action[0] == "split":
+            kind, expected = reference_split(resolved, action[1])
+        else:
+            kind = action[1].kind
+            expected = reference_apply_groupings(resolved, action[1])
+        cause = ("grouping", kind) if action[0] == "group" else (kind,)
+        assert deeper == 0
+        assert [(substitute(g, self.store), dst, b) for g, dst, b in succ] \
+            == [(expected, self.graph.successor(state, cause), ())]
+        visits[kind] += 1
+        return deeper, succ
+
+    monkeypatch.setattr(metaint.MetaInterpreter, "step", checked)
+    for name in CORPUS_NAMES:
+        for goal in corpus(name).queries:
+            mi_run(corpus(name).tables, goal)
+    for key, goals in WIDENED_GOALS.items():
+        for goal in goals:
+            mi_run(_widened_tables(key), parse_goal(goal),
+                   limits=Limits(max_answers=4))
+    assert set(visits) == {"one", "many", "new", "left", "right"}
+    # no concrete primes goal reaches the analysis' merge state, so it is
+    # driven on a goal whose second cmulti list is bound in the store
+    tables = corpus("primes").tables
+    merge = next(s for s, ev in tables.grouping.items() if ev.kind == "merge")
+    machine = metaint.MetaInterpreter(tables)
+    machine.store.update({Var("L"): parse_term(
+        "[building_block([filter(3,F2,F3)]),building_block([filter(5,F3,F4)])]"
+    )})
+    machine.step(parse_goal(
+        "integers(6,I), cmulti([building_block([filter(2,[5|I],F1)]), "
+        "building_block([filter(3,F1,F2)])]), cmulti(L), sift(F4,P), "
+        "length(P,3)"), merge)
+    assert visits["merge"] == 1
+
+
+def _malformed_step(goal, kind):
+    """``MetaInterpreter.step`` on ``goal`` in acc's first split state, or
+    in its grouping state of the kind ``kind``."""
+    tables = _widened_tables("acc k=2")
+    state = min(sid for sid, a in tables.graph.actions.items()
+                if a[0] == kind or a[0] == "group" and a[1].kind == kind)
+    return metaint.MetaInterpreter(tables).step(parse_goal(goal), state)
+
+
+@pytest.mark.parametrize("goal, kind, message", [
+    ("cmulti(foo)", "split", "open building-block list in cmulti(foo)"),
+    ("cmulti([])", "split", "empty building-block list in cmulti([])"),
+    ("cmulti([building_block([link(a,R1,R)])|T])", "split",
+     "open building-block list in "
+     "cmulti([building_block([link(a,R1,R)])|T])"),
+    ("cmulti([building_block([link(a,R1,R)|T])])", "split",
+     "open building block building_block([link(a,R1,R)|T])"),
+    ("cmulti([building_block([X])])", "split",
+     "not a callable term in building_block([X])"),
+    ("cmulti([foo(X)])", "split", "malformed building block foo(X)"),
+    ("link(a,R1,R)", "split", "not a cmulti element: link(a,R1,R)"),
+    ("acc([],z,R),link(a,R1,R),cmulti([building_block([link(b,R2,R1)])|T])",
+     "left", "open building-block list in "
+     "cmulti([building_block([link(b,R2,R1)])|T])"),
+    ("acc([],z,R),link(a,R1,R),cmulti([foo])", "left",
+     "malformed building block foo"),
+    ("acc([],z,R),link(a,R1,R),link(b,R2,R1)", "left",
+     "not a cmulti element: link(b,R2,R1)"),
+    ("acc([],z,R),cmulti([]),link(b,R2,R1)", "new",
+     "cannot re-group cmulti element cmulti([])"),
+    ("acc([],z,R),link(a,R1,R)", "left",
+     "grouping FoldEvent(start=1, plen=1, kind='left') out of range for "
+     "goal of 2"),
+])
+def test_malformed_cmulti_is_a_metaint_error(goal, kind, message):
+    # each check names what it found, resolved through the store; none
+    # lets an AttributeError or IndexError through
+    with pytest.raises(MetaintError) as exc:
+        _malformed_step(goal, kind)
+    assert str(exc.value) == message
 
 
 def test_tables_classify_states(corpus):

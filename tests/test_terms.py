@@ -15,17 +15,19 @@ from ccontrol.metaint import encode_as_logic_program
 from ccontrol.multi import pattern_name
 from ccontrol.policy import parse_policy
 from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
-                            Program, Struct, Substitution, Var, _Parser,
+                            Program, Struct, Substitution, Var, _Lexer,
+                            _Parser,
                             list_parts, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
                             rename_apart, replace_vars, resolve_in,
                             substitute, term_vars, unify)
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, corpus_text
 from oracles import (atoms_like, check_unify_against_brute_force,
                      random_term, reference_print_term, reference_replace_vars,
-                     reference_resolve_in, reference_substitute, resolve)
+                     reference_resolve_in, reference_substitute,
+                     reference_tokens, resolve)
 
 
 # --- parsing and printing -------------------------------------------------
@@ -122,6 +124,53 @@ def test_variable_in_abstract_notation_is_reported_at_its_token(
         parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)
+    assert str(err.value) == message
+
+
+def _scan(scan, text):
+    """What a lexer makes of ``text``: its tokens and where the text ends,
+    or the message of the error it raises."""
+    try:
+        return scan(text)
+    except ParseError as err:
+        return str(err)
+
+
+def _lexer_tokens(text):
+    lexer = _Lexer(text)
+    return lexer.tokens, (lexer.line, lexer.col)
+
+
+def test_lexer_matches_the_character_loop_reference():
+    # every corpus file, token for token with its location, and seeded
+    # random texts, whose errors must carry the same message
+    texts = [corpus_text(name, suffix) for name in CORPUS_NAMES
+             for suffix in (".lp", ".policy", ".queries")]
+    for text in texts:
+        tokens, end = _lexer_tokens(text)
+        assert (tokens, end) == reference_tokens(text)
+        assert len(tokens) > 20
+    alphabet = list(" \t\r\n%()[]{}|,<=;./:->_aZz09xY\u00e9\u00c9\u01c5"
+                    "\u4e2d\u0663\f@") + ["-1", " 12", "foo", "Bar"]
+    rng = random.Random(21)
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet)
+                       for _ in range(rng.randint(0, 30)))
+        assert _scan(_lexer_tokens, text) == _scan(reference_tokens, text), \
+            repr(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p(a) :- q(b),\n  r(@).", "unexpected character '@' at line 2, column 5"),
+    ("p(X) % a comment\n\t - 1", "unexpected character '-' at line 2, column 3"),
+    ("\u4e2d(a)", "unexpected character '\u4e2d' at line 1, column 1"),
+    ("p(\u01c5)", "unexpected character '\u01c5' at line 1, column 3"),
+    # a digit that ``int`` cannot read: once a ValueError
+    ("p(1\u00b2)", "unexpected character '\u00b2' at line 1, column 4"),
+])
+def test_unexpected_character_is_reported_at_its_location(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
     assert str(err.value) == message
 
 
