@@ -176,6 +176,13 @@ def is_known(program: Program, atom: Atom) -> bool:
             or bool(program.clauses_for(atom.pred, len(atom.args))))
 
 
+def check_known(program: Program, goal):
+    """Reject a goal with an atom that cannot run on ``program``."""
+    for a in goal:
+        if not is_known(program, a):
+            raise EngineError(f"unknown predicate {a.pred}/{len(a.args)}")
+
+
 def answer_set(result: RunResult) -> list:
     """The answers as a sorted list of hashable keys: two runs have the
     same answer multiset exactly when their answer sets are equal."""
@@ -260,10 +267,7 @@ class Solver:
 
     def run(self, goal) -> RunResult:
         """Enumerate all answers of ``goal`` left to right."""
-        for a in goal:
-            if not is_known(self.program, a):
-                raise EngineError(
-                    f"unknown predicate {a.pred}/{len(a.args)}")
+        check_known(self.program, goal)
         return depth_first(self, goal)
 
     def step(self, goal, state):

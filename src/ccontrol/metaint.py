@@ -12,10 +12,12 @@ specialization: the interpreter's fixed clauses (``mi/2`` and friends),
 written below as Prolog text, followed by the tables as facts.
 
 Goals are tuples of concrete atoms.  Where the analysis folded repeated
-conjuncts into a multi abstraction, the concrete counterpart is a goal
-element ``cmulti(Blocks)`` whose blocks each wrap one pattern instance in
-a ``building_block/1`` structure.  Grouping transitions introduce these
-wrappers; one/many transitions take them apart again.
+conjuncts into a multi abstraction, the concrete counterpart is a cmulti
+goal element, one block of atoms per pattern instance.  Grouping
+transitions introduce it; one/many transitions take it apart again.  The
+interpreter holds it as a tuple of blocks, each a tuple of atoms; the
+encoded interpreter, the partial-deduction filters and direct synthesis
+hold it as the term ``cmulti([building_block([...]), ...])``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 from .absdom import (FULLEVAL, LogicError, abstract_instance, canonicalize,
                      print_aconj)
 from .analysis import StateGraph
-from .engine import (BUILTINS, Limits, RunResult, Solver, depth_first,
-                     support_clauses)
+from .engine import (BUILTINS, Limits, RunResult, Solver, check_known,
+                     depth_first, support_clauses)
 from .multi import FoldEvent, Multi
 from .policy import SelectionPolicy
-from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
+from .terms import (CONS, Atom, Const, FreshNames, Program, Struct,
                     Var, atom_to_term, mklist, parse_program, print_atom,
                     program_of, replace_vars, resolve_in, substitute,
                     term_to_atom)
@@ -46,11 +48,11 @@ class MetaintError(LogicError):
 
 # --- cmulti goals ---------------------------------------------------------
 #
-# A cmulti element is read through the run's binding store as far as a step
-# inspects it, never resolved as a whole: a split reads the list's first
-# cell, its first block and that block's atoms; a grouping reads the list's
-# spine and keeps the blocks as they are.  A message that shows an element
-# resolves it first.
+# mi_run holds a cmulti goal element as a tuple of blocks, each a tuple of
+# goal atoms: it only ever reads the elements it built itself.  The term
+# form ``cmulti([building_block([...]), ...])`` belongs to the encoding, the
+# filters and direct synthesis; a message shows an element in it, resolved
+# through the run's binding store.
 
 def building_block(atoms) -> Struct:
     """building_block([...]) over a block of atoms, or of variables that
@@ -59,79 +61,12 @@ def building_block(atoms) -> Struct:
         a if isinstance(a, Var) else atom_to_term(a) for a in atoms]),))
 
 
-def is_cmulti(x) -> bool:
-    return x.__class__ is Atom and x.pred == CMULTI and len(x.args) == 1
-
-
-def _deref(t, store):
-    """What the store makes of ``t``, through chains of variables."""
-    while isinstance(t, Var):
-        u = store.get(t)
-        if u is None:
-            break
-        t = u
-    return t
-
-
-def _is_cell(t) -> bool:
-    return t.__class__ is Struct and t.functor == CONS and len(t.args) == 2
-
-
-def _is_nil(t) -> bool:
-    return t.__class__ is Const and t.name == NIL
-
-
-def _list_parts(t, store) -> tuple:
-    """``terms.list_parts`` read through the store: the list's elements
-    and its tail, each dereferenced."""
-    items = []
-    t = _deref(t, store)
-    while _is_cell(t):
-        items.append(_deref(t.args[0], store))
-        t = _deref(t.args[1], store)
-    return items, t
-
-
-def _blocks_list(x, store):
-    """The building-block list of the cmulti element ``x``, dereferenced."""
-    if not is_cmulti(x):
-        raise MetaintError(f"not a cmulti element: {substitute(x, store)!r}")
-    return _deref(x.args[0], store)
-
-
-def _spine(x, store) -> tuple:
-    """The building blocks of the cmulti element ``x`` as they are, each
-    checked to be a ``building_block/1`` wrapper, and the dereferenced
-    list that holds them."""
-    head = _blocks_list(x, store)
-    blocks, tail = _list_parts(head, store)
-    if not _is_nil(tail):
-        raise MetaintError(
-            f"open building-block list in {substitute(x, store)!r}")
-    for bb in blocks:
-        _check_wrapper(bb, store)
-    return blocks, head
-
-
-def _check_wrapper(bb, store):
-    if not (bb.__class__ is Struct and bb.functor == BUILDING_BLOCK
-            and len(bb.args) == 1):
-        raise MetaintError(
-            f"malformed building block {substitute(bb, store)!r}")
-
-
-def _block_atoms(bb, store) -> tuple:
-    """The atoms of the building block ``bb``, each dereferenced only to
-    its principal functor."""
-    _check_wrapper(bb, store)
-    terms, tail = _list_parts(bb.args[0], store)
-    if not _is_nil(tail):
-        raise MetaintError(f"open building block {substitute(bb, store)!r}")
-    block = tuple(term_to_atom(t) for t in terms)
-    if None in block:
-        raise MetaintError(
-            f"not a callable term in {substitute(bb, store)!r}")
-    return block
+def _shown(x, store):
+    """The goal element ``x`` as a message shows it: a cmulti in its term
+    form, resolved through the store."""
+    if x.__class__ is tuple:
+        x = Atom(CMULTI, (mklist([building_block(b) for b in x]),))
+    return substitute(x, store)
 
 
 # --- tables ---------------------------------------------------------------
@@ -241,42 +176,41 @@ def apply_groupings(goal, ev: FoldEvent, store):
     the analysis grouping ``ev``: two adjacent atom blocks form a new
     cmulti, a block joins the adjacent cmulti on its left or right, or two
     adjacent cmultis merge.  Flattening the result restores the original
-    goal, so answers are unaffected.  The blocks of the cmultis involved
-    are kept as they are: "right" and "merge" copy the left cmulti's
-    spine, and "new" and "left" a fixed number of cells.
-    """
-    s, p = ev.start, ev.plen
-    # the goal elements each kind replaces
-    width = {"new": 2 * p, "left": p + 1, "right": p + 1,
-             "merge": 2}.get(ev.kind)
+    goal, so answers are unaffected."""
+    s, p, width = ev.start, ev.plen, ev.width
     if width is None:
         raise MetaintError(f"unknown grouping kind {ev.kind!r}")
-    end = s + width
-    if end > len(goal):
+    if s + width > len(goal):
         raise MetaintError(f"grouping {ev} out of range for goal of "
                            f"{len(goal)}")
     if ev.kind == "new":
-        blocks = mklist([_new_block(goal[s: s + p], store),
-                         _new_block(goal[s + p: end], store)])
+        blocks = (_new_block(goal[s: s + p], store),
+                  _new_block(goal[s + p: s + width], store))
     elif ev.kind == "left":
-        block = _new_block(goal[s: s + p], store)
-        blocks = Struct(CONS, (block, _spine(goal[s + p], store)[1]))
+        blocks = (_new_block(goal[s: s + p], store),) \
+            + _cmulti(goal[s + p], store)
     elif ev.kind == "right":
-        rest = _spine(goal[s], store)[0]
-        blocks = mklist(rest + [_new_block(goal[s + 1: end], store)])
+        blocks = _cmulti(goal[s], store) \
+            + (_new_block(goal[s + 1: s + width], store),)
     else:
-        first = _spine(goal[s], store)[0]
-        blocks = mklist(first, _spine(goal[s + 1], store)[1])
-    return goal[:s] + (Atom(CMULTI, (blocks,)),) + goal[end:]
+        blocks = _cmulti(goal[s], store) + _cmulti(goal[s + 1], store)
+    return ev.fold(goal, blocks)
 
 
-def _new_block(atoms, store) -> Struct:
-    """The building block of goal atoms that a grouping wraps."""
+def _new_block(atoms, store) -> tuple:
+    """The block of goal atoms that a grouping wraps."""
     for a in atoms:
-        if is_cmulti(a):
+        if a.__class__ is tuple:
             raise MetaintError(
-                f"cannot re-group cmulti element {substitute(a, store)!r}")
-    return building_block(atoms)
+                f"cannot re-group cmulti element {_shown(a, store)!r}")
+    return atoms
+
+
+def _cmulti(x, store) -> tuple:
+    """The blocks of the cmulti element ``x``."""
+    if x.__class__ is not tuple:
+        raise MetaintError(f"not a cmulti element: {_shown(x, store)!r}")
+    return x
 
 
 # --- the interpreter ------------------------------------------------------
@@ -307,16 +241,16 @@ class MetaInterpreter:
         self.engine.store = self.store
 
     def run(self, goal) -> RunResult:
+        check_known(self.tables.program, goal)
         return depth_first(self, goal, self.graph.entry)
 
     def step(self, goal, state):
         """One abstract-machine step, as the state's action says.  Only
         clause resolution, also within a user full evaluation, deepens
         the derivation; full evaluation, splits and groupings are free.
-        The goal is read through the store only as far as the step
-        inspects it (see "cmulti goals" above); a builtin full
-        evaluation's atom is resolved, and so is the atom a user full
-        evaluation derived when its outputs need telling apart."""
+        A builtin full evaluation's atom is resolved through the store,
+        and so is the atom a user full evaluation derived when its outputs
+        need telling apart."""
         if isinstance(state, tuple):
             return self._user_eval_step(goal, state)
         action = self.graph.actions.get(state, ("leaf",))
@@ -332,30 +266,23 @@ class MetaInterpreter:
             return 1, self._resolved(goal, state, action[1])
         raise MetaintError(
             f"no table entry for state {state} with goal "
-            f"{substitute(list(goal), self.store)}")
+            f"{[_shown(x, self.store) for x in goal]}")
 
     def _split(self, goal, state, idx):
         """The cmulti at ``idx`` gives up its first block: in place of the
         element when no block follows ("one"), otherwise ahead of the
-        rest, which stays the unresolved tail of the list ("many")."""
+        rest ("many")."""
         before, selected, after = divide_goals(goal, idx)
-        store = self.store
-        cell = _blocks_list(selected, store)
-        tail = _deref(cell.args[1], store) if _is_cell(cell) else None
-        if tail is None or not (_is_cell(tail) or _is_nil(tail)):
-            kind = "empty" if _is_nil(cell) else "open"
-            raise MetaintError(f"{kind} building-block list in "
-                               f"{substitute(selected, store)!r}")
-        block = _block_atoms(_deref(cell.args[0], store), store)
-        if _is_nil(tail):
+        blocks = _cmulti(selected, self.store)
+        if len(blocks) == 1:
             dst = self.graph.successor(state, ("one",))
-            return [(before + block + after, dst, ())]
+            return [(before + blocks[0] + after, dst, ())]
         dst = self.graph.successor(state, ("many",))
-        return [(before + block + (Atom(CMULTI, (tail,)),) + after, dst, ())]
+        return [(before + blocks[0] + (blocks[1:],) + after, dst, ())]
 
     def _full_eval(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
-        if is_cmulti(selected):
+        if selected.__class__ is tuple:
             raise MetaintError(
                 f"state {state} expects a callable atom at {idx}")
         decl, dsts = self._fulleval_outputs(state)
@@ -417,7 +344,7 @@ class MetaInterpreter:
 
     def _resolved(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
-        if is_cmulti(selected):
+        if selected.__class__ is tuple:
             raise MetaintError(
                 f"state {state} expects a resolvable atom at {idx}")
         succ = []

@@ -227,15 +227,30 @@ class FoldEvent:
 
     ``start`` is the first folded conjunct position, ``plen`` the pattern
     length; ``kind`` says whether a fresh multi was formed from two blocks
-    ("new") or an atom block was absorbed by an existing multi on its
-    init side ("left") or final side ("right").
+    ("new"), an atom block was absorbed by an existing multi on its init
+    side ("left") or final side ("right"), or two multis merged ("merge").
     """
     start: int
     plen: int
     kind: str
 
+    @property
+    def width(self):
+        """How many conjuncts the grouping replaces: two blocks ("new"), a
+        block and the multi ("left", "right") or two multis ("merge");
+        None for any other kind."""
+        p = self.plen
+        return {"new": 2 * p, "left": p + 1, "right": p + 1,
+                "merge": 2}.get(self.kind)
 
-def _occurrences_outside(conj, span) -> dict:
+    def fold(self, conj, elem) -> tuple:
+        """``conj`` with the conjuncts the grouping replaces replaced by
+        the one element ``elem``."""
+        return conj[:self.start] + (elem,) + conj[self.start + self.width:]
+
+
+def _occurrences_outside(conj, ev: FoldEvent) -> dict:
+    span = range(ev.start, ev.start + ev.width)
     counts = {}
     for i, c in enumerate(conj):
         if i in span:
@@ -320,15 +335,14 @@ def _fold_new(conj, start, plen):
     init = {v: slot1[v] for v in cons}
     final = {w: slot2[w] for w in set(cons.values())}
     endpoints = set(init.values()) | set(final.values())
-    span = set(range(start, start + 2 * plen))
-    outside = _occurrences_outside(conj, span)
+    ev = FoldEvent(start, plen, "new")
+    outside = _occurrences_outside(conj, ev)
     for av in links:
         if outside.get(av, 0) > 0 and av not in endpoints:
             return None  # internal chain variable leaks out of the fold
     m = Multi(0, pattern, _sorted_pairs(init),
               _sorted_pairs(cons), _sorted_pairs(final))
-    new_conj = conj[:start] + (m,) + conj[start + 2 * plen:]
-    return new_conj, FoldEvent(start, plen, "new")
+    return ev.fold(conj, m), ev
 
 
 def _fold_adjacent(conj, mi, m: Multi):
@@ -372,8 +386,8 @@ def _fold_merge(conj, mi, m1: Multi, m2: Multi):
     if any(v not in cons for v in i2) or \
             any(w not in set(cons.values()) for w in f1):
         return None
-    span = {mi, mi + 1}
-    outside = _occurrences_outside(conj, span)
+    ev = FoldEvent(mi, m1.plen, "merge")
+    outside = _occurrences_outside(conj, ev)
     allowed = {t for _, t in m1.init} | {t for _, t in m2.final}
     for w, lv in f1.items():
         if isinstance(lv, AVar):
@@ -384,8 +398,7 @@ def _fold_merge(conj, mi, m1: Multi, m2: Multi):
                 if outside.get(v, 0) > 0 and v not in allowed:
                     return None
     nm = Multi(m1.id, m1.pattern, m1.init, m1.consecutive, m2.final)
-    new_conj = conj[:mi] + (nm,) + conj[mi + 2:]
-    return new_conj, FoldEvent(mi, m1.plen, "merge")
+    return ev.fold(conj, nm), ev
 
 
 def _fold_left(conj, mi, m: Multi, bmap):
@@ -397,8 +410,8 @@ def _fold_left(conj, mi, m: Multi, bmap):
     if any(v not in cons for v in init):
         return None  # extra first-instance constraint would bind a middle
     new_init = {v: bmap[v] for v in cons}
-    span = set(range(mi - m.plen, mi + 1))
-    outside = _occurrences_outside(conj, span)
+    ev = FoldEvent(mi - m.plen, m.plen, "left")
+    outside = _occurrences_outside(conj, ev)
     allowed = set(new_init.values()) | {t for _, t in m.final}
     for v in cons:
         lv = init[v]
@@ -406,8 +419,7 @@ def _fold_left(conj, mi, m: Multi, bmap):
             return None  # old chain-input variable leaks out of the fold
     nm = Multi(m.id, m.pattern, _sorted_pairs(new_init),
                m.consecutive, m.final)
-    new_conj = conj[:mi - m.plen] + (nm,) + conj[mi + 1:]
-    return new_conj, FoldEvent(mi - m.plen, m.plen, "left")
+    return ev.fold(conj, nm), ev
 
 
 def _fold_right(conj, mi, m: Multi, bmap):
@@ -420,8 +432,8 @@ def _fold_right(conj, mi, m: Multi, bmap):
     if any(w not in outs for w in final):
         return None
     new_final = {w: bmap[w] for w in outs}
-    span = set(range(mi, mi + 1 + m.plen))
-    outside = _occurrences_outside(conj, span)
+    ev = FoldEvent(mi, m.plen, "right")
+    outside = _occurrences_outside(conj, ev)
     allowed = set(new_final.values()) | {t for _, t in m.init}
     for w in outs:
         lv = final[w]
@@ -429,8 +441,7 @@ def _fold_right(conj, mi, m: Multi, bmap):
             return None
     nm = Multi(m.id, m.pattern, m.init, m.consecutive,
                _sorted_pairs(new_final))
-    new_conj = conj[:mi] + (nm,) + conj[mi + 1 + m.plen:]
-    return new_conj, FoldEvent(mi, m.plen, "right")
+    return ev.fold(conj, nm), ev
 
 
 # --- conjunction simplification ------------------------------------------

@@ -263,26 +263,22 @@ class _Synthesizer:
         if ev.kind == "new":
             belem = mklist([building_block(elems[s:s + p]),
                             building_block(elems[s + p:s + 2 * p])])
-            conc = elems[:s] + (belem,) + elems[s + 2 * p:]
         elif ev.kind == "left":
             belem = Struct(CONS, (building_block(elems[s:s + p]),
                                   elems[s + p]))
-            conc = elems[:s] + (belem,) + elems[s + p + 1:]
         elif ev.kind == "right":
-            out = Var("BOut")
+            belem = Var("BOut")
             prefix = (Atom("bb_append",
                            (elems[s], mklist([building_block(
-                               elems[s + 1:s + 1 + p])]), out)),)
+                               elems[s + 1:s + 1 + p])]), belem)),)
             self.uses_blocks = True
-            conc = elems[:s] + (out,) + elems[s + 1 + p:]
         elif ev.kind == "merge":
-            out = Var("BOut")
-            prefix = (Atom("bb_append", (elems[s], elems[s + 1], out)),)
+            belem = Var("BOut")
+            prefix = (Atom("bb_append", (elems[s], elems[s + 1], belem)),)
             self.uses_blocks = True
-            conc = elems[:s] + (out,) + elems[s + 2:]
         else:
             raise SynthesisError(f"unknown grouping kind {ev.kind!r}")
-        return args, prefix, conc
+        return args, prefix, ev.fold(elems, belem)
 
 
 def synthesize(graph: StateGraph, program: Program,

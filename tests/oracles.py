@@ -14,7 +14,7 @@ from ccontrol.absdom import (ANY, ASub, AVar, AbstractDomainError, FULLEVAL,
                              GROUND, MVar, UNFOLD, abstract_instance, avars,
                              canonicalize, widen_depth_k)
 from ccontrol.metaint import (BUILDING_BLOCK, CMULTI, MetaintError,
-                              building_block, is_cmulti)
+                              building_block)
 from ccontrol.multi import Multi, _sorted_pairs
 from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
                              SelectionPolicy, _effective_atoms, _printable,
@@ -795,10 +795,15 @@ def reference_resolve_all(atom, clauses, rest, state, fresh, store,
 
 
 # --- the interpreter's goal surgery by rebuilding --------------------------
-# ``metaint``'s split and grouping steps as they were before they read cmulti
-# elements through the binding store: on a goal already resolved through
-# the store, they take every cmulti apart into atom blocks and build the
-# successor's cmulti afresh.
+# ``metaint``'s split and grouping steps on cmulti elements in their term
+# form, as the encoded interpreter holds them: on a goal already resolved
+# through the store, they take every cmulti apart into atom blocks and
+# build the successor's cmulti afresh.
+
+def is_cmulti(x) -> bool:
+    """Whether a goal element is a cmulti in its term form."""
+    return isinstance(x, Atom) and x.pred == CMULTI and len(x.args) == 1
+
 
 def make_cmulti(blocks) -> Atom:
     """cmulti([building_block([...]), ...]) over concrete atom blocks."""

@@ -545,6 +545,54 @@ def test_graph_file_of_the_wrong_shape_exits_2(permsort_files, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("query", ["foo(X)", "cmulti(foo)"])
+def test_mi_run_rejects_a_query_the_program_cannot_run(
+        permsort_files, tmp_path, capsys, query):
+    # as cc run does; cmulti/1 is no predicate of the program either
+    lp, pol, _ = permsort_files
+    graph = tmp_path / "graph.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    pred = query.partition("(")[0]
+    for argv in (["run", str(lp)],
+                 ["mi-run", str(graph), str(lp), "--policy", str(pol)]):
+        capsys.readouterr()
+        rc = main(argv + ["--query", query])
+        assert (rc, capsys.readouterr().err) == \
+            (2, f"cc {argv[0]}: unknown predicate {pred}/1\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("split", "not a cmulti element: safe([])"),
+    ("left", "not a cmulti element: nodiag(3,_V26,1)")])
+def test_graph_that_splits_or_groups_an_atom_exits_2(tmp_path, capsys, edit,
+                                                     message):
+    # the pipeline's queens graph, with split state 15 selecting safe/1, or
+    # grouping state 13 absorbing a block into an atom; the message shows
+    # the atom resolved through the run's bindings
+    for suffix in (".lp", ".policy", ".queries"):
+        (tmp_path / f"queens{suffix}").write_text(
+            corpus_text("queens", suffix))
+    lp, pol = tmp_path / "queens.lp", tmp_path / "queens.policy"
+    out = tmp_path / "out"
+    assert main(["pipeline", str(lp), str(pol), "--out-dir", str(out)]) == 0
+    graph = out / "graph.json"
+    doc = json.loads(graph.read_text())
+    if edit == "split":
+        assert doc["actions"]["15"] == ["split", 0]
+        doc["actions"]["15"] = ["split", 1]
+    else:
+        assert doc["actions"]["13"] == ["group", 1, 1, "new"]
+        doc["actions"]["13"] = ["group", 1, 1, "left"]
+        for t in doc["transitions"]:
+            if t["from"] == 13:
+                t["cause"] = ["grouping", "left"]
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["mi-run", str(graph), str(lp), "--policy", str(pol),
+               "--query", "queens([1,2,3,4],Q)"])
+    assert (rc, capsys.readouterr().err) == (2, f"cc mi-run: {message}\n")
+
+
 MISMATCH_MESSAGES = {
     "entry": "is not the policy's entry pattern",
     "clause": "which the program does not define for it",

@@ -9,19 +9,18 @@ from ccontrol import metaint
 from ccontrol.analysis import AnalysisOptions, analyze
 from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
-                              encode_as_logic_program, is_cmulti, mi_run,
-                              term_to_atom)
+                              encode_as_logic_program, mi_run, term_to_atom)
+from ccontrol.multi import FoldEvent
 from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import parse_policy
 from ccontrol.synthesis import run_compiled, synthesize
 from ccontrol.terms import (Atom, mklist, parse_goal, parse_program,
-                            parse_term, print_program, program_of,
-                            substitute, Var)
+                            print_program, program_of, substitute)
 
 from conftest import (CORPUS_NAMES, answer_set, pinned_small_outputs,
                       small_outputs)
-from oracles import (cmulti_blocks, make_cmulti, reference_apply_groupings,
-                     reference_split)
+from oracles import (cmulti_blocks, is_cmulti, make_cmulti,
+                     reference_apply_groupings, reference_split)
 from test_synthesis import WIDENED
 
 
@@ -37,10 +36,25 @@ def test_atom_term_round_trip():
 
 
 def test_cmulti_construction():
-    blocks = [tuple(parse_goal("p(1)")), tuple(parse_goal("p(2)"))]
+    blocks = [tuple(parse_goal("p(1)")), tuple(parse_goal("p(2),q"))]
     c = make_cmulti(blocks)
-    assert is_cmulti(c)
+    assert repr(c) == \
+        "cmulti([building_block([p(1)]),building_block([p(2),q])])"
+    assert is_cmulti(c) and not is_cmulti(blocks[0][0])
     assert cmulti_blocks(c) == blocks
+
+
+def _term_form(goal):
+    """A goal of the interpreter with each cmulti element, a tuple of atom
+    blocks, in its term form."""
+    return tuple(make_cmulti(e) if isinstance(e, tuple) else e for e in goal)
+
+
+def _tuple_form(goal):
+    """A goal with each cmulti element in its term form as the interpreter
+    holds it, a tuple of atom blocks."""
+    return tuple(tuple(cmulti_blocks(e)) if is_cmulti(e) else e
+                 for e in goal)
 
 
 def _widened_tables(key):
@@ -57,9 +71,8 @@ WIDENED_GOALS = {"grow k=2": ("grow(z,Y)", "grow(s(z),Y)"),
 
 
 def test_splits_and_groupings_match_the_rebuild(corpus, monkeypatch):
-    # at every split and grouping visit, the successor goal read through
-    # the store is what taking the resolved goal apart and rebuilding it
-    # gives
+    # at every split and grouping visit, the successor goal is what taking
+    # the resolved goal's cmulti terms apart and rebuilding them gives
     step = metaint.MetaInterpreter.step
     visits = collections.Counter()
 
@@ -69,7 +82,7 @@ def test_splits_and_groupings_match_the_rebuild(corpus, monkeypatch):
             self.graph.actions.get(state, ("leaf",))
         if action[0] not in ("split", "group"):
             return deeper, succ
-        resolved = substitute(goal, self.store)
+        resolved = _term_form(substitute(goal, self.store))
         if action[0] == "split":
             kind, expected = reference_split(resolved, action[1])
         else:
@@ -77,7 +90,8 @@ def test_splits_and_groupings_match_the_rebuild(corpus, monkeypatch):
             expected = reference_apply_groupings(resolved, action[1])
         cause = ("grouping", kind) if action[0] == "group" else (kind,)
         assert deeper == 0
-        assert [(substitute(g, self.store), dst, b) for g, dst, b in succ] \
+        assert [(_term_form(substitute(g, self.store)), dst, b)
+                for g, dst, b in succ] \
             == [(expected, self.graph.successor(state, cause), ())]
         visits[kind] += 1
         return deeper, succ
@@ -92,46 +106,30 @@ def test_splits_and_groupings_match_the_rebuild(corpus, monkeypatch):
                    limits=Limits(max_answers=4))
     assert set(visits) == {"one", "many", "new", "left", "right"}
     # no concrete primes goal reaches the analysis' merge state, so it is
-    # driven on a goal whose second cmulti list is bound in the store
+    # driven by hand on a goal with two adjacent cmulti elements
     tables = corpus("primes").tables
     merge = next(s for s, ev in tables.grouping.items() if ev.kind == "merge")
-    machine = metaint.MetaInterpreter(tables)
-    machine.store.update({Var("L"): parse_term(
-        "[building_block([filter(3,F2,F3)]),building_block([filter(5,F3,F4)])]"
-    )})
-    machine.step(parse_goal(
+    metaint.MetaInterpreter(tables).step(_tuple_form(parse_goal(
         "integers(6,I), cmulti([building_block([filter(2,[5|I],F1)]), "
-        "building_block([filter(3,F1,F2)])]), cmulti(L), sift(F4,P), "
-        "length(P,3)"), merge)
+        "building_block([filter(3,F1,F2)])]), cmulti([building_block("
+        "[filter(3,F2,F3)]),building_block([filter(5,F3,F4)])]), "
+        "sift(F4,P), length(P,3)")), merge)
     assert visits["merge"] == 1
 
 
 def _malformed_step(goal, kind):
-    """``MetaInterpreter.step`` on ``goal`` in acc's first split state, or
-    in its grouping state of the kind ``kind``."""
+    """``MetaInterpreter.step`` on ``goal``, its cmulti terms taken as the
+    interpreter's cmulti elements, in acc's first split state, or in its
+    grouping state of the kind ``kind``."""
     tables = _widened_tables("acc k=2")
     state = min(sid for sid, a in tables.graph.actions.items()
                 if a[0] == kind or a[0] == "group" and a[1].kind == kind)
-    return metaint.MetaInterpreter(tables).step(parse_goal(goal), state)
+    return metaint.MetaInterpreter(tables).step(
+        _tuple_form(parse_goal(goal)), state)
 
 
 @pytest.mark.parametrize("goal, kind, message", [
-    ("cmulti(foo)", "split", "open building-block list in cmulti(foo)"),
-    ("cmulti([])", "split", "empty building-block list in cmulti([])"),
-    ("cmulti([building_block([link(a,R1,R)])|T])", "split",
-     "open building-block list in "
-     "cmulti([building_block([link(a,R1,R)])|T])"),
-    ("cmulti([building_block([link(a,R1,R)|T])])", "split",
-     "open building block building_block([link(a,R1,R)|T])"),
-    ("cmulti([building_block([X])])", "split",
-     "not a callable term in building_block([X])"),
-    ("cmulti([foo(X)])", "split", "malformed building block foo(X)"),
     ("link(a,R1,R)", "split", "not a cmulti element: link(a,R1,R)"),
-    ("acc([],z,R),link(a,R1,R),cmulti([building_block([link(b,R2,R1)])|T])",
-     "left", "open building-block list in "
-     "cmulti([building_block([link(b,R2,R1)])|T])"),
-    ("acc([],z,R),link(a,R1,R),cmulti([foo])", "left",
-     "malformed building block foo"),
     ("acc([],z,R),link(a,R1,R),link(b,R2,R1)", "left",
      "not a cmulti element: link(b,R2,R1)"),
     ("acc([],z,R),cmulti([]),link(b,R2,R1)", "new",
@@ -141,11 +139,19 @@ def _malformed_step(goal, kind):
      "goal of 2"),
 ])
 def test_malformed_cmulti_is_a_metaint_error(goal, kind, message):
-    # each check names what it found, resolved through the store; none
-    # lets an AttributeError or IndexError through
+    # each check a malformed graph file can reach names what it found, a
+    # cmulti in its term form; none lets an AttributeError or IndexError
+    # through
     with pytest.raises(MetaintError) as exc:
         _malformed_step(goal, kind)
     assert str(exc.value) == message
+
+
+def test_unknown_grouping_kind_is_a_metaint_error():
+    with pytest.raises(MetaintError,
+                       match="^unknown grouping kind 'sideways'$"):
+        metaint.apply_groupings(tuple(parse_goal("p,q")),
+                                FoldEvent(0, 1, "sideways"), {})
 
 
 def test_tables_classify_states(corpus):
