@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (NIL, Atom, Const, FreshNames, LogicError, Program,
-                    Substitution, Var, list_parts, mklist, print_term,
-                    resolve_all, substitute, take_back, term_to_atom,
-                    term_vars, unify)
+from .terms import (CONS, NIL, Atom, Const, FreshNames, LogicError,
+                    Program, Struct, Substitution, Var, _deref, _unify_pairs,
+                    mklist, print_term, resolve_all, substitute,
+                    take_back, term_to_atom, term_vars)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
 DEFAULT_MAX_DEPTH = 100_000
@@ -43,41 +43,55 @@ class RunResult:
     exhausted: bool
 
 
-def _int(t, atom):
+def _value(t, store):
+    """``t`` dereferenced through the store."""
+    return _deref(t, store) if isinstance(t, Var) else t
+
+
+def _int(t, atom, store):
+    t = _value(t, store)
     if isinstance(t, Const) and isinstance(t.name, int):
         return t.name
-    raise ModeError(f"expected integer argument in {atom}")
+    raise ModeError(f"expected integer argument in {substitute(atom, store)}")
 
 
-def _bi_select(args, atom):
+def _bi_select(args, atom, store):
+    """One output per element of the closed list: ``x`` unified with the
+    element, then ``rest`` with the cells in front of it followed by the
+    list's own tail after it."""
     x, lst, rest = args
-    items, tail = list_parts(lst)
-    if tail != Const(NIL):
-        raise ModeError(f"select/3 needs a closed list: {atom}")
+    cells = []
+    t = _value(lst, store)
+    while t.__class__ is Struct and t.functor == CONS and len(t.args) == 2:
+        cells.append(t)
+        t = _value(t.args[1], store)
+    if t != Const(NIL):
+        raise ModeError(
+            f"select/3 needs a closed list: {substitute(atom, store)}")
     out = []
-    for i in range(len(items)):
-        removed = items[i]
-        remainder = mklist(items[:i] + items[i + 1:])
-        # ``unify`` takes an atom's argument pairs last first: x = removed
-        # is solved before rest = remainder
-        s = unify(Atom("select", (rest, x)),
-                  Atom("select", (remainder, removed)))
-        if s is not None:
-            out.append(s)
+    mark = len(store)
+    for i, cell in enumerate(cells):
+        remainder = mklist([c.args[0] for c in cells[:i]], cell.args[1])
+        # pairs are taken last first: x = element is solved before
+        # rest = remainder, each binding a variable of its left side first
+        if _unify_pairs([(rest, remainder), (x, cell.args[0])], store, True):
+            out.append(take_back(store, mark))
+        elif len(store) > mark:
+            take_back(store, mark)
     return out
 
 
-def _bi_leq(args, atom):
-    a, b = (_int(t, atom) for t in args)
-    return [Substitution()] if a <= b else []
+def _bi_leq(args, atom, store):
+    a, b = (_int(t, atom, store) for t in args)
+    return [()] if a <= b else []
 
 
-def _arith3(args, atom, fwd, inv_left, inv_right):
+def _arith3(args, atom, store, fwd, inv_left, inv_right):
     """Three-place arithmetic over the naturals: any one argument may be
     computed from the other two; a negative result fails instead of
     producing a value outside the domain."""
-    a, b, c = args
-    known = [isinstance(t, Const) and isinstance(t.name, int) for t in args]
+    a, b, c = vals = [_value(t, store) for t in args]
+    known = [isinstance(t, Const) and isinstance(t.name, int) for t in vals]
     if known[0] and known[1]:
         r = fwd(a.name, b.name)
     elif known[0] and known[2]:
@@ -85,46 +99,44 @@ def _arith3(args, atom, fwd, inv_left, inv_right):
     elif known[1] and known[2]:
         r = inv_left(b.name, c.name)
     else:
-        r = None
-    if r is not None:
-        if r < 0:
-            return []
-        target = args[known.index(False)] if False in known else None
-        if target is None:
-            return [Substitution()] if fwd(a.name, b.name) == c.name else []
-        s = unify(target, Const(r))
-        return [s] if s is not None else []
-    raise ModeError(f"need two integer arguments in {atom}")
+        raise ModeError(
+            f"need two integer arguments in {substitute(atom, store)}")
+    if r < 0:
+        return []
+    if all(known):
+        return [()] if fwd(a.name, b.name) == c.name else []
+    target = vals[known.index(False)]
+    return [((target, Const(r)),)] if isinstance(target, Var) else []
 
 
-def _bi_plus(args, atom):
-    return _arith3(args, atom, lambda a, b: a + b,
+def _bi_plus(args, atom, store):
+    return _arith3(args, atom, store, lambda a, b: a + b,
                    lambda b, c: c - b, lambda a, c: c - a)
 
 
-def _bi_minus(args, atom):
-    return _arith3(args, atom, lambda a, b: a - b,
+def _bi_minus(args, atom, store):
+    return _arith3(args, atom, store, lambda a, b: a - b,
                    lambda b, c: b + c, lambda a, c: a - c)
 
 
-def _bi_divides(args, atom):
-    n, m = (_int(t, atom) for t in args)
-    return [Substitution()] if n != 0 and m % n == 0 else []
+def _bi_divides(args, atom, store):
+    n, m = (_int(t, atom, store) for t in args)
+    return [()] if n != 0 and m % n == 0 else []
 
 
-def _bi_does_not_divide(args, atom):
-    n, m = (_int(t, atom) for t in args)
-    return [Substitution()] if n == 0 or m % n != 0 else []
+def _bi_does_not_divide(args, atom, store):
+    n, m = (_int(t, atom, store) for t in args)
+    return [()] if n == 0 or m % n != 0 else []
 
 
-def _bi_noattack(args, atom):
-    q1, q2, d = (_int(t, atom) for t in args)
-    return [Substitution()] if q1 != q2 and abs(q1 - q2) != d else []
+def _bi_noattack(args, atom, store):
+    q1, q2, d = (_int(t, atom, store) for t in args)
+    return [()] if q1 != q2 and abs(q1 - q2) != d else []
 
 
 class BuiltinTable(dict):
-    """predicate/arity -> procedure yielding output substitutions.  A
-    ``dict``, so that the membership test every step makes runs in C."""
+    """predicate/arity -> procedure.  A ``dict``, so that the membership
+    test every step makes runs in C."""
 
     def __init__(self):
         super().__init__({
@@ -137,11 +149,17 @@ class BuiltinTable(dict):
             ("noattack", 3): _bi_noattack,
         })
 
-    def evaluate(self, atom: Atom) -> list:
+    def evaluate(self, atom: Atom, store: dict) -> list:
+        """The outputs of the builtin call ``atom``, whose arguments are
+        read through the binding store: for each, in order, the
+        (variable, term) pairs it binds, last first, as
+        ``terms.take_back`` gives them.  A test that succeeds binds
+        nothing and gives one empty output.  The store is left as it was
+        found; a message shows the atom resolved through it."""
         proc = self.get(atom.indicator)
         if proc is None:
             raise EngineError(f"unknown builtin {atom.pred}/{len(atom.args)}")
-        return proc(atom.args, atom)
+        return proc(atom.args, atom, store)
 
 
 # Builtins are executed, never resolved against clauses.
@@ -276,7 +294,7 @@ class Solver:
         within the same search, fresh names and limits.  Every clause
         that the first argument lets match is tried when the step is
         taken (``terms.resolve_all``), so a truncated run counts what an
-        eager search counts; a builtin gets its atom resolved through the
+        eager search counts; a builtin reads its arguments through the
         store, and its outputs become its successors' bindings."""
         store = self.store
         atom, rest = goal[0], goal[1:]
@@ -291,8 +309,12 @@ class Solver:
             atom = inner
         if atom.indicator in BUILTINS:
             self.inferences += 1
-            return 0, [(rest, state, out.bindings) for out in
-                       BUILTINS.evaluate(substitute(atom, store))]
+            if not self.occurs_check:
+                # a store bound without the occurs check may hold a cyclic
+                # term, on which ``substitute`` raises RecursionError
+                atom = substitute(atom, store)
+            return 0, [(rest, state, out) for out in
+                       BUILTINS.evaluate(atom, store)]
         switch = self.program.switch_for(atom.pred, len(atom.args))
         if switch is None:
             raise EngineError(

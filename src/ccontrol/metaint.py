@@ -23,6 +23,7 @@ hold it as the term ``cmulti([building_block([...]), ...])``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .absdom import (FULLEVAL, LogicError, abstract_instance, canonicalize,
                      print_aconj)
@@ -34,7 +35,7 @@ from .policy import SelectionPolicy
 from .terms import (CONS, Atom, Const, FreshNames, Program, Struct,
                     Var, atom_to_term, mklist, parse_program, print_atom,
                     program_of, replace_vars, resolve_in, substitute,
-                    term_to_atom)
+                    take_back, term_to_atom)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -95,6 +96,12 @@ class StateTables:
     def grouping(self) -> dict:
         """Grouping states and their fold events."""
         return self.graph.groupings
+
+    @cached_property
+    def encoded(self) -> Program:
+        """The tables and interpreter as a logic program, built the first
+        time it is read (see ``encode_as_logic_program``)."""
+        return _encode(self)
 
     @property
     def variant(self) -> str:
@@ -215,6 +222,10 @@ def _cmulti(x, store) -> tuple:
 
 # --- the interpreter ------------------------------------------------------
 
+def _indicators(atoms) -> str:
+    return ", ".join(f"{a.pred}/{len(a.args)}" for a in atoms)
+
+
 class MetaInterpreter:
     """Runs concrete goals under the control flow frozen in the tables:
     clause resolution and full evaluation, plus grouping and cmulti
@@ -241,16 +252,23 @@ class MetaInterpreter:
         self.engine.store = self.store
 
     def run(self, goal) -> RunResult:
+        """Enumerate the answers of ``goal``, started in the entry state:
+        its atoms must name the entry state's predicates, in order."""
         check_known(self.tables.program, goal)
+        entry = self.graph.states[self.graph.entry]
+        if [a.indicator for a in goal] != [a.indicator for a in entry]:
+            raise MetaintError(
+                f"goal {_indicators(goal)} does not name the entry "
+                f"state's predicates {_indicators(entry)}")
         return depth_first(self, goal, self.graph.entry)
 
     def step(self, goal, state):
         """One abstract-machine step, as the state's action says.  Only
         clause resolution, also within a user full evaluation, deepens
         the derivation; full evaluation, splits and groupings are free.
-        A builtin full evaluation's atom is resolved through the store,
-        and so is the atom a user full evaluation derived when its outputs
-        need telling apart."""
+        A builtin full evaluation reads its arguments through the store;
+        its atom, or the atom a user full evaluation derived, is resolved
+        only when its outputs need telling apart."""
         if isinstance(state, tuple):
             return self._user_eval_step(goal, state)
         action = self.graph.actions.get(state, ("leaf",))
@@ -293,13 +311,22 @@ class MetaInterpreter:
             return [((selected, mark) + before + after, (EVALUATED, state),
                      ())]
         self.inferences += 1
-        selected = substitute(selected, self.store)
         succ = []
-        for theta in BUILTINS.evaluate(selected):
-            dst = self._match_output(lambda: theta.apply(selected), decl,
-                                     dsts, state)
-            succ.append((before + after, dst, theta.bindings))
+        for out in BUILTINS.evaluate(selected, self.store):
+            dst = self._match_output(lambda: self._instance(selected, out),
+                                     decl, dsts, state)
+            succ.append((before + after, dst, out))
         return succ
+
+    def _instance(self, atom, bindings):
+        """``atom`` resolved through the store with ``bindings`` added, and
+        the store then left as it was."""
+        store = self.store
+        mark = len(store)
+        store.update(bindings)
+        atom = substitute(atom, store)
+        take_back(store, mark)
+        return atom
 
     def _fulleval_outputs(self, state):
         """The declaration a full-evaluation state applies, and the state
@@ -459,8 +486,15 @@ def encode_as_logic_program(tables: StateTables,
     bounded per state), and the extraction patterns of each split state.
     The source clauses that a ``via user`` link reaches follow the tables,
     so the interpreter's ``call/1`` finds them.
+
+    The program is built once per tables (``StateTables.encoded``), and
+    every call returns it.
     """
     check_variant(tables, variant)
+    return tables.encoded
+
+
+def _encode(tables: StateTables) -> Program:
     multis = tables.variant == "extended"
     # substitute copies the list, so the sections below stay as parsed
     clauses = substitute(_DRIVER, {Var("Entry"): Const(tables.entry)})

@@ -437,21 +437,22 @@ class _Specializer:
         ann = self.annotations.of(atom)
         if ann == UNFOLD:
             return 0, self._unfold(atom, rest, resid)
-        atom = substitute(atom, store)
-        if ann == MEMO:
-            return 0, [(rest, resid + (self.request(atom),), ())]
-        if ann == RESCALL:
-            return 0, [(rest, resid + (self._unwrap(atom),), ())]
+        if ann == MEMO or ann == RESCALL:
+            atom = substitute(atom, store)
+            call = self.request(atom) if ann == MEMO else self._unwrap(atom)
+            return 0, [(rest, resid + (call,), ())]
         if atom.indicator not in BUILTINS:
-            raise PDError(f"call annotation on non-builtin {print_atom(atom)}")
+            raise PDError("call annotation on non-builtin "
+                          f"{print_atom(substitute(atom, store))}")
         self._tick()
         try:
-            outs = BUILTINS.evaluate(atom)
+            outs = BUILTINS.evaluate(atom, store)
         except ModeError as e:
             raise PDError(
-                f"builtin {print_atom(atom)} is insufficiently "
-                f"instantiated at specialization time: {e}") from None
-        return 0, [(rest, resid, out.bindings) for out in outs]
+                f"builtin {print_atom(substitute(atom, store))} is "
+                "insufficiently instantiated at specialization time: "
+                f"{e}") from None
+        return 0, [(rest, resid, out) for out in outs]
 
     def _unfold(self, atom, rest, resid, last_first=False) -> list:
         switch = self.program.switch_for(atom.pred, len(atom.args))
@@ -544,8 +545,9 @@ def specialize_encoded(tables, variant: str = None,
                        annotations: Annotations = None,
                        filters: Filters = None) -> ResidualProgram:
     """First projection: specialize the encoded interpreter with respect
-    to its control tables and the entry goal's shape.  ``variant`` is
-    checked as ``encode_as_logic_program`` checks it.
+    to its control tables and the entry goal's shape: the encoded program
+    the tables carry, not encoded again.  ``variant`` is checked as
+    ``encode_as_logic_program`` checks it.
 
     The result contains a ``compute/1`` wrapper, so it is run exactly like
     the encoded program it replaces: ``compute([p(X1,...,Xn)])`` calls the

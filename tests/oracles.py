@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 
 from ccontrol import pd
+from ccontrol.engine import ModeError
 from ccontrol.absdom import (ANY, ASub, AVar, AbstractDomainError, FULLEVAL,
                              GROUND, MVar, UNFOLD, abstract_instance, avars,
                              canonicalize, widen_depth_k)
@@ -792,6 +793,109 @@ def reference_resolve_all(atom, clauses, rest, state, fresh, store,
         if res is not None:
             successors.append((res[0] + rest, state, res[1]))
     return successors[::-1] if last_first else successors
+
+
+# --- the builtins by rebuilding --------------------------------------------
+# ``engine``'s builtins as they were before they read their arguments
+# through the binding store: each takes its atom already resolved through
+# the store and returns idempotent substitutions, ``select/3`` building
+# every remainder as a new list and unifying with a fresh dict.
+
+def _int(t, atom):
+    if isinstance(t, Const) and isinstance(t.name, int):
+        return t.name
+    raise ModeError(f"expected integer argument in {atom}")
+
+
+def _bi_select(args, atom):
+    x, lst, rest = args
+    items, tail = list_parts(lst)
+    if tail != Const(NIL):
+        raise ModeError(f"select/3 needs a closed list: {atom}")
+    out = []
+    for i in range(len(items)):
+        removed = items[i]
+        remainder = mklist(items[:i] + items[i + 1:])
+        # ``unify`` takes an atom's argument pairs last first: x = removed
+        # is solved before rest = remainder
+        s = unify(Atom("select", (rest, x)),
+                  Atom("select", (remainder, removed)))
+        if s is not None:
+            out.append(s)
+    return out
+
+
+def _bi_leq(args, atom):
+    a, b = (_int(t, atom) for t in args)
+    return [Substitution()] if a <= b else []
+
+
+def _arith3(args, atom, fwd, inv_left, inv_right):
+    """Three-place arithmetic over the naturals: any one argument may be
+    computed from the other two; a negative result fails instead of
+    producing a value outside the domain."""
+    a, b, c = args
+    known = [isinstance(t, Const) and isinstance(t.name, int) for t in args]
+    if known[0] and known[1]:
+        r = fwd(a.name, b.name)
+    elif known[0] and known[2]:
+        r = inv_right(a.name, c.name)
+    elif known[1] and known[2]:
+        r = inv_left(b.name, c.name)
+    else:
+        r = None
+    if r is not None:
+        if r < 0:
+            return []
+        target = args[known.index(False)] if False in known else None
+        if target is None:
+            return [Substitution()] if fwd(a.name, b.name) == c.name else []
+        s = unify(target, Const(r))
+        return [s] if s is not None else []
+    raise ModeError(f"need two integer arguments in {atom}")
+
+
+def _bi_plus(args, atom):
+    return _arith3(args, atom, lambda a, b: a + b,
+                   lambda b, c: c - b, lambda a, c: c - a)
+
+
+def _bi_minus(args, atom):
+    return _arith3(args, atom, lambda a, b: a - b,
+                   lambda b, c: b + c, lambda a, c: a - c)
+
+
+def _bi_divides(args, atom):
+    n, m = (_int(t, atom) for t in args)
+    return [Substitution()] if n != 0 and m % n == 0 else []
+
+
+def _bi_does_not_divide(args, atom):
+    n, m = (_int(t, atom) for t in args)
+    return [Substitution()] if n == 0 or m % n != 0 else []
+
+
+def _bi_noattack(args, atom):
+    q1, q2, d = (_int(t, atom) for t in args)
+    return [Substitution()] if q1 != q2 and abs(q1 - q2) != d else []
+
+
+REFERENCE_BUILTINS = {
+    ("select", 3): _bi_select,
+    ("=<", 2): _bi_leq,
+    ("plus", 3): _bi_plus,
+    ("minus", 3): _bi_minus,
+    ("divides", 2): _bi_divides,
+    ("does_not_divide", 2): _bi_does_not_divide,
+    ("noattack", 3): _bi_noattack,
+}
+
+
+def reference_evaluate(atom: Atom, store: dict) -> list:
+    """The outputs of the builtin call ``atom`` as substitutions of its
+    atom resolved through ``store``."""
+    atom = substitute(atom, store)
+    return REFERENCE_BUILTINS[atom.indicator](atom.args, atom)
 
 
 # --- the interpreter's goal surgery by rebuilding --------------------------

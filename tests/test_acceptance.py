@@ -26,8 +26,8 @@ from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import (PolicyError, _effective_atoms, derive_order,
                              parse_policy)
 from ccontrol.synthesis import compare_programs, synthesize
-from ccontrol.terms import Atom, FreshNames, mklist, parse_goal, \
-    parse_program, rename_apart, unify
+from ccontrol.terms import Atom, FreshNames, Substitution, mklist, \
+    parse_goal, parse_program, rename_apart, unify
 
 from conftest import CORPUS_NAMES, answer_set, corpus_text, query_deviation
 from oracles import (Sampler, check_case_split_complete,
@@ -257,7 +257,8 @@ def _one_step_check(entry, sid, rng, builtins):
         atom = parts[action[1]][0]
         decl = entry.policy.fulleval[g.successors(sid)[0].cause[1]]
         try:
-            outs = builtins.evaluate(atom) if decl.link_is_builtin \
+            outs = [Substitution(out) for out in builtins.evaluate(atom, {})] \
+                if decl.link_is_builtin \
                 else solve(entry.program, (atom,)).answers
         except (ModeError, EngineError):
             return None

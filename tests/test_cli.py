@@ -1,9 +1,14 @@
 """Command-line interface: commands, artifacts, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ccontrol
 from ccontrol.cli import main
 
 from conftest import CORPUS_NAMES, corpus_text
@@ -337,6 +342,23 @@ def test_cyclic_answer_exits_2_without_traceback(tmp_path, capsys):
         assert err == "cc run: term nesting too deep\n", query
 
 
+@pytest.mark.parametrize("query", [
+    "h(E,R)", "eq(L,[1|L]), select(E,L,R)", "eq(N,s(N)), plus(N,1,M)"])
+def test_cyclic_builtin_argument_exits_2_without_traceback(tmp_path, query):
+    # a builtin never walks a cyclic argument, which would not end: the
+    # store of a run without the occurs check is resolved first, and the
+    # cycle refused; in a process of its own, so that a hang times out
+    lp = tmp_path / "cyclic.lp"
+    lp.write_text("eq(X,X).\nh(E,R) :- eq(X,f(X)), select(E,[X],R).\n")
+    src = str(pathlib.Path(ccontrol.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ccontrol.cli", "run", str(lp), "--query",
+         query, "--no-occurs-check"], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == \
+        (2, "cc run: term nesting too deep\n")
+
+
 def test_growing_stream_truncates_instead_of_overflowing(tmp_path, capsys):
     # the naive engine's integer stream outgrows any fixed nesting depth;
     # the budget, not the term routines, must end the run
@@ -559,6 +581,27 @@ def test_mi_run_rejects_a_query_the_program_cannot_run(
         rc = main(argv + ["--query", query])
         assert (rc, capsys.readouterr().err) == \
             (2, f"cc {argv[0]}: unknown predicate {pred}/1\n")
+
+
+def test_mi_run_rejects_a_goal_that_is_not_the_entry_pattern(
+        permsort_files, tmp_path, capsys):
+    # cc run answers it; the interpreter starts every goal in the entry
+    # state, whose transitions resolve permsort/2 only, so it would answer
+    # nothing
+    lp, pol, _ = permsort_files
+    graph = tmp_path / "graph.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(lp), "--query", "perm([1,2],X)"]) == 0
+    assert capsys.readouterr().out.count("X = ") == 2
+    for query, named in (("perm([1,2],X)", "perm/2"),
+                         ("permsort([1],S), perm([1],X)",
+                          "permsort/2, perm/2")):
+        rc = main(["mi-run", str(graph), str(lp), "--policy", str(pol),
+                   "--query", query])
+        assert (rc, capsys.readouterr().err) == \
+            (2, f"cc mi-run: goal {named} does not name the entry state's "
+                "predicates permsort/2\n")
 
 
 @pytest.mark.parametrize("edit, message", [

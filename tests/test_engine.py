@@ -1,11 +1,17 @@
 """Left-to-right resolution engine and its builtin table."""
 
+import itertools
+import random
+
 import pytest
 
-from ccontrol.engine import EngineError, Limits, ModeError, answer_set, solve
-from ccontrol.terms import Const, Var, parse_goal, parse_program, print_term
+from ccontrol.engine import (BUILTINS, EngineError, Limits, ModeError,
+                             answer_set, solve)
+from ccontrol.terms import (NIL, Atom, Const, Struct, Var, mklist, parse_atom,
+                            parse_goal, parse_program, print_term, substitute)
 
 from conftest import corpus_text
+from oracles import reference_evaluate
 
 APPEND = parse_program(
     "app([],L,L).\n"
@@ -153,6 +159,114 @@ def test_cyclic_terms_unify_without_the_occurs_check():
     res = solve(prog, parse_goal("p"), occurs_check=False)
     assert len(res.answers) == 1 and res.inference_count == 4
     assert solve(prog, parse_goal("p")).answers == []
+
+
+# --- builtins on the binding store ----------------------------------------
+
+POOL = (Var("X"), Var("Y"), Var("Z"))
+
+
+def _some_term(rng, depth=1):
+    """A small integer, atom, structure or list, or a variable of POOL."""
+    r = rng.random()
+    if r < 0.3 or not depth:
+        return Const(rng.randint(0, 4))
+    if r < 0.6:
+        return rng.choice(POOL)
+    if r < 0.67:
+        return Const("c")
+    if r < 0.8:
+        return Struct("f", (_some_term(rng, depth - 1),))
+    return mklist([_some_term(rng, depth - 1)
+                   for _ in range(rng.randint(0, 2))])
+
+
+def _some_list(rng):
+    """A list of up to four elements, its tail now and then left open."""
+    tail = rng.choice(POOL) if rng.random() < 0.15 else Const(NIL)
+    return mklist([_some_term(rng) for _ in range(rng.randint(0, 4))], tail)
+
+
+def _some_number(rng):
+    """Mostly an integer; otherwise an unbound or a non-integer argument."""
+    if rng.random() < 0.75:
+        return Const(rng.randint(0, 6))
+    return _some_term(rng)
+
+
+def _builtin_args(rng, pred, arity):
+    if pred != "select":
+        return [_some_number(rng) for _ in range(arity)]
+    rest = rng.choice((rng.choice(POOL), _some_term(rng), _some_list(rng),
+                       mklist([_some_term(rng)], rng.choice(POOL)),
+                       mklist(rng.choices(POOL, k=rng.randint(1, 3)))))
+    return [_some_term(rng), _some_list(rng), rest]
+
+
+def _hidden(t, store, rng, names):
+    """A term that ``store`` resolves to ``t``: each part, a list's tails
+    among them, is reached through a chain of up to two variables bound
+    here, so a list's spine is bound cell by cell."""
+    if isinstance(t, Struct):
+        t = Struct(t.functor,
+                   tuple(_hidden(a, store, rng, names) for a in t.args))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        v = Var(f"_H{next(names)}")
+        store[v] = t
+        t = v
+    return t
+
+
+# where the order of select/3's two unifications shows in which variables
+# are bound: X = Y is solved before the remainder binds Y or Z
+SELECT_ORDER = ("select(X,[Y,Z],[X])", "select(X,[Y,Z],[Y])",
+                "select(f(X),[f(Y),Z],[X])")
+
+
+def _builtin_calls(rng):
+    """(pred, argument tuple) of the hand-written calls, then 800 seeded
+    calls of each builtin."""
+    for text in SELECT_ORDER:
+        yield "select", parse_atom(text).args
+    for (pred, arity), _ in itertools.product(sorted(BUILTINS), range(800)):
+        yield pred, _builtin_args(rng, pred, arity)
+
+
+def test_builtins_on_the_store_match_the_rebuilding_ones():
+    # every builtin on arguments read through variable chains: the same
+    # outputs in the same order, binding the same variables to the same
+    # instances, or the same mode error, and the store left as it was
+    rng = random.Random(23)
+    names = itertools.count(1)
+    kinds = {pred: set() for pred, _ in BUILTINS}
+    for pred, args in _builtin_calls(rng):
+        store = {}
+        atom = Atom(pred, tuple(_hidden(a, store, rng, names) for a in args))
+        before = list(store.items())
+        try:
+            want = reference_evaluate(atom, store)
+        except ModeError as e:
+            with pytest.raises(ModeError) as got:
+                BUILTINS.evaluate(atom, store)
+            assert str(got.value) == str(e)
+            assert list(store.items()) == before
+            kinds[pred].add("error")
+            continue
+        outs = BUILTINS.evaluate(atom, store)
+        assert list(store.items()) == before
+        assert len(outs) == len(want), atom
+        resolved = substitute(atom.args, store)
+        for out, theta in zip(outs, want):
+            assert {v for v, _ in out} == set(theta.bindings), atom
+            assert substitute(atom.args, {**store, **dict(out)}) == \
+                theta.apply(resolved), atom
+        kinds[pred].add(("none", "one", "many")[min(len(outs), 2)])
+        kinds[pred].update("binds" for out in outs if out)
+    assert kinds["select"] == {"error", "none", "one", "many", "binds"}
+    for pred in ("plus", "minus"):
+        assert kinds[pred] == {"error", "none", "one", "binds"}, pred
+    for pred in ("=<", "divides", "does_not_divide", "noattack"):
+        assert kinds[pred] == {"error", "none", "one"}, pred
 
 
 # --- fresh names ------------------------------------------------------------

@@ -286,6 +286,26 @@ def test_residual_matches_encoded_program(corpus):
                 answer_set(entry.run_futamura(goal)), (name, goal)
 
 
+def test_the_tables_are_encoded_once(monkeypatch):
+    # encode_as_logic_program and specialize_encoded share the program
+    # that the tables carry
+    from ccontrol import metaint
+    built = []
+
+    def recording(tables):
+        built.append(tables)
+        return encode(tables)
+
+    encode = metaint._encode
+    monkeypatch.setattr(metaint, "_encode", recording)
+    for tables in _small_tables():
+        encoded = encode_as_logic_program(tables)
+        specialize_encoded(tables)
+        assert encode_as_logic_program(tables) is encoded
+        assert built == [tables]
+        built.clear()
+
+
 def test_residual_predicates_are_per_state(corpus):
     entry = corpus("permsort")
     preds = {c.head.pred for c in entry.futamura.program.clauses}
