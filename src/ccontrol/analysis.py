@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .absdom import (FULLEVAL, FreshAVars, LogicError,
+from .absdom import (FULLEVAL, UNFOLD, FreshAVars, LogicError,
                      abstract_unify_with_clause, canonicalize,
                      full_eval_output, parse_aconj, print_aconj,
                      widen_depth_k)
@@ -372,20 +372,34 @@ def parse_graph(text: str) -> StateGraph:
     """Inverse of the json rendering.  Each transition's
     ``selected_index`` repeats its source state's action, and a
     ``groupings`` array, written by older versions, repeats the group
-    actions; both are ignored.  A document of another shape is an
-    AnalysisError."""
+    actions; both are ignored.  A document of another shape, a state
+    defined twice, a transition or entry naming no state and a select
+    action marked neither ``unfold`` nor ``fulleval`` are AnalysisErrors."""
     doc = json.loads(text)
-    states = {_field(s, "id", int): parse_aconj(_field(s, "conjunction", str))
-              for s in _field(doc, "states", list)}
+    states = {}
+    for s in _field(doc, "states", list):
+        sid = _field(s, "id", int)
+        if sid in states:
+            raise AnalysisError(f"state {sid} is defined twice")
+        states[sid] = parse_aconj(_field(s, "conjunction", str))
     transitions = [Transition(_field(t, "from", int), _field(t, "to", int),
                               _form(_field(t, "cause", list), _CAUSES,
                                     "cause"))
                    for t in _field(doc, "transitions", list)]
+    entry = _field(doc, "entry", int)
+    missing = ({entry} | {t.src for t in transitions}
+               | {t.dst for t in transitions} - {EMPTY_STATE}) - set(states)
+    if missing:
+        raise AnalysisError(f"the graph names state {min(missing)}, which "
+                            "it does not define")
     actions = {}
     for sid, a in (_field(doc, "actions", dict) if "actions" in doc
                    else {}).items():
         a = _form(a, _ACTIONS, "action")
+        if a[0] == "select" and a[2] not in (UNFOLD, FULLEVAL):
+            raise AnalysisError(f"select action of state {sid} marked "
+                                f"{a[2]!r}, neither {UNFOLD!r} nor "
+                                f"{FULLEVAL!r}")
         actions[int(sid)] = ("group", FoldEvent(*a[1:])) \
             if a[0] == "group" else a
-    return StateGraph(_field(doc, "entry", int), states, transitions,
-                      actions)
+    return StateGraph(entry, states, transitions, actions)

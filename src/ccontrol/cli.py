@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from importlib import resources
@@ -377,6 +378,19 @@ def _positive(text) -> int:
     return int(text)
 
 
+def _tolerance(text) -> float:
+    """A deviation tolerance given on the command line: a finite,
+    non-negative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite, non-negative number")
+    return value
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-infer", type=_positive, metavar="N",
@@ -468,7 +482,7 @@ def _build_parser():
     sp.add_argument("--queries", required=True,
                     help="file with one goal per line")
     sp.add_argument("--report", help="write the json report here")
-    sp.add_argument("--tolerance", type=float, default=TOLERANCE)
+    sp.add_argument("--tolerance", type=_tolerance, default=TOLERANCE)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("pipeline", parents=[common],
@@ -481,7 +495,7 @@ def _build_parser():
     sp.add_argument("--queries",
                     help="goal file (default: program path with .queries)")
     sp.add_argument("--depth-k", type=_positive, metavar="K")
-    sp.add_argument("--tolerance", type=float, default=TOLERANCE)
+    sp.add_argument("--tolerance", type=_tolerance, default=TOLERANCE)
     sp.set_defaults(func=cmd_pipeline)
 
     sp = sub.add_parser("selftest", parents=[common],

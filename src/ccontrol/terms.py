@@ -611,12 +611,15 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
     may be named like a name ``fresh`` hands out now.  Then a clause
     variable's first occurrence is bound without the occurs check, as the
     WAM's ``get_variable`` binds; a later occurrence is unified with the
-    check.  ``engine.depth_first`` raises ``fresh`` past the query's
-    variables (``FreshNames.skip_past``), and every other goal variable
-    of its machines comes from that ``fresh``: partial deduction's goals
-    too, whose patterns it generalizes over its one ``FreshNames``.
-    Direct synthesis builds its goals over the ``G``, ``A`` and ``B``
-    variables of its templates and names from its ``FreshNames``.
+    check.  Inside a template (see ``_shape``), a first occurrence is
+    unified with the check too; a fresh name occurs in no term yet, so
+    the bindings are the same.  ``engine.depth_first`` raises ``fresh``
+    past the query's variables (``FreshNames.skip_past``), and every
+    other goal variable of its machines comes from that ``fresh``:
+    partial deduction's goals too, whose patterns it generalizes over its
+    one ``FreshNames``.  Direct synthesis builds its goals over the
+    ``G``, ``A`` and ``B`` variables of its templates and names from its
+    ``FreshNames``.
 
     A store is a dict whose insertion order is its trail: a search adds
     bindings at the end and undoes them from the end (``take_back``).
@@ -710,11 +713,9 @@ def take_back(store: dict, mark: int) -> list:
 
 # --- generated head code -------------------------------------------------
 
-# A list of more cells than this is built in a body by ``mklist``, from a
-# flat tuple of its elements, so that the generated code stays shallow
-_LONG_LIST = 8
-# A body expression nested deeper is assigned to a local first: Python's
-# parser takes a few hundred nested parentheses at most
+# A structure met this deep in a clause literal (a head argument is 1 deep,
+# a body atom 0) is not walked: it is one template, renamed whole, so that
+# the code of a clause nests no deeper than this, whatever its terms
 _MAX_NESTING = 16
 
 # code factories by clause shape (see ``_shape``); clauses of one shape,
@@ -747,63 +748,59 @@ def _is_constant(node) -> bool:
 
 def _shape(clause: Clause) -> tuple:
     """The clause's shape, free of names, the constants it leaves out and
-    its variable count.
+    its variable count, from one walk of the clause.
 
     The shape is ``(head arguments, body atoms)`` of nodes: a variable's
     position in ``clause.variables``; ``("c", j)`` for a constant,
     ``consts[j]``, whose name is ``consts[j + 1]``; ``("k", j)`` for a
     ground structure or atom; ``("s", j, args)`` for a structure with
-    functor ``consts[j]``; ``("a", j, args)`` for a body atom with
-    predicate ``consts[j]``; and ``("l", items, tail)`` for the cells of a
-    list up to its ground rest, which is its tail.  A list's spine is
-    walked in a loop, so a list of any length is a flat node."""
-    # ``clause.variables``, not cached: every clause would keep the dict
-    positions = {v: i for i, v in
-                 enumerate(term_vars((clause.head,) + clause.body))}
-    consts = []
+    functor ``consts[j]``, a list cell among them; ``("a", j, args)`` for a
+    body atom with predicate ``consts[j]``; and ``("t", j, positions)`` for
+    a template, a structure met ``_MAX_NESTING`` deep that is not ground:
+    its term is ``consts[j]``, and ``consts[j + 1]`` maps each of its
+    variables to its position, the positions being in first-occurrence
+    order.
 
-    def compound(kind, name, args, term):
-        mark = len(consts)
-        consts.append(name)
-        nodes = tuple([walk(a) for a in args])
-        if all(map(_is_constant, nodes)):
-            del consts[mark:]
-            consts.append(term)
-            return ("k", mark)
-        return (kind, mark, nodes)
-
-    def walk(t):
-        if isinstance(t, Var):
-            return positions[t]
-        if isinstance(t, Const):
-            consts.extend((t, t.name))
-            return ("c", len(consts) - 2)
-        if t.functor != CONS or len(t.args) != 2:
-            return compound("s", t.functor, t.args, t)
-        cells = []
-        while isinstance(t, Struct) and t.functor == CONS and len(t.args) == 2:
-            cells.append(t)
-            t = t.args[1]
-        marks, items = [], []
-        for cell in cells:
-            marks.append(len(consts))
-            items.append(walk(cell.args[0]))
-        tail = walk(t)
-        k = len(cells)
-        if _is_constant(tail):
-            while k and _is_constant(items[k - 1]):
-                k -= 1
-            if k < len(cells):
-                del consts[marks[k]:]
-                consts.append(cells[k])
-                tail = ("k", marks[k])
-                if not k:
-                    return tail
-        return ("l", tuple(items[:k]), tail)
-
-    head = tuple([walk(a) for a in clause.head.args])
-    body = tuple([compound("a", a.pred, a.args, a) for a in clause.body])
-    return (head, body), consts, len(positions)
+    The walk is post-order, on an explicit stack: a compound's node is
+    made once its arguments' are, and is ``("k", j)`` when all of them are
+    constants.  Variables are numbered as the walk meets them, which is
+    their first-occurrence order."""
+    positions, consts, nodes = {}, [], []
+    # each task is a term to walk and its depth, or a compound whose
+    # arguments' nodes are those from ``start`` on, with depth None
+    todo = [(0, a) for a in reversed(clause.body)] + \
+        [(1, t) for t in reversed(clause.head.args)]
+    while todo:
+        depth, t = todo.pop()
+        cls = t.__class__
+        if depth is None:
+            kind, mark, t, start = t
+            args = tuple(nodes[start:])
+            del nodes[start:]
+            if all(map(_is_constant, args)):
+                del consts[mark:]
+                consts.append(t)
+                nodes.append(("k", mark))
+            else:
+                nodes.append((kind, mark, args))
+        elif cls is Const:
+            consts += (t, t.name)
+            nodes.append(("c", len(consts) - 2))
+        elif cls is Struct and depth >= _MAX_NESTING:
+            where = {v: positions.setdefault(v, len(positions))
+                     for v in term_vars(t)}
+            nodes.append(("t", len(consts), tuple(where.values())) if where
+                         else ("k", len(consts)))
+            consts += (t, where)
+        elif cls is Struct or cls is Atom:
+            todo.append((None, ("s" if cls is Struct else "a", len(consts),
+                                t, len(nodes))))
+            consts.append(t.functor if cls is Struct else t.pred)
+            todo.extend((depth + 1, a) for a in reversed(t.args))
+        else:
+            nodes.append(positions.setdefault(t, len(positions)))
+    n = len(clause.head.args)
+    return (tuple(nodes[:n]), tuple(nodes[n:])), consts, len(positions)
 
 
 def _node_vars(nodes) -> set:
@@ -813,9 +810,8 @@ def _node_vars(nodes) -> set:
         node = stack.pop()
         if node.__class__ is int:
             out.add(node)
-        elif node[0] == "l":
-            stack.extend(node[1])
-            stack.append(node[2])
+        elif node[0] == "t":
+            out.update(node[2])
         elif node[0] in ("s", "a"):
             stack.extend(node[2])
     return out
@@ -832,165 +828,163 @@ def _factory(shape) -> object:
     and bound to the goal's variable in write mode, as the WAM's
     ``get_structure`` does; the structures inside one built in write mode
     are built too, and none of them binds.  Each structure's code sits at
-    the same nesting, guarded by its parent's read-mode flag, so the code
-    of a head of any depth stays shallow.  A variable is named at its
-    first occurrence and bound there without the occurs check; a later
-    occurrence is unified by ``_unify_pairs``.  A constant or ground
-    structure is compared or bound as it is.  The code then names the
-    body's own variables and builds the body."""
+    the same nesting, guarded by its parent's read-mode flag.  A variable
+    is named at its first occurrence and bound there without the occurs
+    check; a later occurrence is unified by ``_unify_pairs``.  A constant
+    or ground structure is compared or bound as it is.  A template is
+    renamed whole by ``replace_vars`` and unified by one ``_unify_pairs``
+    pair.  The code then names the body's own variables and builds the
+    body, a template in it by the same renaming.
+
+    Both walks keep explicit stacks of tasks: the head's, of the nodes
+    left to unify and the structures left to build once their arguments
+    are, and the body's, of the nodes left to build."""
     head, body = shape
     lines = []
     used = set()      # constant slots the code reads
     seen = set()      # variables met so far, in unification order
+    named = set()     # variables held in a local ``V<i>``
     ids = count()
 
-    def out(depth, text):
-        lines.append("    " * depth + text)
+    def out(indent, text):
+        lines.append("    " * indent + text)
 
     def const(j):
         used.add(j)
         return f"K{j}"
 
-    def name(i, depth):
-        out(depth, f"V{i} = Var(f'{{P}}{{n + {i + 1}}}')")
+    def name(i):
+        if i not in named:
+            named.add(i)
+            out(2, f"V{i} = Var(f'{{P}}{{n + {i + 1}}}')")
+        return f"V{i}"
 
-    def deref(src, depth):
-        out(depth, f"x = {src}")
-        out(depth, "if x.__class__ is Var:")
-        out(depth + 1, "x = _deref(x, b)")
+    def template(j):
+        return (f"replace_vars({const(j)}, "
+                f"lambda v: Var(f'{{P}}{{n + 1 + {const(j + 1)}[v]}}'))")
 
-    def guard(flag, depth):
+    def guard(flag, indent):
         if flag:
-            out(depth, f"if {flag}:")
-            return depth + 1
-        return depth
+            out(indent, f"if {flag}:")
+            return indent + 1
+        return indent
 
-    def decide(functor, arity, src, flag, depth):
+    def on_var(src, then, flag):
+        """Emit the dereference of the goal term ``src``, when ``flag``
+        holds, and ``then`` for when it is a variable; the indent of the
+        tests that follow."""
+        indent = guard(flag, 2)
+        out(indent, f"x = {src}")
+        out(indent, "if x.__class__ is Var:")
+        out(indent + 1, "x = _deref(x, b)")
+        out(indent, "if x.__class__ is Var:")
+        out(indent + 1, then)
+        return indent
+
+    def unify_later(src, value, flag):
+        cond = f"{flag} and " if flag else ""
+        out(2, f"if {cond}not _unify_pairs([({src}, {value})], b, oc):")
+        out(3, "return None")
+
+    def decide(functor, arity, src, flag):
         """Emit the choice of mode of a structure: ``R<k>`` holds in read
         mode, with ``G<k>_<i>`` the goal's arguments; otherwise ``W<k>``
         is the goal's variable, when the parent is in read mode."""
         k = next(ids)
-        out(depth, f"R{k} = False")
-        depth = guard(flag, depth)
-        deref(src, depth)
-        out(depth, "if x.__class__ is Var:")
-        out(depth + 1, f"W{k} = x")
-        out(depth, f"elif x.__class__ is Struct and x.functor == {functor} "
+        out(2, f"R{k} = False")
+        indent = on_var(src, f"W{k} = x", flag)
+        out(indent, f"elif x.__class__ is Struct and x.functor == {functor} "
                    f"and len(x.args) == {arity}:")
-        out(depth + 1, "".join(f"G{k}_{i}, " for i in range(arity))
+        out(indent + 1, "".join(f"G{k}_{i}, " for i in range(arity))
             + "= x.args")
-        out(depth + 1, f"R{k} = True")
-        out(depth, "else:")
-        out(depth + 1, "return None")
+        out(indent + 1, f"R{k} = True")
+        out(indent, "else:")
+        out(indent + 1, "return None")
         return k
 
-    def build(k, functor, parts, check, flag, depth):
+    def build(k, functor, parts, check, flag):
         """Emit the write mode of a structure: it is built, and bound to
         the goal's variable when its parent is in read mode."""
-        out(depth, f"if not R{k}:")
-        out(depth + 1, f"T{k} = Struct({functor}, ({', '.join(parts)},))")
-        depth = guard(flag, depth + 1)
+        out(2, f"if not R{k}:")
+        out(3, f"T{k} = Struct({functor}, ({', '.join(parts)},))")
+        indent = guard(flag, 3)
         if check:
-            out(depth, f"if oc and _occurs(W{k}, T{k}, b):")
-            out(depth + 1, "return None")
-        out(depth, f"b[W{k}] = T{k}")
+            out(indent, f"if oc and _occurs(W{k}, T{k}, b):")
+            out(indent + 1, "return None")
+        out(indent, f"b[W{k}] = T{k}")
         return f"T{k}"
 
-    def unify(node, src, flag, depth):
-        """Emit the unification of the goal term ``src`` with ``node``,
-        when ``flag`` (read mode) holds; the expression of the node's
-        term, for the build of its parent."""
+    # the head: each task unifies a node with the goal term ``src`` when
+    # ``flag`` (read mode) holds, or builds a structure, ``("b", ...)``,
+    # once its arguments are done, and puts the expression of its term at
+    # ``into[i]``, for the build of its parent
+    exprs = [None] * len(head)
+    tasks = [(node, f"a{i}", None, exprs, i) for i, node in enumerate(head)]
+    while tasks:
+        node, src, flag, into, i = tasks.pop()
         if node.__class__ is int:
-            var = f"V{node}"
+            var = name(node)
             if node in seen:
-                cond = f"{flag} and " if flag else ""
-                out(depth, f"if {cond}not _unify_pairs([({src}, {var})], b, "
-                           "oc):")
-                out(depth + 1, "return None")
-                return var
-            seen.add(node)
-            name(node, depth)
-            depth = guard(flag, depth)
-            deref(src, depth)
-            out(depth, "if x.__class__ is Var:")
-            out(depth + 1, f"b[x] = {var}")
-            out(depth, "else:")
-            out(depth + 1, f"b[{var}] = x")
-            return var
-        kind = node[0]
-        if kind == "c" or kind == "k":
-            value = const(node[1])
-            depth = guard(flag, depth)
-            deref(src, depth)
-            out(depth, "if x.__class__ is Var:")
-            out(depth + 1, f"b[x] = {value}")
-            if kind == "c":
-                out(depth, "elif x.__class__ is not Const or "
+                unify_later(src, var, flag)
+            else:
+                seen.add(node)
+                indent = on_var(src, f"b[x] = {var}", flag)
+                out(indent, "else:")
+                out(indent + 1, f"b[{var}] = x")
+            into[i] = var
+        elif node[0] == "c" or node[0] == "k":
+            value = into[i] = const(node[1])
+            indent = on_var(src, f"b[x] = {value}", flag)
+            if node[0] == "c":
+                out(indent, "elif x.__class__ is not Const or "
                            f"x.name != {const(node[1] + 1)}:")
             else:
-                out(depth, f"elif not _unify_pairs([(x, {value})], b, oc):")
-            out(depth + 1, "return None")
-            return value
-        before = set(seen)
-        if kind == "s":
+                out(indent, f"elif not _unify_pairs([(x, {value})], b, oc):")
+            out(indent + 1, "return None")
+        elif node[0] == "t":
+            value = into[i] = f"T{next(ids)}"
+            out(2, f"{value} = {template(node[1])}")
+            unify_later(src, value, flag)
+            seen.update(node[2])
+        elif node[0] == "s":
             functor, args = const(node[1]), node[2]
-            k = decide(functor, len(args), src, flag, depth)
+            k = decide(functor, len(args), src, flag)
             parts = [None] * len(args)
-            for i in reversed(range(len(args))):
-                parts[i] = unify(args[i], f"G{k}_{i}", f"R{k}", depth)
-            return build(k, functor, parts, _node_vars(args) & before, flag,
-                         depth)
-        # a list: decide each cell, then unify the tail and each cell's
-        # item, innermost first, building each cell after its item
-        items, tail = node[1], node[2]
-        ks, flags = [], []
-        for _ in items:
-            flags.append(flag)
-            k = decide("CONS", 2, src, flag, depth)
-            ks.append(k)
-            src, flag = f"G{k}_1", f"R{k}"
-        part = unify(tail, src, flag, depth)
-        met = _node_vars((tail,)) & before
-        for k, item, flag in reversed(list(zip(ks, items, flags))):
-            value = unify(item, f"G{k}_0", f"R{k}", depth)
-            met |= _node_vars((item,)) & before
-            part = build(k, "CONS", (value, part), met, flag, depth)
-        return part
-
-    def term(node):
-        """The expression that builds a body node, and its nesting."""
-        if node.__class__ is int:
-            return f"V{node}", 0
-        kind = node[0]
-        if kind == "c" or kind == "k":
-            return const(node[1]), 0
-        if kind == "l":
-            items = [term(item) for item in node[1]]
-            expr, nesting = term(node[2])
-            nesting = max([nesting] + [n for _, n in items])
-            if len(items) > _LONG_LIST:
-                elems = "".join(f"{e}, " for e, _ in items)
-                expr, nesting = f"mklist(({elems}), {expr})", nesting + 1
-            else:
-                for e, _ in reversed(items):
-                    expr, nesting = f"Struct(CONS, ({e}, {expr}))", nesting + 1
+            check = not seen.isdisjoint(_node_vars(args))
+            tasks.append((("b", k, functor, parts, check), src, flag, into,
+                          i))
+            tasks.extend((arg, f"G{k}_{j}", f"R{k}", parts, j)
+                         for j, arg in enumerate(args))
         else:
-            parts = [term(arg) for arg in node[2]]
-            cls = "Atom" if kind == "a" else "Struct"
-            expr = f"{cls}({const(node[1])}, ({''.join(f'{e}, ' for e, _ in parts)}))"
-            nesting = 1 + max(n for _, n in parts)
-        if nesting < _MAX_NESTING:
-            return expr, nesting
-        local = f"B{next(ids)}"
-        out(2, f"{local} = {expr}")
-        return local, 0
+            _, k, functor, parts, check = node
+            into[i] = build(k, functor, parts, check, flag)
 
-    for i in reversed(range(len(head))):
-        unify(head[i], f"a{i}", None, 2)
-    for i in sorted(_node_vars(body) - seen):
-        name(i, 2)
-    atoms = [term(atom)[0] for atom in body]
-    out(2, f"return ({''.join(f'{a}, ' for a in atoms)})")
+    # the body: each task builds a node's expression on ``exprs``, or
+    # makes a compound's, ``("b", ...)``, of the expressions of its
+    # arguments, the last on ``exprs``
+    exprs, needed = [], set()
+    tasks = list(reversed(body))
+    while tasks:
+        node = tasks.pop()
+        if node.__class__ is int:
+            needed.add(node)
+            exprs.append(f"V{node}")
+        elif node[0] == "c" or node[0] == "k":
+            exprs.append(const(node[1]))
+        elif node[0] == "t":
+            exprs.append(template(node[1]))
+        elif node[0] == "b":
+            _, cls, j, arity = node
+            parts = "".join(f"{e}, " for e in exprs[len(exprs) - arity:])
+            del exprs[len(exprs) - arity:]
+            exprs.append(f"{cls}({const(j)}, ({parts}))")
+        else:
+            tasks.append(("b", "Atom" if node[0] == "a" else "Struct",
+                          node[1], len(node[2])))
+            tasks.extend(reversed(node[2]))
+    for i in sorted(needed - named):
+        name(i)
+    out(2, f"return ({''.join(f'{a}, ' for a in exprs)})")
     source = (["def make(K):"]
               + [f"    K{j} = K[{j}]" for j in sorted(used)]
               + ["    def resolve(a, b, oc, P, n):"]

@@ -306,9 +306,9 @@ def test_long_list_built_by_the_search_answers(tmp_path, capsys):
 def test_deep_clause_literals_answer(tmp_path, capsys):
     # 5,000-element lists written in clause heads and bodies, one with a
     # variable before its ground rest and one with a variable tail; the
-    # generated head code takes a ground part as a constant and builds a
-    # long list from a flat tuple of its elements, and an equal list in
-    # the query is unified with the constant cell by cell
+    # generated head code takes a ground part as a constant and the rest
+    # of a list past ``_MAX_NESTING`` cells as one template, and an equal
+    # list in the query is unified with the constant cell by cell
     items = ",".join(str(i) for i in range(5000))
     lp = tmp_path / "deep.lp"
     lp.write_text(f"p([{items}]).\n"
@@ -327,6 +327,26 @@ def test_deep_clause_literals_answer(tmp_path, capsys):
         assert rc == 0, (query, err)
         assert out.splitlines()[0] == answer, query
         assert f"inferences: {count}" in out, query
+
+
+DEEP_X = "s(" * 5000 + "X" + ")" * 5000
+
+
+@pytest.mark.parametrize("program,query,inferences", [
+    (f"p({DEEP}).\n", "p(A)", 1),
+    (f"p({DEEP_X},X).\n", "p(A,B)", 1),
+    (f"q(X) :- p({DEEP_X}).\np(Y).\n", "q(z)", 2)],
+    ids=["ground", "shared", "body"])
+def test_clause_literals_5000_deep_answer_on_naive(tmp_path, capsys, program,
+                                                   query, inferences):
+    # a ground literal is one constant, and a structure 16 deep that is
+    # not ground is one template, so the clause's code stays shallow
+    lp = tmp_path / "deep.lp"
+    lp.write_text(program)
+    rc = main(["run", str(lp), "--query", query, "--count"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert out == f"answers: 1\ninferences: {inferences}\n"
 
 
 def test_cyclic_answer_exits_2_without_traceback(tmp_path, capsys):
@@ -567,6 +587,43 @@ def test_graph_file_of_the_wrong_shape_exits_2(permsort_files, tmp_path,
     assert err.count("\n") == 1
 
 
+GRAPH_DEFECTS = {
+    "missing state": "the graph names state 99, which it does not define",
+    "select mark": "select action of state 1 marked 'fold', neither "
+                   "'unfold' nor 'fulleval'",
+    "repeated state": "state 2 is defined twice"}
+
+
+@pytest.mark.parametrize("defect", sorted(GRAPH_DEFECTS))
+@pytest.mark.parametrize("command", ["mi-run", "encode", "specialize",
+                                     "synthesize"])
+def test_graph_file_that_names_no_state_or_a_bad_mark_exits_2(
+        permsort_files, tmp_path, capsys, command, defect):
+    # each once crashed, exited 1, or ran as if the graph were sound
+    lp, pol, _ = permsort_files
+    graph = tmp_path / "graph.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    if defect == "missing state":
+        doc["transitions"][-1]["to"] = 99
+    elif defect == "select mark":
+        assert doc["actions"]["1"][0] == "select"
+        doc["actions"]["1"][2] = "fold"
+    else:
+        doc["states"].append(dict(doc["states"][1]))
+    graph.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.lp")
+    args = {"mi-run": ["--policy", str(pol), "--query", "permsort([2,1],S)"],
+            "encode": ["--policy", str(pol), "--out", out],
+            "specialize": ["--policy", str(pol), "--out", out],
+            "synthesize": [str(pol), "--out", out]}
+    capsys.readouterr()
+    rc = main([command, str(graph), str(lp)] + args[command])
+    assert (rc, capsys.readouterr().err) == (
+        2, f"cc {command}: {graph}: not a valid graph file "
+           f"({GRAPH_DEFECTS[defect]})\n")
+
+
 @pytest.mark.parametrize("query", ["foo(X)", "cmulti(foo)"])
 def test_mi_run_rejects_a_query_the_program_cannot_run(
         permsort_files, tmp_path, capsys, query):
@@ -741,3 +798,26 @@ def test_positive_budgets_apply(tmp_path, capsys):
                  "--max-infer", "1"]) == 0
     # the first step resolves against all three clauses and exceeds it
     assert capsys.readouterr().out.startswith("answers: 0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "five"])
+@pytest.mark.parametrize("command", ["compare", "pipeline"])
+def test_tolerance_that_is_not_a_finite_non_negative_number_exits_2(
+        permsort_files, capsys, command, value):
+    # nan and -1 once failed every check, agreeing answers too, with exit 1
+    lp, pol, q = permsort_files
+    args = {"compare": [str(lp), str(lp), "--queries", str(q)],
+            "pipeline": [str(lp), str(pol)]}
+    with pytest.raises(SystemExit) as e:
+        main([command, *args[command], "--tolerance", value])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert err.startswith("usage: cc ")
+    assert f"argument --tolerance: {value!r} is not a finite, non-negative " \
+        "number" in err
+
+
+def test_a_zero_tolerance_passes_agreeing_programs(permsort_files, capsys):
+    lp, _, q = permsort_files
+    assert main(["compare", str(lp), str(lp), "--queries", str(q),
+                 "--tolerance", "0"]) == 0

@@ -16,7 +16,7 @@ from ccontrol.multi import pattern_name
 from ccontrol.policy import parse_policy
 from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
                             Program, Struct, Substitution, Var, _Lexer,
-                            _Parser,
+                            _MAX_NESTING, _Parser, _shape,
                             list_parts, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
@@ -439,8 +439,9 @@ def test_deep_terms_are_rebuilt_printed_and_read():
 def test_term_walks_do_not_recurse():
     """``substitute``, ``replace_vars``, their walk, ``print_term`` and
     ``_Parser.parse_term`` keep explicit stacks: none of them calls itself
-    or another of them, bar the two that hand over to the walk, and
-    nothing under ``src/`` raises the host's recursion limit."""
+    or another of them, bar the two that hand over to the walk.  No
+    function of the head-code generator reaches itself, and nothing under
+    ``src/`` raises the host's recursion limit."""
     src = pathlib.Path(__file__).parent.parent / "src"
     tree = ast.parse((src / "ccontrol" / "terms.py").read_text())
     parser = next(n for n in tree.body
@@ -457,8 +458,52 @@ def test_term_walks_do_not_recurse():
     assert calls == {"substitute": {"_rebuild"}, "replace_vars": {"_rebuild"},
                      "_rebuild": set(), "print_term": set(),
                      "parse_term": set()}
+    # the head-code generator: its functions and those nested in them
+    generator = [n for n in tree.body if isinstance(n, ast.FunctionDef) and
+                 n.name in ("_head_code", "_shape", "_node_vars", "_factory")]
+    functions = {n.name: n for f in generator for n in ast.walk(f)
+                 if isinstance(n, ast.FunctionDef)}
+    assert {"_shape", "_factory", "decide", "build"} <= set(functions)
+    calls = {name: set(functions) & {
+                 getattr(c.func, "id", None)
+                 for c in ast.walk(f) if isinstance(c, ast.Call)}
+             for name, f in functions.items()}
+    for name in calls:
+        met, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in met:
+                met.add(callee)
+                todo.extend(calls[callee])
+        assert name not in met, name
     for path in src.rglob("*.py"):
         assert "setrecursionlimit" not in path.read_text(), path
+
+
+def test_a_long_head_list_nests_no_deeper_than_the_bound():
+    # past ``_MAX_NESTING`` the rest of the list is one template, so a
+    # list of 100 variables and one of 5,000 have code of the same size
+    def clause(n):
+        items = ",".join(f"X{i}" for i in range(n))
+        return parse_program(f"p([{items}]).").clauses[0]
+
+    long = clause(5000)
+    (head, body), _, nvars = _shape(long)
+    assert body == () and nvars == 5000
+    deepest, stack = 0, [(node, 1) for node in head]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if node.__class__ is tuple and node[0] == "s":
+            stack.extend((arg, depth + 1) for arg in node[2])
+        elif node.__class__ is tuple and node[0] == "t":
+            assert node[2] == tuple(range(_MAX_NESTING - 1, 5000))
+    assert deepest == _MAX_NESTING
+    code = long.head_code[2].__code__.co_code
+    assert clause(100).head_code[2].__code__.co_code == code
+    body, made = resolve_in(parse_atom("p(L)"), long, FreshNames(), {})
+    assert body == () and made == [
+        (Var("L"), mklist([Var(f"_V{i}") for i in range(1, 5001)]))]
 
 
 # --- unification ----------------------------------------------------------
@@ -643,9 +688,23 @@ def test_generated_head_code_matches_the_work_list_reference(corpus):
     # build its body, name as it names and leave the store as it was
     rng = random.Random(14)
     pool = ["X", "Y", "L", "_V1", "_V3", "_V8"]
-    # and clauses that bind a variable before a structure holding it
-    clauses = list(parse_program("p(f(A),A).\nq([X|T],T,X).\n"
-                                 "r(g(h(A,B)),B,A).\n").clauses)
+    # and clauses that bind a variable before a structure holding it, and
+    # clauses with templates: structures met ``_MAX_NESTING`` deep, each
+    # renamed whole and unified as one pair
+    def nest(functor, depth, inner):
+        return f"{functor}(" * depth + inner + ")" * depth
+
+    listed = ",".join(f"X{i}" for i in range(40))
+    numbers = ",".join(str(i) for i in range(40))
+    clauses = list(parse_program(
+        "p(f(A),A).\nq([X|T],T,X).\nr(g(h(A,B)),B,A).\n"
+        f"l([{listed}]).\n"
+        f"q({nest('s', 30, 'X')},X).\nq2(X,{nest('s', 30, 'X')}).\n"
+        f"u({nest('f', 20, 'A')},g(A)).\n"
+        f"w({nest('f', 20, 'A')},{nest('g', 20, 'h(A,B)')},B).\n"
+        f"x({nest('f', 17, 'g(A,B)')},B) :- y(A).\n"
+        f"k({nest('s', 30, 'z')},X).\n"
+        f"r(X,Y) :- t([{numbers}|X],{nest('f', 20, 'Y')}).\n").clauses)
     for name in CORPUS_NAMES:
         entry = corpus(name)
         for program in (entry.program, entry.classic.program,
