@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from types import CodeType
 from typing import Iterable, Union
 
 NIL = "[]"
@@ -590,9 +589,12 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
     bindings stand in for the instantiation of ``atom``: it is not
     resolved through them first.  On an empty store, ``substitute`` of
     the body (or of the rest of a goal) by the bindings gives what
-    ``rename_apart``, ``unify`` and applying the unifier give, binding
-    for binding: the argument pairs are unified last first, depth first,
-    and a goal variable is bound before a clause variable.
+    ``rename_apart``, ``unify`` and applying the unifier give.  The
+    bindings are the unifier's, in its order (the argument pairs are
+    unified last first, depth first, and a goal variable is bound before
+    a clause variable), less those of the clause variables whose first
+    occurrence met a goal term other than an unbound variable: such a
+    variable is not bound, and the body holds that term in its place.
 
     The head is unified by the clause's generated code (see
     ``_head_code``), but first the goal's first argument is checked, as
@@ -609,13 +611,15 @@ def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
     ``<prefix><n + i + 1>`` from the count ``n`` it had.  The caller keeps
     ``fresh`` apart from the goal: no variable of ``atom`` or of the store
     may be named like a name ``fresh`` hands out now.  Then a clause
-    variable's first occurrence is bound without the occurs check, as the
-    WAM's ``get_variable`` binds; a later occurrence is unified with the
-    check.  Inside a template (see ``_shape``), a first occurrence is
-    unified with the check too; a fresh name occurs in no term yet, so
-    the bindings are the same.  ``engine.depth_first`` raises ``fresh``
-    past the query's variables (``FreshNames.skip_past``), and every
-    other goal variable of its machines comes from that ``fresh``:
+    variable's first occurrence needs no occurs check, as the WAM's
+    ``get_variable``: an unbound goal variable is bound to the fresh name
+    and any other goal term is held as it is; a later occurrence is
+    unified with the check.  Inside a template (see ``_shape``), a first
+    occurrence is unified with the check too, and its fresh name is bound
+    to a goal term that is not a variable; a fresh name occurs in no term
+    yet, so the check cannot fail there.  ``engine.depth_first`` raises
+    ``fresh`` past the query's variables (``FreshNames.skip_past``), and
+    every other goal variable of its machines comes from that ``fresh``:
     partial deduction's goals too, whose patterns it generalizes over its
     one ``FreshNames``.  Direct synthesis builds its goals over the
     ``G``, ``A`` and ``B`` variables of its templates and names from its
@@ -829,12 +833,18 @@ def _factory(shape) -> object:
     ``get_structure`` does; the structures inside one built in write mode
     are built too, and none of them binds.  Each structure's code sits at
     the same nesting, guarded by its parent's read-mode flag.  A variable
-    is named at its first occurrence and bound there without the occurs
-    check; a later occurrence is unified by ``_unify_pairs``.  A constant
-    or ground structure is compared or bound as it is.  A template is
-    renamed whole by ``replace_vars`` and unified by one ``_unify_pairs``
-    pair.  The code then names the body's own variables and builds the
-    body, a template in it by the same renaming.
+    is held in a local ``V<i>`` from its first occurrence, with no occurs
+    check, as the WAM's ``get_variable`` moves a goal term into a
+    register: in read mode, a goal term that is an unbound variable is
+    bound to the variable's fresh name, which the local holds, and any
+    other goal term is the local's value, with nothing bound; in write
+    mode the local holds the fresh name.  A later occurrence is unified
+    by ``_unify_pairs``.  A constant or ground structure is compared or
+    bound as it is.  A template is renamed whole by ``replace_vars``, a
+    variable with a local to it and any other to its fresh name, and
+    unified by one ``_unify_pairs`` pair.  The code then names the body's
+    own variables and builds the body, a template in it by the same
+    renaming.
 
     Both walks keep explicit stacks of tasks: the head's, of the nodes
     left to unify and the structures left to build once their arguments
@@ -853,15 +863,23 @@ def _factory(shape) -> object:
         used.add(j)
         return f"K{j}"
 
+    def fresh(i):
+        return f"Var(f'{{P}}{{n + {i + 1}}}')"
+
     def name(i):
         if i not in named:
             named.add(i)
-            out(2, f"V{i} = Var(f'{{P}}{{n + {i + 1}}}')")
+            out(2, f"V{i} = {fresh(i)}")
         return f"V{i}"
 
-    def template(j):
-        return (f"replace_vars({const(j)}, "
-                f"lambda v: Var(f'{{P}}{{n + 1 + {const(j + 1)}[v]}}'))")
+    def template(j, where):
+        """The renaming of the template ``consts[j]``, whose variables are
+        at the positions ``where``: one held in a local is renamed to it,
+        any other to its fresh name."""
+        held = ", ".join(f"{p}: V{p}" for p in where if p in named)
+        return (f"replace_vars({const(j)}, lambda v, h={{{held}}}: "
+                f"h[p] if (p := {const(j + 1)}[v]) in h "
+                "else Var(f'{P}{n + 1 + p}'))")
 
     def guard(flag, indent):
         if flag:
@@ -869,16 +887,17 @@ def _factory(shape) -> object:
             return indent + 1
         return indent
 
-    def on_var(src, then, flag):
+    def on_var(src, flag, *then):
         """Emit the dereference of the goal term ``src``, when ``flag``
-        holds, and ``then`` for when it is a variable; the indent of the
-        tests that follow."""
+        holds, and the lines ``then`` for when it is a variable; the
+        indent of the tests that follow."""
         indent = guard(flag, 2)
         out(indent, f"x = {src}")
         out(indent, "if x.__class__ is Var:")
         out(indent + 1, "x = _deref(x, b)")
         out(indent, "if x.__class__ is Var:")
-        out(indent + 1, then)
+        for line in then:
+            out(indent + 1, line)
         return indent
 
     def unify_later(src, value, flag):
@@ -892,7 +911,7 @@ def _factory(shape) -> object:
         is the goal's variable, when the parent is in read mode."""
         k = next(ids)
         out(2, f"R{k} = False")
-        indent = on_var(src, f"W{k} = x", flag)
+        indent = on_var(src, flag, f"W{k} = x")
         out(indent, f"elif x.__class__ is Struct and x.functor == {functor} "
                    f"and len(x.args) == {arity}:")
         out(indent + 1, "".join(f"G{k}_{i}, " for i in range(arity))
@@ -923,18 +942,24 @@ def _factory(shape) -> object:
     while tasks:
         node, src, flag, into, i = tasks.pop()
         if node.__class__ is int:
-            var = name(node)
+            var = into[i] = f"V{node}"
             if node in seen:
-                unify_later(src, var, flag)
+                unify_later(src, name(node), flag)
             else:
+                # ``get_variable``: a goal variable is bound to the fresh
+                # one, any other term is held in the local as it is
                 seen.add(node)
-                indent = on_var(src, f"b[x] = {var}", flag)
+                named.add(node)
+                indent = on_var(src, flag, f"{var} = {fresh(node)}",
+                                f"b[x] = {var}")
                 out(indent, "else:")
-                out(indent + 1, f"b[{var}] = x")
-            into[i] = var
+                out(indent + 1, f"{var} = x")
+                if flag:
+                    out(2, "else:")
+                    out(3, f"{var} = {fresh(node)}")
         elif node[0] == "c" or node[0] == "k":
             value = into[i] = const(node[1])
-            indent = on_var(src, f"b[x] = {value}", flag)
+            indent = on_var(src, flag, f"b[x] = {value}")
             if node[0] == "c":
                 out(indent, "elif x.__class__ is not Const or "
                            f"x.name != {const(node[1] + 1)}:")
@@ -943,7 +968,7 @@ def _factory(shape) -> object:
             out(indent + 1, "return None")
         elif node[0] == "t":
             value = into[i] = f"T{next(ids)}"
-            out(2, f"{value} = {template(node[1])}")
+            out(2, f"{value} = {template(node[1], node[2])}")
             unify_later(src, value, flag)
             seen.update(node[2])
         elif node[0] == "s":
@@ -972,7 +997,7 @@ def _factory(shape) -> object:
         elif node[0] == "c" or node[0] == "k":
             exprs.append(const(node[1]))
         elif node[0] == "t":
-            exprs.append(template(node[1]))
+            exprs.append(template(node[1], node[2]))
         elif node[0] == "b":
             _, cls, j, arity = node
             parts = "".join(f"{e}, " for e in exprs[len(exprs) - arity:])
@@ -992,16 +1017,9 @@ def _factory(shape) -> object:
                  if head else [])
               + lines + ["    return resolve"])
     scope = {}
-    exec(_lean(compile("\n".join(source), "<clause shape>", "exec")),
-         globals(), scope)
+    exec(compile("\n".join(source), "<clause shape>", "exec"), globals(),
+         scope)
     return scope["make"]
-
-
-def _lean(code: CodeType) -> CodeType:
-    """``code`` and the code objects it holds without their line tables,
-    which generated code does not need."""
-    return code.replace(co_linetable=b"", co_consts=tuple(
-        _lean(c) if isinstance(c, CodeType) else c for c in code.co_consts))
 
 
 # --- parsing ------------------------------------------------------------

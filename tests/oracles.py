@@ -23,10 +23,11 @@ from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
 from itertools import repeat
 
 from ccontrol.terms import (CONS, NIL, Atom, Const, ParseError, Struct,
-                            Substitution, Var, _occurs, list_parts, mklist,
-                            parse_atom, print_atom, print_term, replace_vars,
-                            resolve_in, substitute, take_back, term_to_atom,
-                            term_vars, unify)
+                            Substitution, Var, _MAX_NESTING, _occurs,
+                            list_parts, mklist, parse_atom, print_atom,
+                            print_term, replace_vars, resolve_in,
+                            substitute, take_back, term_to_atom, term_vars,
+                            unify)
 
 
 # --- abstract notation ---------------------------------------------------
@@ -675,24 +676,31 @@ def _unify_pairs(work, b, occurs_check, fresh_var=None, renamed=None):
     """The work-list unifier of clause heads, the reference for the
     generated head code of ``terms``.
 
-    A pair is ``(x, y, raw)``.  ``x`` is a term of the goal; so is ``y``
-    unless ``raw``, when it is a subterm of a clause not yet renamed apart
-    and ``fresh_var`` gives each of its variables its new name, which
-    ``renamed`` maps it to once given.  Pairs are taken last first, and a
-    variable of ``x`` is bound before one of ``y``; a raw subterm is
-    renamed only when a variable is bound to it.  A raw variable not yet
-    in ``renamed`` is at its first occurrence and is bound without the
-    occurs check."""
+    A pair is ``(x, y, depth)``.  ``x`` is a term of the goal; so is ``y``
+    when ``depth`` is None.  Otherwise ``y`` is a subterm of a clause not
+    yet renamed apart, ``depth`` deep in its literal (a head argument is 1
+    deep), and ``fresh_var`` gives each of its variables its new name, or
+    what ``renamed`` maps it to.  Pairs are taken last first, and a
+    variable of ``x`` is bound before one of ``y``.  A clause structure is
+    renamed only when a variable is bound to it, or when it is not ground
+    and ``_MAX_NESTING`` deep: then it is renamed whole and unified as a
+    goal pair.  A clause variable not yet in ``renamed`` is at its first
+    occurrence.  When ``x`` is an unbound variable, ``x`` is bound to the
+    clause variable's new name, without the occurs check; otherwise
+    ``renamed`` maps the clause variable to ``x`` and nothing is bound."""
     seen = None if occurs_check else set()
     while work:
-        x, y, raw = work.pop()
+        x, y, depth = work.pop()
         while isinstance(x, Var):
             t = b.get(x)
             if t is None:
                 break
             x = t
-        if raw:
-            if isinstance(y, Struct):
+        if depth is not None:
+            if isinstance(y, Struct) and depth >= _MAX_NESTING and \
+                    term_vars(y):
+                y = replace_vars(y, fresh_var)
+            elif isinstance(y, Struct):
                 if isinstance(x, Var):
                     y = replace_vars(y, fresh_var)
                     if occurs_check and _occurs(x, y, b):
@@ -700,18 +708,17 @@ def _unify_pairs(work, b, occurs_check, fresh_var=None, renamed=None):
                     b[x] = y
                 elif isinstance(x, Struct) and x.functor == y.functor \
                         and len(x.args) == len(y.args):
-                    work.extend(zip(x.args, y.args, repeat(True)))
+                    work.extend(zip(x.args, y.args, repeat(depth + 1)))
                 else:
                     return False
                 continue
-            if isinstance(y, Var):
+            elif isinstance(y, Var):
                 r = renamed.get(y)
                 if r is None:
-                    y = fresh_var(y)
                     if isinstance(x, Var):
-                        b[x] = y
+                        b[x] = fresh_var(y)
                     else:
-                        b[y] = x
+                        renamed[y] = x
                     continue
                 y = r
         while isinstance(y, Var):
@@ -737,7 +744,7 @@ def _unify_pairs(work, b, occurs_check, fresh_var=None, renamed=None):
                 if pair in seen:
                     continue
                 seen.add(pair)
-            work.extend(zip(x.args, y.args, repeat(False)))
+            work.extend(zip(x.args, y.args, repeat(None)))
         else:
             return False
     return True
@@ -746,8 +753,10 @@ def _unify_pairs(work, b, occurs_check, fresh_var=None, renamed=None):
 def unify_head(atom, clause, fresh, b, occurs_check=True):
     """Unify ``atom`` with the head of ``clause`` renamed apart, by
     extending the bindings ``b``: the clause's renaming when the head
-    unifies, else None.  ``fresh`` advances by the clause's variable count
-    whether or not the head unifies."""
+    unifies, else None.  The renaming maps a variable whose first
+    occurrence met a goal term other than an unbound variable to that
+    term, and any other variable to its new name.  ``fresh`` advances by
+    the clause's variable count whether or not the head unifies."""
     positions = clause.variables
     base = fresh.n
     fresh.n = base + len(positions)
@@ -763,7 +772,7 @@ def unify_head(atom, clause, fresh, b, occurs_check=True):
             r = renamed[v] = Var(f"{prefix}{base + positions[v] + 1}")
         return r
 
-    if not _unify_pairs(list(zip(atom.args, head.args, repeat(True))), b,
+    if not _unify_pairs(list(zip(atom.args, head.args, repeat(1))), b,
                         occurs_check, fresh_var, renamed):
         return None
     return fresh_var

@@ -5,6 +5,7 @@ import copy
 import pathlib
 import pickle
 import random
+import traceback
 
 import pytest
 
@@ -535,6 +536,34 @@ def test_unify_against_brute_force_oracle():
 
 # --- the resolution step --------------------------------------------------
 
+def _nest(functor, depth, inner):
+    return f"{functor}(" * depth + inner + ")" * depth
+
+
+# clauses that bind a variable before a structure holding it, and clauses
+# with templates: structures met ``_MAX_NESTING`` deep, each renamed whole
+# and unified as one pair
+HAND_WRITTEN = parse_program(
+    "p(f(A),A).\nq([X|T],T,X).\nr(g(h(A,B)),B,A).\n"
+    f"l([{','.join(f'X{i}' for i in range(40))}]).\n"
+    f"q({_nest('s', 30, 'X')},X).\nq2(X,{_nest('s', 30, 'X')}).\n"
+    f"u({_nest('f', 20, 'A')},g(A)).\n"
+    f"w({_nest('f', 20, 'A')},{_nest('g', 20, 'h(A,B)')},B).\n"
+    f"x({_nest('f', 17, 'g(A,B)')},B) :- y(A).\n"
+    f"k({_nest('s', 30, 'z')},X).\n"
+    f"r(X,Y) :- t([{','.join(map(str, range(40)))}|X],"
+    f"{_nest('f', 20, 'Y')}).\n")
+
+
+def _bound_apart(rng, head, pool):
+    """``head`` with each of its variables bound to a structure, so that
+    each first occurrence meets a goal term that is not a variable and
+    each later occurrence is unified with that term."""
+    binding = {v: Struct("f", (random_term(rng, 1, pool),))
+               for v in term_vars(head)}
+    return replace_vars(head, binding.__getitem__)
+
+
 def _copying_resolve(atom, clause, fresh, rest, occurs_check):
     """The resolution step as rename_apart, unify and apply: the reference
     for ``resolve``."""
@@ -561,24 +590,33 @@ def _outcome(step, *args):
 
 
 def test_resolve_matches_rename_unify_apply(corpus):
-    # every clause of the corpus programs, their classic outputs and their
-    # encoded interpreters, against atoms mostly unifiable with its head
-    # and against the atoms of a random other clause; the variable pool
-    # overlaps clause variables and fresh names
+    # every clause of the corpus programs, their classic and futamura
+    # outputs, their encoded interpreters and the hand-written clauses,
+    # templates among them, against atoms mostly unifiable with its head,
+    # against its head with every variable bound to a structure and
+    # against the atoms of a random other clause; the variable pool
+    # overlaps clause variables, and both are named like fresh names,
+    # which are kept apart from the goals' variables, as the engine keeps
+    # them (a first occurrence skips the occurs check)
     rng = random.Random(6)
     pool = ["X", "Y", "L", "_V1", "_V3", "_V8"]
-    clauses = []
+    clauses = list(HAND_WRITTEN.clauses)
     for name in CORPUS_NAMES:
         entry = corpus(name)
         for program in (entry.program, entry.classic.program,
-                        encode_as_logic_program(entry.tables)):
+                        encode_as_logic_program(entry.tables),
+                        entry.futamura.program):
             clauses += program.clauses
     tried = unified = 0
     for occurs_check in (True, False):
         fresh_a, fresh_b = FreshNames(), FreshNames()
+        for fresh in (fresh_a, fresh_b):
+            fresh.skip_past(map(Var, pool))
+            fresh.skip_past(term_vars([c.head for c in clauses]))
         for clause in clauses:
             other = rng.choice(clauses)
             for atom in list(atoms_like(rng, clause.head, 3, pool)) + \
+                    [_bound_apart(rng, clause.head, pool)] + \
                     list(atoms_like(rng, other.head, 1, pool)):
                 rest = (Atom("r", (Var("X"), Var("_V3"),
                                    atom.args[0] if atom.args else Var("Y"))),)
@@ -641,11 +679,11 @@ def test_resolve_occurs_check():
 
 SAME = parse_program("p(A,A).").clauses[0]
 # without the check: the bindings resolve and resolve_in make, in the order
-# made, when the second occurrence of A meets a term holding X
+# made, when the second occurrence of A meets a term holding X; the first
+# occurrence binds only a goal variable, and holds f(X) as it is
 CYCLIC = {"p(f(X),X)": [(Var("X"), Var("_V1")),
                         (Var("_V1"), parse_term("f(X)"))],
-          "p(X,f(X))": [(Var("_V1"), parse_term("f(X)")),
-                        (Var("X"), parse_term("f(X)"))]}
+          "p(X,f(X))": [(Var("X"), parse_term("f(X)"))]}
 
 
 @pytest.mark.parametrize("query", sorted(CYCLIC))
@@ -688,23 +726,7 @@ def test_generated_head_code_matches_the_work_list_reference(corpus):
     # build its body, name as it names and leave the store as it was
     rng = random.Random(14)
     pool = ["X", "Y", "L", "_V1", "_V3", "_V8"]
-    # and clauses that bind a variable before a structure holding it, and
-    # clauses with templates: structures met ``_MAX_NESTING`` deep, each
-    # renamed whole and unified as one pair
-    def nest(functor, depth, inner):
-        return f"{functor}(" * depth + inner + ")" * depth
-
-    listed = ",".join(f"X{i}" for i in range(40))
-    numbers = ",".join(str(i) for i in range(40))
-    clauses = list(parse_program(
-        "p(f(A),A).\nq([X|T],T,X).\nr(g(h(A,B)),B,A).\n"
-        f"l([{listed}]).\n"
-        f"q({nest('s', 30, 'X')},X).\nq2(X,{nest('s', 30, 'X')}).\n"
-        f"u({nest('f', 20, 'A')},g(A)).\n"
-        f"w({nest('f', 20, 'A')},{nest('g', 20, 'h(A,B)')},B).\n"
-        f"x({nest('f', 17, 'g(A,B)')},B) :- y(A).\n"
-        f"k({nest('s', 30, 'z')},X).\n"
-        f"r(X,Y) :- t([{numbers}|X],{nest('f', 20, 'Y')}).\n").clauses)
+    clauses = list(HAND_WRITTEN.clauses)
     for name in CORPUS_NAMES:
         entry = corpus(name)
         for program in (entry.program, entry.classic.program,
@@ -773,6 +795,36 @@ def test_the_pre_check_binds_nothing_and_skipped_clauses_take_their_names():
     assert fresh.n == 6 and body == ()
     assert made[::-1] == [(Var("M"), Var("_V5")), (Var("K"), Var("_V6")),
                           (Var("_V5"), Const("b"))]
+
+
+def test_a_first_occurrence_holds_a_goal_term_and_binds_nothing():
+    # as the WAM's ``get_variable``: X and Y hold the goal's own terms,
+    # which the body reuses, and only the goal variable C is bound
+    clause = parse_program("p(X,Y,Z) :- q(Z,Y,X).").clauses[0]
+    atom = parse_atom("p(f(a),g(B),C)")
+    store = _CountingStore()
+    body, made = resolve_in(atom, clause, FreshNames(), store)
+    assert store.writes == 1 and store == {}
+    assert made == [(Var("C"), Var("_V3"))]
+    assert body == (parse_atom("q(_V3,g(B),f(a))"),)
+    assert body[0].args[1] is atom.args[1]
+    assert body[0].args[2] is atom.args[0]
+
+
+class _RefusingStore(dict):
+    def __setitem__(self, key, value):
+        raise LookupError("the store refuses a binding")
+
+
+def test_an_error_raised_in_head_code_has_a_traceback_that_formats():
+    clause = parse_program("p(X,f(X)).").clauses[0]
+    try:
+        resolve_in(parse_atom("p(A,B)"), clause, FreshNames(),
+                   _RefusingStore())
+    except LookupError:
+        text = traceback.format_exc()
+    assert "<clause shape>" in text
+    assert "LookupError: the store refuses a binding" in text
 
 
 def test_programs_pickle_and_copy_after_a_run(corpus):
