@@ -306,17 +306,28 @@ def abstract_mgu(first, second, own, fresh: FreshAVars, body=()):
     memo = {}
 
     def back(t):
-        """A term under the unifier, mapped back into the domain."""
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(back(a) for a in t.args))
-        if isinstance(t, Const) and not isinstance(t.name, int):
-            return t
-        r = memo.get(t)
-        if r is None:
-            kind = GROUND if isinstance(t, Const) or t in ground else ANY
-            r = memo[t] = t if t in own and t.kind == kind \
-                else fresh.var(kind)
-        return r
+        """A term under the unifier, mapped back into the domain: rebuilt
+        bottom up on an explicit stack, its leaves met left to right."""
+        stack, out = [t], []
+        while stack:
+            t = stack.pop()
+            if t.__class__ is tuple:    # a structure whose arguments are out
+                k = len(out) - len(t[0].args)
+                out[k:] = [Struct(t[0].functor, tuple(out[k:]))]
+            elif isinstance(t, Struct):
+                stack.append((t,))
+                stack.extend(reversed(t.args))
+            elif isinstance(t, Const) and not isinstance(t.name, int):
+                out.append(t)
+            else:
+                r = memo.get(t)
+                if r is None:
+                    kind = GROUND if isinstance(t, Const) or t in ground \
+                        else ANY
+                    r = memo[t] = t if t in own and t.kind == kind \
+                        else fresh.var(kind)
+                out.append(r)
+        return out[0]
 
     body = tuple(Atom(b.pred, tuple(back(sigma.apply(t)) for t in b.args))
                  for b in body)

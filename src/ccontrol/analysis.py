@@ -325,13 +325,13 @@ def _render_json(g: StateGraph) -> str:
             {"from": t.src, "to": t.dst, "cause": list(t.cause),
              "selected_index": selected_index(t.src)}
             for t in g.transitions],
-        "actions": {str(sid): _action_json(a)
+        "actions": {str(sid): action_json(a)
                     for sid, a in sorted(g.actions.items())},
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _action_json(action):
+def action_json(action):
     if action[0] == "group":
         ev = action[1]
         return ["group", ev.start, ev.plen, ev.kind]
@@ -373,8 +373,10 @@ def parse_graph(text: str) -> StateGraph:
     ``selected_index`` repeats its source state's action, and a
     ``groupings`` array, written by older versions, repeats the group
     actions; both are ignored.  A document of another shape, a state
-    defined twice, a transition or entry naming no state and a select
-    action marked neither ``unfold`` nor ``fulleval`` are AnalysisErrors."""
+    defined twice, a transition or entry naming no state, a select action
+    marked neither ``unfold`` nor ``fulleval`` and a group action of
+    another kind than ``new``, ``left``, ``right`` or ``merge`` are
+    AnalysisErrors."""
     doc = json.loads(text)
     states = {}
     for s in _field(doc, "states", list):
@@ -400,6 +402,9 @@ def parse_graph(text: str) -> StateGraph:
             raise AnalysisError(f"select action of state {sid} marked "
                                 f"{a[2]!r}, neither {UNFOLD!r} nor "
                                 f"{FULLEVAL!r}")
+        if a[0] == "group" and a[3] not in ("new", "left", "right", "merge"):
+            raise AnalysisError(f"group action of state {sid} of unknown "
+                                f"kind {a[3]!r}")
         actions[int(sid)] = ("group", FoldEvent(*a[1:])) \
             if a[0] == "group" else a
     return StateGraph(entry, states, transitions, actions)

@@ -22,12 +22,13 @@ hold it as the term ``cmulti([building_block([...]), ...])``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
 from .absdom import (FULLEVAL, LogicError, abstract_instance, canonicalize,
                      print_aconj)
-from .analysis import StateGraph
+from .analysis import StateGraph, action_json
 from .engine import (BUILTINS, Limits, RunResult, Solver, check_known,
                      depth_first, support_clauses)
 from .multi import FoldEvent, Multi
@@ -50,24 +51,15 @@ class MetaintError(LogicError):
 # --- cmulti goals ---------------------------------------------------------
 #
 # mi_run holds a cmulti goal element as a tuple of blocks, each a tuple of
-# goal atoms: it only ever reads the elements it built itself.  The term
-# form ``cmulti([building_block([...]), ...])`` belongs to the encoding, the
-# filters and direct synthesis; a message shows an element in it, resolved
-# through the run's binding store.
+# goal atoms: it reads only elements it built itself, where the state's
+# layout has a multi.  The term form ``cmulti([building_block([...]),
+# ...])`` belongs to the encoding, the filters and direct synthesis.
 
 def building_block(atoms) -> Struct:
     """building_block([...]) over a block of atoms, or of variables that
     stand for atoms."""
     return Struct(BUILDING_BLOCK, (mklist([
         a if isinstance(a, Var) else atom_to_term(a) for a in atoms]),))
-
-
-def _shown(x, store):
-    """The goal element ``x`` as a message shows it: a cmulti in its term
-    form, resolved through the store."""
-    if x.__class__ is tuple:
-        x = Atom(CMULTI, (mklist([building_block(b) for b in x]),))
-    return substitute(x, store)
 
 
 # --- tables ---------------------------------------------------------------
@@ -116,44 +108,81 @@ def build_tables(g: StateGraph, program: Program,
                  policy: SelectionPolicy) -> StateTables:
     """The tables of a graph analyzed from ``program`` under ``policy``.
 
-    Raises MetaintError unless the three belong together: the entry state
-    is the policy's entry pattern, every clause cause names a clause of
-    the program for the selected atom's predicate, and every
-    full-evaluation cause indexes a declaration of the policy for it.
-    """
+    Raises MetaintError unless the three belong together and each step
+    keeps a goal in its state's layout, 0 per atom and the pattern length
+    per multi, as the interpreter trusts: the entry state is the policy's
+    entry pattern; a nonempty state selects an atom, splits a multi or
+    groups a window of its kind's layout; a transition's cause is one its
+    source's action makes, naming a clause of the program or an output
+    the policy declares for a selected atom; and its target has the
+    layout that the step leaves."""
     entry = g.states.get(g.entry)
     if entry != canonicalize((policy.entry,)):
         shown = "missing" if entry is None else print_aconj(entry)
         raise MetaintError(
             f"the graph's entry state {g.entry} ({shown}) is not the "
             f"policy's entry pattern {print_atom(policy.entry)}")
+    layouts = {sid: tuple(c.plen if isinstance(c, Multi) else 0
+                          for c in conj) for sid, conj in g.states.items()}
+    for sid, layout in layouts.items():
+        action = g.actions.get(sid, ("leaf",))
+        if action[0] == "group":
+            ev = action[1]
+            fits = ev.plen > 0 and ev.start >= 0 and \
+                layout[ev.start: ev.start + ev.width] == ev.window
+        elif action[0] == "leaf":
+            fits = not layout
+        else:
+            fits = 0 <= action[1] < len(layout) and \
+                (layout[action[1]] > 0) == (action[0] == "split")
+        if not fits:
+            raise MetaintError(
+                f"state {sid}'s action {json.dumps(action_json(action))} "
+                f"does not fit its conjunction {print_aconj(g.states[sid])}")
     clauses = {c.id: c for c in program.clauses}
     for t in g.transitions:
-        kind = t.cause[0]
-        if kind not in ("clause", "fulleval"):
-            continue
-        action = g.actions.get(t.src, ("leaf",))
-        conj = g.states.get(t.src, ())
-        if action[0] != "select" or not 0 <= action[1] < len(conj):
+        if layouts.get(t.dst, ()) != _left(t, g, layouts[t.src], clauses,
+                                           policy):
             raise MetaintError(
-                f"state {t.src} has a {kind} transition but selects no atom")
-        selected = conj[action[1]].indicator
-        if kind == "clause":
-            clause = clauses.get(t.cause[1])
-            if clause is None or clause.head.indicator != selected:
-                raise MetaintError(
-                    f"state {t.src} resolves {selected[0]}/{selected[1]} "
-                    f"with clause {t.cause[1]}, which the program does "
-                    "not define for it")
-        else:
-            idx, decls = t.cause[1], policy.fulleval
-            known = isinstance(idx, int) and 0 <= idx < len(decls)
-            if not known or decls[idx].pattern.indicator != selected:
-                raise MetaintError(
-                    f"state {t.src} fully evaluates {selected[0]}/"
-                    f"{selected[1]} by declaration {idx}, which the policy "
-                    "does not declare for it")
+                f"the {' '.join(map(str, t.cause))} transition of state "
+                f"{t.src} leads to state {t.dst}, whose conjunction is not "
+                "laid out as the step leaves the goal")
     return StateTables(g, program, policy)
+
+
+def _left(t, g: StateGraph, layout, clauses, policy) -> tuple:
+    """The layout the step of transition ``t`` leaves from ``layout``."""
+    action, cause = g.actions.get(t.src, ("leaf",)), t.cause
+    if action[0] == "group" and cause == ("grouping", action[1].kind):
+        ev = action[1]
+        return layout[:ev.start] + (ev.plen,) + layout[ev.start + ev.width:]
+    if action[0] == "split" and cause in (("one",), ("many",)):
+        p = layout[action[1]]
+        placed = (0,) * p + ((p,) if cause == ("many",) else ())
+    elif action[0] == "select" and cause[0] == "clause" and \
+            action[2] != FULLEVAL:
+        atom, clause = g.states[t.src][action[1]], clauses.get(cause[1])
+        if clause is None or clause.head.indicator != atom.indicator:
+            raise MetaintError(
+                f"state {t.src} resolves {_indicators((atom,))} with clause "
+                f"{cause[1]}, which the program does not define for it")
+        placed = (0,) * len(clause.body)
+    elif action[0] == "select" and cause[0] == "fulleval" and \
+            action[2] == FULLEVAL:
+        atom, decls = g.states[t.src][action[1]], policy.fulleval
+        _, idx, out = cause
+        if not (0 <= idx < len(decls) and decls[idx].pattern.indicator ==
+                atom.indicator and 0 <= out < len(decls[idx].outputs)):
+            raise MetaintError(
+                f"state {t.src} fully evaluates {_indicators((atom,))} to "
+                f"output {out} of declaration {idx}, which the policy does "
+                "not declare for it")
+        placed = ()
+    else:
+        raise MetaintError(f"state {t.src} has a "
+                           f"{' '.join(map(str, cause))} transition, which "
+                           "its action does not make")
+    return layout[:action[1]] + placed + layout[action[1] + 1:]
 
 
 def check_variant(tables: StateTables, variant):
@@ -171,53 +200,25 @@ def check_variant(tables: StateTables, variant):
 
 def divide_goals(goal, idx):
     """Split a goal at the selected index: (before, selected, after)."""
-    goal = tuple(goal)
-    if not 0 <= idx < len(goal):
-        raise MetaintError(
-            f"selected index {idx} out of range for goal of {len(goal)}")
     return goal[:idx], goal[idx], goal[idx + 1:]
 
 
-def apply_groupings(goal, ev: FoldEvent, store):
+def apply_groupings(goal, ev: FoldEvent):
     """Group a subconjunction of a goal into a cmulti element, mirroring
     the analysis grouping ``ev``: two adjacent atom blocks form a new
     cmulti, a block joins the adjacent cmulti on its left or right, or two
     adjacent cmultis merge.  Flattening the result restores the original
     goal, so answers are unaffected."""
     s, p, width = ev.start, ev.plen, ev.width
-    if width is None:
-        raise MetaintError(f"unknown grouping kind {ev.kind!r}")
-    if s + width > len(goal):
-        raise MetaintError(f"grouping {ev} out of range for goal of "
-                           f"{len(goal)}")
     if ev.kind == "new":
-        blocks = (_new_block(goal[s: s + p], store),
-                  _new_block(goal[s + p: s + width], store))
+        blocks = (goal[s: s + p], goal[s + p: s + width])
     elif ev.kind == "left":
-        blocks = (_new_block(goal[s: s + p], store),) \
-            + _cmulti(goal[s + p], store)
+        blocks = (goal[s: s + p],) + goal[s + p]
     elif ev.kind == "right":
-        blocks = _cmulti(goal[s], store) \
-            + (_new_block(goal[s + 1: s + width], store),)
+        blocks = goal[s] + (goal[s + 1: s + width],)
     else:
-        blocks = _cmulti(goal[s], store) + _cmulti(goal[s + 1], store)
+        blocks = goal[s] + goal[s + 1]
     return ev.fold(goal, blocks)
-
-
-def _new_block(atoms, store) -> tuple:
-    """The block of goal atoms that a grouping wraps."""
-    for a in atoms:
-        if a.__class__ is tuple:
-            raise MetaintError(
-                f"cannot re-group cmulti element {_shown(a, store)!r}")
-    return atoms
-
-
-def _cmulti(x, store) -> tuple:
-    """The blocks of the cmulti element ``x``."""
-    if x.__class__ is not tuple:
-        raise MetaintError(f"not a cmulti element: {_shown(x, store)!r}")
-    return x
 
 
 # --- the interpreter ------------------------------------------------------
@@ -271,27 +272,21 @@ class MetaInterpreter:
         only when its outputs need telling apart."""
         if isinstance(state, tuple):
             return self._user_eval_step(goal, state)
-        action = self.graph.actions.get(state, ("leaf",))
+        action = self.graph.actions[state]
         if action[0] == "group":
-            ev = action[1]
-            dst = self.graph.successor(state, ("grouping", ev.kind))
-            return 0, [(apply_groupings(goal, ev, self.store), dst, ())]
+            dst = self.graph.successor(state, ("grouping", action[1].kind))
+            return 0, [(apply_groupings(goal, action[1]), dst, ())]
         if action[0] == "split":
             return 0, self._split(goal, state, action[1])
-        if action[0] == "select" and action[2] == FULLEVAL:
+        if action[2] == FULLEVAL:
             return 0, self._full_eval(goal, state, action[1])
-        if action[0] == "select":
-            return 1, self._resolved(goal, state, action[1])
-        raise MetaintError(
-            f"no table entry for state {state} with goal "
-            f"{[_shown(x, self.store) for x in goal]}")
+        return 1, self._resolved(goal, state, action[1])
 
     def _split(self, goal, state, idx):
         """The cmulti at ``idx`` gives up its first block: in place of the
         element when no block follows ("one"), otherwise ahead of the
         rest ("many")."""
-        before, selected, after = divide_goals(goal, idx)
-        blocks = _cmulti(selected, self.store)
+        before, blocks, after = divide_goals(goal, idx)
         if len(blocks) == 1:
             dst = self.graph.successor(state, ("one",))
             return [(before + blocks[0] + after, dst, ())]
@@ -300,9 +295,6 @@ class MetaInterpreter:
 
     def _full_eval(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
-        if selected.__class__ is tuple:
-            raise MetaintError(
-                f"state {state} expects a callable atom at {idx}")
         decl, dsts = self._fulleval_outputs(state)
         if not decl.link_is_builtin:
             # the atom's derivation runs in this search, ahead of a mark
@@ -371,9 +363,6 @@ class MetaInterpreter:
 
     def _resolved(self, goal, state, idx):
         before, selected, after = divide_goals(goal, idx)
-        if selected.__class__ is tuple:
-            raise MetaintError(
-                f"state {state} expects a resolvable atom at {idx}")
         succ = []
         for t in self.graph.successors(state):
             res = resolve_in(selected, self.clauses[t.cause[1]], self.fresh,
@@ -596,12 +585,10 @@ def _grouping_clauses(sid, dst, ev: FoldEvent) -> list:
         grouped = Var("NewBBs")
         body = (Atom("bb_append", (Var("BBs"), mklist([building_block(xs)]),
                                    grouped)),)
-    elif ev.kind == "merge":
+    else:
         old = [Struct(CMULTI, (Var("BBs1"),)), Struct(CMULTI, (Var("BBs2"),))]
         grouped = Var("NewBBs")
         body = (Atom("bb_append", (Var("BBs1"), Var("BBs2"), grouped)),)
-    else:  # pragma: no cover
-        raise MetaintError(f"unknown grouping kind {ev.kind!r}")
     pre, rest = _positional(ev.start), Var("Rest")
     return [_fact("grouping", Const(sid), Const(dst), tag),
             (Atom("apply_groupings",

@@ -235,13 +235,18 @@ class FoldEvent:
     kind: str
 
     @property
-    def width(self):
-        """How many conjuncts the grouping replaces: two blocks ("new"), a
-        block and the multi ("left", "right") or two multis ("merge");
-        None for any other kind."""
+    def window(self) -> tuple:
+        """The layout of the conjuncts the grouping replaces, 0 per atom
+        and the pattern length per multi: two blocks ("new"), a block and
+        the multi ("left", "right") or two multis ("merge")."""
         p = self.plen
-        return {"new": 2 * p, "left": p + 1, "right": p + 1,
-                "merge": 2}.get(self.kind)
+        return {"new": (0,) * 2 * p, "left": (0,) * p + (p,),
+                "right": (p,) + (0,) * p, "merge": (p, p)}[self.kind]
+
+    @property
+    def width(self):
+        """How many conjuncts the grouping replaces."""
+        return len(self.window)
 
     def fold(self, conj, elem) -> tuple:
         """``conj`` with the conjuncts the grouping replaces replaced by

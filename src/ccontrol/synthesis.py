@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .absdom import (AVar, GROUND, LogicError, abstract_instance, avars,
-                     canonicalize, print_aconj)
+                     print_aconj)
 from .analysis import EMPTY_STATE, StateGraph, abstract_step
 from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BB_APPEND, building_block
@@ -93,10 +93,7 @@ class _Synthesizer:
         self.graph = graph
         self.program = program
         self.policy = policy
-        entry_conj = graph.states[graph.entry]
-        if len(entry_conj) != 1 or not isinstance(entry_conj[0], Atom):
-            raise SynthesisError("entry state is not a single atom")
-        self.entry_pred = entry_conj[0].pred
+        self.entry_pred = graph.states[graph.entry][0].pred
         self.names = {sid: f"{self.entry_pred}_s{sid}"
                       for sid in graph.states}
         self.clauses_by_id = {c.id: c for c in program.clauses}
@@ -130,25 +127,20 @@ class _Synthesizer:
         stored state covers the replayed abstract successor (it is the
         same up to renaming, or a widening of it), and each of its
         variables is passed the concrete counterpart of what it covers."""
-        raw = simplify_conj(raw_elems)
-        canon = canonicalize(raw)
         if dst == EMPTY_STATE:
-            if canon:
-                raise SynthesisError("nonempty successor for the empty state")
             return None
+        raw = simplify_conj(raw_elems)
         stored = self.graph.states[dst]
-        cover = abstract_instance(canon, stored)
+        cover = abstract_instance(raw, stored)
         if cover is None:
             raise SynthesisError(
                 f"replay of state {dst} diverged:\n  got  "
-                f"{print_aconj(canon)}\n  want {print_aconj(stored)}")
+                f"{print_aconj(raw)}\n  want {print_aconj(stored)}")
         env = {}
         for a_elem, c_elem in zip(raw, conc_elems):
             if isinstance(a_elem, Atom):
                 _bind_atom(a_elem, c_elem, env)
-        # canonicalize renames the replayed variables one to one
-        var = _variables({cv: env[rv] for cv, rv in
-                          zip(avars(canon), avars(raw)) if rv in env})
+        var = _variables(env)
         args = [replace_vars(cover.apply(v), var)
                 for v in _plain_avars(stored)]
         args += [c for a, c in zip(raw, conc_elems) if isinstance(a, Multi)]
@@ -272,18 +264,17 @@ class _Synthesizer:
                            (elems[s], mklist([building_block(
                                elems[s + 1:s + 1 + p])]), belem)),)
             self.uses_blocks = True
-        elif ev.kind == "merge":
+        else:
             belem = Var("BOut")
             prefix = (Atom("bb_append", (elems[s], elems[s + 1], belem)),)
             self.uses_blocks = True
-        else:
-            raise SynthesisError(f"unknown grouping kind {ev.kind!r}")
         return args, prefix, ev.fold(elems, belem)
 
 
 def synthesize(graph: StateGraph, program: Program,
                policy: SelectionPolicy) -> SynthesizedProgram:
-    """Build the state-predicate program equivalent to the analyzed one."""
+    """Build the state-predicate program equivalent to the analyzed one,
+    from a graph the analysis built or ``metaint.build_tables`` accepted."""
     return _Synthesizer(graph, program, policy).synthesize()
 
 

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 import ccontrol
+from ccontrol.analysis import parse_graph
 from ccontrol.cli import main
+from ccontrol.multi import Multi
+from ccontrol.terms import Atom
 
 from conftest import CORPUS_NAMES, corpus_text
 from oracles import interpreter_annotation_text, interpreter_filter_text
@@ -349,6 +352,36 @@ def test_clause_literals_5000_deep_answer_on_naive(tmp_path, capsys, program,
     assert out == f"answers: 1\ninferences: {inferences}\n"
 
 
+@pytest.mark.parametrize("program,entry,query,answer", [
+    (f"p({DEEP}).\n", "p(a1)", "p(A)", f"A = {DEEP}\n"),
+    (f"p({DEEP_X},X).\n", "p(a1,a2)", "p(A,B)",
+     f"A = {DEEP_X.replace('X', '_V1')}\nB = _V1\n")],
+    ids=["ground", "shared"])
+def test_clause_literals_5000_deep_answer_on_every_construction(
+        tmp_path, capsys, program, entry, query, answer):
+    # the analysis maps a literal back from the unifier on an explicit
+    # stack; a deep literal in a clause body, as in q(X) :- p(s^5000(X)).,
+    # still stops in the analysis' recursive walks
+    lp, pol = tmp_path / "deep.lp", tmp_path / "deep.policy"
+    lp.write_text(program)
+    pol.write_text(f"entry: {entry}.\n")
+    graph = tmp_path / "graph.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert main(["mi-run", str(graph), str(lp), "--policy", str(pol),
+                 "--query", query]) == 0
+    assert capsys.readouterr().out == f"{answer}\ninferences: 1\n"
+    for mode, goal, inferences in (("classic", query, 2),
+                                   ("futamura", f"compute([{query}])", 3)):
+        out = tmp_path / f"{mode}.lp"
+        assert main(["synthesize", str(graph), str(lp), str(pol), "--mode",
+                     mode, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(out), "--query", goal, "--count"]) == 0
+        assert capsys.readouterr().out == \
+            f"answers: 1\ninferences: {inferences}\n"
+
+
 def test_cyclic_answer_exits_2_without_traceback(tmp_path, capsys):
     # without the occurs check the answer may be a cyclic term, through a
     # list's tail or any other argument; it is refused, never walked
@@ -662,13 +695,17 @@ def test_mi_run_rejects_a_goal_that_is_not_the_entry_pattern(
 
 
 @pytest.mark.parametrize("edit, message", [
-    ("split", "not a cmulti element: safe([])"),
-    ("left", "not a cmulti element: nodiag(3,_V26,1)")])
+    ("split", 'state 15\'s action ["split", 1] does not fit its conjunction '
+              "multi((nodiag(mg1,ma1,mg2)), init{ma1=[]}, consec{ma1=ma1}, "
+              "final{ma1=[]}, id=1) , safe([])"),
+    ("left", 'state 13\'s action ["group", 1, 1, "left"] does not fit its '
+             "conjunction perm(g1,a1) , nodiag(g2,a1,g3) , nodiag(g4,a1,g5) "
+             ", safe(a1)")], ids=["split", "left"])
 def test_graph_that_splits_or_groups_an_atom_exits_2(tmp_path, capsys, edit,
                                                      message):
     # the pipeline's queens graph, with split state 15 selecting safe/1, or
-    # grouping state 13 absorbing a block into an atom; the message shows
-    # the atom resolved through the run's bindings
+    # grouping state 13 absorbing a block into an atom; the tables refuse
+    # it before the query runs
     for suffix in (".lp", ".policy", ".queries"):
         (tmp_path / f"queens{suffix}").write_text(
             corpus_text("queens", suffix))
@@ -690,7 +727,8 @@ def test_graph_that_splits_or_groups_an_atom_exits_2(tmp_path, capsys, edit,
     capsys.readouterr()
     rc = main(["mi-run", str(graph), str(lp), "--policy", str(pol),
                "--query", "queens([1,2,3,4],Q)"])
-    assert (rc, capsys.readouterr().err) == (2, f"cc mi-run: {message}\n")
+    assert (rc, capsys.readouterr().err) == \
+        (2, f"cc mi-run: cannot build control tables: {message}\n")
 
 
 MISMATCH_MESSAGES = {
@@ -699,15 +737,90 @@ MISMATCH_MESSAGES = {
     "fulleval": "which the policy does not declare for it",
 }
 
+# edits of the primes graph, each state found by its action, and what the
+# message that refuses the edited graph says
+PRIMES_DEFECTS = {
+    "select of a multi": 'state 17\'s action ["select", 1, "unfold"] does '
+                         "not fit its conjunction",
+    "split of an atom": 'state 20\'s action ["split", 1] does not fit its '
+                        "conjunction",
+    "new as merge": 'state 16\'s action ["group", 1, 1, "merge"] does not '
+                    "fit its conjunction",
+    "clause to another layout": "the clause 1 transition of state 1 leads to "
+                                "state 1, whose conjunction is not laid out "
+                                "as the step leaves the goal",
+    "unfold as fulleval": "state 1 has a clause 1 transition, which its "
+                          "action does not make",
+    "output out of range": "state 4 fully evaluates plus/3 to output 9 of "
+                           "declaration 0, which the policy does not "
+                           "declare for it",
+    "sideways": "group action of state 16 of unknown kind 'sideways'",
+}
+
+
+def _primes_graph_with(tmp_path, defect):
+    """The primes graph, edited as ``defect`` says, with its program and
+    policy."""
+    lp, pol = tmp_path / "primes.lp", tmp_path / "primes.policy"
+    lp.write_text(corpus_text("primes", ".lp"))
+    pol.write_text(corpus_text("primes", ".policy"))
+    graph = tmp_path / "primes.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    states = parse_graph(graph.read_text()).states
+    actions, entry = doc["actions"], doc["entry"]
+
+    def retarget(kind, cls):
+        """Point the first action of ``kind`` whose state holds an element
+        of class ``cls`` at that element."""
+        sid = min(int(sid) for sid, a in actions.items() if a[0] == kind
+                  and any(isinstance(c, cls) for c in states[int(sid)]))
+        actions[str(sid)][1] = next(i for i, c in enumerate(states[sid])
+                                    if isinstance(c, cls))
+
+    new = min(int(sid) for sid, a in actions.items()
+              if a[0] == "group" and a[3] == "new")
+    if defect == "select of a multi":
+        retarget("select", Multi)
+    elif defect == "split of an atom":
+        retarget("split", Atom)
+    elif defect in ("new as merge", "sideways"):
+        kind = defect.split()[-1]
+        actions[str(new)][3] = kind
+        for t in doc["transitions"]:
+            if t["from"] == new:
+                t["cause"] = ["grouping", kind]
+    elif defect == "clause to another layout":
+        next(t for t in doc["transitions"] if t["from"] == entry)["to"] = \
+            entry
+    elif defect == "unfold as fulleval":
+        actions[str(entry)][2] = "fulleval"
+    else:
+        next(t for t in doc["transitions"]
+             if t["cause"][0] == "fulleval")["cause"][2] = 9
+    graph.write_text(json.dumps(doc))
+    return graph, lp, pol
+
 
 @pytest.mark.parametrize("command,mismatch", [
     ("mi-run", "entry"), ("encode", "clause"), ("specialize", "fulleval"),
-    ("synthesize", "entry")])
+    ("synthesize", "entry")] + [
+    (command, defect) for command in ("mi-run", "encode", "specialize",
+                                      "synthesize")
+    for defect in PRIMES_DEFECTS])
 def test_graph_program_and_policy_that_do_not_belong_together_exit_2(
         tmp_path, capsys, command, mismatch):
-    graph, lp, pol = _queens_graph_with(tmp_path, mismatch)
+    # each primes edit once crashed a command with a traceback, exited 0
+    # with no answer or a program, or exited 1 after the work; every table
+    # command now refuses it before any
+    if mismatch in PRIMES_DEFECTS:
+        graph, lp, pol = _primes_graph_with(tmp_path, mismatch)
+        query, message = "primes(3,P)", PRIMES_DEFECTS[mismatch]
+    else:
+        graph, lp, pol = _queens_graph_with(tmp_path, mismatch)
+        query, message = "queens([1,2,3],Q)", MISMATCH_MESSAGES[mismatch]
     out = str(tmp_path / "out.lp")
-    args = {"mi-run": ["--policy", str(pol), "--query", "queens([1,2,3],Q)"],
+    args = {"mi-run": ["--policy", str(pol), "--query", query],
             "encode": ["--policy", str(pol), "--out", out],
             "specialize": ["--policy", str(pol), "--out", out],
             "synthesize": [str(pol), "--mode", "classic", "--out", out]}
@@ -715,8 +828,11 @@ def test_graph_program_and_policy_that_do_not_belong_together_exit_2(
     rc = main([command, str(graph), str(lp)] + args[command])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"cc {command}: cannot build control tables: ")
-    assert MISMATCH_MESSAGES[mismatch] in err
+    assert "Traceback" not in err
+    assert err.startswith(f"cc {command}: {graph}: not a valid graph file ("
+                          if mismatch == "sideways" else
+                          f"cc {command}: cannot build control tables: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("constant", ["a1", "g2", "ma1", "mg2"])

@@ -1,12 +1,15 @@
 """Table-driven interpreter and its logic-program encoding."""
 
 import collections
+import json
 import pathlib
 
 import pytest
 
 from ccontrol import metaint
-from ccontrol.analysis import AnalysisOptions, analyze
+from ccontrol.analysis import (AnalysisError, AnalysisOptions, StateGraph,
+                               Transition, analyze, parse_graph,
+                               render_graph)
 from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
                               encode_as_logic_program, mi_run, term_to_atom)
@@ -57,11 +60,16 @@ def _tuple_form(goal):
                  for e in goal)
 
 
-def _widened_tables(key):
+def _widened(key):
+    """The widened graph of ``key``, its program and its policy."""
     lp, policy_text, k = WIDENED[key]
     program, policy = parse_program(lp), parse_policy(policy_text)
-    graph = analyze(program, policy, AnalysisOptions(depth_k=k))
-    return build_tables(graph, program, policy)
+    return analyze(program, policy, AnalysisOptions(depth_k=k)), program, \
+        policy
+
+
+def _widened_tables(key):
+    return build_tables(*_widened(key))
 
 
 # the widened programs' goals; grow's answers never end
@@ -117,41 +125,62 @@ def test_splits_and_groupings_match_the_rebuild(corpus, monkeypatch):
     assert visits["merge"] == 1
 
 
-def _malformed_step(goal, kind):
-    """``MetaInterpreter.step`` on ``goal``, its cmulti terms taken as the
-    interpreter's cmulti elements, in acc's first split state, or in its
-    grouping state of the kind ``kind``."""
-    tables = _widened_tables("acc k=2")
-    state = min(sid for sid, a in tables.graph.actions.items()
-                if a[0] == kind or a[0] == "group" and a[1].kind == kind)
-    return metaint.MetaInterpreter(tables).step(
-        _tuple_form(parse_goal(goal)), state)
+def _acc_graph_with(edit):
+    """acc's widened graph, with its state 2's transition for clause 1
+    leading to split state 6, state 4's new grouping relabelled left, or
+    state 7's left grouping relabelled new or moved past the goal's end."""
+    g, program, policy = _widened("acc k=2")
+    actions, transitions = dict(g.actions), list(g.transitions)
+    if edit == "atom to a split":
+        assert g.actions[6] == ("split", 0)
+        i = transitions.index(Transition(2, 3, ("clause", 1)))
+        transitions[i] = Transition(2, 6, ("clause", 1))
+    else:
+        sid, kind, start = {"left of two atoms": (4, "left", 1),
+                            "new of a multi": (7, "new", 1),
+                            "left past the end": (7, "left", 2)}[edit]
+        assert g.actions[sid][0] == "group"
+        actions[sid] = ("group", FoldEvent(start, 1, kind))
+        transitions = [Transition(t.src, t.dst, ("grouping", kind))
+                       if t.src == sid else t for t in transitions]
+    return StateGraph(g.entry, g.states, transitions, actions), program, \
+        policy
 
 
-@pytest.mark.parametrize("goal, kind, message", [
-    ("link(a,R1,R)", "split", "not a cmulti element: link(a,R1,R)"),
-    ("acc([],z,R),link(a,R1,R),link(b,R2,R1)", "left",
-     "not a cmulti element: link(b,R2,R1)"),
-    ("acc([],z,R),cmulti([]),link(b,R2,R1)", "new",
-     "cannot re-group cmulti element cmulti([])"),
-    ("acc([],z,R),link(a,R1,R)", "left",
-     "grouping FoldEvent(start=1, plen=1, kind='left') out of range for "
-     "goal of 2"),
-])
-def test_malformed_cmulti_is_a_metaint_error(goal, kind, message):
-    # each check a malformed graph file can reach names what it found, a
-    # cmulti in its term form; none lets an AttributeError or IndexError
-    # through
+ACC_STATE_7 = ("acc(g1,s(s(g2)),a1) , link(g3,a1,a2) , multi((link(mg1,ma1,"
+               "ma2)), init{ma1=a2}, consec{ma1=ma2}, final{}, id=1)")
+
+LAYOUT_DEFECTS = {
+    "atom to a split": "the clause 1 transition of state 2 leads to state 6, "
+                       "whose conjunction is not laid out as the step "
+                       "leaves the goal",
+    "left of two atoms": 'state 4\'s action ["group", 1, 1, "left"] does '
+                         "not fit its conjunction acc(g1,s(s(g2)),a1) , "
+                         "link(g3,a1,a2) , link(g4,a2,a3)",
+    "new of a multi": 'state 7\'s action ["group", 1, 1, "new"] does not '
+                      f"fit its conjunction {ACC_STATE_7}",
+    "left past the end": 'state 7\'s action ["group", 2, 1, "left"] does '
+                         f"not fit its conjunction {ACC_STATE_7}",
+}
+
+
+@pytest.mark.parametrize("edit", list(LAYOUT_DEFECTS))
+def test_graph_that_breaks_a_goal_layout_is_a_metaint_error(edit):
+    # each edit would have the interpreter meet an atom where it takes a
+    # cmulti apart, or a cmulti where it groups atoms, or group past the
+    # goal's end; the tables refuse it before any step
     with pytest.raises(MetaintError) as exc:
-        _malformed_step(goal, kind)
-    assert str(exc.value) == message
+        build_tables(*_acc_graph_with(edit))
+    assert str(exc.value) == LAYOUT_DEFECTS[edit]
 
 
-def test_unknown_grouping_kind_is_a_metaint_error():
-    with pytest.raises(MetaintError,
-                       match="^unknown grouping kind 'sideways'$"):
-        metaint.apply_groupings(tuple(parse_goal("p,q")),
-                                FoldEvent(0, 1, "sideways"), {})
+def test_unknown_grouping_kind_is_a_graph_file_error():
+    doc = json.loads(render_graph(_widened("acc k=2")[0], "json"))
+    assert doc["actions"]["4"] == ["group", 1, 1, "new"]
+    doc["actions"]["4"][3] = "sideways"
+    with pytest.raises(AnalysisError, match="^group action of state 4 of "
+                       "unknown kind 'sideways'$"):
+        parse_graph(json.dumps(doc))
 
 
 def test_tables_classify_states(corpus):

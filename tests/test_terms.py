@@ -634,7 +634,8 @@ def test_resolve_matches_rename_unify_apply(corpus):
 def test_resolve_in_a_store_matches_resolve_of_the_instance(corpus):
     # the engine's form: the atom's variables bound in a store, unresolved;
     # it must give what resolving the instantiated atom gives, and leave
-    # the store as it found it
+    # the store as it found it; fresh names are kept apart from the goals'
+    # variables and the clauses' head variables, as the engine keeps them
     rng = random.Random(7)
     pool = ["X", "Y", "L", "_V1", "_V3", "_V8"]
     clauses = [c for name in CORPUS_NAMES
@@ -642,6 +643,9 @@ def test_resolve_in_a_store_matches_resolve_of_the_instance(corpus):
     tried = unified = 0
     for occurs_check in (True, False):
         fresh_a, fresh_b = FreshNames(), FreshNames()
+        for fresh in (fresh_a, fresh_b):
+            fresh.skip_past(map(Var, pool))
+            fresh.skip_past(term_vars([c.head for c in clauses]))
         for clause in clauses:
             other = rng.choice(clauses)
             for atom in list(atoms_like(rng, clause.head, 3, pool)) + \
