@@ -10,7 +10,7 @@ The result is a finite state graph: the compile-time control encoding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .absdom import (FULLEVAL, UNFOLD, FreshAVars, LogicError,
                      abstract_unify_with_clause, canonicalize,
@@ -52,7 +52,10 @@ class StateGraph:
     states: dict             # id -> canonical conjunction tuple
     transitions: list        # of Transition
     actions: dict            # id -> ("select", pos, mark) | ("split", pos)
-    #                        # | ("group", FoldEvent) | ("leaf",)
+    #                        # | ("group", FoldEvent)
+    # id -> the (cause, conjunction) pairs ``abstract_step`` gave the state,
+    # in transition order: in memory only, None for a graph read from a file
+    steps: dict = field(default=None, compare=False, repr=False)
 
     @property
     def groupings(self) -> dict:
@@ -62,12 +65,11 @@ class StateGraph:
 
     def __post_init__(self):
         # the transitions out of each state, in transition order, and the
-        # target of the first transition for each (state, cause)
+        # target of each (state, cause)
         self._from = {}
-        self._to = {}
         for t in self.transitions:
             self._from.setdefault(t.src, []).append(t)
-            self._to.setdefault((t.src, t.cause), t.dst)
+        self._to = {(t.src, t.cause): t.dst for t in self.transitions}
 
     def successors(self, sid) -> list:
         return self._from.get(sid, [])
@@ -75,10 +77,7 @@ class StateGraph:
     def successor(self, sid, cause) -> int:
         """The state that the transition for ``cause`` leads to from
         ``sid``."""
-        dst = self._to.get((sid, cause))
-        if dst is None:
-            raise AnalysisError(f"state {sid} has no transition for {cause}")
-        return dst
+        return self._to[sid, cause]
 
 
 @dataclass
@@ -98,8 +97,9 @@ def abstract_step(program: Program, policy: SelectionPolicy, conj,
     if action[0] == "group":
         fold = try_fold(conj)
         if fold is None or fold[1] != action[1]:
-            raise AnalysisError(f"the grouping {action[1]} does not apply "
-                                f"to {print_aconj(conj)}")
+            raise AnalysisError(f"the grouping "
+                                f"{json.dumps(action_json(action))} does not "
+                                f"apply to {print_aconj(conj)}")
         return [(("grouping", action[1].kind), fold[0])]
     pos = action[1]
     before, after = conj[:pos], conj[pos + 1:]
@@ -111,6 +111,9 @@ def abstract_step(program: Program, policy: SelectionPolicy, conj,
     atom = conj[pos]
     if action[2] == FULLEVAL:
         decl = policy.fulleval_match(atom)
+        if decl is None:
+            raise AnalysisError(f"no full-evaluation declaration covers "
+                                f"{print_atom(atom)}")
         decl_idx = policy.fulleval.index(decl)
         fresh = FreshAVars.above(conj)
         out = []
@@ -154,6 +157,7 @@ def analyze(program: Program, policy: SelectionPolicy,
     parents = {1: None}
     transitions = []
     actions = {}
+    steps = {}
     worklist = [1]
     next_id = 2
 
@@ -198,15 +202,13 @@ def analyze(program: Program, policy: SelectionPolicy,
                 else ("select", pos, mark)
         actions[sid] = action
         try:
-            succs = abstract_step(program, policy, conj, action)
+            steps[sid] = abstract_step(program, policy, conj, action)
         except AnalysisError as e:
             raise AnalysisError(f"state {sid}: {e}") from None
-        for cause, succ in succs:
+        for cause, succ in steps[sid]:
             transitions.append(Transition(sid, intern(succ, sid), cause))
 
-    for sid in states:
-        actions.setdefault(sid, ("leaf",))
-    return StateGraph(1, states, transitions, actions)
+    return StateGraph(1, states, transitions, actions, steps)
 
 
 def _pred_multiset(conj):
@@ -251,7 +253,7 @@ def _state_label(g, sid):
     if sid == EMPTY_STATE:
         return "empty"
     conj = g.states[sid]
-    action = g.actions.get(sid, ("leaf",))
+    action = g.actions[sid]
     parts = []
     for i, c in enumerate(conj):
         if isinstance(c, Atom):
@@ -314,7 +316,7 @@ def _render_json(g: StateGraph) -> str:
                     "where it reads as a variable")
 
     def selected_index(sid):
-        action = g.actions.get(sid, ("leaf",))
+        action = g.actions[sid]
         return action[1] if action[0] in ("select", "split") else None
 
     doc = {
@@ -342,8 +344,7 @@ def action_json(action):
 # items that follow the name
 _CAUSES = {"clause": (int,), "fulleval": (int, int), "one": (), "many": (),
            "grouping": (str,)}
-_ACTIONS = {"select": (int, str), "split": (int,), "group": (int, int, str),
-            "leaf": ()}
+_ACTIONS = {"select": (int, str), "split": (int,), "group": (int, int, str)}
 
 
 def _field(obj, key, kind):
@@ -373,10 +374,10 @@ def parse_graph(text: str) -> StateGraph:
     ``selected_index`` repeats its source state's action, and a
     ``groupings`` array, written by older versions, repeats the group
     actions; both are ignored.  A document of another shape, a state
-    defined twice, a transition or entry naming no state, a select action
-    marked neither ``unfold`` nor ``fulleval`` and a group action of
-    another kind than ``new``, ``left``, ``right`` or ``merge`` are
-    AnalysisErrors."""
+    defined twice, a transition, entry or action naming no state, a state
+    without an action, a select action marked neither ``unfold`` nor
+    ``fulleval`` and a group action of another kind than ``new``,
+    ``left``, ``right`` or ``merge`` are AnalysisErrors."""
     doc = json.loads(text)
     states = {}
     for s in _field(doc, "states", list):
@@ -389,14 +390,8 @@ def parse_graph(text: str) -> StateGraph:
                                     "cause"))
                    for t in _field(doc, "transitions", list)]
     entry = _field(doc, "entry", int)
-    missing = ({entry} | {t.src for t in transitions}
-               | {t.dst for t in transitions} - {EMPTY_STATE}) - set(states)
-    if missing:
-        raise AnalysisError(f"the graph names state {min(missing)}, which "
-                            "it does not define")
     actions = {}
-    for sid, a in (_field(doc, "actions", dict) if "actions" in doc
-                   else {}).items():
+    for sid, a in _field(doc, "actions", dict).items():
         a = _form(a, _ACTIONS, "action")
         if a[0] == "select" and a[2] not in (UNFOLD, FULLEVAL):
             raise AnalysisError(f"select action of state {sid} marked "
@@ -407,4 +402,12 @@ def parse_graph(text: str) -> StateGraph:
                                 f"kind {a[3]!r}")
         actions[int(sid)] = ("group", FoldEvent(*a[1:])) \
             if a[0] == "group" else a
+    missing = ({entry} | {t.src for t in transitions} | set(actions)
+               | {t.dst for t in transitions} - {EMPTY_STATE}) - set(states)
+    if missing:
+        raise AnalysisError(f"the graph names state {min(missing)}, which "
+                            "it does not define")
+    bare = set(states) - set(actions)
+    if bare:
+        raise AnalysisError(f"state {min(bare)} has no action")
     return StateGraph(entry, states, transitions, actions)

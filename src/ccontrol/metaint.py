@@ -23,15 +23,16 @@ hold it as the term ``cmulti([building_block([...]), ...])``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .absdom import (FULLEVAL, LogicError, abstract_instance, canonicalize,
                      print_aconj)
-from .analysis import StateGraph, action_json
+from .analysis import (EMPTY_STATE, AnalysisError, StateGraph,
+                       abstract_step, action_json)
 from .engine import (BUILTINS, Limits, RunResult, Solver, check_known,
                      depth_first, support_clauses)
-from .multi import FoldEvent, Multi
+from .multi import FoldEvent, Multi, simplify_conj
 from .policy import SelectionPolicy
 from .terms import (CONS, Atom, Const, FreshNames, Program, Struct,
                     Var, atom_to_term, mklist, parse_program, print_atom,
@@ -51,9 +52,9 @@ class MetaintError(LogicError):
 # --- cmulti goals ---------------------------------------------------------
 #
 # mi_run holds a cmulti goal element as a tuple of blocks, each a tuple of
-# goal atoms: it reads only elements it built itself, where the state's
-# layout has a multi.  The term form ``cmulti([building_block([...]),
-# ...])`` belongs to the encoding, the filters and direct synthesis.
+# goal atoms: it reads only elements it built itself, where the state has
+# a multi.  The term form ``cmulti([building_block([...]), ...])``
+# belongs to the encoding, the filters and direct synthesis.
 
 def building_block(atoms) -> Struct:
     """building_block([...]) over a block of atoms, or of variables that
@@ -108,81 +109,64 @@ def build_tables(g: StateGraph, program: Program,
                  policy: SelectionPolicy) -> StateTables:
     """The tables of a graph analyzed from ``program`` under ``policy``.
 
-    Raises MetaintError unless the three belong together and each step
-    keeps a goal in its state's layout, 0 per atom and the pattern length
-    per multi, as the interpreter trusts: the entry state is the policy's
-    entry pattern; a nonempty state selects an atom, splits a multi or
-    groups a window of its kind's layout; a transition's cause is one its
-    source's action makes, naming a clause of the program or an output
-    the policy declares for a selected atom; and its target has the
-    layout that the step leaves."""
+    Raises MetaintError unless the three belong together, by one rule:
+    the entry state is the policy's entry pattern; each state selects an
+    atom or splits a multi at an index in range, or groups as
+    ``abstract_step`` finds; each state's transitions are exactly the
+    causes of its steps, in order; and each leads to state 0 when the
+    step's successor is empty, otherwise to a state that covers it.  A
+    graph without steps, read from a file, is replayed here once, and the
+    tables hold it with its steps; the steps the analysis recorded are
+    taken to be of ``program`` and ``policy``."""
     entry = g.states.get(g.entry)
     if entry != canonicalize((policy.entry,)):
         shown = "missing" if entry is None else print_aconj(entry)
         raise MetaintError(
             f"the graph's entry state {g.entry} ({shown}) is not the "
             f"policy's entry pattern {print_atom(policy.entry)}")
-    layouts = {sid: tuple(c.plen if isinstance(c, Multi) else 0
-                          for c in conj) for sid, conj in g.states.items()}
-    for sid, layout in layouts.items():
-        action = g.actions.get(sid, ("leaf",))
-        if action[0] == "group":
-            ev = action[1]
-            fits = ev.plen > 0 and ev.start >= 0 and \
-                layout[ev.start: ev.start + ev.width] == ev.window
-        elif action[0] == "leaf":
-            fits = not layout
-        else:
-            fits = 0 <= action[1] < len(layout) and \
-                (layout[action[1]] > 0) == (action[0] == "split")
-        if not fits:
+    if g.steps is None:
+        g = replace(g, steps={sid: _replay(sid, conj, g.actions[sid],
+                                           program, policy)
+                              for sid, conj in g.states.items()})
+    for sid, steps in g.steps.items():
+        transitions = g.successors(sid)
+        found = [t.cause for t in transitions]
+        made = [cause for cause, _ in steps]
+        if found != made:
             raise MetaintError(
-                f"state {sid}'s action {json.dumps(action_json(action))} "
-                f"does not fit its conjunction {print_aconj(g.states[sid])}")
-    clauses = {c.id: c for c in program.clauses}
-    for t in g.transitions:
-        if layouts.get(t.dst, ()) != _left(t, g, layouts[t.src], clauses,
-                                           policy):
-            raise MetaintError(
-                f"the {' '.join(map(str, t.cause))} transition of state "
-                f"{t.src} leads to state {t.dst}, whose conjunction is not "
-                "laid out as the step leaves the goal")
+                f"state {sid} has the transitions {_causes_str(found)}, "
+                f"where its action makes {_causes_str(made)}")
+        for t, (cause, succ) in zip(transitions, steps):
+            succ = simplify_conj(succ)
+            if succ and t.dst != EMPTY_STATE:
+                covered = abstract_instance(succ, g.states[t.dst]) is not None
+            else:
+                covered = not succ and t.dst == EMPTY_STATE
+            if not covered:
+                shown = print_aconj(succ) if succ else "the empty goal"
+                raise MetaintError(
+                    f"the {_causes_str([cause])} transition of state {sid} "
+                    f"leads to state {t.dst}, which does not cover its "
+                    f"successor {shown}")
     return StateTables(g, program, policy)
 
 
-def _left(t, g: StateGraph, layout, clauses, policy) -> tuple:
-    """The layout the step of transition ``t`` leaves from ``layout``."""
-    action, cause = g.actions.get(t.src, ("leaf",)), t.cause
-    if action[0] == "group" and cause == ("grouping", action[1].kind):
-        ev = action[1]
-        return layout[:ev.start] + (ev.plen,) + layout[ev.start + ev.width:]
-    if action[0] == "split" and cause in (("one",), ("many",)):
-        p = layout[action[1]]
-        placed = (0,) * p + ((p,) if cause == ("many",) else ())
-    elif action[0] == "select" and cause[0] == "clause" and \
-            action[2] != FULLEVAL:
-        atom, clause = g.states[t.src][action[1]], clauses.get(cause[1])
-        if clause is None or clause.head.indicator != atom.indicator:
-            raise MetaintError(
-                f"state {t.src} resolves {_indicators((atom,))} with clause "
-                f"{cause[1]}, which the program does not define for it")
-        placed = (0,) * len(clause.body)
-    elif action[0] == "select" and cause[0] == "fulleval" and \
-            action[2] == FULLEVAL:
-        atom, decls = g.states[t.src][action[1]], policy.fulleval
-        _, idx, out = cause
-        if not (0 <= idx < len(decls) and decls[idx].pattern.indicator ==
-                atom.indicator and 0 <= out < len(decls[idx].outputs)):
-            raise MetaintError(
-                f"state {t.src} fully evaluates {_indicators((atom,))} to "
-                f"output {out} of declaration {idx}, which the policy does "
-                "not declare for it")
-        placed = ()
-    else:
-        raise MetaintError(f"state {t.src} has a "
-                           f"{' '.join(map(str, cause))} transition, which "
-                           "its action does not make")
-    return layout[:action[1]] + placed + layout[action[1] + 1:]
+def _replay(sid, conj, action, program, policy) -> list:
+    """The steps of state ``sid`` under its action."""
+    if action[0] != "group" and not (
+            0 <= action[1] < len(conj) and
+            isinstance(conj[action[1]], Multi) == (action[0] == "split")):
+        raise MetaintError(
+            f"state {sid}'s action {json.dumps(action_json(action))} does "
+            f"not fit its conjunction {print_aconj(conj)}")
+    try:
+        return abstract_step(program, policy, conj, action)
+    except AnalysisError as e:
+        raise MetaintError(f"state {sid}: {e}") from None
+
+
+def _causes_str(causes) -> str:
+    return ", ".join(" ".join(map(str, c)) for c in causes) or "none"
 
 
 def check_variant(tables: StateTables, variant):
@@ -525,15 +509,10 @@ def _tables(t: StateTables) -> list:
     out = [_fact("selected_index", Const(sid), Const(action[1]))
            for sid, action in sorted(g.actions.items())
            if action[0] in ("select", "split")]
-    seen = set()
     for tr in sorted(g.transitions, key=lambda tr: (tr.src, str(tr.cause))):
-        if tr.cause[0] == "grouping":
-            continue
-        fact = _fact("state_transition", Const(tr.src), Const(tr.dst),
-                     _cause_term(tr.cause))
-        if fact not in seen:
-            seen.add(fact)
-            out.append(fact)
+        if tr.cause[0] != "grouping":
+            out.append(_fact("state_transition", Const(tr.src),
+                             Const(tr.dst), _cause_term(tr.cause)))
     for clause in sorted(t.program.clauses, key=lambda c: c.id):
         out.append(_fact("mi_clause", atom_to_term(clause.head),
                          mklist([atom_to_term(a) for a in clause.body]),

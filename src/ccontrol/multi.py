@@ -235,18 +235,11 @@ class FoldEvent:
     kind: str
 
     @property
-    def window(self) -> tuple:
-        """The layout of the conjuncts the grouping replaces, 0 per atom
-        and the pattern length per multi: two blocks ("new"), a block and
-        the multi ("left", "right") or two multis ("merge")."""
-        p = self.plen
-        return {"new": (0,) * 2 * p, "left": (0,) * p + (p,),
-                "right": (p,) + (0,) * p, "merge": (p, p)}[self.kind]
-
-    @property
-    def width(self):
-        """How many conjuncts the grouping replaces."""
-        return len(self.window)
+    def width(self) -> int:
+        """How many conjuncts the grouping replaces: two blocks ("new"), a
+        block and the multi ("left", "right") or two multis ("merge")."""
+        return {"new": 2 * self.plen, "left": self.plen + 1,
+                "right": self.plen + 1, "merge": 2}[self.kind]
 
     def fold(self, conj, elem) -> tuple:
         """``conj`` with the conjuncts the grouping replaces replaced by

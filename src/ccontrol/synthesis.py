@@ -2,23 +2,22 @@
 
 Each analysis state becomes a predicate whose arguments are the state's
 abstract variables (plus one block-list argument per multi abstraction),
-and each transition becomes a clause.  A state's successors are replayed
-with the analysis's own step (``analysis.abstract_step``) under the
-state's stored action, and built concretely over a variable template;
-matching the replayed successor against the stored state, which equals
-it up to renaming or widens it, yields the argument terms linking a
-clause head to the successor call.  The result executes under the plain
-left-to-right engine yet follows the analyzed selection rule step for
-step.
+and each transition becomes a clause.  A state's successors are the
+steps the graph records for it (``analysis.abstract_step`` under the
+state's action, as the analysis or ``metaint.build_tables`` ran it),
+built concretely over a variable template; matching each successor
+against the stored state, which equals it up to renaming or widens it,
+yields the argument terms linking a clause head to the successor call.
+The result executes under the plain left-to-right engine yet follows the
+analyzed selection rule step for step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import (AVar, GROUND, LogicError, abstract_instance, avars,
-                     print_aconj)
-from .analysis import EMPTY_STATE, StateGraph, abstract_step
+from .absdom import AVar, GROUND, LogicError, abstract_instance, avars
+from .analysis import EMPTY_STATE, StateGraph
 from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BB_APPEND, building_block
 from .multi import Multi, simplify_conj
@@ -73,7 +72,7 @@ def _bind_term(at, ct, env):
         if not (isinstance(ct, Struct) and ct.functor == at.functor
                 and len(ct.args) == len(at.args)):
             raise SynthesisError(
-                f"replay diverged: {at!r} versus {print_term(ct)}")
+                f"step diverged: {at!r} versus {print_term(ct)}")
         for a, c in zip(at.args, ct.args):
             _bind_term(a, c, env)
         return
@@ -83,7 +82,7 @@ def _bind_term(at, ct, env):
 def _bind_atom(aa: Atom, ca: Atom, env):
     if aa.indicator != ca.indicator:
         raise SynthesisError(
-            f"replay diverged: {aa!r} versus {print_atom(ca)}")
+            f"step diverged: {aa!r} versus {print_atom(ca)}")
     for a, c in zip(aa.args, ca.args):
         _bind_term(a, c, env)
 
@@ -124,18 +123,14 @@ class _Synthesizer:
 
     def _successor(self, dst, raw_elems, conc_elems):
         """The concrete call to the successor state's predicate.  The
-        stored state covers the replayed abstract successor (it is the
-        same up to renaming, or a widening of it), and each of its
-        variables is passed the concrete counterpart of what it covers."""
+        stored state covers the abstract successor (it is the same up to
+        renaming, or a widening of it), and each of its variables is
+        passed the concrete counterpart of what it covers."""
         if dst == EMPTY_STATE:
             return None
         raw = simplify_conj(raw_elems)
         stored = self.graph.states[dst]
         cover = abstract_instance(raw, stored)
-        if cover is None:
-            raise SynthesisError(
-                f"replay of state {dst} diverged:\n  got  "
-                f"{print_aconj(raw)}\n  want {print_aconj(stored)}")
         env = {}
         for a_elem, c_elem in zip(raw, conc_elems):
             if isinstance(a_elem, Atom):
@@ -169,17 +164,13 @@ class _Synthesizer:
                                              args),)))
 
     def _state(self, sid):
-        """One clause per transition of the state: the analysis step is
-        replayed abstractly, and its concrete side built over the state's
-        template."""
-        action = self.graph.actions[sid]
-        if action[0] == "leaf":
-            return      # no outgoing transitions and no clauses
-        conj = self.graph.states[sid]
+        """One clause per transition of the state: each recorded step's
+        concrete side, built over the state's template."""
+        g = self.graph
+        action, conj = g.actions[sid], g.states[sid]
         template = self._template(conj)
         freshc = FreshNames()
-        for cause, raw in abstract_step(self.program, self.policy, conj,
-                                        action):
+        for (cause, raw), t in zip(g.steps[sid], g.successors(sid)):
             if cause[0] == "clause":
                 step = self._resolved(sid, action[1], cause[1], template,
                                       freshc)
@@ -191,8 +182,7 @@ class _Synthesizer:
                 step = self._extracted(conj, action[1], cause, raw,
                                        template, freshc)
             head_args, prefix, conc = step
-            succ = self._successor(self.graph.successor(sid, cause), raw,
-                                   conc)
+            succ = self._successor(t.dst, raw, conc)
             body = tuple(prefix) + ((succ,) if succ is not None else ())
             self.clauses.append((Atom(self.names[sid], tuple(head_args)),
                                  body))
@@ -274,7 +264,8 @@ class _Synthesizer:
 def synthesize(graph: StateGraph, program: Program,
                policy: SelectionPolicy) -> SynthesizedProgram:
     """Build the state-predicate program equivalent to the analyzed one,
-    from a graph the analysis built or ``metaint.build_tables`` accepted."""
+    from a graph the analysis built or ``metaint.build_tables`` accepted:
+    either records each state's steps."""
     return _Synthesizer(graph, program, policy).synthesize()
 
 

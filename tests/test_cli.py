@@ -592,11 +592,13 @@ def _queens_graph_with(tmp_path, mismatch):
 
 @pytest.mark.parametrize("shape", [
     "[1,2]", '"x"', "states [1]", 'action ["group",0]', "action []",
-    'cause [["x"]]', 'cause "clause"'])
+    'cause [["x"]]', 'cause "clause"', "no actions"])
 def test_graph_file_of_the_wrong_shape_exits_2(permsort_files, tmp_path,
                                                capsys, shape):
     # valid JSON that is not a graph: each case once crashed with a
-    # traceback, on reading the file or later on running the query
+    # traceback, on reading the file or later on running the query, or,
+    # without the actions cc analyze always writes, was refused only by
+    # the tables
     lp, pol, _ = permsort_files
     graph = tmp_path / "graph.json"
     assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
@@ -608,6 +610,8 @@ def test_graph_file_of_the_wrong_shape_exits_2(permsort_files, tmp_path,
         doc["actions"][next(iter(doc["actions"]))] = json.loads(value)
     elif what == "cause":
         doc["transitions"][0]["cause"] = json.loads(value)
+    elif what == "no":
+        del doc[value]
     else:
         doc = json.loads(shape)
     graph.write_text(json.dumps(doc))
@@ -624,7 +628,8 @@ GRAPH_DEFECTS = {
     "missing state": "the graph names state 99, which it does not define",
     "select mark": "select action of state 1 marked 'fold', neither "
                    "'unfold' nor 'fulleval'",
-    "repeated state": "state 2 is defined twice"}
+    "repeated state": "state 2 is defined twice",
+    "state without action": "state 2 has no action"}
 
 
 @pytest.mark.parametrize("defect", sorted(GRAPH_DEFECTS))
@@ -642,6 +647,8 @@ def test_graph_file_that_names_no_state_or_a_bad_mark_exits_2(
     elif defect == "select mark":
         assert doc["actions"]["1"][0] == "select"
         doc["actions"]["1"][2] = "fold"
+    elif defect == "state without action":
+        del doc["actions"]["2"]
     else:
         doc["states"].append(dict(doc["states"][1]))
     graph.write_text(json.dumps(doc))
@@ -698,9 +705,9 @@ def test_mi_run_rejects_a_goal_that_is_not_the_entry_pattern(
     ("split", 'state 15\'s action ["split", 1] does not fit its conjunction '
               "multi((nodiag(mg1,ma1,mg2)), init{ma1=[]}, consec{ma1=ma1}, "
               "final{ma1=[]}, id=1) , safe([])"),
-    ("left", 'state 13\'s action ["group", 1, 1, "left"] does not fit its '
-             "conjunction perm(g1,a1) , nodiag(g2,a1,g3) , nodiag(g4,a1,g5) "
-             ", safe(a1)")], ids=["split", "left"])
+    ("left", 'state 13: the grouping ["group", 1, 1, "left"] does not apply '
+             "to perm(g1,a1) , nodiag(g2,a1,g3) , nodiag(g4,a1,g5) , "
+             "safe(a1)")], ids=["split", "left"])
 def test_graph_that_splits_or_groups_an_atom_exits_2(tmp_path, capsys, edit,
                                                      message):
     # the pipeline's queens graph, with split state 15 selecting safe/1, or
@@ -733,8 +740,9 @@ def test_graph_that_splits_or_groups_an_atom_exits_2(tmp_path, capsys, edit,
 
 MISMATCH_MESSAGES = {
     "entry": "is not the policy's entry pattern",
-    "clause": "which the program does not define for it",
-    "fulleval": "which the policy does not declare for it",
+    "clause": "state 1: cannot unfold predicate queens/2",
+    "fulleval": "state 4 has the transitions fulleval 0 0, where its action "
+                "makes fulleval 2 0",
 }
 
 # edits of the primes graph, each state found by its action, and what the
@@ -744,17 +752,30 @@ PRIMES_DEFECTS = {
                          "not fit its conjunction",
     "split of an atom": 'state 20\'s action ["split", 1] does not fit its '
                         "conjunction",
-    "new as merge": 'state 16\'s action ["group", 1, 1, "merge"] does not '
-                    "fit its conjunction",
+    "new as merge": 'state 16: the grouping ["group", 1, 1, "merge"] does '
+                    "not apply to",
     "clause to another layout": "the clause 1 transition of state 1 leads to "
-                                "state 1, whose conjunction is not laid out "
-                                "as the step leaves the goal",
-    "unfold as fulleval": "state 1 has a clause 1 transition, which its "
-                          "action does not make",
-    "output out of range": "state 4 fully evaluates plus/3 to output 9 of "
-                           "declaration 0, which the policy does not "
-                           "declare for it",
+                                "state 1, which does not cover its "
+                                "successor integers(g2,a2) , sift(a2,a1) , "
+                                "length(a1,g1)",
+    "unfold as fulleval": "state 1: no full-evaluation declaration covers "
+                          "primes(g1,a1)",
+    "output out of range": "state 4 has the transitions fulleval 0 9, where "
+                           "its action makes fulleval 0 0",
     "sideways": "group action of state 16 of unknown kind 'sideways'",
+    "fulleval without transitions": "state 4 has the transitions none, "
+                                    "where its action makes fulleval 0 0",
+    "split without many": "state 20 has the transitions one, where its "
+                          "action makes one, many",
+}
+
+# edits of the permsort graph, and what the message that refuses the
+# edited graph says
+PERMSORT_DEFECTS = {
+    "without clause 2": "state 2 has the transitions clause 3, where its "
+                        "action makes clause 2, clause 3",
+    "longer list": "the clause 2 transition of state 5 leads to state 6, "
+                   "which does not cover its successor ord([g2])",
 }
 
 
@@ -795,9 +816,41 @@ def _primes_graph_with(tmp_path, defect):
             entry
     elif defect == "unfold as fulleval":
         actions[str(entry)][2] = "fulleval"
-    else:
+    elif defect == "output out of range":
         next(t for t in doc["transitions"]
              if t["cause"][0] == "fulleval")["cause"][2] = 9
+    elif defect == "fulleval without transitions":
+        sid = min(int(sid) for sid, a in actions.items()
+                  if a[0] == "select" and a[2] == "fulleval")
+        doc["transitions"] = [t for t in doc["transitions"]
+                              if t["from"] != sid]
+    else:
+        sid = min(int(sid) for sid, a in actions.items() if a[0] == "split")
+        doc["transitions"].remove({"from": sid, "to": next(
+            t["to"] for t in doc["transitions"]
+            if t["from"] == sid and t["cause"] == ["many"]),
+            "cause": ["many"], "selected_index": actions[str(sid)][1]})
+    graph.write_text(json.dumps(doc))
+    return graph, lp, pol
+
+
+def _permsort_graph_with(tmp_path, defect):
+    """The permsort graph, with state 2's clause 2 transition left out or
+    state 6's conjunction ord([g1]) made ord([g1,g2]), with its program
+    and policy."""
+    lp, pol = tmp_path / "permsort.lp", tmp_path / "permsort.policy"
+    lp.write_text(corpus_text("permsort", ".lp"))
+    pol.write_text(corpus_text("permsort", ".policy"))
+    graph = tmp_path / "permsort.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    doc = json.loads(graph.read_text())
+    if defect == "without clause 2":
+        doc["transitions"].remove({"from": 2, "to": 3,
+                                   "cause": ["clause", 2],
+                                   "selected_index": 0})
+    else:
+        assert doc["states"][5] == {"id": 6, "conjunction": "ord([g1])"}
+        doc["states"][5]["conjunction"] = "ord([g1,g2])"
     graph.write_text(json.dumps(doc))
     return graph, lp, pol
 
@@ -807,15 +860,19 @@ def _primes_graph_with(tmp_path, defect):
     ("synthesize", "entry")] + [
     (command, defect) for command in ("mi-run", "encode", "specialize",
                                       "synthesize")
-    for defect in PRIMES_DEFECTS])
+    for defect in [*PRIMES_DEFECTS, *PERMSORT_DEFECTS]])
 def test_graph_program_and_policy_that_do_not_belong_together_exit_2(
         tmp_path, capsys, command, mismatch):
-    # each primes edit once crashed a command with a traceback, exited 0
-    # with no answer or a program, or exited 1 after the work; every table
+    # each primes and permsort edit once crashed a command with a
+    # traceback, exited 0 with no answer or a program, exited 1 after the
+    # work, or was refused by some table commands only; every table
     # command now refuses it before any
     if mismatch in PRIMES_DEFECTS:
         graph, lp, pol = _primes_graph_with(tmp_path, mismatch)
         query, message = "primes(3,P)", PRIMES_DEFECTS[mismatch]
+    elif mismatch in PERMSORT_DEFECTS:
+        graph, lp, pol = _permsort_graph_with(tmp_path, mismatch)
+        query, message = "permsort([],S)", PERMSORT_DEFECTS[mismatch]
     else:
         graph, lp, pol = _queens_graph_with(tmp_path, mismatch)
         query, message = "queens([1,2,3],Q)", MISMATCH_MESSAGES[mismatch]

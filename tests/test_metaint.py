@@ -152,15 +152,15 @@ ACC_STATE_7 = ("acc(g1,s(s(g2)),a1) , link(g3,a1,a2) , multi((link(mg1,ma1,"
 
 LAYOUT_DEFECTS = {
     "atom to a split": "the clause 1 transition of state 2 leads to state 6, "
-                       "whose conjunction is not laid out as the step "
-                       "leaves the goal",
-    "left of two atoms": 'state 4\'s action ["group", 1, 1, "left"] does '
-                         "not fit its conjunction acc(g1,s(s(g2)),a1) , "
+                       "which does not cover its successor "
+                       "link(g3,s(g2),a2)",
+    "left of two atoms": 'state 4: the grouping ["group", 1, 1, "left"] does '
+                         "not apply to acc(g1,s(s(g2)),a1) , "
                          "link(g3,a1,a2) , link(g4,a2,a3)",
-    "new of a multi": 'state 7\'s action ["group", 1, 1, "new"] does not '
-                      f"fit its conjunction {ACC_STATE_7}",
-    "left past the end": 'state 7\'s action ["group", 2, 1, "left"] does '
-                         f"not fit its conjunction {ACC_STATE_7}",
+    "new of a multi": 'state 7: the grouping ["group", 1, 1, "new"] does not '
+                      f"apply to {ACC_STATE_7}",
+    "left past the end": 'state 7: the grouping ["group", 2, 1, "left"] does '
+                         f"not apply to {ACC_STATE_7}",
 }
 
 
@@ -168,7 +168,9 @@ LAYOUT_DEFECTS = {
 def test_graph_that_breaks_a_goal_layout_is_a_metaint_error(edit):
     # each edit would have the interpreter meet an atom where it takes a
     # cmulti apart, or a cmulti where it groups atoms, or group past the
-    # goal's end; the tables refuse it before any step
+    # goal's end; the tables refuse it before any step, as a grouping the
+    # state's conjunction does not make or a target that does not cover
+    # the step's successor
     with pytest.raises(MetaintError) as exc:
         build_tables(*_acc_graph_with(edit))
     assert str(exc.value) == LAYOUT_DEFECTS[edit]
