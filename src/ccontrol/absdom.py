@@ -84,22 +84,22 @@ class MVar(Var):
         return other.__class__ is not MVar or str.__ne__(self, other)
 
 
-def avar_occurrences(x, acc=None) -> list:
-    """Every occurrence of an AVar, in order (MVars are skipped)."""
-    if acc is None:
-        acc = []
-    if isinstance(x, AVar):
-        acc.append(x)
-    elif isinstance(x, (Struct, Atom)):
-        for a in x.args:
-            avar_occurrences(a, acc)
-    elif isinstance(x, (tuple, list)):
-        for item in x:
-            avar_occurrences(item, acc)
-    elif hasattr(x, "outer_terms"):  # Multi
-        for t in x.outer_terms():
-            avar_occurrences(t, acc)
-    return acc
+def avar_occurrences(x) -> list:
+    """Every occurrence of an AVar, in order (MVars are skipped), walked on
+    an explicit stack."""
+    out, stack = [], [x]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is AVar:
+            out.append(x)
+        elif cls is Struct or cls is Atom:
+            stack += x.args[::-1]
+        elif cls is tuple or cls is list:
+            stack += x[::-1]
+        elif hasattr(x, "outer_terms"):  # Multi
+            stack += x.outer_terms()[::-1]
+    return out
 
 
 def avars(x) -> list:
@@ -110,15 +110,10 @@ def avars(x) -> list:
 def is_ground(t) -> bool:
     """Whether every term ``t`` stands for is ground: a ``g`` variable is,
     an ``a`` variable and a concrete variable are not."""
-    if isinstance(t, (AVar, MVar)):
-        return t.kind == GROUND
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Const):
-        return True
-    if isinstance(t, Struct):
-        return all(is_ground(a) for a in t.args)
-    raise AbstractDomainError(f"not a term: {t!r}")
+    if isinstance(t, Var):      # the common case, without a walk
+        return isinstance(t, (AVar, MVar)) and t.kind == GROUND
+    return all(isinstance(v, (AVar, MVar)) and v.kind == GROUND
+               for v in term_vars(t))
 
 
 class ASub:
@@ -228,52 +223,49 @@ def abstract_instance(x, y) -> Optional[ASub]:
     not ground: then the result says whether y's denotation holds it.
     """
     binding = {}
-
-    def match(xt, yt) -> bool:
-        if isinstance(yt, (AVar, MVar)):
-            if yt.kind == GROUND and not is_ground(xt):
-                return False
-            if yt in binding:
-                return binding[yt] == xt
-            binding[yt] = xt
-            return True
-        if isinstance(yt, Const):
-            return isinstance(xt, Const) and xt.name == yt.name
-        if isinstance(yt, Struct):
-            return (isinstance(xt, Struct) and xt.functor == yt.functor
-                    and len(xt.args) == len(yt.args)
-                    and all(match(a, b) for a, b in zip(xt.args, yt.args)))
-        raise AbstractDomainError(f"not an abstract term: {yt!r}")
-
-    def match_atom(xa, ya) -> bool:
-        return (isinstance(xa, Atom) and isinstance(ya, Atom)
-                and xa.indicator == ya.indicator
-                and all(match(a, b) for a, b in zip(xa.args, ya.args)))
-
-    def match_multi(xm, ym) -> bool:
-        # the same chain, and every outer constraint of ym constrains xm
-        # to an instance (xm may carry more constraints)
-        if isinstance(xm, Atom) or (xm.pattern, xm.consecutive) != \
-                (ym.pattern, ym.consecutive):
-            return False
-        for xcs, ycs in ((xm.init, ym.init), (xm.final, ym.final)):
-            xd = dict(xcs)
-            if not all(v in xd and match(xd[v], t) for v, t in ycs):
-                return False
-        return True
-
     if isinstance(x, (tuple, list)) and isinstance(y, (tuple, list)):
         if len(x) != len(y):
             return None
-        for xi, yi in zip(x, y):
-            ok = match_atom(xi, yi) if isinstance(yi, Atom) \
-                else match_multi(xi, yi)
-            if not ok:
+        stack = list(zip(x, y))[::-1]
+    else:
+        stack = [(x, y)]
+    while stack:            # (instance, pattern) pairs, left to right
+        xt, yt = stack.pop()
+        if isinstance(yt, (AVar, MVar)):
+            if yt.kind == GROUND and not is_ground(xt):
                 return None
-        return ASub(binding)
-    if isinstance(x, Atom) and isinstance(y, Atom):
-        return ASub(binding) if match_atom(x, y) else None
-    return ASub(binding) if match(x, y) else None
+            if yt not in binding:
+                binding[yt] = xt
+            elif binding[yt] != xt:
+                return None
+        elif isinstance(yt, Const):
+            if not (isinstance(xt, Const) and xt.name == yt.name):
+                return None
+        elif isinstance(yt, Struct):
+            if not (isinstance(xt, Struct) and xt.functor == yt.functor
+                    and len(xt.args) == len(yt.args)):
+                return None
+            stack.extend(reversed(tuple(zip(xt.args, yt.args))))
+        elif isinstance(yt, Atom):
+            if not (isinstance(xt, Atom) and xt.indicator == yt.indicator):
+                return None
+            stack.extend(reversed(tuple(zip(xt.args, yt.args))))
+        elif hasattr(yt, "outer_terms"):    # Multi
+            # the same chain, and every outer constraint of yt constrains
+            # xt to an instance (xt may carry more constraints)
+            if isinstance(xt, Atom) or (xt.pattern, xt.consecutive) != \
+                    (yt.pattern, yt.consecutive):
+                return None
+            pairs = []
+            for xcs, ycs in ((xt.init, yt.init), (xt.final, yt.final)):
+                xd = dict(xcs)
+                if not all(v in xd for v, _ in ycs):
+                    return None
+                pairs += [(xd[v], t) for v, t in ycs]
+            stack.extend(reversed(pairs))
+        else:
+            raise AbstractDomainError(f"not an abstract term: {yt!r}")
+    return ASub(binding)
 
 
 # --- abstraction of resolution ------------------------------------------
@@ -298,6 +290,7 @@ def abstract_mgu(first, second, own, fresh: FreshAVars, body=()):
     sigma = unify(Atom("", first[::-1]), Atom("", second[::-1]))
     if sigma is None:
         return None
+    store = sigma.bindings
     own = dict.fromkeys(avars(own))
     ground = set()
     for v in term_vars((first, second)):
@@ -306,8 +299,9 @@ def abstract_mgu(first, second, own, fresh: FreshAVars, body=()):
     memo = {}
 
     def back(t):
-        """A term under the unifier, mapped back into the domain: rebuilt
-        bottom up on an explicit stack, its leaves met left to right."""
+        """A term under the unifier, each of its variables read through
+        the store, mapped back into the domain: rebuilt bottom up on an
+        explicit stack, its leaves met left to right."""
         stack, out = [t], []
         while stack:
             t = stack.pop()
@@ -317,6 +311,8 @@ def abstract_mgu(first, second, own, fresh: FreshAVars, body=()):
             elif isinstance(t, Struct):
                 stack.append((t,))
                 stack.extend(reversed(t.args))
+            elif isinstance(t, Var) and t in store:
+                stack.append(store[t])
             elif isinstance(t, Const) and not isinstance(t.name, int):
                 out.append(t)
             else:
@@ -329,11 +325,11 @@ def abstract_mgu(first, second, own, fresh: FreshAVars, body=()):
                 out.append(r)
         return out[0]
 
-    body = tuple(Atom(b.pred, tuple(back(sigma.apply(t)) for t in b.args))
+    body = tuple(Atom(b.pred, tuple(back(t) for t in b.args))
                  for b in body)
     theta = {}
     for v in own:
-        r = back(sigma.apply(v))
+        r = back(v)
         if r != v:
             theta[v] = r
     return body, ASub(theta)

@@ -54,8 +54,10 @@ class StateGraph:
     actions: dict            # id -> ("select", pos, mark) | ("split", pos)
     #                        # | ("group", FoldEvent)
     # id -> the (cause, conjunction) pairs ``abstract_step`` gave the state,
-    # in transition order: in memory only, None for a graph read from a file
+    # in transition order, and the (program, policy) it ran under: in
+    # memory only, None for a graph read from a file
     steps: dict = field(default=None, compare=False, repr=False)
+    source: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def groupings(self) -> dict:
@@ -208,7 +210,8 @@ def analyze(program: Program, policy: SelectionPolicy,
         for cause, succ in steps[sid]:
             transitions.append(Transition(sid, intern(succ, sid), cause))
 
-    return StateGraph(1, states, transitions, actions, steps)
+    return StateGraph(1, states, transitions, actions, steps,
+                      (program, policy))
 
 
 def _pred_multiset(conj):
@@ -291,18 +294,18 @@ def _render_dot(g: StateGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _constants(x):
+def _constants(conj):
     """The constants of a conjunction, its multis' patterns and
-    constraints included."""
-    if isinstance(x, Const):
-        yield x
-    elif isinstance(x, (Atom, Struct)):
-        yield from _constants(x.args)
-    elif isinstance(x, Multi):
-        yield from _constants(x.pattern + tuple(x.outer_terms()))
-    elif isinstance(x, tuple):
-        for item in x:
-            yield from _constants(item)
+    constraints included, walked left to right on an explicit stack."""
+    stack = list(conj)[::-1]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Const):
+            yield x
+        elif isinstance(x, (Atom, Struct)):
+            stack.extend(reversed(x.args))
+        elif isinstance(x, Multi):
+            stack.extend(reversed(x.pattern + tuple(x.outer_terms())))
 
 
 def _render_json(g: StateGraph) -> str:

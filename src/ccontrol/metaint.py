@@ -114,20 +114,21 @@ def build_tables(g: StateGraph, program: Program,
     atom or splits a multi at an index in range, or groups as
     ``abstract_step`` finds; each state's transitions are exactly the
     causes of its steps, in order; and each leads to state 0 when the
-    step's successor is empty, otherwise to a state that covers it.  A
-    graph without steps, read from a file, is replayed here once, and the
-    tables hold it with its steps; the steps the analysis recorded are
-    taken to be of ``program`` and ``policy``."""
+    step's successor is empty, otherwise to a state that covers it.  The
+    steps the analysis recorded are taken when it ran under an equal
+    program and policy; any other graph, one read from a file among them,
+    is replayed here once, and the tables hold it with its steps."""
     entry = g.states.get(g.entry)
     if entry != canonicalize((policy.entry,)):
         shown = "missing" if entry is None else print_aconj(entry)
         raise MetaintError(
             f"the graph's entry state {g.entry} ({shown}) is not the "
             f"policy's entry pattern {print_atom(policy.entry)}")
-    if g.steps is None:
-        g = replace(g, steps={sid: _replay(sid, conj, g.actions[sid],
-                                           program, policy)
-                              for sid, conj in g.states.items()})
+    if g.source != (program, policy):
+        g = replace(g, source=(program, policy),
+                    steps={sid: _replay(sid, conj, g.actions[sid], program,
+                                        policy)
+                           for sid, conj in g.states.items()})
     for sid, steps in g.steps.items():
         transitions = g.successors(sid)
         found = [t.cause for t in transitions]

@@ -247,15 +247,9 @@ class FoldEvent:
         return conj[:self.start] + (elem,) + conj[self.start + self.width:]
 
 
-def _occurrences_outside(conj, ev: FoldEvent) -> dict:
-    span = range(ev.start, ev.start + ev.width)
-    counts = {}
-    for i, c in enumerate(conj):
-        if i in span:
-            continue
-        for v in avar_occurrences(c):
-            counts[v] = counts.get(v, 0) + 1
-    return counts
+def _occurrences_outside(conj, ev: FoldEvent) -> set:
+    """The AVars outside the conjuncts that the grouping replaces."""
+    return set(avar_occurrences(conj[:ev.start] + conj[ev.start + ev.width:]))
 
 
 def _block_binding(block, pattern):
@@ -336,7 +330,7 @@ def _fold_new(conj, start, plen):
     ev = FoldEvent(start, plen, "new")
     outside = _occurrences_outside(conj, ev)
     for av in links:
-        if outside.get(av, 0) > 0 and av not in endpoints:
+        if av in outside and av not in endpoints:
             return None  # internal chain variable leaks out of the fold
     m = Multi(0, pattern, _sorted_pairs(init),
               _sorted_pairs(cons), _sorted_pairs(final))
@@ -387,14 +381,8 @@ def _fold_merge(conj, mi, m1: Multi, m2: Multi):
     ev = FoldEvent(mi, m1.plen, "merge")
     outside = _occurrences_outside(conj, ev)
     allowed = {t for _, t in m1.init} | {t for _, t in m2.final}
-    for w, lv in f1.items():
-        if isinstance(lv, AVar):
-            if outside.get(lv, 0) > 0 and lv not in allowed:
-                return None
-        else:
-            for v in avar_occurrences(lv):
-                if outside.get(v, 0) > 0 and v not in allowed:
-                    return None
+    if outside.intersection(avar_occurrences(tuple(f1.values()))) - allowed:
+        return None
     nm = Multi(m1.id, m1.pattern, m1.init, m1.consecutive, m2.final)
     return ev.fold(conj, nm), ev
 
@@ -413,7 +401,7 @@ def _fold_left(conj, mi, m: Multi, bmap):
     allowed = set(new_init.values()) | {t for _, t in m.final}
     for v in cons:
         lv = init[v]
-        if outside.get(lv, 0) > 0 and lv not in allowed:
+        if lv in outside and lv not in allowed:
             return None  # old chain-input variable leaks out of the fold
     nm = Multi(m.id, m.pattern, _sorted_pairs(new_init),
                m.consecutive, m.final)
@@ -435,7 +423,7 @@ def _fold_right(conj, mi, m: Multi, bmap):
     allowed = set(new_final.values()) | {t for _, t in m.init}
     for w in outs:
         lv = final[w]
-        if outside.get(lv, 0) > 0 and lv not in allowed:
+        if lv in outside and lv not in allowed:
             return None
     nm = Multi(m.id, m.pattern, m.init, m.consecutive,
                _sorted_pairs(new_final))

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from .absdom import AVar, GROUND, LogicError, abstract_instance, avars
 from .analysis import EMPTY_STATE, StateGraph
 from .engine import Limits, answer_set, solve, support_clauses
-from .metaint import BB_APPEND, building_block
+from .metaint import BB_APPEND, build_tables, building_block
 from .multi import Multi, simplify_conj
 from .policy import SelectionPolicy
 from .terms import (CONS, Atom, Const, FreshNames, Program, Struct, Var,
-                    atom_to_term, mklist, print_atom, print_term, program_of,
+                    atom_to_term, mklist, print_atom, program_of,
                     replace_vars, resolve_in, substitute)
 
 
@@ -60,31 +60,24 @@ def _variables(env, fresh=None):
     return var
 
 
-def _bind_term(at, ct, env):
-    """Record the concrete counterpart of each abstract variable by
-    walking an abstract term and its concrete template in lockstep."""
-    if isinstance(at, AVar):
-        env.setdefault(at, ct)
-        return
-    if isinstance(at, Const):
-        return
-    if isinstance(at, Struct):
-        if not (isinstance(ct, Struct) and ct.functor == at.functor
-                and len(ct.args) == len(at.args)):
-            raise SynthesisError(
-                f"step diverged: {at!r} versus {print_term(ct)}")
-        for a, c in zip(at.args, ct.args):
-            _bind_term(a, c, env)
-        return
-    raise SynthesisError(f"not an abstract term: {at!r}")
-
-
-def _bind_atom(aa: Atom, ca: Atom, env):
-    if aa.indicator != ca.indicator:
-        raise SynthesisError(
-            f"step diverged: {aa!r} versus {print_atom(ca)}")
-    for a, c in zip(aa.args, ca.args):
-        _bind_term(a, c, env)
+def _bind_term(abstract, concrete) -> dict:
+    """The concrete counterpart of each abstract variable, found by walking
+    the atoms of an abstract conjunction and of its concrete counterpart in
+    lockstep, left to right on an explicit stack."""
+    env = {}
+    stack = [(a, c) for a, c in zip(abstract, concrete)
+             if isinstance(a, Atom)][::-1]
+    while stack:
+        at, ct = stack.pop()
+        if isinstance(at, AVar):
+            env.setdefault(at, ct)
+        elif isinstance(at, Atom) and at.indicator == ct.indicator or \
+                isinstance(at, Struct) and isinstance(ct, Struct) and \
+                (at.functor, len(at.args)) == (ct.functor, len(ct.args)):
+            stack.extend(reversed(tuple(zip(at.args, ct.args))))
+        elif not isinstance(at, Const):
+            raise SynthesisError(f"step diverged: {at!r} versus {ct!r}")
+    return env
 
 
 class _Synthesizer:
@@ -131,11 +124,7 @@ class _Synthesizer:
         raw = simplify_conj(raw_elems)
         stored = self.graph.states[dst]
         cover = abstract_instance(raw, stored)
-        env = {}
-        for a_elem, c_elem in zip(raw, conc_elems):
-            if isinstance(a_elem, Atom):
-                _bind_atom(a_elem, c_elem, env)
-        var = _variables(env)
+        var = _variables(_bind_term(raw, conc_elems))
         args = [replace_vars(cover.apply(v), var)
                 for v in _plain_avars(stored)]
         args += [c for a, c in zip(raw, conc_elems) if isinstance(a, Multi)]
@@ -263,9 +252,11 @@ class _Synthesizer:
 
 def synthesize(graph: StateGraph, program: Program,
                policy: SelectionPolicy) -> SynthesizedProgram:
-    """Build the state-predicate program equivalent to the analyzed one,
-    from a graph the analysis built or ``metaint.build_tables`` accepted:
-    either records each state's steps."""
+    """Build the state-predicate program equivalent to the analyzed one.
+    The graph's recorded steps are taken when they are of ``program`` and
+    ``policy``; any other graph goes through ``metaint.build_tables``."""
+    if graph.source != (program, policy):
+        graph = build_tables(graph, program, policy).graph
     return _Synthesizer(graph, program, policy).synthesize()
 
 

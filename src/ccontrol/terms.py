@@ -54,8 +54,9 @@ class Var(str):
 # classes with __slots__ and a hand-written __init__: a frozen dataclass's
 # constructor costs two to three times as much.  They are immutable by
 # convention: no code assigns their fields outside these constructors (a
-# test checks that).  Each hashes the tuple of its fields, as the frozen
-# dataclasses did, so dict and set orders stay what they were.
+# test checks that).  A structure or atom hashes its whole term without
+# recursing (see ``_hash_term``); no output depends on a set's order, which
+# the hash of a name makes vary from run to run anyway.
 
 class Const:
     __slots__ = ("name",)
@@ -93,7 +94,7 @@ class Struct:
             _equal_args(self.args, other.args)
 
     def __hash__(self):
-        return hash((self.functor, self.args))
+        return _hash_term(self.functor, self.args)
 
     def __reduce__(self):
         return Struct, (self.functor, self.args)
@@ -118,7 +119,7 @@ class Atom:
         return self.pred == other.pred and _equal_args(self.args, other.args)
 
     def __hash__(self):
-        return hash((self.pred, self.args))
+        return _hash_term(self.pred, self.args)
 
     def __reduce__(self):
         return Atom, (self.pred, self.args)
@@ -129,6 +130,25 @@ class Atom:
 
     def __repr__(self):
         return print_atom(self)
+
+
+def _hash_term(name: str, args: tuple) -> int:
+    """The hash of a structure or atom: that of the tuple of its fields,
+    as the frozen dataclasses hashed, when no argument is a structure;
+    else that of its nodes in pre-order (arguments last first), each
+    structure as its name and arity, walked on an explicit stack so that
+    a term of any depth is hashed whole."""
+    if Struct not in map(type, args):
+        return hash((name, args))
+    nodes, stack = [name, len(args)], list(args)
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Struct:
+            nodes += (t.functor, len(t.args))
+            stack += t.args
+        else:
+            nodes.append(t)
+    return hash(tuple(nodes))
 
 
 def _equal_args(xs: tuple, ys: tuple) -> bool:
@@ -344,9 +364,8 @@ def term_vars(t) -> list:
 # --- substitutions ------------------------------------------------------
 
 class Substitution:
-    """Mapping Var -> Term.  ``unify`` returns it idempotent unless the
-    occurs check is off; ``apply`` follows binding chains, so it also
-    reads triangular bindings such as a store's."""
+    """Mapping Var -> Term: triangular bindings, such as the store that
+    ``unify`` unifies into, which ``apply`` reads by following chains."""
 
     __slots__ = ("bindings",)
 
@@ -362,15 +381,6 @@ class Substitution:
 
     def apply(self, x):
         return substitute(x, self.bindings)
-
-    def normalized(self) -> "Substitution":
-        """Resolve chains so no bound variable occurs in any range term."""
-        out = {}
-        for v in self.bindings:
-            t = self.apply(v)
-            if t != v:
-                out[v] = t
-        return Substitution(out)
 
 
 def substitute(x, b: dict):
@@ -532,22 +542,20 @@ def _unify_pairs(work: list, b: dict, occurs_check: bool) -> bool:
 
 
 def unify(t1, t2, occurs_check: bool = True):
-    """Most general unifier of two terms or atoms, or None on failure.
-    The argument pairs of two atoms are unified last first, as a clause
-    head's are (see ``resolve_in``), and a variable of ``t1`` is bound
-    before one of ``t2``."""
+    """Most general unifier of two terms or atoms, as the store of one
+    ``_unify_pairs`` run, or None on failure.  The argument pairs of two
+    atoms are unified last first, as a clause head's are (see
+    ``resolve_in``), and a variable of ``t1`` is bound before one of
+    ``t2``."""
     if isinstance(t1, Atom) and isinstance(t2, Atom):
         if t1.indicator != t2.indicator:
             return None
         work = list(zip(t1.args, t2.args))
     else:
         work = [(t1, t2)]
-    b = {}
-    if not _unify_pairs(work, b, occurs_check):
-        return None
-    # without the occurs check the result may be cyclic; leave chains to
-    # apply(), which walks them lazily
-    return Substitution(b).normalized() if occurs_check else Substitution(b)
+    sigma = Substitution()
+    return sigma if _unify_pairs(work, sigma.bindings, occurs_check) \
+        else None
 
 
 class FreshNames:

@@ -4,11 +4,11 @@ import copy
 import random
 
 from ccontrol.absdom import (AVar, FreshAVars, MVar, abstract_instance,
-                             abstract_unify_with_clause, canonicalize,
-                             full_eval_output, parse_aconj, print_aconj,
-                             widen_depth_k)
-from ccontrol.terms import (Const, Var, parse_program, parse_term,
-                            print_atom, print_term, unify)
+                             abstract_unify_with_clause, avar_occurrences,
+                             canonicalize, full_eval_output, is_ground,
+                             parse_aconj, print_aconj, widen_depth_k)
+from ccontrol.terms import (Atom, Const, Struct, Var, parse_program,
+                            parse_term, print_atom, print_term, unify)
 
 from oracles import (aterm_depth, check_widen_monotone, equivalent,
                      parse_aatom, parse_aterm, random_term, strict_instance)
@@ -122,6 +122,36 @@ def test_instance_matches_multi_constraints():
     assert abstract_instance(parse_aconj(
         "p(s(g1)) , multi((q(mg1,ma1,ma2)), init{}, consec{ma1=ma2}, "
         "final{}, id=1)"), y) is None
+
+
+def _nested(depth, innermost):
+    t = innermost
+    for _ in range(depth):
+        t = Struct("s", (t,))
+    return t
+
+
+def test_walks_of_a_deep_abstract_term_do_not_recurse():
+    # s^5000 of a variable, far deeper than the host's recursion limit:
+    # every walk of the domain runs on an explicit stack
+    a1, a2, g1, z = AVar("a", 1), AVar("a", 2), AVar("g", 1), Const("z")
+    assert avar_occurrences(Atom("p", (_nested(5000, a1), a2, a1))) == \
+        [a1, a2, a1]
+    assert is_ground(_nested(5000, g1)) and is_ground(_nested(5000, z))
+    assert not is_ground(_nested(5000, a1))
+    assert not is_ground(_nested(5000, Var("X")))
+    assert abstract_instance(_nested(5000, z), _nested(5000, g1)).pairs == \
+        {g1: z}
+    assert abstract_instance(_nested(5000, a2), _nested(5000, g1)) is None
+    assert abstract_instance(_nested(4999, z), _nested(5000, a1)) is None
+    assert abstract_instance(Atom("p", (_nested(5000, z), z)),
+                             Atom("p", (_nested(5000, a1), a1))).pairs == \
+        {a1: z}
+    # a clause whose head is 5,000 deep, unified through the store
+    clause = parse_program(f"p({'s(' * 5000}X{')' * 5000}).").clauses[0]
+    a = Atom("p", (a1,))
+    body, theta = abstract_unify_with_clause(a, clause, FreshAVars.above(a))
+    assert body == () and theta.pairs == {a1: _nested(5000, a2)}
 
 
 def test_widen_monotone_on_random_terms():

@@ -89,6 +89,18 @@ def test_analyze_growth_exits_1(tmp_path, capsys):
     assert "grows from ancestor" in capsys.readouterr().err
 
 
+def test_analyze_of_a_term_that_grows_at_every_call_exits_1(tmp_path,
+                                                            capsys):
+    # grow's argument deepens by one at every state until the default
+    # budget runs out; no walk of the analysis recurses on that depth
+    lp, pol = tmp_path / "grow.lp", tmp_path / "grow.policy"
+    lp.write_text("grow(X,X).\ngrow(X,Y) :- grow(s(X),Y).\n")
+    pol.write_text("entry: grow(g1,a1).\n")
+    assert main(["analyze", str(lp), str(pol)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "analysis failed: state budget exceeded (500)")
+
+
 def test_analyze_growth_diagnostic_is_pinned(tmp_path, capsys):
     # the abstract printer's text of the growing state and its ancestor
     lp = tmp_path / "queens.lp"
@@ -352,34 +364,36 @@ def test_clause_literals_5000_deep_answer_on_naive(tmp_path, capsys, program,
     assert out == f"answers: 1\ninferences: {inferences}\n"
 
 
-@pytest.mark.parametrize("program,entry,query,answer", [
-    (f"p({DEEP}).\n", "p(a1)", "p(A)", f"A = {DEEP}\n"),
+@pytest.mark.parametrize("program,entry,query,answer,states,inferences", [
+    (f"p({DEEP}).\n", "p(a1)", "p(A)", f"A = {DEEP}\n", 1, 1),
     (f"p({DEEP_X},X).\n", "p(a1,a2)", "p(A,B)",
-     f"A = {DEEP_X.replace('X', '_V1')}\nB = _V1\n")],
-    ids=["ground", "shared"])
+     f"A = {DEEP_X.replace('X', '_V1')}\nB = _V1\n", 1, 1),
+    (f"q(X) :- p({DEEP_X}).\np(Y).\n", "q(a1)", "q(z)", "true\n", 2, 2)],
+    ids=["ground", "shared", "body"])
 def test_clause_literals_5000_deep_answer_on_every_construction(
-        tmp_path, capsys, program, entry, query, answer):
-    # the analysis maps a literal back from the unifier on an explicit
-    # stack; a deep literal in a clause body, as in q(X) :- p(s^5000(X)).,
-    # still stops in the analysis' recursive walks
+        tmp_path, capsys, program, entry, query, answer, states, inferences):
+    # the analysis unifies through a store and walks every literal, in a
+    # clause's head or body, on an explicit stack
     lp, pol = tmp_path / "deep.lp", tmp_path / "deep.policy"
     lp.write_text(program)
     pol.write_text(f"entry: {entry}.\n")
     graph = tmp_path / "graph.json"
     assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
     capsys.readouterr()
+    assert len(json.loads(graph.read_text())["states"]) == states
     assert main(["mi-run", str(graph), str(lp), "--policy", str(pol),
                  "--query", query]) == 0
-    assert capsys.readouterr().out == f"{answer}\ninferences: 1\n"
-    for mode, goal, inferences in (("classic", query, 2),
-                                   ("futamura", f"compute([{query}])", 3)):
+    assert capsys.readouterr().out == \
+        f"{answer}\ninferences: {inferences}\n"
+    for mode, goal, extra in (("classic", query, 1),
+                              ("futamura", f"compute([{query}])", 2)):
         out = tmp_path / f"{mode}.lp"
         assert main(["synthesize", str(graph), str(lp), str(pol), "--mode",
                      mode, "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["run", str(out), "--query", goal, "--count"]) == 0
         assert capsys.readouterr().out == \
-            f"answers: 1\ninferences: {inferences}\n"
+            f"answers: 1\ninferences: {inferences + extra}\n"
 
 
 def test_cyclic_answer_exits_2_without_traceback(tmp_path, capsys):

@@ -20,8 +20,8 @@ from ccontrol.synthesis import run_compiled, synthesize
 from ccontrol.terms import (Atom, mklist, parse_goal, parse_program,
                             print_program, program_of, substitute)
 
-from conftest import (CORPUS_NAMES, answer_set, pinned_small_outputs,
-                      small_outputs)
+from conftest import (CORPUS_NAMES, answer_set, corpus_text,
+                      pinned_small_outputs, small_outputs)
 from oracles import (cmulti_blocks, is_cmulti, make_cmulti,
                      reference_apply_groupings, reference_split)
 from test_synthesis import WIDENED
@@ -174,6 +174,30 @@ def test_graph_that_breaks_a_goal_layout_is_a_metaint_error(edit):
     with pytest.raises(MetaintError) as exc:
         build_tables(*_acc_graph_with(edit))
     assert str(exc.value) == LAYOUT_DEFECTS[edit]
+
+
+def test_steps_analyzed_from_another_program_are_replayed(corpus):
+    # a graph's recorded steps are of the program and policy it was
+    # analyzed from: an equal pair takes them as they are, any other
+    # replays them, as for a graph read from a file, in build_tables and
+    # in synthesize alike; state 6, ord([g1]), resolves with clause 5,
+    # ord([X]), which permsort without it lacks
+    entry = corpus("permsort")
+    text = corpus_text("permsort", ".lp")
+    program = parse_program(text)
+    policy = parse_policy(corpus_text("permsort", ".policy"))
+    same = build_tables(entry.graph, program, policy)
+    assert same.graph.steps is entry.graph.steps
+    read = parse_graph(render_graph(entry.graph, "json"))
+    assert print_program(synthesize(read, program, policy).program) == \
+        print_program(entry.classic.program)
+    other = parse_program(text.replace("ord([X]).\n", ""))
+    for g in (entry.graph, read):
+        for construct in (build_tables, synthesize):
+            with pytest.raises(MetaintError, match=r"^state 6 has the "
+                               "transitions clause 5, where its action "
+                               "makes none$"):
+                construct(g, other, entry.policy)
 
 
 def test_unknown_grouping_kind_is_a_graph_file_error():

@@ -188,6 +188,18 @@ def _nested(depth, innermost):
     return t
 
 
+def test_hash_of_deep_terms_does_not_recurse():
+    # the hash reads the whole term on an explicit stack: equal terms
+    # 5,000 deep hash equal, and terms that differ only deep inside, or
+    # only in depth, hash apart
+    x, y = _nested(5000, "z"), _nested(5000, "z")
+    assert hash(x) == hash(y)
+    assert hash(Atom("p", (x, Var("X")))) == hash(Atom("p", (y, Var("X"))))
+    assert hash(x) != hash(_nested(5000, "o"))
+    assert len({hash(_nested(n, "z")) for n in range(1, 50)}) == 49
+    assert len({x, y, _nested(4999, "z")}) == 2
+
+
 def test_equality_of_deep_terms_does_not_recurse():
     x, y = _nested(5000, "z"), _nested(5000, "z")
     assert x == y and not x != y
