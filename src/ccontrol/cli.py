@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from importlib import resources
@@ -509,12 +510,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (CliError, LogicError) as e:
         print(f"cc {args.command}: {e}", file=sys.stderr)
         return 2
     except RecursionError:
         print(f"cc {args.command}: term nesting too deep", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # stdout's pipe (``_write`` reports a file's); what is left to
+        # flush at exit goes to the null device, so it does not raise again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"cc {args.command}: standard output closed", file=sys.stderr)
         return 2
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .terms import (CONS, NIL, Atom, Const, FreshNames, LogicError,
                     Program, Struct, Substitution, Var, _deref, _unify_pairs,
-                    mklist, print_term, resolve_all, substitute,
-                    take_back, term_to_atom, term_vars)
+                    mklist, print_term, replace_vars, resolve_all,
+                    substitute, take_back, term_to_atom, term_vars)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
 DEFAULT_MAX_DEPTH = 100_000
@@ -41,6 +41,7 @@ class RunResult:
     answers: list            # of Substitution restricted to query vars
     inference_count: int
     exhausted: bool
+    query_vars: tuple        # the query's variables, as answers name them
 
 
 def _value(t, store):
@@ -202,11 +203,24 @@ def check_known(program: Program, goal):
 
 
 def answer_set(result: RunResult) -> list:
-    """The answers as a sorted list of hashable keys: two runs have the
-    same answer multiset exactly when their answer sets are equal."""
-    return sorted(tuple(sorted((v.name, print_term(t))
-                               for v, t in sub.bindings.items()))
-                  for sub in result.answers)
+    """The answers as a sorted list of hashable keys: two runs of a query
+    have the same answer multiset, up to a renaming of the variables they
+    brought in, exactly when their keys are equal.  Those are renamed in
+    first-occurrence order over an answer's bindings sorted by name,
+    which keeps its sharing, to names raised past the query's variables;
+    the query's variables keep their names."""
+    keys = []
+    for sub in result.answers:
+        names = sorted(sub.bindings)
+        fresh, renamed = FreshNames("_"), {v: v for v in result.query_vars}
+        fresh.skip_past(result.query_vars)
+        terms = replace_vars(
+            tuple(sub.bindings[v] for v in names),
+            lambda v: renamed[v] if v in renamed
+            else renamed.setdefault(v, fresh.var()))
+        keys.append(tuple((v.name, print_term(t))
+                          for v, t in zip(names, terms)))
+    return sorted(keys)
 
 
 def depth_first(machine, goal, state=None) -> RunResult:
@@ -215,7 +229,7 @@ def depth_first(machine, goal, state=None) -> RunResult:
     The loop owns the goal stack, the answers, the limits and
     backtracking.  The machine supplies ``limits``, a running
     ``inferences`` count, the run's binding ``store`` (a dict whose
-    insertion order is its trail, see ``terms.resolve_in``) and
+    insertion order is its trail, see ``terms.resolve_all``) and
     ``step(goal, state)``, which expands a nonempty goal into ``(deeper,
     successors)``: successors are ``(goal, state, bindings)`` in the order
     they are to be tried, ``bindings`` being the (variable, term) pairs
@@ -230,7 +244,7 @@ def depth_first(machine, goal, state=None) -> RunResult:
 
     The machine's ``fresh`` names every variable a step brings in.  It is
     first raised past the query's variables, so a fresh name is never a
-    query variable's (see ``terms.resolve_in``).
+    query variable's (see ``terms.resolve_all``).
     """
     limits = machine.limits
     store = machine.store
@@ -267,7 +281,7 @@ def depth_first(machine, goal, state=None) -> RunResult:
         depth += deeper
         for newgoal, newstate, newbindings in reversed(successors):
             stack.append((newgoal, newstate, depth, mark, newbindings))
-    return RunResult(answers, machine.inferences, exhausted)
+    return RunResult(answers, machine.inferences, exhausted, tuple(qvars))
 
 
 class Solver:

@@ -23,7 +23,7 @@ hold it as the term ``cmulti([building_block([...]), ...])``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .absdom import (FULLEVAL, LogicError, abstract_instance, canonicalize,
@@ -35,9 +35,9 @@ from .engine import (BUILTINS, Limits, RunResult, Solver, check_known,
 from .multi import FoldEvent, Multi, simplify_conj
 from .policy import SelectionPolicy
 from .terms import (CONS, Atom, Const, FreshNames, Program, Struct,
-                    Var, atom_to_term, mklist, parse_program, print_atom,
-                    program_of, replace_vars, resolve_in, substitute,
-                    take_back, term_to_atom)
+                    Switch, Var, atom_to_term, mklist, parse_program,
+                    print_atom, program_of, replace_vars, resolve_all,
+                    substitute, take_back, term_to_atom)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -70,10 +70,14 @@ class StateTables:
     """The analyzed control as the interpreter reads it: the state graph,
     whose actions and transitions are the tables, the source program that
     its clause causes name, and the policy whose full-evaluation
-    declarations its fulleval causes index."""
+    declarations its fulleval causes index.  ``clause_rows`` holds each
+    state's clause transitions, in order, as ``(switch, dst)`` rows: the
+    one-clause ``Switch`` of the clause the cause names, and the state the
+    transition leads to."""
     graph: StateGraph
     program: Program
     policy: SelectionPolicy
+    clause_rows: dict = field(compare=False, repr=False)
 
     @property
     def entry(self) -> int:
@@ -117,7 +121,9 @@ def build_tables(g: StateGraph, program: Program,
     step's successor is empty, otherwise to a state that covers it.  The
     steps the analysis recorded are taken when it ran under an equal
     program and policy; any other graph, one read from a file among them,
-    is replayed here once, and the tables hold it with its steps."""
+    is replayed here once, and the tables hold it with its steps.  The
+    rows of each state's clause transitions are built here too, so that a
+    row's clause is always of the predicate the state selects."""
     entry = g.states.get(g.entry)
     if entry != canonicalize((policy.entry,)):
         shown = "missing" if entry is None else print_aconj(entry)
@@ -149,7 +155,11 @@ def build_tables(g: StateGraph, program: Program,
                     f"the {_causes_str([cause])} transition of state {sid} "
                     f"leads to state {t.dst}, which does not cover its "
                     f"successor {shown}")
-    return StateTables(g, program, policy)
+    switches = {c.id: Switch((c,)) for c in program.clauses}
+    rows = {sid: tuple((switches[t.cause[1]], t.dst)
+                       for t in g.successors(sid) if t.cause[0] == "clause")
+            for sid in g.states}
+    return StateTables(g, program, policy, rows)
 
 
 def _replay(sid, conj, action, program, policy) -> list:
@@ -226,7 +236,6 @@ class MetaInterpreter:
     def __init__(self, tables: StateTables, limits: Limits = None):
         self.tables = tables
         self.graph = tables.graph
-        self.clauses = {c.id: c for c in tables.program.clauses}
         self.limits = limits or Limits()
         self.fresh = FreshNames()
         self.store = {}
@@ -347,15 +356,15 @@ class MetaInterpreter:
             f"result {result} matches no declared output in state {state}")
 
     def _resolved(self, goal, state, idx):
+        """The selected atom resolved against each clause the state's
+        rows name, in order, each row's successor in its target state."""
         before, selected, after = divide_goals(goal, idx)
         succ = []
-        for t in self.graph.successors(state):
-            res = resolve_in(selected, self.clauses[t.cause[1]], self.fresh,
-                             self.store)
-            if res is None:
-                continue
-            self.inferences += 1
-            succ.append((before + res[0] + after, t.dst, res[1]))
+        for switch, dst in self.tables.clause_rows[state]:
+            for body, _, made in resolve_all(selected, switch, after, dst,
+                                             self.fresh, self.store):
+                succ.append((before + body, dst, made))
+        self.inferences += len(succ)
         return succ
 
 

@@ -22,9 +22,10 @@ from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BB_APPEND, build_tables, building_block
 from .multi import Multi, simplify_conj
 from .policy import SelectionPolicy
-from .terms import (CONS, Atom, Const, FreshNames, Program, Struct, Var,
-                    atom_to_term, mklist, print_atom, program_of,
-                    replace_vars, resolve_in, substitute)
+from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
+                    Switch, Var, atom_to_term, list_parts, mklist,
+                    print_atom, program_of, replace_vars, resolve_all,
+                    substitute, term_to_atom)
 
 
 class SynthesisError(LogicError):
@@ -181,15 +182,16 @@ class _Synthesizer:
 
     def _resolved(self, sid, pos, clause_id, template, freshc):
         env, elems, args = template
-        res = resolve_in(elems[pos], self.clauses_by_id[clause_id], freshc,
-                         {})
-        if res is None:
+        switch = Switch((self.clauses_by_id[clause_id],))
+        succ = resolve_all(elems[pos], switch, elems[pos + 1:], sid, freshc,
+                           {})
+        if not succ:
             raise SynthesisError(
                 f"clause {clause_id} matches abstractly but not "
                 f"concretely in state {sid}")
-        b = dict(res[1])
-        return (substitute(args, b), (),
-                substitute(elems[:pos] + res[0] + elems[pos + 1:], b))
+        [(goal, _, made)] = succ
+        b = dict(made)
+        return substitute(args, b), (), substitute(elems[:pos] + goal, b)
 
     def _evaluated(self, pos, cause, template):
         env, elems, args = template
@@ -264,12 +266,23 @@ def synthesize(graph: StateGraph, program: Program,
 
 def run_compiled(program: Program, goal, limits: Limits = None):
     """Run a goal on a compiled program, through its ``compute/1`` wrapper
-    when the program is a residual interpreter specialization."""
-    wrapped = program.clauses_for("compute", 1) \
-        and not program.clauses_for(goal[0].pred, len(goal[0].args))
-    if wrapped:
+    when it has one for the goal's predicate ``p/n``: the residual's
+    ``compute([p(X1,...,Xn)])``, or an encoded interpreter's, when the
+    program does not define ``p/n``."""
+    pred = goal[0].indicator
+    computes = program.clauses_for("compute", 1)
+    if computes and not program.clauses_for(*pred) or any(
+            _listed(c.head.args[0]) == pred for c in computes):
         goal = (Atom("compute", (mklist([atom_to_term(a) for a in goal]),)),)
     return solve(program, goal, limits=limits)
+
+
+def _listed(t):
+    """The predicate of ``p(...)`` when ``t`` is the list ``[p(...)]``."""
+    items, tail = list_parts(t)
+    atom = term_to_atom(items[0]) if len(items) == 1 and tail == Const(NIL) \
+        else None
+    return atom and atom.indicator
 
 
 def compare_programs(prog_a: Program, prog_b: Program, queries,

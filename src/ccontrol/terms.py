@@ -3,10 +3,9 @@
 The object language is a pure Prolog subset: no cut, no negation, no
 operators apart from infix ``=<``.  All values are immutable; the only
 mutable facilities are the fresh-name counter used for renaming apart,
-the binding store a search extends and undoes (see ``resolve_in``, the
-resolution step of one clause, and ``resolve_all``, that of a whole
-predicate through its first-argument ``Switch``) and the cache of
-generated head code by clause shape (see ``_head_code``).
+the binding store a search extends and undoes (see ``resolve_all``, the
+one resolution step, through a first-argument ``Switch``) and the cache
+of generated head code by clause shape (see ``_head_code``).
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ class Clause:
                                                      + self.body))}
 
     @cached_property
-    def head_code(self) -> tuple:
+    def head_code(self):
         """The clause's generated resolution code; see ``_head_code``."""
         return _head_code(self)
 
@@ -545,7 +544,7 @@ def unify(t1, t2, occurs_check: bool = True):
     """Most general unifier of two terms or atoms, as the store of one
     ``_unify_pairs`` run, or None on failure.  The argument pairs of two
     atoms are unified last first, as a clause head's are (see
-    ``resolve_in``), and a variable of ``t1`` is bound before one of
+    ``resolve_all``), and a variable of ``t1`` is bound before one of
     ``t2``."""
     if isinstance(t1, Atom) and isinstance(t2, Atom):
         if t1.indicator != t2.indicator:
@@ -587,104 +586,57 @@ def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
                   replace_vars(c.body, mapping.__getitem__), c.id)
 
 
-def resolve_in(atom: Atom, clause: Clause, fresh: FreshNames, store: dict,
-               occurs_check: bool = True):
-    """One resolution step of ``atom`` with ``clause`` against a binding
-    store: the clause's body, renamed apart but not instantiated, and the
-    bindings that unifying ``atom`` with the head added to ``store``, as
-    (variable, term) pairs taken back off it, last first; None when the
-    head does not unify.  The store is left as it was found, and its
-    bindings stand in for the instantiation of ``atom``: it is not
-    resolved through them first.  On an empty store, ``substitute`` of
-    the body (or of the rest of a goal) by the bindings gives what
+def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
+                fresh: FreshNames, store: dict, occurs_check: bool = True,
+                last_first: bool = False) -> list:
+    """The resolution step: ``atom`` resolved against each clause of
+    ``switch`` that its first argument lets match, as the successors
+    ``(body + rest, state, bindings)`` of the clauses whose heads unify,
+    in textual order.  ``switch`` is the ``Switch`` of ``atom``'s
+    predicate, or a table row's one-clause switch (see
+    ``metaint.build_tables``): the caller picks it, and the heads'
+    predicate is not checked.  The first argument is dereferenced once,
+    and its principal functor picks the candidates, as first-argument
+    indexing does; an unbound variable picks them all, and a clause left
+    out binds nothing.
+
+    ``body`` is the clause's body, renamed apart but not instantiated;
+    ``bindings`` are those that its generated head code (see
+    ``_head_code``) added to ``store``, taken back off it as (variable,
+    term) pairs, last first.  The store's bindings stand in for the
+    instantiation of ``atom``, which is not resolved through them first,
+    and the store is left as it was found.  On an empty store,
+    ``substitute`` of ``body + rest`` by the bindings gives what
     ``rename_apart``, ``unify`` and applying the unifier give.  The
-    bindings are the unifier's, in its order (the argument pairs are
-    unified last first, depth first, and a goal variable is bound before
-    a clause variable), less those of the clause variables whose first
-    occurrence met a goal term other than an unbound variable: such a
-    variable is not bound, and the body holds that term in its place.
+    bindings are the unifier's, in its order (argument pairs last first,
+    depth first, a goal variable bound before a clause variable), less
+    those of the clause variables whose first occurrence met a goal term
+    other than an unbound variable: such a variable is not bound, and the
+    body holds that term in its place.
 
-    The head is unified by the clause's generated code (see
-    ``_head_code``), but first the goal's first argument is checked, as
-    first-argument indexing does: when it is a constant or structure
-    whose principal functor (see ``_principal``) is not that of the head's
-    first argument, the clause is rejected with no binding made.  This is
-    the single-clause step, of the table-driven interpreter and direct
-    synthesis; the engine and partial deduction resolve an atom against
-    its whole predicate with ``resolve_all``.
-
-    Fresh names: ``fresh`` advances by the clause's variable count,
-    whether its head unifies, fails or is rejected, and the clause
-    variable at position ``i`` of ``clause.variables`` is named
-    ``<prefix><n + i + 1>`` from the count ``n`` it had.  The caller keeps
-    ``fresh`` apart from the goal: no variable of ``atom`` or of the store
-    may be named like a name ``fresh`` hands out now.  Then a clause
-    variable's first occurrence needs no occurs check, as the WAM's
-    ``get_variable``: an unbound goal variable is bound to the fresh name
-    and any other goal term is held as it is; a later occurrence is
-    unified with the check.  Inside a template (see ``_shape``), a first
-    occurrence is unified with the check too, and its fresh name is bound
-    to a goal term that is not a variable; a fresh name occurs in no term
-    yet, so the check cannot fail there.  ``engine.depth_first`` raises
-    ``fresh`` past the query's variables (``FreshNames.skip_past``), and
-    every other goal variable of its machines comes from that ``fresh``:
-    partial deduction's goals too, whose patterns it generalizes over its
-    one ``FreshNames``.  Direct synthesis builds its goals over the
-    ``G``, ``A`` and ``B`` variables of its templates and names from its
-    ``FreshNames``.
+    Fresh names: ``fresh`` advances by ``switch.total``, and each
+    candidate is named at the count it would have had had every clause
+    been tried in textual order, or in the reverse order with
+    ``last_first``, as partial deduction unfolds a memoized pattern (the
+    successors stay in textual order): from the count ``n``, the variable
+    at position ``i`` of the clause's ``variables`` is
+    ``<prefix><n + i + 1>``.  No variable of ``atom`` or of the store may
+    be named like a name ``fresh`` hands out now: ``engine.depth_first``
+    raises ``fresh`` past the query's variables, every other goal variable
+    of its machines, partial deduction's among them, comes from that
+    ``fresh``, and direct synthesis builds its goals over the ``G``, ``A``
+    and ``B`` variables of its templates.  Then a clause variable's first
+    occurrence needs no occurs check, as the WAM's ``get_variable``: an
+    unbound goal variable is bound to the fresh name and any other goal
+    term is held as it is.  A later occurrence is unified with the check,
+    and so is a first one inside a template (see ``_shape``), where the
+    check cannot fail, a fresh name occurring in no term yet.
 
     A store is a dict whose insertion order is its trail: a search adds
     bindings at the end and undoes them from the end (``take_back``).
     The goal and the store hold concrete terms: the head code tests a
     goal term's class, so it would not take an abstract variable of
-    ``absdom`` for a variable.
-    """
-    nvars, first, code = clause.head_code
-    base = fresh.n
-    fresh.n = base + nvars
-    args = atom.args
-    head = clause.head
-    if atom.pred != head.pred or len(args) != len(head.args):
-        return None
-    if first is not None:
-        x = args[0]
-        while isinstance(x, Var):
-            t = store.get(x)
-            if t is None:
-                break
-            x = t
-        # ``_principal`` of the goal's argument, inline: a call here costs
-        # the table-driven interpreter about 2%
-        if x.__class__ is Const:
-            if x.name != first:
-                return None
-        elif x.__class__ is Struct and (x.functor, len(x.args)) != first:
-            return None
-    mark = len(store)
-    body = code(args, store, occurs_check, fresh.prefix, base)
-    bindings = take_back(store, mark)
-    if body is None:
-        return None
-    return body, bindings
-
-
-def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
-                fresh: FreshNames, store: dict, occurs_check: bool = True,
-                last_first: bool = False) -> list:
-    """``atom`` resolved against every clause of its predicate, whose
-    ``Switch`` is ``switch``, that its first argument lets match: the
-    successors ``(body + rest, state, bindings)`` of the clauses whose
-    heads unify, in textual order, each as ``resolve_in`` gives it.
-
-    The first argument is dereferenced once, and its principal functor
-    picks the candidate clauses; an unbound variable picks them all.
-    ``fresh`` advances by the predicate's total variable count, and each
-    candidate's head code runs at the count it would have had had every
-    clause been tried in textual order, so every fresh name, binding and
-    inference count is what ``resolve_in`` on each clause in turn gives.
-    With ``last_first`` the names are those of trying the clauses in the
-    reverse order, as partial deduction unfolds a memoized pattern; the
-    successors stay in textual order."""
+    ``absdom`` for a variable."""
     base = fresh.n
     fresh.n = base + switch.total
     args = atom.args
@@ -696,7 +648,8 @@ def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
             if t is None:
                 break
             x = t
-        # ``_principal`` of the argument, inline, as in ``resolve_in``
+        # ``_principal`` of the argument, inline: a call here costs the
+        # table-driven interpreter about 2%
         if x.__class__ is Const:
             candidates = switch.by_key.get(x.name, switch.unkeyed)
         elif x.__class__ is Struct:
@@ -706,9 +659,8 @@ def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
     successors = []
     for clause, offset, from_end in candidates:
         mark = len(store)
-        body = clause.head_code[2](args, store, occurs_check, prefix,
-                                   base + (from_end if last_first
-                                           else offset))
+        body = clause.head_code(args, store, occurs_check, prefix,
+                                base + (from_end if last_first else offset))
         if body is not None:
             successors.append((body + rest, state, take_back(store, mark)))
         elif len(store) > mark:
@@ -735,23 +687,19 @@ _MAX_NESTING = 16
 _FACTORIES = {}
 
 
-def _head_code(clause: Clause) -> tuple:
-    """The clause's variable count, the principal functor of its head's
-    first argument (a constant's name, a structure's functor and arity,
-    or None for a variable or no argument), and its resolution code: a
-    function of the goal's arguments, the store, the occurs-check flag
-    and the fresh names' prefix and count that unifies the arguments with
-    the head, binding into the store, and returns the renamed body, or
-    None when the head does not unify.
+def _head_code(clause: Clause):
+    """The clause's resolution code: a function of the goal's arguments,
+    the store, the occurs-check flag and the fresh names' prefix and count
+    that unifies the arguments with the head, binding into the store, and
+    returns the renamed body, or None when the head does not unify.
 
     The code is generated once per shape, on the first clause of that
     shape; a clause only hands its constants to the shape's factory."""
-    shape, consts, nvars = _shape(clause)
+    shape, consts = _shape(clause)
     make = _FACTORIES.get(shape)
     if make is None:
         make = _FACTORIES[shape] = _factory(shape)
-    first = _principal(clause.head.args[0]) if clause.head.args else None
-    return nvars, first, make(consts)
+    return make(consts)
 
 
 def _is_constant(node) -> bool:
@@ -759,8 +707,8 @@ def _is_constant(node) -> bool:
 
 
 def _shape(clause: Clause) -> tuple:
-    """The clause's shape, free of names, the constants it leaves out and
-    its variable count, from one walk of the clause.
+    """The clause's shape, free of names, and the constants it leaves out,
+    from one walk of the clause.
 
     The shape is ``(head arguments, body atoms)`` of nodes: a variable's
     position in ``clause.variables``; ``("c", j)`` for a constant,
@@ -812,7 +760,7 @@ def _shape(clause: Clause) -> tuple:
         else:
             nodes.append(positions.setdefault(t, len(positions)))
     n = len(clause.head.args)
-    return (tuple(nodes[:n]), tuple(nodes[n:])), consts, len(positions)
+    return (tuple(nodes[:n]), tuple(nodes[n:])), consts
 
 
 def _node_vars(nodes) -> set:

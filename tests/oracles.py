@@ -23,11 +23,11 @@ from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
 from itertools import repeat
 
 from ccontrol.terms import (CONS, NIL, Atom, Const, ParseError, Struct,
-                            Substitution, Var, _MAX_NESTING, _occurs,
-                            list_parts, mklist, parse_atom, print_atom,
-                            print_term, replace_vars, resolve_in,
-                            substitute, take_back, term_to_atom, term_vars,
-                            unify)
+                            Substitution, Switch, Var, _MAX_NESTING,
+                            _occurs, list_parts, mklist, parse_atom,
+                            print_atom, print_term, replace_vars,
+                            resolve_all, substitute, take_back,
+                            term_to_atom, term_vars, unify)
 
 
 # --- abstract notation ---------------------------------------------------
@@ -659,12 +659,27 @@ def reference_generalize_call(atom, types, fresh, parts):
 
 # --- the resolution step -------------------------------------------------
 
+def resolve_one(atom, clause, fresh, store, occurs_check=True):
+    """One clause's resolution step, as the interpreter takes a table row:
+    ``terms.resolve_all`` over the clause's one-clause ``Switch``, giving
+    the body and the bindings, or None when the head does not unify.  An
+    atom of another predicate, which no row gives, is not resolved: it
+    gives None, and ``fresh`` advances by the clause's variable count, as
+    in ``reference_resolve_in``."""
+    if atom.indicator != clause.head.indicator:
+        fresh.n += len(clause.variables)
+        return None
+    succ = resolve_all(atom, Switch((clause,)), (), None, fresh, store,
+                       occurs_check)
+    return (succ[0][0], succ[0][2]) if succ else None
+
+
 def resolve(atom, clause, fresh, occurs_check=True):
-    """One resolution step in substitution form: ``resolve_in`` on an
+    """One resolution step in substitution form: ``resolve_one`` on an
     empty store, the body instantiated by its bindings, and the bindings,
     in the order made, as the unifier to apply to the rest of the goal;
     None when the head does not unify."""
-    res = resolve_in(atom, clause, fresh, {}, occurs_check)
+    res = resolve_one(atom, clause, fresh, {}, occurs_check)
     if res is None:
         return None
     body, made = res
@@ -779,9 +794,10 @@ def unify_head(atom, clause, fresh, b, occurs_check=True):
 
 
 def reference_resolve_in(atom, clause, fresh, store, occurs_check=True):
-    """``terms.resolve_in`` by the work-list unifier, with no first-argument
-    pre-check and the body renamed by ``replace_vars``: the reference the
-    generated head code must match, binding for binding."""
+    """One clause's resolution step (``resolve_one``) by the work-list
+    unifier, with no first-argument switch and the body renamed by
+    ``replace_vars``: the reference the generated head code must match,
+    binding for binding."""
     mark = len(store)
     rename = unify_head(atom, clause, fresh, store, occurs_check)
     bindings = take_back(store, mark)

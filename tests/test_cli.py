@@ -1008,3 +1008,60 @@ def test_a_zero_tolerance_passes_agreeing_programs(permsort_files, capsys):
     lp, _, q = permsort_files
     assert main(["compare", str(lp), str(lp), "--queries", str(q),
                  "--tolerance", "0"]) == 0
+
+
+def test_compare_keys_answers_up_to_renaming(tmp_path, capsys):
+    # Y = f(_V1) against Y = f(_V2): one answer under two fresh names
+    a, b, q = tmp_path / "a.lp", tmp_path / "b.lp", tmp_path / "q.txt"
+    a.write_text("p(f(X)).\n")
+    b.write_text("p(Z) :- r(Z).\nr(f(W)).\n")
+    q.write_text("p(Y)\n")
+    assert main(["compare", str(a), str(b), "--queries", str(q),
+                 "--tolerance", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_match"]
+
+
+def test_pipeline_runs_a_compute_entry_as_it_is(tmp_path, capsys):
+    # the program defines compute/1 itself: only the residual goes
+    # through the wrapper compute([compute(X1)])
+    lp, pol = tmp_path / "c.lp", tmp_path / "c.policy"
+    lp.write_text("compute(z).\ncompute(s(X)) :- compute(X).\n")
+    pol.write_text("entry: compute(g1).\n")
+    (tmp_path / "c.queries").write_text("compute(s(s(z)))\ncompute(s(a))\n")
+    assert main(["pipeline", str(lp), str(pol), "--out-dir",
+                 str(tmp_path / "out"), "--tolerance", "0.3"]) == 0
+    out = capsys.readouterr().out
+    assert "compute(s(s(z))): agree" in out and "compute(s(a)): agree" in out
+    assert "workload deviation 14.29% (within 30% tolerance)" in out
+
+
+def test_a_closed_output_exits_2_without_traceback(tmp_path):
+    # the reader stops after one line: the next write finds the pipe closed
+    lp = tmp_path / "nat.lp"
+    lp.write_text("nat(z).\nnat(s(X)) :- nat(X).\n")
+    src = str(pathlib.Path(ccontrol.__file__).resolve().parents[1])
+    with subprocess.Popen(
+            [sys.executable, "-m", "ccontrol.cli", "run", str(lp),
+             "--query", "nat(X)", "--max-answers", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (first, proc.wait(timeout=60)) == ("X = z\n", 2)
+    assert err == "cc run: standard output closed\n"
+
+
+def test_a_closed_pipe_on_an_artifact_is_that_file_s_write_error(
+        permsort_files, monkeypatch, capsys):
+    # only standard output's closing is reported as such
+    lp, pol, _ = permsort_files
+    out = lp.parent / "graph.json"
+
+    def closed(path, *args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", closed)
+    assert main(["analyze", str(lp), str(pol), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"cc analyze: cannot write {out}: Broken pipe\n"

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from ccontrol.engine import (BUILTINS, EngineError, Limits, ModeError,
-                             answer_set, solve)
-from ccontrol.terms import (NIL, Atom, Const, Struct, Var, mklist, parse_atom,
-                            parse_goal, parse_program, print_term, substitute)
+                             RunResult, answer_set, solve)
+from ccontrol.terms import (NIL, Atom, Const, Struct, Substitution, Var,
+                            mklist, parse_atom, parse_goal, parse_program,
+                            parse_term, print_term, substitute)
 
 from conftest import corpus_text
 from oracles import reference_evaluate
@@ -307,6 +308,35 @@ def test_every_construction_keeps_fresh_names_apart_from_the_query(corpus):
         assert answers_of(named, "_V3") == answers_of(plain, "S") == \
             ["[1,2,3]"]
         assert named.inference_count == plain.inference_count
+
+
+def test_answer_keys_rename_fresh_variables_and_keep_sharing():
+    def key(query, *answers):
+        return answer_set(RunResult(
+            [Substitution({Var(v): parse_term(t) for v, t in a.items()})
+             for a in answers], 0, True, tuple(map(Var, query))))
+
+    shared = key("XYW", {"Y": "_V7", "X": "f(_V7,W)"})
+    assert shared == [(("X", "f(_1,W)"), ("Y", "_1"))]
+    assert key("XYW", {"X": "f(_V2,W)", "Y": "_V2"}) == shared
+    assert key("XYW", {"X": "f(_V2,_V9)", "Y": "_V2"}) != shared
+    assert key("XYW", {"X": "f(_V2,W)", "Y": "_V9"}) != shared
+    # a query variable is kept, and a renamed one never takes its name
+    assert key(["X", "A"], {"X": "g(A)"}) != key(["X", "A"], {"X": "g(_V1)"})
+    assert key(["X", "_1"], {"X": "g(_V1,_1)"}) == \
+        [(("X", "g(_2,_1)"),)]
+
+
+def test_answers_sharing_unbound_query_variables_stay_apart():
+    # both programs answer P = [A,B] twice, or [A,B] and [B,A]: A and B
+    # are the query's and stay unbound, so the answers differ
+    goal = parse_goal("perm([A,B],P)")
+    select = parse_program("perm([],[]).\n"
+                           "perm(L,[X|P]) :- select(X,L,R), perm(R,P).\n")
+    twice = parse_program("perm(L,L).\nperm(L,L).\n")
+    assert answer_set(solve(select, goal)) == \
+        [(("P", "[A,B]"),), (("P", "[B,A]"),)]
+    assert answer_set(solve(twice, goal)) == [(("P", "[A,B]"),)] * 2
 
 
 def test_a_growing_stream_costs_linear_time():

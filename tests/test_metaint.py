@@ -397,6 +397,45 @@ def test_user_full_evaluation_compiles_both_ways():
         assert compiled == [naive] * 3, text
 
 
+def _all_ways(lp, pol, text):
+    """Answer sets of ``mi_run`` followed by those of naive, the encoded
+    interpreter, classic and futamura on one goal, with the inference
+    count of each run."""
+    program, policy = parse_program(lp), parse_policy(pol)
+    tables = build_tables(analyze(program, policy), program, policy)
+    goal = parse_goal(text)
+    runs = [mi_run(tables, goal)] + [
+        run_compiled(p, goal) for p in (
+            program, encode_as_logic_program(tables),
+            synthesize(tables.graph, program, policy).program,
+            specialize_encoded(tables).program)]
+    return [(answer_set(r), r.inference_count) for r in runs]
+
+
+def test_answers_agree_whatever_fresh_names_they_hold():
+    # naive and mi_run answer Y = f(_V3), classic and futamura Y = f(_V4):
+    # one answer under two fresh names
+    runs = _all_ways("p(X) :- q(X,Z), r(Z).\nq(f(W),a).\nr(a).\n",
+                     "entry: p(a1).\npreprior: q(a1,a2) < r(a2).\n",
+                     "p(Y)")
+    assert [answers for answers, _ in runs] == [[(("Y", "f(_1)"),)]] * 5
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "classic, encoded and futamura take every output's transition of a "
+    "full evaluation for every result, where mi_run takes the first output "
+    "the result fits (ROADMAP item 3)"))
+def test_a_full_evaluation_takes_only_the_outputs_its_result_fits():
+    # q(0,Z) gives Z = a, which fits only the second output; classic's
+    # p_s2 has one clause per output, and nothing tests which one fits
+    runs = _all_ways("p(X,Y) :- q(X,Z), r(Z,Y).\nq(0,a).\nq(1,f(W)).\n"
+                     "r(Z,Z).\n",
+                     "entry: p(g1,a1).\nfulleval: q(g1,a1) -> { a1=g2 } ; "
+                     "{ a1=a2 } via user q/2.\n", "p(0,Y)")
+    assert runs[:2] == [([(("Y", "a"),)], 3)] * 2
+    assert [answers for answers, _ in runs] == [[(("Y", "a"),)]] * 5
+
+
 _DRIVER = """\
 compute(Gs) :- mi(Gs,1).
 mi([],_).

@@ -16,19 +16,19 @@ from ccontrol.metaint import encode_as_logic_program
 from ccontrol.multi import pattern_name
 from ccontrol.policy import parse_policy
 from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
-                            Program, Struct, Substitution, Var, _Lexer,
-                            _MAX_NESTING, _Parser, _shape,
+                            Program, Struct, Substitution, Switch, Var,
+                            _Lexer, _MAX_NESTING, _Parser, _shape,
                             list_parts, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
-                            rename_apart, replace_vars, resolve_in,
-                            substitute, term_vars, unify)
+                            rename_apart, replace_vars, substitute,
+                            term_vars, unify)
 
 from conftest import CORPUS_NAMES, corpus_text
 from oracles import (atoms_like, check_unify_against_brute_force,
                      random_term, reference_print_term, reference_replace_vars,
                      reference_resolve_in, reference_substitute,
-                     reference_tokens, resolve)
+                     reference_tokens, resolve, resolve_one)
 
 
 # --- parsing and printing -------------------------------------------------
@@ -501,8 +501,8 @@ def test_a_long_head_list_nests_no_deeper_than_the_bound():
         return parse_program(f"p([{items}]).").clauses[0]
 
     long = clause(5000)
-    (head, body), _, nvars = _shape(long)
-    assert body == () and nvars == 5000
+    (head, body), _ = _shape(long)
+    assert body == () and Switch((long,)).total == 5000
     deepest, stack = 0, [(node, 1) for node in head]
     while stack:
         node, depth = stack.pop()
@@ -512,9 +512,9 @@ def test_a_long_head_list_nests_no_deeper_than_the_bound():
         elif node.__class__ is tuple and node[0] == "t":
             assert node[2] == tuple(range(_MAX_NESTING - 1, 5000))
     assert deepest == _MAX_NESTING
-    code = long.head_code[2].__code__.co_code
-    assert clause(100).head_code[2].__code__.co_code == code
-    body, made = resolve_in(parse_atom("p(L)"), long, FreshNames(), {})
+    code = long.head_code.__code__.co_code
+    assert clause(100).head_code.__code__.co_code == code
+    body, made = resolve_one(parse_atom("p(L)"), long, FreshNames(), {})
     assert body == () and made == [
         (Var("L"), mklist([Var(f"_V{i}") for i in range(1, 5001)]))]
 
@@ -669,7 +669,7 @@ def test_resolve_in_a_store_matches_resolve_of_the_instance(corpus):
                 want = _outcome(_fused_resolve, substitute(atom, store),
                                 clause, fresh_a, substitute(rest, store),
                                 occurs_check)
-                res = resolve_in(atom, clause, fresh_b, store, occurs_check)
+                res = resolve_one(atom, clause, fresh_b, store, occurs_check)
                 assert list(store.items()) == list(before.items())
                 got = None if res is None else _outcome(
                     lambda body, b: (substitute(body, b), substitute(rest, b)),
@@ -694,7 +694,7 @@ def test_resolve_occurs_check():
 
 
 SAME = parse_program("p(A,A).").clauses[0]
-# without the check: the bindings resolve and resolve_in make, in the order
+# without the check: the bindings resolve and resolve_one make, in the order
 # made, when the second occurrence of A meets a term holding X; the first
 # occurrence binds only a goal variable, and holds f(X) as it is
 CYCLIC = {"p(f(X),X)": [(Var("X"), Var("_V1")),
@@ -709,12 +709,12 @@ def test_a_second_occurrence_is_occurs_checked(query):
     atom = parse_atom(query)
     store = {}
     assert resolve(atom, SAME, FreshNames()) is None
-    assert resolve_in(atom, SAME, FreshNames(), store) is None
+    assert resolve_one(atom, SAME, FreshNames(), store) is None
     assert store == {}
     body, mgu = resolve(atom, SAME, FreshNames(), occurs_check=False)
     assert body == () and list(mgu.bindings.items()) == CYCLIC[query]
-    body, made = resolve_in(atom, SAME, FreshNames(), store,
-                            occurs_check=False)
+    body, made = resolve_one(atom, SAME, FreshNames(), store,
+                             occurs_check=False)
     assert body == () and made[::-1] == CYCLIC[query] and store == {}
 
 
@@ -776,8 +776,8 @@ def test_generated_head_code_matches_the_work_list_reference(corpus):
                 store_a, store_b = dict(store), dict(store)
                 want = reference_resolve_in(atom, clause, fresh_a, store_a,
                                             occurs_check)
-                got = resolve_in(atom, clause, fresh_b, store_b,
-                                 occurs_check)
+                got = resolve_one(atom, clause, fresh_b, store_b,
+                                  occurs_check)
                 assert got == want, (atom, clause, occurs_check)
                 assert fresh_a.n == fresh_b.n
                 assert list(store_b.items()) == before
@@ -799,7 +799,7 @@ def test_the_pre_check_binds_nothing_and_skipped_clauses_take_their_names():
     fresh, fresh_ref = FreshNames(), FreshNames()
     for clause in program.clauses[:2]:
         store = _CountingStore()
-        assert resolve_in(atom, clause, fresh, store) is None
+        assert resolve_one(atom, clause, fresh, store) is None
         assert getattr(store, "writes", 0) == 0 and store == {}
         # the work-list reference unifies the last arguments first
         ref_store = _CountingStore()
@@ -807,7 +807,7 @@ def test_the_pre_check_binds_nothing_and_skipped_clauses_take_their_names():
             is None
         assert ref_store.writes == 2 and ref_store == {}
     assert fresh.n == fresh_ref.n == 4
-    body, made = resolve_in(atom, program.clauses[2], fresh, {})
+    body, made = resolve_one(atom, program.clauses[2], fresh, {})
     assert fresh.n == 6 and body == ()
     assert made[::-1] == [(Var("M"), Var("_V5")), (Var("K"), Var("_V6")),
                           (Var("_V5"), Const("b"))]
@@ -819,7 +819,7 @@ def test_a_first_occurrence_holds_a_goal_term_and_binds_nothing():
     clause = parse_program("p(X,Y,Z) :- q(Z,Y,X).").clauses[0]
     atom = parse_atom("p(f(a),g(B),C)")
     store = _CountingStore()
-    body, made = resolve_in(atom, clause, FreshNames(), store)
+    body, made = resolve_one(atom, clause, FreshNames(), store)
     assert store.writes == 1 and store == {}
     assert made == [(Var("C"), Var("_V3"))]
     assert body == (parse_atom("q(_V3,g(B),f(a))"),)
@@ -835,8 +835,8 @@ class _RefusingStore(dict):
 def test_an_error_raised_in_head_code_has_a_traceback_that_formats():
     clause = parse_program("p(X,f(X)).").clauses[0]
     try:
-        resolve_in(parse_atom("p(A,B)"), clause, FreshNames(),
-                   _RefusingStore())
+        resolve_one(parse_atom("p(A,B)"), clause, FreshNames(),
+                    _RefusingStore())
     except LookupError:
         text = traceback.format_exc()
     assert "<clause shape>" in text
