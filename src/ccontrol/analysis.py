@@ -17,7 +17,7 @@ from .absdom import (FULLEVAL, UNFOLD, FreshAVars, LogicError,
                      full_eval_output, parse_aconj, print_aconj,
                      widen_depth_k)
 from .engine import BUILTINS
-from .multi import (FoldEvent, Multi, case_split, pattern_name,
+from .multi import (LAYOUTS, FoldEvent, Multi, case_split, pattern_name,
                     simplify_conj, try_fold)
 from .policy import NoMinimumError, SelectionPolicy, select_conjunct
 from .terms import Atom, Const, Program, Struct, print_atom
@@ -379,8 +379,8 @@ def parse_graph(text: str) -> StateGraph:
     actions; both are ignored.  A document of another shape, a state
     defined twice, a transition, entry or action naming no state, a state
     without an action, a select action marked neither ``unfold`` nor
-    ``fulleval`` and a group action of another kind than ``new``,
-    ``left``, ``right`` or ``merge`` are AnalysisErrors."""
+    ``fulleval`` and a group action of a kind with no layout in
+    ``multi.LAYOUTS`` are AnalysisErrors."""
     doc = json.loads(text)
     states = {}
     for s in _field(doc, "states", list):
@@ -400,7 +400,7 @@ def parse_graph(text: str) -> StateGraph:
             raise AnalysisError(f"select action of state {sid} marked "
                                 f"{a[2]!r}, neither {UNFOLD!r} nor "
                                 f"{FULLEVAL!r}")
-        if a[0] == "group" and a[3] not in ("new", "left", "right", "merge"):
+        if a[0] == "group" and a[3] not in LAYOUTS:
             raise AnalysisError(f"group action of state {sid} of unknown "
                                 f"kind {a[3]!r}")
         actions[int(sid)] = ("group", FoldEvent(*a[1:])) \

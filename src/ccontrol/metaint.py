@@ -32,9 +32,9 @@ from .analysis import (EMPTY_STATE, AnalysisError, StateGraph,
                        abstract_step, action_json)
 from .engine import (BUILTINS, Limits, RunResult, Solver, check_known,
                      depth_first, support_clauses)
-from .multi import FoldEvent, Multi, simplify_conj
+from .multi import BLOCK, MULTI, FoldEvent, Multi, simplify_conj
 from .policy import SelectionPolicy
-from .terms import (CONS, Atom, Const, FreshNames, Program, Struct,
+from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
                     Switch, Var, atom_to_term, mklist, parse_program,
                     print_atom, program_of, replace_vars, resolve_all,
                     substitute, take_back, term_to_atom)
@@ -200,19 +200,12 @@ def divide_goals(goal, idx):
 
 def apply_groupings(goal, ev: FoldEvent):
     """Group a subconjunction of a goal into a cmulti element, mirroring
-    the analysis grouping ``ev``: two adjacent atom blocks form a new
-    cmulti, a block joins the adjacent cmulti on its left or right, or two
-    adjacent cmultis merge.  Flattening the result restores the original
-    goal, so answers are unaffected."""
-    s, p, width = ev.start, ev.plen, ev.width
-    if ev.kind == "new":
-        blocks = (goal[s: s + p], goal[s + p: s + width])
-    elif ev.kind == "left":
-        blocks = (goal[s: s + p],) + goal[s + p]
-    elif ev.kind == "right":
-        blocks = goal[s] + (goal[s + 1: s + width],)
-    else:
-        blocks = goal[s] + goal[s + 1]
+    the analysis grouping ``ev``: a block of its layout is one block of
+    the cmulti and a cmulti gives its blocks, in order.  Flattening the
+    result restores the original goal, so answers are unaffected."""
+    blocks = ()
+    for shape, part in ev.parts(goal):
+        blocks += (part,) if shape == BLOCK else part
     return ev.fold(goal, blocks)
 
 
@@ -558,29 +551,39 @@ def _positional(n, prefix="E"):
 
 def _grouping_clauses(sid, dst, ev: FoldEvent) -> list:
     """The grouping fact of one grouping state and its apply_groupings/3
-    clause, which regroups the goal by position."""
+    clause, which regroups the goal by position: the blocks of the layout
+    are A*, then B*, and its cmultis hold BBs, or BBs1 and BBs2."""
     tag = Const(f"gspec{sid}")
-    xs = _positional(ev.plen, "A")
-    body = ()
-    if ev.kind == "new":
-        ys = _positional(ev.plen, "B")
-        old = xs + ys
-        grouped = mklist([building_block(xs), building_block(ys)])
-    elif ev.kind == "left":
-        old = xs + [Struct(CMULTI, (Var("BBs"),))]
-        grouped = Struct(CONS, (building_block(xs), Var("BBs")))
-    elif ev.kind == "right":
-        old = [Struct(CMULTI, (Var("BBs"),))] + xs
-        grouped = Var("NewBBs")
-        body = (Atom("bb_append", (Var("BBs"), mklist([building_block(xs)]),
-                                   grouped)),)
-    else:
-        old = [Struct(CMULTI, (Var("BBs1"),)), Struct(CMULTI, (Var("BBs2"),))]
-        grouped = Var("NewBBs")
-        body = (Atom("bb_append", (Var("BBs1"), Var("BBs2"), grouped)),)
+    blocks = iter("AB")
+    multis = iter(["BBs"] if ev.layout.count(MULTI) == 1 else ["BBs1", "BBs2"])
+    parts = [(BLOCK, _positional(ev.plen, next(blocks))) if shape == BLOCK
+             else (MULTI, Var(next(multis))) for shape in ev.layout]
+    old = [t for shape, part in parts
+           for t in (part if shape == BLOCK else [Struct(CMULTI, (part,))])]
+    grouped, body = block_list(parts, Var("NewBBs"))
     pre, rest = _positional(ev.start), Var("Rest")
     return [_fact("grouping", Const(sid), Const(dst), tag),
             (Atom("apply_groupings",
                   (mklist(pre + old, rest), tag,
                    mklist(pre + [Struct(CMULTI, (grouped,))], rest))),
              body)]
+
+
+def block_list(parts, out: Var):
+    """The building-block list of a grouping's (shape, part) pairs, whose
+    blocks are atoms or variables and whose multis are block lists: each
+    block is one building block, and each multi gives its list's.
+    Returns the list and the body calls that build it: a bb_append/3 call,
+    into ``out``, where a multi is followed by more blocks (a layout has
+    two parts, so there is at most one)."""
+    nil = Const(NIL)
+    built, calls = nil, ()
+    for shape, part in reversed(parts):
+        if shape == BLOCK:
+            built = Struct(CONS, (building_block(part), built))
+        elif built is nil:
+            built = part
+        else:
+            calls = (Atom("bb_append", (part, built, out)),) + calls
+            built = out
+    return built, calls

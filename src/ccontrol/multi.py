@@ -8,7 +8,7 @@ instances, and ``final`` constraints tie the last instance to the outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import re
 
@@ -221,25 +221,43 @@ def case_split(m: Multi, fresh: FreshAVars):
 
 # --- generalization into a multi ----------------------------------------
 
+# What each kind of grouping replaces, in order: a block of ``plen``
+# atoms or a multi.  A fresh multi is formed from two blocks ("new"), a
+# block is absorbed by an existing multi on its init side ("left") or
+# final side ("right"), or two multis merge ("merge").
+BLOCK, MULTI = "block", "multi"
+LAYOUTS = {"new": (BLOCK, BLOCK), "left": (BLOCK, MULTI),
+           "right": (MULTI, BLOCK), "merge": (MULTI, MULTI)}
+
+
 @dataclass(frozen=True)
 class FoldEvent:
-    """One grouping step over a conjunction.
-
-    ``start`` is the first folded conjunct position, ``plen`` the pattern
-    length; ``kind`` says whether a fresh multi was formed from two blocks
-    ("new"), an atom block was absorbed by an existing multi on its init
-    side ("left") or final side ("right"), or two multis merged ("merge").
-    """
+    """One grouping step over a conjunction: ``start`` is the first
+    folded conjunct position, ``plen`` the pattern length, and ``kind``
+    names the layout (``LAYOUTS``) of the conjuncts it replaces."""
     start: int
     plen: int
     kind: str
 
     @property
+    def layout(self) -> tuple:
+        return LAYOUTS[self.kind]
+
+    @property
     def width(self) -> int:
-        """How many conjuncts the grouping replaces: two blocks ("new"), a
-        block and the multi ("left", "right") or two multis ("merge")."""
-        return {"new": 2 * self.plen, "left": self.plen + 1,
-                "right": self.plen + 1, "merge": 2}[self.kind]
+        """How many conjuncts the grouping replaces."""
+        return sum(self.plen if s == BLOCK else 1 for s in self.layout)
+
+    def parts(self, conj) -> list:
+        """The conjuncts the grouping replaces, in order, as (shape, part)
+        pairs: a block is the tuple of its ``plen`` conjuncts, a multi the
+        conjunct itself."""
+        out, i = [], self.start
+        for shape in self.layout:
+            n = self.plen if shape == BLOCK else 1
+            out.append((shape, conj[i: i + n] if shape == BLOCK else conj[i]))
+            i += n
+        return out
 
     def fold(self, conj, elem) -> tuple:
         """``conj`` with the conjuncts the grouping replaces replaced by
@@ -247,9 +265,15 @@ class FoldEvent:
         return conj[:self.start] + (elem,) + conj[self.start + self.width:]
 
 
-def _occurrences_outside(conj, ev: FoldEvent) -> set:
-    """The AVars outside the conjuncts that the grouping replaces."""
-    return set(avar_occurrences(conj[:ev.start] + conj[ev.start + ev.width:]))
+def _leaks(conj, ev: FoldEvent, inner, m: Multi) -> bool:
+    """Whether one of the AVars ``inner``, which the fold ``ev`` makes
+    internal to the multi ``m``, occurs outside the conjuncts it replaces
+    without being an end constraint of ``m``: folding would then drop
+    aliasing shared with the rest of the conjunction."""
+    outside = set(avar_occurrences(conj[:ev.start]
+                                   + conj[ev.start + ev.width:]))
+    ends = set(m.outer_terms())
+    return any(v in outside and v not in ends for v in inner)
 
 
 def _block_binding(block, pattern):
@@ -289,10 +313,15 @@ def try_fold(conj):
     """
     conj = tuple(conj)
     for i, c in enumerate(conj):
-        if isinstance(c, Multi):
-            res = _fold_adjacent(conj, i, c)
-            if res is not None:
-                return res
+        if isinstance(c, Multi) and c.consecutive:
+            if i + 1 < len(conj) and isinstance(conj[i + 1], Multi):
+                res = _fold_merge(conj, i, c, conj[i + 1])
+                if res is not None:
+                    return res
+            for before in (True, False):
+                res = _fold_side(conj, i, c, before)
+                if res is not None:
+                    return res
     for plen in range(1, MAX_PATTERN_LENGTH + 1):
         for i in range(0, len(conj) - 2 * plen + 1):
             window = conj[i: i + 2 * plen]
@@ -326,43 +355,12 @@ def _fold_new(conj, start, plen):
         return None  # no aliasing between the blocks: not a chain
     init = {v: slot1[v] for v in cons}
     final = {w: slot2[w] for w in set(cons.values())}
-    endpoints = set(init.values()) | set(final.values())
-    ev = FoldEvent(start, plen, "new")
-    outside = _occurrences_outside(conj, ev)
-    for av in links:
-        if av in outside and av not in endpoints:
-            return None  # internal chain variable leaks out of the fold
     m = Multi(0, pattern, _sorted_pairs(init),
               _sorted_pairs(cons), _sorted_pairs(final))
+    ev = FoldEvent(start, plen, "new")
+    if _leaks(conj, ev, links, m):
+        return None  # internal chain variable leaks out of the fold
     return ev.fold(conj, m), ev
-
-
-def _fold_adjacent(conj, mi, m: Multi):
-    if not m.cons_map:
-        return None
-    if mi + 1 < len(conj) and isinstance(conj[mi + 1], Multi):
-        res = _fold_merge(conj, mi, m, conj[mi + 1])
-        if res is not None:
-            return res
-    if mi - m.plen >= 0:
-        block = tuple(a for a in conj[mi - m.plen: mi]
-                      if isinstance(a, Atom))
-        if len(block) == m.plen:
-            bmap = _block_binding(block, m.pattern)
-            if bmap is not None:
-                res = _fold_left(conj, mi, m, bmap)
-                if res is not None:
-                    return res
-    if mi + m.plen < len(conj) + 1:
-        block = tuple(a for a in conj[mi + 1: mi + 1 + m.plen]
-                      if isinstance(a, Atom))
-        if len(block) == m.plen:
-            bmap = _block_binding(block, m.pattern)
-            if bmap is not None:
-                res = _fold_right(conj, mi, m, bmap)
-                if res is not None:
-                    return res
-    return None
 
 
 def _fold_merge(conj, mi, m1: Multi, m2: Multi):
@@ -378,55 +376,40 @@ def _fold_merge(conj, mi, m1: Multi, m2: Multi):
     if any(v not in cons for v in i2) or \
             any(w not in set(cons.values()) for w in f1):
         return None
-    ev = FoldEvent(mi, m1.plen, "merge")
-    outside = _occurrences_outside(conj, ev)
-    allowed = {t for _, t in m1.init} | {t for _, t in m2.final}
-    if outside.intersection(avar_occurrences(tuple(f1.values()))) - allowed:
-        return None
     nm = Multi(m1.id, m1.pattern, m1.init, m1.consecutive, m2.final)
-    return ev.fold(conj, nm), ev
-
-
-def _fold_left(conj, mi, m: Multi, bmap):
-    """Absorb the block before the multi as a new first instance."""
-    init, cons = m.init_map, m.cons_map
-    for v, w in cons.items():
-        if init.get(v) != bmap[w]:
-            return None  # block output does not feed the chain input
-    if any(v not in cons for v in init):
-        return None  # extra first-instance constraint would bind a middle
-    new_init = {v: bmap[v] for v in cons}
-    ev = FoldEvent(mi - m.plen, m.plen, "left")
-    outside = _occurrences_outside(conj, ev)
-    allowed = set(new_init.values()) | {t for _, t in m.final}
-    for v in cons:
-        lv = init[v]
-        if lv in outside and lv not in allowed:
-            return None  # old chain-input variable leaks out of the fold
-    nm = Multi(m.id, m.pattern, _sorted_pairs(new_init),
-               m.consecutive, m.final)
-    return ev.fold(conj, nm), ev
-
-
-def _fold_right(conj, mi, m: Multi, bmap):
-    """Absorb the block after the multi as a new last instance."""
-    final, cons = m.final_map, m.cons_map
-    outs = set(cons.values())
-    for v, w in cons.items():
-        if final.get(w) != bmap[v]:
-            return None
-    if any(w not in outs for w in final):
+    ev = FoldEvent(mi, m1.plen, "merge")
+    if _leaks(conj, ev, avar_occurrences(tuple(f1.values())), nm):
         return None
-    new_final = {w: bmap[w] for w in outs}
-    ev = FoldEvent(mi, m.plen, "right")
-    outside = _occurrences_outside(conj, ev)
-    allowed = set(new_final.values()) | {t for _, t in m.init}
-    for w in outs:
-        lv = final[w]
-        if lv in outside and lv not in allowed:
-            return None
-    nm = Multi(m.id, m.pattern, m.init, m.consecutive,
-               _sorted_pairs(new_final))
+    return ev.fold(conj, nm), ev
+
+
+def _fold_side(conj, mi, m: Multi, before: bool):
+    """Absorb the block of atoms just before the multi as its new first
+    instance, or the block just after it as its new last.  Before, the
+    chain reads forwards from init: the block's output must feed the
+    first instance's input.  After, it reads backwards from final through
+    the inverse of ``consecutive``."""
+    start = mi - m.plen if before else mi + 1
+    block = conj[start: start + m.plen] if start >= 0 else ()
+    if not all(isinstance(a, Atom) for a in block):
+        return None
+    bmap = _block_binding(block, m.pattern)
+    if bmap is None:
+        return None
+    side = "init" if before else "final"
+    end = dict(getattr(m, side))
+    # (k, j): the end instance's variable k continues the block's j
+    chain = m.consecutive if before else \
+        tuple((w, v) for v, w in m.consecutive)
+    if any(end.get(k) != bmap[j] for k, j in chain):
+        return None  # the block does not continue the chain
+    ins = {k for k, _ in chain}
+    if any(k not in ins for k in end):
+        return None  # an extra end constraint would bind a middle instance
+    nm = replace(m, **{side: _sorted_pairs({k: bmap[k] for k in ins})})
+    ev = FoldEvent(min(start, mi), m.plen, "left" if before else "right")
+    if _leaks(conj, ev, {end[k] for k in ins}, nm):
+        return None  # the old end's chain variable leaks out of the fold
     return ev.fold(conj, nm), ev
 
 

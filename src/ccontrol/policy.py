@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .absdom import (ASub, AVar, FULLEVAL, FreshAVars, LogicError, UNFOLD,
                      abstract_instance, abstract_name, avars, canonicalize)
+from .engine import BUILTINS
 from .terms import Atom, ParseError, _Parser, print_atom
 
 
@@ -27,11 +28,15 @@ class NoMinimumError(PolicyError):
 @dataclass(frozen=True)
 class FullEvalDecl:
     """A fully evaluated abstract atom: call pattern, the possible output
-    bindings over the pattern's variables, and the linked procedure."""
+    bindings over the pattern's variables, and whether the linked
+    procedure, the pattern's own predicate, is a builtin."""
     pattern: Atom
     outputs: tuple           # of ASub
-    link: tuple              # (predicate, arity)
     link_is_builtin: bool
+
+    @property
+    def link(self) -> tuple:
+        return self.pattern.indicator
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,14 @@ def parse_policy(text: str) -> SelectionPolicy:
                                  *nloc)
             lx.expect("/")
             _, arity, _ = lx.expect("int")
+            link = f"{linkkind} {pname}/{arity}"
+            if (pname, arity) != pattern.indicator:
+                raise ParseError(f"link {link} is not the pattern's own "
+                                 f"predicate {pattern.pred}/"
+                                 f"{len(pattern.args)}", *nloc)
+            if linkkind == "builtin" and (pname, arity) not in BUILTINS:
+                raise ParseError(f"link {link} names no builtin", *nloc)
             fulleval.append(FullEvalDecl(pattern, tuple(outputs),
-                                         (pname, arity),
                                          linkkind == "builtin"))
         else:
             raise ParseError(f"unknown policy keyword {val!r}", *loc)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .absdom import AVar, GROUND, LogicError, abstract_instance, avars
 from .analysis import EMPTY_STATE, StateGraph
 from .engine import Limits, answer_set, solve, support_clauses
-from .metaint import BB_APPEND, build_tables, building_block
+from .metaint import BB_APPEND, block_list, build_tables, building_block
 from .multi import Multi, simplify_conj
 from .policy import SelectionPolicy
 from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
@@ -203,8 +203,8 @@ class _Synthesizer:
                     "supported")
         if not decl.link_is_builtin:
             self.links.append(decl.link)
-        call = Atom(decl.link[0], elems[pos].args)
-        return args, (call,), elems[:pos] + elems[pos + 1:]
+        # a link names its pattern's predicate, so the call is the atom
+        return args, (elems[pos],), elems[:pos] + elems[pos + 1:]
 
     def _extracted(self, conj, pos, cause, raw, template, freshc):
         """A split: the multi's first instance comes out of its block
@@ -231,23 +231,8 @@ class _Synthesizer:
 
     def _grouped(self, ev, template):
         env, elems, args = template
-        s, p = ev.start, ev.plen
-        prefix = ()
-        if ev.kind == "new":
-            belem = mklist([building_block(elems[s:s + p]),
-                            building_block(elems[s + p:s + 2 * p])])
-        elif ev.kind == "left":
-            belem = Struct(CONS, (building_block(elems[s:s + p]),
-                                  elems[s + p]))
-        elif ev.kind == "right":
-            belem = Var("BOut")
-            prefix = (Atom("bb_append",
-                           (elems[s], mklist([building_block(
-                               elems[s + 1:s + 1 + p])]), belem)),)
-            self.uses_blocks = True
-        else:
-            belem = Var("BOut")
-            prefix = (Atom("bb_append", (elems[s], elems[s + 1], belem)),)
+        belem, prefix = block_list(ev.parts(elems), Var("BOut"))
+        if prefix:
             self.uses_blocks = True
         return args, prefix, ev.fold(elems, belem)
 
@@ -266,15 +251,22 @@ def synthesize(graph: StateGraph, program: Program,
 
 def run_compiled(program: Program, goal, limits: Limits = None):
     """Run a goal on a compiled program, through its ``compute/1`` wrapper
-    when it has one for the goal's predicate ``p/n``: the residual's
-    ``compute([p(X1,...,Xn)])``, or an encoded interpreter's, when the
-    program does not define ``p/n``."""
+    when it has one for the goal: the residual's
+    ``compute([p(X1,...,Xn)])`` for the goal's predicate ``p/n``, or an
+    encoded interpreter's start clause ``compute(Gs) :- mi(Gs, State)``."""
     pred = goal[0].indicator
-    computes = program.clauses_for("compute", 1)
-    if computes and not program.clauses_for(*pred) or any(
-            _listed(c.head.args[0]) == pred for c in computes):
+    if any(_listed(c.head.args[0]) == pred or _starts_interpreter(c)
+           for c in program.clauses_for("compute", 1)):
         goal = (Atom("compute", (mklist([atom_to_term(a) for a in goal]),)),)
     return solve(program, goal, limits=limits)
+
+
+def _starts_interpreter(c) -> bool:
+    """Whether ``c`` is the start clause ``compute(Gs) :- mi(Gs, State)``
+    of an encoded interpreter."""
+    gs = c.head.args[0]
+    return isinstance(gs, Var) and len(c.body) == 1 and \
+        c.body[0].indicator == ("mi", 2) and c.body[0].args[0] == gs
 
 
 def _listed(t):

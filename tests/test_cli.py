@@ -1065,3 +1065,20 @@ def test_a_closed_pipe_on_an_artifact_is_that_file_s_write_error(
     assert main(["analyze", str(lp), str(pol), "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
         f"cc analyze: cannot write {out}: Broken pipe\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+def test_a_via_link_to_another_predicate_exits_2(tmp_path, capsys,
+                                                 command):
+    # classic called r/2 here (t(1,Y) gave one), the interpreters q/2
+    # (wrong), and the pipeline failed its closedness check
+    lp, pol = tmp_path / "t.lp", tmp_path / "t.policy"
+    lp.write_text("t(X,Y) :- q(X,Y).\nr(1,one).\nr(2,two).\nq(1,wrong).\n")
+    pol.write_text("entry: t(g1,a1).\n"
+                   "fulleval: q(g1,a1) -> { a1=g2 } via user r/2.\n")
+    extra = ["--out-dir", str(tmp_path / "out")] \
+        if command == "pipeline" else []
+    assert main([command, str(lp), str(pol)] + extra) == 2
+    assert capsys.readouterr().err == (
+        f"cc {command}: {pol}: link user r/2 is not the pattern's own "
+        "predicate q/2 at line 2, column 42\n")

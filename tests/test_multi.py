@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from ccontrol.absdom import FreshAVars, parse_aconj, print_aconj
 from ccontrol.multi import (FoldEvent, Multi, case_split, simplify_conj,
                             try_fold)
@@ -90,25 +92,65 @@ def test_try_fold_right_absorbs_following_block():
     assert ev.kind == "right" and len(folded) == 1
 
 
+CHAIN2 = ("multi((filter(mg1,ma1,ma2)), init{ma1=a2}, "
+          "consec{ma1=ma2}, final{ma2=a3}, id=2)")
+
+
 def test_try_fold_merge_joins_two_multis():
-    chain2 = ("multi((filter(mg1,ma1,ma2)), init{ma1=a2}, "
-              "consec{ma1=ma2}, final{ma2=a3}, id=2)")
-    conj = parse_aconj(CHAIN + " , " + chain2)
+    conj = parse_aconj(CHAIN + " , " + CHAIN2)
     res = try_fold(conj)
     assert res is not None
     folded, ev = res
     assert ev.kind == "merge" and len(folded) == 1
 
 
+# a block before the chain, and one after it: each takes the free end
+LEFT = "p(a2) , filter(g9,a9,a1) , " + CHAIN
+RIGHT = CHAIN + " , filter(g9,a2,a9) , p(a1)"
+
+
+@pytest.mark.parametrize("text, kind, printed", [
+    (LEFT, "left", "p(a2) , multi((filter(mg1,ma1,ma2)), init{ma1=a9}, "
+     "consec{ma1=ma2}, final{ma2=a2}, id=1)"),
+    (RIGHT, "right", "multi((filter(mg1,ma1,ma2)), init{ma1=a1}, "
+     "consec{ma1=ma2}, final{ma2=a9}, id=1) , p(a1)"),
+], ids=["left", "right"])
+def test_a_side_fold_moves_the_end_it_absorbs(text, kind, printed):
+    folded, ev = try_fold(parse_aconj(text))
+    assert ev == FoldEvent(1 if kind == "left" else 0, 1, kind)
+    assert print_aconj(folded) == printed
+
+
+EXTRA = {"init": CHAIN.replace("init{ma1=a1}", "init{ma1=a1,mg1=g5}"),
+         "final": CHAIN.replace("final{ma2=a2}", "final{ma2=a2,mg1=g5}")}
+
+
+@pytest.mark.parametrize("text", [
+    # the block does not continue the chain
+    "filter(g9,a9,a5) , " + CHAIN,
+    CHAIN + " , filter(g9,a5,a9)",
+    # an end constraint on a variable the chain does not carry
+    "filter(g9,a9,a1) , " + EXTRA["init"],
+    EXTRA["final"] + " , filter(g9,a2,a9)",
+    # the old end's chain variable occurs outside the fold
+    "filter(g9,a9,a1) , " + CHAIN + " , p(a1)",
+    "p(a2) , " + CHAIN + " , filter(g9,a2,a9)",
+], ids=["left-unchained", "right-unchained", "left-extra-init",
+        "right-extra-final", "left-leak", "right-leak"])
+def test_a_side_fold_is_refused(text):
+    assert try_fold(parse_aconj(text)) is None
+
+
 def test_fold_preserves_concrete_members():
-    conj = parse_aconj("integers(g1,a1) , filter(g2,a1,a2) , "
-                       "filter(g3,a2,a3) , sift(a3,a4)")
-    folded, _ = try_fold(conj)
-    rng = random.Random(4)
-    for _ in range(25):
-        atoms = Sampler(random.Random(rng.random())).conjunction(conj)
-        if conj_member(atoms, conj):
-            assert conj_member(atoms, folded), atoms
+    for text in ("integers(g1,a1) , filter(g2,a1,a2) , filter(g3,a2,a3) , "
+                 "sift(a3,a4)", LEFT, RIGHT, CHAIN + " , " + CHAIN2):
+        conj = parse_aconj(text)
+        folded, _ = try_fold(conj)
+        rng = random.Random(4)
+        for _ in range(25):
+            atoms = Sampler(random.Random(rng.random())).conjunction(conj)
+            if conj_member(atoms, conj):
+                assert conj_member(atoms, folded), (text, atoms)
 
 
 def test_simplify_conj_keeps_positions():

@@ -9,7 +9,7 @@ from ccontrol.absdom import FULLEVAL, UNFOLD, parse_aconj
 from ccontrol.analysis import AnalysisOptions, analyze
 from ccontrol.policy import (NoMinimumError, PolicyError, _effective_atoms,
                              derive_order, parse_policy, select_conjunct)
-from ccontrol.terms import parse_program
+from ccontrol.terms import ParseError, parse_program
 
 from conftest import CORPUS_NAMES, corpus_text
 from oracles import (is_complete, order_lt, parse_aatom,
@@ -42,6 +42,25 @@ def test_policy_requires_entry():
 def test_rule_referencing_unknown_set():
     with pytest.raises(PolicyError):
         parse_policy("entry: p(a1).\nrule: instances_first(Nope).")
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("q(g1,a1) -> { a1=g2 } via user r/2",
+     "link user r/2 is not the pattern's own predicate q/2 at line 2, "
+     "column 42"),
+    ("le(g1,g2) -> { } via builtin =</2",
+     "link builtin =</2 is not the pattern's own predicate le/2 at line 2, "
+     "column 40"),
+    ("le(g1,g2) -> { } via builtin le/2",
+     "link builtin le/2 names no builtin at line 2, column 40"),
+], ids=["user-other", "builtin-other", "builtin-unknown"])
+def test_a_link_other_than_its_own_builtin_or_user_predicate_is_refused(
+        decl, message):
+    # a link to another predicate made classic call the link while the
+    # interpreters ran the atom itself
+    with pytest.raises(ParseError) as err:
+        parse_policy(f"entry: t(g1,a1).\nfulleval: {decl}.\n")
+    assert str(err.value) == message
 
 
 def test_derived_order_from_preprior_and_instantiation():
@@ -222,7 +241,7 @@ def test_no_minimum_error_names_multi_positions_as_fresh_variables():
 def test_completeness_error_uses_policy_notation():
     from ccontrol.analysis import (AnalysisOptions, CompletenessError,
                                    analyze)
-    from ccontrol.terms import parse_program
+    from ccontrol.terms import ParseError, parse_program
     program = parse_program(
         "start(N,R) :- down(N), link(N,M), link(M,K), link(K,R).\n"
         "down(z).\n"
@@ -238,7 +257,7 @@ def test_completeness_error_uses_policy_notation():
 def test_is_complete_on_corpus_states():
     for name in CORPUS_NAMES:
         from ccontrol.analysis import analyze
-        from ccontrol.terms import parse_program
+        from ccontrol.terms import ParseError, parse_program
         program = parse_program(corpus_text(name, ".lp"))
         policy = parse_policy(corpus_text(name, ".policy"))
         graph = analyze(program, policy)

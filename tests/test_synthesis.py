@@ -7,9 +7,10 @@ import pytest
 from ccontrol.analysis import AnalysisOptions, analyze
 from ccontrol.cli import main
 from ccontrol.engine import Limits, solve
-from ccontrol.metaint import BUILDING_BLOCK, build_tables, mi_run
+from ccontrol.metaint import (BUILDING_BLOCK, build_tables,
+                              encode_as_logic_program, mi_run)
 from ccontrol.policy import parse_policy
-from ccontrol.synthesis import compare_programs, synthesize
+from ccontrol.synthesis import compare_programs, run_compiled, synthesize
 from ccontrol.terms import CONS, Struct, parse_goal, parse_program, \
     print_program
 
@@ -177,3 +178,14 @@ if __name__ == "__main__":
            for key, (lp, text, k) in WIDENED.items()}
     out[VIA_USER] = small_outputs(program, tables.policy)
     SMALL_OUTPUTS.write_text(json.dumps(out, indent=1) + "\n")
+
+
+def test_an_encoded_compute_entry_runs_through_its_start_clause():
+    # the program defines compute/1 itself; only the interpreter's start clause
+    # compute(Gs) :- mi(Gs, State) marks the wrapper
+    program = parse_program("compute(z).\ncompute(s(X)) :- compute(X).\n")
+    policy = parse_policy("entry: compute(g1).\n")
+    tables = build_tables(analyze(program, policy), program, policy)
+    res = run_compiled(encode_as_logic_program(tables),
+                       parse_goal("compute(s(s(z)))"))
+    assert (len(res.answers), res.inference_count) == (1, 37)
