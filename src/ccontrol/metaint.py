@@ -16,7 +16,7 @@ conjuncts into a multi abstraction, the concrete counterpart is a cmulti
 goal element, one block of atoms per pattern instance.  Grouping
 transitions introduce it; one/many transitions take it apart again.  The
 interpreter holds it as a tuple of blocks, each a tuple of atoms; the
-encoded interpreter, the partial-deduction filters and direct synthesis
+encoded interpreter, its partial-deduction residual and direct synthesis
 hold it as the term ``cmulti([building_block([...]), ...])``.
 """
 
@@ -54,7 +54,7 @@ class MetaintError(LogicError):
 # mi_run holds a cmulti goal element as a tuple of blocks, each a tuple of
 # goal atoms: it reads only elements it built itself, where the state has
 # a multi.  The term form ``cmulti([building_block([...]), ...])``
-# belongs to the encoding, the filters and direct synthesis.
+# belongs to the encoding, its residual and direct synthesis.
 
 def building_block(atoms) -> Struct:
     """building_block([...]) over a block of atoms, or of variables that

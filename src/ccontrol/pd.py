@@ -28,7 +28,7 @@ from .metaint import encode_as_logic_program
 from .terms import (Atom, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, list_parts, mklist,
                     print_atom, program_of, replace_vars, resolve_all,
-                    substitute, term_to_atom, term_vars, CONS, NIL)
+                    substitute, term_to_atom, term_vars, NIL)
 
 DEFAULT_BUDGET = 10_000
 
@@ -529,14 +529,14 @@ def interpreter_annotations() -> Annotations:
 
 
 def interpreter_filters() -> Filters:
-    """Binding types of the interpreter's goal list: the atom skeletons
-    are known, their arguments are not, and a cmulti element is known
-    down to the atoms of its first building block; the state is fully
-    known."""
-    block = StructOf("building_block", (ListOf(Nonvar()),))
-    wrapped = StructOf("cmulti", (StructOf(CONS, (block, Dynamic())),))
+    """Binding types of the interpreter's goal list: the top functor of
+    each goal element is known and its arguments are not, and the state
+    is fully known.  A cmulti element is kept whole, as ``cmulti(_)``:
+    the state already fixes the shape of its blocks, so knowing its
+    first block would only memoize the same state a second time, and
+    the residual splits the block list in its clause heads instead."""
     filters = Filters()
-    filters.declare("mi", (ListOf(OneOf((wrapped, Nonvar()))), Static()))
+    filters.declare("mi", (ListOf(Nonvar()), Static()))
     return filters
 
 

@@ -526,6 +526,16 @@ def reference_case_split(m, fresh):
 
 def interpreter_filter_text() -> str:
     """The default filters in their declaration syntax."""
+    return "mi(type(list(nonvar)), static).\n"
+
+
+def block_filter_text() -> str:
+    """The earlier default filters, in which a cmulti element is known
+    down to the atom skeletons of its first building block.  They
+    memoize a state once for each way a cmulti reaches it (primes 74
+    memo entries for 53 states, queens 57 for 41), and they are the
+    declaration that takes ``OneOf``, ``StructOf`` and the undoing of a
+    failed alternative on the corpus."""
     elem = ("struct(cmulti,[struct(.,[struct(building_block,"
             "[type(list(nonvar))]),dynamic])]) ; nonvar")
     return f"mi(type(list({elem})), static).\n"

@@ -15,7 +15,8 @@ from ccontrol.multi import Multi
 from ccontrol.terms import Atom
 
 from conftest import CORPUS_NAMES, corpus_text
-from oracles import interpreter_annotation_text, interpreter_filter_text
+from oracles import (block_filter_text, interpreter_annotation_text,
+                     interpreter_filter_text)
 
 
 @pytest.fixture()
@@ -480,6 +481,34 @@ def test_specialize_with_default_declarations_matches_plain_run(tmp_path,
         assert main(["specialize", *table, "--ann", str(ann),
                      "--filters", str(flt), "--out", str(declared)]) == 0
         assert declared.read_text() == plain.read_text(), name
+
+
+@pytest.mark.parametrize("name, memo", [("primes", 74), ("queens", 57)])
+def test_specialize_with_the_block_filters_memoizes_a_state_per_cmulti_shape(
+        tmp_path, capsys, name, memo):
+    """The earlier default filters, declared through ``--filters``, still
+    memoize a state once for each way a cmulti reaches it, and their
+    residual gives the default residual's answers and inferences."""
+    lp, pol, q = (tmp_path / f"{name}{s}"
+                  for s in (".lp", ".policy", ".queries"))
+    for path in (lp, pol, q):
+        path.write_text(corpus_text(name, path.suffix))
+    flt = tmp_path / "block.flt"
+    flt.write_text(block_filter_text())
+    graph = tmp_path / "graph.json"
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    table = [str(graph), str(lp), "--policy", str(pol)]
+    plain, block = tmp_path / "plain.lp", tmp_path / "block.lp"
+    assert main(["specialize", *table, "--out", str(plain)]) == 0
+    capsys.readouterr()
+    assert main(["specialize", *table, "--filters", str(flt),
+                 "--out", str(block)]) == 0
+    assert f", {memo} memo entries -> " in capsys.readouterr().out
+    assert main(["compare", str(plain), str(block), "--queries", str(q),
+                 "--tolerance", "0", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(a == b for r in report["queries"]
+               for a, b in (r["answers"], r["inferences"]))
 
 
 def test_specialize_without_a_call_declaration_matches_plain_run(

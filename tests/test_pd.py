@@ -1,5 +1,7 @@
 """Offline specialization of the encoded interpreter."""
 
+from collections import Counter
+
 import pytest
 
 from ccontrol import pd
@@ -12,14 +14,15 @@ from ccontrol.pd import (Dynamic, ListOf, Nonvar, PDError, Static,
                          parse_filters, specialize, specialize_encoded,
                          _Specializer)
 from ccontrol.policy import parse_policy
+from ccontrol.synthesis import synthesize
 from ccontrol.terms import (Atom, Const, FreshNames, ParseError, Struct, Var,
                             list_parts, parse_atom, parse_goal,
                             parse_program, parse_term, print_atom,
                             print_program, print_term, term_vars)
 
 from conftest import CORPUS_NAMES, answer_set
-from oracles import (interpreter_annotation_text, interpreter_filter_text,
-                     reference_generalize_call)
+from oracles import (block_filter_text, interpreter_annotation_text,
+                     interpreter_filter_text, reference_generalize_call)
 
 
 # --- binding types --------------------------------------------------------
@@ -79,12 +82,19 @@ def test_generalization_matches_the_reference_on_every_request(
         return generalize_call(atom, types, fresh, parts)
 
     monkeypatch.setattr(pd, "generalize_call", recording)
-    for name in CORPUS_NAMES:
-        specialize_encoded(corpus(name).tables)
-    for tables in _small_tables():
-        specialize_encoded(tables)
-    # 203 memo requests on the corpus, 71 on the small programs
-    assert len(requests) == 274
+    counts = []
+    # the block filters are the declaration that takes OneOf, StructOf and
+    # the undoing of a failed alternative on these programs
+    for filters in (None, parse_filters(block_filter_text())):
+        before = len(requests)
+        for name in CORPUS_NAMES:
+            specialize_encoded(corpus(name).tables, filters=filters)
+        for tables in _small_tables():
+            specialize_encoded(tables, filters=filters)
+        counts.append(len(requests) - before)
+    # memo requests: 158 on the corpus and 71 on the small programs under
+    # the default filters, 203 and 71 under the block filters
+    assert counts == [229, 274]
     for atom, types, n in requests:
         assert _generalize_both_ways(atom, types, n) != "PDError"
 
@@ -358,8 +368,8 @@ def test_budget_exhaustion_is_an_error(corpus):
 
 # unfolding steps, memo entries and residual clauses (with the wrapper)
 PD_SIZES = {"permsort": ("simple", 201, 10, 13),
-            "primes": ("extended", 2425, 74, 96),
-            "queens": ("extended", 1945, 57, 71),
+            "primes": ("extended", 1726, 54, 70),
+            "queens": ("extended", 1390, 42, 52),
             "zigzag": ("simple", 320, 15, 19),
             "countdown": ("simple", 201, 10, 13)}
 
@@ -370,6 +380,44 @@ def test_specialization_sizes_are_pinned(corpus, name):
     residual = entry.futamura
     assert (entry.variant, residual.unfold_steps, len(residual.memo),
             len(residual.program.clauses)) == PD_SIZES[name]
+
+
+def _clauses_by_role(program, state_pred, entry):
+    """Clause counts of ``program``: a state predicate's under its state
+    id (``state_pred`` maps a name to it), the entry's under "entry",
+    any other predicate's under its indicator."""
+    counts = Counter()
+    for c in program.clauses:
+        sid = state_pred.get(c.head.pred)
+        if sid is not None:
+            counts[sid] += 1
+        else:
+            counts["entry" if c.head.indicator == entry
+                   else c.head.indicator] += 1
+    return counts
+
+
+def test_one_memo_entry_per_state(corpus):
+    """Futamura memoizes each state once, as ``mi__s<id>``, plus the
+    empty-goal state ``mi__s0``, and gives each state as many clauses as
+    classic's ``<entry>_s<id>``.  The only other differences are the
+    ``mi__s0`` fact and the ``compute/1`` wrapper in place of classic's
+    entry clause."""
+    compiled = [(name, corpus(name).graph, corpus(name).classic,
+                 corpus(name).futamura) for name in CORPUS_NAMES]
+    for tables in _small_tables():
+        graph = tables.graph
+        compiled.append((graph.states[tables.entry][0].pred, graph,
+                         synthesize(graph, tables.program, tables.policy),
+                         specialize_encoded(tables)))
+    for name, graph, classic, residual in compiled:
+        names = {f"mi__s{sid}": sid for sid in (0, *graph.states)}
+        assert sorted(e.name for e in residual.memo) == sorted(names), name
+        futamura = _clauses_by_role(residual.program, names, ("compute", 1))
+        assert futamura.pop(0) == 1, name
+        state_pred = {p: sid for sid, p in classic.state_predicates.items()}
+        assert futamura == _clauses_by_role(classic.program, state_pred,
+                                            classic.entry), name
 
 
 def test_budget_boundary_is_the_unfold_step_count(corpus):
