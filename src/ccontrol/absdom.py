@@ -351,7 +351,7 @@ def abstract_unify_with_clause(a: Atom, clause: Clause, fresh: FreshAVars):
 
 def full_eval_output(a: Atom, pattern: Atom, output: ASub,
                      fresh: FreshAVars):
-    """One declared output binding of a fully evaluated atom, renamed into
+    """The declared output binding of a fully evaluated atom, renamed into
     the caller's index space.  ``output`` is expressed over the pattern's
     variables; fresh variables on its right-hand sides stand for newly
     produced values."""

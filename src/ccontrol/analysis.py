@@ -42,7 +42,7 @@ class CompletenessError(AnalysisError):
 class Transition:
     src: int
     dst: int                 # EMPTY_STATE for an empty successor goal
-    cause: tuple             # ("clause", id) | ("fulleval", decl-idx, out-idx)
+    cause: tuple             # ("clause", id) | ("fulleval", decl-idx, 0)
     #                        # | ("one",) | ("many",) | ("grouping", kind)
 
 
@@ -94,8 +94,8 @@ def abstract_step(program: Program, policy: SelectionPolicy, conj,
     """The successors of a state's conjunction under its action, before
     interning: (cause, conjunction) pairs in transition order.  A grouping
     folds the conjunction, a split reads its multi as one instance or as
-    a first instance and the rest, a full evaluation applies each declared
-    output that fits, and an unfolding resolves against each clause."""
+    a first instance and the rest, a full evaluation applies its
+    declaration's output, and an unfolding resolves against each clause."""
     if action[0] == "group":
         fold = try_fold(conj)
         if fold is None or fold[1] != action[1]:
@@ -116,19 +116,14 @@ def abstract_step(program: Program, policy: SelectionPolicy, conj,
         if decl is None:
             raise AnalysisError(f"no full-evaluation declaration covers "
                                 f"{print_atom(atom)}")
-        decl_idx = policy.fulleval.index(decl)
-        fresh = FreshAVars.above(conj)
-        out = []
-        for out_idx, output in enumerate(decl.outputs):
-            theta = full_eval_output(atom, decl.pattern, output, fresh)
-            if theta is not None:
-                out.append((("fulleval", decl_idx, out_idx),
-                            theta.apply(before + after)))
-        if not out:
+        theta = full_eval_output(atom, decl.pattern, decl.output,
+                                 FreshAVars.above(conj))
+        if theta is None:
             raise AnalysisError(
                 f"no output binding of {print_atom(decl.pattern)} "
                 f"applies to {print_atom(atom)}")
-        return out
+        return [(("fulleval", policy.fulleval.index(decl), 0),
+                 theta.apply(before + after))]
     clauses = program.clauses_for(atom.pred, len(atom.args))
     if not clauses:
         kind = "builtin" if atom.indicator in BUILTINS else "predicate"

@@ -37,12 +37,12 @@ from .policy import SelectionPolicy
 from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
                     Switch, Var, atom_to_term, mklist, parse_program,
                     print_atom, program_of, replace_vars, resolve_all,
-                    substitute, take_back, term_to_atom)
+                    substitute)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
 # ends a user full evaluation inside a goal; no program can name it
-EVALUATED = "$evaluated"
+EVALUATED = Atom("$evaluated", ())
 
 
 class MetaintError(LogicError):
@@ -254,9 +254,7 @@ class MetaInterpreter:
         """One abstract-machine step, as the state's action says.  Only
         clause resolution, also within a user full evaluation, deepens
         the derivation; full evaluation, splits and groupings are free.
-        A builtin full evaluation reads its arguments through the store;
-        its atom, or the atom a user full evaluation derived, is resolved
-        only when its outputs need telling apart."""
+        A builtin full evaluation reads its arguments through the store."""
         if isinstance(state, tuple):
             return self._user_eval_step(goal, state)
         action = self.graph.actions[state]
@@ -281,72 +279,28 @@ class MetaInterpreter:
         return [(before + blocks[0] + (blocks[1:],) + after, dst, ())]
 
     def _full_eval(self, goal, state, idx):
+        """The selected atom evaluated through the state's one transition:
+        a builtin at once, a user predicate by a derivation in this
+        search, ahead of a mark that ends it in the destination state."""
         before, selected, after = divide_goals(goal, idx)
-        decl, dsts = self._fulleval_outputs(state)
-        if not decl.link_is_builtin:
-            # the atom's derivation runs in this search, ahead of a mark
-            # that carries the atom to its output state once derived
-            mark = Atom(EVALUATED, (atom_to_term(selected),))
-            return [((selected, mark) + before + after, (EVALUATED, state),
-                     ())]
+        [t] = self.graph.successors(state)
+        if not self.tables.policy.fulleval[t.cause[1]].link_is_builtin:
+            return [((selected, EVALUATED) + before + after,
+                     (EVALUATED, t.dst), ())]
         self.inferences += 1
-        succ = []
-        for out in BUILTINS.evaluate(selected, self.store):
-            dst = self._match_output(lambda: self._instance(selected, out),
-                                     decl, dsts, state)
-            succ.append((before + after, dst, out))
-        return succ
-
-    def _instance(self, atom, bindings):
-        """``atom`` resolved through the store with ``bindings`` added, and
-        the store then left as it was."""
-        store = self.store
-        mark = len(store)
-        store.update(bindings)
-        atom = substitute(atom, store)
-        take_back(store, mark)
-        return atom
-
-    def _fulleval_outputs(self, state):
-        """The declaration a full-evaluation state applies, and the state
-        each of its outputs leads to."""
-        # every successor of a full-evaluation state has the cause
-        # ("fulleval", declaration, output)
-        succs = self.graph.successors(state)
-        decl = self.tables.policy.fulleval[succs[0].cause[1]]
-        return decl, {t.cause[2]: t.dst for t in succs}
+        return [(before + after, t.dst, out)
+                for out in BUILTINS.evaluate(selected, self.store)]
 
     def _user_eval_step(self, goal, state):
-        """A step of a user full evaluation started in ``state[1]``: the
-        engine's step, with its inferences, depth and limits, until the
-        derivation reaches the mark."""
-        if goal[0].pred != EVALUATED:
+        """A step of a user full evaluation bound for state ``state[1]``:
+        the engine's step, with its inferences, depth and limits, until
+        the derivation reaches the mark."""
+        if goal[0] is not EVALUATED:
             before = self.engine.inferences
             deeper, succ = self.engine.step(goal, state)
             self.inferences += self.engine.inferences - before
             return deeper, succ
-        sid = state[1]
-        decl, dsts = self._fulleval_outputs(sid)
-        dst = self._match_output(
-            lambda: term_to_atom(substitute(goal[0].args[0], self.store)),
-            decl, dsts, sid)
-        return 0, [(goal[1:], dst, ())]
-
-    def _match_output(self, derive, decl, dsts, state):
-        """The output state of a full evaluation: the only one, or the
-        first whose declared output the derived atom, which ``derive``
-        builds only then, is an instance of."""
-        if len(dsts) == 1:
-            return next(iter(dsts.values()))
-        result = derive()
-        for out_idx, out in enumerate(decl.outputs):
-            if out_idx not in dsts:
-                continue
-            if abstract_instance(result, out.apply(decl.pattern)) \
-                    is not None:
-                return dsts[out_idx]
-        raise MetaintError(
-            f"result {result} matches no declared output in state {state}")
+        return 0, [(goal[1:], state[1], ())]
 
     def _resolved(self, goal, state, idx):
         """The selected atom resolved against each clause the state's

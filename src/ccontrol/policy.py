@@ -2,7 +2,7 @@
 
 A selection policy is given as data: a generating set of ordering pairs
 over abstract-atom equivalence classes, declarations of fully evaluated
-atoms with their output bindings, and optional quantified rule templates
+atoms with their output binding, and optional quantified rule templates
 over named atom sets.  The strict partial order used for atom selection is
 derived from these by closing under instantiation and transitivity.
 """
@@ -27,11 +27,11 @@ class NoMinimumError(PolicyError):
 
 @dataclass(frozen=True)
 class FullEvalDecl:
-    """A fully evaluated abstract atom: call pattern, the possible output
-    bindings over the pattern's variables, and whether the linked
+    """A fully evaluated abstract atom: call pattern, its one output
+    binding over the pattern's variables, and whether the linked
     procedure, the pattern's own predicate, is a builtin."""
     pattern: Atom
-    outputs: tuple           # of ASub
+    output: ASub
     link_is_builtin: bool
 
     @property
@@ -126,10 +126,13 @@ def parse_policy(text: str) -> SelectionPolicy:
             lx.expect(":")
             pattern = parser.parse_atom()
             lx.expect("->")
-            outputs = [_parse_output(parser, pattern)]
-            while lx.peek()[0] == ";":
-                lx.next()
-                outputs.append(_parse_output(parser, pattern))
+            output = _parse_output(parser, pattern)
+            # no compiled program can choose between outputs over abstract
+            # variables, so a declaration has one
+            kind, _, sloc = lx.peek()
+            if kind == ";":
+                raise ParseError("a full evaluation declares one output",
+                                 *sloc)
             _, via, vloc = lx.expect("name")
             if via != "via":
                 raise ParseError("expected 'via'", *vloc)
@@ -149,7 +152,7 @@ def parse_policy(text: str) -> SelectionPolicy:
                                  f"{len(pattern.args)}", *nloc)
             if linkkind == "builtin" and (pname, arity) not in BUILTINS:
                 raise ParseError(f"link {link} names no builtin", *nloc)
-            fulleval.append(FullEvalDecl(pattern, tuple(outputs),
+            fulleval.append(FullEvalDecl(pattern, output,
                                          linkkind == "builtin"))
         else:
             raise ParseError(f"unknown policy keyword {val!r}", *loc)
@@ -164,8 +167,14 @@ def parse_policy(text: str) -> SelectionPolicy:
         if canonicalize(lhs) == canonicalize(rhs):
             raise PolicyError(
                 f"selection order is reflexive at {print_atom(lhs)}")
-    return SelectionPolicy(entry, tuple(preprior), sets, tuple(rules),
-                           tuple(fulleval))
+    policy = SelectionPolicy(entry, tuple(preprior), sets, tuple(rules),
+                             tuple(fulleval))
+    # classic's entry wrapper would define the predicate that the support
+    # copy of a user full evaluation defines, or a builtin
+    if policy.fulleval_match(entry) is not None:
+        raise PolicyError(
+            f"the entry pattern {print_atom(entry)} is fully evaluated")
+    return policy
 
 
 def _parse_output(parser, pattern: Atom) -> ASub:

@@ -196,7 +196,7 @@ class _Synthesizer:
     def _evaluated(self, pos, cause, template):
         env, elems, args = template
         decl = self.policy.fulleval[cause[1]]
-        for t in decl.outputs[cause[2]].pairs.values():
+        for t in decl.output.pairs.values():
             if not isinstance(t, AVar):
                 raise SynthesisError(
                     f"structured full-evaluation output {t!r} is not "

@@ -72,7 +72,7 @@ def test_full_evaluation_matches_the_reference_on_reachable_states(corpus):
         for conj in graph.states.values():
             for a in conj:
                 decl = isinstance(a, Atom) and policy.fulleval_match(a)
-                for output in decl.outputs if decl else ():
+                for output in (decl.output,) if decl else ():
                     new, old = _both(full_eval_output,
                                      reference_full_eval_output, conj,
                                      a, decl.pattern, output)

@@ -805,6 +805,10 @@ PRIMES_DEFECTS = {
                           "primes(g1,a1)",
     "output out of range": "state 4 has the transitions fulleval 0 9, where "
                            "its action makes fulleval 0 0",
+    # a declaration has one output, so a graph of a second output's
+    # transition comes from no policy
+    "second output": "state 4 has the transitions fulleval 0 1, where its "
+                     "action makes fulleval 0 0",
     "sideways": "group action of state 16 of unknown kind 'sideways'",
     "fulleval without transitions": "state 4 has the transitions none, "
                                     "where its action makes fulleval 0 0",
@@ -859,9 +863,10 @@ def _primes_graph_with(tmp_path, defect):
             entry
     elif defect == "unfold as fulleval":
         actions[str(entry)][2] = "fulleval"
-    elif defect == "output out of range":
+    elif defect in ("output out of range", "second output"):
         next(t for t in doc["transitions"]
-             if t["cause"][0] == "fulleval")["cause"][2] = 9
+             if t["cause"][0] == "fulleval")["cause"][2] = \
+            9 if defect == "output out of range" else 1
     elif defect == "fulleval without transitions":
         sid = min(int(sid) for sid, a in actions.items()
                   if a[0] == "select" and a[2] == "fulleval")
@@ -1111,3 +1116,24 @@ def test_a_via_link_to_another_predicate_exits_2(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"cc {command}: {pol}: link user r/2 is not the pattern's own "
         "predicate q/2 at line 2, column 42\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+@pytest.mark.parametrize("entry, decl", [
+    ("q(a1)", "q(a1) -> { } via user q/1"),
+    ("select(a1,[g1|g2],a2)",
+     "select(a1,[g1|g2],a2) -> { } via builtin select/3"),
+], ids=["user", "builtin"])
+def test_a_fully_evaluated_entry_exits_2(tmp_path, capsys, command, entry,
+                                         decl):
+    # classic's entry wrapper q(A1) :- q_s1(A1) called itself through the
+    # support copy of q/1 (q(X) ran 10,001 inferences to no answer), or
+    # defined a clause of select/3, where the other constructions answered
+    lp, pol = tmp_path / "q.lp", tmp_path / "q.policy"
+    lp.write_text("p(X) :- q(X).\nq(a).\n")
+    pol.write_text(f"entry: {entry}.\nfulleval: {decl}.\n")
+    extra = ["--out-dir", str(tmp_path / "out")] \
+        if command == "pipeline" else []
+    assert main([command, str(lp), str(pol)] + extra) == 2
+    assert capsys.readouterr().err == \
+        f"cc {command}: {pol}: the entry pattern {entry} is fully evaluated\n"

@@ -10,15 +10,17 @@ from ccontrol import metaint
 from ccontrol.analysis import (AnalysisError, AnalysisOptions, StateGraph,
                                Transition, analyze, parse_graph,
                                render_graph)
+from ccontrol.cli import main
 from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
-                              encode_as_logic_program, mi_run, term_to_atom)
+                              encode_as_logic_program, mi_run)
 from ccontrol.multi import FoldEvent
 from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import parse_policy
 from ccontrol.synthesis import run_compiled, synthesize
 from ccontrol.terms import (Atom, mklist, parse_goal, parse_program,
-                            print_program, program_of, substitute)
+                            print_program, program_of, substitute,
+                            term_to_atom)
 
 from conftest import (CORPUS_NAMES, answer_set, corpus_text,
                       pinned_small_outputs, small_outputs)
@@ -421,19 +423,36 @@ def test_answers_agree_whatever_fresh_names_they_hold():
     assert [answers for answers, _ in runs] == [[(("Y", "f(_1)"),)]] * 5
 
 
+@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+def test_a_full_evaluation_with_a_second_output_is_refused(tmp_path, capsys,
+                                                           command):
+    # q(0,Z) gives Z = a, which fits only the second output: mi_run took
+    # that one, where classic, encoded and futamura took both, and no
+    # compiled program can choose between outputs over abstract variables
+    lp, pol = tmp_path / "p.lp", tmp_path / "p.policy"
+    lp.write_text("p(X,Y) :- q(X,Z), r(Z,Y).\nq(0,a).\nq(1,f(W)).\n"
+                  "r(Z,Z).\n")
+    pol.write_text("entry: p(g1,a1).\nfulleval: q(g1,a1) -> { a1=g2 } ; "
+                   "{ a1=a2 } via user q/2.\n")
+    extra = ["--out-dir", str(tmp_path / "out")] \
+        if command == "pipeline" else []
+    assert main([command, str(lp), str(pol)] + extra) == 2
+    assert capsys.readouterr().err == (
+        f"cc {command}: {pol}: a full evaluation declares one output at "
+        "line 2, column 33\n")
+
+
 @pytest.mark.xfail(strict=True, reason=(
-    "classic, encoded and futamura take every output's transition of a "
-    "full evaluation for every result, where mi_run takes the first output "
-    "the result fits (ROADMAP item 3)"))
-def test_a_full_evaluation_takes_only_the_outputs_its_result_fits():
-    # q(0,Z) gives Z = a, which fits only the second output; classic's
-    # p_s2 has one clause per output, and nothing tests which one fits
-    runs = _all_ways("p(X,Y) :- q(X,Z), r(Z,Y).\nq(0,a).\nq(1,f(W)).\n"
-                     "r(Z,Z).\n",
-                     "entry: p(g1,a1).\nfulleval: q(g1,a1) -> { a1=g2 } ; "
-                     "{ a1=a2 } via user q/2.\n", "p(0,Y)")
-    assert runs[:2] == [([(("Y", "a"),)], 3)] * 2
-    assert [answers for answers, _ in runs] == [[(("Y", "a"),)]] * 5
+    "classic's entry wrapper p(A1) :- p_s1(A1) and the support copy of p/1 "
+    "that q/1 reaches both define p/1 (ROADMAP item 3k)"))
+def test_classic_keeps_its_entry_wrapper_apart_from_the_support_copies():
+    # naive and mi_run answer a, b and c once each; classic's p(c) runs
+    # both definitions, 8 answers in 22 inferences
+    runs = _all_ways("p(X) :- q(X).\np(c).\nq(a).\nq(b) :- p(c).\n",
+                     "entry: p(a1).\n"
+                     "fulleval: q(a1) -> { a1=g1 } via user q/1.\n", "p(X)")
+    assert runs[:2] == [([(("X", "a"),), (("X", "b"),), (("X", "c"),)], 6)] * 2
+    assert [answers for answers, _ in runs] == [runs[0][0]] * 5
 
 
 _DRIVER = """\

@@ -31,7 +31,7 @@ def test_parse_policy_parts():
     policy = parse_policy(PERMSORT)
     assert len(policy.preprior) == 2
     assert [d.link for d in policy.fulleval] == [("select", 3), ("=<", 2)]
-    assert policy.fulleval[0].outputs[0].pairs
+    assert policy.fulleval[0].output.pairs
 
 
 def test_policy_requires_entry():
@@ -61,6 +61,19 @@ def test_a_link_other_than_its_own_builtin_or_user_predicate_is_refused(
     with pytest.raises(ParseError) as err:
         parse_policy(f"entry: t(g1,a1).\nfulleval: {decl}.\n")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry, decl", [
+    ("q(a1)", "q(a1) -> { } via user q/1"),
+    ("q(g1)", "q(a1) -> { a1=g1 } via user q/1"),
+    ("select(a1,[g1|g2],a2)",
+     "select(a1,[g1|g2],a2) -> { } via builtin select/3"),
+], ids=["user", "user-instance", "builtin"])
+def test_a_fully_evaluated_entry_is_refused(entry, decl):
+    # classic named its entry wrapper after the support copy, or a builtin
+    with pytest.raises(PolicyError) as err:
+        parse_policy(f"entry: {entry}.\nfulleval: {decl}.\n")
+    assert str(err.value) == f"the entry pattern {entry} is fully evaluated"
 
 
 def test_derived_order_from_preprior_and_instantiation():
