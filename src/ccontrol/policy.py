@@ -10,6 +10,7 @@ derived from these by closing under instantiation and transitivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .absdom import (ASub, AVar, FULLEVAL, FreshAVars, LogicError, UNFOLD,
                      abstract_instance, abstract_name, avars, canonicalize)
@@ -53,6 +54,12 @@ class SelectionPolicy:
     sets: dict = field(default_factory=dict)    # name -> tuple of Atom
     rules: tuple = ()            # of RuleTemplate
     fulleval: tuple = ()         # of FullEvalDecl
+
+    @cached_property
+    def own_order(self) -> OwnOrder:
+        """The policy's own part of the selection order, derived at the
+        first selection that ranks atoms."""
+        return OwnOrder(self)
 
     def fulleval_match(self, a: Atom):
         """The first declaration whose pattern covers ``a``, if any."""
@@ -169,8 +176,8 @@ def parse_policy(text: str) -> SelectionPolicy:
                 f"selection order is reflexive at {print_atom(lhs)}")
     policy = SelectionPolicy(entry, tuple(preprior), sets, tuple(rules),
                              tuple(fulleval))
-    # classic's entry wrapper would define the predicate that the support
-    # copy of a user full evaluation defines, or a builtin
+    # a fully evaluated entry has no control to compile, and classic's
+    # entry wrapper would define a builtin
     if policy.fulleval_match(entry) is not None:
         raise PolicyError(
             f"the entry pattern {print_atom(entry)} is fully evaluated")
@@ -209,62 +216,206 @@ class DerivedOrder:
         self.of = of                    # class index of each ranked atom
 
 
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class OwnOrder:
+    """The part of the derived order that depends on the policy alone.
+
+    Its classes are those of the atoms the policy names, numbered in order
+    of first mention: ``preprior`` pairs, ``never_before`` targets, then
+    ``set`` members.  Its relation is generated from the ``preprior``
+    pairs, the instantiation rule (a strict instance precedes what it
+    instantiates), full-evaluation priority and the ``instances_first``
+    rules, less the ``never_before`` pairs, and closed under transitivity
+    by one Warshall pass.  ``after[i]`` and ``before[i]`` are bit masks
+    of the classes after and before class i.  A cycle is kept, in
+    ``cyclic``, and reported by the first selection."""
+
+    def __init__(self, policy: SelectionPolicy):
+        self.classes = []
+        self.reps = []
+        self.where = {}
+
+        def index(a):
+            key = canonicalize(a)
+            i = self.where.get(key)
+            if i is None:
+                i = self.where[key] = len(self.classes)
+                self.classes.append(key)
+                self.reps.append(a)
+            return i
+
+        preprior = [(index(p), index(q)) for p, q in policy.preprior]
+        never_before = [(index(r.target), r.set_name) for r in policy.rules
+                        if r.kind == "never_before"]
+        members = {}
+        for name, ms in policy.sets.items():
+            members[name] = 0
+            for m in ms:
+                members[name] |= 1 << index(m)
+        n = len(self.classes)
+        # an atom is an instance only of atoms of its own predicate
+        self.kin = {}
+        for i, r in enumerate(self.reps):
+            self.kin[r.indicator] = self.kin.get(r.indicator, 0) | 1 << i
+        # two classes are never equivalent, so one is a strict instance of
+        # another exactly when it is an instance of it
+        instance = [sum(1 << j for j in _bits(self.kin[r.indicator])
+                        if j != i and abstract_instance(r, self.reps[j])
+                        is not None)
+                    for i, r in enumerate(self.reps)]
+        self.fe = sum(1 << i for i, r in enumerate(self.reps)
+                      if policy.fulleval_match(r) is not None)
+        self.firsts = [members[r.set_name] for r in policy.rules
+                       if r.kind == "instances_first"]
+        after = list(instance)
+        for i, j in preprior:
+            after[i] |= 1 << j
+        for i in _bits(self.fe):
+            after[i] |= ~self.fe & ((1 << n) - 1)
+        for ms in self.firsts:
+            for i in range(n):
+                if instance[i] & ms:
+                    after[i] |= ms & ~(1 << i)
+        for target, name in never_before:
+            for i in _bits(members[name]):
+                after[i] &= ~(1 << target)
+        for k in range(n):
+            bit = 1 << k
+            for i in range(n):
+                if after[i] & bit:
+                    after[i] |= after[k]
+        self.after = after
+        self.before = [0] * n
+        for i in range(n):
+            for j in _bits(after[i]):
+                self.before[j] |= 1 << i
+        self.cyclic = sum(1 << i for i in range(n) if after[i] >> i & 1)
+
+
+class _RankedOrder:
+    """The policy's own order with the classes of some ranked atoms added.
+
+    The policy's classes keep their numbers, and each new class comes
+    after them; the own order's lists are copied at the first new class.
+    A new class gets its instance pairs against every class already
+    present, in both directions, its full-evaluation pairs and its
+    ``instances_first`` pairs; no ``never_before`` pair names it, as both
+    sides of those are classes the policy names.  Each new class is added
+    to the closed relation as its predecessors times its successors.
+    ``of`` is the class of each ranked atom, and ``first`` maps each
+    ranked class, in order of appearance, to its first ranked atom."""
+
+    def __init__(self, policy: SelectionPolicy, atoms):
+        own = self.own = policy.own_order
+        self.classes, self.reps, self.kin = own.classes, own.reps, own.kin
+        self.after, self.before = own.after, own.before
+        self.fe, self.cyclic = own.fe, own.cyclic
+        self.of = []
+        self.first = {}
+        where = {}
+        for a in atoms:
+            key = canonicalize(a)
+            i = own.where.get(key)
+            if i is None:
+                i = where.get(key)
+                if i is None:
+                    i = where[key] = self._add(policy, key, a)
+            self.of.append(i)
+            self.first.setdefault(i, a)
+        if self.cyclic:
+            self._report_cycle()
+
+    def _add(self, policy, key, a):
+        """Add the class of ``a``, which is new, and return its number."""
+        x = len(self.classes)
+        if self.classes is self.own.classes:
+            self.classes, self.reps = list(self.classes), list(self.reps)
+            self.after, self.before = list(self.after), list(self.before)
+            self.kin = dict(self.kin)
+        self.classes.append(key)
+        self.reps.append(a)
+        bit = 1 << x
+        kin = self.kin.get(a.indicator, 0)
+        self.kin[a.indicator] = kin | bit
+        instance = lower = 0
+        for j in _bits(kin):
+            if abstract_instance(a, self.reps[j]) is not None:
+                instance |= 1 << j
+            if abstract_instance(self.reps[j], a) is not None:
+                lower |= 1 << j
+        higher = instance
+        if policy.fulleval_match(a) is not None:
+            higher |= ~self.fe & (bit - 1)
+            self.fe |= bit
+        else:
+            lower |= self.fe
+        for ms in self.own.firsts:
+            if instance & ms:
+                higher |= ms
+        after, before = self.after, self.before
+        for j in _bits(lower):
+            lower |= before[j]
+        for j in _bits(higher):
+            higher |= after[j]
+        loop = lower & higher
+        if loop:
+            lower |= bit
+            higher |= bit
+            self.cyclic |= loop | bit
+        after.append(higher)
+        before.append(lower)
+        for j in _bits(lower):
+            after[j] |= higher | bit
+        for j in _bits(higher):
+            before[j] |= lower | bit
+        return x
+
+    def numbering(self) -> dict:
+        """Each class's number in ``derive_order``: the ranked classes in
+        order of appearance, then the policy's own classes."""
+        number = dict.fromkeys(self.first)
+        number.update(dict.fromkeys(range(len(self.own.classes))))
+        return {i: n for n, i in enumerate(number)}
+
+    def _report_cycle(self):
+        """Report the cycle pair (i, j), i < j, that comes first in
+        ``numbering``: i is the first class on a cycle, j the first class
+        on a cycle with it."""
+        number = self.numbering()
+        i = min(_bits(self.cyclic), key=number.__getitem__)
+        j = min(_bits(self.after[i] & self.before[i] & ~(1 << i)),
+                key=number.__getitem__)
+        a, b = (print_atom(self.first.get(k, self.reps[k])) for k in (i, j))
+        raise PolicyError(f"selection order is cyclic: {a} < {b} < {a}")
+
+
 def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
-    """The selection order over the given atoms' equivalence classes.
+    """The selection order over the given atoms' equivalence classes and
+    the classes of the atoms the policy names, the ranked atoms' classes
+    first.
 
     Generated from: explicit preprior pairs; the instantiation rule (a
     strict instance precedes what it instantiates); fulleval priority
     (atoms covered by a fulleval declaration precede all others); and the
     quantified rule templates.  Closed under transitivity and checked for
-    cycles.  Each ranked atom and each atom the policy names is
-    canonicalized once; the ranked atoms' classes come first.
+    cycles.  The policy's own part (``SelectionPolicy.own_order``) is
+    derived once; each call canonicalizes only the ranked atoms.
     """
-    classes = []
-    reps = []
-    where = {}
-
-    def index(a):
-        key = canonicalize(a)
-        i = where.get(key)
-        if i is None:
-            i = where[key] = len(classes)
-            classes.append(key)
-            reps.append(a)
-        return i
-
-    of = [index(a) for a in atoms]
-    less = {(index(p), index(q)) for p, q in policy.preprior}
-    never_before = [(index(r.target), r.set_name) for r in policy.rules
-                    if r.kind == "never_before"]
-    set_classes = {name: {index(m) for m in members}
-                   for name, members in policy.sets.items()}
-    n = len(classes)
-    # two classes are never equivalent, so one is a strict instance of
-    # another exactly when it is an instance of it
-    instance = {(i, j) for i in range(n) for j in range(n)
-                if i != j and abstract_instance(reps[i], reps[j]) is not None}
-    less |= instance
-    fe = [policy.fulleval_match(r) is not None for r in reps]
-    less |= {(i, j) for i in range(n) if fe[i] for j in range(n) if not fe[j]}
-    for rule in policy.rules:
-        if rule.kind == "instances_first":
-            members = set_classes[rule.set_name]
-            firsts = {i for i, k in instance if k in members}
-            less |= {(i, j) for i in firsts for j in members if i != j}
-    for target, name in never_before:
-        less -= {(i, target) for i in set_classes[name]}
-    # transitive closure, one Warshall pass
-    for k in range(n):
-        before = [i for i in range(n) if (i, k) in less]
-        after = [j for j in range(n) if (k, j) in less]
-        less.update((i, j) for i in before for j in after)
-    for i, j in less:
-        if i < j and (j, i) in less:
-            raise PolicyError(
-                "selection order is cyclic: "
-                f"{print_atom(reps[i])} < {print_atom(reps[j])} "
-                f"< {print_atom(reps[i])}")
-    return DerivedOrder(classes, less, of)
+    order = _RankedOrder(policy, atoms)
+    number = order.numbering()
+    classes = [None] * len(number)
+    for i, n in number.items():
+        classes[n] = order.classes[i]
+    less = {(n, number[j]) for i, n in number.items()
+            for j in _bits(order.after[i])}
+    return DerivedOrder(classes, less, [number[i] for i in order.of])
 
 
 # --- selection -----------------------------------------------------------
@@ -314,11 +465,10 @@ def select_conjunct(policy: SelectionPolicy, conj):
             if isinstance(conj[pos], Atom):
                 return pos, FULLEVAL
             return pos, "split"
-    order = derive_order(policy, [a for _, a in eff])
-    # the ranked atoms' classes are the first ones, in order of appearance
-    present = range(max(order.of) + 1)
-    for i in present:
-        if all((i, j) in order.less for j in present if j != i):
+    order = _RankedOrder(policy, [a for _, a in eff])
+    present = sum(1 << i for i in order.first)
+    for i in order.first:       # the ranked classes, in order of appearance
+        if (present & ~order.after[i]) == 1 << i:
             pos = eff[order.of.index(i)][0]
             return pos, UNFOLD if isinstance(conj[pos], Atom) else "split"
     raise NoMinimumError(

@@ -93,6 +93,40 @@ class _Synthesizer:
         self.clauses = []
         self.links = []          # links of the user full evaluations
         self.uses_blocks = False
+        self.support_names = self._support_names()
+
+    def _support_names(self) -> dict:
+        """A name for each source predicate that the entry wrapper, a
+        state predicate or ``bb_append/3`` also defines, so that its
+        support copy is a predicate of its own: ``p_user`` for ``p``, or
+        ``p_user2``, ... when that is taken too."""
+        g = self.graph
+        states = {name: sid for sid, name in self.names.items()}
+        ours = {(self.entry_pred, len(g.states[g.entry][0].args))}
+        ours |= {head.indicator for head, _ in BB_APPEND}
+
+        def defined(pred):
+            """Whether the synthesized program defines ``pred`` itself."""
+            sid = states.get(pred[0])
+            return pred in ours or sid is not None and \
+                pred[1] == len(self._template(g.states[sid])[2])
+
+        source = self.program.predicates
+        taken = set(source)
+        names = {}
+        for pred, arity in sorted(p for p in source if defined(p)):
+            name, k = f"{pred}_user", 1
+            while (name, arity) in taken or defined((name, arity)):
+                k += 1
+                name = f"{pred}_user{k}"
+            taken.add((name, arity))
+            names[pred, arity] = name
+        return names
+
+    def _support_call(self, a: Atom) -> Atom:
+        """``a`` calling the support copy of its predicate."""
+        name = self.support_names.get(a.indicator)
+        return a if name is None else Atom(name, a.args)
 
     # --- per-state templates ---------------------------------------------
 
@@ -140,8 +174,9 @@ class _Synthesizer:
         self._wrapper()
         if self.uses_blocks:
             self.clauses += BB_APPEND
-        self.clauses += [(c.head, c.body) for c in
-                         support_clauses(self.program, self.links)]
+        self.clauses += [(self._support_call(c.head),
+                          tuple(self._support_call(a) for a in c.body))
+                         for c in support_clauses(self.program, self.links)]
         program = program_of(self.clauses)
         entry_arity = len(g.states[g.entry][0].args)
         return SynthesizedProgram(program, (self.entry_pred, entry_arity),
@@ -201,10 +236,12 @@ class _Synthesizer:
                 raise SynthesisError(
                     f"structured full-evaluation output {t!r} is not "
                     "supported")
+        call = elems[pos]
         if not decl.link_is_builtin:
             self.links.append(decl.link)
+            call = self._support_call(call)
         # a link names its pattern's predicate, so the call is the atom
-        return args, (elems[pos],), elems[:pos] + elems[pos + 1:]
+        return args, (call,), elems[:pos] + elems[pos + 1:]
 
     def _extracted(self, conj, pos, cause, raw, template, freshc):
         """A split: the multi's first instance comes out of its block

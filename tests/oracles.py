@@ -1345,3 +1345,45 @@ def queen_boards(n):
                for i in range(n) for j in range(i + 1, n)):
             boards.append(list(perm))
     return boards
+
+
+# --- a generated program family ------------------------------------------
+
+_ORD_SHAPES = ("[]", "[g1]", "[g1|a1]", "[g1,g2|a1]", "a1")
+
+ORDERED_COPIES_QUERIES = ("p([3,1,2],S)", "p([2,1,3,4],S)")
+
+
+def ordered_copies(k, seed=None):
+    """Permsort with ``k`` renamed copies of its ``ord/1`` test (ROADMAP
+    item 20): the program ``p(L,S) :- perm(L,S), ord0(S), ...,
+    ord{k-1}(S).`` with permsort's ``perm/2``, and a policy with
+    permsort's two ``preprior`` pairs for each copy, its two ``fulleval``
+    declarations, and ``ord_i(s) < ord_j(s)`` for each i < j and each
+    list shape s.  Returns (program text, policy text); the queries are
+    ``ORDERED_COPIES_QUERIES``.  A ``seed`` shuffles the policy's
+    ``preprior`` declarations, which names the same order."""
+    ords = [f"ord{i}" for i in range(k)]
+    lines = ["p(L,S) :- perm(L,S), " +
+             ", ".join(f"{o}(S)" for o in ords) + ".",
+             "perm([],[]).",
+             "perm([X|Y],[U|V]) :- select(U,[X|Y],W), perm(W,V)."]
+    for o in ords:
+        lines += [f"{o}([]).", f"{o}([X]).",
+                  f"{o}([X,Y|Z]) :- X =< Y, {o}([Y|Z])."]
+    preprior = []
+    for o in ords:
+        preprior += [f"perm(g1,a1) < {o}([g1|a1])",
+                     f"{o}([g1,g2|a1]) < perm(g1,a1)"]
+    for i in range(k):
+        for j in range(i + 1, k):
+            preprior += [f"{ords[i]}({s}) < {ords[j]}({s})"
+                         for s in _ORD_SHAPES]
+    if seed is not None:
+        random.Random(seed).shuffle(preprior)
+    policy = (["entry: p(g1,a1)."] +
+              [f"preprior: {pair}." for pair in preprior] +
+              ["fulleval: select(a1,[g1|g2],a2) -> { a1=g3, a2=g4 } "
+               "via builtin select/3.",
+               "fulleval: g1 =< g2 -> { } via builtin =</2."])
+    return "\n".join(lines) + "\n", "\n".join(policy) + "\n"

@@ -25,7 +25,7 @@ from ccontrol.multi import Multi, case_split
 from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import (PolicyError, _effective_atoms, derive_order,
                              parse_policy)
-from ccontrol.synthesis import compare_programs, synthesize
+from ccontrol.synthesis import compare_programs, run_compiled, synthesize
 from ccontrol.terms import Atom, FreshNames, Substitution, mklist, \
     parse_goal, parse_program, rename_apart, unify
 
@@ -33,7 +33,8 @@ from conftest import CORPUS_NAMES, answer_set, corpus_text, query_deviation
 from oracles import (Sampler, check_case_split_complete,
                      check_unify_against_brute_force, check_widen_monotone,
                      conj_member, first_primes, is_complete, order_lt,
-                     queen_boards, random_term, strict_instance)
+                     ordered_copies, ORDERED_COPIES_QUERIES, queen_boards,
+                     random_term, strict_instance)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -394,7 +395,30 @@ def test_a_never_before_rule_that_removes_a_pair_decides_the_graph():
         assert answer_set(solve(futamura, wrapped)) == naive, text
 
 
-# --- 8. the oracles agree with the implementation -------------------------
+# --- 8. a generated program family compiles end to end ---------------------
+
+def test_the_ordered_copies_family_agrees_on_every_construction():
+    """Permsort with k copies of its ord/1 test, k = 1..4: naive, mi_run,
+    classic and futamura give the same answer lists on both queries."""
+    start = time.monotonic()
+    for k in range(1, 5):
+        text, policy_text = ordered_copies(k)
+        program, policy = parse_program(text), parse_policy(policy_text)
+        tables = build_tables(analyze(program, policy), program, policy)
+        classic = synthesize(tables.graph, program, policy).program
+        futamura = specialize_encoded(tables).program
+        for query, answer in zip(ORDERED_COPIES_QUERIES,
+                                 ("{S=[1,2,3]}", "{S=[1,2,3,4]}")):
+            goal = parse_goal(query)
+            runs = [run_compiled(program, goal), mi_run(tables, goal),
+                    run_compiled(classic, goal),
+                    run_compiled(futamura, goal)]
+            assert [[repr(a) for a in r.answers] for r in runs] == \
+                [[answer]] * 4, (k, query)
+    assert time.monotonic() - start < 5
+
+
+# --- 9. the oracles agree with the implementation -------------------------
 
 def test_oracle_micro_suites_pass(corpus):
     """Unification against brute-force enumeration, widening against

@@ -442,17 +442,31 @@ def test_a_full_evaluation_with_a_second_output_is_refused(tmp_path, capsys,
         "line 2, column 33\n")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "classic's entry wrapper p(A1) :- p_s1(A1) and the support copy of p/1 "
-    "that q/1 reaches both define p/1 (ROADMAP item 3k)"))
 def test_classic_keeps_its_entry_wrapper_apart_from_the_support_copies():
-    # naive and mi_run answer a, b and c once each; classic's p(c) runs
-    # both definitions, 8 answers in 22 inferences
+    # naive and mi_run answer a, b and c once each; classic's p(c) ran
+    # both definitions of p/1, 8 answers in 22 inferences
     runs = _all_ways("p(X) :- q(X).\np(c).\nq(a).\nq(b) :- p(c).\n",
                      "entry: p(a1).\n"
                      "fulleval: q(a1) -> { a1=g1 } via user q/1.\n", "p(X)")
     assert runs[:2] == [([(("X", "a"),), (("X", "b"),), (("X", "c"),)], 6)] * 2
     assert [answers for answers, _ in runs] == [runs[0][0]] * 5
+
+
+def test_classic_calls_the_support_copy_of_a_link_named_like_its_entry():
+    # p(g1) is not the entry pattern p(a1), so p/1 may be fully evaluated;
+    # classic's call p(a) in state 3 and the recursive call in the copy of
+    # p/1 both went to the entry wrapper
+    lp = "p(a).\np(X) :- q(X,Y), p(Y).\nq(b,a).\n"
+    pol = ("entry: p(a1).\npreprior: q(a1,a2) < p(a2).\n"
+           "fulleval: p(g1) -> { } via user p/1.\n")
+    runs = _all_ways(lp, pol, "p(X)")
+    assert [answers for answers, _ in runs] == \
+        [[(("X", "a"),), (("X", "b"),)]] * 5
+    program, policy = parse_program(lp), parse_policy(pol)
+    classic = synthesize(analyze(program, policy), program, policy).program
+    assert print_program(classic).endswith(
+        "p(A1) :- p_s1(A1).\np_user(a).\n"
+        "p_user(X) :- q(X,Y), p_user(Y).\nq(b,a).\n")
 
 
 _DRIVER = """\

@@ -1,18 +1,21 @@
 """Selection policies and the derived instantiation order."""
 
+import collections
+import hashlib
 import itertools
 import re
 
 import pytest
 
-from ccontrol.absdom import FULLEVAL, UNFOLD, parse_aconj
-from ccontrol.analysis import AnalysisOptions, analyze
+from ccontrol import policy as policy_module
+from ccontrol.absdom import FULLEVAL, UNFOLD, canonicalize, parse_aconj
+from ccontrol.analysis import AnalysisOptions, analyze, render_graph
 from ccontrol.policy import (NoMinimumError, PolicyError, _effective_atoms,
                              derive_order, parse_policy, select_conjunct)
 from ccontrol.terms import ParseError, parse_program
 
 from conftest import CORPUS_NAMES, corpus_text
-from oracles import (is_complete, order_lt, parse_aatom,
+from oracles import (is_complete, order_lt, ordered_copies, parse_aatom,
                      reference_derive_order, reference_select_conjunct,
                      select_atom)
 from test_metaint import _via_user_tables
@@ -208,6 +211,99 @@ def test_selection_matches_the_reference_on_hand_written_policies():
     cycles = {str(o) for o in outcomes if type(o) is PolicyError}
     assert {frozenset(_cycle(m)) for m in cycles} == \
         {frozenset({"p(a1)", "q(a1)"})}
+
+
+def test_selection_matches_the_reference_on_the_ordered_copies_family():
+    # the family's policies name 5 classes per pair of ord/1 copies, and
+    # each state adds its own few
+    checked = 0
+    for k in range(1, 5):
+        program, text = ordered_copies(k)
+        policy = parse_policy(text)
+        for conj in analyze(parse_program(program), policy).states.values():
+            if conj:
+                assert isinstance(_check_against_reference(policy, conj),
+                                  tuple)
+                checked += 1
+    assert checked == 60
+
+
+def test_a_cycle_among_the_policy_classes_is_reported_at_the_first_selection():
+    # the policy's own order is derived lazily: the cycle is not a parse
+    # error, and a state that ranks no atom of it still reports it
+    policy = parse_policy("entry: e(a1).\n"
+                          "preprior: p(a1) < q(a1).\n"
+                          "preprior: q(a1) < p(a1).\n")
+    message = "selection order is cyclic: p(a1) < q(a1) < p(a1)"
+    with pytest.raises(PolicyError) as err:
+        select_conjunct(policy, parse_aconj("s(a1)"))
+    assert str(err.value) == message
+    with pytest.raises(PolicyError) as err:
+        derive_order(policy, [parse_aatom("s(a1)")])
+    assert str(err.value) == message
+    with pytest.raises(PolicyError) as err:
+        analyze(parse_program("e(X) :- s(X).\ns(a).\n"), policy)
+    assert str(err.value) == message
+
+
+def test_a_cycle_of_three_classes_reports_its_lowest_pair():
+    # ranked classes are numbered first, so q(a1) is 0, p(g1) 1, p(a1) 2
+    # and r(a1) 3; the first pair (i, j), i < j, on a cycle is (0, 2)
+    policy = parse_policy("entry: e(a1).\n"
+                          "preprior: p(a1) < q(a1).\n"
+                          "preprior: q(a1) < r(a1).\n"
+                          "preprior: r(a1) < p(a1).\n")
+    conj = parse_aconj("q(a1) , p(g1)")
+    for select in (lambda: select_conjunct(policy, conj),
+                   lambda: derive_order(policy, list(conj))):
+        with pytest.raises(PolicyError) as err:
+            select()
+        assert str(err.value) == \
+            "selection order is cyclic: q(a1) < p(a1) < q(a1)"
+
+
+# SHA-256 of the JSON rendering of each family member's graph
+ORDERED_COPIES_GRAPHS = {
+    1: "8866150e963f7ea56550d3c6bc932fd722e1358aa9d683aa2046887a1af143e1",
+    2: "a24d1738586edcc8df6e1cbab0ad2edcacc7ccdfc9b6d8483ff97895a3313a91",
+    3: "29689d22ff9a51155a1920f949b7d9330b8ac95a93506c2029622a5f9ea562fa",
+    4: "228a53a621fe61a81bf66121e123a1633711ca089de4f12299e3376ae377d621",
+    8: "9eb842713e216737d797451ca18851d1e6a2f6424e462e4f91e6df3d55bc064b",
+}
+
+
+@pytest.mark.parametrize("k", sorted(ORDERED_COPIES_GRAPHS))
+def test_the_ordered_copies_graphs_are_pinned(k):
+    # a shuffled policy names the same order, so it gives the same graph
+    for seed in (None, 1) if k <= 4 else (None,):
+        program, text = ordered_copies(k, seed)
+        graph = analyze(parse_program(program), parse_policy(text))
+        assert len(graph.states) == 4 * k + 5
+        digest = hashlib.sha256(render_graph(graph, "json").encode())
+        assert digest.hexdigest() == ORDERED_COPIES_GRAPHS[k], seed
+
+
+def test_each_pair_of_policy_classes_is_instance_tested_once(monkeypatch):
+    # the policy's own order is derived once per policy, not per state
+    program, text = ordered_copies(8)
+    policy = parse_policy(text)
+    patterns = [decl.pattern for decl in policy.fulleval]
+    named = {canonicalize(a) for pair in policy.preprior for a in pair}
+    tested = collections.Counter()
+    instance = policy_module.abstract_instance
+
+    def counted(x, y):
+        if not any(y is pattern for pattern in patterns):   # fulleval_match
+            tested[canonicalize(x), canonicalize(y)] += 1
+        return instance(x, y)
+
+    monkeypatch.setattr(policy_module, "abstract_instance", counted)
+    graph = analyze(parse_program(program), policy)
+    assert len(graph.states) == 37
+    # 41 classes: perm(g1,a1) and five list shapes for each ord/1 copy;
+    # an atom is tested only against atoms of its own predicate
+    own = [n for pair, n in tested.items() if set(pair) <= named]
+    assert len(named) == 41 and len(own) == 8 * 5 * 4 and max(own) == 1
 
 
 def test_select_atom_marks():
