@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass, field
 
 from .absdom import (FULLEVAL, UNFOLD, FreshAVars, LogicError,
-                     abstract_unify_with_clause, canonicalize,
-                     full_eval_output, parse_aconj, print_aconj,
-                     widen_depth_k)
+                     abstract_instance, abstract_unify_with_clause,
+                     canonical_renaming, canonicalize, full_eval_output,
+                     parse_aconj, print_aconj, widen_depth_k)
 from .engine import BUILTINS
 from .multi import (LAYOUTS, FoldEvent, Multi, case_split, pattern_name,
                     simplify_conj, try_fold)
@@ -53,9 +53,13 @@ class StateGraph:
     transitions: list        # of Transition
     actions: dict            # id -> ("select", pos, mark) | ("split", pos)
     #                        # | ("group", FoldEvent)
-    # id -> the (cause, conjunction) pairs ``abstract_step`` gave the state,
-    # in transition order, and the (program, policy) it ran under: in
-    # memory only, None for a graph read from a file
+    # id -> a (cause, successor, cover) triple for each step
+    # ``abstract_step`` gave the state, in transition order: the successor
+    # as ``simplify_conj`` leaves it, and the cover of the state its
+    # transition leads to, which maps each variable of that state's
+    # conjunction to what it stands for in the successor (None for the
+    # empty goal); and the (program, policy) they are of: in memory only,
+    # None for a graph read from a file
     steps: dict = field(default=None, compare=False, repr=False)
     source: tuple = field(default=None, compare=False, repr=False)
 
@@ -158,29 +162,37 @@ def analyze(program: Program, policy: SelectionPolicy,
     worklist = [1]
     next_id = 2
 
-    def intern(conj, src):
+    def state(conj, src):
+        """The id of the state ``conj``, a new one when it is not yet
+        interned."""
         nonlocal next_id
-        conj = canonicalize(simplify_conj(conj))
-        if not conj:
-            return EMPTY_STATE
-        if conj in index:
-            return index[conj]
-        if opts.depth_k is not None:
-            widened = canonicalize(simplify_conj(widen_depth_k(conj,
-                                                             opts.depth_k)))
-            if widened in index:
-                return index[widened]
-            conj = widened
-        sid = next_id
-        next_id += 1
-        states[sid] = conj
-        index[conj] = sid
-        parents[sid] = src
-        worklist.append(sid)
-        if len(states) > opts.max_states:
-            raise AnalysisError(_growth_diagnostic(states, parents, sid,
-                                                   opts.max_states))
+        sid = index.get(conj)
+        if sid is None:
+            sid = next_id
+            next_id += 1
+            states[sid] = conj
+            index[conj] = sid
+            parents[sid] = src
+            worklist.append(sid)
+            if len(states) > opts.max_states:
+                raise AnalysisError(_growth_diagnostic(states, parents, sid,
+                                                       opts.max_states))
         return sid
+
+    def intern(succ, src):
+        """The state a step's successor leads to, the successor simplified,
+        and the state's cover of it: the canonical renaming inverted when
+        the state is the successor's canonical form, and found by
+        ``abstract_instance`` when it is a depth-k widening of it."""
+        succ = simplify_conj(succ)
+        if not succ:
+            return EMPTY_STATE, succ, None
+        conj, renaming = canonical_renaming(succ)
+        if conj not in index and opts.depth_k is not None:
+            conj = canonicalize(simplify_conj(widen_depth_k(conj,
+                                                          opts.depth_k)))
+            return state(conj, src), succ, abstract_instance(succ, conj).pairs
+        return state(conj, src), succ, {c: v for v, c in renaming.items()}
 
     while worklist:
         sid = worklist.pop(0)
@@ -199,11 +211,14 @@ def analyze(program: Program, policy: SelectionPolicy,
                 else ("select", pos, mark)
         actions[sid] = action
         try:
-            steps[sid] = abstract_step(program, policy, conj, action)
+            made = abstract_step(program, policy, conj, action)
         except AnalysisError as e:
             raise AnalysisError(f"state {sid}: {e}") from None
-        for cause, succ in steps[sid]:
-            transitions.append(Transition(sid, intern(succ, sid), cause))
+        steps[sid] = []
+        for cause, succ in made:
+            dst, succ, cover = intern(succ, sid)
+            transitions.append(Transition(sid, dst, cause))
+            steps[sid].append((cause, succ, cover))
 
     return StateGraph(1, states, transitions, actions, steps,
                       (program, policy))

@@ -171,7 +171,10 @@ def support_clauses(program: Program, preds, defined=()) -> list:
     """The clauses of ``program`` defining the predicates ``preds`` (name,
     arity) and, transitively, every predicate their bodies call, except
     builtins and the predicates in ``defined``: each predicate's clauses
-    in textual order, predicates in the order they are first reached."""
+    in textual order, predicates in the order they are first reached.
+    A body goal ``call(G)`` calls the predicate of ``G`` when ``G`` is a
+    callable term; when it is a variable, its predicate is known only at
+    run time, and none is followed."""
     seen = set(defined)
     todo = list(preds)
     out = []
@@ -184,8 +187,20 @@ def support_clauses(program: Program, preds, defined=()) -> list:
         seen.add(pred)
         clauses = program.clauses_for(*pred)
         out.extend(clauses)
-        todo.extend(a.indicator for c in clauses for a in c.body)
+        todo.extend(_called(a).indicator for c in clauses for a in c.body)
     return out
+
+
+def _called(atom: Atom) -> Atom:
+    """The goal ``atom`` runs: the atom of ``G`` for ``call(G)`` with a
+    callable ``G``, through any number of ``call/1`` wrappers, and
+    ``atom`` itself otherwise."""
+    while atom.indicator == ("call", 1):
+        inner = term_to_atom(atom.args[0])
+        if inner is None:
+            break
+        atom = inner
+    return atom
 
 
 def is_known(program: Program, atom: Atom) -> bool:

@@ -119,47 +119,59 @@ def build_tables(g: StateGraph, program: Program,
     ``abstract_step`` finds; each state's transitions are exactly the
     causes of its steps, in order; and each leads to state 0 when the
     step's successor is empty, otherwise to a state that covers it.  The
-    steps the analysis recorded are taken when it ran under an equal
-    program and policy; any other graph, one read from a file among them,
-    is replayed here once, and the tables hold it with its steps.  The
-    rows of each state's clause transitions are built here too, so that a
-    row's clause is always of the predicate the state selects."""
+    steps the analysis recorded, with their covers, are taken when it ran
+    under an equal program and policy; any other graph, one read from a
+    file among them, is replayed here once, and the tables hold it with
+    its steps and the covers the check finds.  The rows of each state's
+    clause transitions are built here too, so that a row's clause is
+    always of the predicate the state selects."""
     entry = g.states.get(g.entry)
     if entry != canonicalize((policy.entry,)):
         shown = "missing" if entry is None else print_aconj(entry)
         raise MetaintError(
             f"the graph's entry state {g.entry} ({shown}) is not the "
             f"policy's entry pattern {print_atom(policy.entry)}")
-    if g.source != (program, policy):
-        g = replace(g, source=(program, policy),
-                    steps={sid: _replay(sid, conj, g.actions[sid], program,
-                                        policy)
-                           for sid, conj in g.states.items()})
-    for sid, steps in g.steps.items():
+    replayed = g.source != (program, policy)
+    steps = {sid: _replay(sid, conj, g.actions[sid], program, policy)
+             for sid, conj in g.states.items()} if replayed else g.steps
+    checked = {}
+    for sid, made in steps.items():
         transitions = g.successors(sid)
         found = [t.cause for t in transitions]
-        made = [cause for cause, _ in steps]
-        if found != made:
+        causes = [step[0] for step in made]
+        if found != causes:
             raise MetaintError(
                 f"state {sid} has the transitions {_causes_str(found)}, "
-                f"where its action makes {_causes_str(made)}")
-        for t, (cause, succ) in zip(transitions, steps):
-            succ = simplify_conj(succ)
-            if succ and t.dst != EMPTY_STATE:
-                covered = abstract_instance(succ, g.states[t.dst]) is not None
-            else:
-                covered = not succ and t.dst == EMPTY_STATE
-            if not covered:
-                shown = print_aconj(succ) if succ else "the empty goal"
-                raise MetaintError(
-                    f"the {_causes_str([cause])} transition of state {sid} "
-                    f"leads to state {t.dst}, which does not cover its "
-                    f"successor {shown}")
+                f"where its action makes {_causes_str(causes)}")
+        checked[sid] = [_covered(g, sid, t, step[1])
+                        for t, step in zip(transitions, made)]
+    if replayed:
+        g = replace(g, source=(program, policy), steps=checked)
     switches = {c.id: Switch((c,)) for c in program.clauses}
     rows = {sid: tuple((switches[t.cause[1]], t.dst)
                        for t in g.successors(sid) if t.cause[0] == "clause")
             for sid in g.states}
     return StateTables(g, program, policy, rows)
+
+
+def _covered(g, sid, t, succ) -> tuple:
+    """The step of state ``sid`` whose transition is ``t`` and whose
+    successor is ``succ``, as ``StateGraph.steps`` records it, once
+    ``t.dst`` covers the successor."""
+    succ = simplify_conj(succ)
+    cover = None
+    if succ and t.dst != EMPTY_STATE:
+        cover = abstract_instance(succ, g.states[t.dst])
+        covered = cover is not None
+    else:
+        covered = not succ and t.dst == EMPTY_STATE
+    if not covered:
+        shown = print_aconj(succ) if succ else "the empty goal"
+        raise MetaintError(
+            f"the {_causes_str([t.cause])} transition of state {sid} "
+            f"leads to state {t.dst}, which does not cover its "
+            f"successor {shown}")
+    return t.cause, succ, None if cover is None else cover.pairs
 
 
 def _replay(sid, conj, action, program, policy) -> list:

@@ -27,7 +27,7 @@ from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
 from .metaint import encode_as_logic_program
 from .terms import (Atom, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, list_parts, mklist,
-                    print_atom, program_of, replace_vars, resolve_all,
+                    print_atom, program_of, resolve_all,
                     substitute, term_to_atom, term_vars, NIL)
 
 DEFAULT_BUDGET = 10_000
@@ -181,6 +181,26 @@ def generalize_call(atom: Atom, types, fresh: FreshNames,
     return Atom(atom.pred, tuple(args))
 
 
+def _variant_key(gatom: Atom) -> tuple:
+    """A key on which two generalized calls agree exactly when they are
+    variants: the call walked left to right on an explicit stack into a
+    flat tuple, with a ``(name, arity)`` marker for the atom and each
+    structure, each constant as it is and None for each variable.  A
+    generalization is linear and its known parts are ground, so no
+    variable needs a name of its own."""
+    out = [(gatom.pred, len(gatom.args))]
+    stack = list(gatom.args[::-1])
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Struct:
+            out.append((t.functor, len(t.args)))
+            stack += t.args[::-1]
+        else:
+            out.append(t if cls is Const else None)
+    return tuple(out)
+
+
 # --- filter and annotation declarations ----------------------------------
 
 @dataclass
@@ -329,6 +349,7 @@ class MemoEntry:
     of the call are compiled into its name and clauses."""
     name: str                # residual predicate name
     call: Atom               # the generalized call pattern
+    arity: int               # the number of variables of ``call``
 
 
 @dataclass
@@ -363,7 +384,8 @@ class _Specializer:
         self.limits = Limits()
         self.inferences = 0
         self.memo = []                    # of MemoEntry
-        self.memo_index = {}              # pattern, variables as None
+        self.memo_index = {}              # variant key -> MemoEntry
+        self.plans = {}                   # indicator -> (annotation, switch)
         self.worklist = []
         self.clauses = []
         self.steps = 0
@@ -374,13 +396,11 @@ class _Specializer:
         parts = []
         gatom = generalize_call(atom, self.filters.for_atom(atom), self.fresh,
                                 parts)
-        # a generalization is linear and its known parts are ground, so
-        # two are variants exactly when they agree with each variable
-        # replaced by one placeholder
-        key = replace_vars(gatom, lambda v: None)
+        key = _variant_key(gatom)
         entry = self.memo_index.get(key)
         if entry is None:
-            entry = MemoEntry(self._name_for(gatom), gatom)
+            # the generalization is linear: one variable per unknown part
+            entry = MemoEntry(self._name_for(gatom), gatom, len(parts))
             self.memo.append(entry)
             self.memo_index[key] = entry
             self.worklist.append(entry)
@@ -432,11 +452,16 @@ class _Specializer:
             self.clauses.append((substitute(atom, store),
                                  substitute(resid, store)))
             return 0, []
+        plan = self.plans.get(atom.indicator)
+        if plan is None:
+            plan = self.plans[atom.indicator] = (
+                self.annotations.of(atom),
+                self.program.switch_for(atom.pred, len(atom.args)))
+        ann, switch = plan
         if resid is None:
-            return 0, self._unfold(atom, rest, (), last_first=True)
-        ann = self.annotations.of(atom)
+            return 0, self._unfold(atom, switch, rest, (), last_first=True)
         if ann == UNFOLD:
-            return 0, self._unfold(atom, rest, resid)
+            return 0, self._unfold(atom, switch, rest, resid)
         if ann == MEMO or ann == RESCALL:
             atom = substitute(atom, store)
             call = self.request(atom) if ann == MEMO else self._unwrap(atom)
@@ -454,8 +479,7 @@ class _Specializer:
                 f"{e}") from None
         return 0, [(rest, resid, out) for out in outs]
 
-    def _unfold(self, atom, rest, resid, last_first=False) -> list:
-        switch = self.program.switch_for(atom.pred, len(atom.args))
+    def _unfold(self, atom, switch, rest, resid, last_first=False) -> list:
         if switch is None:
             raise PDError(f"cannot unfold unknown predicate "
                           f"{atom.pred}/{len(atom.args)}")
@@ -478,7 +502,7 @@ class _Specializer:
         """Copy rescalled source predicates the residual clauses still use,
         and the source predicates those copies use in turn."""
         calls = [a.indicator for _, body in self.clauses for a in body]
-        defined = {(e.name, len(term_vars(e.call))) for e in self.memo}
+        defined = {(e.name, e.arity) for e in self.memo}
         self.clauses.extend((c.head, c.body) for c in
                             support_clauses(self.program, calls, defined))
 

@@ -5,9 +5,10 @@ abstract variables (plus one block-list argument per multi abstraction),
 and each transition becomes a clause.  A state's successors are the
 steps the graph records for it (``analysis.abstract_step`` under the
 state's action, as the analysis or ``metaint.build_tables`` ran it),
-built concretely over a variable template; matching each successor
-against the stored state, which equals it up to renaming or widens it,
-yields the argument terms linking a clause head to the successor call.
+built concretely over a variable template; the cover recorded with each
+step, which maps the variables of the state it leads to onto the
+successor, yields the argument terms linking a clause head to the
+successor call.
 The result executes under the plain left-to-right engine yet follows the
 analyzed selection rule step for step.
 """
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import AVar, GROUND, LogicError, abstract_instance, avars
+from .absdom import AVar, GROUND, LogicError, avars
 from .analysis import EMPTY_STATE, StateGraph
 from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BB_APPEND, block_list, build_tables, building_block
-from .multi import Multi, simplify_conj
+from .multi import Multi
 from .policy import SelectionPolicy
 from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
                     Switch, Var, atom_to_term, list_parts, mklist,
@@ -89,7 +90,11 @@ class _Synthesizer:
         self.entry_pred = graph.states[graph.entry][0].pred
         self.names = {sid: f"{self.entry_pred}_s{sid}"
                       for sid in graph.states}
-        self.clauses_by_id = {c.id: c for c in program.clauses}
+        self.switches = {c.id: Switch((c,)) for c in program.clauses}
+        # each state's plain abstract variables and template
+        self.plain = {sid: _plain_avars(conj)
+                      for sid, conj in graph.states.items()}
+        self.templates = {sid: self._template(sid) for sid in graph.states}
         self.clauses = []
         self.links = []          # links of the user full evaluations
         self.uses_blocks = False
@@ -109,7 +114,7 @@ class _Synthesizer:
             """Whether the synthesized program defines ``pred`` itself."""
             sid = states.get(pred[0])
             return pred in ours or sid is not None and \
-                pred[1] == len(self._template(g.states[sid])[2])
+                pred[1] == len(self.templates[sid][2])
 
         source = self.program.predicates
         taken = set(source)
@@ -124,45 +129,56 @@ class _Synthesizer:
         return names
 
     def _support_call(self, a: Atom) -> Atom:
-        """``a`` calling the support copy of its predicate."""
-        name = self.support_names.get(a.indicator)
-        return a if name is None else Atom(name, a.args)
+        """``a`` calling the support copy of its predicate, also when it
+        is the callable argument of ``call/1``, through any number of
+        such wrappers."""
+        goal, wrappers = a, 0
+        while goal.indicator == ("call", 1):
+            inner = term_to_atom(goal.args[0])
+            if inner is None:
+                break
+            goal, wrappers = inner, wrappers + 1
+        name = self.support_names.get(goal.indicator)
+        if name is None:
+            return a
+        goal = Atom(name, goal.args)
+        for _ in range(wrappers):
+            goal = Atom("call", (atom_to_term(goal),))
+        return goal
 
     # --- per-state templates ---------------------------------------------
 
-    def _template(self, conj):
-        """Concrete template: named variable per abstract variable, one
-        block-list variable per multi; returns (env, elements, args)."""
-        env = {v: Var(_avar_name(v)) for v in _plain_avars(conj)}
+    def _template(self, sid):
+        """Concrete template of a state: named variable per abstract
+        variable, one block-list variable per multi; returns (env,
+        elements, args)."""
+        env = {v: Var(_avar_name(v)) for v in self.plain[sid]}
         var = _variables(env)
         elems = []
         nb = 0
-        for c in conj:
+        for c in self.graph.states[sid]:
             if isinstance(c, Atom):
                 elems.append(replace_vars(c, var))
             else:
                 nb += 1
                 elems.append(Var(f"B{nb}"))
-        args = [env[v] for v in _plain_avars(conj)]
+        args = list(env.values())
         args += [e for e in elems if isinstance(e, Var)]
         return env, tuple(elems), tuple(args)
 
     # --- successor calls --------------------------------------------------
 
-    def _successor(self, dst, raw_elems, conc_elems):
+    def _successor(self, dst, succ, cover, conc_elems):
         """The concrete call to the successor state's predicate.  The
         stored state covers the abstract successor (it is the same up to
         renaming, or a widening of it), and each of its variables is
-        passed the concrete counterpart of what it covers."""
+        passed the concrete counterpart of what the recorded cover maps
+        it to."""
         if dst == EMPTY_STATE:
             return None
-        raw = simplify_conj(raw_elems)
-        stored = self.graph.states[dst]
-        cover = abstract_instance(raw, stored)
-        var = _variables(_bind_term(raw, conc_elems))
-        args = [replace_vars(cover.apply(v), var)
-                for v in _plain_avars(stored)]
-        args += [c for a, c in zip(raw, conc_elems) if isinstance(a, Multi)]
+        var = _variables(_bind_term(succ, conc_elems))
+        args = [replace_vars(cover[v], var) for v in self.plain[dst]]
+        args += [c for a, c in zip(succ, conc_elems) if isinstance(a, Multi)]
         return Atom(self.names[dst], tuple(args))
 
     # --- clause emission --------------------------------------------------
@@ -183,8 +199,7 @@ class _Synthesizer:
                                   dict(self.names))
 
     def _wrapper(self):
-        conj = self.graph.states[self.graph.entry]
-        env, elems, args = self._template(conj)
+        env, elems, args = self.templates[self.graph.entry]
         self.clauses.append((elems[0], (Atom(self.names[self.graph.entry],
                                              args),)))
 
@@ -192,10 +207,9 @@ class _Synthesizer:
         """One clause per transition of the state: each recorded step's
         concrete side, built over the state's template."""
         g = self.graph
-        action, conj = g.actions[sid], g.states[sid]
-        template = self._template(conj)
+        action, template = g.actions[sid], self.templates[sid]
         freshc = FreshNames()
-        for (cause, raw), t in zip(g.steps[sid], g.successors(sid)):
+        for (cause, succ, cover), t in zip(g.steps[sid], g.successors(sid)):
             if cause[0] == "clause":
                 step = self._resolved(sid, action[1], cause[1], template,
                                       freshc)
@@ -204,11 +218,11 @@ class _Synthesizer:
             elif cause[0] == "grouping":
                 step = self._grouped(action[1], template)
             else:
-                step = self._extracted(conj, action[1], cause, raw,
-                                       template, freshc)
+                step = self._extracted(sid, action[1], cause, succ, template,
+                                       freshc)
             head_args, prefix, conc = step
-            succ = self._successor(t.dst, raw, conc)
-            body = tuple(prefix) + ((succ,) if succ is not None else ())
+            call = self._successor(t.dst, succ, cover, conc)
+            body = tuple(prefix) + ((call,) if call is not None else ())
             self.clauses.append((Atom(self.names[sid], tuple(head_args)),
                                  body))
 
@@ -217,9 +231,8 @@ class _Synthesizer:
 
     def _resolved(self, sid, pos, clause_id, template, freshc):
         env, elems, args = template
-        switch = Switch((self.clauses_by_id[clause_id],))
-        succ = resolve_all(elems[pos], switch, elems[pos + 1:], sid, freshc,
-                           {})
+        succ = resolve_all(elems[pos], self.switches[clause_id],
+                           elems[pos + 1:], sid, freshc, {})
         if not succ:
             raise SynthesisError(
                 f"clause {clause_id} matches abstractly but not "
@@ -243,15 +256,16 @@ class _Synthesizer:
         # a link names its pattern's predicate, so the call is the atom
         return args, (call,), elems[:pos] + elems[pos + 1:]
 
-    def _extracted(self, conj, pos, cause, raw, template, freshc):
+    def _extracted(self, sid, pos, cause, succ, template, freshc):
         """A split: the multi's first instance comes out of its block
         list, alone ("one") or ahead of the rest ("many")."""
         env, elems, args = template
+        conj = self.graph.states[sid]
         m = conj[pos]
-        bidx = len(_plain_avars(conj)) \
+        bidx = len(self.plain[sid]) \
             + sum(1 for c in conj[:pos] if isinstance(c, Multi))
         var = _variables(dict(env), freshc)
-        first = replace_vars(raw[pos:pos + m.plen], var)
+        first = replace_vars(succ[pos:pos + m.plen], var)
         head_args = list(args)
         if cause == ("one",):
             head_args[bidx] = mklist([building_block(first)])

@@ -7,14 +7,15 @@ import pathlib
 import pytest
 
 from ccontrol import metaint
-from ccontrol.analysis import (AnalysisError, AnalysisOptions, StateGraph,
-                               Transition, analyze, parse_graph,
+from ccontrol.absdom import AVar, abstract_instance, avars
+from ccontrol.analysis import (EMPTY_STATE, AnalysisError, AnalysisOptions,
+                               StateGraph, Transition, analyze, parse_graph,
                                render_graph)
 from ccontrol.cli import main
 from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
                               encode_as_logic_program, mi_run)
-from ccontrol.multi import FoldEvent
+from ccontrol.multi import FoldEvent, simplify_conj
 from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import parse_policy
 from ccontrol.synthesis import run_compiled, synthesize
@@ -328,6 +329,64 @@ def _via_user_tables():
 VIA_USER = "t/dbl/sum via user"
 
 
+def _analyzed(corpus, key):
+    """The in-memory graph of a corpus entry or a pinned small program,
+    with the program and policy it was analyzed from."""
+    if key in CORPUS_NAMES:
+        entry = corpus(key)
+        return entry.graph, entry.program, entry.policy
+    if key in WIDENED:
+        return _widened(key)
+    program, tables = _via_user_tables()
+    return tables.graph, program, tables.policy
+
+
+COVERED = CORPUS_NAMES + tuple(sorted(WIDENED)) + (VIA_USER,)
+
+
+@pytest.mark.parametrize("key", COVERED)
+def test_each_recorded_cover_is_the_instance_of_its_successor(corpus, key):
+    # the analysis records the canonical renaming inverted, or, against a
+    # widened state, abstract_instance's cover; synthesis reads it for
+    # the arguments of each successor call
+    graph, _, _ = _analyzed(corpus, key)
+    steps = renamed = 0
+    for sid, made in graph.steps.items():
+        for (cause, succ, cover), t in zip(made, graph.successors(sid)):
+            assert cause == t.cause
+            steps += 1
+            if t.dst == EMPTY_STATE:
+                assert (succ, cover) == ((), None)
+                continue
+            stored = graph.states[t.dst]
+            want = abstract_instance(simplify_conj(succ), stored).pairs
+            plain = avars([c for c in stored if isinstance(c, Atom)])
+            assert {v: cover[v] for v in plain} == \
+                {v: want[v] for v in plain}, (sid, cause)
+            renamed += all(isinstance(x, AVar) for x in cover.values())
+    assert steps == len(graph.transitions)
+    # each widened graph has a step whose state generalizes its successor
+    assert (renamed < steps - sum(t.dst == EMPTY_STATE
+                                  for t in graph.transitions)) == \
+        (key in WIDENED)
+
+
+@pytest.mark.parametrize("key", COVERED)
+def test_a_graph_read_back_synthesizes_as_the_analyzed_one(corpus, key):
+    # the graph read from its file has no steps, so build_tables replays
+    # them and records the covers its check finds
+    graph, program, policy = _analyzed(corpus, key)
+    read = parse_graph(render_graph(graph, "json"))
+    assert read.steps is None
+    replayed = build_tables(read, program, policy).graph
+    assert [[(cause, succ) for cause, succ, _ in replayed.steps[sid]]
+            for sid in sorted(graph.states)] == \
+        [[(cause, succ) for cause, succ, _ in graph.steps[sid]]
+         for sid in sorted(graph.states)]
+    assert print_program(synthesize(read, program, policy).program) == \
+        print_program(synthesize(graph, program, policy).program)
+
+
 def test_user_full_evaluation_outputs_are_pinned():
     # the post-pattern renaming of full evaluations, byte for byte
     program, tables = _via_user_tables()
@@ -467,6 +526,67 @@ def test_classic_calls_the_support_copy_of_a_link_named_like_its_entry():
     assert print_program(classic).endswith(
         "p(A1) :- p_s1(A1).\np_user(a).\n"
         "p_user(X) :- q(X,Y), p_user(Y).\nq(b,a).\n")
+
+
+# a via user link whose clause calls a source predicate through call/1:
+# a predicate of its own (r/1), and the entry's predicate (p/1)
+CALLED_THROUGH_CALL = {
+    "own": "p(X) :- q(X).\nq(a).\nq(b) :- call(r(b)).\nr(b).\n",
+    "entry": "p(X) :- q(X).\np(c).\nq(a).\nq(b) :- call(p(c)).\n",
+}
+CALLED_THROUGH_CALL_POLICY = ("entry: p(a1).\n"
+                              "fulleval: q(a1) -> { a1=g1 } via user q/1.\n")
+
+
+@pytest.mark.parametrize("case, want", [
+    ("own", ([(("X", "a"),), (("X", "b"),)], 4)),
+    ("entry", ([(("X", "a"),), (("X", "b"),), (("X", "c"),)], 6))])
+def test_a_link_s_call_of_a_source_predicate_is_copied(case, want):
+    # encoded, classic and futamura had no copy of the predicate that
+    # call/1 names (unknown predicate r/1, p/1), or, for p/1, classic's
+    # call reached its entry wrapper: 10 inferences against naive's 6.
+    # Classic's wrapper and the state it enters cost two resolutions that
+    # naive does not make (ROADMAP 3a)
+    runs = _all_ways(CALLED_THROUGH_CALL[case], CALLED_THROUGH_CALL_POLICY,
+                     "p(X)")
+    assert runs[:2] == [want] * 2
+    assert [answers for answers, _ in runs] == [want[0]] * 5
+    assert runs[3][1] == want[1] + 2
+
+
+def test_classic_renames_the_support_call_inside_call():
+    program = parse_program(CALLED_THROUGH_CALL["entry"])
+    policy = parse_policy(CALLED_THROUGH_CALL_POLICY)
+    classic = synthesize(analyze(program, policy), program, policy).program
+    assert print_program(classic).endswith(
+        "q(a).\nq(b) :- call(p_user(c)).\np_user(X) :- q(X).\np_user(c).\n")
+
+
+@pytest.mark.parametrize("case", sorted(CALLED_THROUGH_CALL))
+def test_the_pipeline_runs_a_link_that_calls_through_call(tmp_path, capsys,
+                                                          case):
+    lp, pol = tmp_path / "p.lp", tmp_path / "p.policy"
+    lp.write_text(CALLED_THROUGH_CALL[case])
+    pol.write_text(CALLED_THROUGH_CALL_POLICY)
+    (tmp_path / "p.queries").write_text("p(X).\n")
+    rc = main(["pipeline", str(lp), str(pol), "--out-dir",
+               str(tmp_path / "out"), "--tolerance", "0.5"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert "p(X): agree" in captured.out
+
+
+def test_a_call_of_a_variable_still_stops_at_run_time(tmp_path, capsys):
+    # the goal of call(G) is known only when it runs, so no copy is made
+    lp, pol = tmp_path / "p.lp", tmp_path / "p.policy"
+    lp.write_text("p(X) :- q(X).\nq(a).\nq(b) :- r(G), call(G).\nr(s).\n"
+                  "s.\n")
+    pol.write_text(CALLED_THROUGH_CALL_POLICY)
+    (tmp_path / "p.queries").write_text("p(X).\n")
+    rc = main(["pipeline", str(lp), str(pol), "--out-dir",
+               str(tmp_path / "out"), "--tolerance", "0.5"])
+    assert (rc, capsys.readouterr().err) == \
+        (2, "cc pipeline: unknown predicate s/0\n")
 
 
 _DRIVER = """\

@@ -211,6 +211,69 @@ def test_generalization_returns_the_unknown_parts_and_keys_variants():
     assert [e.name for e in sp.memo] == [first.pred, other.pred]
 
 
+def _memo_specializer(filter_text):
+    pred = filter_text.split("(")[0]
+    arity = filter_text.count(",") + 1
+    return _Specializer(parse_program(f"{pred}({','.join('X' * arity)})."),
+                        parse_annotations(f"ann(memo, {pred}/{arity})."),
+                        parse_filters(filter_text), 100)
+
+
+def test_variant_generalizations_share_one_memo_entry():
+    # the generalizations of these calls differ only in their variables'
+    # names, so each is keyed as the first
+    sp = _memo_specializer("p(nonvar,dynamic,static).")
+    calls = ["p(f(X,Y),Z,g(a,[1,2]))", "p(f(U,U),g(V),g(a,[1,2]))",
+             "p(f(a,b),c,g(a,[1,2]))"]
+    residual = [sp.request(parse_atom(c)) for c in calls]
+    assert len(sp.memo) == 1
+    assert {r.pred for r in residual} == {sp.memo[0].name}
+    assert [print_atom(r) for r in residual] == [
+        f"{sp.memo[0].name}(X,Y,Z)", f"{sp.memo[0].name}(U,U,g(V))",
+        f"{sp.memo[0].name}(a,b,c)"]
+    assert sp.memo[0].arity == 3
+
+
+FIRST = "p(f(X,Y),g(a,[1,2]))"
+
+
+@pytest.mark.parametrize("first, other", [
+    (FIRST, "p(f(X,Y),g(a,[1,3]))"),     # one constant of the static part
+    (FIRST, "p(f(X,Y),g(b,[1,2]))"),
+    (FIRST, "p(f(X,Y),g(a,[1,2|c]))"),   # a list's tail
+    (FIRST, "p(f(X,Y),h(a,[1,2]))"),     # a functor
+    (FIRST, "p(f(X,Y),g(a,[1,2],c))"),   # an arity
+    (FIRST, "p(f(X,Y),g)"),              # a constant named as the functor
+    (FIRST, "p(h(X,Y),g(a,[1,2]))"),     # the functor that nonvar keeps
+    (FIRST, "p(f(X),g(a,[1,2]))"),
+    (FIRST, "p(f,g(a,[1,2]))"),
+    # the same symbols in the same order, nested another way
+    ("p(f(X),k(h(a),b))", "p(f(X),k(h(a,b)))"),
+    ("p(f(X,Y),a)", "p(f(X),a)"),
+])
+def test_calls_that_differ_in_a_known_part_have_their_own_entries(first,
+                                                                  other):
+    sp = _memo_specializer("p(nonvar,static).")
+    first = sp.request(parse_atom(first))
+    second = sp.request(parse_atom(other))
+    assert len(sp.memo) == 2 and first.pred != second.pred
+
+
+def test_a_deep_generalized_call_is_keyed_without_recursion():
+    def nested(leaf):
+        t = Const(leaf)
+        for _ in range(5000):
+            t = Struct("s", (t,))
+        return t
+
+    sp = _memo_specializer("p(static,dynamic).")
+    first = sp.request(Atom("p", (nested("z"), Var("X"))))
+    again = sp.request(Atom("p", (nested("z"), Const("a"))))
+    other = sp.request(Atom("p", (nested("y"), Var("X"))))
+    assert first.pred == again.pred != other.pred
+    assert len(sp.memo) == 2
+
+
 # --- specialization of a small program ------------------------------------
 
 def test_specialize_unfolds_interpretation_away():
