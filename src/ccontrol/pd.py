@@ -22,13 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 
+from .absdom import print_aconj
+from .analysis import EMPTY_STATE
 from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
                      support_clauses)
-from .metaint import encode_as_logic_program
+from .metaint import CMULTI, encode_as_logic_program
+from .multi import Multi
 from .terms import (Atom, Const, FreshNames, LogicError, ParseError,
-                    Program, Struct, Var, _Lexer, list_parts, mklist,
-                    print_atom, program_of, resolve_all,
-                    substitute, term_to_atom, term_vars, NIL)
+                    Program, Struct, Var, _Lexer, _unify_pairs, atom_to_term,
+                    list_parts, mklist, print_atom, program_of,
+                    replace_vars, resolve_all, substitute, take_back,
+                    term_to_atom, term_vars, NIL)
 
 DEFAULT_BUDGET = 10_000
 
@@ -167,6 +171,32 @@ class OneOf(BindingType):
         return " ; ".join(repr(a) for a in self.alternatives)
 
 
+class StateGoals(BindingType):
+    """The goal list of ``mi/2``, known as far as the conjunction of the
+    state that the call's static second argument names.  It is not a
+    generalization of the term alone: ``_Specializer`` walks the state's
+    conjunction and the goal list together (``_state_request``), so it
+    takes the states that ``specialize_encoded`` passes."""
+
+    def __repr__(self):
+        return "state"
+
+
+STATE = StateGoals()
+_STATE_ONLY = "the state binding type is declared only as mi(state, static)"
+
+
+def _naming(names: dict, fresh: FreshNames):
+    """A renaming for ``replace_vars``: each variable's entry in
+    ``names``, else a new variable from ``fresh``, kept there."""
+    def name(v):
+        t = names.get(v)
+        if t is None:
+            t = names[v] = fresh.var()
+        return t
+    return name
+
+
 def generalize_call(atom: Atom, types, fresh: FreshNames,
                     parts: list) -> Atom:
     """The call pattern obtained by generalizing each argument; the
@@ -253,6 +283,8 @@ def _parse_binding_primary(lx):
     kind, val, loc = lx.next()
     if kind != "name":
         raise ParseError(f"expected a binding type, got {val!r}", *loc)
+    if val == "state":
+        raise ParseError(_STATE_ONLY, *loc)
     if val == "static":
         return Static()
     if val == "dynamic":
@@ -294,8 +326,17 @@ def _check_first_declaration(table, pred, arity, loc):
         raise ParseError(f"repeated declaration for {pred}/{arity}", *loc)
 
 
+def _parse_argument_type(lx):
+    """The binding type of one argument: ``state`` stands alone."""
+    if lx.peek()[:2] == ("name", "state"):
+        lx.next()
+        return STATE
+    return _parse_binding_type(lx)
+
+
 def parse_filters(text: str) -> Filters:
-    """Filter declarations, one ``pred(type, ...).`` per clause."""
+    """Filter declarations, one ``pred(type, ...).`` per clause.  The
+    ``state`` type is declared only as ``mi(state, static)``."""
     lx = _Lexer(text)
     filters = Filters()
     while lx.peek()[0] != "eof":
@@ -303,12 +344,16 @@ def parse_filters(text: str) -> Filters:
         if kind != "name":
             raise ParseError(f"expected a predicate name, got {pred!r}", *loc)
         lx.expect("(")
-        types = [_parse_binding_type(lx)]
+        types = [_parse_argument_type(lx)]
         while lx.peek()[0] == ",":
             lx.next()
-            types.append(_parse_binding_type(lx))
+            types.append(_parse_argument_type(lx))
         lx.expect(")")
         lx.expect(".")
+        if STATE in types and not (pred == "mi" and len(types) == 2 and
+                                   types[0] is STATE and
+                                   isinstance(types[1], Static)):
+            raise ParseError(_STATE_ONLY, *loc)
         _check_first_declaration(filters.table, pred, len(types), loc)
         filters.declare(pred, types)
     return filters
@@ -349,7 +394,11 @@ class MemoEntry:
     of the call are compiled into its name and clauses."""
     name: str                # residual predicate name
     call: Atom               # the generalized call pattern
-    arity: int               # the number of variables of ``call``
+    params: tuple            # the variables of ``call``
+
+    @property
+    def arity(self) -> int:
+        return len(self.params)
 
 
 @dataclass
@@ -372,11 +421,12 @@ class _Specializer:
     when the head is all that is left of the goal.
     """
 
-    def __init__(self, program, annotations, filters, budget):
+    def __init__(self, program, annotations, filters, budget, states=None):
         self.program = program
         self.annotations = annotations
         self.filters = filters
         self.budget = budget
+        self.states = states              # state id -> conjunction
         self.fresh = FreshNames()
         self.store = {}
         # the search's limits never stop a specialization: its steps add
@@ -385,6 +435,7 @@ class _Specializer:
         self.inferences = 0
         self.memo = []                    # of MemoEntry
         self.memo_index = {}              # variant key -> MemoEntry
+        self.state_memo = {}              # state id -> (MemoEntry, conj)
         self.plans = {}                   # indicator -> (annotation, switch)
         self.worklist = []
         self.clauses = []
@@ -392,19 +443,101 @@ class _Specializer:
         self.names = set()
 
     def request(self, atom: Atom) -> Atom:
-        """Memoize a call; returns the residual call replacing it."""
+        """Memoize a call, read through the store; returns the residual
+        call replacing it.  Under the state filter, the bindings that the
+        state's conjunction makes of the call are left on the store."""
+        types = self.filters.for_atom(atom)
+        if types and types[0] is STATE:
+            return self._state_request(atom)
         parts = []
-        gatom = generalize_call(atom, self.filters.for_atom(atom), self.fresh,
-                                parts)
+        gatom = generalize_call(substitute(atom, self.store), types,
+                                self.fresh, parts)
         key = _variant_key(gatom)
         entry = self.memo_index.get(key)
         if entry is None:
-            # the generalization is linear: one variable per unknown part
-            entry = MemoEntry(self._name_for(gatom), gatom, len(parts))
+            # the generalization is linear: its variables are the parts
+            entry = MemoEntry(self._name_for(gatom), gatom,
+                              tuple(term_vars(gatom)))
             self.memo.append(entry)
             self.memo_index[key] = entry
             self.worklist.append(entry)
         return Atom(entry.name, tuple(parts))
+
+    def _state_request(self, atom: Atom) -> Atom:
+        """``mi(Goals, S)`` memoized at state S's conjunction: one walk, on
+        an explicit stack, of the state's goal-list pattern and ``Goals``
+        in lockstep, read through the store.  The first occurrence of a
+        pattern variable takes the call's term as its argument, and a
+        later one is unified with that term; a constant or structure of
+        the pattern that meets an unbound variable binds it.  Anything
+        else is a clash."""
+        store = self.store
+        sid = atom.args[1]
+        while sid.__class__ is Var and sid in store:
+            sid = store[sid]
+        entry, conj = self._state_memo(atom, sid)
+        mark, seen = len(store), {}
+        rename = _naming(seen, self.fresh)
+        stack = [(entry.call.args[0], atom.args[0])]
+        while stack:
+            p, t = stack.pop()
+            while t.__class__ is Var:
+                u = store.get(t)
+                if u is None:
+                    break
+                t = u
+            cls = p.__class__
+            if cls is Var:
+                if p not in seen:
+                    seen[p] = t
+                    continue
+                fits = _unify_pairs([(t, seen[p])], store, True)
+            elif t.__class__ is Var:
+                fits = _unify_pairs([(t, replace_vars(p, rename))], store,
+                                    True)
+            elif cls is Const:
+                fits = t.__class__ is Const and t.name == p.name
+            else:
+                fits = t.__class__ is Struct and t.functor == p.functor \
+                    and len(t.args) == len(p.args)
+                if fits:
+                    stack += zip(p.args[::-1], t.args[::-1])
+            if not fits:
+                take_back(store, mark)
+                raise PDError(
+                    f"the call {print_atom(substitute(atom, store))} is "
+                    f"not an instance of state {sid.name}'s conjunction "
+                    f"{print_aconj(conj) or 'true'}")
+        return Atom(entry.name, tuple(seen[v] for v in entry.params))
+
+    def _state_memo(self, atom, sid) -> tuple:
+        """The memo entry of the state ``sid`` and its conjunction, built at
+        the state's first request: the entry's goal-list pattern has a
+        variable for each abstract variable and ``cmulti(B)`` for each
+        multi."""
+        key = sid.name if sid.__class__ is Const else None
+        memo = self.state_memo.get(key)
+        if memo is not None:
+            return memo
+        if self.states is None:
+            raise PDError("the state binding type needs the state graph "
+                          "that specialize_encoded passes")
+        conj = () if key == EMPTY_STATE else self.states.get(key)
+        if conj is None:
+            raise PDError(f"{print_atom(substitute(atom, self.store))} "
+                          "names no state of the graph")
+        names = {}          # each abstract variable and each multi
+        var = _naming(names, self.fresh)
+        pattern = mklist([Struct(CMULTI, (var(c),)) if isinstance(c, Multi)
+                          else atom_to_term(replace_vars(c, var))
+                          for c in conj])
+        gatom = Atom(atom.pred, (pattern, sid))
+        entry = MemoEntry(self._name_for(gatom), gatom,
+                          tuple(names.values()))
+        self.memo.append(entry)
+        self.worklist.append(entry)
+        memo = self.state_memo[key] = entry, conj
+        return memo
 
     def _name_for(self, gatom: Atom) -> str:
         last = gatom.args[-1] if gatom.args else None
@@ -438,7 +571,7 @@ class _Specializer:
             raise PDError(
                 f"memoized predicate {gatom.pred}/{len(gatom.args)} has no "
                 "clauses")
-        depth_first(self, (gatom, Atom(entry.name, tuple(term_vars(gatom)))))
+        depth_first(self, (gatom, Atom(entry.name, entry.params)))
 
     def step(self, goal, resid):
         """Treat the first atom as its annotation says.  ``resid`` is the
@@ -462,9 +595,12 @@ class _Specializer:
             return 0, self._unfold(atom, switch, rest, (), last_first=True)
         if ann == UNFOLD:
             return 0, self._unfold(atom, switch, rest, resid)
-        if ann == MEMO or ann == RESCALL:
-            atom = substitute(atom, store)
-            call = self.request(atom) if ann == MEMO else self._unwrap(atom)
+        if ann == MEMO:
+            mark = len(store)
+            call = self.request(atom)
+            return 0, [(rest, resid + (call,), take_back(store, mark))]
+        if ann == RESCALL:
+            call = self._unwrap(substitute(atom, store))
             return 0, [(rest, resid + (call,), ())]
         if atom.indicator not in BUILTINS:
             raise PDError("call annotation on non-builtin "
@@ -509,17 +645,21 @@ class _Specializer:
 
 def specialize(program: Program, entry: Atom, annotations: Annotations,
                filters: Filters, budget: int = DEFAULT_BUDGET,
-               wrapper: Atom = None) -> ResidualProgram:
+               wrapper: Atom = None, states: dict = None) -> ResidualProgram:
     """Specialize ``program`` with respect to the partially known ``entry``.
 
     The entry call is memoized first; specialization proceeds until the
     memo table is closed, so every residual call is defined.  A
     ``wrapper`` head, when given, becomes the residual program's last
     clause, with the residual entry call as its body, so that the program
-    is built once.
+    is built once.  ``states`` maps each state id to its conjunction, for
+    the ``state`` binding type.
     """
-    sp = _Specializer(program, annotations, filters, budget)
+    sp = _Specializer(program, annotations, filters, budget, states)
     entry_call = sp.request(entry)
+    if sp.store:        # what the entry state's conjunction fixes
+        entry_call, wrapper = substitute((entry_call, wrapper), sp.store)
+        sp.store.clear()
     sp.run()
     if wrapper is not None:
         sp.clauses.append((wrapper, (entry_call,)))
@@ -553,14 +693,13 @@ def interpreter_annotations() -> Annotations:
 
 
 def interpreter_filters() -> Filters:
-    """Binding types of the interpreter's goal list: the top functor of
-    each goal element is known and its arguments are not, and the state
-    is fully known.  A cmulti element is kept whole, as ``cmulti(_)``:
-    the state already fixes the shape of its blocks, so knowing its
-    first block would only memoize the same state a second time, and
-    the residual splits the block list in its clause heads instead."""
+    """Binding types of the interpreter's goal list and state: the state
+    is fully known, and the goal list as far as the state's conjunction
+    (``mi(state, static)``).  A cmulti element is kept whole, as
+    ``cmulti(_)``: the state already fixes the shape of its blocks, and
+    the residual splits the block list in its clause heads."""
     filters = Filters()
-    filters.declare("mi", (ListOf(Nonvar()), Static()))
+    filters.declare("mi", (STATE, Static()))
     return filters
 
 
@@ -586,4 +725,5 @@ def specialize_encoded(tables, variant: str = None,
     annotations = annotations or interpreter_annotations()
     filters = filters or interpreter_filters()
     return specialize(encoded, entry, annotations, filters, budget,
-                      Atom("compute", (mklist([skeleton]),)))
+                      Atom("compute", (mklist([skeleton]),)),
+                      tables.graph.states)

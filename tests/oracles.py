@@ -526,11 +526,19 @@ def reference_case_split(m, fresh):
 
 def interpreter_filter_text() -> str:
     """The default filters in their declaration syntax."""
+    return "mi(state, static).\n"
+
+
+def list_filter_text() -> str:
+    """The generic filters of the goal list, the default before the
+    state's conjunction was: each element is known down to its top
+    functor, so a cmulti element is ``cmulti(_)``, and a repeated
+    variable is one argument per occurrence."""
     return "mi(type(list(nonvar)), static).\n"
 
 
 def block_filter_text() -> str:
-    """The earlier default filters, in which a cmulti element is known
+    """The filters before those, in which a cmulti element is known
     down to the atom skeletons of its first building block.  They
     memoize a state once for each way a cmulti reaches it (primes 74
     memo entries for 53 states, queens 57 for 41), and they are the

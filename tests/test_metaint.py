@@ -15,7 +15,7 @@ from ccontrol.cli import main
 from ccontrol.engine import Limits, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
                               encode_as_logic_program, mi_run)
-from ccontrol.multi import FoldEvent, simplify_conj
+from ccontrol.multi import FoldEvent, Multi, simplify_conj
 from ccontrol.pd import check_closedness, specialize_encoded
 from ccontrol.policy import parse_policy
 from ccontrol.synthesis import run_compiled, synthesize
@@ -25,7 +25,7 @@ from ccontrol.terms import (Atom, mklist, parse_goal, parse_program,
 
 from conftest import (CORPUS_NAMES, answer_set, corpus_text,
                       pinned_small_outputs, small_outputs)
-from oracles import (cmulti_blocks, is_cmulti, make_cmulti,
+from oracles import (cmulti_blocks, conj_member, is_cmulti, make_cmulti,
                      reference_apply_groupings, reference_split)
 from test_synthesis import WIDENED
 
@@ -126,6 +126,41 @@ def test_splits_and_groupings_match_the_rebuild(corpus, monkeypatch):
         "[filter(3,F2,F3)]),building_block([filter(5,F3,F4)])]), "
         "sift(F4,P), length(P,3)")), merge)
     assert visits["merge"] == 1
+
+
+def test_every_goal_at_a_state_without_a_multi_is_an_instance_of_it(
+        corpus, monkeypatch):
+    """The premise that classic synthesis and the futamura residual both
+    compile in: a goal that ``mi_run`` visits at a state is an instance
+    of the state's conjunction.  Checked here where the conjunction holds
+    no multi (a cmulti's blocks are not walked)."""
+    step = metaint.MetaInterpreter.step
+    visits = []
+
+    def checked(self, goal, state):
+        conj = None if isinstance(state, tuple) else \
+            self.graph.states.get(state)
+        if conj and not any(isinstance(c, Multi) for c in conj):
+            resolved = substitute(goal, self.store)
+            assert all(isinstance(a, Atom) for a in resolved)
+            assert conj_member(resolved, conj), (state, resolved)
+            visits.append(state)
+        return step(self, goal, state)
+
+    monkeypatch.setattr(metaint.MetaInterpreter, "step", checked)
+    for name in CORPUS_NAMES:
+        for goal in corpus(name).queries:
+            mi_run(corpus(name).tables, goal)
+    assert len(visits) == 1345
+    program, via_user = _via_user_tables()
+    runs = [(_widened_tables(key), goals, Limits(max_answers=4))
+            for key, goals in WIDENED_GOALS.items()]
+    runs.append((via_user, ("t([1,2,3],S)", "t([],S)", "t([5],S)"), None))
+    for tables, goals, limits in runs:
+        before = len(visits)
+        for goal in goals:
+            mi_run(tables, parse_goal(goal), limits=limits)
+        assert len(visits) > before, goals
 
 
 def _acc_graph_with(edit):

@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 from ccontrol import pd
+from ccontrol.absdom import avars
 from ccontrol.analysis import AnalysisOptions, analyze
 from ccontrol.engine import solve
-from ccontrol.metaint import build_tables, encode_as_logic_program
+from ccontrol.metaint import (atom_to_term, build_tables,
+                              encode_as_logic_program)
 from ccontrol.pd import (Dynamic, ListOf, Nonvar, PDError, Static,
                          check_closedness, generalize_call,
                          interpreter_filters, parse_annotations,
@@ -18,11 +20,12 @@ from ccontrol.synthesis import synthesize
 from ccontrol.terms import (Atom, Const, FreshNames, ParseError, Struct, Var,
                             list_parts, parse_atom, parse_goal,
                             parse_program, parse_term, print_atom,
-                            print_program, print_term, term_vars)
+                            mklist, print_program, print_term, term_vars)
 
 from conftest import CORPUS_NAMES, answer_set
 from oracles import (block_filter_text, interpreter_annotation_text,
-                     interpreter_filter_text, reference_generalize_call)
+                     interpreter_filter_text, list_filter_text,
+                     reference_generalize_call)
 
 
 # --- binding types --------------------------------------------------------
@@ -85,7 +88,8 @@ def test_generalization_matches_the_reference_on_every_request(
     counts = []
     # the block filters are the declaration that takes OneOf, StructOf and
     # the undoing of a failed alternative on these programs
-    for filters in (None, parse_filters(block_filter_text())):
+    for filters in (parse_filters(list_filter_text()),
+                    parse_filters(block_filter_text())):
         before = len(requests)
         for name in CORPUS_NAMES:
             specialize_encoded(corpus(name).tables, filters=filters)
@@ -93,7 +97,7 @@ def test_generalization_matches_the_reference_on_every_request(
             specialize_encoded(tables, filters=filters)
         counts.append(len(requests) - before)
     # memo requests: 158 on the corpus and 71 on the small programs under
-    # the default filters, 203 and 71 under the block filters
+    # the generic list filters, 203 and 71 under the block filters
     assert counts == [229, 274]
     for atom, types, n in requests:
         assert _generalize_both_ways(atom, types, n) != "PDError"
@@ -430,11 +434,11 @@ def test_budget_exhaustion_is_an_error(corpus):
 
 
 # unfolding steps, memo entries and residual clauses (with the wrapper)
-PD_SIZES = {"permsort": ("simple", 201, 10, 13),
-            "primes": ("extended", 1726, 54, 70),
-            "queens": ("extended", 1390, 42, 52),
-            "zigzag": ("simple", 320, 15, 19),
-            "countdown": ("simple", 201, 10, 13)}
+PD_SIZES = {"permsort": ("simple", 195, 10, 13),
+            "primes": ("extended", 1709, 54, 70),
+            "queens": ("extended", 1378, 42, 52),
+            "zigzag": ("simple", 310, 15, 19),
+            "countdown": ("simple", 195, 10, 13)}
 
 
 @pytest.mark.parametrize("name", sorted(PD_SIZES))
@@ -494,3 +498,210 @@ def test_budget_boundary_is_the_unfold_step_count(corpus):
         assert specialize_encoded(tables, budget=steps).unfold_steps == \
             steps, name
 
+
+
+# --- the state filter -------------------------------------------------------
+
+def _compilations(corpus):
+    """(name, graph, classic, residual) of the five corpus entries and the
+    four pinned small programs, futamura under the default filters."""
+    out = [(name, corpus(name).graph, corpus(name).classic,
+            corpus(name).futamura) for name in CORPUS_NAMES]
+    for tables in _small_tables():
+        graph = tables.graph
+        out.append((graph.states[tables.entry][0].pred, graph,
+                    synthesize(graph, tables.program, tables.policy),
+                    specialize_encoded(tables)))
+    return out
+
+
+def _state_calls(program, names):
+    return [a for c in program.clauses for a in c.body if a.pred in names]
+
+
+def _aliased(call) -> bool:
+    """Whether ``call`` passes one variable in two argument positions."""
+    variables = [t for t in call.args if isinstance(t, Var)]
+    return len(set(variables)) < len(variables)
+
+
+def test_no_state_call_passes_one_variable_twice(corpus):
+    for name, graph, _, residual in _compilations(corpus):
+        names = {f"mi__s{sid}" for sid in (0, *graph.states)}
+        calls = _state_calls(residual.program, names)
+        assert calls and not [print_atom(a) for a in calls if _aliased(a)], \
+            name
+
+
+def test_the_list_filters_keep_the_generic_residual(corpus):
+    """Declared, the generic filters of the goal list give the residual
+    that was the default before the state filter: more unfold steps, and
+    state calls that pass one variable twice."""
+    filters = parse_filters(list_filter_text())
+    sizes = {}
+    for name in CORPUS_NAMES:
+        residual = specialize_encoded(corpus(name).tables, filters=filters)
+        calls = _state_calls(residual.program,
+                             {e.name for e in residual.memo})
+        sizes[name] = (residual.unfold_steps, len(residual.memo),
+                       sum(map(_aliased, calls)), len(calls))
+    assert sizes == {"permsort": (201, 10, 3, 12),
+                     "primes": (1726, 54, 21, 67),
+                     "queens": (1390, 42, 13, 49),
+                     "zigzag": (320, 15, 4, 18),
+                     "countdown": (201, 10, 3, 12)}
+
+
+def _classic_positions(conj) -> list:
+    """For each argument of futamura's predicate of a state whose
+    conjunction is ``conj``, its position in classic's predicate of the
+    state: both take each abstract variable of the atoms once, in
+    first-occurrence order, and one block list per multi; futamura in the
+    conjunction's order, classic with the block lists last."""
+    order = []
+    for i, c in enumerate(conj):
+        if isinstance(c, Atom):
+            order += [v for v in avars(c) if v not in order]
+        else:
+            order.append(i)
+    classic = [x for x in order if not isinstance(x, int)] + \
+        [x for x in order if isinstance(x, int)]
+    return [classic.index(x) for x in order]
+
+
+def _clauses_by_state(program, state_pred):
+    by_state = {}
+    for c in program.clauses:
+        sid = state_pred.get(c.head.pred)
+        if sid is not None:
+            by_state.setdefault(sid, []).append(c)
+    return by_state
+
+
+def test_a_state_call_passes_a_structure_only_where_classic_does(corpus):
+    """Futamura's clauses of a state come in classic's order, and each
+    calls the states classic's calls; a call passes a structure only in
+    arguments where classic's passes one.  On the corpus they pass
+    structures in the same calls (primes 12, queens 7, the others none).
+    Classic may pass more where a widened state covers the successor:
+    from ``acc`` state 10 it passes ``s(_V3)`` to state 11, whose
+    conjunction knows the ``s/1``, so futamura's head holds it instead."""
+    passing = Counter()
+    for name, graph, classic, residual in _compilations(corpus):
+        fnames = {f"mi__s{sid}": sid for sid in graph.states}
+        cnames = {p: sid for sid, p in classic.state_predicates.items()}
+        fclauses = _clauses_by_state(residual.program, fnames)
+        cclauses = _clauses_by_state(classic.program, cnames)
+        assert fclauses.keys() == cclauses.keys(), name
+        for sid, clauses in cclauses.items():
+            for fc, cc in zip(fclauses[sid], clauses, strict=True):
+                fcalls = [a for a in fc.body if a.pred in fnames]
+                ccalls = [a for a in cc.body if a.pred in cnames]
+                assert [fnames[a.pred] for a in fcalls] == \
+                    [cnames[a.pred] for a in ccalls], (name, sid)
+                for f, c in zip(fcalls, ccalls):
+                    at = _classic_positions(graph.states[fnames[f.pred]])
+                    assert all(isinstance(c.args[j], Struct)
+                               for t, j in zip(f.args, at)
+                               if isinstance(t, Struct)), \
+                        (name, print_atom(f), print_atom(c))
+                    for side, call in (("futamura", f), ("classic", c)):
+                        passing[name, side] += any(
+                            isinstance(t, Struct) for t in call.args)
+    for side in ("futamura", "classic"):
+        assert [passing[name, side] for name in CORPUS_NAMES] == \
+            [0, 12, 7, 0, 0]
+
+
+def _state_specializer(tables):
+    return _Specializer(tables.encoded, pd.interpreter_annotations(),
+                        interpreter_filters(), 100, tables.graph.states)
+
+
+def test_the_state_filter_binds_what_the_conjunction_knows(corpus):
+    # state 10 is filter(g1,[],a1) , sift(a1,a2) , length(a2,g2)
+    tables = corpus("primes").tables
+    sp = _state_specializer(tables)
+    call = sp.request(parse_atom(
+        "mi([filter(P,L,F),sift(F,S),length(S,N)],10)"))
+    assert print_atom(call) == "mi__s10(P,F,S,N)"
+    assert sp.store == {Var("L"): Const("[]")}
+    assert print_atom(sp.memo[0].call) == \
+        "mi([filter(_V1,[],_V2),sift(_V2,_V3),length(_V3,_V4)],10)"
+    # a later occurrence of a1 is unified with the first one's term
+    sp.store.clear()
+    call = sp.request(parse_atom(
+        "mi([filter(P,[],f(X)),sift(f(Y),S),length(S,N)],10)"))
+    assert print_atom(call) == "mi__s10(P,f(X),S,N)"
+    assert sp.store == {Var("Y"): Var("X")}
+    assert len(sp.memo) == 1
+    # the one-block split of state 20 leads to state 10: the block's
+    # unbound list is [] in the resultant's head
+    heads = [c.head for c in corpus("primes").futamura.program.clauses
+             if c.head.pred == "mi__s20" and c.body[0].pred == "mi__s10"]
+    (head,) = heads
+    (block,) = list_parts(head.args[0])[0]
+    (goal,) = list_parts(block.args[0])[0]
+    assert goal.functor == "filter" and goal.args[1] == Const("[]")
+
+
+@pytest.mark.parametrize("goals", [
+    "[filter(P,[a],F),sift(F,S),length(S,N)]",      # a constant
+    "[filter(P,L,f(X)),sift(g(Y),S),length(S,N)]",  # a repeated variable
+    "[filter(P,L,F),sift(F,S)]",                    # the goal list
+    "[filter(P,L,F),sift(F,S),length(S,N),sift(S,T)]",
+    "[sift(F,S),filter(P,L,F),length(S,N)]",        # an atom's predicate
+])
+def test_a_call_that_is_no_instance_of_its_state_is_an_error(corpus, goals):
+    sp = _state_specializer(corpus("primes").tables)
+    with pytest.raises(PDError) as err:
+        sp.request(parse_atom(f"mi({goals},10)"))
+    assert str(err.value) == (
+        f"the call mi({goals},10) is not an instance of state 10's "
+        "conjunction filter(g1,[],a1) , sift(a1,a2) , length(a2,g2)")
+    assert sp.store == {}
+
+
+def test_the_state_filter_needs_a_state_of_the_graph(corpus):
+    tables = corpus("permsort").tables
+    entry = parse_atom("mi([permsort(X,Y)],1)")
+    with pytest.raises(PDError, match="needs the state graph"):
+        specialize(tables.encoded, entry, pd.interpreter_annotations(),
+                   interpreter_filters())
+    with pytest.raises(PDError, match=r"^mi\(\[permsort\(X,Y\)\],99\) "
+                                      "names no state of the graph$"):
+        _state_specializer(tables).request(
+            parse_atom("mi([permsort(X,Y)],99)"))
+
+
+@pytest.mark.parametrize("text, message", [
+    (text, "the state binding type is declared only as mi(state, static)")
+    for text in ("p(state).", "mi(static,state).", "mi(state,dynamic).",
+                 "mi(state,static,static).", "mi(list(state),static).",
+                 "mi(nonvar ; state,static).")
+] + [("mi(state ; nonvar,static).", "expected ')', found ';'")])
+def test_the_state_type_is_only_the_goal_list_of_mi(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_filters(text)
+    assert str(err.value).startswith(f"{message} at line 1, column ")
+
+
+def test_an_entry_pattern_with_a_repeated_variable_and_a_constant():
+    """What the entry state's conjunction knows of the entry call is in
+    the ``compute/1`` wrapper, as it is in classic's entry clause."""
+    program = parse_program("p(X,Y,Z) :- q(X,Y,Z).\nq(a,a,[]).\n"
+                            "q(b,b,[]).\nq(a,b,[]).\n")
+    policy = parse_policy("entry: p(a1,a1,[]).\n")
+    tables = build_tables(analyze(program, policy), program, policy)
+    residual = specialize_encoded(tables)
+    wrapper = [c for c in residual.program.clauses
+               if c.head.pred == "compute"]
+    assert [print_atom(c.head) for c in wrapper] == ["compute([p(X1,X1,[])])"]
+    assert print_atom(residual.entry_call) == "mi__s1(X1)"
+    classic = synthesize(tables.graph, program, policy).program
+    for text in ("p(A,B,C)", "p(A,A,C)", "p(a,b,C)", "p(A,B,[])"):
+        goal = parse_goal(text)
+        wrapped = (Atom("compute", (mklist([atom_to_term(a)
+                                            for a in goal]),)),)
+        assert answer_set(solve(residual.program, wrapped)) == \
+            answer_set(solve(classic, goal)), text
