@@ -115,6 +115,8 @@ def _print_answers(result, as_json):
                            for sub in result.answers],
                "inferences": result.inference_count,
                "exhausted": result.exhausted}
+        if not result.exhausted:
+            doc["stopped_by"] = list(result.stopped_by)
         print(json.dumps(doc, indent=2))
         return
     for sub in result.answers:
@@ -125,7 +127,7 @@ def _print_answers(result, as_json):
         print()
     print(f"inferences: {result.inference_count}")
     if not result.exhausted:
-        print("search truncated by limits")
+        print(f"search truncated by limits: {', '.join(result.stopped_by)}")
 
 
 # --- commands -------------------------------------------------------------

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (CONS, NIL, Atom, Const, FreshNames, LogicError,
-                    Program, Struct, Substitution, Var, _deref, _unify_pairs,
-                    mklist, print_term, replace_vars, resolve_all,
-                    substitute, take_back, term_to_atom, term_vars)
+                    Program, Struct, Substitution, Var, _deref, _occurs,
+                    _unify_pairs, mklist, print_term, replace_vars,
+                    resolve_all, substitute, take_back, term_to_atom,
+                    term_vars)
 
 DEFAULT_MAX_INFERENCES = 10_000_000
 DEFAULT_MAX_DEPTH = 100_000
@@ -42,6 +43,9 @@ class RunResult:
     inference_count: int
     exhausted: bool
     query_vars: tuple        # the query's variables, as answers name them
+    # the limits that cut the search, named as ``Limits`` fields, in the
+    # order they first tripped; empty for a run that finished
+    stopped_by: tuple
 
 
 def _value(t, store):
@@ -59,20 +63,34 @@ def _int(t, atom, store):
 def _bi_select(args, atom, store):
     """One output per element of the closed list: ``x`` unified with the
     element, then ``rest`` with the cells in front of it followed by the
-    list's own tail after it."""
+    list's own tail after it.
+
+    Whether a cycle can arise is decided once per call.  When ``x`` and
+    ``rest`` are two distinct unbound variables and neither occurs in the
+    list, none can: each output binds ``x`` to its element and ``rest``
+    to its remainder, which hold neither, and the pairs are built as the
+    unification would make them.  Otherwise every output is unified with
+    the occurs check."""
     x, lst, rest = args
     cells = []
-    t = _value(lst, store)
+    t = lst = _value(lst, store)
     while t.__class__ is Struct and t.functor == CONS and len(t.args) == 2:
         cells.append(t)
         t = _value(t.args[1], store)
     if t != Const(NIL):
         raise ModeError(
             f"select/3 needs a closed list: {substitute(atom, store)}")
+    x, rest = _value(x, store), _value(rest, store)
+    remainders = (mklist([c.args[0] for c in cells[:i]], cell.args[1])
+                  for i, cell in enumerate(cells))
+    if x.__class__ is Var and rest.__class__ is Var and x != rest and \
+            not _occurs(x, lst, store) and not _occurs(rest, lst, store):
+        # last first, as ``take_back`` gives them
+        return [[(rest, remainder), (x, cell.args[0])]
+                for cell, remainder in zip(cells, remainders)]
     out = []
     mark = len(store)
-    for i, cell in enumerate(cells):
-        remainder = mklist([c.args[0] for c in cells[:i]], cell.args[1])
+    for cell, remainder in zip(cells, remainders):
         # pairs are taken last first: x = element is solved before
         # rest = remainder, each binding a variable of its left side first
         if _unify_pairs([(rest, remainder), (x, cell.args[0])], store, True):
@@ -136,8 +154,8 @@ def _bi_noattack(args, atom, store):
 
 
 class BuiltinTable(dict):
-    """predicate/arity -> procedure.  A ``dict``, so that the membership
-    test every step makes runs in C."""
+    """predicate/arity -> procedure.  A ``dict``, so that the lookup
+    every step makes runs in C."""
 
     def __init__(self):
         super().__init__({
@@ -238,7 +256,7 @@ def answer_set(result: RunResult) -> list:
     return sorted(keys)
 
 
-def depth_first(machine, goal, state=None) -> RunResult:
+def depth_first(machine, goal, state, qvars) -> RunResult:
     """Enumerate the answers of ``goal`` depth first under ``machine``.
 
     The loop owns the goal stack, the answers, the limits and
@@ -254,49 +272,68 @@ def depth_first(machine, goal, state=None) -> RunResult:
     Each stack entry keeps the store's size when its parent was expanded.
     Popping it undoes the store back to that mark and installs its own
     bindings, so the store holds exactly the bindings of the entry's
-    derivation.  Goals are never instantiated; the query variables are
-    resolved through the store only when an answer is found.
+    derivation.  A sole successor is not pushed: its bindings are
+    installed and it is stepped at once, as the WAM makes no choice point
+    for a determinate call, so nothing is taken back and put back.  The
+    limits are checked where a pushed successor would meet them: the
+    inference limit before every step and every answer, the depth limit
+    before every expansion.  Goals are never instantiated; the query
+    variables ``qvars`` are resolved through the store only when an
+    answer is found.
 
-    The machine's ``fresh`` names every variable a step brings in.  It is
-    first raised past the query's variables, so a fresh name is never a
-    query variable's (see ``terms.resolve_all``).
+    The machine's ``fresh`` names every variable a step brings in; the
+    caller has raised it past ``qvars``, so a fresh name is never a query
+    variable's (see ``terms.resolve_all``).
     """
     limits = machine.limits
+    max_inferences = limits.max_inferences
+    max_depth = limits.max_depth
     store = machine.store
-    qvars = term_vars(goal)
-    machine.fresh.skip_past(qvars)
+    step = machine.step
     answers = []
+    stopped_by = []
     exhausted = True
     stack = [(tuple(goal), state, 0, 0, ())]
     while stack:
-        if machine.inferences > limits.max_inferences:
-            exhausted = False
-            break
         goal_, state, depth, mark, bindings = stack.pop()
         if len(store) > mark:
             take_back(store, mark)
-        store.update(bindings)
-        if not goal_:
-            answer = {}
-            for v in qvars:
-                t = substitute(v, store)
-                if t != v:
-                    answer[v] = t
-            answers.append(Substitution(answer))
-            if limits.max_answers is not None and \
-                    len(answers) >= limits.max_answers:
-                exhausted = not stack
+        while machine.inferences <= max_inferences:
+            store.update(bindings)
+            if not goal_:
+                answer = {}
+                for v in qvars:
+                    t = substitute(v, store)
+                    if t != v:
+                        answer[v] = t
+                answers.append(Substitution(answer))
+                if limits.max_answers is not None and \
+                        len(answers) >= limits.max_answers:
+                    exhausted = not stack
+                    if stack:
+                        stopped_by.append("max_answers")
+                        stack.clear()       # nothing more is tried
                 break
-            continue
-        if depth > limits.max_depth:
+            if depth > max_depth:
+                exhausted = False
+                if "max_depth" not in stopped_by:
+                    stopped_by.append("max_depth")
+                break
+            deeper, successors = step(goal_, state)
+            depth += deeper
+            if len(successors) != 1:
+                mark = len(store)
+                for newgoal, newstate, newbindings in reversed(successors):
+                    stack.append((newgoal, newstate, depth, mark,
+                                  newbindings))
+                break
+            (goal_, state, bindings), = successors
+        else:
             exhausted = False
-            continue
-        deeper, successors = machine.step(goal_, state)
-        mark = len(store)
-        depth += deeper
-        for newgoal, newstate, newbindings in reversed(successors):
-            stack.append((newgoal, newstate, depth, mark, newbindings))
-    return RunResult(answers, machine.inferences, exhausted, tuple(qvars))
+            stopped_by.append("max_inferences")
+            break
+    return RunResult(answers, machine.inferences, exhausted, tuple(qvars),
+                     tuple(stopped_by))
 
 
 class Solver:
@@ -315,7 +352,9 @@ class Solver:
     def run(self, goal) -> RunResult:
         """Enumerate all answers of ``goal`` left to right."""
         check_known(self.program, goal)
-        return depth_first(self, goal)
+        qvars = term_vars(goal)
+        self.fresh.skip_past(qvars)
+        return depth_first(self, goal, None, qvars)
 
     def step(self, goal, state):
         """Resolve the first atom: a builtin costs no depth, a clause
@@ -324,7 +363,9 @@ class Solver:
         that the first argument lets match is tried when the step is
         taken (``terms.resolve_all``), so a truncated run counts what an
         eager search counts; a builtin reads its arguments through the
-        store, and its outputs become its successors' bindings."""
+        store, and its outputs become its successors' bindings.  The
+        atom's indicator is formed once, and looked up once among the
+        builtins and, for any other atom, once among the switches."""
         store = self.store
         atom, rest = goal[0], goal[1:]
         while atom.pred == "call" and len(atom.args) == 1:
@@ -336,18 +377,19 @@ class Solver:
                 raise EngineError(
                     f"call/1 on non-callable {substitute(t, store)}")
             atom = inner
-        if atom.indicator in BUILTINS:
+        key = (atom.pred, len(atom.args))
+        proc = BUILTINS.get(key)
+        if proc is not None:
             self.inferences += 1
             if not self.occurs_check:
                 # a store bound without the occurs check may hold a cyclic
                 # term, on which ``substitute`` raises RecursionError
                 atom = substitute(atom, store)
-            return 0, [(rest, state, out) for out in
-                       BUILTINS.evaluate(atom, store)]
-        switch = self.program.switch_for(atom.pred, len(atom.args))
+            return 0, [(rest, state, out)
+                       for out in proc(atom.args, atom, store)]
+        switch = self.program.switch_for(key)
         if switch is None:
-            raise EngineError(
-                f"unknown predicate {atom.pred}/{len(atom.args)}")
+            raise EngineError(f"unknown predicate {key[0]}/{key[1]}")
         alternatives = resolve_all(atom, switch, rest, state, self.fresh,
                                    store, self.occurs_check)
         self.inferences += len(alternatives)

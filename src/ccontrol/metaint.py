@@ -37,7 +37,7 @@ from .policy import SelectionPolicy
 from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
                     Switch, Var, atom_to_term, mklist, parse_program,
                     print_atom, program_of, replace_vars, resolve_all,
-                    substitute)
+                    substitute, term_vars)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -260,7 +260,9 @@ class MetaInterpreter:
             raise MetaintError(
                 f"goal {_indicators(goal)} does not name the entry "
                 f"state's predicates {_indicators(entry)}")
-        return depth_first(self, goal, self.graph.entry)
+        qvars = term_vars(goal)
+        self.fresh.skip_past(qvars)
+        return depth_first(self, goal, self.graph.entry, qvars)
 
     def step(self, goal, state):
         """One abstract-machine step, as the state's action says.  Only

@@ -571,7 +571,7 @@ class _Specializer:
             raise PDError(
                 f"memoized predicate {gatom.pred}/{len(gatom.args)} has no "
                 "clauses")
-        depth_first(self, (gatom, Atom(entry.name, entry.params)))
+        depth_first(self, (gatom, Atom(entry.name, entry.params)), None, ())
 
     def step(self, goal, resid):
         """Treat the first atom as its annotation says.  ``resid`` is the
@@ -585,11 +585,11 @@ class _Specializer:
             self.clauses.append((substitute(atom, store),
                                  substitute(resid, store)))
             return 0, []
-        plan = self.plans.get(atom.indicator)
+        key = atom.indicator
+        plan = self.plans.get(key)
         if plan is None:
-            plan = self.plans[atom.indicator] = (
-                self.annotations.of(atom),
-                self.program.switch_for(atom.pred, len(atom.args)))
+            plan = self.plans[key] = (self.annotations.of(atom),
+                                      self.program.switch_for(key))
         ann, switch = plan
         if resid is None:
             return 0, self._unfold(atom, switch, rest, (), last_first=True)

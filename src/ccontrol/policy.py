@@ -206,16 +206,6 @@ def _parse_output(parser, pattern: Atom) -> ASub:
 
 # --- the derived order ---------------------------------------------------
 
-class DerivedOrder:
-    """Strict partial order over the equivalence classes of a finite atom
-    set, generated from a policy and closed under transitivity."""
-
-    def __init__(self, classes, less, of):
-        self.classes = classes          # canonical form of each class
-        self.less = less                # set of (i, j) index pairs
-        self.of = of                    # class index of each ranked atom
-
-
 def _bits(mask):
     """The positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -378,8 +368,9 @@ class _RankedOrder:
         return x
 
     def numbering(self) -> dict:
-        """Each class's number in ``derive_order``: the ranked classes in
-        order of appearance, then the policy's own classes."""
+        """Each class's number in the order cycles are reported in: the
+        ranked classes in order of appearance, then the policy's own
+        classes."""
         number = dict.fromkeys(self.first)
         number.update(dict.fromkeys(range(len(self.own.classes))))
         return {i: n for n, i in enumerate(number)}
@@ -394,28 +385,6 @@ class _RankedOrder:
                 key=number.__getitem__)
         a, b = (print_atom(self.first.get(k, self.reps[k])) for k in (i, j))
         raise PolicyError(f"selection order is cyclic: {a} < {b} < {a}")
-
-
-def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
-    """The selection order over the given atoms' equivalence classes and
-    the classes of the atoms the policy names, the ranked atoms' classes
-    first.
-
-    Generated from: explicit preprior pairs; the instantiation rule (a
-    strict instance precedes what it instantiates); fulleval priority
-    (atoms covered by a fulleval declaration precede all others); and the
-    quantified rule templates.  Closed under transitivity and checked for
-    cycles.  The policy's own part (``SelectionPolicy.own_order``) is
-    derived once; each call canonicalizes only the ranked atoms.
-    """
-    order = _RankedOrder(policy, atoms)
-    number = order.numbering()
-    classes = [None] * len(number)
-    for i, n in number.items():
-        classes[n] = order.classes[i]
-    less = {(n, number[j]) for i, n in number.items()
-            for j in _bits(order.after[i])}
-    return DerivedOrder(classes, less, [number[i] for i in order.of])
 
 
 # --- selection -----------------------------------------------------------

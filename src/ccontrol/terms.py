@@ -229,9 +229,10 @@ class Program:
         switch = self._index.get((pred, arity))
         return () if switch is None else switch.clauses
 
-    def switch_for(self, pred: str, arity: int):
-        """The ``Switch`` of ``pred/arity``; None when it has no clauses."""
-        return self._index.get((pred, arity))
+    def switch_for(self, indicator: tuple):
+        """The ``Switch`` of the predicate ``indicator``, a (name, arity)
+        pair; None when it has no clauses."""
+        return self._index.get(indicator)
 
     @property
     def predicates(self) -> set:

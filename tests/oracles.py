@@ -17,9 +17,9 @@ from ccontrol.absdom import (ANY, ASub, AVar, AbstractDomainError, FULLEVAL,
 from ccontrol.metaint import (BUILDING_BLOCK, CMULTI, MetaintError,
                               building_block)
 from ccontrol.multi import Multi, _sorted_pairs
-from ccontrol.policy import (DerivedOrder, NoMinimumError, PolicyError,
-                             SelectionPolicy, _effective_atoms, _printable,
-                             select_conjunct)
+from ccontrol.policy import (NoMinimumError, PolicyError, SelectionPolicy,
+                             _RankedOrder, _bits, _effective_atoms,
+                             _printable, select_conjunct)
 from itertools import repeat
 
 from ccontrol.terms import (CONS, NIL, Atom, Const, ParseError, Struct,
@@ -73,7 +73,7 @@ def equivalent(x, y) -> bool:
 
 def strict_instance(x, y) -> bool:
     """gamma(x) strictly included in gamma(y), decided syntactically: the
-    reference for the instantiation rule of ``policy.derive_order``."""
+    reference for the instantiation rule of ``derive_order``."""
     return abstract_instance(x, y) is not None and not equivalent(x, y)
 
 
@@ -283,6 +283,35 @@ def select_atom(policy: SelectionPolicy, conj):
     return pos, conj[pos], mark
 
 
+class DerivedOrder:
+    """Strict partial order over the equivalence classes of a finite atom
+    set, generated from a policy and closed under transitivity."""
+
+    def __init__(self, classes, less, of):
+        self.classes = classes          # canonical form of each class
+        self.less = less                # set of (i, j) index pairs
+        self.of = of                    # class index of each ranked atom
+
+
+def derive_order(policy: SelectionPolicy, atoms) -> DerivedOrder:
+    """The selection order over the given atoms' equivalence classes and
+    the classes of the atoms the policy names, the ranked atoms' classes
+    first, as ``policy.select_conjunct`` ranks them: its relation closed
+    under transitivity and checked for cycles, read off the bit masks of
+    ``policy._RankedOrder``.  Generated from: explicit preprior pairs; the
+    instantiation rule (a strict instance precedes what it instantiates);
+    fulleval priority (atoms covered by a fulleval declaration precede all
+    others); and the quantified rule templates."""
+    order = _RankedOrder(policy, atoms)
+    number = order.numbering()
+    classes = [None] * len(number)
+    for i, n in number.items():
+        classes[n] = order.classes[i]
+    less = {(n, number[j]) for i, n in number.items()
+            for j in _bits(order.after[i])}
+    return DerivedOrder(classes, less, [number[i] for i in order.of])
+
+
 def order_lt(order: DerivedOrder, x: Atom, y: Atom) -> bool:
     """Whether ``x`` precedes ``y`` in the derived order; atoms outside
     the order's classes precede nothing."""
@@ -294,8 +323,7 @@ def order_lt(order: DerivedOrder, x: Atom, y: Atom) -> bool:
 
 def reference_derive_order(policy: SelectionPolicy, atoms):
     """The derived order's classes and ``less`` pairs, built pair by pair
-    and closed by a fixpoint loop: the reference for
-    ``policy.derive_order``."""
+    and closed by a fixpoint loop: the reference for ``derive_order``."""
     classes = []
     reps = []
     mentioned = [a for pair in policy.preprior for a in pair]

@@ -23,8 +23,7 @@ from ccontrol.engine import (BuiltinTable, EngineError, Limits, ModeError,
 from ccontrol.metaint import atom_to_term, build_tables, mi_run
 from ccontrol.multi import Multi, case_split
 from ccontrol.pd import check_closedness, specialize_encoded
-from ccontrol.policy import (PolicyError, _effective_atoms, derive_order,
-                             parse_policy)
+from ccontrol.policy import PolicyError, _effective_atoms, parse_policy
 from ccontrol.synthesis import compare_programs, run_compiled, synthesize
 from ccontrol.terms import Atom, FreshNames, Substitution, mklist, \
     parse_goal, parse_program, rename_apart, unify
@@ -32,9 +31,9 @@ from ccontrol.terms import Atom, FreshNames, Substitution, mklist, \
 from conftest import CORPUS_NAMES, answer_set, corpus_text, query_deviation
 from oracles import (Sampler, check_case_split_complete,
                      check_unify_against_brute_force, check_widen_monotone,
-                     conj_member, first_primes, is_complete, order_lt,
-                     ordered_copies, ORDERED_COPIES_QUERIES, queen_boards,
-                     random_term, strict_instance)
+                     conj_member, derive_order, first_primes, is_complete,
+                     order_lt, ordered_copies, ORDERED_COPIES_QUERIES,
+                     queen_boards, random_term, strict_instance)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

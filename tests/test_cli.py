@@ -284,6 +284,24 @@ def test_a_thousand_answers_of_nat_on_every_construction(tmp_path, capsys,
     assert len(answers) == 1000
     assert answers[-1] == {"X": "s(" * 999 + "z" + ")" * 999}
 
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_a_truncated_run_names_its_limit(tmp_path, capsys, construction):
+    command = _nat_commands(tmp_path, "nat")
+    for goal, limit, stopped_by in (
+            ("nat(X)", ["--max-infer", "5"], ["max_inferences"]),
+            ("nat(X)", ["--max-answers", "1"], ["max_answers"]),
+            ("nat(z)", [], None)):
+        capsys.readouterr()
+        assert main(command(construction, goal) + limit + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.get("stopped_by") == stopped_by, (goal, limit)
+        assert doc["exhausted"] is (stopped_by is None)
+    assert main(command(construction, "nat(X)") + ["--max-infer", "5"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "\nsearch truncated by limits: max_inferences\n")
+
+
 def test_long_list_answers(tmp_path, capsys):
     # a list parses into a right-nested term as deep as it is long; the
     # engine's term routines walk it without host recursion

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from ccontrol import engine
 from ccontrol.engine import (BUILTINS, EngineError, Limits, ModeError,
                              RunResult, answer_set, solve)
 from ccontrol.terms import (NIL, Atom, Const, Struct, Substitution, Var,
-                            mklist, parse_atom, parse_goal, parse_program,
-                            parse_term, print_term, substitute)
+                            _unify_pairs, mklist, parse_atom, parse_goal,
+                            parse_program, parse_term, print_term,
+                            substitute)
 
 from conftest import corpus_text
 from oracles import reference_evaluate
@@ -219,9 +221,12 @@ def _hidden(t, store, rng, names):
 
 
 # where the order of select/3's two unifications shows in which variables
-# are bound: X = Y is solved before the remainder binds Y or Z
+# are bound: X = Y is solved before the remainder binds Y or Z; and two
+# calls that every try checks for occurs: X occurs in the list, so no try
+# succeeds, or X is the remainder too
 SELECT_ORDER = ("select(X,[Y,Z],[X])", "select(X,[Y,Z],[Y])",
-                "select(f(X),[f(Y),Z],[X])")
+                "select(f(X),[f(Y),Z],[X])", "select(X,[f(X)],R)",
+                "select(X,[a,b],X)")
 
 
 def _builtin_calls(rng):
@@ -233,14 +238,25 @@ def _builtin_calls(rng):
         yield pred, _builtin_args(rng, pred, arity)
 
 
-def test_builtins_on_the_store_match_the_rebuilding_ones():
+def test_builtins_on_the_store_match_the_rebuilding_ones(monkeypatch):
     # every builtin on arguments read through variable chains: the same
     # outputs in the same order, binding the same variables to the same
-    # instances, or the same mode error, and the store left as it was
+    # instances, or the same mode error, and the store left as it was.
+    # select/3 decides once per call whether a cycle can arise: if not, it
+    # builds its outputs without unifying, else it unifies each with the
+    # occurs check; both decisions are met
+    checks = []
+
+    def unify_pairs(work, store, occurs_check):
+        checks.append(occurs_check)
+        return _unify_pairs(work, store, occurs_check)
+
+    monkeypatch.setattr(engine, "_unify_pairs", unify_pairs)
     rng = random.Random(23)
     names = itertools.count(1)
     kinds = {pred: set() for pred, _ in BUILTINS}
     for pred, args in _builtin_calls(rng):
+        checks.clear()
         store = {}
         atom = Atom(pred, tuple(_hidden(a, store, rng, names) for a in args))
         before = list(store.items())
@@ -263,7 +279,11 @@ def test_builtins_on_the_store_match_the_rebuilding_ones():
                 theta.apply(resolved), atom
         kinds[pred].add(("none", "one", "many")[min(len(outs), 2)])
         kinds[pred].update("binds" for out in outs if out)
-    assert kinds["select"] == {"error", "none", "one", "many", "binds"}
+        if pred == "select" and (outs or checks):
+            assert set(checks) <= {True}, atom
+            kinds[pred].add("checked" if checks else "built")
+    assert kinds["select"] == {"error", "none", "one", "many", "binds",
+                               "checked", "built"}
     for pred in ("plus", "minus"):
         assert kinds[pred] == {"error", "none", "one", "binds"}, pred
     for pred in ("=<", "divides", "does_not_divide", "noattack"):
@@ -314,7 +334,7 @@ def test_answer_keys_rename_fresh_variables_and_keep_sharing():
     def key(query, *answers):
         return answer_set(RunResult(
             [Substitution({Var(v): parse_term(t) for v, t in a.items()})
-             for a in answers], 0, True, tuple(map(Var, query))))
+             for a in answers], 0, True, tuple(map(Var, query)), ()))
 
     shared = key("XYW", {"Y": "_V7", "X": "f(_V7,W)"})
     assert shared == [(("X", "f(_1,W)"), ("Y", "_1"))]
@@ -387,8 +407,45 @@ def test_truncated_runs_keep_their_answers_and_counts(corpus, entry, query,
                                                       limit):
     e = corpus(entry)
     goal = parse_goal(query)
-    got = [(answer_set(r), r.inference_count, r.exhausted)
-           for r in (run(goal, TRUNCATING[limit])
-                     for run in (e.run_naive, e.run_mi, e.run_classic,
-                                 e.run_futamura))]
+    runs = [run(goal, TRUNCATING[limit])
+            for run in (e.run_naive, e.run_mi, e.run_classic, e.run_futamura)]
+    got = [(answer_set(r), r.inference_count, r.exhausted) for r in runs]
     assert got == TRUNCATED[entry, query, limit]
+    # a truncated run names the limit that cut it, a finished one none
+    name = limit.split("=")[0]
+    assert [r.stopped_by for r in runs] == \
+        [() if r.exhausted else (name,) for r in runs]
+
+
+# For each construction (naive, mi_run, classic, futamura): its inference
+# count run to the end, then the smallest inference limit at which each
+# answer is found, in answer order; taken from the search that pushed
+# every successor.  A run under a smaller limit stops after one inference
+# more than the limit.
+SWEPT = {
+    ("permsort", "permsort([3,1,2],S)", "S"):
+        (["[1,2,3]"], [(46, 32), (35, 25), (52, 37), (53, 38)]),
+    ("zigzag", "zigzag([1,2,3],Z)", "Z"):
+        (["[1,3,2]", "[2,3,1]"],
+         [(47, 20, 35), (37, 19, 31), (54, 28, 45), (56, 29, 47)]),
+}
+
+
+@pytest.mark.parametrize("entry,query,var", sorted(SWEPT))
+def test_every_inference_limit_cuts_the_run_where_it_did(corpus, entry,
+                                                         query, var):
+    # most steps have a sole successor, run in place without a stack
+    # entry, so nearly every limit cuts a run of sole successors
+    e = corpus(entry)
+    goal = parse_goal(query)
+    answers, counts = SWEPT[entry, query, var]
+    for run, (total, *firsts) in zip(
+            (e.run_naive, e.run_mi, e.run_classic, e.run_futamura), counts):
+        for k in range(1, total + 1):
+            r = run(goal, Limits(max_inferences=k))
+            cut = k + 1 < total
+            want = (answers[:sum(k >= f for f in firsts)],
+                    k + 1 if cut else total, not cut,
+                    ("max_inferences",) if cut else ())
+            assert (answers_of(r, var), r.inference_count, r.exhausted,
+                    r.stopped_by) == want, (run.__name__, k)

@@ -11,13 +11,13 @@ from ccontrol import policy as policy_module
 from ccontrol.absdom import FULLEVAL, UNFOLD, canonicalize, parse_aconj
 from ccontrol.analysis import AnalysisOptions, analyze, render_graph
 from ccontrol.policy import (NoMinimumError, PolicyError, _effective_atoms,
-                             derive_order, parse_policy, select_conjunct)
+                             parse_policy, select_conjunct)
 from ccontrol.terms import ParseError, parse_program
 
 from conftest import CORPUS_NAMES, corpus_text
-from oracles import (is_complete, order_lt, ordered_copies, parse_aatom,
-                     reference_derive_order, reference_select_conjunct,
-                     select_atom)
+from oracles import (derive_order, is_complete, order_lt, ordered_copies,
+                     parse_aatom, reference_derive_order,
+                     reference_select_conjunct, select_atom)
 from test_metaint import _via_user_tables
 from test_synthesis import WIDENED
 

@@ -76,7 +76,7 @@ def _check(program, rng, counts):
     for pred, arity in sorted(program.predicates):
         if not arity:
             continue
-        switch = program.switch_for(pred, arity)
+        switch = program.switch_for((pred, arity))
         goals = list(_goals(rng, switch.clauses))
         for occurs_check in (True, False):
             for last_first in (False, True):
@@ -124,7 +124,7 @@ def test_the_switch_matches_the_reference_on_mixed_first_arguments():
 
 
 def test_the_switch_lists_candidates_in_textual_order():
-    switch = MIXED.switch_for("m", 2)
+    switch = MIXED.switch_for(("m", 2))
 
     def ids(entries):
         return [c.id for c, _, _ in entries]
@@ -148,14 +148,14 @@ def test_the_switch_skips_clauses_by_their_variable_counts():
     atom = Atom("p", (Const("b"), Var("K"), Var("M")))
     fresh = FreshNames()
     store = {}
-    [(body, state, made)] = resolve_all(atom, program.switch_for("p", 3),
+    [(body, state, made)] = resolve_all(atom, program.switch_for(("p", 3)),
                                         (), None, fresh, store)
     assert fresh.n == 6 and body == () and store == {}
     assert made[::-1] == [(Var("M"), Var("_V5")), (Var("K"), Var("_V6")),
                           (Var("_V5"), Const("b"))]
     # resolved last first, the variable-first clause is named first
     fresh = FreshNames()
-    [(body, state, made)] = resolve_all(atom, program.switch_for("p", 3),
+    [(body, state, made)] = resolve_all(atom, program.switch_for(("p", 3)),
                                         (), None, fresh, store,
                                         last_first=True)
     assert fresh.n == 6
@@ -170,6 +170,6 @@ def test_copies_rebuild_the_switches_from_the_clauses(corpus):
                   copy.deepcopy(residual)):
         assert again == residual and hash(again) == hash(residual)
         assert again.predicates == residual.predicates
-        for pred, arity in residual.predicates:
-            assert again.switch_for(pred, arity).clauses == \
-                residual.switch_for(pred, arity).clauses
+        for pred in residual.predicates:
+            assert again.switch_for(pred).clauses == \
+                residual.switch_for(pred).clauses
