@@ -20,7 +20,8 @@ from .engine import BUILTINS
 from .multi import (LAYOUTS, FoldEvent, Multi, case_split, pattern_name,
                     simplify_conj, try_fold)
 from .policy import NoMinimumError, SelectionPolicy, select_conjunct
-from .terms import Atom, Const, Program, Struct, print_atom
+from .terms import (Atom, Const, Program, Struct, Var, naming, print_atom,
+                    replace_vars)
 
 EMPTY_STATE = 0
 DEFAULT_MAX_STATES = 500
@@ -142,6 +143,28 @@ def abstract_step(program: Program, policy: SelectionPolicy, conj,
             out.append((("clause", clause.id),
                         theta.apply(before) + body + theta.apply(after)))
     return out
+
+
+def state_template(conj, draw) -> tuple:
+    """A state's concrete template, over which both constructions compile
+    the state: the variable of each abstract variable and each block list,
+    drawn by ``draw`` from its key and kept in parameter order; the
+    elements, each atom of ``conj`` renamed and a block-list variable
+    where each multi stands; and the parameters, the atoms' abstract
+    variables in first-occurrence order, then the block lists.  The k-th
+    block list's key is ``Var("b<k>")``, which no abstract variable
+    equals."""
+    names = {}
+    var = naming(names, draw)
+    # the atoms first, so that their variables come first
+    elems = [replace_vars(c, var) if isinstance(c, Atom) else c
+             for c in conj]
+    k = 0
+    for i, c in enumerate(elems):
+        if isinstance(c, Multi):
+            k += 1
+            elems[i] = var(Var(f"b{k}"))
+    return names, tuple(elems), tuple(names.values())
 
 
 def analyze(program: Program, policy: SelectionPolicy,

@@ -325,21 +325,29 @@ def _selftest_entry(name, limits, rng):
             xs = rng.sample(range(1, 7), rng.randint(0, 4))
             queries.append(_parse_query(
                 f"permsort([{','.join(map(str, xs))}],S)"))
-    agree = 0
+    agree = checked = fit = 0
     for goal in queries:
-        keys = [answer_set(mi_run(tables, goal, limits=limits)),
-                answer_set(run_compiled(classic.program, goal, limits)),
-                answer_set(run_compiled(futamura.program, goal, limits))]
+        runs = [run_compiled(classic.program, goal, limits),
+                run_compiled(futamura.program, goal, limits)]
+        keys = [answer_set(mi_run(tables, goal, limits=limits))]
+        keys += map(answer_set, runs)
         if name not in NAIVE_SKIP:
             keys.append(answer_set(solve(program, goal, limits=limits)))
         agree += all(k == keys[0] for k in keys)
+        # futamura takes classic's steps plus one call of mi__s0 per answer
+        if runs[0].exhausted and runs[1].exhausted:
+            checked += 1
+            fit += runs[1].inference_count == \
+                runs[0].inference_count + len(runs[0].answers)
     return {
         "entry": name,
         "states": len(graph.states),
         "closed": closed,
         "queries": len(queries),
         "agreeing": agree,
-        "ok": closed and agree == len(queries),
+        "counts_checked": checked,
+        "counts_fit": fit,
+        "ok": closed and agree == len(queries) and fit == checked,
     }
 
 
@@ -367,7 +375,8 @@ def cmd_selftest(args):
                 mark = "ok  " if r["ok"] else "FAIL"
                 print(f"{r['entry']:<10} {mark}  {r['states']:>3} states  "
                       f"closed={'yes' if r['closed'] else 'NO'}  "
-                      f"{r['agreeing']}/{r['queries']} queries agree")
+                      f"{r['agreeing']}/{r['queries']} queries agree  "
+                      f"{r['counts_fit']}/{r['counts_checked']} counts fit")
     return 0 if all(r["ok"] for r in rows) else 1
 
 

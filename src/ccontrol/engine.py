@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .terms import (CONS, NIL, Atom, Const, FreshNames, LogicError,
                     Program, Struct, Substitution, Var, _deref, _occurs,
-                    _unify_pairs, mklist, print_term, replace_vars,
+                    _unify_pairs, mklist, naming, print_term, replace_vars,
                     resolve_all, substitute, take_back, term_to_atom,
                     term_vars)
 
@@ -247,10 +247,8 @@ def answer_set(result: RunResult) -> list:
         names = sorted(sub.bindings)
         fresh, renamed = FreshNames("_"), {v: v for v in result.query_vars}
         fresh.skip_past(result.query_vars)
-        terms = replace_vars(
-            tuple(sub.bindings[v] for v in names),
-            lambda v: renamed[v] if v in renamed
-            else renamed.setdefault(v, fresh.var()))
+        terms = replace_vars(tuple(sub.bindings[v] for v in names),
+                             naming(renamed, lambda _: fresh.var()))
         keys.append(tuple((v.name, print_term(t))
                           for v, t in zip(names, terms)))
     return sorted(keys)
@@ -309,8 +307,8 @@ def depth_first(machine, goal, state, qvars) -> RunResult:
                 answers.append(Substitution(answer))
                 if limits.max_answers is not None and \
                         len(answers) >= limits.max_answers:
-                    exhausted = not stack
                     if stack:
+                        exhausted = False
                         stopped_by.append("max_answers")
                         stack.clear()       # nothing more is tried
                 break

@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .absdom import print_aconj
-from .analysis import EMPTY_STATE
+from .analysis import EMPTY_STATE, state_template
 from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
                      support_clauses)
 from .metaint import CMULTI, encode_as_logic_program
-from .multi import Multi
 from .terms import (Atom, Const, FreshNames, LogicError, ParseError,
                     Program, Struct, Var, _Lexer, _unify_pairs, atom_to_term,
-                    list_parts, mklist, print_atom, program_of,
+                    list_parts, mklist, naming, print_atom, program_of,
                     replace_vars, resolve_all, substitute, take_back,
                     term_to_atom, term_vars, NIL)
 
@@ -184,17 +183,6 @@ class StateGoals(BindingType):
 
 STATE = StateGoals()
 _STATE_ONLY = "the state binding type is declared only as mi(state, static)"
-
-
-def _naming(names: dict, fresh: FreshNames):
-    """A renaming for ``replace_vars``: each variable's entry in
-    ``names``, else a new variable from ``fresh``, kept there."""
-    def name(v):
-        t = names.get(v)
-        if t is None:
-            t = names[v] = fresh.var()
-        return t
-    return name
 
 
 def generalize_call(atom: Atom, types, fresh: FreshNames,
@@ -390,8 +378,9 @@ def parse_annotations(text: str) -> Annotations:
 @dataclass
 class MemoEntry:
     """A residual predicate: its arguments are the variables of ``call``
-    in first-occurrence order (filter propagation), so the known parts
-    of the call are compiled into its name and clauses."""
+    (filter propagation), so the known parts of the call are compiled
+    into its name and clauses.  They come in first-occurrence order, or,
+    for a state's entry, in the order of ``analysis.state_template``."""
     name: str                # residual predicate name
     call: Atom               # the generalized call pattern
     params: tuple            # the variables of ``call``
@@ -477,7 +466,7 @@ class _Specializer:
             sid = store[sid]
         entry, conj = self._state_memo(atom, sid)
         mark, seen = len(store), {}
-        rename = _naming(seen, self.fresh)
+        rename = naming(seen, lambda _: self.fresh.var())
         stack = [(entry.call.args[0], atom.args[0])]
         while stack:
             p, t = stack.pop()
@@ -512,9 +501,10 @@ class _Specializer:
 
     def _state_memo(self, atom, sid) -> tuple:
         """The memo entry of the state ``sid`` and its conjunction, built at
-        the state's first request: the entry's goal-list pattern has a
-        variable for each abstract variable and ``cmulti(B)`` for each
-        multi."""
+        the state's first request: the entry's goal-list pattern is the
+        state's template, ``cmulti(B)`` for each block list ``B``, and its
+        parameters the template's.  Its variables are drawn from ``fresh``,
+        so no two patterns share one on the store."""
         key = sid.name if sid.__class__ is Const else None
         memo = self.state_memo.get(key)
         if memo is not None:
@@ -526,14 +516,11 @@ class _Specializer:
         if conj is None:
             raise PDError(f"{print_atom(substitute(atom, self.store))} "
                           "names no state of the graph")
-        names = {}          # each abstract variable and each multi
-        var = _naming(names, self.fresh)
-        pattern = mklist([Struct(CMULTI, (var(c),)) if isinstance(c, Multi)
-                          else atom_to_term(replace_vars(c, var))
-                          for c in conj])
+        _, elems, params = state_template(conj, lambda _: self.fresh.var())
+        pattern = mklist([Struct(CMULTI, (e,)) if e.__class__ is Var
+                          else atom_to_term(e) for e in elems])
         gatom = Atom(atom.pred, (pattern, sid))
-        entry = MemoEntry(self._name_for(gatom), gatom,
-                          tuple(names.values()))
+        entry = MemoEntry(self._name_for(gatom), gatom, params)
         self.memo.append(entry)
         self.worklist.append(entry)
         memo = self.state_memo[key] = entry, conj

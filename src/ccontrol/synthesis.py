@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import AVar, GROUND, LogicError, avars
-from .analysis import EMPTY_STATE, StateGraph
+from .absdom import AVar, LogicError
+from .analysis import EMPTY_STATE, StateGraph, state_template
 from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BB_APPEND, block_list, build_tables, building_block
 from .multi import Multi
 from .policy import SelectionPolicy
 from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
-                    Switch, Var, atom_to_term, list_parts, mklist,
+                    Switch, Var, atom_to_term, list_parts, mklist, naming,
                     print_atom, program_of, replace_vars, resolve_all,
                     substitute, term_to_atom)
 
@@ -38,28 +38,6 @@ class SynthesizedProgram:
     program: Program
     entry: tuple             # (predicate, arity) of the wrapper
     state_predicates: dict   # state id -> predicate name
-
-
-def _plain_avars(conj):
-    """Abstract variables of the plain atoms only, first-occurrence order."""
-    return avars([c for c in conj if isinstance(c, Atom)])
-
-
-def _avar_name(v: AVar) -> str:
-    return f"{'G' if v.kind == GROUND else 'A'}{v.index}"
-
-
-def _variables(env, fresh=None):
-    """Concrete variable of each abstract variable for ``replace_vars``:
-    its entry in ``env``, else a new variable from ``fresh``, remembered in
-    ``env``."""
-    def var(v):
-        if v not in env:
-            if fresh is None:
-                raise SynthesisError(f"cannot make a template of {v!r}")
-            env[v] = fresh.var()
-        return env[v]
-    return var
 
 
 def _bind_term(abstract, concrete) -> dict:
@@ -91,10 +69,9 @@ class _Synthesizer:
         self.names = {sid: f"{self.entry_pred}_s{sid}"
                       for sid in graph.states}
         self.switches = {c.id: Switch((c,)) for c in program.clauses}
-        # each state's plain abstract variables and template
-        self.plain = {sid: _plain_avars(conj)
-                      for sid, conj in graph.states.items()}
-        self.templates = {sid: self._template(sid) for sid in graph.states}
+        # each state's template, its variables named G1, A1, B1, ...
+        self.templates = {sid: state_template(conj, lambda v: Var(v.upper()))
+                          for sid, conj in graph.states.items()}
         self.clauses = []
         self.links = []          # links of the user full evaluations
         self.uses_blocks = False
@@ -146,38 +123,19 @@ class _Synthesizer:
             goal = Atom("call", (atom_to_term(goal),))
         return goal
 
-    # --- per-state templates ---------------------------------------------
-
-    def _template(self, sid):
-        """Concrete template of a state: named variable per abstract
-        variable, one block-list variable per multi; returns (env,
-        elements, args)."""
-        env = {v: Var(_avar_name(v)) for v in self.plain[sid]}
-        var = _variables(env)
-        elems = []
-        nb = 0
-        for c in self.graph.states[sid]:
-            if isinstance(c, Atom):
-                elems.append(replace_vars(c, var))
-            else:
-                nb += 1
-                elems.append(Var(f"B{nb}"))
-        args = list(env.values())
-        args += [e for e in elems if isinstance(e, Var)]
-        return env, tuple(elems), tuple(args)
-
     # --- successor calls --------------------------------------------------
 
     def _successor(self, dst, succ, cover, conc_elems):
         """The concrete call to the successor state's predicate.  The
         stored state covers the abstract successor (it is the same up to
-        renaming, or a widening of it), and each of its variables is
-        passed the concrete counterpart of what the recorded cover maps
-        it to."""
+        renaming, or a widening of it), and each of its abstract variables
+        is passed, in its template's parameter order, the concrete
+        counterpart of what the recorded cover maps it to."""
         if dst == EMPTY_STATE:
             return None
-        var = _variables(_bind_term(succ, conc_elems))
-        args = [replace_vars(cover[v], var) for v in self.plain[dst]]
+        var = _bind_term(succ, conc_elems).__getitem__
+        args = [replace_vars(cover[v], var)
+                for v in self.templates[dst][0] if isinstance(v, AVar)]
         args += [c for a, c in zip(succ, conc_elems) if isinstance(a, Multi)]
         return Atom(self.names[dst], tuple(args))
 
@@ -262,18 +220,17 @@ class _Synthesizer:
         env, elems, args = template
         conj = self.graph.states[sid]
         m = conj[pos]
-        bidx = len(self.plain[sid]) \
-            + sum(1 for c in conj[:pos] if isinstance(c, Multi))
-        var = _variables(dict(env), freshc)
+        var = naming(dict(env), lambda _: freshc.var())
         first = replace_vars(succ[pos:pos + m.plen], var)
         head_args = list(args)
+        bidx = args.index(elems[pos])
         if cause == ("one",):
             head_args[bidx] = mklist([building_block(first)])
             return head_args, (), elems[:pos] + first + elems[pos + 1:]
         # The remaining multi stands for at least one more instance, so the
         # head can require a second block matching the pattern; spurious
         # single-block calls then fail at the head instead of descending.
-        var = _variables({}, freshc)
+        var = naming({}, lambda _: freshc.var())
         next_c = replace_vars(m.pattern, var)
         rest_b = Struct(CONS, (building_block(next_c), Var("BRest")))
         head_args[bidx] = Struct(CONS, (building_block(first), rest_b))

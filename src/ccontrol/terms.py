@@ -398,6 +398,17 @@ def replace_vars(x, rename):
     return rename(x) if isinstance(x, Var) else _rebuild(x, None, rename)
 
 
+def naming(names: dict, draw):
+    """A renaming for ``replace_vars``: each variable's entry in
+    ``names``, else ``draw(v)``, kept there."""
+    def name(v):
+        t = names.get(v)
+        if t is None:
+            t = names[v] = draw(v)
+        return t
+    return name
+
+
 def _rebuild(x, b, rename):
     """``substitute`` and ``replace_vars``, bottom up on an explicit stack
     of the parts open around ``node``, so a term of any depth is rebuilt.

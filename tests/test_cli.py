@@ -198,6 +198,29 @@ def test_selftest_filter(capsys):
     assert "countdown" in out and "ok" in out
 
 
+def test_selftest_fails_an_entry_whose_counts_miss_the_identity(
+        monkeypatch, capsys):
+    # futamura's inference count is classic's plus the answer count on
+    # every exhausted query; one more inference in futamura's runs is a miss
+    from ccontrol import cli
+    run_compiled = cli.run_compiled
+
+    def run(program, goal, limits=None):
+        result = run_compiled(program, goal, limits)
+        if program.clauses_for("compute", 1):
+            result.inference_count += 1
+        return result
+
+    assert main(["selftest", "--filter", "countdown", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["entries"]
+    assert row["counts_fit"] == row["counts_checked"] == 5 and row["ok"]
+    monkeypatch.setattr(cli, "run_compiled", run)
+    assert main(["selftest", "--filter", "countdown"]) == 1
+    assert capsys.readouterr().out == \
+        "countdown  FAIL    9 states  closed=yes  5/5 queries agree  " \
+        "0/5 counts fit\n"
+
+
 def test_selftest_unknown_filter_exits_2(capsys):
     rc = main(["selftest", "--filter", "nonesuch"])
     assert rc == 2
@@ -300,6 +323,21 @@ def test_a_truncated_run_names_its_limit(tmp_path, capsys, construction):
     assert main(command(construction, "nat(X)") + ["--max-infer", "5"]) == 0
     assert capsys.readouterr().out.endswith(
         "\nsearch truncated by limits: max_inferences\n")
+
+
+def test_a_depth_cut_run_is_not_exhausted_at_its_last_answer(tmp_path,
+                                                              capsys):
+    # the depth limit cuts loop/0 before p(a) answers; reaching the answer
+    # limit as the stack empties once marked the run exhausted
+    lp = tmp_path / "loop.lp"
+    lp.write_text("p(X) :- loop.\np(a).\nloop :- loop.\n")
+    for limit in ([], ["--max-answers", "1"]):
+        capsys.readouterr()
+        assert main(["run", str(lp), "--query", "p(X)", "--max-depth", "3",
+                     "--json"] + limit) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["exhausted"], doc.get("stopped_by")) == \
+            (False, ["max_depth"]), limit
 
 
 def test_long_list_answers(tmp_path, capsys):

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from ccontrol import pd
-from ccontrol.absdom import avars
 from ccontrol.analysis import AnalysisOptions, analyze
 from ccontrol.engine import solve
 from ccontrol.metaint import (atom_to_term, build_tables,
@@ -20,7 +19,8 @@ from ccontrol.synthesis import synthesize
 from ccontrol.terms import (Atom, Const, FreshNames, ParseError, Struct, Var,
                             list_parts, parse_atom, parse_goal,
                             parse_program, parse_term, print_atom,
-                            mklist, print_program, print_term, term_vars)
+                            mklist, print_program, print_term, replace_vars,
+                            term_vars)
 
 from conftest import CORPUS_NAMES, answer_set
 from oracles import (block_filter_text, interpreter_annotation_text,
@@ -552,23 +552,6 @@ def test_the_list_filters_keep_the_generic_residual(corpus):
                      "countdown": (201, 10, 3, 12)}
 
 
-def _classic_positions(conj) -> list:
-    """For each argument of futamura's predicate of a state whose
-    conjunction is ``conj``, its position in classic's predicate of the
-    state: both take each abstract variable of the atoms once, in
-    first-occurrence order, and one block list per multi; futamura in the
-    conjunction's order, classic with the block lists last."""
-    order = []
-    for i, c in enumerate(conj):
-        if isinstance(c, Atom):
-            order += [v for v in avars(c) if v not in order]
-        else:
-            order.append(i)
-    classic = [x for x in order if not isinstance(x, int)] + \
-        [x for x in order if isinstance(x, int)]
-    return [classic.index(x) for x in order]
-
-
 def _clauses_by_state(program, state_pred):
     by_state = {}
     for c in program.clauses:
@@ -600,9 +583,8 @@ def test_a_state_call_passes_a_structure_only_where_classic_does(corpus):
                 assert [fnames[a.pred] for a in fcalls] == \
                     [cnames[a.pred] for a in ccalls], (name, sid)
                 for f, c in zip(fcalls, ccalls):
-                    at = _classic_positions(graph.states[fnames[f.pred]])
-                    assert all(isinstance(c.args[j], Struct)
-                               for t, j in zip(f.args, at)
+                    assert all(isinstance(u, Struct)
+                               for t, u in zip(f.args, c.args, strict=True)
                                if isinstance(t, Struct)), \
                         (name, print_atom(f), print_atom(c))
                     for side, call in (("futamura", f), ("classic", c)):
@@ -611,6 +593,50 @@ def test_a_state_call_passes_a_structure_only_where_classic_does(corpus):
     for side in ("futamura", "classic"):
         assert [passing[name, side] for name in CORPUS_NAMES] == \
             [0, 12, 7, 0, 0]
+
+
+def _canonical(head, body) -> str:
+    """The clause printed with its variables renamed in first-occurrence
+    order: two clauses print alike exactly when they are variants."""
+    names = {v: Var(f"V{i}") for i, v in enumerate(term_vars((head, body)))}
+    return print_atom(replace_vars(head, names.__getitem__)) + " :- " + \
+        ", ".join(print_atom(replace_vars(a, names.__getitem__))
+                  for a in body)
+
+
+def test_futamura_state_clauses_are_variants_of_classics(corpus):
+    """Renamed from ``mi__s<id>`` to classic's predicate of the state, and
+    without the ``mi__s0`` calls, each futamura state clause is a variant
+    of classic's clause at the same place: both compile the state over
+    ``analysis.state_template``.  The named exceptions are the ``acc``
+    states whose successor a widened state covers; there classic's call
+    passes the successor's structure and futamura's head holds the
+    covering state's (ROADMAP item 2)."""
+    differing, compared = [], Counter()
+    for name, graph, classic, residual in _compilations(corpus):
+        rename = {f"mi__s{sid}": classic.state_predicates[sid]
+                  for sid in graph.states}
+        fclauses = _clauses_by_state(
+            residual.program, {f"mi__s{sid}": sid for sid in graph.states})
+        cclauses = _clauses_by_state(
+            classic.program,
+            {p: sid for sid, p in classic.state_predicates.items()})
+        assert fclauses.keys() == cclauses.keys(), name
+        states = []
+        for sid in sorted(cclauses):
+            for fc, cc in zip(fclauses[sid], cclauses[sid], strict=True):
+                compared[name] += 1
+                body = tuple(Atom(rename.get(a.pred, a.pred), a.args)
+                             for a in fc.body if a.pred != "mi__s0")
+                head = Atom(rename[fc.head.pred], fc.head.args)
+                if _canonical(head, body) != _canonical(cc.head, cc.body) \
+                        and cc.head.pred not in states:
+                    states.append(cc.head.pred)
+        differing.append((name, states))
+    assert sum(compared[name] for name in CORPUS_NAMES) == 153
+    assert differing == [(name, []) for name in CORPUS_NAMES] + [
+        ("grow", []), ("acc", ["acc_s10", "acc_s13", "acc_s16"]),
+        ("acc", ["acc_s17", "acc_s18", "acc_s21", "acc_s24"]), ("t", [])]
 
 
 def _state_specializer(tables):
@@ -636,11 +662,12 @@ def test_the_state_filter_binds_what_the_conjunction_knows(corpus):
     assert sp.store == {Var("Y"): Var("X")}
     assert len(sp.memo) == 1
     # the one-block split of state 20 leads to state 10: the block's
-    # unbound list is [] in the resultant's head
+    # unbound list is [] in the resultant's head, whose last argument is
+    # the block list, as classic's is
     heads = [c.head for c in corpus("primes").futamura.program.clauses
              if c.head.pred == "mi__s20" and c.body[0].pred == "mi__s10"]
     (head,) = heads
-    (block,) = list_parts(head.args[0])[0]
+    (block,) = list_parts(head.args[-1])[0]
     (goal,) = list_parts(block.args[0])[0]
     assert goal.functor == "filter" and goal.args[1] == Const("[]")
 
