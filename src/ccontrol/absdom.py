@@ -197,15 +197,7 @@ def canonicalize(x):
     Makes equivalence-class identity a syntactic equality check.  Multi
     identifiers are renumbered in order of occurrence as well.
     """
-    return canonical_renaming(x)[0]
-
-
-def canonical_renaming(x):
-    """``canonicalize(x)``, and the renaming of ``x``'s abstract variables
-    that gives it: inverted, it maps each variable of the canonical form
-    to the variable of ``x`` it renames, which is the cover
-    ``abstract_instance(x, canonicalize(x))`` finds."""
-    rename, mapping = renumbering(AVar, AVar)   # a multi's MVars are kept
+    rename, _ = renumbering(AVar, AVar)   # a multi's MVars are kept
     multi_ids = itertools.count(1)
 
     def walk(t):
@@ -216,8 +208,8 @@ def canonical_renaming(x):
         raise AbstractDomainError(f"cannot canonicalize {t!r}")
 
     if isinstance(x, (tuple, list)):
-        return tuple(walk(item) for item in x), mapping
-    return walk(x), mapping
+        return tuple(walk(item) for item in x)
+    return walk(x)
 
 
 # --- instance check -----------------------------------------------------

@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass, field
 
 from .absdom import (FULLEVAL, UNFOLD, FreshAVars, LogicError,
-                     abstract_instance, abstract_unify_with_clause,
-                     canonical_renaming, canonicalize, full_eval_output,
-                     parse_aconj, print_aconj, widen_depth_k)
+                     abstract_unify_with_clause, canonicalize,
+                     full_eval_output, parse_aconj, print_aconj,
+                     widen_depth_k)
 from .engine import BUILTINS
 from .multi import (LAYOUTS, FoldEvent, Multi, case_split, pattern_name,
                     simplify_conj, try_fold)
@@ -54,13 +54,10 @@ class StateGraph:
     transitions: list        # of Transition
     actions: dict            # id -> ("select", pos, mark) | ("split", pos)
     #                        # | ("group", FoldEvent)
-    # id -> a (cause, successor, cover) triple for each step
-    # ``abstract_step`` gave the state, in transition order: the successor
-    # as ``simplify_conj`` leaves it, and the cover of the state its
-    # transition leads to, which maps each variable of that state's
-    # conjunction to what it stands for in the successor (None for the
-    # empty goal); and the (program, policy) they are of: in memory only,
-    # None for a graph read from a file
+    # id -> a (cause, successor) pair for each step ``abstract_step``
+    # gave the state, in transition order, the successor as
+    # ``simplify_conj`` leaves it; and the (program, policy) they are of:
+    # in memory only, None for a graph read from a file
     steps: dict = field(default=None, compare=False, repr=False)
     source: tuple = field(default=None, compare=False, repr=False)
 
@@ -203,19 +200,17 @@ def analyze(program: Program, policy: SelectionPolicy,
         return sid
 
     def intern(succ, src):
-        """The state a step's successor leads to, the successor simplified,
-        and the state's cover of it: the canonical renaming inverted when
-        the state is the successor's canonical form, and found by
-        ``abstract_instance`` when it is a depth-k widening of it."""
+        """The state a step's successor leads to, and the successor
+        simplified: the state is the successor's canonical form, or its
+        depth-k widening when that form is not yet interned."""
         succ = simplify_conj(succ)
         if not succ:
-            return EMPTY_STATE, succ, None
-        conj, renaming = canonical_renaming(succ)
+            return EMPTY_STATE, succ
+        conj = canonicalize(succ)
         if conj not in index and opts.depth_k is not None:
             conj = canonicalize(simplify_conj(widen_depth_k(conj,
                                                           opts.depth_k)))
-            return state(conj, src), succ, abstract_instance(succ, conj).pairs
-        return state(conj, src), succ, {c: v for v, c in renaming.items()}
+        return state(conj, src), succ
 
     while worklist:
         sid = worklist.pop(0)
@@ -239,9 +234,9 @@ def analyze(program: Program, policy: SelectionPolicy,
             raise AnalysisError(f"state {sid}: {e}") from None
         steps[sid] = []
         for cause, succ in made:
-            dst, succ, cover = intern(succ, sid)
+            dst, succ = intern(succ, sid)
             transitions.append(Transition(sid, dst, cause))
-            steps[sid].append((cause, succ, cover))
+            steps[sid].append((cause, succ))
 
     return StateGraph(1, states, transitions, actions, steps,
                       (program, policy))

@@ -119,12 +119,11 @@ def build_tables(g: StateGraph, program: Program,
     ``abstract_step`` finds; each state's transitions are exactly the
     causes of its steps, in order; and each leads to state 0 when the
     step's successor is empty, otherwise to a state that covers it.  The
-    steps the analysis recorded, with their covers, are taken when it ran
-    under an equal program and policy; any other graph, one read from a
-    file among them, is replayed here once, and the tables hold it with
-    its steps and the covers the check finds.  The rows of each state's
-    clause transitions are built here too, so that a row's clause is
-    always of the predicate the state selects."""
+    steps the analysis recorded are taken when it ran under an equal
+    program and policy; any other graph, one read from a file among them,
+    is replayed here once, and the tables hold it with its steps.  The
+    rows of each state's clause transitions are built here too, so that a
+    row's clause is always of the predicate the state selects."""
     entry = g.states.get(g.entry)
     if entry != canonicalize((policy.entry,)):
         shown = "missing" if entry is None else print_aconj(entry)
@@ -159,10 +158,8 @@ def _covered(g, sid, t, succ) -> tuple:
     successor is ``succ``, as ``StateGraph.steps`` records it, once
     ``t.dst`` covers the successor."""
     succ = simplify_conj(succ)
-    cover = None
     if succ and t.dst != EMPTY_STATE:
-        cover = abstract_instance(succ, g.states[t.dst])
-        covered = cover is not None
+        covered = abstract_instance(succ, g.states[t.dst]) is not None
     else:
         covered = not succ and t.dst == EMPTY_STATE
     if not covered:
@@ -171,7 +168,7 @@ def _covered(g, sid, t, succ) -> tuple:
             f"the {_causes_str([t.cause])} transition of state {sid} "
             f"leads to state {t.dst}, which does not cover its "
             f"successor {shown}")
-    return t.cause, succ, None if cover is None else cover.pairs
+    return t.cause, succ
 
 
 def _replay(sid, conj, action, program, policy) -> list:

@@ -197,7 +197,10 @@ def _parse_output(parser, pattern: Atom) -> ASub:
             raise PolicyError(
                 f"output binds {lhs}, which is not in {print_atom(pattern)}")
         lx.expect("=")
-        pairs[lhs] = parser.parse_term()
+        rhs = pairs[lhs] = parser.parse_term()
+        if not isinstance(rhs, AVar):
+            raise PolicyError(f"output binds {lhs} to {rhs!r}, which is not "
+                              "an abstract variable")
         if lx.peek()[0] == ",":
             lx.next()
     lx.expect("}")

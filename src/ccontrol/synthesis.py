@@ -5,10 +5,9 @@ abstract variables (plus one block-list argument per multi abstraction),
 and each transition becomes a clause.  A state's successors are the
 steps the graph records for it (``analysis.abstract_step`` under the
 state's action, as the analysis or ``metaint.build_tables`` ran it),
-built concretely over a variable template; the cover recorded with each
-step, which maps the variables of the state it leads to onto the
-successor, yields the argument terms linking a clause head to the
-successor call.
+built concretely over a variable template; the successor state's own
+template, matched against the concrete successor, yields the argument
+terms linking a clause head to the successor call.
 The result executes under the plain left-to-right engine yet follows the
 analyzed selection rule step for step.
 """
@@ -17,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absdom import AVar, LogicError
+from .absdom import LogicError
 from .analysis import EMPTY_STATE, StateGraph, state_template
 from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BB_APPEND, block_list, build_tables, building_block
-from .multi import Multi
 from .policy import SelectionPolicy
 from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
                     Switch, Var, atom_to_term, list_parts, mklist, naming,
@@ -38,26 +36,6 @@ class SynthesizedProgram:
     program: Program
     entry: tuple             # (predicate, arity) of the wrapper
     state_predicates: dict   # state id -> predicate name
-
-
-def _bind_term(abstract, concrete) -> dict:
-    """The concrete counterpart of each abstract variable, found by walking
-    the atoms of an abstract conjunction and of its concrete counterpart in
-    lockstep, left to right on an explicit stack."""
-    env = {}
-    stack = [(a, c) for a, c in zip(abstract, concrete)
-             if isinstance(a, Atom)][::-1]
-    while stack:
-        at, ct = stack.pop()
-        if isinstance(at, AVar):
-            env.setdefault(at, ct)
-        elif isinstance(at, Atom) and at.indicator == ct.indicator or \
-                isinstance(at, Struct) and isinstance(ct, Struct) and \
-                (at.functor, len(at.args)) == (ct.functor, len(ct.args)):
-            stack.extend(reversed(tuple(zip(at.args, ct.args))))
-        elif not isinstance(at, Const):
-            raise SynthesisError(f"step diverged: {at!r} versus {ct!r}")
-    return env
 
 
 class _Synthesizer:
@@ -125,19 +103,29 @@ class _Synthesizer:
 
     # --- successor calls --------------------------------------------------
 
-    def _successor(self, dst, succ, cover, conc_elems):
-        """The concrete call to the successor state's predicate.  The
-        stored state covers the abstract successor (it is the same up to
-        renaming, or a widening of it), and each of its abstract variables
-        is passed, in its template's parameter order, the concrete
-        counterpart of what the recorded cover maps it to."""
+    def _successor(self, dst, conc_elems):
+        """The concrete call to the successor state's predicate: one walk,
+        on an explicit stack, of the state's template elements and the
+        successor's concrete elements in lockstep.  Each template
+        parameter is passed the concrete term at its first occurrence (a
+        block-list variable its block-list term), a constant is skipped,
+        and any other difference is an error."""
         if dst == EMPTY_STATE:
             return None
-        var = _bind_term(succ, conc_elems).__getitem__
-        args = [replace_vars(cover[v], var)
-                for v in self.templates[dst][0] if isinstance(v, AVar)]
-        args += [c for a, c in zip(succ, conc_elems) if isinstance(a, Multi)]
-        return Atom(self.names[dst], tuple(args))
+        _, elems, params = self.templates[dst]
+        seen = {}
+        stack = list(zip(elems, conc_elems))[::-1]
+        while stack:
+            p, c = stack.pop()
+            if isinstance(p, Var):
+                seen.setdefault(p, c)
+            elif isinstance(p, Atom) and p.indicator == c.indicator or \
+                    isinstance(p, Struct) and isinstance(c, Struct) and \
+                    (p.functor, len(p.args)) == (c.functor, len(c.args)):
+                stack.extend(reversed(tuple(zip(p.args, c.args))))
+            elif not isinstance(p, Const):
+                raise SynthesisError(f"step diverged: {p!r} versus {c!r}")
+        return Atom(self.names[dst], tuple(seen[v] for v in params))
 
     # --- clause emission --------------------------------------------------
 
@@ -167,7 +155,7 @@ class _Synthesizer:
         g = self.graph
         action, template = g.actions[sid], self.templates[sid]
         freshc = FreshNames()
-        for (cause, succ, cover), t in zip(g.steps[sid], g.successors(sid)):
+        for (cause, succ), t in zip(g.steps[sid], g.successors(sid)):
             if cause[0] == "clause":
                 step = self._resolved(sid, action[1], cause[1], template,
                                       freshc)
@@ -179,7 +167,7 @@ class _Synthesizer:
                 step = self._extracted(sid, action[1], cause, succ, template,
                                        freshc)
             head_args, prefix, conc = step
-            call = self._successor(t.dst, succ, cover, conc)
+            call = self._successor(t.dst, conc)
             body = tuple(prefix) + ((call,) if call is not None else ())
             self.clauses.append((Atom(self.names[sid], tuple(head_args)),
                                  body))
@@ -202,11 +190,6 @@ class _Synthesizer:
     def _evaluated(self, pos, cause, template):
         env, elems, args = template
         decl = self.policy.fulleval[cause[1]]
-        for t in decl.output.pairs.values():
-            if not isinstance(t, AVar):
-                raise SynthesisError(
-                    f"structured full-evaluation output {t!r} is not "
-                    "supported")
         call = elems[pos]
         if not decl.link_is_builtin:
             self.links.append(decl.link)

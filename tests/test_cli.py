@@ -198,6 +198,16 @@ def test_selftest_filter(capsys):
     assert "countdown" in out and "ok" in out
 
 
+def test_selftest_samples_three_permsort_queries(capsys):
+    # permsort runs its corpus queries and three sampled permsort/2 calls
+    assert main(["selftest", "--filter", "permsort", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["entries"]
+    corpus_queries = [line for line in
+                      corpus_text("permsort", ".queries").splitlines()
+                      if line.strip()]
+    assert row["ok"] and row["queries"] == len(corpus_queries) + 3
+
+
 def test_selftest_fails_an_entry_whose_counts_miss_the_identity(
         monkeypatch, capsys):
     # futamura's inference count is classic's plus the answer count on
@@ -616,16 +626,18 @@ def test_specialize_with_an_unreadable_declaration_file_exits_2(
     assert f"cannot read {missing}" in err
 
 
-def _specialize_permsort_with(permsort_files, tmp_path, capsys, flag, text):
-    """``cc specialize`` on permsort with ``text`` as the file of ``flag``:
-    the exit code, the file's path and what was written to stderr."""
+def _specialize_permsort_with(permsort_files, tmp_path, capsys, flag, text,
+                              *extra):
+    """``cc specialize`` on permsort with ``text`` as the file of ``flag``
+    and the arguments ``extra``: the exit code, the file's path and what
+    was written to stderr."""
     lp, pol, _ = permsort_files
     graph = tmp_path / "graph.json"
     assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
     decl = tmp_path / "given.decl"
     decl.write_text(text)
     rc = main(["specialize", str(graph), str(lp), "--policy", str(pol),
-               flag, str(decl), "--out", str(tmp_path / "out.lp")])
+               flag, str(decl), *extra, "--out", str(tmp_path / "out.lp")])
     return rc, decl, capsys.readouterr().err
 
 
@@ -659,6 +671,28 @@ def test_specialize_with_a_misfitting_filter_exits_2(
         permsort_files, tmp_path, capsys, text, message):
     rc, _, err = _specialize_permsort_with(permsort_files, tmp_path, capsys,
                                            "--filters", text)
+    assert rc == 2
+    assert err == f"cc specialize: {message}\n"
+
+
+@pytest.mark.parametrize("ann, filters, message", [
+    ("ann(call, dg_append/3).\n", "",
+     "call annotation on non-builtin "
+     "dg_append([],[_V29|_V30],[permsort(_V1,_V2)])"),
+    ("ann(memo, mi_len/2).\n", "mi_len(dynamic,dynamic).\n",
+     "builtin 1 =< _V101 is insufficiently instantiated at specialization "
+     "time: expected integer argument in 1 =< _V101"),
+], ids=["call", "memo"])
+def test_specialize_with_a_misfitting_annotation_exits_2(
+        permsort_files, tmp_path, capsys, ann, filters, message):
+    # the default annotations and filters, and one more of each: a call
+    # annotation on a user predicate, and a memoized mi_len/2 whose
+    # dynamic index leaves a comparison unknown at specialization time
+    given = tmp_path / "given.filters"
+    given.write_text(interpreter_filter_text() + filters)
+    rc, _, err = _specialize_permsort_with(
+        permsort_files, tmp_path, capsys, "--ann",
+        interpreter_annotation_text() + ann, "--filters", str(given))
     assert rc == 2
     assert err == f"cc specialize: {message}\n"
 
@@ -1193,3 +1227,21 @@ def test_a_fully_evaluated_entry_exits_2(tmp_path, capsys, command, entry,
     assert main([command, str(lp), str(pol)] + extra) == 2
     assert capsys.readouterr().err == \
         f"cc {command}: {pol}: the entry pattern {entry} is fully evaluated\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+def test_a_structured_full_evaluation_output_exits_2(tmp_path, capsys,
+                                                     command):
+    # mi_run and futamura answered X=f(1),Y=1 and X=f(2),Y=2, where
+    # classic refused the output f(g1)
+    lp, pol = tmp_path / "s.lp", tmp_path / "s.policy"
+    lp.write_text("p(X,Y) :- mk(X), use(X,Y).\nmk(f(1)).\nmk(f(2)).\n"
+                  "use(f(N),N).\n")
+    pol.write_text("entry: p(a1,a2).\n"
+                   "fulleval: mk(a1) -> { a1 = f(g1) } via user mk/1.\n")
+    extra = ["--out-dir", str(tmp_path / "out")] \
+        if command == "pipeline" else []
+    assert main([command, str(lp), str(pol)] + extra) == 2
+    assert capsys.readouterr().err == (
+        f"cc {command}: {pol}: output binds a1 to f(g1), which is not an "
+        "abstract variable\n")
