@@ -266,13 +266,16 @@ def depth_first(machine, goal, state, qvars) -> RunResult:
     they are to be tried, ``bindings`` being the (variable, term) pairs
     the step made for that successor and took back off the store, and
     ``deeper`` (0 or 1) is what the step adds to the derivation depth.
+    A step with a sole successor may instead leave its bindings on the
+    store and give it ``()``, as ``terms.resolve_all`` does when only its
+    last candidate's head unifies.
 
     Each stack entry keeps the store's size when its parent was expanded.
     Popping it undoes the store back to that mark and installs its own
     bindings, so the store holds exactly the bindings of the entry's
-    derivation.  A sole successor is not pushed: its bindings are
-    installed and it is stepped at once, as the WAM makes no choice point
-    for a determinate call, so nothing is taken back and put back.  The
+    derivation.  A sole successor is not pushed: it is stepped at once,
+    its bindings installed unless the step left them in place, as the WAM
+    makes no choice point for a determinate call.  The
     limits are checked where a pushed successor would meet them: the
     inference limit before every step and every answer, the depth limit
     before every expansion.  Goals are never instantiated; the query
@@ -297,7 +300,8 @@ def depth_first(machine, goal, state, qvars) -> RunResult:
         if len(store) > mark:
             take_back(store, mark)
         while machine.inferences <= max_inferences:
-            store.update(bindings)
+            if bindings:
+                store.update(bindings)
             if not goal_:
                 answer = {}
                 for v in qvars:

@@ -37,7 +37,7 @@ from .policy import SelectionPolicy
 from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
                     Switch, Var, atom_to_term, mklist, parse_program,
                     print_atom, program_of, replace_vars, resolve_all,
-                    substitute, term_vars)
+                    substitute, take_back, term_vars)
 
 CMULTI = "cmulti"
 BUILDING_BLOCK = "building_block"
@@ -315,13 +315,23 @@ class MetaInterpreter:
 
     def _resolved(self, goal, state, idx):
         """The selected atom resolved against each clause the state's
-        rows name, in order, each row's successor in its target state."""
+        rows name, in order, each row's successor in its target state.
+        A row's success stays on the store, as ``terms.resolve_all``
+        leaves it, only when it is the state's sole success and no row
+        follows; otherwise it is taken back before the next row is tried,
+        or after an earlier success."""
         before, selected, after = divide_goals(goal, idx)
+        store = self.store
+        mark = len(store)
         succ = []
         for switch, dst in self.tables.clause_rows[state]:
+            if len(store) > mark:
+                succ[-1] = succ[-1][:2] + (take_back(store, mark),)
             for body, _, made in resolve_all(selected, switch, after, dst,
-                                             self.fresh, self.store):
+                                             self.fresh, store):
                 succ.append((before + body, dst, made))
+        if len(succ) > 1 and len(store) > mark:
+            succ[-1] = succ[-1][:2] + (take_back(store, mark),)
         self.inferences += len(succ)
         return succ
 

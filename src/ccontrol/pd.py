@@ -583,9 +583,9 @@ class _Specializer:
         if ann == UNFOLD:
             return 0, self._unfold(atom, switch, rest, resid)
         if ann == MEMO:
-            mark = len(store)
-            call = self.request(atom)
-            return 0, [(rest, resid + (call,), take_back(store, mark))]
+            # the bindings ``request`` makes stay on the store for the
+            # sole successor
+            return 0, [(rest, resid + (self.request(atom),), ())]
         if ann == RESCALL:
             call = self._unwrap(substitute(atom, store))
             return 0, [(rest, resid + (call,), ())]

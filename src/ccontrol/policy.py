@@ -190,17 +190,20 @@ def _parse_output(parser, pattern: Atom) -> ASub:
     pairs = {}
     pattern_vars = set(avars(pattern))
     while lx.peek()[0] != "}":
+        lloc = lx.peek()[2]
         lhs = parser.parse_term()
         if not isinstance(lhs, AVar):
-            raise PolicyError(f"output binds non-variable {lhs!r}")
+            raise ParseError(f"output binds non-variable {lhs!r}", *lloc)
         if lhs not in pattern_vars:
-            raise PolicyError(
-                f"output binds {lhs}, which is not in {print_atom(pattern)}")
+            raise ParseError(
+                f"output binds {lhs}, which is not in {print_atom(pattern)}",
+                *lloc)
         lx.expect("=")
+        rloc = lx.peek()[2]
         rhs = pairs[lhs] = parser.parse_term()
         if not isinstance(rhs, AVar):
-            raise PolicyError(f"output binds {lhs} to {rhs!r}, which is not "
-                              "an abstract variable")
+            raise ParseError(f"output binds {lhs} to {rhs!r}, which is not "
+                             "an abstract variable", *rloc)
         if lx.peek()[0] == ",":
             lx.next()
     lx.expect("}")

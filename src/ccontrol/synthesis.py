@@ -177,14 +177,15 @@ class _Synthesizer:
 
     def _resolved(self, sid, pos, clause_id, template, freshc):
         env, elems, args = template
+        b = {}
         succ = resolve_all(elems[pos], self.switches[clause_id],
-                           elems[pos + 1:], sid, freshc, {})
+                           elems[pos + 1:], sid, freshc, b)
         if not succ:
             raise SynthesisError(
                 f"clause {clause_id} matches abstractly but not "
                 f"concretely in state {sid}")
-        [(goal, _, made)] = succ
-        b = dict(made)
+        # a one-clause switch's sole success leaves its bindings on ``b``
+        [(goal, _, _)] = succ
         return substitute(args, b), (), substitute(elems[:pos] + goal, b)
 
     def _evaluated(self, pos, cause, template):

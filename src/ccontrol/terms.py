@@ -616,15 +616,21 @@ def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
     ``bindings`` are those that its generated head code (see
     ``_head_code``) added to ``store``, taken back off it as (variable,
     term) pairs, last first.  The store's bindings stand in for the
-    instantiation of ``atom``, which is not resolved through them first,
-    and the store is left as it was found.  On an empty store,
-    ``substitute`` of ``body + rest`` by the bindings gives what
-    ``rename_apart``, ``unify`` and applying the unifier give.  The
-    bindings are the unifier's, in its order (argument pairs last first,
-    depth first, a goal variable bound before a clause variable), less
-    those of the clause variables whose first occurrence met a goal term
-    other than an unbound variable: such a variable is not bound, and the
-    body holds that term in its place.
+    instantiation of ``atom``, which is not resolved through them first.
+    When the last candidate tried is the only one whose head unifies, its
+    bindings stay on the store and its successor carries ``()``, so a
+    search that runs a sole successor at once (``engine.depth_first``)
+    does not take them back to put them back.  Otherwise the store is
+    left as it was found; a sole success ahead of other candidates was
+    taken back before the next head was tried, and carries its bindings.
+    On an empty store, ``substitute`` of ``body + rest`` by the bindings,
+    carried or left on the store, gives what ``rename_apart``, ``unify``
+    and applying the unifier give.  The bindings are the unifier's, in
+    its order (argument pairs last first, depth first, a goal variable
+    bound before a clause variable), less those of the clause variables
+    whose first occurrence met a goal term other than an unbound
+    variable: such a variable is not bound, and the body holds that term
+    in its place.
 
     Fresh names: ``fresh`` advances by ``switch.total``, and each
     candidate is named at the count it would have had had every clause
@@ -668,15 +674,23 @@ def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
             candidates = switch.by_key.get((x.functor, len(x.args)),
                                            switch.unkeyed)
     prefix = fresh.prefix
+    mark = len(store)
     successors = []
+    body = None
+    # a candidate's bindings are taken back when the next one is tried, so
+    # the last one's can stay
     for clause, offset, from_end in candidates:
-        mark = len(store)
-        body = clause.head_code(args, store, occurs_check, prefix,
-                                base + (from_end if last_first else offset))
         if body is not None:
             successors.append((body + rest, state, take_back(store, mark)))
         elif len(store) > mark:
             take_back(store, mark)
+        body = clause.head_code(args, store, occurs_check, prefix,
+                                base + (from_end if last_first else offset))
+    if body is not None:
+        successors.append((body + rest, state,
+                           take_back(store, mark) if successors else ()))
+    elif len(store) > mark:
+        take_back(store, mark)
     return successors
 
 

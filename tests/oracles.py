@@ -715,9 +715,11 @@ def resolve_one(atom, clause, fresh, store, occurs_check=True):
     if atom.indicator != clause.head.indicator:
         fresh.n += len(clause.variables)
         return None
+    mark = len(store)
     succ = resolve_all(atom, Switch((clause,)), (), None, fresh, store,
                        occurs_check)
-    return (succ[0][0], succ[0][2]) if succ else None
+    # a sole success leaves its bindings on the store: they are taken back
+    return (succ[0][0], take_back(store, mark)) if succ else None
 
 
 def resolve(atom, clause, fresh, occurs_check=True):

@@ -1244,4 +1244,18 @@ def test_a_structured_full_evaluation_output_exits_2(tmp_path, capsys,
     assert main([command, str(lp), str(pol)] + extra) == 2
     assert capsys.readouterr().err == (
         f"cc {command}: {pol}: output binds a1 to f(g1), which is not an "
-        "abstract variable\n")
+        "abstract variable at line 2, column 28\n")
+
+
+@pytest.mark.parametrize("output,message", [
+    ("{ f(a1) = g1 }", "output binds non-variable f(a1) at line 2, column 23"),
+    ("{ a1 = g1, a2 = g2 }",
+     "output binds a2, which is not in mk(a1) at line 2, column 32")])
+def test_an_output_that_binds_no_pattern_variable_exits_2(tmp_path, capsys,
+                                                          output, message):
+    lp, pol = tmp_path / "s.lp", tmp_path / "s.policy"
+    lp.write_text("p(X,Y) :- mk(X), use(X,Y).\nmk(f(1)).\nuse(f(N),N).\n")
+    pol.write_text(f"entry: p(a1,a2).\nfulleval: mk(a1) -> {output} "
+                   "via user mk/1.\n")
+    assert main(["analyze", str(lp), str(pol)]) == 2
+    assert capsys.readouterr().err == f"cc analyze: {pol}: {message}\n"

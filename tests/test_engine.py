@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ccontrol import engine
+from ccontrol import engine, terms
 from ccontrol.engine import (BUILTINS, EngineError, Limits, ModeError,
                              RunResult, answer_set, solve)
 from ccontrol.terms import (NIL, Atom, Const, Struct, Substitution, Var,
@@ -368,6 +368,26 @@ def test_a_growing_stream_costs_linear_time():
                 limits=Limits(max_inferences=20000))
     assert res.inference_count == 20001 and res.exhausted is False
     assert res.answers == []
+
+
+def test_a_determinate_derivation_takes_no_bindings_back(monkeypatch):
+    # each step's one candidate is the last the switch tries, so its
+    # bindings stay on the store for the successor run in place; taking
+    # them back to put them back cost one take_back per resolution
+    calls = []
+    take_back = terms.take_back
+
+    def counted(store, mark):
+        calls.append(mark)
+        return take_back(store, mark)
+
+    monkeypatch.setattr(terms, "take_back", counted)
+    monkeypatch.setattr(engine, "take_back", counted)
+    prog = parse_program("nat(z).\nnat(s(X)) :- nat(X).\n")
+    goal = parse_goal("nat(" + "s(" * 50 + "z" + ")" * 50 + ")")
+    res = solve(prog, goal)
+    assert (len(res.answers), res.inference_count) == (1, 51)
+    assert calls == []
 
 
 # --- the truncation contract ----------------------------------------------

@@ -9,10 +9,12 @@ import random
 from ccontrol.metaint import encode_as_logic_program
 from ccontrol.pd import specialize_encoded
 from ccontrol.terms import (Atom, Const, FreshNames, Struct, Var,
-                            parse_program, replace_vars, resolve_all)
+                            _principal, parse_program, replace_vars,
+                            resolve_all, take_back)
 
 from conftest import CORPUS_NAMES
-from oracles import atoms_like, random_term, reference_resolve_all
+from oracles import (atoms_like, random_term, reference_resolve_all,
+                     reference_resolve_in)
 
 POOL = ["X", "Y", "L", "_V1", "_V3", "_V8"]
 
@@ -69,10 +71,29 @@ def _goals(rng, clauses):
     yield Atom(pred, (Var("L"),) + rest()), {Var("L"): Var("X")}
 
 
+def _last_candidate_unifies(atom, switch, store, occurs_check):
+    """Whether the last clause the switch lets ``atom``'s first argument
+    match has a head that unifies with ``atom`` on ``store``."""
+    x = atom.args[0]
+    while isinstance(x, Var) and x in store:
+        x = store[x]
+    key = _principal(x)
+    candidates = switch.every if key is None \
+        else switch.by_key.get(key, switch.unkeyed)
+    if not candidates:
+        return False
+    fresh = FreshNames()
+    fresh.skip_past(map(Var, POOL))
+    return reference_resolve_in(atom, candidates[-1][0], fresh,
+                                dict(store), occurs_check) is not None
+
+
 def _check(program, rng, counts):
     """Every predicate of ``program`` with a first argument, both ways of
     naming and with and without the occurs check, against the reference
-    applied clause by clause."""
+    applied clause by clause.  A sole success is left on the store exactly
+    when it is the last candidate the switch tries; its bindings, taken
+    back, are the reference's all the same."""
     for pred, arity in sorted(program.predicates):
         if not arity:
             continue
@@ -92,6 +113,15 @@ def _check(program, rng, counts):
                         store_a, occurs_check, last_first)
                     got = resolve_all(atom, switch, rest, "state", fresh_b,
                                       store_b, occurs_check, last_first)
+                    left = take_back(store_b, len(before))
+                    if len(want) == 1 and _last_candidate_unifies(
+                            atom, switch, store, occurs_check):
+                        [(body, state, made)] = got
+                        assert made == (), (atom, store, pred)
+                        got = [(body, state, left)]
+                        counts["left"] += 1
+                    else:
+                        assert left == [], (atom, store, pred)
                     # the bodies, the ordered bindings and so every fresh
                     # name in them
                     assert got == want, (atom, store, pred, last_first)
@@ -104,7 +134,7 @@ def _check(program, rng, counts):
 
 def test_the_switch_matches_the_reference_on_every_corpus_predicate(corpus):
     rng = random.Random(17)
-    counts = {"goals": 0, "successors": 0, "clauses": 0}
+    counts = {"goals": 0, "successors": 0, "clauses": 0, "left": 0}
     for name in CORPUS_NAMES:
         entry = corpus(name)
         for program in (entry.program, entry.classic.program,
@@ -113,14 +143,16 @@ def test_the_switch_matches_the_reference_on_every_corpus_predicate(corpus):
             _check(program, rng, counts)
     assert counts["goals"] > 5000
     assert 0.02 < counts["successors"] / counts["clauses"] < 0.5
+    assert counts["left"] > 5000
 
 
 def test_the_switch_matches_the_reference_on_mixed_first_arguments():
     rng = random.Random(3)
-    counts = {"goals": 0, "successors": 0, "clauses": 0}
+    counts = {"goals": 0, "successors": 0, "clauses": 0, "left": 0}
     for _ in range(20):
         _check(MIXED, rng, counts)
     assert counts["successors"] > 500
+    assert counts["left"] > 200
 
 
 def test_the_switch_lists_candidates_in_textual_order():
@@ -148,19 +180,57 @@ def test_the_switch_skips_clauses_by_their_variable_counts():
     atom = Atom("p", (Const("b"), Var("K"), Var("M")))
     fresh = FreshNames()
     store = {}
+    # the sole candidate's bindings stay on the store
     [(body, state, made)] = resolve_all(atom, program.switch_for(("p", 3)),
                                         (), None, fresh, store)
-    assert fresh.n == 6 and body == () and store == {}
-    assert made[::-1] == [(Var("M"), Var("_V5")), (Var("K"), Var("_V6")),
-                          (Var("_V5"), Const("b"))]
+    assert fresh.n == 6 and body == () and made == ()
+    assert list(store.items()) == [(Var("M"), Var("_V5")),
+                                   (Var("K"), Var("_V6")),
+                                   (Var("_V5"), Const("b"))]
     # resolved last first, the variable-first clause is named first
     fresh = FreshNames()
+    store = {}
     [(body, state, made)] = resolve_all(atom, program.switch_for(("p", 3)),
                                         (), None, fresh, store,
                                         last_first=True)
-    assert fresh.n == 6
-    assert made[::-1] == [(Var("M"), Var("_V1")), (Var("K"), Var("_V2")),
-                          (Var("_V1"), Const("b"))]
+    assert fresh.n == 6 and made == ()
+    assert list(store.items()) == [(Var("M"), Var("_V1")),
+                                   (Var("K"), Var("_V2")),
+                                   (Var("_V1"), Const("b"))]
+
+
+# one variable-first clause between two that a constant first argument picks
+STAYS = parse_program("s(a,X,1).\ns(Y,f(Y),2).\ns(a,Z,3).\n")
+
+
+def _resolve_s(second, third):
+    store = {}
+    succ = resolve_all(Atom("s", (Const("a"), second, third)),
+                       STAYS.switch_for(("s", 3)), (), None, FreshNames(),
+                       store)
+    return succ, store
+
+
+def test_a_sole_success_of_the_last_candidate_stays_on_the_store():
+    [(body, _, made)], store = _resolve_s(Var("K"), Const(3))
+    assert body == () and made == ()
+    assert list(store.items()) == [(Var("K"), Var("_V3"))]
+
+
+def test_two_successes_leave_the_store_as_found():
+    succ, store = _resolve_s(Var("K"), Var("N"))
+    assert store == {}
+    assert [made[::-1] for _, _, made in succ] == [
+        [(Var("N"), Const(1)), (Var("K"), Var("_V1"))],
+        [(Var("N"), Const(2)), (Var("K"), Struct("f", (Var("_V2"),))),
+         (Var("_V2"), Const("a"))],
+        [(Var("N"), Const(3)), (Var("K"), Var("_V3"))]]
+
+
+def test_a_sole_success_ahead_of_a_failing_candidate_carries_its_bindings():
+    [(body, _, made)], store = _resolve_s(Var("K"), Const(1))
+    assert store == {} and body == ()
+    assert made[::-1] == [(Var("K"), Var("_V1"))]
 
 
 def test_copies_rebuild_the_switches_from_the_clauses(corpus):
