@@ -28,10 +28,10 @@ from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
                      support_clauses)
 from .metaint import CMULTI, encode_as_logic_program
 from .terms import (Atom, Const, FreshNames, LogicError, ParseError,
-                    Program, Struct, Var, _Lexer, _unify_pairs, atom_to_term,
-                    list_parts, mklist, naming, print_atom, program_of,
-                    replace_vars, resolve_all, substitute, take_back,
-                    term_to_atom, term_vars, NIL)
+                    Program, Struct, Var, _Lexer, _rebuild, _unify_pairs,
+                    atom_to_term, list_parts, mklist, naming, print_atom,
+                    program_of, replace_vars, resolve_all, substitute,
+                    take_back, term_to_atom, term_vars, NIL)
 
 DEFAULT_BUDGET = 10_000
 
@@ -429,7 +429,8 @@ class _Specializer:
         self.worklist = []
         self.clauses = []
         self.steps = 0
-        self.names = set()
+        # a residual predicate takes no name of the program's own
+        self.names = {pred for pred, _ in program.predicates}
 
     def request(self, atom: Atom) -> Atom:
         """Memoize a call, read through the store; returns the residual
@@ -563,14 +564,16 @@ class _Specializer:
     def step(self, goal, resid):
         """Treat the first atom as its annotation says.  ``resid`` is the
         residual body so far, and None at the memoized pattern itself,
-        which is always unfolded: its clauses take the fresh names of
-        being resolved last first (``terms.resolve_all``), which fixes
-        those of every resultant."""
+        which is always unfolded.  A resultant is read through the store
+        and its variables named ``_V1, _V2, ...`` in first-occurrence
+        order, head then body, in the same walk, so its text does not
+        depend on how many names the specialization has drawn."""
         store = self.store
         atom, rest = goal[0], goal[1:]
         if not rest:                     # the head: a resultant is done
-            self.clauses.append((substitute(atom, store),
-                                 substitute(resid, store)))
+            names = FreshNames()
+            self.clauses.append(_rebuild((atom, resid), store,
+                                         naming({}, lambda _: names.var())))
             return 0, []
         key = atom.indicator
         plan = self.plans.get(key)
@@ -578,10 +581,8 @@ class _Specializer:
             plan = self.plans[key] = (self.annotations.of(atom),
                                       self.program.switch_for(key))
         ann, switch = plan
-        if resid is None:
-            return 0, self._unfold(atom, switch, rest, (), last_first=True)
-        if ann == UNFOLD:
-            return 0, self._unfold(atom, switch, rest, resid)
+        if resid is None or ann == UNFOLD:
+            return 0, self._unfold(atom, switch, rest, resid or ())
         if ann == MEMO:
             # the bindings ``request`` makes stay on the store for the
             # sole successor
@@ -602,12 +603,11 @@ class _Specializer:
                 f"{e}") from None
         return 0, [(rest, resid, out) for out in outs]
 
-    def _unfold(self, atom, switch, rest, resid, last_first=False) -> list:
+    def _unfold(self, atom, switch, rest, resid) -> list:
         if switch is None:
             raise PDError(f"cannot unfold unknown predicate "
                           f"{atom.pred}/{len(atom.args)}")
-        succ = resolve_all(atom, switch, rest, resid, self.fresh, self.store,
-                           last_first=last_first)
+        succ = resolve_all(atom, switch, rest, resid, self.fresh, self.store)
         self._tick(len(succ))
         return succ
 

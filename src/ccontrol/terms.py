@@ -277,26 +277,26 @@ class Switch:
     (Warren, SRI TN 309, 1983), built once with its ``Program``.
 
     ``clauses`` are the predicate's clauses in textual order.  ``every``
-    holds each as ``(clause, offset, from_end)``: ``offset`` is the sum of
-    the variable counts of the clauses before it, ``from_end`` that of the
-    clauses after it, and ``total`` the sum over all of them.  ``by_key``
-    maps a principal functor (see ``_principal``) that some head's first
-    argument has to the entries a goal whose first argument has that
-    functor can match, in textual order; a clause whose first argument is
-    a variable is in every list, and ``unkeyed`` lists those alone, for a
-    functor no head has.  A switch holds no code, so building one walks
-    each clause once, for its variable count, and generates nothing."""
+    holds each as ``(clause, offset)``: ``offset`` is the sum of the
+    variable counts of the clauses before it, and ``total`` the sum over
+    all of them.  ``by_key`` maps a principal functor (see ``_principal``)
+    that some head's first argument has to the entries a goal whose first
+    argument has that functor can match, in textual order; a clause whose
+    first argument is a variable is in every list, and ``unkeyed`` lists
+    those alone, for a functor no head has.  A switch holds no code, so
+    building one walks each clause once, for its variable count, and
+    generates nothing."""
 
     __slots__ = ("clauses", "total", "every", "by_key", "unkeyed")
 
     def __init__(self, clauses):
         self.clauses = tuple(clauses)
         counts = [_variable_count(c) for c in self.clauses]
-        self.total = total = sum(counts)
+        self.total = sum(counts)
         self.every, self.by_key, self.unkeyed = [], {}, []
         offset = 0
         for clause, n in zip(self.clauses, counts):
-            entry = (clause, offset, total - offset - n)
+            entry = (clause, offset)
             offset += n
             self.every.append(entry)
             key = _principal(clause.head.args[0]) if clause.head.args \
@@ -395,12 +395,12 @@ def replace_vars(x, rename):
     """Simultaneous variable replacement by the function ``rename``,
     called on each occurrence in textual order (no chain walking, unlike
     ``substitute``, so the range may reuse domain names)."""
-    return rename(x) if isinstance(x, Var) else _rebuild(x, None, rename)
+    return rename(x) if isinstance(x, Var) else _rebuild(x, {}, rename)
 
 
 def naming(names: dict, draw):
-    """A renaming for ``replace_vars``: each variable's entry in
-    ``names``, else ``draw(v)``, kept there."""
+    """A renaming for ``replace_vars`` and ``_rebuild``: each variable's
+    entry in ``names``, else ``draw(v)``, kept there."""
     def name(v):
         t = names.get(v)
         if t is None:
@@ -410,10 +410,13 @@ def naming(names: dict, draw):
 
 
 def _rebuild(x, b, rename):
-    """``substitute`` and ``replace_vars``, bottom up on an explicit stack
-    of the parts open around ``node``, so a term of any depth is rebuilt.
-    A part in which nothing is replaced is returned as it is; a list is
-    always copied.  ``bound`` holds the variables whose bindings are open."""
+    """``x`` with each variable bound in ``b`` replaced by the instance of
+    its binding and each one left unbound by ``rename`` of it, when
+    ``rename`` is given, called in textual order.  Bottom up on an
+    explicit stack of the parts open around ``node``, so a term of any
+    depth is rebuilt.  A part in which nothing is replaced is returned as
+    it is; a list is always copied.  ``bound`` holds the variables whose
+    bindings are open."""
     cls = x.__class__
     if cls is Struct or cls is Atom or cls is tuple or cls is list:
         node, it = x, iter(x if cls is tuple or cls is list else x.args)
@@ -427,21 +430,16 @@ def _rebuild(x, b, rename):
                 out.append(a)
                 continue
             if isinstance(a, Var):
-                if rename is not None:
-                    t = rename(a)
-                    out.append(t)
-                    changed = changed or t is not a
-                    continue
-                t = b.get(a)
-                if t is None:
-                    out.append(a)
-                    continue
-                changed = True
+                t = b.get(a, a)
                 while isinstance(t, Var) and t in b:
                     a, t = t, b[t]
                 if t.__class__ is not Struct:
+                    if rename is not None and isinstance(t, Var):
+                        t = rename(t)
                     out.append(t)
+                    changed = changed or t is not a
                     continue
+                changed = True
                 if a in bound:
                     raise RecursionError(f"cyclic term through {a}")
                 bound.add(a)
@@ -599,8 +597,8 @@ def rename_apart(c: Clause, fresh: FreshNames) -> Clause:
 
 
 def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
-                fresh: FreshNames, store: dict, occurs_check: bool = True,
-                last_first: bool = False) -> list:
+                fresh: FreshNames, store: dict,
+                occurs_check: bool = True) -> list:
     """The resolution step: ``atom`` resolved against each clause of
     ``switch`` that its first argument lets match, as the successors
     ``(body + rest, state, bindings)`` of the clauses whose heads unify,
@@ -634,9 +632,7 @@ def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
 
     Fresh names: ``fresh`` advances by ``switch.total``, and each
     candidate is named at the count it would have had had every clause
-    been tried in textual order, or in the reverse order with
-    ``last_first``, as partial deduction unfolds a memoized pattern (the
-    successors stay in textual order): from the count ``n``, the variable
+    been tried in textual order: from the count ``n``, the variable
     at position ``i`` of the clause's ``variables`` is
     ``<prefix><n + i + 1>``.  No variable of ``atom`` or of the store may
     be named like a name ``fresh`` hands out now: ``engine.depth_first``
@@ -679,13 +675,13 @@ def resolve_all(atom: Atom, switch: Switch, rest: tuple, state,
     body = None
     # a candidate's bindings are taken back when the next one is tried, so
     # the last one's can stay
-    for clause, offset, from_end in candidates:
+    for clause, offset in candidates:
         if body is not None:
             successors.append((body + rest, state, take_back(store, mark)))
         elif len(store) > mark:
             take_back(store, mark)
         body = clause.head_code(args, store, occurs_check, prefix,
-                                base + (from_end if last_first else offset))
+                                base + offset)
     if body is not None:
         successors.append((body + rest, state,
                            take_back(store, mark) if successors else ()))

@@ -855,17 +855,15 @@ def reference_resolve_in(atom, clause, fresh, store, occurs_check=True):
 
 
 def reference_resolve_all(atom, clauses, rest, state, fresh, store,
-                          occurs_check=True, last_first=False):
+                          occurs_check=True):
     """``terms.resolve_all`` as ``reference_resolve_in`` on each clause of
-    the predicate in turn, with no switch: in textual order, or in the
-    reverse order with the successors then put back in textual order."""
-    order = tuple(reversed(clauses)) if last_first else clauses
+    the predicate in turn, in textual order, with no switch."""
     successors = []
-    for clause in order:
+    for clause in clauses:
         res = reference_resolve_in(atom, clause, fresh, store, occurs_check)
         if res is not None:
             successors.append((res[0] + rest, state, res[1]))
-    return successors[::-1] if last_first else successors
+    return successors
 
 
 # --- the builtins by rebuilding --------------------------------------------

@@ -1,6 +1,7 @@
 """No dead code under ``src/``: every imported name is used, every
-private definition is referenced from somewhere other than itself, and
-every public one from ``src/`` too, but for one named exception.
+private definition is referenced from somewhere other than itself, every
+public one from ``src/`` too, and every defaulted parameter is passed by
+some call under ``src/``, but for named exceptions.
 
 Checked on the syntax trees of ``src/ccontrol/*.py``, with no linter."""
 
@@ -99,3 +100,68 @@ def test_every_public_definition_is_referenced_from_src():
                     dead.append(f"{name} {node.name}")
     assert dead == CALLED_FROM_OUTSIDE_SRC, \
         f"public definitions no code under src/ refers to: {dead}"
+
+
+# defaulted parameters that only code outside src/ passes: the bench
+# harness times each interpreter variant (ROADMAP items 1 and 17), and the
+# tests unify without the occurs check and run the CLI on their own argv
+PASSED_FROM_OUTSIDE_SRC = ["cli.py main argv", "metaint.py mi_run variant",
+                           "pd.py specialize_encoded variant",
+                           "terms.py unify occurs_check"]
+
+
+def _defaulted(tree):
+    """(callee name, defaulted parameters with their positions, the
+    position of the first argument a call passes) of each function of
+    ``tree`` that has a default: an ``__init__`` is called by its class's
+    name, and a method's ``self`` is passed by the call's receiver."""
+    scopes = [(tree, None)] + [(n, n.name) for n in tree.body
+                               if isinstance(n, ast.ClassDef)]
+    for scope, cls in scopes:
+        for node in scope.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            params = [(p.arg, i) for i, p in enumerate(positional)
+                      if i >= len(positional) - len(a.defaults)]
+            params += [(k.arg, None) for k, d in zip(a.kwonlyargs,
+                                                     a.kw_defaults)
+                       if d is not None]
+            if not params:
+                continue
+            method = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            name = cls if node.name == "__init__" else node.name
+            yield name, params, int(method)
+
+
+def _passes(call, param, position, first) -> bool:
+    """Whether ``call`` passes ``param``, by keyword, by position (its
+    first argument being at ``first``) or through ``*`` or ``**``."""
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position - first
+
+
+def test_every_defaulted_parameter_is_passed_from_src():
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for name, tree in TREES.items():
+        for callee, params, first in _defaulted(tree):
+            for param, position in params:
+                if not any(_passes(call, param, position, first)
+                           for call in calls.get(callee, ())):
+                    unpassed.append(f"{name} {callee} {param}")
+    assert unpassed == PASSED_FROM_OUTSIDE_SRC, \
+        f"defaulted parameters no call under src/ passes: {unpassed}"

@@ -290,11 +290,10 @@ def test_specialize_unfolds_interpretation_away():
                           filters, budget=1000)
     ok, missing = check_closedness(residual)
     assert ok, missing
-    # the memoized call's clauses are renamed last first and its
-    # resultants kept in textual order, which fixes every fresh name
+    # each resultant names its variables in first-occurrence order
     assert print_program(residual.program) == (
-        "app__g0([],_V8,_V8).\n"
-        "app__g0([_V4|_V5],_V6,[_V4|_V7]) :- app__g0(_V5,_V6,_V7).\n")
+        "app__g0([],_V1,_V1).\n"
+        "app__g0([_V1|_V2],_V3,[_V1|_V4]) :- app__g0(_V2,_V3,_V4).\n")
     assert print_atom(residual.entry_call) == "app__g0(A,B,C)"
     # the residual enumerates the same (infinite) answer stream
     from ccontrol.engine import Limits
@@ -732,3 +731,77 @@ def test_an_entry_pattern_with_a_repeated_variable_and_a_constant():
                                             for a in goal]),)),)
         assert answer_set(solve(residual.program, wrapped)) == \
             answer_set(solve(classic, goal)), text
+
+
+# --- residual names ---------------------------------------------------------
+
+APP = parse_program("app([],L,L).\napp([X|Xs],Y,[X|Zs]) :- app(Xs,Y,Zs).\n")
+
+
+def _generic_app():
+    return specialize(APP, parse_atom("app(A,B,C)"),
+                      parse_annotations("ann(memo, app/3)."),
+                      parse_filters("app(dynamic,dynamic,dynamic)."),
+                      budget=1000)
+
+
+def test_each_resultant_names_its_variables_in_first_occurrence_order(
+        corpus):
+    # memo entries named mi__s<id> (the state filter), mi__g<n> (the
+    # generic list filters) and app__g0
+    list_filters = parse_filters(list_filter_text())
+    residuals = [_generic_app()] + list(map(specialize_encoded,
+                                            _small_tables()))
+    for name in CORPUS_NAMES:
+        residuals += [corpus(name).futamura,
+                      specialize_encoded(corpus(name).tables,
+                                         filters=list_filters)]
+    checked = set()
+    for residual in residuals:
+        entries = {e.name for e in residual.memo}
+        for c in residual.program.clauses:
+            if c.head.pred not in entries:
+                continue
+            found = term_vars((c.head, c.body))
+            assert found == [Var(f"_V{i}")
+                             for i in range(1, len(found) + 1)], c
+            checked.add(c.head.pred.rpartition("__")[2][0])
+    assert checked == {"s", "g"}
+
+
+def test_the_residual_does_not_depend_on_the_fresh_count(corpus,
+                                                         monkeypatch):
+    printed = {name: print_program(corpus(name).futamura.program)
+               for name in CORPUS_NAMES}
+    printed["app"] = print_program(_generic_app().program)
+    init = _Specializer.__init__
+
+    def counted_from_1000(self, *args):
+        init(self, *args)
+        self.fresh.n = 1000
+
+    monkeypatch.setattr(_Specializer, "__init__", counted_from_1000)
+    for name in CORPUS_NAMES:
+        assert print_program(specialize_encoded(
+            corpus(name).tables).program) == printed[name], name
+    assert print_program(_generic_app().program) == printed["app"]
+
+
+def test_a_residual_predicate_takes_no_name_of_the_source_program():
+    """A source predicate named like a state's memo entry keeps its name
+    and its clauses: the entry takes the next free name, and the support
+    closure copies the source predicate."""
+    program = parse_program("p(X) :- q(X).\nq(X) :- mi__s2(X).\n"
+                            "mi__s2(a).\nmi__s2(b).\n")
+    policy = parse_policy("entry: p(a1).\n"
+                          "fulleval: q(a1) -> { a1=g1 } via user q/1.\n")
+    tables = build_tables(analyze(program, policy), program, policy)
+    residual = specialize_encoded(tables)
+    assert sorted(e.name for e in residual.memo) == \
+        ["mi__s0", "mi__s1", "mi__s2__1"]
+    copied = [print_atom(c.head) for c in residual.program.clauses
+              if c.head.pred == "mi__s2"]
+    assert copied == ["mi__s2(a)", "mi__s2(b)"]
+    res = solve(residual.program, parse_goal("compute([p(X)])"))
+    assert answer_set(res) == answer_set(solve(program, parse_goal("p(X)")))
+    assert (len(res.answers), res.inference_count) == (2, 8)

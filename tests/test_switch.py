@@ -89,47 +89,46 @@ def _last_candidate_unifies(atom, switch, store, occurs_check):
 
 
 def _check(program, rng, counts):
-    """Every predicate of ``program`` with a first argument, both ways of
-    naming and with and without the occurs check, against the reference
-    applied clause by clause.  A sole success is left on the store exactly
-    when it is the last candidate the switch tries; its bindings, taken
-    back, are the reference's all the same."""
+    """Every predicate of ``program`` with a first argument, with and
+    without the occurs check, against the reference applied clause by
+    clause.  A sole success is left on the store exactly when it is the
+    last candidate the switch tries; its bindings, taken back, are the
+    reference's all the same."""
     for pred, arity in sorted(program.predicates):
         if not arity:
             continue
         switch = program.switch_for((pred, arity))
         goals = list(_goals(rng, switch.clauses))
         for occurs_check in (True, False):
-            for last_first in (False, True):
-                fresh_a, fresh_b = FreshNames(), FreshNames()
-                fresh_a.skip_past(map(Var, POOL))
-                fresh_b.skip_past(map(Var, POOL))
-                for atom, store in goals:
-                    rest = (Atom("r", (Var("X"), Var("_V1"))),)
-                    before = list(store.items())
-                    store_a, store_b = dict(store), dict(store)
-                    want = reference_resolve_all(
-                        atom, switch.clauses, rest, "state", fresh_a,
-                        store_a, occurs_check, last_first)
-                    got = resolve_all(atom, switch, rest, "state", fresh_b,
-                                      store_b, occurs_check, last_first)
-                    left = take_back(store_b, len(before))
-                    if len(want) == 1 and _last_candidate_unifies(
-                            atom, switch, store, occurs_check):
-                        [(body, state, made)] = got
-                        assert made == (), (atom, store, pred)
-                        got = [(body, state, left)]
-                        counts["left"] += 1
-                    else:
-                        assert left == [], (atom, store, pred)
-                    # the bodies, the ordered bindings and so every fresh
-                    # name in them
-                    assert got == want, (atom, store, pred, last_first)
-                    assert fresh_a.n == fresh_b.n
-                    assert list(store_b.items()) == before
-                    counts["goals"] += 1
-                    counts["successors"] += len(want)
-                    counts["clauses"] += len(switch.clauses)
+            fresh_a, fresh_b = FreshNames(), FreshNames()
+            fresh_a.skip_past(map(Var, POOL))
+            fresh_b.skip_past(map(Var, POOL))
+            for atom, store in goals:
+                rest = (Atom("r", (Var("X"), Var("_V1"))),)
+                before = list(store.items())
+                store_a, store_b = dict(store), dict(store)
+                want = reference_resolve_all(
+                    atom, switch.clauses, rest, "state", fresh_a,
+                    store_a, occurs_check)
+                got = resolve_all(atom, switch, rest, "state", fresh_b,
+                                  store_b, occurs_check)
+                left = take_back(store_b, len(before))
+                if len(want) == 1 and _last_candidate_unifies(
+                        atom, switch, store, occurs_check):
+                    [(body, state, made)] = got
+                    assert made == (), (atom, store, pred)
+                    got = [(body, state, left)]
+                    counts["left"] += 1
+                else:
+                    assert left == [], (atom, store, pred)
+                # the bodies, the ordered bindings and so every fresh
+                # name in them
+                assert got == want, (atom, store, pred)
+                assert fresh_a.n == fresh_b.n
+                assert list(store_b.items()) == before
+                counts["goals"] += 1
+                counts["successors"] += len(want)
+                counts["clauses"] += len(switch.clauses)
 
 
 def test_the_switch_matches_the_reference_on_every_corpus_predicate(corpus):
@@ -159,7 +158,7 @@ def test_the_switch_lists_candidates_in_textual_order():
     switch = MIXED.switch_for(("m", 2))
 
     def ids(entries):
-        return [c.id for c, _, _ in entries]
+        return [c.id for c, _ in entries]
 
     assert ids(switch.every) == list(range(1, 13))
     assert ids(switch.unkeyed) == [2, 6]
@@ -167,9 +166,8 @@ def test_the_switch_lists_candidates_in_textual_order():
         == {"a": [1, 2, 5, 6], 1: [2, 3, 6, 9], ("f", 1): [2, 4, 6, 7],
             ("g", 2): [2, 6, 8], (".", 2): [2, 6, 10], "[]": [2, 6, 11],
             2: [2, 6, 12]}
-    # offsets count the variables of the clauses before, and after
-    assert [(o, e) for _, o, e in switch.every][:4] == \
-        [(0, 7), (1, 6), (2, 6), (2, 5)]
+    # offsets count the variables of the clauses before
+    assert [o for _, o in switch.every][:4] == [0, 1, 2, 2]
     assert switch.total == 8
 
 
@@ -187,16 +185,6 @@ def test_the_switch_skips_clauses_by_their_variable_counts():
     assert list(store.items()) == [(Var("M"), Var("_V5")),
                                    (Var("K"), Var("_V6")),
                                    (Var("_V5"), Const("b"))]
-    # resolved last first, the variable-first clause is named first
-    fresh = FreshNames()
-    store = {}
-    [(body, state, made)] = resolve_all(atom, program.switch_for(("p", 3)),
-                                        (), None, fresh, store,
-                                        last_first=True)
-    assert fresh.n == 6 and made == ()
-    assert list(store.items()) == [(Var("M"), Var("_V1")),
-                                   (Var("K"), Var("_V2")),
-                                   (Var("_V1"), Const("b"))]
 
 
 # one variable-first clause between two that a constant first argument picks
