@@ -29,7 +29,7 @@ from functools import cached_property
 from .absdom import (FULLEVAL, LogicError, abstract_instance, canonicalize,
                      print_aconj)
 from .analysis import (EMPTY_STATE, AnalysisError, StateGraph,
-                       abstract_step, action_json)
+                       abstract_step, action_json, state_template)
 from .engine import (BUILTINS, Limits, RunResult, Solver, check_known,
                      depth_first, support_clauses)
 from .multi import BLOCK, MULTI, FoldEvent, Multi, simplify_conj
@@ -93,6 +93,21 @@ class StateTables:
     def grouping(self) -> dict:
         """Grouping states and their fold events."""
         return self.graph.groupings
+
+    @cached_property
+    def goal_patterns(self) -> dict:
+        """Each state's goal-list pattern, ``cmulti(B)`` for each block list
+        ``B`` of its template (``analysis.state_template``), and the
+        template's parameters, by state id, the empty goal's among them.
+        State 3's variables are ``S3_G1``, ``S3_B1``, ..., apart from all
+        others."""
+        patterns = {}
+        for sid, conj in ((EMPTY_STATE, ()), *self.graph.states.items()):
+            _, elems, params = state_template(
+                conj, lambda v: Var(f"S{sid}_{v.upper()}"))
+            patterns[sid] = mklist([Struct(CMULTI, (e,)) if isinstance(e, Var)
+                                    else atom_to_term(e) for e in elems]), params
+        return patterns
 
     @cached_property
     def encoded(self) -> Program:
@@ -377,10 +392,9 @@ mi([G|Gs], State) :-
     mi(NewGs, NewState).
 """)
 
-# only when the graph has multi abstractions: a split unfolds a cmulti's
-# single remaining instance in place, or its first instance ahead of the
-# rest, still wrapped; a grouping step regroups the goal list
-_MULTIS = _clauses("""
+# only with split states: a split unfolds a cmulti's one remaining instance
+# in place, or its first instance ahead of the rest, still wrapped
+_SPLITS = _clauses("""
 mi([G|Gs], State) :-
     selected_index(State, Idx),
     extracted_patt_one(State, Patt1),
@@ -400,6 +414,10 @@ mi([G|Gs], State) :-
     dg_append(Before, NewGsA, NewGsB),
     dg_append(NewGsB, After, NewGs),
     mi(NewGs, NewState).
+""")
+
+# only with grouping states: a grouping regroups the goal list
+_GROUPING = _clauses("""
 mi([G|Gs], State) :-
     grouping(State, NextState, GSpec),
     apply_groupings([G|Gs], GSpec, NewGs),
@@ -446,15 +464,16 @@ def encode_as_logic_program(tables: StateTables,
 
 
 def _encode(tables: StateTables) -> Program:
-    multis = tables.variant == "extended"
     # substitute copies the list, so the sections below stay as parsed
     clauses = substitute(_DRIVER, {Var("Entry"): Const(tables.entry)})
     if tables.policy.fulleval:
         clauses += _FULL_EVAL
-    if multis:
-        clauses += _MULTIS
+    if tables.split_states:
+        clauses += _SPLITS
+    if tables.grouping:
+        clauses += _GROUPING
     clauses += _GOAL_LISTS
-    if multis:
+    if tables.variant == "extended":
         clauses += BB_APPEND
     clauses += _tables(tables)
     own = {head.pred for head, _ in clauses}

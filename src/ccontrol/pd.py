@@ -22,16 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .absdom import print_aconj
-from .analysis import EMPTY_STATE, state_template
 from .engine import (BUILTINS, Limits, ModeError, depth_first, is_known,
                      support_clauses)
-from .metaint import CMULTI, encode_as_logic_program
+from .metaint import encode_as_logic_program
 from .terms import (Atom, Const, FreshNames, LogicError, ParseError,
-                    Program, Struct, Var, _Lexer, _rebuild, _unify_pairs,
-                    atom_to_term, list_parts, mklist, naming, print_atom,
-                    program_of, replace_vars, resolve_all, substitute,
-                    take_back, term_to_atom, term_vars, NIL)
+                    Program, Struct, Var, _Lexer, _rebuild, list_parts,
+                    match_template, mklist, naming, print_atom, program_of,
+                    resolve_all, substitute, term_to_atom, term_vars, NIL)
 
 DEFAULT_BUDGET = 10_000
 
@@ -171,11 +168,10 @@ class OneOf(BindingType):
 
 
 class StateGoals(BindingType):
-    """The goal list of ``mi/2``, known as far as the conjunction of the
-    state that the call's static second argument names.  It is not a
-    generalization of the term alone: ``_Specializer`` walks the state's
-    conjunction and the goal list together (``_state_request``), so it
-    takes the states that ``specialize_encoded`` passes."""
+    """The goal list of ``mi/2``, known as far as the pattern that the
+    call's static second argument keys in the patterns that
+    ``specialize_encoded`` passes, which ``_Specializer`` matches against
+    the goal list (``_state_request``)."""
 
     def __repr__(self):
         return "state"
@@ -380,7 +376,7 @@ class MemoEntry:
     """A residual predicate: its arguments are the variables of ``call``
     (filter propagation), so the known parts of the call are compiled
     into its name and clauses.  They come in first-occurrence order, or,
-    for a state's entry, in the order of ``analysis.state_template``."""
+    for a pattern of the state filter, in the order its table gives."""
     name: str                # residual predicate name
     call: Atom               # the generalized call pattern
     params: tuple            # the variables of ``call``
@@ -410,12 +406,12 @@ class _Specializer:
     when the head is all that is left of the goal.
     """
 
-    def __init__(self, program, annotations, filters, budget, states=None):
+    def __init__(self, program, annotations, filters, budget, patterns=None):
         self.program = program
         self.annotations = annotations
         self.filters = filters
         self.budget = budget
-        self.states = states              # state id -> conjunction
+        self.patterns = patterns or {}    # state id -> (pattern, params)
         self.fresh = FreshNames()
         self.store = {}
         # the search's limits never stop a specialization: its steps add
@@ -424,7 +420,7 @@ class _Specializer:
         self.inferences = 0
         self.memo = []                    # of MemoEntry
         self.memo_index = {}              # variant key -> MemoEntry
-        self.state_memo = {}              # state id -> (MemoEntry, conj)
+        self.state_memo = {}              # state id -> MemoEntry
         self.plans = {}                   # indicator -> (annotation, switch)
         self.worklist = []
         self.clauses = []
@@ -435,7 +431,7 @@ class _Specializer:
     def request(self, atom: Atom) -> Atom:
         """Memoize a call, read through the store; returns the residual
         call replacing it.  Under the state filter, the bindings that the
-        state's conjunction makes of the call are left on the store."""
+        state's pattern makes of the call are left on the store."""
         types = self.filters.for_atom(atom)
         if types and types[0] is STATE:
             return self._state_request(atom)
@@ -454,78 +450,31 @@ class _Specializer:
         return Atom(entry.name, tuple(parts))
 
     def _state_request(self, atom: Atom) -> Atom:
-        """``mi(Goals, S)`` memoized at state S's conjunction: one walk, on
-        an explicit stack, of the state's goal-list pattern and ``Goals``
-        in lockstep, read through the store.  The first occurrence of a
-        pattern variable takes the call's term as its argument, and a
-        later one is unified with that term; a constant or structure of
-        the pattern that meets an unbound variable binds it.  Anything
-        else is a clash."""
+        """``mi(Goals, S)`` memoized at S's goal-list pattern, made a memo
+        entry at its first request: the residual call passes what
+        ``terms.match_template`` makes of ``Goals``, its bindings kept."""
         store = self.store
         sid = atom.args[1]
         while sid.__class__ is Var and sid in store:
             sid = store[sid]
-        entry, conj = self._state_memo(atom, sid)
-        mark, seen = len(store), {}
-        rename = naming(seen, lambda _: self.fresh.var())
-        stack = [(entry.call.args[0], atom.args[0])]
-        while stack:
-            p, t = stack.pop()
-            while t.__class__ is Var:
-                u = store.get(t)
-                if u is None:
-                    break
-                t = u
-            cls = p.__class__
-            if cls is Var:
-                if p not in seen:
-                    seen[p] = t
-                    continue
-                fits = _unify_pairs([(t, seen[p])], store, True)
-            elif t.__class__ is Var:
-                fits = _unify_pairs([(t, replace_vars(p, rename))], store,
-                                    True)
-            elif cls is Const:
-                fits = t.__class__ is Const and t.name == p.name
-            else:
-                fits = t.__class__ is Struct and t.functor == p.functor \
-                    and len(t.args) == len(p.args)
-                if fits:
-                    stack += zip(p.args[::-1], t.args[::-1])
-            if not fits:
-                take_back(store, mark)
-                raise PDError(
-                    f"the call {print_atom(substitute(atom, store))} is "
-                    f"not an instance of state {sid.name}'s conjunction "
-                    f"{print_aconj(conj) or 'true'}")
-        return Atom(entry.name, tuple(seen[v] for v in entry.params))
-
-    def _state_memo(self, atom, sid) -> tuple:
-        """The memo entry of the state ``sid`` and its conjunction, built at
-        the state's first request: the entry's goal-list pattern is the
-        state's template, ``cmulti(B)`` for each block list ``B``, and its
-        parameters the template's.  Its variables are drawn from ``fresh``,
-        so no two patterns share one on the store."""
         key = sid.name if sid.__class__ is Const else None
-        memo = self.state_memo.get(key)
-        if memo is not None:
-            return memo
-        if self.states is None:
-            raise PDError("the state binding type needs the state graph "
-                          "that specialize_encoded passes")
-        conj = () if key == EMPTY_STATE else self.states.get(key)
-        if conj is None:
-            raise PDError(f"{print_atom(substitute(atom, self.store))} "
-                          "names no state of the graph")
-        _, elems, params = state_template(conj, lambda _: self.fresh.var())
-        pattern = mklist([Struct(CMULTI, (e,)) if e.__class__ is Var
-                          else atom_to_term(e) for e in elems])
-        gatom = Atom(atom.pred, (pattern, sid))
-        entry = MemoEntry(self._name_for(gatom), gatom, params)
-        self.memo.append(entry)
-        self.worklist.append(entry)
-        memo = self.state_memo[key] = entry, conj
-        return memo
+        entry = self.state_memo.get(key)
+        if entry is None:
+            if key not in self.patterns:
+                raise PDError(f"{print_atom(substitute(atom, store))} "
+                              "names no state of the graph")
+            pattern, params = self.patterns[key]
+            gatom = Atom(atom.pred, (pattern, sid))
+            entry = MemoEntry(self._name_for(gatom), gatom, params)
+            self.memo.append(entry)
+            self.worklist.append(entry)
+            self.state_memo[key] = entry
+        args = match_template(entry.call.args[0], entry.params, atom.args[0],
+                              store, lambda _: self.fresh.var())
+        if args is None:
+            raise PDError(f"the call {print_atom(substitute(atom, store))} "
+                          f"is not an instance of {print_atom(entry.call)}")
+        return Atom(entry.name, args)
 
     def _name_for(self, gatom: Atom) -> str:
         last = gatom.args[-1] if gatom.args else None
@@ -632,19 +581,19 @@ class _Specializer:
 
 def specialize(program: Program, entry: Atom, annotations: Annotations,
                filters: Filters, budget: int = DEFAULT_BUDGET,
-               wrapper: Atom = None, states: dict = None) -> ResidualProgram:
+               wrapper: Atom = None, patterns=None) -> ResidualProgram:
     """Specialize ``program`` with respect to the partially known ``entry``.
 
     The entry call is memoized first; specialization proceeds until the
     memo table is closed, so every residual call is defined.  A
     ``wrapper`` head, when given, becomes the residual program's last
     clause, with the residual entry call as its body, so that the program
-    is built once.  ``states`` maps each state id to its conjunction, for
-    the ``state`` binding type.
+    is built once.  ``patterns`` maps each state id to a goal-list
+    pattern and its parameters, for the ``state`` binding type.
     """
-    sp = _Specializer(program, annotations, filters, budget, states)
+    sp = _Specializer(program, annotations, filters, budget, patterns)
     entry_call = sp.request(entry)
-    if sp.store:        # what the entry state's conjunction fixes
+    if sp.store:        # what the entry state's pattern fixes
         entry_call, wrapper = substitute((entry_call, wrapper), sp.store)
         sp.store.clear()
     sp.run()
@@ -681,7 +630,7 @@ def interpreter_annotations() -> Annotations:
 
 def interpreter_filters() -> Filters:
     """Binding types of the interpreter's goal list and state: the state
-    is fully known, and the goal list as far as the state's conjunction
+    is fully known, and the goal list as far as the state's pattern
     (``mi(state, static)``).  A cmulti element is kept whole, as
     ``cmulti(_)``: the state already fixes the shape of its blocks, and
     the residual splits the block list in its clause heads."""
@@ -704,13 +653,12 @@ def specialize_encoded(tables, variant: str = None,
     entry state's residual predicate on the entry atom's arguments.
     """
     encoded = encode_as_logic_program(tables, variant)
-    entry_aatom = tables.graph.states[tables.entry][0]
+    pred, arity = tables.policy.entry.indicator
     fresh = FreshNames("X")
-    skeleton = Struct(entry_aatom.pred,
-                      tuple(fresh.var() for _ in entry_aatom.args))
+    skeleton = Struct(pred, tuple(fresh.var() for _ in range(arity)))
     entry = Atom("mi", (mklist([skeleton]), Const(tables.entry)))
     annotations = annotations or interpreter_annotations()
     filters = filters or interpreter_filters()
     return specialize(encoded, entry, annotations, filters, budget,
                       Atom("compute", (mklist([skeleton]),)),
-                      tables.graph.states)
+                      tables.goal_patterns)

@@ -22,9 +22,9 @@ from .engine import Limits, answer_set, solve, support_clauses
 from .metaint import BB_APPEND, block_list, build_tables, building_block
 from .policy import SelectionPolicy
 from .terms import (CONS, NIL, Atom, Const, FreshNames, Program, Struct,
-                    Switch, Var, atom_to_term, list_parts, mklist, naming,
-                    print_atom, program_of, replace_vars, resolve_all,
-                    substitute, term_to_atom)
+                    Switch, Var, atom_to_term, list_parts, match_template,
+                    mklist, naming, print_atom, program_of, replace_vars,
+                    resolve_all, substitute, term_to_atom)
 
 
 class SynthesisError(LogicError):
@@ -104,28 +104,19 @@ class _Synthesizer:
     # --- successor calls --------------------------------------------------
 
     def _successor(self, dst, conc_elems):
-        """The concrete call to the successor state's predicate: one walk,
-        on an explicit stack, of the state's template elements and the
-        successor's concrete elements in lockstep.  Each template
-        parameter is passed the concrete term at its first occurrence (a
-        block-list variable its block-list term), a constant is skipped,
-        and any other difference is an error."""
+        """The concrete call to the successor state's predicate, if any: the
+        state's template matched against the successor's concrete
+        elements (``terms.match_template``) on an empty store, which the
+        match leaves empty, since the state covers the successor."""
         if dst == EMPTY_STATE:
-            return None
+            return ()
         _, elems, params = self.templates[dst]
-        seen = {}
-        stack = list(zip(elems, conc_elems))[::-1]
-        while stack:
-            p, c = stack.pop()
-            if isinstance(p, Var):
-                seen.setdefault(p, c)
-            elif isinstance(p, Atom) and p.indicator == c.indicator or \
-                    isinstance(p, Struct) and isinstance(c, Struct) and \
-                    (p.functor, len(p.args)) == (c.functor, len(c.args)):
-                stack.extend(reversed(tuple(zip(p.args, c.args))))
-            elif not isinstance(p, Const):
-                raise SynthesisError(f"step diverged: {p!r} versus {c!r}")
-        return Atom(self.names[dst], tuple(seen[v] for v in params))
+        store = {}
+        args = match_template(elems, params, conc_elems, store, Var)
+        if args is None or store:
+            raise SynthesisError(f"step diverged: state {dst} does not "
+                                 f"cover {conc_elems!r}")
+        return (Atom(self.names[dst], args),)
 
     # --- clause emission --------------------------------------------------
 
@@ -167,8 +158,7 @@ class _Synthesizer:
                 step = self._extracted(sid, action[1], cause, succ, template,
                                        freshc)
             head_args, prefix, conc = step
-            call = self._successor(t.dst, conc)
-            body = tuple(prefix) + ((call,) if call is not None else ())
+            body = tuple(prefix) + self._successor(t.dst, conc)
             self.clauses.append((Atom(self.names[sid], tuple(head_args)),
                                  body))
 

@@ -697,6 +697,48 @@ def take_back(store: dict, mark: int) -> list:
     return [popitem() for _ in range(len(store) - mark)]
 
 
+def match_template(pattern, params, term, store: dict, draw):
+    """The arguments, in the order of ``params``, with which ``term``
+    calls the template ``pattern`` over ``params``: one walk of both on an
+    explicit stack, reading ``term`` through ``store``.  A pattern
+    variable takes the term it first meets, and a later occurrence is
+    unified with that term.  A constant or compound (structure, atom or
+    goal tuple) of the pattern that meets an unbound variable binds it,
+    its variables renamed to the terms they took or else by ``draw``; the
+    bindings stay on the store.  A clash returns None and leaves the
+    store as it was found."""
+    mark, seen = len(store), {}
+    rename = naming(seen, draw)
+    stack = [(pattern, term)]
+    while stack:
+        p, t = stack.pop()
+        while t.__class__ is Var and t in store:
+            t = store[t]
+        cls = p.__class__
+        if cls is Var:
+            if p not in seen:
+                seen[p] = t
+                continue
+            fits = t is seen[p] or _unify_pairs([(t, seen[p])], store, True)
+        elif t.__class__ is Var:
+            fits = _unify_pairs([(t, replace_vars(p, rename))], store, True)
+        elif cls is Const:
+            fits = t.__class__ is Const and t.name == p.name
+        elif cls is tuple:
+            fits = t.__class__ is tuple and len(t) == len(p)
+            if fits:
+                stack += zip(p[::-1], t[::-1])
+        else:
+            fits = t.__class__ is cls and len(t.args) == len(p.args) and \
+                (t.pred == p.pred if cls is Atom else t.functor == p.functor)
+            if fits:
+                stack += zip(p.args[::-1], t.args[::-1])
+        if not fits:
+            take_back(store, mark)
+            return None
+    return tuple(seen[v] for v in params)
+
+
 # --- generated head code -------------------------------------------------
 
 # A structure met this deep in a clause literal (a head argument is 1 deep,

@@ -678,10 +678,10 @@ def test_specialize_with_a_misfitting_filter_exits_2(
 @pytest.mark.parametrize("ann, filters, message", [
     ("ann(call, dg_append/3).\n", "",
      "call annotation on non-builtin "
-     "dg_append([],[_V29|_V30],[permsort(_V1,_V2)])"),
+     "dg_append([],[_V27|_V28],[permsort(S1_G1,S1_A1)])"),
     ("ann(memo, mi_len/2).\n", "mi_len(dynamic,dynamic).\n",
-     "builtin 1 =< _V101 is insufficiently instantiated at specialization "
-     "time: expected integer argument in 1 =< _V101"),
+     "builtin 1 =< _V97 is insufficiently instantiated at specialization "
+     "time: expected integer argument in 1 =< _V97"),
 ], ids=["call", "memo"])
 def test_specialize_with_a_misfitting_annotation_exits_2(
         permsort_files, tmp_path, capsys, ann, filters, message):

@@ -12,7 +12,7 @@ from ccontrol.analysis import (EMPTY_STATE, AnalysisError, AnalysisOptions,
                                StateGraph, Transition, analyze, parse_graph,
                                render_graph)
 from ccontrol.cli import main
-from ccontrol.engine import Limits, solve
+from ccontrol.engine import Limits, is_known, solve
 from ccontrol.metaint import (MetaintError, atom_to_term, build_tables,
                               encode_as_logic_program, mi_run)
 from ccontrol.multi import FoldEvent, Multi, simplify_conj
@@ -618,6 +618,53 @@ def test_a_call_of_a_variable_still_stops_at_run_time(tmp_path, capsys):
         (2, "cc pipeline: unknown predicate s/0\n")
 
 
+# states whose selected atom unifies with no clause head (ROADMAP item 3n):
+# with a grouping state and no split state, and without multis
+NO_HEAD_UNIFIES = {
+    "grouping": ("p0([[X|W]|[X|W]]) :- p2([b]), p0(Z), p0(Z).\n"
+                 "p2(s(Z)).\np2([]).\np2([X|s(X)]).\n",
+                 "entry: p0(g1).\npreprior: p2(g1) < p0(g11).\n"),
+    "plain": ("p(b) :- p([Y]).\n", "entry: p(a1).\n"),
+}
+
+
+def _no_head_unifies_tables(case):
+    program = parse_program(NO_HEAD_UNIFIES[case][0])
+    policy = parse_policy(NO_HEAD_UNIFIES[case][1])
+    return build_tables(analyze(program, policy), program, policy)
+
+
+def test_the_encoding_of_a_grouping_without_a_split_runs(tmp_path, capsys):
+    tables = _no_head_unifies_tables("grouping")
+    assert tables.grouping and not tables.split_states
+    # the driver's two clauses and the grouping clause, no split clause
+    assert len(tables.encoded.clauses_for("mi", 2)) == 3
+    assert not tables.encoded.clauses_for("extracted_patt_one", 2)
+    goal = parse_goal("p0(X)")
+    encoded = run_compiled(tables.encoded, goal)
+    assert encoded.answers == mi_run(tables, goal).answers == []
+    assert encoded.exhausted
+    lp, pol, graph = (tmp_path / f for f in ("p.lp", "p.policy", "g.json"))
+    lp.write_text(NO_HEAD_UNIFIES["grouping"][0])
+    pol.write_text(NO_HEAD_UNIFIES["grouping"][1])
+    assert main(["analyze", str(lp), str(pol), "--out", str(graph)]) == 0
+    assert main(["encode", str(graph), str(lp), "--policy", str(pol),
+                 "--out", str(tmp_path / "e.lp")]) == 0
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "e.lp"), "--query",
+                 "compute([p0(X)])"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("case", CORPUS_NAMES + tuple(NO_HEAD_UNIFIES))
+def test_the_encoded_program_calls_only_what_it_defines(corpus, case):
+    tables = corpus(case).tables if case in CORPUS_NAMES \
+        else _no_head_unifies_tables(case)
+    program = tables.encoded
+    assert [a for c in program.clauses for a in c.body
+            if not is_known(program, a)] == []
+
+
 _DRIVER = """\
 compute(Gs) :- mi(Gs,1).
 mi([],_).
@@ -690,8 +737,8 @@ def test_readme_shows_the_interpreter_clauses():
     section = readme.read_text().split("## The encoded interpreter")[1]
     text = section.split("```prolog")[1].split("```")[0]
     assert parse_program(text) == program_of(
-        metaint._DRIVER + metaint._FULL_EVAL + metaint._MULTIS
-        + metaint._GOAL_LISTS + metaint.BB_APPEND)
+        metaint._DRIVER + metaint._FULL_EVAL + metaint._SPLITS
+        + metaint._GROUPING + metaint._GOAL_LISTS + metaint.BB_APPEND)
 
 
 def test_user_full_evaluation_name_clash_is_rejected():

@@ -165,3 +165,27 @@ def test_every_defaulted_parameter_is_passed_from_src():
                     unpassed.append(f"{name} {callee} {param}")
     assert unpassed == PASSED_FROM_OUTSIDE_SRC, \
         f"defaulted parameters no call under src/ passes: {unpassed}"
+
+
+def _imported_modules(tree):
+    """The last component of each module that ``tree`` imports from, or
+    imports, or whose submodules it imports with ``from . import``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else \
+                [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        yield from (name.rpartition(".")[2] for name in names)
+
+
+def test_the_specializer_takes_each_state_s_pattern_as_data():
+    """``pd.py`` knows nothing of the analysis: each state's goal-list
+    pattern comes from ``StateTables.goal_patterns``, and it matches a
+    call against it by the walk that direct synthesis calls too."""
+    assert not {"analysis", "absdom"} & set(_imported_modules(TREES["pd.py"]))
+    for name in ("pd.py", "synthesis.py"):
+        assert "match_template" in {ref for ref, _ in
+                                    _references(TREES[name])}, name

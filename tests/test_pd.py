@@ -640,7 +640,7 @@ def test_futamura_state_clauses_are_variants_of_classics(corpus):
 
 def _state_specializer(tables):
     return _Specializer(tables.encoded, pd.interpreter_annotations(),
-                        interpreter_filters(), 100, tables.graph.states)
+                        interpreter_filters(), 100, tables.goal_patterns)
 
 
 def test_the_state_filter_binds_what_the_conjunction_knows(corpus):
@@ -651,8 +651,8 @@ def test_the_state_filter_binds_what_the_conjunction_knows(corpus):
         "mi([filter(P,L,F),sift(F,S),length(S,N)],10)"))
     assert print_atom(call) == "mi__s10(P,F,S,N)"
     assert sp.store == {Var("L"): Const("[]")}
-    assert print_atom(sp.memo[0].call) == \
-        "mi([filter(_V1,[],_V2),sift(_V2,_V3),length(_V3,_V4)],10)"
+    assert print_atom(sp.memo[0].call) == "mi([filter(S10_G1,[],S10_A1)," \
+        "sift(S10_A1,S10_A2),length(S10_A2,S10_G2)],10)"
     # a later occurrence of a1 is unified with the first one's term
     sp.store.clear()
     call = sp.request(parse_atom(
@@ -683,15 +683,16 @@ def test_a_call_that_is_no_instance_of_its_state_is_an_error(corpus, goals):
     with pytest.raises(PDError) as err:
         sp.request(parse_atom(f"mi({goals},10)"))
     assert str(err.value) == (
-        f"the call mi({goals},10) is not an instance of state 10's "
-        "conjunction filter(g1,[],a1) , sift(a1,a2) , length(a2,g2)")
+        f"the call mi({goals},10) is not an instance of mi([filter(S10_G1,"
+        "[],S10_A1),sift(S10_A1,S10_A2),length(S10_A2,S10_G2)],10)")
     assert sp.store == {}
 
 
 def test_the_state_filter_needs_a_state_of_the_graph(corpus):
     tables = corpus("permsort").tables
     entry = parse_atom("mi([permsort(X,Y)],1)")
-    with pytest.raises(PDError, match="needs the state graph"):
+    with pytest.raises(PDError, match=r"^mi\(\[permsort\(X,Y\)\],1\) "
+                                      "names no state of the graph$"):
         specialize(tables.encoded, entry, pd.interpreter_annotations(),
                    interpreter_filters())
     with pytest.raises(PDError, match=r"^mi\(\[permsort\(X,Y\)\],99\) "

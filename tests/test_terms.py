@@ -18,7 +18,7 @@ from ccontrol.policy import parse_policy
 from ccontrol.terms import (Atom, Clause, Const, FreshNames, ParseError,
                             Program, Struct, Substitution, Switch, Var,
                             _Lexer, _MAX_NESTING, _Parser, _shape,
-                            list_parts, mklist, parse_atom,
+                            list_parts, match_template, mklist, parse_atom,
                             parse_goal, parse_program, parse_term,
                             print_atom, print_program, print_term,
                             rename_apart, replace_vars, substitute,
@@ -862,6 +862,67 @@ def test_solver_without_occurs_check_answers_like_with_it(corpus):
             unchecked = solve(entry.program, goal, occurs_check=False)
             assert (unchecked.answers, unchecked.inference_count) == \
                 (checked.answers, checked.inference_count), goal
+
+
+# --- matching a template --------------------------------------------------
+
+def _match(pattern, params, term, store):
+    """``match_template`` on parsed text, drawing ``_D1, _D2, ...``."""
+    fresh = FreshNames("_D")
+    return match_template(parse_term(pattern), tuple(map(Var, params)),
+                          parse_term(term), store, lambda _: fresh.var())
+
+
+def test_a_repeated_template_variable_is_unified_with_its_first_term():
+    store = {}
+    assert _match("f(X,g(X))", "X", "f(A,g(b))", store) == (Var("A"),)
+    assert store == {Var("A"): Const("b")}
+    # the call is read through the store
+    store = {Var("B"): parse_term("g(A)")}
+    assert _match("f(X,g(X))", "X", "f(c,B)", store) == (Const("c"),)
+    assert store == {Var("B"): parse_term("g(A)"), Var("A"): Const("c")}
+
+
+def test_a_constant_clash_leaves_the_store_as_found():
+    store = {Var("A"): Const("b")}
+    assert _match("f(X,a)", "X", "f(c,A)", store) is None
+    assert store == {Var("A"): Const("b")}
+    assert _match("f(X,a)", "X", "f(c,g(a))", store) is None
+    assert _match("f(X,a)", "X", "h(c,a)", store) is None
+    assert store == {Var("A"): Const("b")}
+
+
+def test_a_template_compound_binds_an_unbound_call_variable():
+    # its variables are renamed to the terms they took, or drawn
+    store = {}
+    assert _match("f(X,g(X,Y),Y)", "XY", "f(a,A,B)", store) == \
+        (Const("a"), Var("_D1"))
+    assert store == {Var("A"): parse_term("g(a,_D1)"),
+                     Var("B"): Var("_D1")}
+    # taken back when a later pair clashes
+    store = {Var("C"): Const("c")}
+    assert _match("f(g(X),b,X)", "X", "f(A,C,d)", store) is None
+    assert store == {Var("C"): Const("c")}
+
+
+def test_the_arguments_come_in_parameter_order():
+    store = {}
+    assert _match("[cmulti(B),p(G)]", "GB", "[cmulti(L),p(x)]", store) == \
+        (Const("x"), Var("L"))
+    assert store == {}
+
+
+def test_a_goal_template_matches_atom_by_atom():
+    template = (parse_atom("p(G,f(A))"), Var("B"))
+    params = (Var("G"), Var("A"), Var("B"))
+    goal = (parse_atom("p(x,f(y))"), parse_term("[a]"))
+    assert match_template(template, params, goal, {}, None) == \
+        (Const("x"), Const("y"), parse_term("[a]"))
+    for other in ((parse_atom("q(x,f(y))"), Const("[]")),
+                  (parse_atom("p(x,f(y),z)"), Const("[]")),
+                  (Struct("p", (Const("x"), parse_term("f(y)"))), Const("[]")),
+                  (parse_atom("p(x,f(y))"),)):
+        assert match_template(template, params, other, {}, None) is None
 
 
 # --- programs -------------------------------------------------------------
